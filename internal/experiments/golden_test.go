@@ -2,12 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"neu10/internal/obs"
+	"neu10/internal/serve"
 )
 
 // goldenServe maps every serving scenario to its snapshot files. Table
@@ -85,6 +91,86 @@ func TestGoldenServeReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(g.json, string(data)+"\n")
+	}
+}
+
+// goldenObsScenarios are the serving scenarios whose observability
+// exports are digest-locked in testdata/golden_obs.sha256.
+var goldenObsScenarios = []string{
+	"serve-steady", "serve-priority", "serve-llm", "serve-disagg", "serve-chaos", "serve-paged",
+}
+
+// obsDigest runs one scenario with every collector on (default 10 ms
+// sampling) and hashes its export surface across all legs: the merged
+// Chrome trace, timeline CSV and ledger CSV, then each leg's Gantt
+// summary, attribution tables, report tables and JSON.
+func obsDigest(t *testing.T, r *Runner, id string) string {
+	t.Helper()
+	res, err := r.Run(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := res.(*ServeResult)
+	var tracers []*obs.Tracer
+	var sets []*obs.TimelineSet
+	var ledgers []*obs.Ledger
+	for _, rep := range sr.Reports {
+		tracers = append(tracers, rep.Trace)
+		sets = append(sets, rep.Timelines)
+		ledgers = append(ledgers, rep.Ledger)
+	}
+	h := sha256.New()
+	if err := obs.WriteChromeAll(h, tracers); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteCSVAll(h, sets); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteLedgerCSVAll(h, ledgers); err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range sr.Reports {
+		io.WriteString(h, rep.Trace.Gantt(0))
+		io.WriteString(h, rep.AttribTable())
+	}
+	io.WriteString(h, res.Table())
+	data, err := json.Marshal(sr.Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(data)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenObsExports byte-locks the observability exports (trace,
+// timelines, ledger) that TestGoldenServeReports leaves unchecked:
+// one SHA-256 per scenario in testdata/golden_obs.sha256, regenerated
+// under the same NEU10_UPDATE_GOLDEN switch.
+func TestGoldenObsExports(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ServeObs = &serve.ObsConfig{Trace: true, Timelines: true, Attrib: true}
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, id := range goldenObsScenarios {
+		fmt.Fprintf(&sb, "%s  %s\n", obsDigest(t, r, id), id)
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "golden_obs.sha256")
+	if os.Getenv("NEU10_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("observability exports diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
