@@ -100,16 +100,9 @@ func BenchmarkServeDisagg(b *testing.B) { benchExperiment(b, "serve-disagg") }
 // on the identical trace (healthy, faulted, faulted with recovery) —
 // the crash/teardown path, transfer aborts, emergency spawns and
 // decode-pool evacuation on top of the disaggregated machinery.
-// BenchmarkServeChaos runs with observability OFF (the default);
-// compare against BenchmarkServeChaosTraced for the tracing overhead.
+// Observability is OFF (the default); benchmark/ prices each collector
+// on a long chaos horizon (the chaos-obs workload and its obs.* layers).
 func BenchmarkServeChaos(b *testing.B) { benchExperiment(b, "serve-chaos") }
-
-// BenchmarkServeChaosTraced is the identical chaos scenario with
-// request-lifecycle tracing and timeline sampling on — the delta vs
-// BenchmarkServeChaos is the whole cost of the observability subsystem
-// when enabled (when disabled it must cost nothing: the untraced
-// benchmarks above are the regression gate for that).
-func BenchmarkServeChaosTraced(b *testing.B) { benchExperiment(b, "serve-chaos-traced") }
 
 // BenchmarkServeConsolidate measures the consolidation study: the
 // min-chips searches for the merged LLM+vision+recsys cluster and the

@@ -42,6 +42,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"neu10/internal/experiments"
@@ -51,22 +52,31 @@ import (
 
 // scenarios maps CLI names to experiment ids.
 var scenarios = map[string]string{
-	"steady":       "serve-steady",
-	"flash-crowd":  "serve-flash",
-	"mix-shift":    "serve-mix",
-	"priority":     "serve-priority",
-	"llm":          "serve-llm",
-	"disagg":       "serve-disagg",
-	"chaos":        "serve-chaos",
-	"chaos-traced": "serve-chaos-traced",
-	"consolidate":  "serve-consolidate",
-	"paged":        "serve-paged",
-	"attrib":       "serve-attrib",
+	"steady":      "serve-steady",
+	"flash-crowd": "serve-flash",
+	"mix-shift":   "serve-mix",
+	"priority":    "serve-priority",
+	"llm":         "serve-llm",
+	"disagg":      "serve-disagg",
+	"chaos":       "serve-chaos",
+	"consolidate": "serve-consolidate",
+	"paged":       "serve-paged",
+	"attrib":      "serve-attrib",
+}
+
+// scenarioNames lists the CLI scenario names in sorted order.
+func scenarioNames() string {
+	names := make([]string, 0, len(scenarios))
+	for name := range scenarios {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 func main() {
 	var (
-		scenario   = flag.String("scenario", "steady", "scenario: steady, flash-crowd, mix-shift, priority, llm, disagg, or chaos")
+		scenario   = flag.String("scenario", "steady", "scenario: "+scenarioNames())
 		seed       = flag.Uint64("seed", 1, "seed for arrivals, routing and therefore the whole report")
 		workers    = flag.Int("workers", 0, "worker pool for scenario-internal comparisons (0 = GOMAXPROCS)")
 		jsonOut    = flag.Bool("json", false, "emit the structured report(s) as JSON instead of a table")
@@ -92,7 +102,6 @@ func main() {
 		fmt.Println("              same trace, swept over link bandwidth")
 		fmt.Println("chaos         mid-trace chip crashes, a pod outage and link degradation on a")
 		fmt.Println("              disaggregated fleet; no-fault vs fault vs fault+recovery, same trace")
-		fmt.Println("chaos-traced  the chaos scenario with tracing and timelines always on")
 		fmt.Println("consolidate   LLM + vision + recsys tenants on one shared cluster vs per-tenant")
 		fmt.Println("              silos; min-chips search at equal SLO attainment")
 		fmt.Println("paged         multi-turn session traffic on a tight KV partition; full-reservation")
@@ -106,7 +115,7 @@ func main() {
 	if !ok {
 		id = strings.TrimSpace(*scenario) // allow raw experiment ids too
 		if !strings.HasPrefix(id, "serve-") {
-			fatal(fmt.Errorf("unknown scenario %q (want steady, flash-crowd, mix-shift, priority, llm, disagg or chaos)", *scenario))
+			fatal(fmt.Errorf("unknown scenario %q (want one of %s)", *scenario, scenarioNames()))
 		}
 	}
 

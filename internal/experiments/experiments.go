@@ -102,7 +102,7 @@ func IDs() []string {
 		"fig24", "fig25", "fig26", "fig27",
 		"ablation-harvest", "ablation-preempt", "slo", "cluster",
 		"serve-steady", "serve-flash", "serve-mix", "serve-priority", "serve-llm",
-		"serve-disagg", "serve-chaos", "serve-chaos-traced", "serve-consolidate",
+		"serve-disagg", "serve-chaos", "serve-consolidate",
 		"serve-paged", "serve-attrib",
 	}
 }
@@ -160,8 +160,6 @@ func (r *Runner) Run(id string) (Result, error) {
 		return r.ServeDisagg()
 	case "serve-chaos":
 		return r.ServeChaos()
-	case "serve-chaos-traced":
-		return r.ServeChaosTraced()
 	case "serve-consolidate":
 		return r.ServeConsolidate()
 	case "serve-paged":

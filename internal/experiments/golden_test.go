@@ -174,10 +174,18 @@ func TestGoldenObsExports(t *testing.T) {
 	}
 }
 
-// TestServeChaosTracedMatchesUntraced checks the traced chaos variant
-// renders the exact same tables as the untraced one (observation never
-// changes a number) while additionally carrying trace and timeline
-// artifacts on every report.
+// tracedOptions is DefaultOptions with lifecycle tracing and timeline
+// sampling on for every serving scenario.
+func tracedOptions() Options {
+	opts := DefaultOptions()
+	opts.ServeObs = &serve.ObsConfig{Trace: true, Timelines: true}
+	return opts
+}
+
+// TestServeChaosTracedMatchesUntraced checks that serve-chaos run with
+// tracing and timelines on renders the exact same tables as the
+// untraced run (observation never changes a number) while additionally
+// carrying trace and timeline artifacts on every report.
 func TestServeChaosTracedMatchesUntraced(t *testing.T) {
 	r, err := NewRunner(DefaultOptions())
 	if err != nil {
@@ -187,7 +195,11 @@ func TestServeChaosTracedMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := r.Run("serve-chaos-traced")
+	rt, err := NewRunner(tracedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := rt.Run("serve-chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,20 +222,20 @@ func TestServeChaosTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestTracedExportsWorkerInvariant is the traced determinism gate: the
-// serve-chaos-traced scenario's merged Chrome trace and timeline CSV
-// must be byte-identical between a sequential and an oversubscribed
+// TestTracedExportsWorkerInvariant is the traced determinism gate:
+// serve-chaos's merged Chrome trace and timeline CSV, traced, must be
+// byte-identical between a sequential and an oversubscribed
 // parallel runner. Each leg owns a private tracer filled by its own
 // event loop, so worker interleaving must never reach the exports.
 func TestTracedExportsWorkerInvariant(t *testing.T) {
 	export := func(workers int) (string, string, string) {
-		opts := DefaultOptions()
+		opts := tracedOptions()
 		opts.Workers = workers
 		r, err := NewRunner(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run("serve-chaos-traced")
+		res, err := r.Run("serve-chaos")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -332,22 +332,6 @@ func (r *Runner) ServeDisagg() (*ServeResult, error) {
 // time-to-recover strictly lower with recovery than without, at the
 // price of the spare capacity and recompute tokens the table shows.
 func (r *Runner) ServeChaos() (*ServeResult, error) {
-	return r.serveChaos("serve-chaos", r.opts.ServeObs)
-}
-
-// ServeChaosTraced is the chaos scenario with full observability forced
-// on — lifecycle tracing and sampled timelines — regardless of
-// Options.ServeObs. Its TABLES are byte-identical to serve-chaos (the
-// zero-overhead contract: observation never perturbs the simulation);
-// its reports additionally carry the Perfetto trace and the timeline
-// set, which is what cmd/neu10-serve -trace/-timelines and the
-// traced-determinism CI leg export.
-func (r *Runner) ServeChaosTraced() (*ServeResult, error) {
-	res, err := r.serveChaos("serve-chaos-traced", &serve.ObsConfig{Trace: true, Timelines: true})
-	return res, err
-}
-
-func (r *Runner) serveChaos(id string, obs *serve.ObsConfig) (*ServeResult, error) {
 	trace := workload.LLMTrace{
 		PromptMin: 16, PromptMean: 32, PromptMax: 64,
 		PromptLongFrac: 0.25, PromptLongMin: 128, PromptLongMean: 192, PromptLongMax: 256,
@@ -368,7 +352,7 @@ func (r *Runner) serveChaos(id string, obs *serve.ObsConfig) (*ServeResult, erro
 			Router:      serve.LeastLoaded,
 			DurationSec: 6.0,
 			Seed:        r.opts.ServeSeed,
-			Obs:         obs,
+			Obs:         r.opts.ServeObs,
 			Autoscale:   true,
 			Faults:      faults,
 			Recover:     rec,
@@ -401,9 +385,9 @@ func (r *Runner) serveChaos(id string, obs *serve.ObsConfig) (*ServeResult, erro
 			return serve.Run(cfg, r.serveCosts())
 		})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, fmt.Errorf("serve-chaos: %w", err)
 	}
-	return &ServeResult{ID: id, Reports: reports}, nil
+	return &ServeResult{ID: "serve-chaos", Reports: reports}, nil
 }
 
 // ServeConsolidate is the consolidation study the batcher policy layer

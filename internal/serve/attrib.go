@@ -6,130 +6,12 @@ import (
 	"strings"
 
 	"neu10/internal/obs"
-	"neu10/internal/sim"
 )
 
-// Attribution hooks and report assembly for the latency ledger
-// (obs.Ledger, enabled by ObsConfig.Attrib). The hooks ride the same
-// call sites the tracer uses, under the same contract: f.led == nil is
-// the disabled state (every helper bails on one pointer test, and the
-// Ledger's own methods are nil-receiver-safe for direct calls), and an
-// enabled ledger observes the simulation without ever perturbing it.
-//
-// The segment-flow protocol the hooks implement:
-//
-//	arrive ─► SegQueue ─► [SegKVStall] ─► SegService → done   (single-shot)
-//	                   └► SegPrefill/SegReplay/SegCrashReplay ─►
-//	                      SegDecodeGap ⇄ SegDecode ─► done     (LLM)
-//
-// with excursions for chunked prefill (SegChunkGap), migration
-// (SegMigrate), paged eviction (back to SegQueue, or the swap
-// pipeline SegSwapOut → SegSwapQ → SegSwapIn), preemption
-// (SegPreempt, via suspend/resume), and crash recovery
-// (SegCrashRequeue → SegCrashReplay). Every transition closes the
-// open interval into the outgoing segment, so the decomposition sums
-// exactly to completion − arrival regardless of which excursions a
-// request took — the invariant obs.Ledger.ReqDone checks.
-
-// ledBusyBucket maps a batch kind to the fleet-cycle bucket its
-// compute occupies.
-func ledBusyBucket(k batchKind) obs.Bucket {
-	switch k {
-	case kindInvoke:
-		return obs.BucketService
-	case kindLLMPrefill, kindLLMStaticPrefill:
-		return obs.BucketPrefill
-	default:
-		return obs.BucketDecode
-	}
-}
-
-// ledSeqs transitions every sequence of a batch into seg.
-func (f *fleet) ledSeqs(t *tenantState, seqs []*llmSeq, seg obs.Segment, now sim.Time) {
-	if f.led == nil {
-		return
-	}
-	for _, s := range seqs {
-		f.led.ReqSeg(t.cfg.Name, s.req.id, seg, float64(now))
-	}
-}
-
-// ledPrefillSeqs transitions sequences into their prompt-compute
-// segment: crash replays and eviction replays re-earn their lost
-// tokens under their own labels, so "prefill" stays first-pass work.
-func (f *fleet) ledPrefillSeqs(t *tenantState, seqs []*llmSeq, now sim.Time) {
-	if f.led == nil {
-		return
-	}
-	for _, s := range seqs {
-		seg := obs.SegPrefill
-		if s.req.crashed {
-			seg = obs.SegCrashReplay
-		} else if s.req.replay {
-			seg = obs.SegReplay
-		}
-		f.led.ReqSeg(t.cfg.Name, s.req.id, seg, float64(now))
-	}
-}
-
-// ledStall marks the queue head KV-stalled: admissible but for blocks.
-func (f *fleet) ledStall(t *tenantState, req request, now sim.Time) {
-	if f.led == nil {
-		return
-	}
-	f.led.ReqSeg(t.cfg.Name, req.id, obs.SegKVStall, float64(now))
-}
-
-// ledRepIdle re-marks an unoccupied replica's standing bucket:
-// draining, doing wire work (inbound KV transfers), or plain idle.
-// No-op while a batch runs — startSegment owns the busy buckets.
-func (f *fleet) ledRepIdle(r *replica, now sim.Time) {
-	if f.led == nil || r.cur != nil {
-		return
-	}
-	b := obs.BucketIdle
-	if r.draining {
-		b = obs.BucketDrain
-	} else if r.inbound > 0 {
-		b = obs.BucketMigration
-	}
-	f.led.RepMark(r.uid, b, float64(now))
-}
-
-// ledSuspend parks every request of a suspended batch in SegPreempt;
-// ledResume restores them. The ledger remembers the parked segment, so
-// a preempted decode gap resumes as a decode gap.
-func (f *fleet) ledSuspend(b *batch, now sim.Time) {
-	if f.led == nil {
-		return
-	}
-	name := b.ten.cfg.Name
-	if b.kind == kindInvoke {
-		for i := range b.reqs {
-			f.led.ReqSuspend(name, b.reqs[i].id, float64(now))
-		}
-		return
-	}
-	for _, s := range b.seqs {
-		f.led.ReqSuspend(name, s.req.id, float64(now))
-	}
-}
-
-func (f *fleet) ledResume(b *batch, now sim.Time) {
-	if f.led == nil {
-		return
-	}
-	name := b.ten.cfg.Name
-	if b.kind == kindInvoke {
-		for i := range b.reqs {
-			f.led.ReqResume(name, b.reqs[i].id, float64(now))
-		}
-		return
-	}
-	for _, s := range b.seqs {
-		f.led.ReqResume(name, s.req.id, float64(now))
-	}
-}
+// Attribution report assembly: the attribution sections of the report
+// and their text tables, built from the sink's ledger (obs.Ledger,
+// enabled by ObsConfig.Attrib). The ledger itself is fed by the sink's
+// lifecycle methods in obs.go, which also document the segment flow.
 
 // TenantAttrib is one tenant's latency-attribution section: blame
 // breakdowns over request cohorts and the top worst-request
@@ -178,15 +60,15 @@ type CycleLedgerReport struct {
 
 // attribFinish seals the ledger at end-of-run and assembles the
 // attribution sections of the report. No-op without a ledger.
-func (f *fleet) attribFinish(rep *Report, end float64) {
-	if f.led == nil {
+func (o *obsState) attribFinish(rep *Report, end float64) {
+	led := o.led
+	if led == nil {
 		return
 	}
-	f.led.FinishReps(end)
-	rep.Ledger = f.led
-	freq := f.cfg.Core.FrequencyHz
-	ms := func(cycles float64) float64 { return cycles / freq * 1e3 }
-	recs := f.led.Completed()
+	led.FinishReps(end)
+	rep.Ledger = led
+	ms := func(cycles float64) float64 { return cycles / o.freqHz * 1e3 }
+	recs := led.Completed()
 	for i := range rep.Tenants {
 		tr := &rep.Tenants[i]
 		var own []*obs.ReqRecord
@@ -230,13 +112,13 @@ func (f *fleet) attribFinish(rep *Report, end float64) {
 		}
 		tr.Attrib = ta
 	}
-	reps := f.led.Replicas()
+	reps := led.Replicas()
 	cl := &CycleLedgerReport{
 		Replicas:   len(reps),
 		BucketsMs:  map[string]float64{},
-		Violations: f.led.Violations(),
-		OpenReqs:   f.led.Open(),
-		Drops:      f.led.Drops(),
+		Violations: led.Violations(),
+		OpenReqs:   led.Open(),
+		Drops:      led.Drops(),
 	}
 	var capacity float64
 	for _, r := range reps {

@@ -409,7 +409,6 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 		r.qs = append(r.qs, slotQueue{ten: p})
 	}
 	t.replicas = append(t.replicas, r)
-	f.led.RepSpawn(t.cfg.Name, r.uid, now)
 	if n := t.activeCount(); n > t.peakReplicas {
 		t.peakReplicas = n
 	}
@@ -424,11 +423,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 		}
 	}
 	t.replicaTL.Add(now, float64(t.activeCount()))
-	if f.obs != nil {
-		f.obsRegisterReplica(r)
-		f.obs.trace.Instant("spawn", "scale", t.cfg.Name, obsTrackControl, now, -1,
-			"replica", int64(r.id), "role", fmt.Sprintf("%s eus=%d chip=%d", role, eus, v.Mapping.PNPU))
-	}
+	f.obs.spawn(r, now)
 	// Recovery milestone (fault.go): the first time a crashed tenant's
 	// active count regains its pre-fault level — through emergency
 	// spawns, the resurrection floor, or the ordinary ladder — closes
@@ -472,11 +467,7 @@ func (f *fleet) drainOne(t *tenantState, role Role, now sim.Time, bySize bool) {
 		return
 	}
 	pick.draining = true
-	f.ledRepIdle(pick, now)
-	if f.obs != nil {
-		f.obs.trace.Instant("drain", "scale", t.cfg.Name, obsTrackControl, float64(now), -1,
-			"replica", int64(pick.id), "role", pick.role.String())
-	}
+	f.obs.drain(pick, now)
 	if pick.idleEmpty() {
 		f.retire(pick, now)
 	}
@@ -491,7 +482,6 @@ func (f *fleet) retire(r *replica, now sim.Time) {
 		return
 	}
 	r.retired = true
-	f.led.RepRetire(r.uid, float64(now))
 	if r.timerSet {
 		f.eng.Cancel(r.timer)
 		r.timerSet = false
@@ -500,10 +490,7 @@ func (f *fleet) retire(r *replica, now sim.Time) {
 		f.eng.Cancel(r.preemptH)
 		r.preemptSet = false
 	}
-	if f.obs != nil {
-		f.obs.trace.Instant("retire", "scale", t.cfg.Name, obsTrackControl, float64(now), -1,
-			"replica", int64(r.id), "role", r.role.String())
-	}
+	f.obs.retire(r, now)
 	f.snapshot(float64(now))
 	f.allocatedEUs -= r.vnpu.Config.TotalEUs()
 	f.busySum += r.busyEUCycles

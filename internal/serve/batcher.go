@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"neu10/internal/obs"
 	"neu10/internal/sim"
 )
 
@@ -106,17 +105,7 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	b.reqs = append(b.reqs[:0], q.reqs[:n]...)
 	rest := copy(q.reqs, q.reqs[n:])
 	q.reqs = q.reqs[:rest]
-	if f.obs != nil {
-		for i := range b.reqs {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), b.reqs[i].id)
-			f.obs.trace.Begin("service", "req", t.cfg.Name, float64(now), b.reqs[i].id)
-		}
-	}
-	if f.led != nil {
-		for i := range b.reqs {
-			f.led.ReqSeg(t.cfg.Name, b.reqs[i].id, obs.SegService, float64(now))
-		}
-	}
+	f.obs.launched(b, now)
 	cycles, err := f.costs.ServiceCycles(t.cfg.Model, n, r.nm, r.nv)
 	if err != nil {
 		// Every group member's model was pre-measured at spawn for this
@@ -128,31 +117,31 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	f.startSegment(r, b, now)
 }
 
-// finish records every request's completion latency against the SLO
-// and the priority/fault/autoscale accounting.
+// finish completes every request of the batch.
 func (d *dynamicBatch) finish(r *replica, b *batch, now sim.Time) *batch {
-	f, t := d.f, b.ten
-	for _, req := range b.reqs {
-		lat := float64(now - req.at)
-		t.lat.Add(lat)
-		f.noteFaultDone(t, req.at, lat)
-		if f.cfg.Autoscale {
-			// The observation window only exists for the autoscaler; a
-			// fixed fleet would just duplicate every sample unread.
-			t.windowLat.Add(lat)
-		}
-		if f.prioEnabled {
-			f.prioLat[t.cfg.Priority].Add(lat)
-		}
-		t.completed++
-		f.led.ReqDone(t.cfg.Name, req.id, float64(now), 0)
-		if f.obs != nil {
-			f.obsCompletion(t, lat)
-			f.obs.trace.End("service", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Instant("complete", "req", t.cfg.Name, obsTrackControl, float64(now), req.id, "lat_us", int64(lat/f.cfg.Core.FrequencyHz*1e6), "", "")
-		}
+	for i := range b.reqs {
+		d.f.recordDone(b.ten, &b.reqs[i], 0, now)
 	}
 	return nil
+}
+
+// recordDone books one completion with out generated tokens: its
+// end-to-end latency against the SLO and the fault-window, autoscaler
+// and priority recorders, then the observation sink.
+func (f *fleet) recordDone(t *tenantState, req *request, out int, now sim.Time) {
+	lat := float64(now - req.at)
+	t.lat.Add(lat)
+	f.noteFaultDone(t, req.at, lat)
+	if f.cfg.Autoscale {
+		// The observation window only exists for the autoscaler; a
+		// fixed fleet would just duplicate every sample unread.
+		t.windowLat.Add(lat)
+	}
+	if f.prioEnabled {
+		f.prioLat[t.cfg.Priority].Add(lat)
+	}
+	t.completed++
+	f.obs.complete(t, req, out, now)
 }
 
 func (d *dynamicBatch) coalesces() bool                 { return true }

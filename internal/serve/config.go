@@ -414,7 +414,7 @@ func (c *Config) validate() error {
 		}
 	}
 	if c.Obs != nil {
-		if err := c.Obs.validate(); err != nil {
+		if err := c.Obs.validate(c.Core.FrequencyHz); err != nil {
 			return err
 		}
 	}

@@ -143,10 +143,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 			// KV pressure (in-flight prompts plus prompts parked behind a
 			// slow migration path) blocks admission — the stall signal.
 			t.llm.kvStalls++
-			f.ledStall(t, req, now)
-			if f.obs != nil {
-				f.obs.trace.Instant("kv-stall", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), req.id, "", 0, "tenant", t.cfg.Name)
-			}
+			f.obs.admitStall(t, r, req.id, now)
 			break
 		}
 		r.kv.alloc(blocks, float64(now))
@@ -158,10 +155,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 		t.llm.admitted++
 		t.llm.promptTokens += int64(req.prompt)
 		t.llm.outputTokens += int64(req.output)
-		if f.obs != nil {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Begin("prefill", "req", t.cfg.Name, float64(now), req.id)
-		}
+		f.obs.prefillAdmit(t, req.id, now)
 		if f.cfg.Autoscale {
 			// The prefill pool's autoscale signal: queue delay from
 			// arrival to the first prefill invocation.
@@ -195,7 +189,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 	if len(b.seqs) == 0 {
 		panic("serve: disaggregated prefill launch with no work")
 	}
-	f.ledPrefillSeqs(t, b.seqs, now)
+	f.obs.launched(b, now)
 	// A chunk is NOT a fresh short prefill: its attention spans the
 	// whole cached context behind it, so a late chunk of a long prompt
 	// costs real work beyond the weight re-streaming. The invocation is
@@ -221,18 +215,10 @@ func (d *disaggBatcher) finishPrefill(r *replica, b *batch, now sim.Time) {
 		if s.promptDone >= s.req.prompt {
 			s.ctx = s.req.prompt
 			s.prefDone = now
-			if f.obs != nil {
-				// The migrate phase covers the whole prefill→decode handoff:
-				// any parked wait plus the wire time (TTFT's interconnect slice).
-				f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-				f.obs.trace.Begin("migrate", "req", t.cfg.Name, float64(now), s.req.id)
-			}
-			if f.led != nil {
-				f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegMigrate, float64(now))
-			}
+			f.obs.handoff(t, s.req.id, now)
 			f.startMigration(r, s, now)
-		} else if f.led != nil {
-			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegChunkGap, float64(now))
+		} else {
+			f.obs.seg(t, s.req.id, obs.SegChunkGap, now)
 		}
 	}
 }
@@ -278,9 +264,7 @@ func (f *fleet) startMigration(src *replica, s *llmSeq, now sim.Time) {
 	if f.cfg.Autoscale {
 		t.llm.windowMigStalls++
 	}
-	if f.obs != nil {
-		f.obs.trace.Instant("mig-stall", "sched", t.cfg.Name, obsTrackControl, float64(now), s.req.id, "parked", int64(len(t.llm.migQ)), "", "")
-	}
+	f.obs.migStall(t, s.req.id, len(t.llm.migQ), now)
 }
 
 // beginTransfer charges the full prompt+output reservation to the
@@ -294,17 +278,13 @@ func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, now sim.Time) {
 	dblocks := dst.kv.blocksFor(s.req.prompt + s.req.output)
 	dst.kv.alloc(dblocks, float64(now))
 	dst.inbound++
-	f.ledRepIdle(dst, now)
 	bytes := model.LLMKVTransferBytes(s.req.prompt)
 	t.llm.migrations++
 	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes}
 	fl.xfr = f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU).Start(bytes,
 		func(now sim.Time) { f.finishMigration(fl, now) })
 	t.llm.migInflight = append(t.llm.migInflight, fl)
-	if f.obs != nil {
-		f.obs.trace.Instant("kv-xfer", "req", t.cfg.Name, obsTrackControl, float64(now), s.req.id,
-			"bytes", bytes, "link", fmt.Sprintf("chip%d→chip%d", src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU))
-	}
+	f.obs.xferStart(fl, now)
 }
 
 // finishMigration lands a KV transfer: the prefill-side prompt blocks
@@ -321,14 +301,11 @@ func (f *fleet) finishMigration(fl *migFlight, now sim.Time) {
 	src.queueFor(t).removeRunning(s)
 	s.blocks = fl.dblocks
 	dst.inbound--
-	f.ledRepIdle(dst, now)
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
 	t.llm.migLanded++
 	t.llm.migBytes += fl.bytes
 	t.llm.migWaitCycles += float64(now - s.prefDone)
-	if f.obs != nil {
-		f.obs.trace.End("migrate", "req", t.cfg.Name, float64(now), s.req.id)
-	}
+	f.obs.xferLand(fl, now)
 	f.emitFirstToken(t, s, now)
 	if s.produced >= s.req.output {
 		f.completeSeq(dst, t, s, now)

@@ -227,18 +227,12 @@ func (f *fleet) scheduleFaults() {
 		switch e.Kind {
 		case FaultLinkDegrade:
 			f.eng.At(sim.Time(e.AtFrac*f.durCycles), func(now sim.Time) {
-				if f.obs != nil {
-					f.obs.trace.Instant("link-scale", "fault", obsProcFleet, obsTrackControl, float64(now), -1,
-						"", 0, "scale", fmt.Sprintf("%g", e.Scale))
-				}
+				f.obs.linkScale(e.Scale, now)
 				f.setLinkScale(e.Scale)
 			})
 			if e.UntilFrac > e.AtFrac {
 				f.eng.At(sim.Time(e.UntilFrac*f.durCycles), func(now sim.Time) {
-					if f.obs != nil {
-						f.obs.trace.Instant("link-scale", "fault", obsProcFleet, obsTrackControl, float64(now), -1,
-							"", 0, "scale", "1")
-					}
+					f.obs.linkScale(1, now)
 					f.setLinkScale(1)
 				})
 			}
@@ -294,10 +288,7 @@ func (f *fleet) injectFault(e FaultEvent, now sim.Time) {
 		}
 	}
 	if len(victims) > 0 {
-		if f.obs != nil {
-			f.obs.trace.Instant("fault", "fault", obsProcFleet, obsTrackControl, float64(now), -1,
-				"victims", int64(len(victims)), "kind", e.Kind.String())
-		}
+		f.obs.fault(e.Kind, len(victims), now)
 		f.crashReplicas(victims, now)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"neu10/internal/core"
 	"neu10/internal/metrics"
 	"neu10/internal/model"
-	"neu10/internal/obs"
 	"neu10/internal/sim"
 	"neu10/internal/virt"
 	"neu10/internal/workload"
@@ -60,13 +59,12 @@ type fleet struct {
 	routeScratch2 []*replica
 	batchFree     []*batch // recycled batch instances (zero-alloc steady state)
 
-	// obs is the run's observability runtime; nil (the default) means
-	// every hook site is one nil check and nothing else (see obs.go).
+	// obs is the run's observability sink: tracer, timelines and
+	// attribution ledger behind one set of nil-receiver-safe lifecycle
+	// methods. Nil (the default) disables all three, and every hook site
+	// is one unguarded call whose only cost is a nil test in the callee
+	// (see obs.go).
 	obs *obsState
-	// led is the attribution ledger (nil unless ObsConfig.Attrib): its
-	// methods are nil-receiver-safe, so hook sites call it bare — the
-	// disabled cost is one nil test inside the callee (see attrib.go).
-	led *obs.Ledger
 }
 
 // newFleet validates the config and builds the fully initialized fleet
@@ -108,12 +106,7 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 			}
 		}
 	}
-	if cfg.Obs.enabled() {
-		f.obs = newObsState(*cfg.Obs, cfg.Scenario, cfg.Core.FrequencyHz, len(cfg.Tenants))
-		if cfg.Obs.Attrib {
-			f.led = obs.NewLedger(cfg.Scenario, cfg.Core.FrequencyHz)
-		}
-	}
+	f.obs = newObsState(cfg.Obs, cfg.Scenario, cfg.Core.FrequencyHz, len(cfg.Tenants))
 	cm := compiler.NewCostModel(cfg.Core)
 	// Phase 1: build every tenant, so share groups can be resolved
 	// before any slot (whose queues span the whole group) is spawned.

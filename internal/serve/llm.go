@@ -435,7 +435,7 @@ func (c *continuousLLM) passedOver(r *replica, q *slotQueue) {
 	}
 	if len(q.reqs) > 0 && len(q.running) == 0 && !r.kv.canAdmit(q.reqs[0]) {
 		c.t.llm.kvStalls++
-		c.f.ledStall(c.t, q.reqs[0], c.f.eng.Now())
+		c.f.obs.kvStall(c.t, q.reqs[0].id, c.f.eng.Now())
 	}
 }
 
@@ -466,17 +466,11 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq 
 		t.llm.admitted++
 		t.llm.promptTokens += int64(req.prompt)
 		t.llm.outputTokens += int64(req.output)
-		if f.obs != nil {
-			f.obs.trace.End("queue", "req", t.cfg.Name, float64(now), req.id)
-			f.obs.trace.Begin("prefill", "req", t.cfg.Name, float64(now), req.id)
-		}
+		f.obs.prefillAdmit(t, req.id, now)
 	}
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch {
 		t.llm.kvStalls++
-		f.ledStall(t, q.reqs[0], now)
-		if f.obs != nil {
-			f.obs.trace.Instant("kv-stall", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), q.reqs[0].id, "", 0, "tenant", t.cfg.Name)
-		}
+		f.obs.admitStall(t, r, q.reqs[0].id, now)
 	}
 	return joined
 }
@@ -493,7 +487,6 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	if len(joined) == 0 {
 		panic("serve: prefill launch admitted no sequence")
 	}
-	f.ledPrefillSeqs(t, joined, now)
 	if kind == kindLLMStaticPrefill {
 		t.llm.staticBatches++
 	}
@@ -529,6 +522,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kind
 	b.seqs = append(b.seqs[:0], joined...)
+	f.obs.launched(b, now)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
 	f.startSegment(r, b, now)
@@ -543,7 +537,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 	f.disarmTimer(r)
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && !r.kv.canAdmit(q.reqs[0]) {
 		t.llm.kvStalls++
-		f.ledStall(t, q.reqs[0], now)
+		f.obs.kvStall(t, q.reqs[0].id, now)
 	}
 	if t.kvPaged {
 		c.launchPagedDecode(r, q, now, restore)
@@ -563,7 +557,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 	if len(b.seqs) == 0 {
 		panic("serve: decode launch with no decodable sequence")
 	}
-	f.ledSeqs(t, b.seqs, obs.SegDecode, now)
+	f.obs.launched(b, now)
 	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
 	if err != nil {
 		panic(fmt.Sprintf("serve: costing decode iteration: %v", err))
@@ -598,8 +592,8 @@ func (c *continuousLLM) finishDecode(r *replica, b *batch, now sim.Time) {
 		t.llm.tokensOut++
 		if s.produced >= s.req.output {
 			f.completeSeq(r, t, s, now)
-		} else if f.led != nil {
-			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
+		} else {
+			f.obs.seg(t, s.req.id, obs.SegDecodeGap, now)
 		}
 	}
 }
@@ -644,7 +638,7 @@ func (c *continuousLLM) finishStaticPrefill(r *replica, b *batch, now sim.Time) 
 	t.issuedServiceCycles += cycles
 	// The monolithic decode leg starts the instant this prefill retires
 	// (finish chains it), so the whole leg is decode time.
-	f.ledSeqs(t, nb.seqs, obs.SegDecode, now)
+	f.obs.launched(nb, now)
 	return nb
 }
 
@@ -681,24 +675,7 @@ func (f *fleet) emitFirstToken(t *tenantState, s *llmSeq, now sim.Time) {
 		t.llm.ttft.Add(float64(now - s.req.at))
 	}
 	t.llm.tokensOut++
-	if f.led != nil {
-		f.led.ReqFirstToken(t.cfg.Name, s.req.id, float64(now))
-		if s.produced < s.req.output {
-			f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
-		}
-	}
-	if f.obs != nil {
-		// Disaggregated prefill already closed its phase at prefDone
-		// (finishDisaggPrefill); here the first token lands after the
-		// migration, so only the decode phase opens.
-		if t.disagg() == nil {
-			f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-		f.obs.trace.Instant("first-token", "req", t.cfg.Name, obsTrackControl, float64(now), s.req.id, "ttft_us", int64(float64(now-s.req.at)/f.cfg.Core.FrequencyHz*1e6), "", "")
-		if s.produced < s.req.output {
-			f.obs.trace.Begin("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-	}
+	f.obs.firstToken(t, s, now)
 }
 
 // removeRunning takes a sequence out of a slot queue's running set.
@@ -717,24 +694,7 @@ func (q *slotQueue) removeRunning(s *llmSeq) {
 func (f *fleet) completeSeq(r *replica, t *tenantState, s *llmSeq, now sim.Time) {
 	r.queueFor(t).removeRunning(s)
 	r.kv.release(s, float64(now))
-	lat := float64(now - s.req.at)
-	t.lat.Add(lat)
-	f.noteFaultDone(t, s.req.at, lat)
-	if f.cfg.Autoscale {
-		t.windowLat.Add(lat)
-	}
-	if f.prioEnabled {
-		f.prioLat[t.cfg.Priority].Add(lat)
-	}
-	t.completed++
-	f.led.ReqDone(t.cfg.Name, s.req.id, float64(now), s.produced)
-	if f.obs != nil {
-		f.obsCompletion(t, lat)
-		if s.req.output > 1 {
-			f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-		f.obs.trace.Instant("complete", "req", t.cfg.Name, obsTrackControl, float64(now), s.req.id, "lat_us", int64(lat/f.cfg.Core.FrequencyHz*1e6), "", "")
-	}
+	f.recordDone(t, &s.req, s.produced, now)
 	if s.req.output > 1 {
 		tpot := float64(now-s.ttftAt) / float64(s.req.output-1)
 		t.llm.tpot.Add(tpot)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"neu10/internal/arch"
@@ -140,5 +141,40 @@ func TestObsTimelinesReproduceReport(t *testing.T) {
 	}
 	if faults == 0 || crashes == 0 {
 		t.Errorf("trace has %d fault / %d crash instants, want both > 0", faults, crashes)
+	}
+}
+
+// TestObsConfigSamplePeriod: a sampling period that is not finite or
+// shorter than one core cycle would re-arm the timeline sampler at the
+// same sim instant forever, so Run must reject it up front.
+func TestObsConfigSamplePeriod(t *testing.T) {
+	freq := fastConfig(1).Core.FrequencyHz
+	for _, c := range []struct {
+		name string
+		ms   float64
+		ok   bool
+	}{
+		{"default", 0, true},
+		{"10ms", 10, true},
+		{"two-cycles", 2e3 / freq, true},
+		{"half-cycle", 0.5e3 / freq, false},
+		{"1e-12ms", 1e-12, false},
+		{"negative", -1, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	} {
+		cfg := fastConfig(1)
+		cfg.Obs = &ObsConfig{Timelines: true, SampleEveryMs: c.ms}
+		if c.ok {
+			cfg.defaults()
+			if err := cfg.validate(); err != nil {
+				t.Errorf("%s: valid period rejected: %v", c.name, err)
+			}
+			continue
+		}
+		if _, err := Run(cfg, nil); err == nil {
+			t.Errorf("%s: period %v ms accepted", c.name, c.ms)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time
 	if len(b.seqs) == 0 {
 		panic("serve: paged decode launch granted no sequence")
 	}
-	f.ledSeqs(t, b.seqs, obs.SegDecode, now)
+	f.obs.launched(b, now)
 	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
 	if err != nil {
 		panic(fmt.Sprintf("serve: costing paged decode iteration: %v", err))
@@ -146,13 +146,7 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 	q.reqs = append(q.reqs, request{})
 	copy(q.reqs[1:], q.reqs)
 	q.reqs[0] = req
-	f.led.ReqSeg(t.cfg.Name, req.id, obs.SegQueue, float64(now))
-	if f.obs != nil {
-		f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), req.id)
-		f.obs.trace.Instant("kv-evict", "sched", t.cfg.Name, obsReplicaTrack(r), float64(now), s.req.id,
-			"lost_tokens", int64(s.ctx-s.hit), "mode", KVEvictRecompute)
-	}
+	f.obs.evicted(t, r, s, now)
 }
 
 // swapOut freezes a victim in its running set and ships its whole
@@ -174,22 +168,18 @@ func (f *fleet) swapOut(p *pagedKV, r *replica, s *llmSeq, now sim.Time) {
 	s.hit = 0
 	s.swapped, s.swapReady = true, false
 	p.curSeqs--
-	f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegSwapOut, float64(now))
 	bytes := model.LLMKVTransferBytes(s.ctx)
 	p.swapOutBytes += bytes
 	fl := &swapFlight{seq: s, out: true}
 	fl.xfr = p.hostLink.Start(bytes, func(at sim.Time) {
 		p.dropFlight(fl)
 		s.swapReady = true
-		f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegSwapQ, float64(at))
+		f.obs.seg(t, s.req.id, obs.SegSwapQ, at)
 		f.drainSwaps(r, at)
 	})
 	p.flights = append(p.flights, fl)
 	p.swapQ = append(p.swapQ, s)
-	if f.obs != nil {
-		f.obs.trace.Instant("swap-out", "sched", t.cfg.Name, obsReplicaTrack(r), float64(now), s.req.id,
-			"bytes", bytes, "mode", KVEvictSwap)
-	}
+	f.obs.swapOut(t, r, s, bytes, now)
 }
 
 // drainSwaps restores swapped sequences FIFO: the head returns once its
@@ -216,7 +206,7 @@ func (f *fleet) drainSwaps(r *replica, now sim.Time) {
 		p.a.alloc(blocks, float64(now))
 		s.blocks = blocks
 		s.swapReady = false
-		f.led.ReqSeg(p.t.cfg.Name, s.req.id, obs.SegSwapIn, float64(now))
+		f.obs.seg(p.t, s.req.id, obs.SegSwapIn, now)
 		bytes := model.LLMKVTransferBytes(s.ctx)
 		p.swapInBytes += bytes
 		fl := &swapFlight{seq: s}
@@ -238,10 +228,6 @@ func (f *fleet) swapInLanded(r *replica, s *llmSeq, now sim.Time) {
 	if p.curSeqs > p.peakSeqs {
 		p.peakSeqs = p.curSeqs
 	}
-	f.led.ReqSeg(p.t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
-	if f.obs != nil {
-		f.obs.trace.Instant("swap-in", "sched", p.t.cfg.Name, obsReplicaTrack(r), float64(now), s.req.id,
-			"bytes", model.LLMKVTransferBytes(s.ctx), "mode", KVEvictSwap)
-	}
+	f.obs.swapIn(p.t, r, s, now)
 	f.dispatch(r, now)
 }

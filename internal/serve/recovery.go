@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"fmt"
-
 	"neu10/internal/model"
-	"neu10/internal/obs"
 	"neu10/internal/sim"
 )
 
@@ -106,23 +103,14 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 			case srcDead:
 				// The payload's source pages died mid-copy: the sequence's
 				// KV is gone wherever the transfer was headed.
-				if f.obs != nil {
-					ph := "migrate"
-					if fl.evac {
-						ph = "evac"
-					}
-					f.obs.trace.End(ph, "req", t.cfg.Name, float64(now), fl.seq.req.id)
-				}
+				f.obs.xferLost(fl, now)
 				fl.src.queueFor(t).removeRunning(fl.seq)
 				f.crashSeqOutcome(t, fl.seq, &out, now)
 			case fl.evac:
 				// Target died under an evacuation: the sequence never left
 				// the source — unfreeze it and let the source keep decoding.
-				if f.obs != nil {
-					f.obs.trace.End("evac", "req", t.cfg.Name, float64(now), fl.seq.req.id)
-				}
 				fl.seq.migrating = false
-				f.led.ReqSeg(t.cfg.Name, fl.seq.req.id, obs.SegDecodeGap, float64(now))
+				f.obs.evacAbort(t, fl.seq.req.id, now)
 				pokes = append(pokes, pokeSrc{fl.src})
 			default:
 				// Target died under a prefill→decode handoff: the prompt KV
@@ -142,9 +130,7 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 			keptQ := t.llm.migQ[:0]
 			for _, m := range t.llm.migQ {
 				if m.from.retired {
-					if f.obs != nil {
-						f.obs.trace.End("migrate", "req", t.cfg.Name, float64(now), m.seq.req.id)
-					}
+					f.obs.crashed(t, m.seq.req.id, "migrate", now)
 					m.from.queueFor(t).removeRunning(m.seq)
 					f.crashSeqOutcome(t, m.seq, &out, now)
 					continue
@@ -171,10 +157,7 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 				rs.t.scaleFails++
 			} else {
 				rs.t.emergencySpawns++
-				if f.obs != nil {
-					f.obs.trace.Instant("emergency-spawn", "fault", rs.t.cfg.Name, obsTrackControl, float64(now), -1,
-						"eus", int64(rs.eus), "role", rs.role.String())
-				}
+				f.obs.emergencySpawn(rs.t, rs.eus, rs.role, now)
 			}
 		}
 	}
@@ -219,11 +202,7 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 	t := r.ten
 	t.crashes++
-	f.led.RepCrash(r.uid, float64(now))
-	if f.obs != nil {
-		f.obs.trace.Instant("crash", "fault", t.cfg.Name, obsTrackControl, float64(now), -1,
-			"replica", int64(r.id), "role", r.role.String())
-	}
+	f.obs.crash(r, now)
 	if r.timerSet {
 		f.eng.Cancel(r.timer)
 		r.timerSet = false
@@ -239,9 +218,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		b.ten.issuedServiceCycles -= b.remaining
 		if b.kind == kindInvoke {
 			for _, req := range b.reqs {
-				if f.obs != nil {
-					f.obs.trace.End("service", "req", b.ten.cfg.Name, float64(now), req.id)
-				}
+				f.obs.crashed(b.ten, req.id, "service", now)
 				*out = append(*out, harvested{b.ten, req})
 			}
 		}
@@ -264,9 +241,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		q := &r.qs[i]
 		qt := q.ten
 		for _, req := range q.reqs {
-			if f.obs != nil {
-				f.obs.trace.End("queue", "req", qt.cfg.Name, float64(now), req.id)
-			}
+			f.obs.crashed(qt, req.id, "queue", now)
 			*out = append(*out, harvested{qt, req})
 		}
 		q.reqs = q.reqs[:0]
@@ -304,19 +279,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 // the prompt) or fail, per the plan's CrashPolicy. The KV tokens lost —
 // everything resident at the crash — are itemized as recompute debt.
 func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now sim.Time) {
-	if f.obs != nil {
-		// Close whichever lifecycle phase the crash interrupted: prefill
-		// when the prompt was still being processed (a disaggregated
-		// handoff's prefill phase already closed at prefDone, and its
-		// migrate phase is closed by the caller), decode when the sequence
-		// was mid-generation.
-		switch {
-		case !s.prefilled && s.prefDone == 0:
-			f.obs.trace.End("prefill", "req", t.cfg.Name, float64(now), s.req.id)
-		case s.prefilled && s.req.output > 1:
-			f.obs.trace.End("decode", "req", t.cfg.Name, float64(now), s.req.id)
-		}
-	}
+	f.obs.crashSeq(t, s, now)
 	lost := 0
 	if s.prefilled {
 		lost = s.ctx // prompt + produced so far
@@ -325,11 +288,7 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 	}
 	if s.produced > 0 && f.cfg.Faults.Policy == CrashFail {
 		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, s.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), s.req.id,
-				"produced", int64(s.produced), "reason", "policy-fail")
-		}
+		f.obs.lost(t, s.req.id, s.produced, "policy-fail", now)
 		return
 	}
 	req := s.req
@@ -342,10 +301,7 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 		t.replays++
 	}
 	t.recomputeTokens += int64(lost)
-	if f.obs != nil {
-		f.obs.trace.Instant("crash-replay", "fault", t.cfg.Name, obsTrackControl, float64(now), req.id,
-			"lost_tokens", int64(lost), "", "")
-	}
+	f.obs.replayed(t, req.id, lost, now)
 	*out = append(*out, harvested{t, req})
 }
 
@@ -359,28 +315,16 @@ func (f *fleet) requeue(h harvested, now sim.Time) {
 	r := f.route(t)
 	if r == nil {
 		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, h.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id,
-				"", 0, "reason", "no-replica")
-		}
+		f.obs.lost(t, h.req.id, 0, "no-replica", now)
 		return
 	}
 	q := r.queueFor(t)
 	if len(q.reqs) >= t.cfg.QueueCap {
 		t.crashLost++
-		f.led.ReqDrop(t.cfg.Name, h.req.id)
-		if f.obs != nil {
-			f.obs.trace.Instant("crash-lost", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id,
-				"", 0, "reason", "queue-cap")
-		}
+		f.obs.lost(t, h.req.id, 0, "queue-cap", now)
 		return
 	}
-	if f.obs != nil {
-		f.obs.trace.Instant("crash-requeue", "fault", t.cfg.Name, obsTrackControl, float64(now), h.req.id, "", 0, "", "")
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), h.req.id)
-	}
-	f.led.ReqSeg(t.cfg.Name, h.req.id, obs.SegCrashRequeue, float64(now))
+	f.obs.requeued(t, h.req.id, now)
 	q.reqs = append(q.reqs, h.req)
 	if len(q.reqs) > t.maxQueue {
 		t.maxQueue = len(q.reqs)
@@ -482,22 +426,16 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 func (f *fleet) beginEvacuation(src, dst *replica, s *llmSeq, now sim.Time) {
 	t := src.ten
 	s.migrating = true
-	f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegMigrate, float64(now))
 	dblocks := dst.kv.blocksFor(s.req.prompt + s.req.output)
 	dst.kv.alloc(dblocks, float64(now))
 	dst.inbound++
-	f.ledRepIdle(dst, now)
 	bytes := model.LLMKVTransferBytes(s.ctx)
 	t.llm.evacStarted++
 	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes, evac: true}
 	fl.xfr = f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU).Start(bytes,
 		func(now sim.Time) { f.finishEvacuation(fl, now) })
 	t.llm.migInflight = append(t.llm.migInflight, fl)
-	if f.obs != nil {
-		f.obs.trace.Begin("evac", "req", t.cfg.Name, float64(now), s.req.id)
-		f.obs.trace.Instant("evac-start", "fault", t.cfg.Name, obsTrackControl, float64(now), s.req.id,
-			"bytes", bytes, "link", fmt.Sprintf("chip%d→chip%d", src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU))
-	}
+	f.obs.xferStart(fl, now)
 }
 
 // finishEvacuation lands an evacuation: src's blocks free exactly now,
@@ -512,14 +450,10 @@ func (f *fleet) finishEvacuation(fl *migFlight, now sim.Time) {
 	s.blocks = fl.dblocks
 	s.migrating = false
 	dst.inbound--
-	f.led.ReqSeg(t.cfg.Name, s.req.id, obs.SegDecodeGap, float64(now))
-	f.ledRepIdle(dst, now)
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
 	t.llm.evacLanded++
 	t.llm.evacBytes += fl.bytes
-	if f.obs != nil {
-		f.obs.trace.End("evac", "req", t.cfg.Name, float64(now), s.req.id)
-	}
+	f.obs.xferLand(fl, now)
 	// Freed source blocks may admit a parked migration; both ends have
 	// fresh scheduling state.
 	f.drainMigQ(t, now)

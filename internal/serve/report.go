@@ -741,7 +741,6 @@ func (f *fleet) report() *Report {
 	}
 	rep.MapAccepts = f.mapAccepts
 	rep.MapRejects = f.mapRejects
-	f.attribFinish(rep, end)
 	f.obsFinish(rep, end)
 	return rep
 }

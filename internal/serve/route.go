@@ -53,9 +53,7 @@ func (f *fleet) arrive(t *tenantState, now sim.Time) {
 		if f.cfg.Autoscale {
 			t.windowRejected++
 		}
-		if f.obs != nil {
-			f.obs.trace.Instant("reject", "req", t.cfg.Name, obsTrackControl, float64(now), req.id, "", 0, "reason", "no-replica")
-		}
+		f.obs.rejected(t, req.id, "no-replica", now)
 		return
 	}
 	q := r.queueFor(t)
@@ -64,15 +62,10 @@ func (f *fleet) arrive(t *tenantState, now sim.Time) {
 		if f.cfg.Autoscale {
 			t.windowRejected++
 		}
-		if f.obs != nil {
-			f.obs.trace.Instant("reject", "req", t.cfg.Name, obsTrackControl, float64(now), req.id, "", 0, "reason", "queue-cap")
-		}
+		f.obs.rejected(t, req.id, "queue-cap", now)
 		return
 	}
-	if f.obs != nil {
-		f.obs.trace.Begin("queue", "req", t.cfg.Name, float64(now), req.id)
-	}
-	f.led.ReqStart(t.cfg.Name, req.id, float64(now))
+	f.obs.admitted(t, req.id, now)
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) > t.maxQueue {
 		t.maxQueue = len(q.reqs)

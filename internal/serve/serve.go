@@ -43,9 +43,7 @@ func Run(cfg Config, db *CostDB) (*Report, error) {
 	if f.cfg.Autoscale {
 		f.scheduleScale(f.cfg.ScaleEverySec * f.cfg.Core.FrequencyHz)
 	}
-	if f.obs != nil && f.obs.tl != nil {
-		f.scheduleObs(f.obs.cfg.SampleEveryMs / 1e3 * f.cfg.Core.FrequencyHz)
-	}
+	f.scheduleObs()
 	f.eng.Run()
 	return f.report(), nil
 }

@@ -197,9 +197,7 @@ func (f *fleet) dispatch(r *replica, now sim.Time) {
 				if top.preempts > top.ten.maxPreempts {
 					top.ten.maxPreempts = top.preempts
 				}
-				if f.obs != nil {
-					f.obs.trace.Instant("bypass", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), -1, "preempts", int64(top.preempts), "victim", top.ten.cfg.Name)
-				}
+				f.obs.bypass(r, top, now)
 				f.launch(r, q, kind, now, 0)
 				return
 			}
@@ -222,7 +220,7 @@ func (f *fleet) dispatch(r *replica, now sim.Time) {
 func (f *fleet) startSegment(r *replica, b *batch, now sim.Time) {
 	b.started = now
 	r.cur = b
-	f.led.RepMark(r.uid, ledBusyBucket(b.kind), float64(now))
+	f.obs.batchStart(r, b, now)
 	seg := b.restore + b.remaining
 	b.doneH = f.eng.After(sim.Time(seg)+1, func(now sim.Time) { f.finish(r, b, now) })
 }
@@ -235,10 +233,7 @@ func (f *fleet) startSegment(r *replica, b *batch, now sim.Time) {
 // leg, static batching's defining trait).
 func (f *fleet) finish(r *replica, b *batch, now sim.Time) {
 	t := b.ten
-	if f.obs != nil {
-		f.obs.trace.Span(obsBatchName[b.kind], "exec", r.ten.cfg.Name, obsReplicaTrack(r),
-			float64(b.started), float64(now), -1, "width", int64(obsBatchWidth(b)), "preempts", int64(b.preempts), "tenant", t.cfg.Name)
-	}
+	f.obs.batchEnd(r, b, now)
 	chain := t.batcher.finish(r, b, now)
 	r.busyEUCycles += (b.restore + b.remaining) * float64(r.nm+r.nv)
 	t.servedServiceCycles += b.remaining
@@ -253,7 +248,7 @@ func (f *fleet) finish(r *replica, b *batch, now sim.Time) {
 		f.startSegment(r, chain, now)
 		return
 	}
-	f.ledRepIdle(r, now)
+	f.obs.slotIdle(r, now)
 	// A crash-time rebalance that found its movable sequences locked
 	// inside this very iteration parked itself; the batch boundary is
 	// the first instant their state is frozen and shippable.
@@ -317,13 +312,6 @@ func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time
 	}
 	f.eng.Cancel(b.doneH)
 	t := b.ten
-	if f.obs != nil {
-		// The partial segment served so far becomes its own exec slice;
-		// the "preempt" instant marks the checkpoint boundary.
-		f.obs.trace.Span(obsBatchName[b.kind], "exec", r.ten.cfg.Name, obsReplicaTrack(r),
-			float64(b.started), float64(now), -1, "width", int64(obsBatchWidth(b)), "partial", 1, "tenant", t.cfg.Name)
-		f.obs.trace.Instant("preempt", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), -1, "preempts", int64(b.preempts+1), "victim", t.cfg.Name)
-	}
 	t.servedServiceCycles += rp.Completed - (b.total - b.remaining)
 	r.busyEUCycles += float64(now-b.started) * float64(r.nm+r.nv)
 	b.remaining = rp.Remaining
@@ -338,7 +326,7 @@ func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time
 	r.cur = nil
 	b.waiting, b.waitFrom = true, now
 	r.susp = append(r.susp, b)
-	f.ledSuspend(b, now)
+	f.obs.suspend(r, b, now)
 	// The preemptor pays the victim's checkpoint save before it runs.
 	f.launch(r, q, kind, now, sw)
 }
@@ -359,9 +347,6 @@ func (f *fleet) resume(r *replica, b *batch, now sim.Time) {
 	b.restore = sw
 	t.resumes++
 	t.stolenCycles += sw
-	if f.obs != nil {
-		f.obs.trace.Instant("resume", "sched", r.ten.cfg.Name, obsReplicaTrack(r), float64(now), -1, "preempts", int64(b.preempts), "victim", t.cfg.Name)
-	}
-	f.ledResume(b, now)
+	f.obs.resume(r, b, now)
 	f.startSegment(r, b, now)
 }
