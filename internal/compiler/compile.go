@@ -136,32 +136,60 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 		Target:    c.core,
 		ISA:       kind,
 		Footprint: g.HBMFootprint,
-		Ops:       make([]CompiledOp, 0, len(g.Ops)),
+		Ops:       make([]CompiledOp, len(g.Ops)),
 	}
+	// Every op's groups and µTOps are carved from two graph-wide backing
+	// arrays sized up front, so a compile allocates a fixed handful of
+	// times however many ops the graph has.
+	var nGroups, nUTops int
+	for i := range g.Ops {
+		groups, utops := c.shape(&g.Ops[i], kind)
+		nGroups += groups
+		nUTops += utops
+	}
+	a := arena{groups: make([]GroupSpec, nGroups), utops: make([]UTopSpec, nUTops)}
 	for i := range g.Ops {
 		op := &g.Ops[i]
 		cost := c.cm.Cost(op)
-		var co CompiledOp
-		switch {
-		case op.Kind.IsME():
-			co = c.compileMatMul(op, cost, kind)
-		default:
-			co = CompiledOp{
-				Name: op.Name,
-				Kind: op.Kind,
-				Groups: []GroupSpec{{UTops: []UTopSpec{{
-					Kind:     isa.VEUTop,
-					VECycles: cost.VECycles,
-					HBMBytes: cost.HBMBytes,
-				}}}},
-			}
+		co := &out.Ops[i]
+		co.Name, co.Kind = op.Name, op.Kind
+		if op.Kind.IsME() {
+			c.compileMatMul(co, op, cost, kind, &a)
+			continue
 		}
-		out.Ops = append(out.Ops, co)
+		co.Groups = a.take(1)
+		co.Groups[0].UTops[0] = UTopSpec{
+			Kind:     isa.VEUTop,
+			VECycles: cost.VECycles,
+			HBMBytes: cost.HBMBytes,
+		}
 	}
 	return out, nil
 }
 
-func (c *Compiler) compileMatMul(op *Op, cost OpCost, kind ISAKind) CompiledOp {
+// arena hands out windows of a compile's backing arrays. Each window is
+// capacity-capped, so appending to one op's slice reallocates instead
+// of overwriting its neighbor.
+type arena struct {
+	groups []GroupSpec
+	utops  []UTopSpec
+}
+
+// take returns len(sizes) groups whose µTOp slices hold sizes[i] µTOps.
+func (a *arena) take(sizes ...int) []GroupSpec {
+	n := len(sizes)
+	gs := a.groups[:n:n]
+	a.groups = a.groups[n:]
+	for i, m := range sizes {
+		gs[i].UTops = a.utops[:m:m]
+		a.utops = a.utops[m:]
+	}
+	return gs
+}
+
+// split returns how many ME µTOps a MatMul is partitioned into and
+// whether the partition cuts the reduction dimension.
+func (c *Compiler) split(op *Op) (parts int, reduction bool) {
 	dim := c.core.SystolicDim
 	nx := c.core.MEs
 	// Independent output tiles (M×N plane) can go to different MEs with
@@ -169,11 +197,10 @@ func (c *Compiler) compileMatMul(op *Op, cost OpCost, kind ISAKind) CompiledOp {
 	outTiles := ceilDiv(op.M, dim) * ceilDiv(op.N, dim)
 	kTiles := ceilDiv(op.K, dim)
 
-	parts := outTiles
+	parts = outTiles
 	if parts > nx {
 		parts = nx
 	}
-	reduction := false
 	if outTiles < nx && kTiles > 1 {
 		// Not enough output parallelism: split the reduction dimension to
 		// occupy all MEs (paper §III-D).
@@ -186,66 +213,70 @@ func (c *Compiler) compileMatMul(op *Op, cost OpCost, kind ISAKind) CompiledOp {
 	if parts < 1 {
 		parts = 1
 	}
+	return parts, reduction
+}
 
-	me := splitCycles(cost.MECycles, parts)
-	hbm := splitBytes(cost.HBMBytes, parts)
+// shape returns the group and µTOp counts op compiles to.
+func (c *Compiler) shape(op *Op, kind ISAKind) (groups, utops int) {
+	if !op.Kind.IsME() {
+		return 1, 1
+	}
+	parts, reduction := c.split(op)
+	if kind == ISANeu && reduction {
+		return 2, parts + 1
+	}
+	return 1, parts
+}
 
-	co := CompiledOp{Name: op.Name, Kind: op.Kind}
+func (c *Compiler) compileMatMul(co *CompiledOp, op *Op, cost OpCost, kind ISAKind, a *arena) {
+	parts, reduction := c.split(op)
 	switch {
 	case kind == ISANeu && reduction:
 		// ME µTOps produce partials; a separate VE µTOp group sums them.
 		// The VE aggregation cannot pipeline with the MEs (the NeuISA
 		// overhead): all VE cycles land in the second group.
-		g0 := GroupSpec{}
-		for p := 0; p < parts; p++ {
-			g0.UTops = append(g0.UTops, UTopSpec{Kind: isa.MEUTop, MECycles: me[p], HBMBytes: hbm[p]})
+		co.Groups = a.take(parts, 1)
+		for p := range co.Groups[0].UTops {
+			co.Groups[0].UTops[p] = UTopSpec{
+				Kind:     isa.MEUTop,
+				MECycles: shareCycles(cost.MECycles, parts, p),
+				HBMBytes: shareBytes(cost.HBMBytes, parts, p),
+			}
 		}
-		g1 := GroupSpec{UTops: []UTopSpec{{Kind: isa.VEUTop, VECycles: cost.VECycles}}}
-		co.Groups = []GroupSpec{g0, g1}
+		co.Groups[1].UTops[0] = UTopSpec{Kind: isa.VEUTop, VECycles: cost.VECycles}
 		co.ReductionSplit = true
 	default:
 		// Output-parallel (or VLIW): the VE epilogue pipelines inside the
 		// ME µTOps, split evenly.
-		ve := splitCycles(cost.VECycles, parts)
-		g0 := GroupSpec{}
-		for p := 0; p < parts; p++ {
-			g0.UTops = append(g0.UTops, UTopSpec{
+		co.Groups = a.take(parts)
+		for p := range co.Groups[0].UTops {
+			co.Groups[0].UTops[p] = UTopSpec{
 				Kind:     isa.MEUTop,
-				MECycles: me[p],
-				VECycles: ve[p],
-				HBMBytes: hbm[p],
-			})
+				MECycles: shareCycles(cost.MECycles, parts, p),
+				VECycles: shareCycles(cost.VECycles, parts, p),
+				HBMBytes: shareBytes(cost.HBMBytes, parts, p),
+			}
 		}
-		co.Groups = []GroupSpec{g0}
 	}
-	return co
 }
 
-// splitCycles divides total into n near-equal shares that sum exactly.
-func splitCycles(total uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	base := total / uint64(n)
-	rem := total % uint64(n)
-	for i := range out {
-		out[i] = base
-		if uint64(i) < rem {
-			out[i]++
-		}
+// shareCycles is share i of total divided into n near-equal shares that
+// sum exactly: the first total%n shares carry one extra cycle.
+func shareCycles(total uint64, n, i int) uint64 {
+	s := total / uint64(n)
+	if uint64(i) < total%uint64(n) {
+		s++
 	}
-	return out
+	return s
 }
 
-func splitBytes(total int64, n int) []int64 {
-	out := make([]int64, n)
-	base := total / int64(n)
-	rem := total % int64(n)
-	for i := range out {
-		out[i] = base
-		if int64(i) < rem {
-			out[i]++
-		}
+// shareBytes is shareCycles for byte counts.
+func shareBytes(total int64, n, i int) int64 {
+	s := total / int64(n)
+	if int64(i) < total%int64(n) {
+		s++
 	}
-	return out
+	return s
 }
 
 // Validate checks structural invariants of a compiled graph: cycle

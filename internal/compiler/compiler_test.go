@@ -185,13 +185,17 @@ func TestCompileRejectsInvalidGraph(t *testing.T) {
 	}
 }
 
-func TestSplitCyclesConservesProperty(t *testing.T) {
+func TestShareConservesProperty(t *testing.T) {
 	f := func(total uint32, nRaw uint8) bool {
 		n := int(nRaw%16) + 1
-		parts := splitCycles(uint64(total), n)
 		var sum uint64
 		var maxP, minP uint64 = 0, ^uint64(0)
-		for _, p := range parts {
+		for i := 0; i < n; i++ {
+			p := shareCycles(uint64(total), n, i)
+			// The byte split hands out the same shares.
+			if b := shareBytes(int64(total), n, i); b != int64(p) {
+				return false
+			}
 			sum += p
 			if p > maxP {
 				maxP = p
@@ -200,7 +204,7 @@ func TestSplitCyclesConservesProperty(t *testing.T) {
 				minP = p
 			}
 		}
-		return sum == uint64(total) && len(parts) == n && maxP-minP <= 1
+		return sum == uint64(total) && maxP-minP <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

@@ -345,3 +345,28 @@ func TestServeSteadyHealthy(t *testing.T) {
 		t.Error("table does not name its scenario")
 	}
 }
+
+// TestServePagedColdAllocBudget locks in first-use costing: serve-paged
+// on a fresh runner (a cold cost database, as every neu10-serve call
+// sees) must stay under an allocation budget. A cold pass allocates
+// about 38k times (Go 1.24, linux/amd64). Measuring every cost bucket a
+// replica could be asked for at spawn allocates about 6× that, which
+// the budget rejects; its 2× headroom absorbs Go-release drift.
+func TestServePagedColdAllocBudget(t *testing.T) {
+	const budget = 80_000
+	allocs := testing.AllocsPerRun(1, func() {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		r, err := NewRunner(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run("serve-paged"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold serve-paged: %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("cold serve-paged allocated %.0f times, budget %d — is cost measurement eager again?", allocs, budget)
+	}
+}

@@ -282,7 +282,9 @@ func (f *fleet) splitFits(t *tenantState, eus int) bool {
 // EU budget, maps it through the §III-C mapper under the fleet's
 // placement policy, and puts it in service. For disaggregated tenants
 // the role specializes the slot (and its KV floor: a prefill slot only
-// ever holds prompt KV); colocated callers pass RoleMixed.
+// ever holds prompt KV); colocated callers pass RoleMixed. Spawning
+// measures no cost: each launch prices its batch through the CostDB,
+// which measures an entry the first time any slot asks for it.
 func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	a, err := f.alloc.Allocate(t.profile, t.footprint, eus)
 	if err != nil {
@@ -376,27 +378,6 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	now := float64(f.eng.Now())
 	f.snapshot(now)
 	f.allocatedEUs += vc.TotalEUs()
-	// Pre-measure the service-time buckets this slot can be asked for —
-	// for EVERY tenant in the share group, since any member's batches
-	// may land here — so launches never fail and cost measurement stays
-	// off the serving hot path. LLM peers pre-measure their phase-cost
-	// buckets (prefill × prompt, decode × context) instead.
-	for _, p := range t.peers {
-		var err error
-		if p.llm != nil {
-			err = f.preMeasureLLM(p, a.MEs, a.VEs)
-		} else {
-			for b := 1; b <= PadBatch(p.cfg.MaxBatch) && err == nil; b <<= 1 {
-				_, err = f.costs.ServiceCycles(p.cfg.Model, b, a.MEs, a.VEs)
-			}
-		}
-		if err != nil {
-			f.mapper.Unmap(v)
-			f.allocatedEUs -= vc.TotalEUs()
-			f.mapAccepts--
-			return err
-		}
-	}
 	r := &replica{id: t.nextReplicaID, uid: f.nextUID, ten: t, vnpu: v, nm: a.MEs, nv: a.VEs, eus: eus, role: role, kv: kv}
 	f.nextUID++
 	t.nextReplicaID++

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"neu10/internal/sim"
-)
+import "neu10/internal/sim"
 
 // The scheduling/batching policy layer. Every tenant owns a batcher —
 // the policy object that decides what work the tenant has on a slot,
@@ -107,11 +103,7 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	q.reqs = q.reqs[:rest]
 	f.obs.launched(b, now)
 	cycles, err := f.costs.ServiceCycles(t.cfg.Model, n, r.nm, r.nv)
-	if err != nil {
-		// Every group member's model was pre-measured at spawn for this
-		// slot shape; a miss here is a bug.
-		panic(fmt.Sprintf("serve: costing launched batch: %v", err))
-	}
+	f.costFailed("launched batch", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
 	f.startSegment(r, b, now)

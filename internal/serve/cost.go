@@ -23,12 +23,16 @@ import (
 // real serving kernels are compiled for bucketed shapes, and bucketing
 // bounds the cache to O(log MaxBatch) entries per (model, shape).
 //
+// Entries are measured on first use: nothing is measured ahead of time,
+// and the first launch that asks for a key pays for its measurement.
 // Entries are single-flighted per key (the workload.Compiled pattern):
 // the map lock is held only to claim a slot, measurement runs under the
 // entry's sync.Once, so distinct keys measure concurrently and the
 // parallel experiment runner shares one CostDB across its worker pool.
-// Every entry is a pure function of its key, so population order cannot
-// leak into results.
+// Every entry is a pure function of its key, so population order — which
+// run, worker or launch measured it first — cannot leak into results.
+// A failed measurement is cached like a value; a serving run that hits
+// one stops with that error.
 type CostDB struct {
 	core    arch.CoreConfig
 	mu      sync.Mutex

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/workload"
 )
 
 // TestCostDBSingleFlightConcurrent drives the documented single-flight
@@ -226,5 +230,127 @@ func TestCostDBCoarseBuckets(t *testing.T) {
 	}
 	if c256 == b {
 		t.Error("coarse bucket aliased a fine bucket")
+	}
+}
+
+// servePagedRecompute is the paged/recompute leg of the serve-paged
+// scenario (experiments.ServePaged): multi-turn session traffic on two
+// replicas with a tight paged KV partition and evict-recompute.
+func servePagedRecompute() Config {
+	return Config{
+		Scenario:    "paged/recompute",
+		Core:        arch.TPUv4Like(),
+		Cores:       2,
+		Router:      LeastLoaded,
+		DurationSec: 8.0,
+		Seed:        1,
+		Tenants: []TenantConfig{{
+			Name: "assistant", Model: "LLaMA", RatePerSec: 14, EUs: 4,
+			MaxBatch: 16, QueueCap: 64, SLOMs: 3000,
+			InitialReplicas: 2, MaxReplicas: 2,
+			LLM: &LLMConfig{
+				KVCapTokens: 1536,
+				KVPolicy:    KVPaged,
+				KVEvict:     KVEvictRecompute,
+				Trace: workload.LLMTrace{
+					PromptMin: 16, PromptMean: 32, PromptMax: 64,
+					OutputMin: 4, OutputMean: 12, OutputMax: 32,
+					Sessions: 10, SharedPrefixTokens: 96, MaxSessionTokens: 640,
+				},
+			},
+		}},
+	}
+}
+
+// TestLazyCostingOrderIndependent pins the property first-use costing
+// relies on: which run measured an entry first never shows in a result.
+// The paged run must render byte-identical JSON on a fresh database and
+// on one already warmed by a disaggregated chaos run (an overlapping
+// but different key set), and a rerun on the now-warm database must
+// measure nothing.
+func TestLazyCostingOrderIndependent(t *testing.T) {
+	run := func(db *CostDB) []byte {
+		t.Helper()
+		rep, err := Run(servePagedRecompute(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	fresh := run(NewCostDB(arch.TPUv4Like()))
+
+	warm := NewCostDB(arch.TPUv4Like())
+	if _, err := Run(chaosConfig(1, chaosFaults(CrashReplay), nil), warm); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(warm); !bytes.Equal(got, fresh) {
+		t.Errorf("paged report differs on a chaos-warmed cost database:\n%s\nvs fresh\n%s", got, fresh)
+	}
+
+	measured := 0
+	warm.onMeasure = func(costKey) { measured++ }
+	if got := run(warm); !bytes.Equal(got, fresh) {
+		t.Errorf("paged report differs on a rerun:\n%s\nvs fresh\n%s", got, fresh)
+	}
+	if measured != 0 {
+		t.Errorf("rerun on a warm cost database measured %d new entries, want 0", measured)
+	}
+}
+
+// TestCostingFailureIsRunError seeds a failed entry — its sync.Once
+// already spent, its error set — for a key a launch will ask for, and
+// requires Run to return an error wrapping it instead of panicking.
+// For each config it fails, in turn, the first key of each phase the
+// run's launches measure, which together reach every costing site:
+// dynamic batches, colocated prefill and decode (continuous, static and
+// paged), and disaggregated chunked prefill.
+func TestCostingFailureIsRunError(t *testing.T) {
+	errBroken := errors.New("broken kernel")
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"dynamic", fastConfig(1)},
+		{"llm-continuous", llmConfig(1, false)},
+		{"llm-static", llmConfig(1, true)},
+		{"llm-paged", pagedCfg(1, KVPaged, KVEvictRecompute)},
+		{"llm-disagg", disaggConfig(1, 64, 0)},
+	}
+	for _, c := range cases {
+		// newFleet measures the SLO anchors; what Run measures after
+		// that is what its launches ask for, in first-use order.
+		db := NewCostDB(c.cfg.Core)
+		if _, err := newFleet(c.cfg, db); err != nil {
+			t.Fatal(err)
+		}
+		var firsts []costKey
+		seen := map[Phase]bool{}
+		db.onMeasure = func(k costKey) {
+			if !seen[k.phase] {
+				seen[k.phase] = true
+				firsts = append(firsts, k)
+			}
+		}
+		if _, err := Run(c.cfg, db); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(firsts) == 0 {
+			t.Fatalf("%s: no launch measured a cost entry", c.name)
+		}
+		for _, key := range firsts {
+			bad := NewCostDB(c.cfg.Core)
+			e := &costEntry{err: errBroken}
+			e.once.Do(func() {})
+			bad.entries[key] = e
+			rep, err := Run(c.cfg, bad)
+			if !errors.Is(err, errBroken) || rep != nil {
+				t.Errorf("%s: failed entry %+v: Run returned (%v, %v), want a nil report and an error wrapping %q",
+					c.name, key, rep != nil, err, errBroken)
+			}
+		}
 	}
 }

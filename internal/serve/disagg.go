@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"neu10/internal/model"
 	"neu10/internal/obs"
 	"neu10/internal/sim"
@@ -195,9 +193,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 	// costs real work beyond the weight re-streaming. The invocation is
 	// priced at the batch's widest chunk and deepest context.
 	cycles, err := f.costs.LLMChunkCycles(len(b.seqs), maxChunk, maxCtx, r.nm, r.nv)
-	if err != nil {
-		panic(fmt.Sprintf("serve: costing disaggregated prefill: %v", err))
-	}
+	f.costFailed("disaggregated prefill", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
 	f.startSegment(r, b, now)

@@ -65,6 +65,26 @@ type fleet struct {
 	// is one unguarded call whose only cost is a nil test in the callee
 	// (see obs.go).
 	obs *obsState
+
+	// costErr is the run's first costing failure (see costFailed); Run
+	// returns it in place of a report.
+	costErr error
+}
+
+// costFailed turns a launch's costing error into the run's error: it
+// keeps the first one and halts the engine once the current event
+// returns. Entries are measured on first use, so a shape that cannot be
+// compiled or simulated surfaces here. The launch still starts, at the
+// zero cycles the failed lookup returned, so slot state stays
+// consistent until the halt; its completion never runs.
+func (f *fleet) costFailed(what string, err error) {
+	if err == nil {
+		return
+	}
+	if f.costErr == nil {
+		f.costErr = fmt.Errorf("serve: costing %s: %w", what, err)
+	}
+	f.eng.Halt()
 }
 
 // newFleet validates the config and builds the fully initialized fleet

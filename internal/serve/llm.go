@@ -516,9 +516,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	} else {
 		cycles, err = f.costs.LLMCycles(PhasePrefill, len(joined), maxPrompt, r.nm, r.nv)
 	}
-	if err != nil {
-		panic(fmt.Sprintf("serve: costing prefill batch: %v", err))
-	}
+	f.costFailed("prefill batch", err)
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kind
 	b.seqs = append(b.seqs[:0], joined...)
@@ -559,9 +557,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 	}
 	f.obs.launched(b, now)
 	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
-	if err != nil {
-		panic(fmt.Sprintf("serve: costing decode iteration: %v", err))
-	}
+	f.costFailed("decode iteration", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
 	f.startSegment(r, b, now)
@@ -626,9 +622,7 @@ func (c *continuousLLM) finishStaticPrefill(r *replica, b *batch, now sim.Time) 
 	var cycles float64
 	for i := 0; i < maxRem; i++ {
 		c, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx+i, r.nm, r.nv)
-		if err != nil {
-			panic(fmt.Sprintf("serve: costing static decode leg: %v", err))
-		}
+		f.costFailed("static decode leg", err)
 		cycles += c
 	}
 	nb := f.takeBatch()

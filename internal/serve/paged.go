@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"neu10/internal/model"
 	"neu10/internal/obs"
 	"neu10/internal/sim"
@@ -103,9 +101,7 @@ func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time
 	}
 	f.obs.launched(b, now)
 	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
-	if err != nil {
-		panic(fmt.Sprintf("serve: costing paged decode iteration: %v", err))
-	}
+	f.costFailed("paged decode iteration", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
 	f.startSegment(r, b, now)

@@ -31,6 +31,7 @@ package serve
 // measured invocation costs across runs (scenario comparisons, repeated
 // seeds); pass nil to build a private one. Costs are pure functions of
 // (model, batch, shape), so sharing the database never changes results.
+// A launch whose cost cannot be measured stops the run with an error.
 func Run(cfg Config, db *CostDB) (*Report, error) {
 	f, err := newFleet(cfg, db)
 	if err != nil {
@@ -45,5 +46,8 @@ func Run(cfg Config, db *CostDB) (*Report, error) {
 	}
 	f.scheduleObs()
 	f.eng.Run()
+	if f.costErr != nil {
+		return nil, f.costErr
+	}
 	return f.report(), nil
 }
