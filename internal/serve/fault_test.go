@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/sim"
 	"neu10/internal/workload"
 )
 
@@ -275,6 +276,137 @@ func TestEvacuationRebalances(t *testing.T) {
 			t.Errorf("%s replica %d: %d KV blocks, %d inbound after drain",
 				r.role, r.id, r.kv.used(), r.inbound)
 		}
+	}
+}
+
+// TestCrashAbortsInFlightTransfers drives crashReplicas' transfer-abort
+// phase, which no scenario fault plan reaches: a chip dies while a KV
+// transfer touching it is on the wire. A slow link keeps transfers in
+// flight for tens of milliseconds; a poller inside an engine event
+// picks its victims from the live flight registry and crashes them
+// through crashReplicas, the entry point a FaultPlan event uses. Each
+// case must abort at least one flight of its kind, and after drain
+// every flight is landed or aborted, no survivor holds KV or inbound
+// reservations, and every arrival is rejected, completed or lost.
+func TestCrashAbortsInFlightTransfers(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	flight := func(f *fleet, evac bool) *migFlight {
+		for _, fl := range f.tenants[0].llm.migInflight {
+			if fl.evac == evac {
+				return fl
+			}
+		}
+		return nil
+	}
+	// loadedDecode picks a decode replica to kill so that a surviving
+	// decode replica keeps at least two sequences: the emergency spawn
+	// then opens a load gap the rebalance closes by evacuation.
+	loadedDecode := func(f *fleet) []*replica {
+		ten := f.tenants[0]
+		var victim, heavy *replica
+		for _, r := range ten.replicas {
+			if r.role != RoleDecode || r.draining {
+				continue
+			}
+			if n := len(r.queueFor(ten).running); n >= 2 && heavy == nil {
+				heavy = r
+			} else if victim == nil {
+				victim = r
+			}
+		}
+		if victim == nil || heavy == nil {
+			return nil
+		}
+		return []*replica{victim}
+	}
+	cases := []struct {
+		name  string
+		evac  bool
+		picks []func(f *fleet) []*replica
+	}{
+		{"handoff-source", false, []func(f *fleet) []*replica{func(f *fleet) []*replica {
+			if fl := flight(f, false); fl != nil {
+				return []*replica{fl.src}
+			}
+			return nil
+		}}},
+		{"handoff-target", false, []func(f *fleet) []*replica{func(f *fleet) []*replica {
+			if fl := flight(f, false); fl != nil {
+				return []*replica{fl.dst}
+			}
+			return nil
+		}}},
+		{"evacuation-target", true, []func(f *fleet) []*replica{loadedDecode, func(f *fleet) []*replica {
+			if fl := flight(f, true); fl != nil {
+				return []*replica{fl.dst}
+			}
+			return nil
+		}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosConfig(1, &FaultPlan{}, &RecoveryConfig{EmergencySpawn: true, Evacuate: true})
+			cfg.Autoscale = false
+			cfg.LinkGBps = 1
+			cfg.Tenants[0].RatePerSec = 4
+			cfg.Tenants[0].LLM.Trace.OutputMin = 12
+			cfg.Tenants[0].LLM.Trace.OutputMean = 24
+			cfg.Tenants[0].LLM.Trace.OutputMax = 48
+			f, err := newFleet(cfg, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.scheduleArrival(f.tenants[0])
+			every := sim.Time(f.cfg.Core.FrequencyHz / 1000) // 1 ms
+			picks := tc.picks
+			var poll func(now sim.Time)
+			poll = func(now sim.Time) {
+				if v := picks[0](f); len(v) > 0 {
+					f.crashReplicas(v, now)
+					if picks = picks[1:]; len(picks) == 0 {
+						return
+					}
+				}
+				if float64(now) < f.durCycles {
+					f.eng.At(now+every, poll)
+				}
+			}
+			f.eng.At(every, poll)
+			f.eng.Run()
+
+			ten := f.tenants[0]
+			l := ten.llm
+			if len(picks) != 0 {
+				t.Fatalf("%d crash stages never found their victims", len(picks))
+			}
+			if tc.evac && l.evacAborted == 0 {
+				t.Errorf("no evacuation aborted (%d started)", l.evacStarted)
+			}
+			if !tc.evac && l.migAborted == 0 {
+				t.Errorf("no handoff aborted (%d started)", l.migrations)
+			}
+			if l.migrations != l.migLanded+l.migAborted {
+				t.Errorf("%d migrations ≠ %d landed + %d aborted", l.migrations, l.migLanded, l.migAborted)
+			}
+			if l.evacStarted != l.evacLanded+l.evacAborted {
+				t.Errorf("%d evacuations ≠ %d landed + %d aborted", l.evacStarted, l.evacLanded, l.evacAborted)
+			}
+			if len(l.migQ) != 0 || len(l.migInflight) != 0 {
+				t.Errorf("%d parked and %d in-flight transfers after drain", len(l.migQ), len(l.migInflight))
+			}
+			for _, r := range ten.replicas {
+				if r.kv.used() != 0 || r.inbound != 0 {
+					t.Errorf("%s replica %d: %d KV blocks, %d inbound after drain", r.role, r.id, r.kv.used(), r.inbound)
+				}
+				if n := len(r.queueFor(ten).running); n != 0 {
+					t.Errorf("%s replica %d still runs %d sequences after drain", r.role, r.id, n)
+				}
+			}
+			if got := ten.rejected + ten.completed + ten.crashLost; ten.arrivals != got {
+				t.Errorf("%d arrivals ≠ %d rejected + %d completed + %d lost",
+					ten.arrivals, ten.rejected, ten.completed, ten.crashLost)
+			}
+		})
 	}
 }
 
