@@ -5,33 +5,51 @@ import (
 
 	"neu10/internal/cluster"
 	"neu10/internal/core"
+	"neu10/internal/metrics"
 	"neu10/internal/model"
 	"neu10/internal/sim"
 )
 
-// The autoscaler: a periodic control loop that compares each tenant's
-// windowed p99 latency against its SLO and adjusts the tenant's vNPU
-// fleet through the paper's machinery — every replica is sized by the
-// §III-B allocator (EU budget → utilization-optimal ME:VE split) and
-// placed by the §III-C mapper under the configured cluster policy.
+// The autoscaler: a periodic control loop that compares each replica
+// pool's windowed p99 latency against its objective and adjusts the
+// tenant's vNPU fleet through the paper's machinery — every replica is
+// sized by the §III-B allocator (EU budget → utilization-optimal ME:VE
+// split) and placed by the §III-C mapper under the configured cluster
+// policy.
 //
-// Decision ladder per tenant, per interval:
+// A colocated tenant has one pool, its RoleMixed fleet, read against
+// end-to-end p99 vs the SLO. A disaggregated tenant has two, each read
+// against its OWN signal — the shared end-to-end p99 would conflate a
+// slow link, a prompt burst and a decode backlog into one number and
+// scale the wrong pool:
 //
-//  1. violated & below MaxReplicas      → scale OUT: spawn one replica.
-//  2. violated & at MaxReplicas         → scale UP: spawn one replica at
+//   - prefill: windowed p99 QUEUE DELAY (arrival → first prefill
+//     invocation) vs prefillSLO. Arrivals only ever touch prefill
+//     slots, so rejections are prefill-pool symptoms by construction.
+//   - decode: windowed TPOT p99 vs tpotSLO. A migration stall (a
+//     prefill completion that found no admitting decode slot) is a
+//     direct "decode pool full" signal.
+//
+// Decision ladder per pool, per interval:
+//
+//  1. violated & below max          → scale OUT: spawn one replica.
+//  2. violated & at max (mixed)     → scale UP: spawn one replica at
 //     EUs+2 (make-before-break) and drain a small one — the vertical
 //     grow path, re-running the allocator at the larger budget.
-//  3. calm & above MinReplicas          → scale IN: drain one replica.
-//  4. calm & grown & at MinReplicas     → scale DOWN: spawn one replica
-//     at EUs−2 and drain a big one — vertical shrink back toward the
-//     configured budget.
+//  3. calm & above the floor        → scale IN: drain one replica.
+//  4. calm & grown & at the floor (mixed) → scale DOWN: spawn one
+//     replica at EUs−2 and drain a big one — vertical shrink back
+//     toward the configured budget.
 //
-// "Violated" means the window saw rejections, a p99 above
-// ScaleUpP99Frac×SLO, or queued work with zero completions (a stalled
-// fleet has no percentiles to read). "Calm" means no rejections and a
-// p99 under ScaleDownP99Frac×SLO. Draining replicas stop receiving new
-// requests and retire once their queue empties, so no admitted request
-// is ever dropped by a scaling action.
+// Vertical resizes are RoleMixed-only: one EU budget serves both
+// disaggregated pools. "Violated" means the pool is hot (see readPool:
+// rejections, migration stalls, or queued work with zero completions —
+// a stalled pool has no percentiles to read) or its p99 is above
+// ScaleUpP99Frac × objective. "Calm" means the pool may cool at all
+// and its p99 is under ScaleDownP99Frac × objective, or it is idle.
+// Draining replicas stop receiving new requests and retire once their
+// queue empties, so no admitted request is ever dropped by a scaling
+// action.
 
 // scheduleScale runs the control loop every `every` cycles until the
 // scenario's traffic ends.
@@ -52,195 +70,160 @@ func (f *fleet) scheduleScale(every float64) {
 	tick(every)
 }
 
+// scaleTenant runs one control tick over t's pools: every pool's
+// resurrection floor first, then each pool's ladder in turn.
 func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
+	pools := []Role{RoleMixed}
 	if t.disagg() != nil {
-		f.scaleTenantDisagg(t, now)
-		return
+		pools = []Role{RolePrefill, RoleDecode}
 	}
-	// Resurrection floor, checked BEFORE the ladder: MinReplicas is a
-	// capacity promise, not a decay asymptote. A fleet crashed below it
-	// (fault.go) presents an empty window — no samples, and a backlog of
-	// zero once everything shed — which the ladder reads as idle calm;
-	// without this a tenant crashed to nothing would stay dead forever
-	// while every arrival sheds at the door. Warm spares raise the floor
-	// the same way they raised the initial spawn.
-	floor := t.cfg.MinReplicas + f.warmSpares()
-	for t.activeCount() < floor {
-		if err := f.spawnReplica(t, t.curEUs, RoleMixed); err != nil {
-			t.scaleFails++
-			break
+	// The resurrection floor: a pool's minimum is a capacity promise, not
+	// a decay asymptote. A pool crashed below it (fault.go) presents an
+	// empty window — no samples, and a backlog of zero once everything
+	// shed — which the ladder reads as idle calm; without this a tenant
+	// crashed to nothing would stay dead forever while every arrival
+	// sheds at the door. Warm spares raise the floor the same way they
+	// raised the initial spawn.
+	for _, role := range pools {
+		lo, _ := t.poolBounds(role)
+		for t.activeRole(role) < lo+f.warmSpares() && f.grow(t, role, now) {
 		}
-		t.scaleUps++
 	}
-	samples := t.windowLat.Count()
-	p99 := t.windowLat.P99()
-	backlog := f.tenantBacklog(t)
-	violated := t.windowRejected > 0 ||
-		(samples > 0 && p99 > f.cfg.ScaleUpP99Frac*t.sloCycles) ||
-		(samples == 0 && backlog > t.cfg.MaxBatch)
-	// An empty window is read three ways, not two. With queued or
-	// suspended work it is either violated (deep backlog, above) or a
-	// deliberate HOLD (work in flight but nothing completed — a
-	// preemption-heavy interval, or service times longer than the
-	// window — where percentiles would be guesses). With no work at all
-	// it DECAYS: a truly idle tenant is calm, so the fleet shrinks
-	// toward MinReplicas instead of freezing at its last size forever.
-	idle := samples == 0 && backlog == 0
-	calm := t.windowRejected == 0 &&
-		((samples > 0 && p99 < f.cfg.ScaleDownP99Frac*t.sloCycles) || idle)
-
-	switch {
-	case violated && t.activeCount() < t.cfg.MaxReplicas:
-		if err := f.spawnReplica(t, t.curEUs, RoleMixed); err != nil {
-			t.scaleFails++
-		} else {
-			t.scaleUps++
-		}
-	case violated && f.splitFits(t, t.curEUs+2):
-		// Horizontal headroom exhausted: grow the vNPU size instead.
-		if err := f.spawnReplica(t, t.curEUs+2, RoleMixed); err != nil {
-			t.scaleFails++
-		} else {
-			t.curEUs += 2
-			t.resizes++
-			f.drainOne(t, RoleMixed, now, true)
-		}
-	case calm && t.activeCount() > floor:
-		f.drainOne(t, RoleMixed, now, false)
-		t.scaleDowns++
-	case calm && t.curEUs > t.cfg.EUs:
-		// Idle and previously grown: shrink back toward the configured
-		// budget, again make-before-break.
-		if err := f.spawnReplica(t, t.curEUs-2, RoleMixed); err != nil {
-			t.scaleFails++
-		} else {
-			t.curEUs -= 2
-			t.resizes++
-			f.drainOne(t, RoleMixed, now, true)
-		}
+	for _, role := range pools {
+		f.scalePool(t, f.readPool(t, role), now)
 	}
 	t.windowLat.Reset()
 	t.windowRejected = 0
+	if l := t.llm; l != nil {
+		l.windowWait.Reset()
+		l.windowTPOT.Reset()
+		l.windowMigStalls = 0
+	}
 }
 
-// scaleTenantDisagg runs the two independent per-pool control loops of
-// a disaggregated tenant. Each pool reads its OWN signal — the shared
-// end-to-end p99 would conflate a slow link, a prompt burst and a
-// decode backlog into one number and scale the wrong pool:
-//
-//   - The prefill pool scales against windowed p99 QUEUE DELAY (arrival
-//     → first prefill invocation) vs prefillSLO, plus admission
-//     rejections — arrivals only ever touch prefill slots, so sheds and
-//     queue growth are prefill-pool symptoms by construction.
-//   - The decode pool scales against windowed TPOT p99 vs tpotSLO,
-//     plus migration stalls — a prefill completion that found no
-//     admitting decode slot is a direct "decode pool full" signal, and
-//     reacting to it drains the parked migrations.
-//
-// Both pools apply the same hold/decay reading of an empty window as
-// the colocated ladder; vertical resizes stay a colocated-only move
-// (one EU budget serves both pools).
-func (f *fleet) scaleTenantDisagg(t *tenantState, now sim.Time) {
-	d := t.cfg.LLM.Disagg
-	l := t.llm
-
-	// Per-pool resurrection floors — see scaleTenant: a pool crashed
-	// below its Min (+ warm spares) must come back regardless of what
-	// the windowed signals say about an empty window.
-	preFloor := d.MinPrefill + f.warmSpares()
-	for t.activeRole(RolePrefill) < preFloor {
-		if err := f.spawnReplica(t, t.curEUs, RolePrefill); err != nil {
-			t.scaleFails++
-			break
-		}
-		t.scaleUps++
+// poolBounds returns the replica bounds of t's role pool.
+func (t *tenantState) poolBounds(role Role) (lo, hi int) {
+	switch d := t.disagg(); role {
+	case RolePrefill:
+		return d.MinPrefill, d.MaxPrefill
+	case RoleDecode:
+		return d.MinDecode, d.MaxDecode
 	}
-	decFloor := d.MinDecode + f.warmSpares()
-	for t.activeRole(RoleDecode) < decFloor {
-		if err := f.spawnReplica(t, t.curEUs, RoleDecode); err != nil {
-			t.scaleFails++
-			break
-		}
-		t.scaleUps++
-		f.drainMigQ(t, now)
-	}
+	return t.cfg.MinReplicas, t.cfg.MaxReplicas
+}
 
-	// The pool's backlog is queued arrivals PLUS prompts mid-prefill —
-	// a window with empty queues but chunked prefills still in flight
-	// is busy, not idle (sequences already handed to migration hold no
-	// prefill compute and do not count).
-	preBacklog := 0
-	for _, r := range t.replicas {
-		if r.role == RolePrefill {
-			if q := r.queueFor(t); q != nil {
-				preBacklog += len(q.reqs)
+// scalePool is one pool's reading at a control tick: its latency window
+// against its objective, its outstanding work, its bounds (floor
+// includes warm spares), and two overrides — hot marks the pool
+// violated whatever the percentiles say, cool allows calm at all.
+type scalePool struct {
+	role       Role
+	win        *metrics.Latencies
+	slo        float64
+	backlog    int
+	floor, max int
+	hot, cool  bool
+}
+
+// readPool takes t's role pool reading for this tick.
+func (f *fleet) readPool(t *tenantState, role Role) scalePool {
+	lo, hi := t.poolBounds(role)
+	p := scalePool{role: role, floor: lo + f.warmSpares(), max: hi}
+	switch l := t.llm; role {
+	case RoleMixed:
+		p.win, p.slo, p.backlog = &t.windowLat, t.sloCycles, f.tenantBacklog(t)
+	case RolePrefill:
+		// The backlog is queued arrivals PLUS prompts mid-prefill — a
+		// window with empty queues but chunked prefills still in flight is
+		// busy, not idle (sequences already handed to migration hold no
+		// prefill compute and do not count).
+		p.win, p.slo = &l.windowWait, t.prefillSLO
+		for _, r := range t.replicas {
+			if r.role == RolePrefill {
+				q := r.queueFor(t)
+				p.backlog += len(q.reqs)
 				for _, s := range q.running {
 					if s.promptDone < s.req.prompt {
-						preBacklog++
+						p.backlog++
 					}
 				}
 			}
 		}
-	}
-	waitN := l.windowWait.Count()
-	waitP99 := l.windowWait.P99()
-	preViolated := t.windowRejected > 0 ||
-		(waitN > 0 && waitP99 > f.cfg.ScaleUpP99Frac*t.prefillSLO) ||
-		(waitN == 0 && preBacklog > t.cfg.MaxBatch)
-	preIdle := waitN == 0 && preBacklog == 0
-	preCalm := t.windowRejected == 0 &&
-		((waitN > 0 && waitP99 < f.cfg.ScaleDownP99Frac*t.prefillSLO) || preIdle)
-	switch {
-	case preViolated && t.activeRole(RolePrefill) < d.MaxPrefill:
-		if err := f.spawnReplica(t, t.curEUs, RolePrefill); err != nil {
-			t.scaleFails++
-		} else {
-			t.scaleUps++
-		}
-	case preCalm && t.activeRole(RolePrefill) > preFloor:
-		f.drainOne(t, RolePrefill, now, false)
-		t.scaleDowns++
-	}
-
-	decBusy := len(l.migQ)
-	for _, r := range t.replicas {
-		if r.role == RoleDecode {
-			if q := r.queueFor(t); q != nil {
-				decBusy += len(q.running)
+	case RoleDecode:
+		p.win, p.slo, p.backlog = &l.windowTPOT, t.tpotSLO, len(l.migQ)
+		for _, r := range t.replicas {
+			if r.role == RoleDecode {
+				p.backlog += len(r.queueFor(t).running) + r.inbound
 			}
-			decBusy += r.inbound
 		}
+		// A parked migration queue vetoes calm outright: the backlog shows
+		// up as migration WAIT, not TPOT (decode iterations stay healthy by
+		// construction), so per-iteration percentiles alone would happily
+		// drain the exact pool whose admission is the bottleneck.
+		p.hot = l.windowMigStalls > 0
+		p.cool = l.windowMigStalls == 0 && len(l.migQ) == 0
+		return p
 	}
-	tpotN := l.windowTPOT.Count()
-	tpotP99 := l.windowTPOT.P99()
-	decViolated := l.windowMigStalls > 0 ||
-		(tpotN > 0 && tpotP99 > f.cfg.ScaleUpP99Frac*t.tpotSLO)
-	decIdle := tpotN == 0 && decBusy == 0
-	// A parked migration queue vetoes calm outright: the backlog shows
-	// up as migration WAIT, not TPOT (decode iterations stay healthy by
-	// construction), so per-iteration percentiles alone would happily
-	// drain the exact pool whose admission is the bottleneck.
-	decCalm := l.windowMigStalls == 0 && len(l.migQ) == 0 &&
-		((tpotN > 0 && tpotP99 < f.cfg.ScaleDownP99Frac*t.tpotSLO) || decIdle)
-	switch {
-	case decViolated && t.activeRole(RoleDecode) < d.MaxDecode:
-		if err := f.spawnReplica(t, t.curEUs, RoleDecode); err != nil {
-			t.scaleFails++
-		} else {
-			t.scaleUps++
-			// A fresh decode slot can admit parked migrations immediately.
-			f.drainMigQ(t, now)
-		}
-	case decCalm && t.activeRole(RoleDecode) > decFloor:
-		f.drainOne(t, RoleDecode, now, false)
-		t.scaleDowns++
-	}
+	p.hot = t.windowRejected > 0 || (p.win.Count() == 0 && p.backlog > t.cfg.MaxBatch)
+	p.cool = t.windowRejected == 0
+	return p
+}
 
-	l.windowWait.Reset()
-	l.windowTPOT.Reset()
-	l.windowMigStalls = 0
-	t.windowLat.Reset()
-	t.windowRejected = 0
+// scalePool runs one pool's decision ladder on its reading.
+func (f *fleet) scalePool(t *tenantState, p scalePool, now sim.Time) {
+	n, p99 := p.win.Count(), p.win.P99()
+	// An empty window is read three ways, not two. With outstanding work
+	// it is either violated (hot: a deep backlog) or a deliberate HOLD
+	// (work in flight but nothing completed — a preemption-heavy
+	// interval, or service times longer than the window — where
+	// percentiles would be guesses). With no work at all it DECAYS: a
+	// truly idle pool is calm, so it shrinks toward its floor instead of
+	// freezing at its last size forever.
+	violated := p.hot || (n > 0 && p99 > f.cfg.ScaleUpP99Frac*p.slo)
+	calm := p.cool && ((n > 0 && p99 < f.cfg.ScaleDownP99Frac*p.slo) || (n == 0 && p.backlog == 0))
+	active := t.activeRole(p.role)
+	switch {
+	case violated && active < p.max:
+		f.grow(t, p.role, now)
+	case violated && p.role == RoleMixed && f.splitFits(t, t.curEUs+2):
+		// Horizontal headroom exhausted: grow the vNPU size instead.
+		f.resize(t, 2, now)
+	case calm && active > p.floor:
+		f.drainOne(t, p.role, now, false)
+		t.scaleDowns++
+	case calm && p.role == RoleMixed && t.curEUs > t.cfg.EUs:
+		// Idle and previously grown: shrink back toward the configured
+		// budget, again make-before-break.
+		f.resize(t, -2, now)
+	}
+}
+
+// grow spawns one replica into t's role pool at the current EU budget
+// and counts the outcome; a fresh decode slot admits parked migrations
+// at once. It reports whether the spawn succeeded.
+func (f *fleet) grow(t *tenantState, role Role, now sim.Time) bool {
+	if err := f.spawnReplica(t, t.curEUs, role); err != nil {
+		t.scaleFails++
+		return false
+	}
+	t.scaleUps++
+	if role == RoleDecode {
+		f.drainMigQ(t, now)
+	}
+	return true
+}
+
+// resize swaps a RoleMixed replica for one at curEUs+delta,
+// make-before-break: the new size spawns first, then the most
+// mismatched replica drains.
+func (f *fleet) resize(t *tenantState, delta int, now sim.Time) {
+	if err := f.spawnReplica(t, t.curEUs+delta, RoleMixed); err != nil {
+		t.scaleFails++
+		return
+	}
+	t.curEUs += delta
+	t.resizes++
+	f.drainOne(t, RoleMixed, now, true)
 }
 
 // tenantBacklog counts t's own outstanding requests — queued, in
@@ -306,7 +289,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	// owner's own model is small: its partition grows to the LLM weights
 	// plus at least one maximal request's KV per LLM peer — the floor
 	// below which a queue head could block forever.
-	var kv kvBackend
+	var kv *kvAccountant
 	{
 		var weights, minKV int64
 		blockTokens, capOverride, anyLLM := 0, 0, false
@@ -347,7 +330,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 			if capOverride > 0 {
 				capBytes = int64(capOverride) * model.LLMKVBytesPerToken()
 			}
-			kv = f.newKVBackend(t, capBytes, blockTokens)
+			kv = f.newKV(t, capBytes, blockTokens)
 			for _, p := range t.peers {
 				if p.llm == nil {
 					continue
@@ -356,14 +339,14 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 				if role == RolePrefill && f.cfg.Faults == nil {
 					worstTok = p.cfg.LLM.Trace.MaxPrompt()
 				}
-				// The floor holds under EITHER backend: with full
+				// The floor holds under EITHER policy: with full
 				// reservation it keeps the queue head admissible; with
 				// paging it guarantees one maximal sequence can always be
 				// made resident by evicting everything else — the
 				// eviction-progress guarantee.
-				if worst := kv.blocksFor(worstTok); worst > kv.total() {
+				if worst := kv.blocksFor(worstTok); worst > kv.totalBlocks {
 					return fmt.Errorf("serve: tenant %s: %s replica KV capacity of %d blocks cannot hold one maximal request of %s (%d blocks)",
-						t.cfg.Name, role, kv.total(), p.cfg.Name, worst)
+						t.cfg.Name, role, kv.totalBlocks, p.cfg.Name, worst)
 				}
 			}
 		}
@@ -381,10 +364,10 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	r := &replica{id: t.nextReplicaID, uid: f.nextUID, ten: t, vnpu: v, nm: a.MEs, nv: a.VEs, eus: eus, role: role, kv: kv}
 	f.nextUID++
 	t.nextReplicaID++
-	if p, ok := kv.(*pagedKV); ok {
-		// The paged backend needs its slot for swap scheduling (link
+	if kv != nil && kv.paged != nil {
+		// The paged policy needs its slot for swap scheduling (link
 		// naming, wake-ups); the ledger itself never looks back.
-		p.bind(r)
+		kv.paged.bind(r)
 	}
 	for _, p := range t.peers {
 		r.qs = append(r.qs, slotQueue{ten: p})
@@ -458,11 +441,21 @@ func (f *fleet) drainOne(t *tenantState, role Role, now sim.Time, bySize bool) {
 // retire unmaps a drained replica and returns its resources to the
 // fleet.
 func (f *fleet) retire(r *replica, now sim.Time) {
-	t := r.ten
 	if r.retired {
 		return
 	}
 	r.retired = true
+	f.obs.retire(r, now)
+	f.removeReplica(r, now)
+}
+
+// removeReplica takes a retired or crashed replica out of the fleet:
+// its pending timers cancel, the fleet's EU and busy-time books settle,
+// its KV ledger folds into the owner (in-flight swap copies cancel
+// first) and its vNPU unmaps. Only the KV contents are ever lost, never
+// the books.
+func (f *fleet) removeReplica(r *replica, now sim.Time) {
+	t := r.ten
 	if r.timerSet {
 		f.eng.Cancel(r.timer)
 		r.timerSet = false
@@ -471,11 +464,13 @@ func (f *fleet) retire(r *replica, now sim.Time) {
 		f.eng.Cancel(r.preemptH)
 		r.preemptSet = false
 	}
-	f.obs.retire(r, now)
 	f.snapshot(float64(now))
 	f.allocatedEUs -= r.vnpu.Config.TotalEUs()
 	f.busySum += r.busyEUCycles
 	if r.kv != nil {
+		if p := r.kv.paged; p != nil {
+			p.teardown()
+		}
 		t.foldKV(r.kv, float64(now))
 	}
 	f.mapper.Unmap(r.vnpu)

@@ -252,7 +252,7 @@ func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 func (f *fleet) startMigration(src *replica, s *llmSeq, now sim.Time) {
 	t := src.ten
 	if dst := f.pickDecode(t, s); dst != nil {
-		f.beginTransfer(src, dst, s, now)
+		f.beginTransfer(src, dst, s, false, now)
 		return
 	}
 	t.llm.migQ = append(t.llm.migQ, migPending{seq: s, from: src})
@@ -263,51 +263,67 @@ func (f *fleet) startMigration(src *replica, s *llmSeq, now sim.Time) {
 	f.obs.migStall(t, s.req.id, len(t.llm.migQ), now)
 }
 
-// beginTransfer charges the full prompt+output reservation to the
-// decode replica and puts the prompt KV on the wire. The prefill-side
-// blocks stay held until the last byte lands — the pages cannot be
-// dropped while they are still being copied. The flight enters the
-// tenant's in-flight registry so a crash can abort it mid-copy with
-// conservation intact (fault.go).
-func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, now sim.Time) {
+// beginTransfer puts one sequence's resident KV on the wire from src to
+// dst: a prefill→decode handoff, or (evac) a crash evacuation of a
+// mid-generation sequence. The full prompt+output reservation is
+// charged to dst at start, so concurrent transfers can never
+// oversubscribe it; src's blocks stay held until the last byte lands —
+// the pages cannot be dropped while they are still being copied. An
+// evacuated sequence freezes (no decode advances it) while its pages
+// are on the wire. The flight enters the tenant's in-flight registry so
+// a crash can abort it mid-copy with conservation intact (recovery.go).
+func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, evac bool, now sim.Time) {
 	t := src.ten
+	s.migrating = evac
 	dblocks := dst.kv.blocksFor(s.req.prompt + s.req.output)
 	dst.kv.alloc(dblocks, float64(now))
 	dst.inbound++
-	bytes := model.LLMKVTransferBytes(s.req.prompt)
-	t.llm.migrations++
-	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes}
+	bytes := model.LLMKVTransferBytes(s.ctx)
+	if evac {
+		t.llm.evacStarted++
+	} else {
+		t.llm.migrations++
+	}
+	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes, evac: evac}
 	fl.xfr = f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU).Start(bytes,
-		func(now sim.Time) { f.finishMigration(fl, now) })
+		func(now sim.Time) { f.landTransfer(fl, now) })
 	t.llm.migInflight = append(t.llm.migInflight, fl)
 	f.obs.xferStart(fl, now)
 }
 
-// finishMigration lands a KV transfer: the prefill-side prompt blocks
-// are released exactly now, the decode-side reservation (charged at
-// transfer start) takes over, the sequence joins the decode replica's
-// running set and its first token is delivered — TTFT prices queueing,
-// prefill and the migration. Payload bytes count at landing, so an
-// aborted transfer never inflates the conservation ledger.
-func (f *fleet) finishMigration(fl *migFlight, now sim.Time) {
+// landTransfer lands a KV transfer: src's blocks are released exactly
+// now, the dst reservation (charged at start) takes over, and the
+// sequence joins dst's running set. A handoff then delivers the first
+// token — TTFT prices queueing, prefill and the migration; an
+// evacuated sequence thaws mid-generation. Payload bytes count at
+// landing, so an aborted transfer never inflates the conservation
+// ledger.
+func (f *fleet) landTransfer(fl *migFlight, now sim.Time) {
 	src, dst, s := fl.src, fl.dst, fl.seq
 	t := src.ten
 	t.llm.dropFlight(fl)
 	src.kv.free(s.blocks, float64(now))
 	src.queueFor(t).removeRunning(s)
 	s.blocks = fl.dblocks
+	s.migrating = false
 	dst.inbound--
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
-	t.llm.migLanded++
-	t.llm.migBytes += fl.bytes
-	t.llm.migWaitCycles += float64(now - s.prefDone)
-	f.obs.xferLand(fl, now)
-	f.emitFirstToken(t, s, now)
-	if s.produced >= s.req.output {
-		f.completeSeq(dst, t, s, now)
+	if fl.evac {
+		t.llm.evacLanded++
+		t.llm.evacBytes += fl.bytes
+		f.obs.xferLand(fl, now)
+	} else {
+		t.llm.migLanded++
+		t.llm.migBytes += fl.bytes
+		t.llm.migWaitCycles += float64(now - s.prefDone)
+		f.obs.xferLand(fl, now)
+		f.emitFirstToken(t, s, now)
+		if s.produced >= s.req.output {
+			f.completeSeq(dst, t, s, now)
+		}
 	}
-	// Freed prefill KV may unblock queued admissions; a parked migration
-	// may now fit; the decode slot has fresh work.
+	// Freed source KV may unblock queued admissions or a parked
+	// migration; both ends have fresh scheduling state.
 	f.drainMigQ(t, now)
 	if src.cur == nil && !src.retired {
 		f.dispatch(src, now)
@@ -331,6 +347,6 @@ func (f *fleet) drainMigQ(t *tenantState, now sim.Time) {
 		n := copy(l.migQ, l.migQ[1:])
 		l.migQ[n] = migPending{}
 		l.migQ = l.migQ[:n]
-		f.beginTransfer(m.from, dst, m.seq, now)
+		f.beginTransfer(m.from, dst, m.seq, false, now)
 	}
 }

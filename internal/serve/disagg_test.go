@@ -86,9 +86,9 @@ func TestDisaggMigrationAccounting(t *testing.T) {
 				t.Errorf("gbps %v seed %d: %d migrations still parked after drain", gbps, seed, len(l.migQ))
 			}
 			for _, r := range ten.replicas {
-				if r.kv.used() != 0 {
+				if r.kv.usedBlocks != 0 {
 					t.Errorf("gbps %v seed %d: %s replica %d holds %d KV blocks after drain — leaked reservation",
-						gbps, seed, r.role, r.id, r.kv.used())
+						gbps, seed, r.role, r.id, r.kv.usedBlocks)
 				}
 				if r.inbound != 0 {
 					t.Errorf("gbps %v seed %d: replica %d reports %d inbound transfers after drain",

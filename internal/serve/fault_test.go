@@ -113,9 +113,9 @@ func TestCrashConservation(t *testing.T) {
 				t.Errorf("policy %s seed %d: %d transfers in flight after drain", policy, seed, len(l.migInflight))
 			}
 			for _, r := range ten.replicas {
-				if r.kv.used() != 0 {
+				if r.kv.usedBlocks != 0 {
 					t.Errorf("policy %s seed %d: %s replica %d holds %d KV blocks after drain",
-						policy, seed, r.role, r.id, r.kv.used())
+						policy, seed, r.role, r.id, r.kv.usedBlocks)
 				}
 				if r.inbound != 0 {
 					t.Errorf("policy %s seed %d: replica %d reports %d inbound after drain",
@@ -272,9 +272,9 @@ func TestEvacuationRebalances(t *testing.T) {
 		t.Error("landed evacuations moved no bytes")
 	}
 	for _, r := range ten.replicas {
-		if r.kv.used() != 0 || r.inbound != 0 {
+		if r.kv.usedBlocks != 0 || r.inbound != 0 {
 			t.Errorf("%s replica %d: %d KV blocks, %d inbound after drain",
-				r.role, r.id, r.kv.used(), r.inbound)
+				r.role, r.id, r.kv.usedBlocks, r.inbound)
 		}
 	}
 }
@@ -395,8 +395,8 @@ func TestCrashAbortsInFlightTransfers(t *testing.T) {
 				t.Errorf("%d parked and %d in-flight transfers after drain", len(l.migQ), len(l.migInflight))
 			}
 			for _, r := range ten.replicas {
-				if r.kv.used() != 0 || r.inbound != 0 {
-					t.Errorf("%s replica %d: %d KV blocks, %d inbound after drain", r.role, r.id, r.kv.used(), r.inbound)
+				if r.kv.usedBlocks != 0 || r.inbound != 0 {
+					t.Errorf("%s replica %d: %d KV blocks, %d inbound after drain", r.role, r.id, r.kv.usedBlocks, r.inbound)
 				}
 				if n := len(r.queueFor(ten).running); n != 0 {
 					t.Errorf("%s replica %d still runs %d sequences after drain", r.role, r.id, n)

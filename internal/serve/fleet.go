@@ -151,7 +151,6 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 			if t.cfg.LLM.Trace.Sessions > 0 {
 				t.llm.sess = workload.NewSessionState(t.cfg.LLM.Trace)
 			}
-			t.kvPaged = t.cfg.LLM.KVPolicy == KVPaged
 		}
 		t.batcher = newBatcher(f, t)
 		f.tenants = append(f.tenants, t)

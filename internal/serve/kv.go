@@ -12,78 +12,23 @@ import (
 // blockTokens tokens — paged-attention-style block granularity, which
 // bounds fragmentation to under one block per sequence.
 //
-// Two backends implement the accounting behind the kvBackend interface,
-// selected per tenant via LLMConfig.KVPolicy:
+// Every LLM slot carries one kvAccountant, its block ledger. The
+// admission policy follows LLMConfig.KVPolicy:
 //
-//   - "reserve" (the default, kvAccountant below): a sequence reserves
-//     its FULL prompt+output footprint at admission, so a running
-//     generation can never overcommit mid-flight; its blocks free when
-//     it completes. Safe, simple, and exactly the pre-interface
-//     behavior — every legacy scenario runs on it byte-identically.
-//   - "paged" (pagedKV, kv_paged.go): blocks allocate as decode
-//     actually produces tokens, cold sequences evict under pressure
-//     (recompute or swap, priced), and a radix-trie prefix cache lets
-//     session traffic reuse resident blocks across requests.
-
-// kvBackend abstracts a replica's KV accounting so admission,
-// autoscaling, crash recovery and disagg migration work against the
-// policy, not the struct. The raw block ledger (blocksFor/fits/alloc/
-// free/accrue) keeps the original accountant's method names: the
-// migration and evacuation paths charge explicit reservations through
-// it and read identically under either backend.
-type kvBackend interface {
-	// blocksFor returns the block footprint of `tokens` tokens (0 for
-	// tokens ≤ 0).
-	blocksFor(tokens int) int
-	// fits reports whether `blocks` more blocks can be allocated now.
-	fits(blocks int) bool
-	// alloc charges blocks; the caller must have checked fits
-	// (admission is the only gate, so overcommit is a scheduler bug).
-	alloc(blocks int, now float64)
-	// free returns blocks to the pool.
-	free(blocks int, now float64)
-	// accrue advances the occupancy integral to now.
-	accrue(now float64)
-
-	// Ledger accessors for obs sampling, occupancy folding and the
-	// spawn-time capacity floor.
-	used() int
-	total() int
-	peak() int
-	bornAt() float64
-	area() float64
-
-	// canAdmit reports, side-effect-free, whether the backend would
-	// admit this request now — the scheduling predicate next() and the
-	// stall accounting read.
-	canAdmit(req request) bool
-	// admit charges a fresh sequence's admission footprint and fills in
-	// its backend bookkeeping (s.blocks, and for the paged backend its
-	// prefix-cache pin). The caller constructs s with req and ctx set;
-	// false admits nothing and charges nothing.
-	admit(s *llmSeq, now float64) bool
-	// release retires a completed sequence, returning its blocks (the
-	// paged backend first seals reusable prefix blocks into its cache).
-	release(s *llmSeq, now float64)
-	// needsBlock reports whether the sequence's next decoded token
-	// falls outside its allocated blocks (always false under full
-	// reservation).
-	needsBlock(s *llmSeq) bool
-	// extendSeq grants the sequence one more block for the token the
-	// next decode iteration will produce (no-op under full reservation;
-	// the caller must have ensured room, evicting if necessary).
-	extendSeq(s *llmSeq, now float64)
-	// teardown drops backend-internal machinery when the replica dies
-	// mid-run (cancels in-flight swap transfers); the block ledger
-	// itself is folded by the caller.
-	teardown(now float64)
-
-	// addStats folds the backend's policy-specific counters into a
-	// tenant aggregate. Called exactly once per replica lifetime (at
-	// retire, crash teardown, or the final report), so additive fields
-	// accumulate exactly.
-	addStats(st *KVStats)
-}
+//   - "reserve" (the default): a sequence reserves its FULL
+//     prompt+output footprint at admission, so a running generation can
+//     never overcommit mid-flight; its blocks free when it completes.
+//     Every legacy scenario runs on it byte-identically.
+//   - "paged": the ledger's paged field holds the paged machinery
+//     (kv_paged.go). Blocks allocate as decode actually produces
+//     tokens, cold sequences evict under pressure (recompute or swap,
+//     priced), and a radix-trie prefix cache lets session traffic reuse
+//     resident blocks across requests.
+//
+// canAdmit, admit, release and addStats dispatch on paged. The raw
+// ledger (blocksFor/fits/alloc/free/accrue) serves both policies; the
+// disaggregated handoff and evacuation paths charge explicit
+// reservations through it.
 
 // KVStats is the stable KV accounting block every consumer — report
 // tables, JSON, and internal/obs timelines — reads uniformly. The
@@ -131,22 +76,23 @@ type KVStats struct {
 	PrefixHitRate   float64 `json:"kv_prefix_hit_rate,omitempty"`
 }
 
-// newKVBackend constructs the KV backend a fresh replica slot runs on,
-// per the serving group's KVPolicy (newFleet validates that LLM peers
-// in one share group agree, so the first explicit policy found is the
-// group's policy; empty means the implicit reserve default).
-func (f *fleet) newKVBackend(t *tenantState, capBytes int64, blockTokens int) kvBackend {
-	acct := newKVAccountant(capBytes, model.LLMKVBytesPerToken(), blockTokens, float64(f.eng.Now()))
+// newKV builds the KV ledger a fresh replica slot runs on, per the
+// serving group's KVPolicy (newFleet validates that LLM peers in one
+// share group agree, so the first explicit policy found is the group's
+// policy; empty means the implicit reserve default).
+func (f *fleet) newKV(t *tenantState, capBytes int64, blockTokens int) *kvAccountant {
+	a := newKVAccountant(capBytes, model.LLMKVBytesPerToken(), blockTokens, float64(f.eng.Now()))
 	for _, p := range t.peers {
 		if p.llm != nil && p.cfg.LLM.KVPolicy == KVPaged {
-			return newPagedKV(f, p, acct)
+			a.paged = newPagedKV(f, p, a)
+			break
 		}
 	}
-	return acct
+	return a
 }
 
-// kvAccountant is the full-reservation backend. It also integrates
-// occupancy over time for the report's KV-utilization numbers.
+// kvAccountant is a slot's block ledger. It also integrates occupancy
+// over time for the report's KV-utilization numbers.
 type kvAccountant struct {
 	blockTokens int
 	totalBlocks int
@@ -157,10 +103,13 @@ type kvAccountant struct {
 	lastAt   float64
 	usedArea float64 // ∫ usedBlocks dt since born
 
-	// Resident-sequence count through admit/release (the concurrency the
-	// paged backend is compared against); crash-discarded sequences skip
-	// release, but the peak is already correct when the replica folds.
+	// Resident-sequence count (the admitted concurrency the two policies
+	// are compared on); crash-discarded sequences skip release, but the
+	// peak is already correct when the replica folds.
 	curSeqs, peakSeqs int
+
+	// paged is the paged policy's machinery; nil under full reservation.
+	paged *pagedKV
 }
 
 // newKVAccountant carves capBytes into blocks of blockTokens tokens at
@@ -173,7 +122,8 @@ func newKVAccountant(capBytes, bytesPerToken int64, blockTokens int, now float64
 	return &kvAccountant{blockTokens: blockTokens, totalBlocks: total, born: now, lastAt: now}
 }
 
-// blocksFor returns the reservation for a footprint of `tokens` tokens.
+// blocksFor returns the block footprint of `tokens` tokens (0 for
+// tokens ≤ 0).
 func (a *kvAccountant) blocksFor(tokens int) int {
 	if tokens <= 0 {
 		return 0
@@ -181,10 +131,10 @@ func (a *kvAccountant) blocksFor(tokens int) int {
 	return (tokens + a.blockTokens - 1) / a.blockTokens
 }
 
-// fits reports whether a reservation of `blocks` can be admitted now.
+// fits reports whether `blocks` more blocks can be allocated now.
 func (a *kvAccountant) fits(blocks int) bool { return a.usedBlocks+blocks <= a.totalBlocks }
 
-// alloc reserves blocks; the caller must have checked fits (admission is
+// alloc charges blocks; the caller must have checked fits (admission is
 // the only gate, so overcommit here is a scheduler bug, not load).
 func (a *kvAccountant) alloc(blocks int, now float64) {
 	a.accrue(now)
@@ -197,7 +147,7 @@ func (a *kvAccountant) alloc(blocks int, now float64) {
 	}
 }
 
-// free returns a completed sequence's reservation.
+// free returns blocks to the pool.
 func (a *kvAccountant) free(blocks int, now float64) {
 	a.accrue(now)
 	a.usedBlocks -= blocks
@@ -214,49 +164,76 @@ func (a *kvAccountant) accrue(now float64) {
 	}
 }
 
-func (a *kvAccountant) used() int       { return a.usedBlocks }
-func (a *kvAccountant) total() int      { return a.totalBlocks }
-func (a *kvAccountant) peak() int       { return a.peakBlocks }
-func (a *kvAccountant) bornAt() float64 { return a.born }
-func (a *kvAccountant) area() float64   { return a.usedArea }
-
-// canAdmit: the full prompt+output reservation must fit.
+// canAdmit reports, side-effect-free, whether the ledger would admit
+// this request now — the scheduling predicate next() and the stall
+// accounting read. Under reservation the full prompt+output footprint
+// must fit.
 func (a *kvAccountant) canAdmit(req request) bool {
+	if a.paged != nil {
+		return a.paged.canAdmit(req)
+	}
 	return a.fits(a.blocksFor(req.prompt + req.output))
 }
 
-// admit charges the full reservation, exactly the pre-interface
-// admission triple (blocksFor → fits → alloc).
+// admit charges a fresh sequence's admission footprint and fills in its
+// bookkeeping (s.blocks, and under paging its prefix-cache pin). The
+// caller constructs s with req and ctx set; false admits nothing and
+// charges nothing.
 func (a *kvAccountant) admit(s *llmSeq, now float64) bool {
-	blocks := a.blocksFor(s.req.prompt + s.req.output)
-	if !a.fits(blocks) {
-		return false
+	if a.paged != nil {
+		if !a.paged.admit(s, now) {
+			return false
+		}
+	} else {
+		blocks := a.blocksFor(s.req.prompt + s.req.output)
+		if !a.fits(blocks) {
+			return false
+		}
+		a.alloc(blocks, now)
+		s.blocks = blocks
 	}
-	a.alloc(blocks, now)
-	s.blocks = blocks
+	a.seqIn()
+	return true
+}
+
+// seqIn counts one more resident sequence.
+func (a *kvAccountant) seqIn() {
 	a.curSeqs++
 	if a.curSeqs > a.peakSeqs {
 		a.peakSeqs = a.curSeqs
 	}
-	return true
 }
 
-// release frees a completed sequence's whole reservation.
+// release retires a completed sequence, returning its blocks (under
+// paging, reusable prefix blocks first seal into the cache).
 func (a *kvAccountant) release(s *llmSeq, now float64) {
-	a.free(s.blocks, now)
+	if a.paged != nil {
+		a.paged.release(s, now)
+	} else {
+		a.free(s.blocks, now)
+	}
 	a.curSeqs--
 }
 
-// The reservation already covers every output token, so decode never
-// needs growth and both hooks are no-ops.
-func (a *kvAccountant) needsBlock(*llmSeq) bool    { return false }
-func (a *kvAccountant) extendSeq(*llmSeq, float64) {}
-func (a *kvAccountant) teardown(float64)           {}
-
-// addStats folds the peak resident-sequence count (the only
-// policy-specific stat the reserve backend keeps).
+// addStats folds the ledger's policy counters into a tenant aggregate.
+// Called exactly once per replica lifetime (at retire, crash teardown,
+// or the final report), so additive fields accumulate exactly.
 func (a *kvAccountant) addStats(st *KVStats) {
 	if a.peakSeqs > st.PeakSeqs {
 		st.PeakSeqs = a.peakSeqs
 	}
+	p := a.paged
+	if p == nil {
+		return
+	}
+	st.Evictions += p.evictions
+	st.EvictRecompute += p.evictRecompute
+	st.EvictSwap += p.evictSwap
+	st.RecomputeTokens += p.recomputeTokens
+	st.SwapOutMB += float64(p.swapOutBytes) / 1e6
+	st.SwapInMB += float64(p.swapInBytes) / 1e6
+	st.PrefixLookups += p.prefixLookups
+	st.PrefixHits += p.prefixHits
+	st.PrefixHitTokens += p.prefixHitTokens
+	st.CacheEvictions += p.cacheEvictBlocks
 }

@@ -6,12 +6,12 @@ import (
 	"neu10/internal/xfer"
 )
 
-// Paged KV backend: block-on-demand allocation with a radix-trie prefix
+// Paged KV policy: block-on-demand allocation with a radix-trie prefix
 // cache (vLLM's PagedAttention allocation discipline plus SGLang-style
 // RadixAttention reuse, on the simulator's block ledger).
 //
-// Where the reserve backend charges a sequence's whole prompt+output
-// footprint at admission, the paged backend charges only the prompt
+// Where reservation charges a sequence's whole prompt+output
+// footprint at admission, paging charges only the prompt
 // (plus the prefill's first token) and grants one block at a time as
 // decode actually produces tokens. That admits far more concurrent
 // sequences on the same HBM — and makes mid-flight exhaustion possible,
@@ -64,9 +64,10 @@ type swapFlight struct {
 	out bool
 }
 
-// pagedKV implements kvBackend with block-on-demand allocation,
-// cold-block eviction and prefix caching on top of the raw kvAccountant
-// ledger (which keeps owning the occupancy integral and peak).
+// pagedKV is the paged policy's machinery behind a kvAccountant's paged
+// field: block-on-demand allocation, cold-block eviction and prefix
+// caching on top of the raw ledger, which keeps owning the occupancy
+// integral, the peaks and the resident-sequence count.
 type pagedKV struct {
 	f     *fleet
 	t     *tenantState  // owning LLM tenant (paged excludes share groups)
@@ -88,21 +89,20 @@ type pagedKV struct {
 	swapQ    []*llmSeq
 	flights  []*swapFlight
 
-	// Policy counters folded into KVStats at addStats.
-	curSeqs, peakSeqs int
-	evictions         int
-	evictRecompute    int
-	evictSwap         int
-	recomputeTokens   int64
-	swapOutBytes      int64
-	swapInBytes       int64
-	prefixLookups     int
-	prefixHits        int
-	prefixHitTokens   int64
-	cacheEvictBlocks  int
+	// Policy counters the ledger folds into KVStats at addStats.
+	evictions        int
+	evictRecompute   int
+	evictSwap        int
+	recomputeTokens  int64
+	swapOutBytes     int64
+	swapInBytes      int64
+	prefixLookups    int
+	prefixHits       int
+	prefixHitTokens  int64
+	cacheEvictBlocks int
 }
 
-// newPagedKV wraps a fresh replica's block ledger in the paged backend.
+// newPagedKV builds the paged machinery over a fresh replica's ledger.
 func newPagedKV(f *fleet, t *tenantState, acct *kvAccountant) *pagedKV {
 	return &pagedKV{
 		f: f, t: t, a: acct,
@@ -111,7 +111,7 @@ func newPagedKV(f *fleet, t *tenantState, acct *kvAccountant) *pagedKV {
 	}
 }
 
-// bind attaches the backend to its spawned replica and opens the host
+// bind attaches the policy to its spawned replica and opens the host
 // swap link (per replica: swap bandwidth is a per-chip resource).
 func (p *pagedKV) bind(r *replica) {
 	p.r = r
@@ -124,24 +124,11 @@ func (p *pagedKV) bind(r *replica) {
 	p.hostLink = l
 }
 
-// ---- raw ledger delegation ----
-
-func (p *pagedKV) blocksFor(tokens int) int      { return p.a.blocksFor(tokens) }
-func (p *pagedKV) fits(blocks int) bool          { return p.a.fits(blocks) }
-func (p *pagedKV) alloc(blocks int, now float64) { p.a.alloc(blocks, now) }
-func (p *pagedKV) free(blocks int, now float64)  { p.a.free(blocks, now) }
-func (p *pagedKV) accrue(now float64)            { p.a.accrue(now) }
-func (p *pagedKV) used() int                     { return p.a.used() }
-func (p *pagedKV) total() int                    { return p.a.total() }
-func (p *pagedKV) peak() int                     { return p.a.peak() }
-func (p *pagedKV) bornAt() float64               { return p.a.bornAt() }
-func (p *pagedKV) area() float64                 { return p.a.area() }
-
 // ---- allocation arithmetic ----
 
 // freeBlocks is the ledger's unallocated remainder; avail adds the cold
 // cache blocks reclaimable on demand.
-func (p *pagedKV) freeBlocks() int { return p.a.total() - p.a.used() }
+func (p *pagedKV) freeBlocks() int { return p.a.totalBlocks - p.a.usedBlocks }
 func (p *pagedKV) avail() int      { return p.freeBlocks() + p.cold }
 
 func (p *pagedKV) canAlloc(blocks int) bool { return p.avail() >= blocks }
@@ -263,7 +250,7 @@ func (p *pagedKV) unpin(s *llmSeq) {
 	s.cref = nil
 }
 
-// ---- kvBackend admission / release ----
+// ---- admission / release (through the ledger) ----
 
 // canAdmit: admission charges blocksFor(prompt+1−hit) — the prompt
 // suffix the prefill actually processes plus the first token it emits;
@@ -303,10 +290,6 @@ func (p *pagedKV) admit(s *llmSeq, now float64) bool {
 		p.prefixHits++
 		p.prefixHitTokens += int64(hit)
 	}
-	p.curSeqs++
-	if p.curSeqs > p.peakSeqs {
-		p.peakSeqs = p.curSeqs
-	}
 	return true
 }
 
@@ -323,7 +306,6 @@ func (p *pagedKV) release(s *llmSeq, now float64) {
 		p.a.free(s.blocks, now)
 		s.blocks = 0
 	}
-	p.curSeqs--
 }
 
 // seal walks/creates the request's full chain — prefix segments plus
@@ -388,9 +370,9 @@ func (p *pagedKV) extendSeq(s *llmSeq, now float64) {
 	s.blocks++
 }
 
-// teardown cancels in-flight swap copies when the replica dies; the
-// harvested sequences themselves are crash-handled by the caller.
-func (p *pagedKV) teardown(now float64) {
+// teardown cancels in-flight swap copies when the replica leaves the
+// fleet; a crash's harvested sequences are handled by the caller.
+func (p *pagedKV) teardown() {
 	for _, fl := range p.flights {
 		fl.xfr.Cancel()
 	}
@@ -406,23 +388,3 @@ func (p *pagedKV) dropFlight(fl *swapFlight) {
 		}
 	}
 }
-
-// addStats folds the replica's policy counters into the tenant
-// aggregate (once per replica lifetime, from foldKV).
-func (p *pagedKV) addStats(st *KVStats) {
-	if p.peakSeqs > st.PeakSeqs {
-		st.PeakSeqs = p.peakSeqs
-	}
-	st.Evictions += p.evictions
-	st.EvictRecompute += p.evictRecompute
-	st.EvictSwap += p.evictSwap
-	st.RecomputeTokens += p.recomputeTokens
-	st.SwapOutMB += float64(p.swapOutBytes) / 1e6
-	st.SwapInMB += float64(p.swapInBytes) / 1e6
-	st.PrefixLookups += p.prefixLookups
-	st.PrefixHits += p.prefixHits
-	st.PrefixHitTokens += p.prefixHitTokens
-	st.CacheEvictions += p.cacheEvictBlocks
-}
-
-var _ kvBackend = (*pagedKV)(nil)

@@ -73,9 +73,9 @@ func TestPagedDrainInvariants(t *testing.T) {
 			f.eng.Run()
 			for _, tn := range f.tenants {
 				for _, r := range tn.replicas {
-					p, ok := r.kv.(*pagedKV)
-					if !ok {
-						t.Fatalf("seed %d/%s: replica runs %T, want *pagedKV", seed, evict, r.kv)
+					p := r.kv.paged
+					if p == nil {
+						t.Fatalf("seed %d/%s: replica runs without the paged policy", seed, evict)
 					}
 					if len(p.swapQ) != 0 || len(p.flights) != 0 {
 						t.Errorf("seed %d/%s: %d swapped seqs and %d transfers survive the drain",
@@ -97,12 +97,12 @@ func TestPagedDrainInvariants(t *testing.T) {
 						t.Errorf("seed %d/%s: cold counter %d ≠ Σ unpinned node blocks %d",
 							seed, evict, p.cold, sum)
 					}
-					if p.a.used() != p.cold {
+					if p.a.usedBlocks != p.cold {
 						t.Errorf("seed %d/%s: %d blocks used but only %d are cache — private blocks leaked",
-							seed, evict, p.a.used(), p.cold)
+							seed, evict, p.a.usedBlocks, p.cold)
 					}
-					if p.curSeqs != 0 {
-						t.Errorf("seed %d/%s: %d sequences still resident after drain", seed, evict, p.curSeqs)
+					if p.a.curSeqs != 0 {
+						t.Errorf("seed %d/%s: %d sequences still resident after drain", seed, evict, p.a.curSeqs)
 					}
 				}
 			}

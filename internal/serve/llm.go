@@ -379,11 +379,11 @@ func (c *continuousLLM) next(r *replica, q *slotQueue) (batchKind, sim.Time, boo
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && r.kv.canAdmit(q.reqs[0]) {
 		return kindLLMPrefill, q.reqs[0].at, true
 	}
-	if t.kvPaged {
+	if p := r.kv.paged; p != nil {
 		// Block-on-demand decode readiness is stricter than "any
 		// decodable sequence": the iteration must be able to grant or
 		// free the blocks it needs (paged.go).
-		if at, ok := pagedDecodeReady(r, q); ok {
+		if at, ok := pagedDecodeReady(p, q); ok {
 			return kindLLMDecode, at, true
 		}
 		return 0, 0, false
@@ -498,7 +498,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	}
 	var cycles float64
 	var err error
-	if t.kvPaged {
+	if r.kv.paged != nil {
 		// Prefix-cache hits shrink the prefill to the unmatched suffix —
 		// a chunk whose attention still spans the cached context behind
 		// it, exactly what LLMChunkCycles measures. With no hit in the
@@ -537,7 +537,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 		t.llm.kvStalls++
 		f.obs.kvStall(t, q.reqs[0].id, now)
 	}
-	if t.kvPaged {
+	if r.kv.paged != nil {
 		c.launchPagedDecode(r, q, now, restore)
 		return
 	}
@@ -699,7 +699,7 @@ func (f *fleet) completeSeq(r *replica, t *tenantState, s *llmSeq, now sim.Time)
 	if t.disagg() != nil {
 		// The freed decode blocks may admit a parked migration.
 		f.drainMigQ(t, now)
-	} else if t.kvPaged {
+	} else if r.kv.paged != nil {
 		// The freed blocks may let a swapped-out sequence return.
 		f.drainSwaps(r, now)
 	}

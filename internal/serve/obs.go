@@ -652,14 +652,17 @@ func (f *fleet) obsSample(now float64) {
 		// retired replica's occupancy is folded into the tenant
 		// aggregate at retire time, same as the report).
 		for _, r := range t.replicas {
-			if r.kv != nil && r.kv.total() > 0 {
-				o.tl.Add(fmt.Sprintf("%s/kv_frac/r%d", name, r.id), now,
-					float64(r.kv.used())/float64(r.kv.total()))
+			if r.kv == nil {
+				continue
 			}
-			// Paged-backend internals (absent for reserve tenants, so
+			if r.kv.totalBlocks > 0 {
+				o.tl.Add(fmt.Sprintf("%s/kv_frac/r%d", name, r.id), now,
+					float64(r.kv.usedBlocks)/float64(r.kv.totalBlocks))
+			}
+			// Paged-policy internals (absent for reserve tenants, so
 			// legacy timeline sets are unchanged): reclaimable cold cache
 			// blocks and the swapped-out sequence backlog.
-			if p, ok := r.kv.(*pagedKV); ok {
+			if p := r.kv.paged; p != nil {
 				o.tl.Add(fmt.Sprintf("%s/kv_cold/r%d", name, r.id), now, float64(p.cold))
 				o.tl.Add(fmt.Sprintf("%s/kv_swap_q/r%d", name, r.id), now, float64(len(p.swapQ)))
 			}

@@ -23,11 +23,7 @@ import (
 // least two candidates so the launch can evict the youngest to feed the
 // oldest. A lone candidate with no grantable block cannot help itself
 // by eviction, so the slot waits for a completion or swap landing.
-func pagedDecodeReady(r *replica, q *slotQueue) (sim.Time, bool) {
-	p, ok := r.kv.(*pagedKV)
-	if !ok {
-		return 0, false
-	}
+func pagedDecodeReady(p *pagedKV, q *slotQueue) (sim.Time, bool) {
 	var at sim.Time
 	cands, allNeed := 0, true
 	for _, s := range q.running {
@@ -60,7 +56,7 @@ func pagedDecodeReady(r *replica, q *slotQueue) (sim.Time, bool) {
 // iteration out.
 func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time, restore float64) {
 	f, t := c.f, q.ten
-	p := r.kv.(*pagedKV)
+	p := r.kv.paged
 	var live []*llmSeq
 	for _, s := range q.running {
 		if s.prefilled && !s.migrating && !s.swapped && s.produced < s.req.output {
@@ -114,7 +110,7 @@ func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time
 // memory.
 func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 	t := q.ten
-	p := r.kv.(*pagedKV)
+	p := r.kv.paged
 	p.evictions++
 	if p.evict == KVEvictSwap {
 		f.swapOut(p, r, s, now)
@@ -127,7 +123,7 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 		p.a.free(s.blocks, float64(now))
 		s.blocks = 0
 	}
-	p.curSeqs--
+	p.a.curSeqs--
 	q.removeRunning(s)
 	// Replay with the original arrival — the eviction penalty lands on
 	// the SLO — and the generated prefix folded into the prompt, exactly
@@ -163,7 +159,7 @@ func (f *fleet) swapOut(p *pagedKV, r *replica, s *llmSeq, now sim.Time) {
 	}
 	s.hit = 0
 	s.swapped, s.swapReady = true, false
-	p.curSeqs--
+	p.a.curSeqs--
 	bytes := model.LLMKVTransferBytes(s.ctx)
 	p.swapOutBytes += bytes
 	fl := &swapFlight{seq: s, out: true}
@@ -184,8 +180,8 @@ func (f *fleet) swapOut(p *pagedKV, r *replica, s *llmSeq, now sim.Time) {
 // outbound copy lands; head-of-line order keeps the pipeline
 // deterministic and starvation-free.
 func (f *fleet) drainSwaps(r *replica, now sim.Time) {
-	p, ok := r.kv.(*pagedKV)
-	if !ok || r.retired {
+	p := r.kv.paged
+	if p == nil || r.retired {
 		return
 	}
 	for len(p.swapQ) > 0 {
@@ -218,12 +214,9 @@ func (f *fleet) drainSwaps(r *replica, now sim.Time) {
 // sequence decodes again from exactly where it stopped (swap never
 // replays tokens — that is recompute's trade).
 func (f *fleet) swapInLanded(r *replica, s *llmSeq, now sim.Time) {
-	p := r.kv.(*pagedKV)
+	p := r.kv.paged
 	s.swapped = false
-	p.curSeqs++
-	if p.curSeqs > p.peakSeqs {
-		p.peakSeqs = p.curSeqs
-	}
+	p.a.seqIn()
 	f.obs.swapIn(p.t, r, s, now)
 	f.dispatch(r, now)
 }

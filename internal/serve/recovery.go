@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"neu10/internal/model"
-	"neu10/internal/sim"
-)
+import "neu10/internal/sim"
 
 // Crash recovery: the machinery that absorbs the faults fault.go
 // injects. crashReplicas orchestrates one crash event end to end;
@@ -193,24 +190,15 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 	}
 }
 
-// destroyReplica tears one tombstoned victim out of the fleet: every
-// pending event it owns is canceled, batches in flight are un-issued
-// (the work-conservation ledger only ever counts delivered service),
-// queued requests and running sequences are harvested for re-queueing,
-// and the slot's accounting folds into its owner exactly as a graceful
-// retire would — only the KV contents are lost, never the books.
+// destroyReplica tears one tombstoned victim out of the fleet: batches
+// in flight are un-issued (the work-conservation ledger only ever
+// counts delivered service), queued requests and running sequences are
+// harvested for re-queueing, and then the slot leaves the fleet through
+// removeReplica exactly as a graceful retire would.
 func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 	t := r.ten
 	t.crashes++
 	f.obs.crash(r, now)
-	if r.timerSet {
-		f.eng.Cancel(r.timer)
-		r.timerSet = false
-	}
-	if r.preemptSet {
-		f.eng.Cancel(r.preemptH)
-		r.preemptSet = false
-	}
 	harvestBatch := func(b *batch) {
 		// Un-issue the undelivered remainder: issued−served stays exact
 		// (served was settled at the last checkpoint; the partial segment
@@ -253,24 +241,9 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		}
 		q.running = q.running[:0]
 	}
-	f.snapshot(float64(now))
-	f.allocatedEUs -= r.vnpu.Config.TotalEUs()
-	f.busySum += r.busyEUCycles
-	if r.kv != nil {
-		// Backend machinery dies with the chip first (in-flight swap
-		// transfers cancel), then occupancy integrates up to the crash;
-		// the blocks themselves die with the chip (surviving replicas'
-		// conservation is what the property tests reconcile).
-		r.kv.teardown(float64(now))
-		t.foldKV(r.kv, float64(now))
-	}
-	f.mapper.Unmap(r.vnpu)
-	for i, x := range t.replicas {
-		if x == r {
-			t.replicas = append(t.replicas[:i], t.replicas[i+1:]...)
-			break
-		}
-	}
+	// The blocks die with the chip (surviving replicas' conservation is
+	// what the property tests reconcile); the occupancy books fold.
+	f.removeReplica(r, now)
 	t.replicaTL.Add(float64(now), float64(t.activeCount()))
 }
 
@@ -414,54 +387,7 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 		if !lo.kv.fits(lo.kv.blocksFor(pick.req.prompt + pick.req.output)) {
 			return
 		}
-		f.beginEvacuation(hi, lo, pick, now)
-	}
-}
-
-// beginEvacuation ships one mid-generation sequence's resident KV from
-// src to dst. Same conservation discipline as the prefill→decode
-// handoff: the full reservation is charged to dst at start, the
-// sequence freezes (no decode advances it) while its pages are on the
-// wire, and src's blocks free exactly at landing.
-func (f *fleet) beginEvacuation(src, dst *replica, s *llmSeq, now sim.Time) {
-	t := src.ten
-	s.migrating = true
-	dblocks := dst.kv.blocksFor(s.req.prompt + s.req.output)
-	dst.kv.alloc(dblocks, float64(now))
-	dst.inbound++
-	bytes := model.LLMKVTransferBytes(s.ctx)
-	t.llm.evacStarted++
-	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes, evac: true}
-	fl.xfr = f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU).Start(bytes,
-		func(now sim.Time) { f.finishEvacuation(fl, now) })
-	t.llm.migInflight = append(t.llm.migInflight, fl)
-	f.obs.xferStart(fl, now)
-}
-
-// finishEvacuation lands an evacuation: src's blocks free exactly now,
-// the dst reservation (charged at start) takes over, and the sequence
-// thaws into dst's running set mid-generation.
-func (f *fleet) finishEvacuation(fl *migFlight, now sim.Time) {
-	src, dst, s := fl.src, fl.dst, fl.seq
-	t := src.ten
-	t.llm.dropFlight(fl)
-	src.kv.free(s.blocks, float64(now))
-	src.queueFor(t).removeRunning(s)
-	s.blocks = fl.dblocks
-	s.migrating = false
-	dst.inbound--
-	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
-	t.llm.evacLanded++
-	t.llm.evacBytes += fl.bytes
-	f.obs.xferLand(fl, now)
-	// Freed source blocks may admit a parked migration; both ends have
-	// fresh scheduling state.
-	f.drainMigQ(t, now)
-	if src.cur == nil && !src.retired {
-		f.dispatch(src, now)
-	}
-	if dst.cur == nil && !dst.retired {
-		f.dispatch(dst, now)
+		f.beginTransfer(hi, lo, pick, true, now)
 	}
 }
 

@@ -124,10 +124,10 @@ type replica struct {
 	cur  *batch      // the batch currently in service
 	susp []*batch    // preempted batches awaiting resume (LIFO)
 
-	// kv is the KV-cache backend of this slot's vNPU memory partition
-	// (full-reservation accountant or paged, per LLMConfig.KVPolicy);
-	// non-nil iff an LLM tenant is served here.
-	kv kvBackend
+	// kv is the KV-cache ledger of this slot's vNPU memory partition
+	// (its paged field set under LLMConfig.KVPolicy "paged"); non-nil
+	// iff an LLM tenant is served here.
+	kv *kvAccountant
 	// inbound counts KV migrations in flight TOWARD this decode slot:
 	// their reservations are already charged to kv, and a slot with
 	// inbound work is not idle (it must not retire under a transfer).
@@ -237,10 +237,6 @@ type tenantState struct {
 	// llm is the autoregressive runtime (request-shape RNG, TTFT/TPOT
 	// recorders, KV stall counters); nil for single-shot tenants.
 	llm *llmTenant
-	// kvPaged mirrors cfg.LLM.KVPolicy == KVPaged (bound in newFleet):
-	// the batcher's hot-path switch between full-reservation scheduling
-	// and the paged decode path (paged.go).
-	kvPaged bool
 
 	// peers are the share-group members this tenant pools slots with,
 	// in tenant-index order, always including the tenant itself. An
@@ -305,20 +301,20 @@ type tenantState struct {
 	fwSloOK         int     // ...of which finished within the SLO
 }
 
-// foldKV accrues one replica backend's occupancy into the tenant's
+// foldKV accrues one replica ledger's occupancy into the tenant's
 // report accumulators. The leading accrue finalizes the occupancy
 // integral up to the fold instant, so every discard path — graceful
 // retire, crash teardown, end-of-run report — reports an exact mean
-// even when the backend saw no ledger traffic since its last event.
+// even when the ledger saw no traffic since its last event.
 // Called exactly once per replica lifetime (the replica leaves
 // t.replicas on retire/destroy), which is what makes the additive
 // addStats fold exact.
-func (t *tenantState) foldKV(a kvBackend, now float64) {
+func (t *tenantState) foldKV(a *kvAccountant, now float64) {
 	a.accrue(now)
-	t.kvUsedArea += a.area()
-	t.kvBlockArea += float64(a.total()) * (now - a.bornAt())
-	if a.total() > 0 {
-		if fr := float64(a.peak()) / float64(a.total()); fr > t.kvPeakFrac {
+	t.kvUsedArea += a.usedArea
+	t.kvBlockArea += float64(a.totalBlocks) * (now - a.born)
+	if a.totalBlocks > 0 {
+		if fr := float64(a.peakBlocks) / float64(a.totalBlocks); fr > t.kvPeakFrac {
 			t.kvPeakFrac = fr
 		}
 	}
