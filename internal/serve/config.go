@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"neu10/internal/arch"
 	"neu10/internal/core"
@@ -225,9 +227,18 @@ func (tc *TenantConfig) defaults() {
 }
 
 func (tc *TenantConfig) validate() error {
-	switch {
-	case tc.Name == "":
+	if tc.Name == "" {
 		return fmt.Errorf("serve: tenant without a name")
+	}
+	if err := checkFinite("tenant "+tc.Name,
+		"Load RatePerSec BurstFactor BurstStart BurstEnd DiurnalDepth DiurnalPeriod DiurnalPhase SLOMs SLOFactor BatchWindowMs",
+		tc.Load, tc.RatePerSec, tc.BurstFactor, tc.BurstStart, tc.BurstEnd, tc.DiurnalDepth, tc.DiurnalPeriod,
+		tc.DiurnalPhase, tc.SLOMs, tc.SLOFactor, tc.BatchWindowMs); err != nil {
+		return err
+	}
+	switch {
+	case tc.Load < 0 || tc.RatePerSec < 0:
+		return fmt.Errorf("serve: tenant %s load %v, rate %v per second", tc.Name, tc.Load, tc.RatePerSec)
 	case tc.Load <= 0 && tc.RatePerSec <= 0:
 		return fmt.Errorf("serve: tenant %s has no offered load", tc.Name)
 	case tc.BurstFactor < 1:
@@ -237,6 +248,11 @@ func (tc *TenantConfig) validate() error {
 			tc.Name, tc.BurstStart, tc.BurstEnd)
 	case tc.DiurnalDepth < 0 || tc.DiurnalDepth >= 1:
 		return fmt.Errorf("serve: tenant %s diurnal depth %v out of [0,1)", tc.Name, tc.DiurnalDepth)
+	case tc.DiurnalPeriod <= 0:
+		return fmt.Errorf("serve: tenant %s diurnal period %v", tc.Name, tc.DiurnalPeriod)
+	case tc.SLOMs < 0 || tc.SLOFactor <= 0 || tc.BatchWindowMs < 0:
+		return fmt.Errorf("serve: tenant %s SLO %v ms, SLO factor %v, batch window %v ms",
+			tc.Name, tc.SLOMs, tc.SLOFactor, tc.BatchWindowMs)
 	case tc.MinReplicas < 1:
 		return fmt.Errorf("serve: tenant %s needs ≥1 replica", tc.Name)
 	case tc.InitialReplicas < tc.MinReplicas || tc.MaxReplicas < tc.InitialReplicas:
@@ -387,11 +403,23 @@ func (c *Config) validate() error {
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}
+	if err := checkFinite("config",
+		"DurationSec ScaleEverySec ScaleUpP99Frac ScaleDownP99Frac PreemptQuantumCycles LinkGBps LinkLatencyUs",
+		c.DurationSec, c.ScaleEverySec, c.ScaleUpP99Frac, c.ScaleDownP99Frac, c.PreemptQuantumCycles,
+		c.LinkGBps, c.LinkLatencyUs); err != nil {
+		return err
+	}
 	switch {
 	case c.Cores < 1:
 		return fmt.Errorf("serve: fleet needs ≥1 pNPU, got %d", c.Cores)
 	case c.DurationSec <= 0:
 		return fmt.Errorf("serve: duration %v", c.DurationSec)
+	case c.ScaleEverySec*c.Core.FrequencyHz < 1:
+		// A shorter interval would re-arm the control loop at the same
+		// sim instant forever.
+		return fmt.Errorf("serve: autoscale interval %v s is under one core cycle", c.ScaleEverySec)
+	case c.ScaleUpP99Frac <= 0 || c.ScaleDownP99Frac <= 0:
+		return fmt.Errorf("serve: autoscale p99 fractions up %v, down %v", c.ScaleUpP99Frac, c.ScaleDownP99Frac)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("serve: no tenants")
 	case c.PreemptQuantumCycles < 0:
@@ -430,5 +458,18 @@ func (c *Config) validate() error {
 	}
 	// Per-tenant validation happens in newFleet, against each tenant's
 	// defaulted private copy.
+	return nil
+}
+
+// checkFinite rejects the first NaN or ±Inf among vals, named
+// positionally by the space-separated names. It runs before the range
+// checks: every comparison with NaN is false, so a NaN would slip past
+// each of them.
+func checkFinite(who, names string, vals ...float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("serve: %s %s %v is not finite", who, strings.Fields(names)[i], v)
+		}
+	}
 	return nil
 }

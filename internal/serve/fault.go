@@ -136,6 +136,9 @@ func (p *FaultPlan) validate(c *Config) error {
 	}
 	for i := range p.Events {
 		e := &p.Events[i]
+		if err := checkFinite(fmt.Sprintf("fault %d", i), "AtFrac Scale UntilFrac", e.AtFrac, e.Scale, e.UntilFrac); err != nil {
+			return err
+		}
 		if e.AtFrac < 0 || e.AtFrac > 1 {
 			return fmt.Errorf("serve: fault %d at fraction %v outside [0,1]", i, e.AtFrac)
 		}

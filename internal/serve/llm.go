@@ -219,6 +219,9 @@ func (lc *LLMConfig) validate(tenant string) error {
 	} else if lc.KVEvict != "" {
 		return fmt.Errorf("serve: tenant %s: KV eviction policy requires the paged backend", tenant)
 	}
+	if err := checkFinite("tenant "+tenant, "SwapGBps", lc.SwapGBps); err != nil {
+		return err
+	}
 	if lc.SwapGBps < 0 {
 		return fmt.Errorf("serve: tenant %s swap bandwidth %v GB/s", tenant, lc.SwapGBps)
 	}

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"neu10/internal/arch"
 	"neu10/internal/core"
@@ -242,3 +246,78 @@ func TestArrivalEnvelopes(t *testing.T) {
 		t.Errorf("diurnal envelope [%v, %v] escapes 1±depth", lo, hi)
 	}
 }
+
+// TestMalformedFloatConfigRejected: every float a config carries must be
+// finite and in range, or Run returns an error. Comparisons with NaN are
+// all false, so before the finiteness gate a NaN slipped past every sign
+// check — some of these configs panicked inside the engine, others
+// never finished. Each case runs under a timeout so a hang fails
+// instead of stalling the suite.
+func TestMalformedFloatConfigRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mod  func(c *Config)
+	}{
+		{"LinkGBps NaN", func(c *Config) { c.LinkGBps = nan }},
+		{"LinkLatencyUs NaN", func(c *Config) { c.LinkLatencyUs = nan }},
+		{"DurationSec +Inf", func(c *Config) { c.DurationSec = inf }},
+		{"ScaleEverySec -1", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, -1 }},
+		{"ScaleEverySec NaN", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, nan }},
+		{"ScaleEverySec under a cycle", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, 1e-12 }},
+		{"ScaleUpP99Frac NaN", func(c *Config) { c.ScaleUpP99Frac = nan }},
+		{"ScaleDownP99Frac -1", func(c *Config) { c.ScaleDownP99Frac = -1 }},
+		{"PreemptQuantumCycles NaN", func(c *Config) { c.PreemptQuantumCycles = nan }},
+		{"RatePerSec +Inf", func(c *Config) { c.Tenants[0].RatePerSec = inf }},
+		{"Load NaN", func(c *Config) { c.Tenants[0].Load = nan }},
+		{"Load -1", func(c *Config) { c.Tenants[0].Load = -1 }},
+		{"BurstFactor NaN", func(c *Config) { c.Tenants[0].BurstFactor = nan }},
+		{"BurstEnd NaN", func(c *Config) { c.Tenants[0].BurstEnd = nan }},
+		{"DiurnalDepth NaN", func(c *Config) { c.Tenants[0].DiurnalDepth = nan }},
+		{"DiurnalPeriod -1", func(c *Config) { c.Tenants[0].DiurnalPeriod = -1 }},
+		{"DiurnalPhase +Inf", func(c *Config) { c.Tenants[0].DiurnalPhase = inf }},
+		{"SLOMs NaN", func(c *Config) { c.Tenants[0].SLOMs = nan }},
+		{"SLOFactor -1", func(c *Config) { c.Tenants[0].SLOFactor = -1 }},
+		{"BatchWindowMs +Inf", func(c *Config) { c.Tenants[0].BatchWindowMs = inf }},
+		{"SwapGBps NaN", func(c *Config) { c.Tenants[0].LLM.SwapGBps = nan }},
+		{"PromptLongFrac NaN", func(c *Config) { c.Tenants[0].LLM.Trace.PromptLongFrac = nan }},
+		{"fault AtFrac NaN", func(c *Config) {
+			c.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultCrashReplica, Tenant: "gen", AtFrac: nan}}}
+		}},
+		{"fault Scale +Inf", func(c *Config) {
+			c.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultLinkDegrade, AtFrac: 0.5, Scale: inf}}}
+		}},
+		{"fault UntilFrac NaN", func(c *Config) {
+			c.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultLinkDegrade, AtFrac: 0.5, Scale: 0.5, UntilFrac: nan}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := disaggConfig(1, 64, 0)
+			tc.mod(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err := Run(cfg, nil)
+				if err == nil {
+					err = errAccepted
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == errAccepted || strings.HasPrefix(err.Error(), "panic: ") {
+					t.Errorf("Run: %v", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("Run did not return within 20s")
+			}
+		})
+	}
+}
+
+var errAccepted = errors.New("malformed config accepted")

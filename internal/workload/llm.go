@@ -132,7 +132,7 @@ func (tr LLMTrace) Validate() error {
 	if err := check("prompt", tr.PromptMin, tr.PromptMean, tr.PromptMax); err != nil {
 		return err
 	}
-	if tr.PromptLongFrac < 0 || tr.PromptLongFrac >= 1 {
+	if !(tr.PromptLongFrac >= 0 && tr.PromptLongFrac < 1) { // NaN fails too
 		return fmt.Errorf("workload: long-prompt fraction %v out of [0,1)", tr.PromptLongFrac)
 	}
 	if tr.PromptLongFrac > 0 {
