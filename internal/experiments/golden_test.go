@@ -268,6 +268,43 @@ func TestTracedExportsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestServeAttribKeepsCallerCollectors: serve-attrib forces attribution
+// on, but on top of the caller's collectors — every leg of a traced run
+// must still carry its tracer and timelines, and its tables must match
+// the untraced run's.
+func TestServeAttribKeepsCallerCollectors(t *testing.T) {
+	plain, err := NewRunner(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run("serve-attrib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(tracedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run("serve-attrib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range res.(*ServeResult).Reports {
+		if rep.Trace == nil || rep.Trace.Len() == 0 {
+			t.Errorf("%s carries no trace", rep.Scenario)
+		}
+		if rep.Timelines == nil || len(rep.Timelines.Series()) == 0 {
+			t.Errorf("%s carries no timelines", rep.Scenario)
+		}
+		if rep.Ledger == nil {
+			t.Errorf("%s carries no ledger", rep.Scenario)
+		}
+	}
+	if res.Table() != want.Table() {
+		t.Error("traced serve-attrib tables differ from the untraced run's")
+	}
+}
+
 // TestAttribExportsWorkerInvariant is the attribution determinism gate:
 // serve-attrib's tables and merged ledger CSV must be byte-identical
 // between a sequential and an oversubscribed parallel runner, and every

@@ -601,7 +601,8 @@ func (r *Runner) ServePaged() (*ServeResult, error) {
 // serving the SAME multi-turn session trace three ways — full KV
 // reservation, paged KV with recompute eviction, and disaggregated
 // prefill/decode — with exact attribution (Config.Obs.Attrib) forced on
-// regardless of Options.ServeObs. Every request's lifetime decomposes
+// atop whatever collectors Options.ServeObs enables. Every request's
+// lifetime decomposes
 // into exclusive segments that sum cycle-exactly to its end-to-end
 // latency, and every replica-cycle lands in exactly one fleet bucket;
 // both conservation laws are asserted here (zero violations, zero open
@@ -622,6 +623,11 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 		OutputMin: 4, OutputMean: 12, OutputMax: 32,
 		Sessions: 10, SharedPrefixTokens: 96, MaxSessionTokens: 640,
 	}
+	obsCfg := serve.ObsConfig{Attrib: true}
+	if r.opts.ServeObs != nil {
+		obsCfg = *r.opts.ServeObs
+		obsCfg.Attrib = true
+	}
 	mk := func(label string) serve.Config {
 		return serve.Config{
 			Scenario:    label,
@@ -630,7 +636,7 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 			Router:      serve.LeastLoaded,
 			DurationSec: 6.0,
 			Seed:        r.opts.ServeSeed,
-			Obs:         &serve.ObsConfig{Attrib: true},
+			Obs:         &obsCfg,
 			Tenants: []serve.TenantConfig{{
 				// RatePerSec (not Load) so every leg sees the byte-identical
 				// session trace; SLOMs explicit for the same reason.
