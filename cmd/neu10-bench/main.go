@@ -1,5 +1,5 @@
 // Command neu10-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index):
+// figures (-list prints the experiment index):
 //
 //	neu10-bench -exp all
 //	neu10-bench -exp fig19 -requests 16

@@ -9,8 +9,8 @@ import (
 
 // Extension studies beyond the paper's figures: ablations of Neu10's two
 // harvesting mechanisms, sensitivity to the ME preemption cost, and an
-// open-loop SLO study. DESIGN.md lists these as the design-choice
-// ablations; they reuse the paper's pair methodology.
+// open-loop SLO study. These are the design-choice ablations; they
+// reuse the paper's pair methodology.
 
 // AblationHarvestResult compares full Neu10 against each harvesting
 // mechanism disabled, per pair, as aggregate throughput normalized to

@@ -2,8 +2,8 @@
 // evaluation (§II characterization and §V results) from the simulator.
 // Each experiment is a pure function returning a typed result with a
 // Table() renderer; cmd/neu10-bench and the repository benchmarks are
-// thin wrappers around this package. The experiment index lives in
-// DESIGN.md; paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+// thin wrappers around this package. Runner.Run's switch is the
+// experiment index (neu10-bench -list prints it).
 package experiments
 
 import (

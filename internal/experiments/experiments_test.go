@@ -10,7 +10,7 @@ import (
 
 // The experiment suite's tests assert the *shape* of the paper's results
 // (who wins, in which direction), not absolute numbers — the substrate
-// is a simulator, not the authors' testbed (see DESIGN.md §4).
+// is a simulator, not the authors' testbed.
 
 func testRunner(t *testing.T) *Runner {
 	t.Helper()

@@ -4,8 +4,8 @@
 // LLaMA2-13B case study of §V-F.
 //
 // The paper collects operator traces from real TPUv4 hardware; this
-// package is the substitution documented in DESIGN.md: graphs are
-// constructed from the published model architectures, and their cost
+// package substitutes for them: graphs are constructed from the
+// published model architectures, and their cost
 // decomposition reproduces the paper's characterization — the HBM
 // footprints of Table I, the ME:VE intensity spread of Fig. 4
 // (0.001…100×), and the relative request latencies of Fig. 2/5.

@@ -52,8 +52,9 @@ func TestRegistryHasAllPaperModels(t *testing.T) {
 }
 
 // TestTableIFootprints checks the Table I column: footprints at batch 8
-// must land near the published values (within 2× — the substitution note
-// in DESIGN.md) and preserve the published ordering.
+// must land near the published values (within 2× — the graphs stand in
+// for hardware traces, see the package doc) and preserve the published
+// ordering.
 func TestTableIFootprints(t *testing.T) {
 	published := map[string]float64{ // bytes
 		"BERT":  1.27e9 * 1.074, // paper lists GB (decimal ambiguity absorbed by the 2x band)

@@ -93,8 +93,8 @@ type Config struct {
 	// Seed drives the deterministic RNG behind open-loop arrivals.
 	Seed uint64
 
-	// Ablation knobs for the Neu10 policy (the DESIGN.md ablation
-	// studies): disable ME harvesting and/or VE harvesting to isolate
+	// Ablation knobs for the Neu10 policy (the ablation studies in
+	// internal/experiments): disable ME harvesting and/or VE harvesting to isolate
 	// each mechanism's contribution. Both false = full Neu10.
 	DisableMEHarvest bool
 	DisableVEHarvest bool

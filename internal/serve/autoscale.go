@@ -388,7 +388,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	}
 	t.replicaTL.Add(now, float64(t.activeCount()))
 	f.obs.spawn(r, now)
-	// Recovery milestone (fault.go): the first time a crashed tenant's
+	// Recovery milestone (recovery.go): the first time a crashed tenant's
 	// active count regains its pre-fault level — through emergency
 	// spawns, the resurrection floor, or the ordinary ladder — closes
 	// its time-to-recover clock.

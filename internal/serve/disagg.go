@@ -31,12 +31,17 @@ import (
 // backpressure is deliberate: a slow link or a full decode pool
 // surfaces as prefill-side KV pressure and admission stalls, not as
 // silent overcommit.
+//
+// The same transfer path (beginTransfer/landTransfer below) ships crash
+// evacuations between decode slots (recovery.go): the sequence freezes
+// on the wire instead, and landing thaws it rather than delivering a
+// first token.
 
 // disaggBatcher decorates the continuous policy with role awareness:
 // prefill-pool admission and (possibly chunked) prompt processing on
 // RolePrefill slots, decode delegated to the wrapped continuousLLM on
 // RoleDecode slots, and the KV migration between the two pools riding
-// on the fleet's migration machinery below.
+// on the fleet's transfer path below.
 type disaggBatcher struct {
 	f     *fleet
 	t     *tenantState

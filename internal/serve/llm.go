@@ -257,7 +257,7 @@ type llmTenant struct {
 	migQ          []migPending // prefilled seqs awaiting a decode slot, FIFO
 	migrations    int          // KV migrations started
 	migLanded     int          // KV migrations completed
-	migAborted    int          // KV migrations aborted by a crash (fault.go)
+	migAborted    int          // KV migrations aborted by a crash (recovery.go)
 	migBytes      int64        // Σ payload bytes LANDED (aborts never count)
 	migWaitCycles float64      // Σ (decode join − prefill finish) over LANDED migrations
 	migStalls     int          // prefill completions that found no admitting decode slot
@@ -268,7 +268,7 @@ type llmTenant struct {
 	// drained, migrations == migLanded + migAborted and likewise for
 	// evacuations.
 	migInflight []*migFlight
-	evacStarted int   // crash evacuations launched (fault.go)
+	evacStarted int   // crash evacuations launched (recovery.go)
 	evacLanded  int   // crash evacuations landed
 	evacAborted int   // crash evacuations aborted by a second fault
 	evacBytes   int64 // Σ evacuated KV bytes LANDED
@@ -337,7 +337,7 @@ type llmSeq struct {
 	prefDone   sim.Time
 
 	// migrating freezes the sequence while a crash evacuation ships its
-	// KV (fault.go): no decode iteration includes it until the pages
+	// KV (recovery.go): no decode iteration includes it until the pages
 	// land, so its state is immutable on the wire.
 	migrating bool
 

@@ -32,7 +32,7 @@ type request struct {
 	prefix  []workload.PrefixSeg
 	sealKey uint64
 
-	// Crash-replay provenance (see fault.go): a replayed request keeps
+	// Crash-replay provenance (see recovery.go): a replayed request keeps
 	// its ORIGINAL arrival time — the crash penalty lands on the SLO —
 	// with any generated prefix folded into prompt/output. hadTok marks
 	// a replay whose first token was already delivered before the crash,
