@@ -86,7 +86,7 @@ func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
 	// raised the initial spawn.
 	for _, role := range pools {
 		lo, _ := t.poolBounds(role)
-		for t.activeRole(role) < lo+f.warmSpares() && f.grow(t, role, now) {
+		for t.activeRole(role) < lo+f.warmSpares() && f.scaleOut(t, role, now) {
 		}
 	}
 	for _, role := range pools {
@@ -112,11 +112,11 @@ func (t *tenantState) poolBounds(role Role) (lo, hi int) {
 	return t.cfg.MinReplicas, t.cfg.MaxReplicas
 }
 
-// scalePool is one pool's reading at a control tick: its latency window
+// poolReading is one pool's state at a control tick: its latency window
 // against its objective, its outstanding work, its bounds (floor
 // includes warm spares), and two overrides — hot marks the pool
 // violated whatever the percentiles say, cool allows calm at all.
-type scalePool struct {
+type poolReading struct {
 	role       Role
 	win        *metrics.Latencies
 	slo        float64
@@ -126,9 +126,9 @@ type scalePool struct {
 }
 
 // readPool takes t's role pool reading for this tick.
-func (f *fleet) readPool(t *tenantState, role Role) scalePool {
+func (f *fleet) readPool(t *tenantState, role Role) poolReading {
 	lo, hi := t.poolBounds(role)
-	p := scalePool{role: role, floor: lo + f.warmSpares(), max: hi}
+	p := poolReading{role: role, floor: lo + f.warmSpares(), max: hi}
 	switch l := t.llm; role {
 	case RoleMixed:
 		p.win, p.slo, p.backlog = &t.windowLat, t.sloCycles, f.tenantBacklog(t)
@@ -164,13 +164,15 @@ func (f *fleet) readPool(t *tenantState, role Role) scalePool {
 		p.cool = l.windowMigStalls == 0 && len(l.migQ) == 0
 		return p
 	}
+	// Rejections, or a deep backlog with nothing completed (a stalled
+	// pool has no percentiles to read), heat the mixed and prefill pools.
 	p.hot = t.windowRejected > 0 || (p.win.Count() == 0 && p.backlog > t.cfg.MaxBatch)
 	p.cool = t.windowRejected == 0
 	return p
 }
 
 // scalePool runs one pool's decision ladder on its reading.
-func (f *fleet) scalePool(t *tenantState, p scalePool, now sim.Time) {
+func (f *fleet) scalePool(t *tenantState, p poolReading, now sim.Time) {
 	n, p99 := p.win.Count(), p.win.P99()
 	// An empty window is read three ways, not two. With outstanding work
 	// it is either violated (hot: a deep backlog) or a deliberate HOLD
@@ -184,7 +186,7 @@ func (f *fleet) scalePool(t *tenantState, p scalePool, now sim.Time) {
 	active := t.activeRole(p.role)
 	switch {
 	case violated && active < p.max:
-		f.grow(t, p.role, now)
+		f.scaleOut(t, p.role, now)
 	case violated && p.role == RoleMixed && f.splitFits(t, t.curEUs+2):
 		// Horizontal headroom exhausted: grow the vNPU size instead.
 		f.resize(t, 2, now)
@@ -198,10 +200,10 @@ func (f *fleet) scalePool(t *tenantState, p scalePool, now sim.Time) {
 	}
 }
 
-// grow spawns one replica into t's role pool at the current EU budget
+// scaleOut spawns one replica into t's role pool at the current EU budget
 // and counts the outcome; a fresh decode slot admits parked migrations
 // at once. It reports whether the spawn succeeded.
-func (f *fleet) grow(t *tenantState, role Role, now sim.Time) bool {
+func (f *fleet) scaleOut(t *tenantState, role Role, now sim.Time) bool {
 	if err := f.spawnReplica(t, t.curEUs, role); err != nil {
 		t.scaleFails++
 		return false

@@ -249,10 +249,10 @@ func TestArrivalEnvelopes(t *testing.T) {
 
 // TestMalformedFloatConfigRejected: every float a config carries must be
 // finite and in range, or Run returns an error. Comparisons with NaN are
-// all false, so before the finiteness gate a NaN slipped past every sign
-// check — some of these configs panicked inside the engine, others
-// never finished. Each case runs under a timeout so a hang fails
-// instead of stalling the suite.
+// all false, so a NaN slips past every sign check; left unchecked, some
+// of these configs panic inside the engine and others never finish.
+// Each case runs under a timeout so a hang fails instead of stalling the
+// suite (the hung Run's goroutine is abandoned).
 func TestMalformedFloatConfigRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
