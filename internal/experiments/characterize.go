@@ -202,7 +202,7 @@ func (r *Runner) soloRun(name string, batch int) (SoloStat, error) {
 	}
 	res, err := sched.Run(sched.Config{
 		Core: r.opts.Core, Policy: sched.NeuNH, Requests: 3,
-		SampleEvery: r.opts.SampleEvery,
+		SampleEvery: sampleEvery,
 	}, []sched.TenantSpec{{Name: name, Graph: cg, MEs: r.opts.Core.MEs, VEs: r.opts.Core.VEs}})
 	if err != nil {
 		return SoloStat{}, err

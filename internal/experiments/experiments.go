@@ -23,8 +23,6 @@ type Options struct {
 	Core arch.CoreConfig
 	// Requests per tenant for steady-state runs (paper methodology).
 	Requests int
-	// SampleEvery controls timeline resolution in cycles.
-	SampleEvery float64
 	// Workers sizes the worker pool the sweeps fan out over:
 	// 0 = GOMAXPROCS, 1 = fully sequential. Results are byte-identical
 	// either way (see parallel.go).
@@ -41,8 +39,12 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's Table II setup.
 func DefaultOptions() Options {
-	return Options{Core: arch.TPUv4Like(), Requests: 8, SampleEvery: 100_000, ServeSeed: 1}
+	return Options{Core: arch.TPUv4Like(), Requests: 8, ServeSeed: 1}
 }
+
+// sampleEvery is the timeline resolution, in cycles, of the runs that
+// plot timelines.
+const sampleEvery = 100_000
 
 // Policies lists the four evaluated designs in paper order.
 func Policies() []sched.Mode {
@@ -207,7 +209,7 @@ func (r *Runner) runPair(p workload.Pair, policy sched.Mode, core arch.CoreConfi
 	}
 	cfg := sched.Config{Core: core, Policy: policy, Requests: r.opts.Requests}
 	if sample {
-		cfg.SampleEvery = r.opts.SampleEvery
+		cfg.SampleEvery = sampleEvery
 	}
 	return sched.Run(cfg, specs)
 }

@@ -180,7 +180,7 @@ func (s *Simulator) Run() (*Result, error) {
 		if !anyWork {
 			return nil, fmt.Errorf("sched: deadlock at cycle %.0f (no runnable work)", s.now)
 		}
-		if s.now+dt >= s.cfg.MaxCycles {
+		if s.now+dt >= maxCycles {
 			break
 		}
 		s.advance(dt, served)
@@ -794,7 +794,7 @@ func (s *Simulator) applySpeeds() float64 {
 // horizon returns the time to the next event and whether any progress or
 // pending unblock exists.
 func (s *Simulator) horizon() (float64, bool) {
-	dt := s.cfg.MaxCycles - s.now
+	dt := maxCycles - s.now
 	any := false
 	for _, t := range s.tenants {
 		for _, u := range t.running {

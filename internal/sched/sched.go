@@ -83,8 +83,6 @@ type Config struct {
 	// Requests: the run ends when every tenant has completed this many
 	// requests (the paper's steady-state methodology, §V-A).
 	Requests int
-	// MaxCycles is a safety stop (0 = default).
-	MaxCycles float64
 	// QuantumCycles is the PMT time slice and the V10 fairness deficit
 	// threshold (0 = default 100k cycles).
 	QuantumCycles float64
@@ -104,13 +102,14 @@ func (c *Config) defaults() {
 	if c.Requests == 0 {
 		c.Requests = 10
 	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 5e12
-	}
 	if c.QuantumCycles == 0 {
 		c.QuantumCycles = 100_000
 	}
 }
+
+// maxCycles is the safety stop: a run ends at this cycle even if some
+// tenant has not completed its requests.
+const maxCycles = 5e12
 
 // Penalties (cycles). The ME reclaim penalty comes from the core config
 // (256 = pop partials + pop weights, §III-G); the others model the

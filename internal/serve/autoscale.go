@@ -44,12 +44,16 @@ import (
 // Vertical resizes are RoleMixed-only: one EU budget serves both
 // disaggregated pools. "Violated" means the pool is hot (see readPool:
 // rejections, migration stalls, or queued work with zero completions —
-// a stalled pool has no percentiles to read) or its p99 is above
-// ScaleUpP99Frac × objective. "Calm" means the pool may cool at all
-// and its p99 is under ScaleDownP99Frac × objective, or it is idle.
+// a stalled pool has no percentiles to read) or its p99 is above the
+// objective. "Calm" means the pool may cool at all and its p99 is under
+// scaleDownP99Frac × objective, or it is idle.
 // Draining replicas stop receiving new requests and retire once their
 // queue empties, so no admitted request is ever dropped by a scaling
 // action.
+
+// scaleDownP99Frac is the fraction of a pool's objective its windowed
+// p99 must stay under for the pool to read calm.
+const scaleDownP99Frac = 0.4
 
 // scheduleScale runs the control loop every `every` cycles until the
 // scenario's traffic ends.
@@ -101,13 +105,14 @@ func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
 	}
 }
 
-// poolBounds returns the replica bounds of t's role pool.
+// poolBounds returns the replica bounds of t's role pool. A
+// disaggregated pool's floor is one replica.
 func (t *tenantState) poolBounds(role Role) (lo, hi int) {
 	switch d := t.disagg(); role {
 	case RolePrefill:
-		return d.MinPrefill, d.MaxPrefill
+		return 1, d.MaxPrefill
 	case RoleDecode:
-		return d.MinDecode, d.MaxDecode
+		return 1, d.MaxDecode
 	}
 	return t.cfg.MinReplicas, t.cfg.MaxReplicas
 }
@@ -181,8 +186,8 @@ func (f *fleet) scalePool(t *tenantState, p poolReading, now sim.Time) {
 	// percentiles would be guesses). With no work at all it DECAYS: a
 	// truly idle pool is calm, so it shrinks toward its floor instead of
 	// freezing at its last size forever.
-	violated := p.hot || (n > 0 && p99 > f.cfg.ScaleUpP99Frac*p.slo)
-	calm := p.cool && ((n > 0 && p99 < f.cfg.ScaleDownP99Frac*p.slo) || (n == 0 && p.backlog == 0))
+	violated := p.hot || (n > 0 && p99 > p.slo)
+	calm := p.cool && ((n > 0 && p99 < scaleDownP99Frac*p.slo) || (n == 0 && p.backlog == 0))
 	active := t.activeRole(p.role)
 	switch {
 	case violated && active < p.max:
@@ -294,16 +299,13 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	var kv *kvAccountant
 	{
 		var weights, minKV int64
-		blockTokens, capOverride, anyLLM := 0, 0, false
+		capOverride, anyLLM := 0, false
 		for _, p := range t.peers {
 			if p.llm == nil {
 				continue
 			}
 			anyLLM = true
 			weights += model.LLMWeightBytes()
-			if blockTokens == 0 {
-				blockTokens = p.cfg.LLM.BlockTokens
-			}
 			if p.cfg.LLM.KVCapTokens > 0 {
 				capOverride = p.cfg.LLM.KVCapTokens
 			}
@@ -317,7 +319,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 				// could block the prefill queue forever.
 				worst = p.cfg.LLM.Trace.MaxPrompt()
 			}
-			worstTokens := (worst + blockTokens - 1) / blockTokens * blockTokens
+			worstTokens := (worst + kvBlockTokens - 1) / kvBlockTokens * kvBlockTokens
 			minKV += int64(worstTokens) * model.LLMKVBytesPerToken()
 		}
 		if anyLLM {
@@ -332,7 +334,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 			if capOverride > 0 {
 				capBytes = int64(capOverride) * model.LLMKVBytesPerToken()
 			}
-			kv = f.newKV(t, capBytes, blockTokens)
+			kv = f.newKV(t, capBytes)
 			for _, p := range t.peers {
 				if p.llm == nil {
 					continue

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"neu10/internal/arch"
-	"neu10/internal/core"
 )
 
 // Role specializes a replica slot in a disaggregated LLM fleet. The
@@ -112,8 +111,9 @@ const (
 	// the [BurstStartFrac, BurstEndFrac) window of the run — a flash
 	// crowd.
 	Flash
-	// Diurnal modulates the rate sinusoidally: base·(1 + depth·sin(...)),
-	// the shape of a day/night traffic trace.
+	// Diurnal modulates the rate sinusoidally with one period spanning
+	// the run: base·(1 + depth·sin(...)), the shape of a day/night
+	// traffic trace.
 	Diurnal
 )
 
@@ -141,23 +141,22 @@ type TenantConfig struct {
 	Load       float64
 	RatePerSec float64
 
-	Arrival       ArrivalKind
-	BurstFactor   float64 // Flash: rate multiplier during the burst window
-	BurstStart    float64 // Flash: window start, fraction of the run (default 1/3)
-	BurstEnd      float64 // Flash: window end, fraction of the run (default 2/3)
-	DiurnalDepth  float64 // Diurnal: modulation depth in [0, 1) (default 0.8)
-	DiurnalPeriod float64 // Diurnal: period as a fraction of the run (default 1)
-	DiurnalPhase  float64 // Diurnal: phase offset in radians
+	Arrival      ArrivalKind
+	BurstFactor  float64 // Flash: rate multiplier during the burst window
+	BurstStart   float64 // Flash: window start, fraction of the run (default 1/3)
+	BurstEnd     float64 // Flash: window end, fraction of the run (default 2/3)
+	DiurnalDepth float64 // Diurnal: modulation depth in [0, 1) (default 0.8)
+	DiurnalPhase float64 // Diurnal: phase offset in radians
 
 	// SLOMs is the per-request latency objective in milliseconds; when 0
 	// it is derived as SLOFactor × the ideal full-batch service time on
-	// one replica (default factor 3).
+	// one replica (default factor 3). A forming batch waits at most a
+	// tenth of it for batchmates.
 	SLOMs     float64
 	SLOFactor float64
 
-	MaxBatch      int     // dynamic batcher cap (default 8)
-	BatchWindowMs float64 // max coalescing wait; default SLOMs/10
-	QueueCap      int     // per-replica admission bound (default 64)
+	MaxBatch int // dynamic batcher cap (default 8)
+	QueueCap int // per-replica admission bound (default 64)
 
 	// EUs is the per-replica execution-unit budget handed to the §III-B
 	// allocator (default 4). The autoscaler may grow it in steps of 2 up
@@ -215,14 +214,8 @@ func (tc *TenantConfig) defaults() {
 	if tc.DiurnalDepth == 0 {
 		tc.DiurnalDepth = 0.8
 	}
-	if tc.DiurnalPeriod == 0 {
-		tc.DiurnalPeriod = 1
-	}
 	if tc.LLM != nil {
 		tc.LLM.defaults()
-		if d := tc.LLM.Disagg; d != nil && d.DecodeBatch == 0 {
-			d.DecodeBatch = 2 * tc.MaxBatch
-		}
 	}
 }
 
@@ -231,9 +224,9 @@ func (tc *TenantConfig) validate() error {
 		return fmt.Errorf("serve: tenant without a name")
 	}
 	if err := checkFinite("tenant "+tc.Name,
-		"Load RatePerSec BurstFactor BurstStart BurstEnd DiurnalDepth DiurnalPeriod DiurnalPhase SLOMs SLOFactor BatchWindowMs",
-		tc.Load, tc.RatePerSec, tc.BurstFactor, tc.BurstStart, tc.BurstEnd, tc.DiurnalDepth, tc.DiurnalPeriod,
-		tc.DiurnalPhase, tc.SLOMs, tc.SLOFactor, tc.BatchWindowMs); err != nil {
+		"Load RatePerSec BurstFactor BurstStart BurstEnd DiurnalDepth DiurnalPhase SLOMs SLOFactor",
+		tc.Load, tc.RatePerSec, tc.BurstFactor, tc.BurstStart, tc.BurstEnd, tc.DiurnalDepth,
+		tc.DiurnalPhase, tc.SLOMs, tc.SLOFactor); err != nil {
 		return err
 	}
 	switch {
@@ -248,11 +241,8 @@ func (tc *TenantConfig) validate() error {
 			tc.Name, tc.BurstStart, tc.BurstEnd)
 	case tc.DiurnalDepth < 0 || tc.DiurnalDepth >= 1:
 		return fmt.Errorf("serve: tenant %s diurnal depth %v out of [0,1)", tc.Name, tc.DiurnalDepth)
-	case tc.DiurnalPeriod <= 0:
-		return fmt.Errorf("serve: tenant %s diurnal period %v", tc.Name, tc.DiurnalPeriod)
-	case tc.SLOMs < 0 || tc.SLOFactor <= 0 || tc.BatchWindowMs < 0:
-		return fmt.Errorf("serve: tenant %s SLO %v ms, SLO factor %v, batch window %v ms",
-			tc.Name, tc.SLOMs, tc.SLOFactor, tc.BatchWindowMs)
+	case tc.SLOMs < 0 || tc.SLOFactor <= 0:
+		return fmt.Errorf("serve: tenant %s SLO %v ms, SLO factor %v", tc.Name, tc.SLOMs, tc.SLOFactor)
 	case tc.MinReplicas < 1:
 		return fmt.Errorf("serve: tenant %s needs ≥1 replica", tc.Name)
 	case tc.InitialReplicas < tc.MinReplicas || tc.MaxReplicas < tc.InitialReplicas:
@@ -288,14 +278,17 @@ func (tc *TenantConfig) validate() error {
 	return nil
 }
 
+// linkLatencyUs is the per-transfer latency, in microseconds, of the
+// chip-to-chip fabric and of each replica's NPU↔host swap link.
+const linkLatencyUs = 2
+
 // Config parameterizes one serving run.
 type Config struct {
 	Scenario string // label carried into the report
 	Core     arch.CoreConfig
 	Cores    int // pNPU fleet size (single-core pNPUs, like internal/cluster)
 
-	Placement core.PlacementPolicy
-	Router    RouterPolicy
+	Router RouterPolicy
 
 	DurationSec float64
 	Seed        uint64
@@ -305,11 +298,6 @@ type Config struct {
 	Autoscale bool
 	// ScaleEverySec is the control interval (default 0.25s).
 	ScaleEverySec float64
-	// ScaleUpP99Frac: scale up when windowed p99 > frac × SLO (default 1).
-	ScaleUpP99Frac float64
-	// ScaleDownP99Frac: scale down when windowed p99 < frac × SLO and the
-	// window saw no rejections (default 0.4).
-	ScaleDownP99Frac float64
 
 	// Preempt enables priority-aware preemptive scheduling on
 	// temporal-shared slots: a waiting higher-priority batch preempts an
@@ -338,13 +326,11 @@ type Config struct {
 	MaxPreemptsPerBatch int
 
 	// LinkGBps is the modeled chip-to-chip interconnect bandwidth per
-	// link in GB/s (default 64); LinkLatencyUs the per-transfer latency
-	// in microseconds (default 2). Only disaggregated tenants
+	// link in GB/s (default 64). Only disaggregated tenants
 	// (LLMConfig.Disagg) ship KV migrations over the fabric; everything
 	// else ignores it. Concurrent migrations between the same chip pair
 	// share the link max-min fairly (internal/xfer).
-	LinkGBps      float64
-	LinkLatencyUs float64
+	LinkGBps float64
 
 	// Faults schedules deterministic fault injection — replica/chip
 	// crashes, correlated pod outages, link degradation — on the sim
@@ -368,12 +354,6 @@ func (c *Config) defaults() {
 	if c.ScaleEverySec == 0 {
 		c.ScaleEverySec = 0.25
 	}
-	if c.ScaleUpP99Frac == 0 {
-		c.ScaleUpP99Frac = 1
-	}
-	if c.ScaleDownP99Frac == 0 {
-		c.ScaleDownP99Frac = 0.4
-	}
 	if c.PreemptQuantumCycles == 0 {
 		c.PreemptQuantumCycles = 4096
 	}
@@ -382,12 +362,6 @@ func (c *Config) defaults() {
 	}
 	if c.LinkGBps == 0 {
 		c.LinkGBps = 64
-	}
-	if c.LinkLatencyUs == 0 {
-		c.LinkLatencyUs = 2
-	}
-	if c.Faults != nil {
-		c.Faults.defaults()
 	}
 	if c.Obs != nil {
 		// Clone before defaulting: one ObsConfig is typically shared
@@ -404,9 +378,8 @@ func (c *Config) validate() error {
 		return err
 	}
 	if err := checkFinite("config",
-		"DurationSec ScaleEverySec ScaleUpP99Frac ScaleDownP99Frac PreemptQuantumCycles LinkGBps LinkLatencyUs",
-		c.DurationSec, c.ScaleEverySec, c.ScaleUpP99Frac, c.ScaleDownP99Frac, c.PreemptQuantumCycles,
-		c.LinkGBps, c.LinkLatencyUs); err != nil {
+		"DurationSec ScaleEverySec PreemptQuantumCycles LinkGBps",
+		c.DurationSec, c.ScaleEverySec, c.PreemptQuantumCycles, c.LinkGBps); err != nil {
 		return err
 	}
 	switch {
@@ -418,8 +391,6 @@ func (c *Config) validate() error {
 		// A shorter interval would re-arm the control loop at the same
 		// sim instant forever.
 		return fmt.Errorf("serve: autoscale interval %v s is under one core cycle", c.ScaleEverySec)
-	case c.ScaleUpP99Frac <= 0 || c.ScaleDownP99Frac <= 0:
-		return fmt.Errorf("serve: autoscale p99 fractions up %v, down %v", c.ScaleUpP99Frac, c.ScaleDownP99Frac)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("serve: no tenants")
 	case c.PreemptQuantumCycles < 0:
@@ -428,8 +399,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: max preempts per batch %d", c.MaxPreemptsPerBatch)
 	case c.LinkGBps < 0:
 		return fmt.Errorf("serve: link bandwidth %v GB/s", c.LinkGBps)
-	case c.LinkLatencyUs < 0:
-		return fmt.Errorf("serve: link latency %v µs", c.LinkLatencyUs)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.validate(c); err != nil {

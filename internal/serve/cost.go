@@ -38,11 +38,10 @@ type CostDB struct {
 	mu      sync.Mutex
 	entries map[costKey]*costEntry
 
-	// maxEntries bounds the cache (DefaultMaxCostEntries unless
-	// SetMaxEntries overrides it; ≤ 0 = unbounded). Long parameter
-	// sweeps — many models × shapes × vNPU splits — would otherwise
-	// grow the map without limit. Growth is contained twice over, and
-	// neither mechanism can change a result:
+	// maxEntries bounds the cache (DefaultMaxCostEntries; tests lower
+	// it). Long parameter sweeps — many models × shapes × vNPU splits —
+	// would otherwise grow the map without limit. Growth is contained
+	// twice over, and neither mechanism can change a result:
 	//
 	//   - Coarse-bucket fallback: shapes beyond the fine catalog
 	//     (batch > 64, seq/ctx > 4096 after padding) bucket to powers
@@ -115,14 +114,6 @@ type costEntry struct {
 // NewCostDB builds a cost database for a physical core family.
 func NewCostDB(core arch.CoreConfig) *CostDB {
 	return &CostDB{core: core, entries: map[costKey]*costEntry{}, maxEntries: DefaultMaxCostEntries}
-}
-
-// SetMaxEntries overrides the cache bound (≤ 0 = unbounded). Safe to
-// call concurrently with lookups, though typically done at setup.
-func (db *CostDB) SetMaxEntries(n int) {
-	db.mu.Lock()
-	db.maxEntries = n
-	db.mu.Unlock()
 }
 
 // Entries returns the current cached-entry count.
@@ -235,7 +226,7 @@ func (db *CostDB) cycles(key costKey) (float64, error) {
 	db.mu.Lock()
 	e, ok := db.entries[key]
 	if !ok {
-		if db.maxEntries <= 0 || len(db.entries) < db.maxEntries {
+		if len(db.entries) < db.maxEntries {
 			e = &costEntry{}
 			db.entries[key] = e
 		} else {

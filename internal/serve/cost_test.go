@@ -119,7 +119,7 @@ func TestLLMCyclesBuckets(t *testing.T) {
 func TestCostDBEntryCapConcurrent(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	const cap = 4
-	db.SetMaxEntries(cap)
+	db.maxEntries = cap
 	var measures atomic.Int64
 	db.onMeasure = func(costKey) { measures.Add(1) }
 

@@ -238,7 +238,7 @@ func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 		}
 		q := r.queueFor(t)
 		load := len(q.running) + r.inbound
-		if load >= t.cfg.LLM.Disagg.DecodeBatch {
+		if load >= 2*t.cfg.MaxBatch {
 			continue
 		}
 		if !r.kv.fits(r.kv.blocksFor(s.req.prompt + s.req.output)) {

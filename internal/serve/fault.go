@@ -63,9 +63,8 @@ func (p CrashPolicy) String() string {
 type FaultKind int
 
 const (
-	// FaultCrashReplica kills Count replicas of one tenant (oldest
-	// first — deterministic victim selection), optionally filtered by
-	// Role.
+	// FaultCrashReplica kills the oldest replica of one tenant
+	// (deterministic victim selection), optionally filtered by Role.
 	FaultCrashReplica FaultKind = iota
 	// FaultPodOutage kills every replica of every tenant mapped to the
 	// listed chips at once — the correlated-failure case.
@@ -102,8 +101,6 @@ type FaultEvent struct {
 	// Role filters crash victims in a disaggregated fleet; RoleMixed
 	// (the zero value) matches any role.
 	Role Role
-	// Count is how many replicas one crash event kills (default 1).
-	Count int
 
 	// Chips lists the pNPUs a pod outage takes down (FaultPodOutage).
 	Chips []int
@@ -119,15 +116,6 @@ type FaultEvent struct {
 type FaultPlan struct {
 	Events []FaultEvent
 	Policy CrashPolicy
-}
-
-func (p *FaultPlan) defaults() {
-	for i := range p.Events {
-		e := &p.Events[i]
-		if e.Kind == FaultCrashReplica && e.Count == 0 {
-			e.Count = 1
-		}
-	}
 }
 
 func (p *FaultPlan) validate(c *Config) error {
@@ -155,9 +143,6 @@ func (p *FaultPlan) validate(c *Config) error {
 			}
 			if e.Role < RoleMixed || e.Role > RoleDecode {
 				return fmt.Errorf("serve: fault %d role %d unknown", i, e.Role)
-			}
-			if e.Count < 1 {
-				return fmt.Errorf("serve: fault %d kills %d replicas", i, e.Count)
 			}
 		case FaultPodOutage:
 			if len(e.Chips) == 0 {
@@ -268,14 +253,12 @@ func (f *fleet) injectFault(e FaultEvent, now sim.Time) {
 	switch e.Kind {
 	case FaultCrashReplica:
 		t := f.tenantByName(e.Tenant)
-		// Oldest matching replicas first (t.replicas is spawn-ordered, so
+		// The oldest matching replica (t.replicas is spawn-ordered, so
 		// uid ascends): deterministic victim selection.
 		for _, r := range t.replicas {
-			if len(victims) >= e.Count {
-				break
-			}
 			if e.Role == RoleMixed || r.role == e.Role {
 				victims = append(victims, r)
+				break
 			}
 		}
 	case FaultPodOutage:

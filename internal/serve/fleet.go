@@ -103,7 +103,6 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapper.Policy = cfg.Placement
 	alloc, err := core.NewAllocator(cfg.Core)
 	if err != nil {
 		return nil, err
@@ -169,8 +168,8 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 		}
 	}
 	// LLM peers in one share group draw from one shared KV partition per
-	// slot, so their block granularity and capacity override must agree
-	// — silently mixing them would misattribute every occupancy number.
+	// slot, so their capacity override and policy must agree — silently
+	// mixing them would misattribute every occupancy number.
 	for _, t := range f.tenants {
 		if t.llm == nil {
 			continue
@@ -179,12 +178,10 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 			if p.llm == nil || p == t {
 				continue
 			}
-			if p.cfg.LLM.BlockTokens != t.cfg.LLM.BlockTokens ||
-				p.cfg.LLM.KVCapTokens != t.cfg.LLM.KVCapTokens ||
+			if p.cfg.LLM.KVCapTokens != t.cfg.LLM.KVCapTokens ||
 				p.cfg.LLM.KVPolicy != t.cfg.LLM.KVPolicy {
-				return nil, fmt.Errorf("serve: share group %q: tenants %s and %s disagree on KV settings (blocks %d/%d tokens, cap %d/%d, policy %q/%q)",
+				return nil, fmt.Errorf("serve: share group %q: tenants %s and %s disagree on KV settings (cap %d/%d, policy %q/%q)",
 					t.cfg.ShareGroup, t.cfg.Name, p.cfg.Name,
-					t.cfg.LLM.BlockTokens, p.cfg.LLM.BlockTokens,
 					t.cfg.LLM.KVCapTokens, p.cfg.LLM.KVCapTokens,
 					t.cfg.LLM.KVPolicy, p.cfg.LLM.KVPolicy)
 			}
@@ -195,7 +192,7 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 	for _, t := range f.tenants {
 		if t.disagg() != nil {
 			bwPerCycle := cfg.LinkGBps * 1e9 / cfg.Core.FrequencyHz
-			latency := cfg.LinkLatencyUs * 1e-6 * cfg.Core.FrequencyHz
+			latency := linkLatencyUs * 1e-6 * cfg.Core.FrequencyHz
 			fab, err := xfer.NewFabric(f.eng, bwPerCycle, latency)
 			if err != nil {
 				return nil, err
@@ -272,7 +269,7 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 				// per-pool autoscalers get per-phase objectives from the
 				// same measurements.
 				sloAnchor += float64(model.LLMKVTransferBytes(tr.MeanPrompt()))/(cfg.LinkGBps*1e9/cfg.Core.FrequencyHz) +
-					cfg.LinkLatencyUs*1e-6*cfg.Core.FrequencyHz
+					linkLatencyUs*1e-6*cfg.Core.FrequencyHz
 				t.prefillSLO = t.cfg.SLOFactor * pre
 				t.tpotSLO = t.cfg.SLOFactor * dec
 			}
@@ -289,13 +286,9 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 			t.sloCycles = t.cfg.SLOFactor * sloAnchor
 			t.cfg.SLOMs = t.sloCycles / cfg.Core.FrequencyHz * 1e3
 		}
-		if t.cfg.BatchWindowMs > 0 {
-			t.batchWindow = t.cfg.BatchWindowMs / 1e3 * cfg.Core.FrequencyHz
-		} else {
-			// Never burn more than a tenth of the latency budget waiting
-			// for batchmates.
-			t.batchWindow = t.sloCycles / 10
-		}
+		// Never burn more than a tenth of the latency budget waiting for
+		// batchmates.
+		t.batchWindow = t.sloCycles / 10
 		t.capacityRPS = float64(t.cfg.MaxBatch) / (full / cfg.Core.FrequencyHz)
 		rps := t.cfg.RatePerSec
 		if rps <= 0 {

@@ -9,7 +9,7 @@ import (
 // KV-cache accounting for one replica slot's vNPU HBM partition (§III
 // memory partitioning): the capacity left in MemSizePerCore after the
 // LLM's resident weights, handed out in fixed-size blocks of
-// blockTokens tokens — paged-attention-style block granularity, which
+// kvBlockTokens tokens — paged-attention-style block granularity, which
 // bounds fragmentation to under one block per sequence.
 //
 // Every LLM slot carries one kvAccountant, its block ledger. The
@@ -76,12 +76,15 @@ type KVStats struct {
 	PrefixHitRate   float64 `json:"kv_prefix_hit_rate,omitempty"`
 }
 
+// kvBlockTokens is the KV-cache block granularity in tokens.
+const kvBlockTokens = 16
+
 // newKV builds the KV ledger a fresh replica slot runs on, per the
 // serving group's KVPolicy (newFleet validates that LLM peers in one
 // share group agree, so the first explicit policy found is the group's
 // policy; empty means the implicit reserve default).
-func (f *fleet) newKV(t *tenantState, capBytes int64, blockTokens int) *kvAccountant {
-	a := newKVAccountant(capBytes, model.LLMKVBytesPerToken(), blockTokens, float64(f.eng.Now()))
+func (f *fleet) newKV(t *tenantState, capBytes int64) *kvAccountant {
+	a := newKVAccountant(capBytes, model.LLMKVBytesPerToken(), float64(f.eng.Now()))
 	for _, p := range t.peers {
 		if p.llm != nil && p.cfg.LLM.KVPolicy == KVPaged {
 			a.paged = newPagedKV(f, p, a)
@@ -94,7 +97,6 @@ func (f *fleet) newKV(t *tenantState, capBytes int64, blockTokens int) *kvAccoun
 // kvAccountant is a slot's block ledger. It also integrates occupancy
 // over time for the report's KV-utilization numbers.
 type kvAccountant struct {
-	blockTokens int
 	totalBlocks int
 	usedBlocks  int
 	peakBlocks  int
@@ -112,14 +114,14 @@ type kvAccountant struct {
 	paged *pagedKV
 }
 
-// newKVAccountant carves capBytes into blocks of blockTokens tokens at
-// bytesPerToken each.
-func newKVAccountant(capBytes, bytesPerToken int64, blockTokens int, now float64) *kvAccountant {
+// newKVAccountant carves capBytes into blocks of kvBlockTokens tokens
+// at bytesPerToken each.
+func newKVAccountant(capBytes, bytesPerToken int64, now float64) *kvAccountant {
 	total := 0
-	if blockBytes := bytesPerToken * int64(blockTokens); capBytes > 0 && blockBytes > 0 {
+	if blockBytes := bytesPerToken * kvBlockTokens; capBytes > 0 && blockBytes > 0 {
 		total = int(capBytes / blockBytes)
 	}
-	return &kvAccountant{blockTokens: blockTokens, totalBlocks: total, born: now, lastAt: now}
+	return &kvAccountant{totalBlocks: total, born: now, lastAt: now}
 }
 
 // blocksFor returns the block footprint of `tokens` tokens (0 for
@@ -128,7 +130,7 @@ func (a *kvAccountant) blocksFor(tokens int) int {
 	if tokens <= 0 {
 		return 0
 	}
-	return (tokens + a.blockTokens - 1) / a.blockTokens
+	return (tokens + kvBlockTokens - 1) / kvBlockTokens
 }
 
 // fits reports whether `blocks` more blocks can be allocated now.

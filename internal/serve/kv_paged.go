@@ -39,7 +39,7 @@ import (
 // radixNode is one sealed segment in the prefix-cache trie. Block
 // ownership is an exact partition of the chain: a node owns the whole
 // blocks that COMPLETE within its token span, so a chain of C tokens
-// owns floor(C/blockTokens) blocks with no double counting across
+// owns floor(C/kvBlockTokens) blocks with no double counting across
 // parent and child.
 type radixNode struct {
 	key      uint64
@@ -81,7 +81,7 @@ type pagedKV struct {
 	lruTick int64
 	nodeOrd int64
 
-	// hostLink models the NPU↔host swap path (SwapGBps); lazily created
+	// hostLink models the NPU↔host swap path (swapGBps); lazily created
 	// at bind. swapQ holds swapped-out sequences FIFO: the head returns
 	// as soon as its outbound copy landed and blocks free up, and
 	// admission backpressures while any sequence waits here.
@@ -102,6 +102,10 @@ type pagedKV struct {
 	cacheEvictBlocks int
 }
 
+// swapGBps is the modeled NPU↔host swap bandwidth in GB/s —
+// PCIe-class, deliberately slower than the chip-to-chip fabric.
+const swapGBps = 32
+
 // newPagedKV builds the paged machinery over a fresh replica's ledger.
 func newPagedKV(f *fleet, t *tenantState, acct *kvAccountant) *pagedKV {
 	return &pagedKV{
@@ -115,8 +119,8 @@ func newPagedKV(f *fleet, t *tenantState, acct *kvAccountant) *pagedKV {
 // swap link (per replica: swap bandwidth is a per-chip resource).
 func (p *pagedKV) bind(r *replica) {
 	p.r = r
-	bw := p.t.cfg.LLM.SwapGBps * 1e9 / p.f.cfg.Core.FrequencyHz
-	lat := p.f.cfg.LinkLatencyUs * 1e-6 * p.f.cfg.Core.FrequencyHz
+	bw := swapGBps * 1e9 / p.f.cfg.Core.FrequencyHz
+	lat := linkLatencyUs * 1e-6 * p.f.cfg.Core.FrequencyHz
 	l, err := xfer.NewLink(p.f.eng, fmt.Sprintf("host/%s/r%d", p.t.cfg.Name, r.uid), bw, lat)
 	if err != nil {
 		panic(fmt.Sprintf("serve: paged KV host link: %v", err))
@@ -220,7 +224,7 @@ func (p *pagedKV) hitTokens(matched, prompt int) int {
 	if matched < 0 {
 		return 0
 	}
-	return matched / p.a.blockTokens * p.a.blockTokens
+	return matched / kvBlockTokens * kvBlockTokens
 }
 
 // pinChain refs every node on the path root→tail; a node going cold→
@@ -311,10 +315,9 @@ func (p *pagedKV) release(s *llmSeq, now float64) {
 // seal walks/creates the request's full chain — prefix segments plus
 // its own segment — moving block ownership for newly created nodes out
 // of the sequence's private pool. The private pool always covers them:
-// it holds ceil((ctx−hit)/blockTokens) blocks while new nodes own at
-// most floor(ctx/blockTokens) − hit/blockTokens.
+// it holds ceil((ctx−hit)/kvBlockTokens) blocks while new nodes own at
+// most floor(ctx/kvBlockTokens) − hit/kvBlockTokens.
 func (p *pagedKV) seal(s *llmSeq) {
-	bt := p.a.blockTokens
 	node, tokens := p.root, 0
 	transferred := 0
 	addSeg := func(key uint64, span int) bool {
@@ -327,7 +330,7 @@ func (p *pagedKV) seal(s *llmSeq) {
 		} else {
 			child = &radixNode{
 				key: key, tokens: span, startTok: tokens,
-				blocks: (tokens+span)/bt - tokens/bt,
+				blocks: (tokens+span)/kvBlockTokens - tokens/kvBlockTokens,
 				parent: node, children: map[uint64]*radixNode{},
 				lastUse: p.tick(), ord: p.nodeOrd,
 			}
@@ -358,7 +361,7 @@ func (p *pagedKV) seal(s *llmSeq) {
 // needsBlock: the next decoded token lands at ctx+1; capacity is the
 // private blocks plus the cache-served hit.
 func (p *pagedKV) needsBlock(s *llmSeq) bool {
-	return s.blocks*p.a.blockTokens+s.hit < s.ctx+1
+	return s.blocks*kvBlockTokens+s.hit < s.ctx+1
 }
 
 // extendSeq grants one more private block, reclaiming a cold cache

@@ -42,8 +42,8 @@ func pagedCfg(seed uint64, policy, evict string) Config {
 
 // nodeBlocks recomputes a radix node's block ownership from first
 // principles: the whole blocks that COMPLETE within its token span.
-func nodeBlocks(n *radixNode, blockTokens int) int {
-	return (n.startTok+n.tokens)/blockTokens - n.startTok/blockTokens
+func nodeBlocks(n *radixNode) int {
+	return (n.startTok+n.tokens)/kvBlockTokens - n.startTok/kvBlockTokens
 }
 
 // TestPagedDrainInvariants runs the paged backend to a full drain under
@@ -87,7 +87,7 @@ func TestPagedDrainInvariants(t *testing.T) {
 							t.Errorf("seed %d/%s: cache node key=%d still pinned (refs %d) after drain",
 								seed, evict, n.key, n.refs)
 						}
-						if want := nodeBlocks(n, p.a.blockTokens); n.blocks != want {
+						if want := nodeBlocks(n); n.blocks != want {
 							t.Errorf("seed %d/%s: node key=%d owns %d blocks, span arithmetic says %d",
 								seed, evict, n.key, n.blocks, want)
 						}
@@ -225,5 +225,4 @@ func TestPagedValidation(t *testing.T) {
 	bad(func(c *Config) { c.Tenants[0].LLM.KVEvict = "teleport" }, "unknown eviction policy")
 	bad(func(c *Config) { c.Tenants[0].LLM.KVPolicy = "virtual" }, "unknown KV policy")
 	bad(func(c *Config) { c.Tenants[0].LLM.KVPolicy = "" }, "eviction policy without paged backend")
-	bad(func(c *Config) { c.Tenants[0].LLM.SwapGBps = -1 }, "negative swap bandwidth")
 }

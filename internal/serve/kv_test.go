@@ -6,19 +6,19 @@ import "testing"
 // reservations, admission against capacity, and exact free/alloc
 // round-trips.
 func TestKVAccountantBasics(t *testing.T) {
-	// 16 blocks of 16 tokens at 1 KiB/token.
-	a := newKVAccountant(16*16*1024, 1024, 16, 0)
+	// 16 blocks at 1 KiB/token.
+	a := newKVAccountant(16*kvBlockTokens*1024, 1024, 0)
 	if a.totalBlocks != 16 {
 		t.Fatalf("capacity carved into %d blocks, want 16", a.totalBlocks)
 	}
 	if got := a.blocksFor(1); got != 1 {
 		t.Errorf("blocksFor(1) = %d, want 1", got)
 	}
-	if got := a.blocksFor(16); got != 1 {
-		t.Errorf("blocksFor(16) = %d, want 1", got)
+	if got := a.blocksFor(kvBlockTokens); got != 1 {
+		t.Errorf("blocksFor(%d) = %d, want 1", kvBlockTokens, got)
 	}
-	if got := a.blocksFor(17); got != 2 {
-		t.Errorf("blocksFor(17) = %d, want 2", got)
+	if got := a.blocksFor(kvBlockTokens + 1); got != 2 {
+		t.Errorf("blocksFor(%d) = %d, want 2", kvBlockTokens+1, got)
 	}
 	if !a.fits(16) {
 		t.Error("full-capacity reservation should fit an empty accountant")
@@ -46,7 +46,7 @@ func TestKVAccountantBasics(t *testing.T) {
 // area: 10 blocks held for 4 cycles then 2 blocks for 6 cycles is an
 // area of 52 block·cycles.
 func TestKVAccountantOccupancyIntegral(t *testing.T) {
-	a := newKVAccountant(16*16, 1, 16, 0) // 16 blocks of 16 tokens at 1 B/token
+	a := newKVAccountant(16*kvBlockTokens, 1, 0) // 16 blocks at 1 B/token
 	a.alloc(10, 0)
 	a.free(8, 4) // 10 blocks over [0,4)
 	a.accrue(10) // 2 blocks over [4,10)
@@ -67,8 +67,8 @@ func TestKVAccountantOccupancyIntegral(t *testing.T) {
 // holding blocks quietly from its last alloc to retirement would
 // under-report its whole tail of occupancy.
 func TestFoldKVFinalizesAccrual(t *testing.T) {
-	a := newKVAccountant(16*16, 1, 16, 0) // 16 blocks, born at t=0
-	a.alloc(4, 0)                         // 4 blocks held, no further ledger traffic
+	a := newKVAccountant(16*kvBlockTokens, 1, 0) // 16 blocks, born at t=0
+	a.alloc(4, 0)                                // 4 blocks held, no further ledger traffic
 	ten := &tenantState{}
 	ten.foldKV(a, 100)
 	if want := 4.0 * 100; ten.kvUsedArea != want {
@@ -93,8 +93,8 @@ func TestKVAccountantGuards(t *testing.T) {
 		}()
 		fn()
 	}
-	a := newKVAccountant(4*16, 1, 16, 0)
+	a := newKVAccountant(4*kvBlockTokens, 1, 0)
 	expectPanic("overcommit", func() { a.alloc(5, 0) })
-	b := newKVAccountant(4*16, 1, 16, 0)
+	b := newKVAccountant(4*kvBlockTokens, 1, 0)
 	expectPanic("over-free", func() { b.free(1, 0) })
 }

@@ -45,9 +45,6 @@ type LLMConfig struct {
 	// Static selects the static-batching baseline; false (default) is
 	// continuous batching.
 	Static bool
-	// BlockTokens is the KV-cache block granularity in tokens
-	// (default 16).
-	BlockTokens int
 	// KVCapTokens overrides the derived per-replica KV capacity
 	// (MemSizePerCore − LLM weights), in tokens. For tests and
 	// pressure studies; 0 keeps the derived capacity. With Disagg it
@@ -70,18 +67,14 @@ type LLMConfig struct {
 	// blocks: KVEvictRecompute drops them and replays the lost tokens
 	// through a chunked re-prefill (priced via CostDB.LLMChunkCycles),
 	// KVEvictSwap ships them to host memory over a modeled link and
-	// back (priced via internal/xfer at SwapGBps). Default recompute;
+	// back (priced via internal/xfer at swapGBps). Default recompute;
 	// only meaningful with KVPaged.
 	KVEvict string
-	// SwapGBps is the modeled NPU↔host swap bandwidth in GB/s for
-	// KVEvictSwap (default 32 — PCIe-class, deliberately slower than
-	// the chip-to-chip fabric).
-	SwapGBps float64
 
 	// Disagg, when non-nil, splits the tenant's fleet into
 	// role-specialized pools: arrivals prefill on RolePrefill replicas,
 	// finished prompts migrate their KV over the modeled interconnect
-	// (Config.LinkGBps/LinkLatencyUs, internal/xfer) to an
+	// (Config.LinkGBps, internal/xfer) to an
 	// admission-checked RoleDecode replica, and decode iterations run
 	// there — prefill bursts can no longer inflate decode TPOT. The
 	// migration is priced into TTFT: the first token is delivered only
@@ -91,26 +84,23 @@ type LLMConfig struct {
 
 // DisaggConfig sizes a disaggregated tenant's two pools and the
 // chunked-prefill granularity. The per-pool bounds play the role
-// InitialReplicas/MinReplicas/MaxReplicas play for a colocated tenant;
-// the per-pool autoscalers (see autoscale.go) work these bounds
-// against their own signals — prefill queue delay vs decode TPOT p99.
+// InitialReplicas/MaxReplicas play for a colocated tenant, and each
+// pool's autoscale floor is one replica; the per-pool autoscalers (see
+// autoscale.go) work these bounds against their own signals — prefill
+// queue delay vs decode TPOT p99.
+//
+// A decode slot batches up to 2 × MaxBatch sequences per iteration
+// (admission counts in-flight migrations too). Decode is HBM-bound —
+// its iteration cost is nearly flat in batch — so consolidating many
+// sequences onto few wide decode slots is almost free, and that
+// consolidation is half of disaggregation's win (the other half is
+// prefill interference removal).
 type DisaggConfig struct {
 	PrefillReplicas int // initial prefill-pool size (default 1)
-	MinPrefill      int // autoscale floor (default 1)
 	MaxPrefill      int // autoscale ceiling (default PrefillReplicas)
 
 	DecodeReplicas int // initial decode-pool size (default 1)
-	MinDecode      int // autoscale floor (default 1)
 	MaxDecode      int // autoscale ceiling (default DecodeReplicas)
-
-	// DecodeBatch is the decode-slot width: how many sequences one
-	// decode replica batches per iteration (admission counts in-flight
-	// migrations too). Decode is HBM-bound — its iteration cost is
-	// nearly flat in batch — so consolidating many sequences onto few
-	// wide decode slots is almost free, and that consolidation is half
-	// of disaggregation's win (the other half is prefill interference
-	// removal). Default 2 × MaxBatch.
-	DecodeBatch int
 
 	// ChunkTokens, when > 0, runs chunked prefill on the prefill pool:
 	// each invocation advances every in-flight prompt by at most this
@@ -123,23 +113,16 @@ type DisaggConfig struct {
 	ChunkTokens int
 }
 
-// defaults fills the pool bounds; DecodeBatch is defaulted by
-// TenantConfig.defaults, which knows MaxBatch.
+// defaults fills the pool bounds.
 func (d *DisaggConfig) defaults() {
 	if d.PrefillReplicas == 0 {
 		d.PrefillReplicas = 1
-	}
-	if d.MinPrefill == 0 {
-		d.MinPrefill = 1
 	}
 	if d.MaxPrefill == 0 {
 		d.MaxPrefill = d.PrefillReplicas
 	}
 	if d.DecodeReplicas == 0 {
 		d.DecodeReplicas = 1
-	}
-	if d.MinDecode == 0 {
-		d.MinDecode = 1
 	}
 	if d.MaxDecode == 0 {
 		d.MaxDecode = d.DecodeReplicas
@@ -148,16 +131,14 @@ func (d *DisaggConfig) defaults() {
 
 func (d *DisaggConfig) validate(tenant string) error {
 	switch {
-	case d.MinPrefill < 1 || d.PrefillReplicas < d.MinPrefill || d.MaxPrefill < d.PrefillReplicas:
-		return fmt.Errorf("serve: tenant %s prefill-pool bounds %d ≤ %d ≤ %d malformed",
-			tenant, d.MinPrefill, d.PrefillReplicas, d.MaxPrefill)
-	case d.MinDecode < 1 || d.DecodeReplicas < d.MinDecode || d.MaxDecode < d.DecodeReplicas:
-		return fmt.Errorf("serve: tenant %s decode-pool bounds %d ≤ %d ≤ %d malformed",
-			tenant, d.MinDecode, d.DecodeReplicas, d.MaxDecode)
+	case d.PrefillReplicas < 1 || d.MaxPrefill < d.PrefillReplicas:
+		return fmt.Errorf("serve: tenant %s prefill-pool bounds 1 ≤ %d ≤ %d malformed",
+			tenant, d.PrefillReplicas, d.MaxPrefill)
+	case d.DecodeReplicas < 1 || d.MaxDecode < d.DecodeReplicas:
+		return fmt.Errorf("serve: tenant %s decode-pool bounds 1 ≤ %d ≤ %d malformed",
+			tenant, d.DecodeReplicas, d.MaxDecode)
 	case d.ChunkTokens < 0:
 		return fmt.Errorf("serve: tenant %s chunk of %d tokens", tenant, d.ChunkTokens)
-	case d.DecodeBatch < 1:
-		return fmt.Errorf("serve: tenant %s decode-slot width %d", tenant, d.DecodeBatch)
 	}
 	return nil
 }
@@ -173,16 +154,8 @@ const (
 
 func (lc *LLMConfig) defaults() {
 	lc.Trace.Defaults()
-	if lc.BlockTokens == 0 {
-		lc.BlockTokens = 16
-	}
-	if lc.KVPolicy == KVPaged {
-		if lc.KVEvict == "" {
-			lc.KVEvict = KVEvictRecompute
-		}
-		if lc.SwapGBps == 0 {
-			lc.SwapGBps = 32
-		}
+	if lc.KVPolicy == KVPaged && lc.KVEvict == "" {
+		lc.KVEvict = KVEvictRecompute
 	}
 	if lc.Disagg != nil {
 		lc.Disagg.defaults()
@@ -192,9 +165,6 @@ func (lc *LLMConfig) defaults() {
 func (lc *LLMConfig) validate(tenant string) error {
 	if err := lc.Trace.Validate(); err != nil {
 		return fmt.Errorf("serve: tenant %s: %w", tenant, err)
-	}
-	if lc.BlockTokens < 1 {
-		return fmt.Errorf("serve: tenant %s KV block of %d tokens", tenant, lc.BlockTokens)
 	}
 	if lc.KVCapTokens < 0 {
 		return fmt.Errorf("serve: tenant %s KV capacity override %d", tenant, lc.KVCapTokens)
@@ -218,12 +188,6 @@ func (lc *LLMConfig) validate(tenant string) error {
 		}
 	} else if lc.KVEvict != "" {
 		return fmt.Errorf("serve: tenant %s: KV eviction policy requires the paged backend", tenant)
-	}
-	if err := checkFinite("tenant "+tenant, "SwapGBps", lc.SwapGBps); err != nil {
-		return err
-	}
-	if lc.SwapGBps < 0 {
-		return fmt.Errorf("serve: tenant %s swap bandwidth %v GB/s", tenant, lc.SwapGBps)
 	}
 	if lc.Disagg != nil {
 		if lc.Static {
@@ -344,7 +308,7 @@ type llmSeq struct {
 	// Paged-backend state (kv_paged.go; zero under the reserve backend).
 	// hit is the prefix-cache tokens served from pinned shared blocks —
 	// `blocks` then covers only the private remainder, and block demand
-	// is measured against blocks×BlockTokens+hit. cref pins the matched
+	// is measured against blocks×kvBlockTokens+hit. cref pins the matched
 	// radix chain from admission to release. A swapped sequence stays in
 	// its running set but owns no device blocks: swapped freezes it,
 	// swapReady marks its KV landed in host memory (eligible to swap

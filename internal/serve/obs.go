@@ -50,9 +50,6 @@ type ObsConfig struct {
 	// SampleEveryMs is the timeline sampling period in sim milliseconds
 	// (default 10).
 	SampleEveryMs float64
-	// WindowSamples is the sliding-window width, in samples, of the
-	// derived windowed-attainment series (default 20).
-	WindowSamples int
 	// Attrib switches the attribution ledger on (obs.Ledger): exact
 	// per-request segment accounting and the fleet cycle ledger, with
 	// conservation checked in-sim. Adds the attribution report sections
@@ -64,10 +61,11 @@ func (o *ObsConfig) defaults() {
 	if o.SampleEveryMs == 0 {
 		o.SampleEveryMs = 10
 	}
-	if o.WindowSamples == 0 {
-		o.WindowSamples = 20
-	}
 }
+
+// obsWindowSamples is the sliding-window width, in samples, of the
+// windowed-attainment and attrib_dom series.
+const obsWindowSamples = 20
 
 // validate checks the defaulted config against the core clock: a
 // sampling period that is not finite or shorter than one cycle would
@@ -75,9 +73,6 @@ func (o *ObsConfig) defaults() {
 func (o *ObsConfig) validate(freqHz float64) error {
 	if period := o.SampleEveryMs / 1e3 * freqHz; !(period >= 1) || math.IsInf(period, 0) {
 		return fmt.Errorf("serve: obs sample period %v ms (must be finite and at least one core cycle)", o.SampleEveryMs)
-	}
-	if o.WindowSamples < 0 {
-		return fmt.Errorf("serve: obs window %d samples", o.WindowSamples)
 	}
 	return nil
 }
@@ -103,7 +98,7 @@ type obsState struct {
 	lastLinkBusy map[string]float64
 	lastSample   float64
 
-	// attribWin holds, per tenant, a sliding window (WindowSamples+1
+	// attribWin holds, per tenant, a sliding window (obsWindowSamples+1
 	// deep, oldest first) of cumulative completed-request segment totals;
 	// the attrib_dom series differences the newest snapshot against the
 	// oldest to get the window's dominant-blame share.
@@ -669,14 +664,14 @@ func (f *fleet) obsSample(now float64) {
 		}
 		// Dominant-blame share over the sliding window: the largest
 		// segment's fraction of all attributed cycles completed in the
-		// last WindowSamples ticks (0 while the window saw no completion).
+		// last obsWindowSamples ticks (0 while the window saw no completion).
 		if o.led != nil {
 			if o.attribWin == nil {
 				o.attribWin = make([][]segSnap, len(f.tenants))
 			}
 			cur := segSnap(o.led.SegTotals(name))
 			win := append(o.attribWin[t.idx], cur)
-			if len(win) > o.cfg.WindowSamples+1 {
+			if len(win) > obsWindowSamples+1 {
 				n := copy(win, win[1:])
 				win = win[:n]
 			}
@@ -752,7 +747,7 @@ func (f *fleet) obsFinish(rep *Report, end float64) {
 	for _, t := range f.tenants {
 		name := t.cfg.Name
 		if num, den := o.tl.Get(name+"/slo_ok"), o.tl.Get(name+"/arrivals"); num != nil && den != nil {
-			if win, err := obs.WindowedRatio(name+"/attain_win", num, den, o.cfg.WindowSamples); err == nil {
+			if win, err := obs.WindowedRatio(name+"/attain_win", num, den, obsWindowSamples); err == nil {
 				o.tl.Attach(win)
 			}
 		}

@@ -314,8 +314,7 @@ func (f *fleet) requeue(h harvested, now sim.Time) {
 // migrating count toward their TARGET's load, so each move closes the
 // gap by two and the loop terminates.
 func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
-	d := t.disagg()
-	if d == nil || f.fabric == nil {
+	if t.disagg() == nil || f.fabric == nil {
 		return
 	}
 	load := func(r *replica) int {
@@ -344,7 +343,7 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 		if hi == nil || lo == nil || hi == lo || load(hi)-load(lo) < 2 {
 			return
 		}
-		if load(lo) >= d.DecodeBatch {
+		if load(lo) >= 2*t.cfg.MaxBatch {
 			return // the light slot has no width room either
 		}
 		// Cheapest movable sequence: not already migrating, not finished,

@@ -493,7 +493,7 @@ func (f *fleet) report() *Report {
 		DurationSec: f.cfg.DurationSec,
 		Cores:       f.cfg.Cores,
 		Router:      f.cfg.Router.String(),
-		Placement:   f.cfg.Placement.String(),
+		Placement:   f.mapper.Policy.String(),
 		Autoscale:   f.cfg.Autoscale,
 		Preempt:     f.cfg.Preempt,
 	}
@@ -570,7 +570,7 @@ func (f *fleet) report() *Report {
 				TokensOut:     l.tokensOut,
 				TokensPerSec:  float64(l.tokensOut) / f.cfg.DurationSec,
 				KVStats: KVStats{
-					KVBlockTokens: t.cfg.LLM.BlockTokens,
+					KVBlockTokens: kvBlockTokens,
 					KVStalls:      l.kvStalls,
 				},
 			}

@@ -331,8 +331,7 @@ func (t *tenantState) rateMult(at, durCycles float64) float64 {
 		}
 		return 1
 	case Diurnal:
-		period := t.cfg.DiurnalPeriod * durCycles
-		return 1 + t.cfg.DiurnalDepth*math.Sin(2*math.Pi*at/period+t.cfg.DiurnalPhase)
+		return 1 + t.cfg.DiurnalDepth*math.Sin(2*math.Pi*at/durCycles+t.cfg.DiurnalPhase)
 	default:
 		return 1
 	}
