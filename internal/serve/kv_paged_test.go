@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/sim"
 	"neu10/internal/workload"
 )
 
@@ -127,6 +130,92 @@ func TestPagedDrainInvariants(t *testing.T) {
 					seed, evict, tr.LLM.SwapOutMB, tr.LLM.SwapInMB)
 			}
 		}
+	}
+}
+
+// TestPagedCrashMidSwap drives pagedKV.teardown, which no scenario
+// fault plan reaches: a replica of the swap-evicting paged backend dies
+// while one of its sequences is on the host link or parked in swapQ. A
+// poller inside an engine event (every 0.1 ms) crashes, through
+// crashReplicas, the first replica caught in its phase: an outbound
+// swap in flight, an inbound swap in flight, or a landed sequence
+// waiting in swapQ. Each phase must be caught on at least one of seeds
+// 1–4. After drain, under both crash policies, every arrival is
+// rejected, completed or lost, the attribution ledger balances with no
+// request open, and every survivor holds no live sequence and only
+// cold cache blocks.
+func TestPagedCrashMidSwap(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	phases := []struct {
+		name  string
+		found func(p *pagedKV) bool
+	}{
+		{"outbound", func(p *pagedKV) bool {
+			return slices.ContainsFunc(p.flights, func(fl *swapFlight) bool { return fl.out })
+		}},
+		{"inbound", func(p *pagedKV) bool {
+			return slices.ContainsFunc(p.flights, func(fl *swapFlight) bool { return !fl.out })
+		}},
+		{"landed", func(p *pagedKV) bool {
+			return slices.ContainsFunc(p.swapQ, func(s *llmSeq) bool { return s.swapReady })
+		}},
+	}
+	for _, ph := range phases {
+		hits := 0
+		for seed := uint64(1); seed <= 4; seed++ {
+			for _, policy := range []CrashPolicy{CrashReplay, CrashFail} {
+				label := fmt.Sprintf("%s seed %d/%s", ph.name, seed, policy)
+				cfg := pagedCfg(seed, KVPaged, KVEvictSwap)
+				cfg.Faults = &FaultPlan{Policy: policy}
+				cfg.Obs = &ObsConfig{Attrib: true}
+				f, err := newFleet(cfg, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ten := f.tenants[0]
+				f.scheduleArrival(ten)
+				every := sim.Time(f.cfg.Core.FrequencyHz / 1e4) // 0.1 ms
+				var poll func(now sim.Time)
+				poll = func(now sim.Time) {
+					for _, r := range ten.replicas {
+						if ph.found(r.kv.paged) {
+							f.crashReplicas([]*replica{r}, now)
+							hits++
+							return
+						}
+					}
+					if float64(now) < f.durCycles {
+						f.eng.At(now+every, poll)
+					}
+				}
+				f.eng.At(every, poll)
+				f.eng.Run()
+
+				if got := ten.rejected + ten.completed + ten.crashLost; ten.arrivals != got {
+					t.Errorf("%s: %d arrivals ≠ %d rejected + %d completed + %d lost",
+						label, ten.arrivals, ten.rejected, ten.completed, ten.crashLost)
+				}
+				verifyLedger(t, label, f.report())
+				for _, r := range ten.replicas {
+					p := r.kv.paged
+					if len(p.swapQ) != 0 || len(p.flights) != 0 {
+						t.Errorf("%s: replica %d keeps %d swapped seqs and %d transfers after drain",
+							label, r.id, len(p.swapQ), len(p.flights))
+					}
+					if p.a.curSeqs != 0 {
+						t.Errorf("%s: replica %d has %d resident sequences after drain", label, r.id, p.a.curSeqs)
+					}
+					if p.a.usedBlocks != p.cold {
+						t.Errorf("%s: replica %d uses %d blocks but only %d are cold cache",
+							label, r.id, p.a.usedBlocks, p.cold)
+					}
+				}
+			}
+		}
+		if hits == 0 {
+			t.Errorf("no run crashed a replica with a %s swap", ph.name)
+		}
+		t.Logf("%s: %d of 8 runs crashed mid-swap", ph.name, hits)
 	}
 }
 
