@@ -110,6 +110,15 @@ func readU32(b []byte) (uint32, []byte, error) {
 	return binary.LittleEndian.Uint32(b), b[4:], nil
 }
 
+// checkCount rejects a section claiming n entries of at least size
+// bytes each when fewer bytes remain in b.
+func checkCount(what string, n uint32, size uint64, b []byte) error {
+	if uint64(n)*size > uint64(len(b)) {
+		return fmt.Errorf("isa: truncated %s: %d entries need %d bytes, have %d", what, n, uint64(n)*size, len(b))
+	}
+	return nil
+}
+
 // Encode serializes a VLIW program.
 func (p *Program) Encode() []byte {
 	out := append([]byte{}, magicVLIW[:]...)
@@ -193,10 +202,18 @@ func DecodeNeuProgram(b []byte) (*NeuProgram, error) {
 		return nil, fmt.Errorf("isa: unsupported version %d", ver)
 	}
 	p := &NeuProgram{VESlots: int(ve)}
+	if err := p.MEFormat().Validate(); err != nil {
+		return nil, err
+	}
 	if p.MECode, b, err = decodeCode(b, p.MEFormat(), int(nme)); err != nil {
 		return nil, err
 	}
 	if p.VECode, b, err = decodeCode(b, p.VEFormat(), int(nve)); err != nil {
+		return nil, err
+	}
+	// Every count is checked against the bytes left before it sizes an
+	// allocation: a µTOp entry takes 8 bytes, a group at least 8.
+	if err := checkCount("µTOp table", nut, 8, b); err != nil {
 		return nil, err
 	}
 	p.UTops = make([]UTop, nut)
@@ -210,14 +227,20 @@ func DecodeNeuProgram(b []byte) (*NeuProgram, error) {
 		}
 		p.UTops[i] = UTop{Kind: UTopKind(k), Start: int(s)}
 	}
+	if err := checkCount("group table", ngr, 8, b); err != nil {
+		return nil, err
+	}
 	p.Groups = make([]Group, ngr)
 	for i := range p.Groups {
 		var n uint32
 		if n, b, err = readU32(b); err != nil {
 			return nil, err
 		}
-		if n > 1024 {
+		if n > maxGroupMEs {
 			return nil, fmt.Errorf("isa: group %d claims %d ME entries", i, n)
+		}
+		if err := checkCount(fmt.Sprintf("group %d", i), n+1, 4, b); err != nil {
+			return nil, err
 		}
 		g := Group{ME: make([]int, n)}
 		for j := range g.ME {

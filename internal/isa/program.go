@@ -72,6 +72,9 @@ type UTop struct {
 // NullUTop marks an empty cell in the execution table.
 const NullUTop = -1
 
+// maxGroupMEs bounds one group's ME entries, in programs and binaries.
+const maxGroupMEs = 1024
+
 // Group is one row of the µTOp execution table: up to nx ME µTOps that
 // may run concurrently, plus at most one VE µTOp. Entries index into
 // NeuProgram.UTops; NullUTop marks absent cells. Groups execute in order
@@ -167,6 +170,9 @@ func (p *NeuProgram) Validate() error {
 	for gi, g := range p.Groups {
 		if len(g.ME) == 0 && g.VE == NullUTop {
 			return fmt.Errorf("group %d: empty", gi)
+		}
+		if len(g.ME) > maxGroupMEs {
+			return fmt.Errorf("group %d: %d ME entries exceed %d", gi, len(g.ME), maxGroupMEs)
 		}
 		for _, ui := range g.ME {
 			if ui == NullUTop {
