@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"neu10/internal/arch"
+	"neu10/internal/obs"
 	"neu10/internal/sched"
 	"neu10/internal/serve"
 	"neu10/internal/workload"
@@ -247,38 +248,8 @@ type table struct {
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
 func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var sb strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteByte('\n')
-	}
-	line(t.header)
-	for i, w := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, r := range t.rows {
-		line(r)
-	}
+	obs.WriteTable(&sb, t.header, t.rows)
 	return sb.String()
 }
 

@@ -234,7 +234,7 @@ func (rep *Report) AttribTable() string {
 			}
 			cells = append(cells, row)
 		}
-		renderTable(&sb, header, cells)
+		obs.WriteTable(&sb, header, cells)
 	}
 	var wrows [][]string
 	for _, t := range rep.Tenants {
@@ -251,7 +251,7 @@ func (rep *Report) AttribTable() string {
 		}
 	}
 	if len(wrows) > 0 {
-		renderTable(&sb, []string{"worst req tenant", "req", "e2e(ms)", "ttft(ms)", "dominant", "dom(ms)", "share"}, wrows)
+		obs.WriteTable(&sb, []string{"worst req tenant", "req", "e2e(ms)", "ttft(ms)", "dominant", "dom(ms)", "share"}, wrows)
 	}
 	if cl := rep.CycleLedger; cl != nil {
 		parts := make([]string, 0, obs.NumBuckets)

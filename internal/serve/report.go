@@ -249,7 +249,7 @@ func (rep *Report) Table() string {
 			fmt.Sprintf("%d/%d/%d/%d", t.ScaleUps, t.ScaleDowns, t.Resizes, t.ScaleFails),
 		})
 	}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	if llm := rep.llmTable(); llm != "" {
 		sb.WriteString(llm)
 	}
@@ -320,7 +320,7 @@ func (rep *Report) llmTable() string {
 	}
 	var sb strings.Builder
 	header := []string{"llm tenant", "batcher", "ttft-p50(ms)", "ttft-p99(ms)", "tpot-p50(ms)", "tpot-p99(ms)", "tok/s", "prefills", "decode-iters", "kv-occ(peak)", "kv-stalls"}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	return sb.String()
 }
 
@@ -351,7 +351,7 @@ func (rep *Report) pagedTable() string {
 	}
 	var sb strings.Builder
 	header := []string{"kv tenant", "policy", "peak-seqs", "evict(rc/sw)", "recompute-tok", "swap-MB(out/in)", "prefix-hits", "hit-tok", "cache-evict"}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	return sb.String()
 }
 
@@ -385,7 +385,7 @@ func (rep *Report) disaggTable() string {
 	}
 	var sb strings.Builder
 	header := []string{"disagg tenant", "prefill(peak)", "decode(peak)", "chunk", "migrations", "mig-MB", "mig-mean(ms)", "mig-stalls"}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	return sb.String()
 }
 
@@ -417,7 +417,7 @@ func (rep *Report) chaosTable() string {
 			ttr,
 		})
 	}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	return sb.String()
 }
 
@@ -437,44 +437,8 @@ func (rep *Report) priorityTable() string {
 			fmt.Sprintf("%.2f", p.StolenMs),
 		})
 	}
-	renderTable(&sb, header, rows)
+	obs.WriteTable(&sb, header, rows)
 	return sb.String()
-}
-
-// renderTable writes an aligned plain-text table: header, dashed
-// separator, rows, with column widths fitted to the widest cell.
-func renderTable(sb *strings.Builder, header []string, rows [][]string) {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(sb, "%-*s", widths[i], c)
-		}
-		sb.WriteByte('\n')
-	}
-	line(header)
-	for i, w := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, r := range rows {
-		line(r)
-	}
 }
 
 // report assembles the final Report once the event queue has drained.
