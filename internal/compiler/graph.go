@@ -142,21 +142,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// TotalMACs sums MACs across the graph.
-func (g *Graph) TotalMACs() int64 {
-	var t int64
-	for i := range g.Ops {
-		t += g.Ops[i].MACs()
-	}
-	return t
-}
-
-// TotalHBMTraffic sums weight and activation traffic in bytes.
-func (g *Graph) TotalHBMTraffic() int64 {
-	var t int64
-	for i := range g.Ops {
-		t += g.Ops[i].WeightBytes + g.Ops[i].IOBytes
-	}
-	return t
-}

@@ -115,6 +115,3 @@ func (m *Manager) Live() int {
 	defer m.mu.Unlock()
 	return len(m.vnpus)
 }
-
-// Mapper exposes the underlying mapper for inspection.
-func (m *Manager) Mapper() *Mapper { return m.mapper }

@@ -119,22 +119,6 @@ func (b *Builder) PC() int {
 	return len(b.code)
 }
 
-// Inst appends a fully formed single-op instruction in one call: the
-// operation is routed to its slot kind and the instruction sealed.
-func (b *Builder) Inst(kind SlotKind, op Operation) int {
-	switch kind {
-	case SlotME:
-		b.ME(op)
-	case SlotVE:
-		b.VE(op)
-	case SlotLS:
-		b.LS(op)
-	case SlotMisc:
-		b.Misc(op)
-	}
-	return b.End()
-}
-
 // Code returns the assembled instructions, or the first error encountered.
 func (b *Builder) Code() ([]Instruction, error) {
 	if b.open {

@@ -123,17 +123,6 @@ func NewCore(cfg Config) (*Core, error) {
 	return c, nil
 }
 
-// ResetCounters zeroes the cycle accounting (memories are untouched).
-func (c *Core) ResetCounters() {
-	c.Cycles, c.DMACycle = 0, 0
-	for i := range c.MEBusy {
-		c.MEBusy[i] = 0
-	}
-	for i := range c.VEBusy {
-		c.VEBusy[i] = 0
-	}
-}
-
 // MEUtilization returns the mean busy fraction of the matrix engines.
 func (c *Core) MEUtilization() float64 { return meanBusy(c.MEBusy, c.Cycles) }
 

@@ -117,9 +117,6 @@ func (s *SystolicArray) Pop() ([]float32, error) {
 // Pending reports the number of un-popped output rows.
 func (s *SystolicArray) Pending() int { return len(s.outputs) - s.outHead }
 
-// TileShape returns the latched tile's K and N (0,0 when idle).
-func (s *SystolicArray) TileShape() (k, n int) { return s.k, s.n }
-
 // SavedState is a snapshot of the array for µTOp preemption.
 type SavedState struct {
 	K, N    int
