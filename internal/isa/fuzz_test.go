@@ -5,34 +5,8 @@ import (
 	"testing"
 )
 
-// fuzzAsmSeeds are the assembler sources both fuzz targets start from;
-// testdata/fuzz holds further committed seeds.
-var fuzzAsmSeeds = []string{
-	matmulAsm,
-	`
-.neuisa veslots=2
-.utop me k
-    me.pop %v0 | v.relu %v0, %v0 | v.mov %v1, %v0 | ls.store [%r1+0], %v0
-    uTop.finish
-.group k
-`,
-	`
-.neuisa veslots=1
-.utop ve body
-    s.load %r2, [%r0+100]
-    s.addi %r2, %r2, #1
-    s.store [%r0+100], %r2
-    uTop.finish
-.utop ve check
-    s.movi %r3, #3
-    blt %r3, %r2, @DONE
-    uTop.nextGroup %r0
-DONE:
-    uTop.finish
-.group | body
-.group | check
-`,
-}
+// Both targets start from matmulAsm; testdata/fuzz holds further seeds,
+// among them inputs that crashed or broke the round trip before.
 
 // FuzzDecodeNeuProgram feeds arbitrary bytes to the NeuISA decoder,
 // which reads files from outside the program (neu10-asm -d). Every
@@ -40,13 +14,11 @@ DONE:
 // renders and that re-encodes to exactly the input bytes, so it decodes
 // again.
 func FuzzDecodeNeuProgram(f *testing.F) {
-	for _, src := range fuzzAsmSeeds {
-		p, err := Assemble(src)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(p.Encode())
+	p, err := Assemble(matmulAsm)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(p.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeNeuProgram(data)
 		if err != nil {
@@ -63,9 +35,7 @@ func FuzzDecodeNeuProgram(f *testing.F) {
 // Every source must come back as an error or as a program whose binary
 // survives Encode → DecodeNeuProgram → Encode byte-identically.
 func FuzzAssemble(f *testing.F) {
-	for _, src := range fuzzAsmSeeds {
-		f.Add(src)
-	}
+	f.Add(matmulAsm)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Assemble(src)
 		if err != nil {
