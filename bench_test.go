@@ -173,8 +173,8 @@ func BenchmarkFunctionalNeuISARun(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionalVLIWRun measures the predecoded VLIW interpreter
-// on a lowered 32x96x128 fused MatMul+ReLU using all 4 ME slots.
+// BenchmarkFunctionalVLIWRun measures the VLIW interpreter on a
+// lowered 32x96x128 fused MatMul+ReLU using all 4 ME slots.
 func BenchmarkFunctionalVLIWRun(b *testing.B) {
 	lay := compiler.MatMulLayout{ABase: 0, BBase: 16384, CBase: 65536}
 	prog, err := compiler.LowerMatMulVLIW(32, 96, isa.VectorLanes, 4, true, lay, 4)
@@ -192,21 +192,6 @@ func BenchmarkFunctionalVLIWRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.RunVLIW(prog); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProgramDecode measures the decode-once cost the interpreter
-// amortizes away (it rebuilds the cache from scratch each iteration).
-func BenchmarkProgramDecode(b *testing.B) {
-	prog, err := compiler.LowerMatMul(64, 128, isa.VectorLanes, 4, true, compiler.MatMulLayout{}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dc := isa.DecodeCode(prog.MECode); dc.Len() != len(prog.MECode) {
-			b.Fatal("bad decode")
 		}
 	}
 }

@@ -214,7 +214,8 @@ func NewInstruction(f Format) Instruction {
 	return in
 }
 
-// Validate checks every slot holds a legal opcode for its kind.
+// Validate checks every slot holds a legal opcode for its kind and names
+// only registers that exist.
 func (in *Instruction) Validate(f Format) error {
 	if len(in.ME) != f.MESlots || len(in.VE) != f.VESlots {
 		return fmt.Errorf("isa: instruction has %d ME / %d VE slots, format wants %d/%d",
@@ -237,6 +238,15 @@ func (in *Instruction) Validate(f Format) error {
 	}
 	if !in.Misc.Op.Legal(SlotMisc) {
 		return fmt.Errorf("isa: misc slot holds illegal opcode %s", in.Misc.Op)
+	}
+	// Binaries carry register fields as raw bytes, so one can name a
+	// register past the end of either file (both hold 32).
+	for _, ops := range [][]Operation{in.ME, in.VE, in.LS[:], {in.Misc}} {
+		for _, op := range ops {
+			if max(op.Dst, op.A, op.B) >= NumScalarRegs {
+				return fmt.Errorf("isa: %s names a register beyond %%r%d", op, NumScalarRegs-1)
+			}
+		}
 	}
 	return nil
 }

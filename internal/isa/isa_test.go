@@ -75,6 +75,14 @@ func TestInstructionValidate(t *testing.T) {
 	if err := in.Validate(f); err == nil {
 		t.Fatal("VE op in ME slot not rejected")
 	}
+	in.ME[0] = MEPop(NumVectorRegs - 1)
+	if err := in.Validate(f); err != nil {
+		t.Fatalf("last vector register rejected: %v", err)
+	}
+	in.ME[0] = MEPop(NumVectorRegs)
+	if err := in.Validate(f); err == nil {
+		t.Fatal("register past the file not rejected")
+	}
 }
 
 func TestBuilderSlotOverflow(t *testing.T) {

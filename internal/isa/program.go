@@ -9,9 +9,6 @@ import "fmt"
 type Program struct {
 	Format Format
 	Code   []Instruction
-
-	// decoded is the lazily built decode-once cache (see decoded.go).
-	decoded decodedCache
 }
 
 // Validate checks the whole program.
@@ -95,9 +92,6 @@ type NeuProgram struct {
 	VECode  []Instruction // pool for VE µTOps, Format{0, VESlots}
 	UTops   []UTop
 	Groups  []Group
-
-	// decoded is the lazily built decode-once cache (see decoded.go).
-	decoded decodedCache
 }
 
 // MEFormat returns the instruction format of ME µTOp snippets.

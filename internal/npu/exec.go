@@ -45,11 +45,8 @@ type RunStats struct {
 	Cycles       uint64
 }
 
-// step executes one instruction from its slot-structured form and
-// returns the pc delta (normally +1, branch target offset otherwise).
-// It is the reference interpreter: the decoded fast path below
-// (stepDecoded) must stay observationally identical to it, and the
-// golden tests in decoded_test.go enforce that.
+// step executes one instruction and returns the pc delta (normally +1,
+// branch target offset otherwise).
 func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int, error) {
 	delta := 1
 	var maxCost uint64 = 1
@@ -89,6 +86,9 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 		case isa.OpMELoadW:
 			rows, cols := int(op.Imm>>16), int(op.Imm&0xffff)
 			base := int(rf.s[op.A])
+			if rows < 0 {
+				return 0, fault("negative weight-tile row count")
+			}
 			if base < 0 || base+rows*cols > len(c.SRAM) {
 				return 0, fault(fmt.Sprintf("weight load [%d,+%d) out of range", base, rows*cols))
 			}
@@ -98,6 +98,9 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			cost = uint64(rows * c.Cfg.LoadWPerRow)
 		case isa.OpMEPush:
 			base, n := int(rf.s[op.A]), int(op.Imm)
+			if n < 0 {
+				return 0, fault("negative push length")
+			}
 			if base < 0 || base+n > len(c.SRAM) {
 				return 0, fault(fmt.Sprintf("push row [%d,+%d) out of range", base, n))
 			}
@@ -273,11 +276,34 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 	return delta, nil
 }
 
+// scratchRF returns the core's reusable register file, zeroed — the
+// architectural start state of every program and µTOp.
+func (c *Core) scratchRF() *regFile {
+	if c.execRF == nil {
+		c.execRF = &regFile{}
+	} else {
+		*c.execRF = regFile{}
+	}
+	return c.execRF
+}
+
+// scratchMEs returns the identity ME binding [0..n) for RunVLIW without
+// reallocating it per run.
+func (c *Core) scratchMEs(n int) []int {
+	if cap(c.execMEs) < n {
+		c.execMEs = make([]int, n)
+	}
+	c.execMEs = c.execMEs[:n]
+	for i := range c.execMEs {
+		c.execMEs[i] = i
+	}
+	return c.execMEs
+}
+
 // RunVLIW executes a traditional VLIW program to its halt. ME slot i
 // drives physical ME i; the program therefore requires at least
 // Format.MESlots physical MEs — the static coupling the paper's Fig. 9
-// illustrates. It returns run statistics. Execution runs over the
-// program's cached decode-once representation.
+// illustrates. It returns run statistics.
 func (c *Core) RunVLIW(p *isa.Program) (RunStats, error) {
 	var st RunStats
 	if err := p.Validate(); err != nil {
@@ -289,14 +315,13 @@ func (c *Core) RunVLIW(p *isa.Program) (RunStats, error) {
 	mes := c.scratchMEs(p.Format.MESlots)
 	rf := c.scratchRF()
 	env := &execEnv{mes: mes, nextGroup: -1}
-	dc := p.Decoded()
 	start := c.Cycles
 	pc := 0
 	for !env.halted {
-		if pc < 0 || pc >= dc.Len() {
+		if pc < 0 || pc >= len(p.Code) {
 			return st, &Fault{PC: pc, Reason: "pc out of range"}
 		}
-		d, err := c.stepDecoded(dc.At(pc), rf, env, pc)
+		d, err := c.step(&p.Code[pc], rf, env, pc)
 		if err != nil {
 			return st, err
 		}
@@ -341,24 +366,35 @@ func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (NeuRunStats, error) {
 	group := 0
 	for group >= 0 && group < len(p.Groups) {
 		st.GroupsRun++
-		utops := p.DecodedGroupUTops(group)
+		g := &p.Groups[group]
 		next := -1
 		nextSet := false
-		for idx, ui := range utops {
+		// Walk the ME entries, then the VE entry (e == len(g.ME)); idx
+		// numbers only the populated ones, as uTop.index reports them.
+		idx := 0
+		for e := 0; e <= len(g.ME); e++ {
+			ui := g.VE
+			if e < len(g.ME) {
+				ui = g.ME[e]
+			}
+			if ui == isa.NullUTop {
+				continue
+			}
 			u := p.UTops[ui]
-			dc := p.DecodedFor(u.Kind)
+			code, _ := p.CodeFor(u.Kind)
 			rf := c.scratchRF()
 			env := &execEnv{group: group, index: idx, nextGroup: -1}
 			if u.Kind == isa.MEUTop {
 				c.execOne[0] = mes[idx%len(mes)]
 				env.mes = c.execOne[:1]
 			}
+			idx++
 			pc := u.Start
 			for !env.finished {
-				if pc < 0 || pc >= dc.Len() {
+				if pc < 0 || pc >= len(code) {
 					return st, &Fault{PC: pc, Reason: "pc out of snippet range"}
 				}
-				d, err := c.stepDecoded(dc.At(pc), rf, env, pc)
+				d, err := c.step(&code[pc], rf, env, pc)
 				if err != nil {
 					return st, err
 				}

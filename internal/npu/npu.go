@@ -96,9 +96,9 @@ type Core struct {
 	VEBusy   []uint64
 	DMACycle uint64
 
-	// Interpreter scratch state (see exec_decoded.go): the register
-	// file and ME-binding slice are reused across runs and µTOps so the
-	// execution loop performs no per-µTOp allocation.
+	// Interpreter scratch state: the register file and ME-binding
+	// slice are reused across runs and µTOps so the execution loop
+	// performs no per-µTOp allocation.
 	execRF  *regFile
 	execMEs []int
 	execOne [1]int

@@ -315,6 +315,31 @@ func TestNeuNextGroupLoop(t *testing.T) {
 	}
 }
 
+// TestNeuGroupIndexSkipsNullEntries checks the order RunNeu runs a group
+// in: its ME entries, then its VE entry, with uTop.index numbering only
+// the populated ones. Each µTOp stores index+1 at word 100+index.
+func TestNeuGroupIndexSkipsNullEntries(t *testing.T) {
+	const body = "    uTop.index %r2\n    s.addi %r3, %r2, #1\n    s.store [%r2+100], %r3\n    uTop.finish\n"
+	p, err := isa.Assemble(".neuisa veslots=1\n.utop me a\n" + body + ".utop me b\n" + body +
+		".utop ve v\n" + body + ".group a b | v\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &p.Groups[0]
+	g.ME = []int{g.ME[0], isa.NullUTop, g.ME[1]}
+	c := newTestCore(t)
+	st, err := c.RunNeu(p, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.UTopsRun != 3 {
+		t.Fatalf("ran %d µTOps, want 3", st.UTopsRun)
+	}
+	if got := c.SRAM[100:104]; got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 0 {
+		t.Fatalf("words 100..103 = %v, want [1 2 3 0]", got)
+	}
+}
+
 func TestNeuConflictingNextGroupErrors(t *testing.T) {
 	b := isa.NewBuilder(isa.Format{MESlots: 0, VESlots: 1})
 	s0 := b.PC()
@@ -485,6 +510,36 @@ func TestFaultOnOutOfRangeAccess(t *testing.T) {
 	var f *Fault
 	if !errorsAs(err, &f) {
 		t.Fatalf("error %T is not a Fault: %v", err, err)
+	}
+}
+
+// TestMalformedProgramReturnsError runs programs that would index past a
+// register file or slice SRAM with a negative length. Binaries carry
+// register fields as raw bytes, and the assembler accepts the negative
+// lengths, so a guest can submit any of them; each must come back as an
+// error.
+func TestMalformedProgramReturnsError(t *testing.T) {
+	c := newTestCore(t)
+	f := isa.Format{MESlots: 1, VESlots: 1}
+	for _, tc := range []struct {
+		name string
+		set  func(in *isa.Instruction)
+	}{
+		{"misc register 40", func(in *isa.Instruction) { in.Misc = isa.SMovI(40, 1) }},
+		{"VE register 40", func(in *isa.Instruction) { in.VE[0] = isa.V2(isa.OpVAdd, 40, 0, 0) }},
+		{"LS register 40", func(in *isa.Instruction) { in.LS[0] = isa.VLoad(0, 40, 0) }},
+		{"negative push length", func(in *isa.Instruction) { in.ME[0] = isa.MEPush(1, -4) }},
+		{"negative weight-tile rows", func(in *isa.Instruction) { in.ME[0] = isa.MELoadW(1, -1, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, halt := isa.NewInstruction(f), isa.NewInstruction(f)
+			tc.set(&in)
+			halt.Misc = isa.Halt()
+			p := &isa.Program{Format: f, Code: []isa.Instruction{in, halt}}
+			if _, err := c.RunVLIW(p); err == nil {
+				t.Fatal("malformed program ran without error")
+			}
+		})
 	}
 }
 

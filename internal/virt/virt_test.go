@@ -313,6 +313,95 @@ func TestBadProgramFaultsDevice(t *testing.T) {
 	}
 }
 
+// TestBadGuestProgramIsolated has guest A launch a binary that names
+// register %r40 (VLIW) or pushes a negative-length row (NeuISA): A's VF
+// must fault, and guest B on the same hypervisor must still run a VLIW
+// program (DMA in, one vector op, DMA out) to the exact result.
+func TestBadGuestProgramIsolated(t *testing.T) {
+	f := isa.Format{MESlots: 1, VESlots: 1}
+	badReg := isa.NewInstruction(f)
+	badReg.Misc = isa.SMovI(40, 1)
+	halt := isa.NewInstruction(f)
+	halt.Misc = isa.Halt()
+	badVLIW := &isa.Program{Format: f, Code: []isa.Instruction{badReg, halt}}
+	badNeu, err := isa.Assemble(".neuisa veslots=1\n.utop me bad\n    me.push [%r1], -4\n    uTop.finish\n.group bad\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = isa.VectorLanes
+	const sIn, sOut, hIn, hOut = 256, 512, 0, 1024
+	b := isa.NewBuilder(isa.Format{VESlots: 1})
+	b.Misc(isa.SMovI(1, sIn)).End()
+	b.Misc(isa.SMovI(4, hIn)).End()
+	b.Misc(isa.DMALoad(1, 4, n)).End()
+	b.LS(isa.VLoad(1, 1, 0)).End()
+	b.VE(isa.Operation{Op: isa.OpVAddS, Dst: 2, A: 1, Imm: 3}).End()
+	b.LS(isa.VStore(1, 2, sOut-sIn)).End()
+	b.Misc(isa.SMovI(2, hOut)).End()
+	b.Misc(isa.SMovI(3, sOut)).End()
+	b.Misc(isa.DMAStore(2, 3, n)).End()
+	b.Misc(isa.Halt()).End()
+	code, err := b.Code()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := &isa.Program{Format: isa.Format{VESlots: 1}, Code: code}
+
+	for _, bad := range []struct {
+		name   string
+		launch func(*Driver) error
+	}{
+		{"VLIW register 40", func(d *Driver) error { return d.LaunchVLIW(badVLIW) }},
+		{"NeuISA negative push", func(d *Driver) error { return d.Launch(badNeu) }},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			hv := testHV(t)
+			vmA, vmB := NewGuestVM("a", 1<<16), NewGuestVM("b", 1<<16)
+			drvA, err := Attach(hv, vmA, smallVNPU(), core.SpatialIsolated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drvB, err := Attach(hv, vmB, smallVNPU(), core.SpatialIsolated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bad.launch(drvA); err != nil {
+				t.Fatal(err)
+			}
+			drvA.RingDoorbell()
+			if drvA.Status() != StatusError {
+				t.Fatalf("guest A status %d, want StatusError", drvA.Status())
+			}
+
+			if err := drvB.MapDMA(0, PageWords); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				vmB.Mem[i] = float32(i) - 50
+			}
+			for _, err := range []error{
+				drvB.MemcpyH2D(hIn, 0, n),
+				drvB.LaunchVLIW(good),
+				drvB.MemcpyD2H(PageWords/2, hOut, n),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			drvB.RingDoorbell()
+			if drvB.Status() != StatusIdle {
+				t.Fatalf("guest B status %d, want StatusIdle", drvB.Status())
+			}
+			for i := 0; i < n; i++ {
+				if got, want := vmB.Mem[PageWords/2+i], float32(i)-47; got != want {
+					t.Fatalf("guest B word %d = %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestTemporalSharedAttach(t *testing.T) {
 	hv := testHV(t)
 	// Four 2+2 vNPUs on two 4+4 cores via temporal sharing.
