@@ -138,40 +138,44 @@ func coreDigest(c *Core) string {
 // and 4 MEs. The kernel has one group of two ME µTOps, so 2 and 4 MEs
 // bind them identically.
 func TestInterpreterGolden(t *testing.T) {
-	c := newGoldenCore(t)
-	st, err := c.RunVLIW(vliwGoldenProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (RunStats{Instructions: 33, Cycles: 53}); st != want {
-		t.Errorf("vliw: stats %+v, want %+v", st, want)
-	}
-	if got, want := coreDigest(c), "888cd0e5ec6742ca329bbdd223a3e45d191a4707057eb26cf7227a8f1111e4ff"; got != want {
-		t.Errorf("vliw: core digest %s, want %s", got, want)
-	}
-
-	p := buildExecNeuProgram(t)
-	wantNeu := NeuRunStats{RunStats: RunStats{Instructions: 136, Cycles: 374}, UTopsRun: 2, GroupsRun: 1}
-	for _, tc := range []struct {
-		mes    []int
-		digest string
-	}{
-		{[]int{0}, "1ad009c94431a63fdc512377c307818f674d7aee27daacf4b0f256b8bdf9ab3c"},
-		{[]int{0, 1}, "36de9abc8ea334878d6f3f4b814404fe34da223ad47862b4fb81e66f371ccab5"},
-		{[]int{0, 1, 2, 3}, "36de9abc8ea334878d6f3f4b814404fe34da223ad47862b4fb81e66f371ccab5"},
-	} {
+	t.Run("vliw", func(t *testing.T) {
 		c := newGoldenCore(t)
-		st, err := c.RunNeu(p, tc.mes)
+		st, err := c.RunVLIW(vliwGoldenProgram(t))
 		if err != nil {
-			t.Fatalf("mes=%v: %v", tc.mes, err)
+			t.Fatal(err)
 		}
-		if st != wantNeu {
-			t.Errorf("mes=%v: stats %+v, want %+v", tc.mes, st, wantNeu)
+		if want := (RunStats{Instructions: 33, Cycles: 53}); st != want {
+			t.Errorf("stats %+v, want %+v", st, want)
 		}
-		if got := coreDigest(c); got != tc.digest {
-			t.Errorf("mes=%v: core digest %s, want %s", tc.mes, got, tc.digest)
+		if got, want := coreDigest(c), "888cd0e5ec6742ca329bbdd223a3e45d191a4707057eb26cf7227a8f1111e4ff"; got != want {
+			t.Errorf("core digest %s, want %s", got, want)
 		}
-	}
+	})
+
+	t.Run("neu", func(t *testing.T) {
+		p := buildExecNeuProgram(t)
+		want := NeuRunStats{RunStats: RunStats{Instructions: 136, Cycles: 374}, UTopsRun: 2, GroupsRun: 1}
+		for _, tc := range []struct {
+			mes    []int
+			digest string
+		}{
+			{[]int{0}, "1ad009c94431a63fdc512377c307818f674d7aee27daacf4b0f256b8bdf9ab3c"},
+			{[]int{0, 1}, "36de9abc8ea334878d6f3f4b814404fe34da223ad47862b4fb81e66f371ccab5"},
+			{[]int{0, 1, 2, 3}, "36de9abc8ea334878d6f3f4b814404fe34da223ad47862b4fb81e66f371ccab5"},
+		} {
+			c := newGoldenCore(t)
+			st, err := c.RunNeu(p, tc.mes)
+			if err != nil {
+				t.Fatalf("mes=%v: %v", tc.mes, err)
+			}
+			if st != want {
+				t.Errorf("mes=%v: stats %+v, want %+v", tc.mes, st, want)
+			}
+			if got := coreDigest(c); got != tc.digest {
+				t.Errorf("mes=%v: core digest %s, want %s", tc.mes, got, tc.digest)
+			}
+		}
+	})
 }
 
 // TestInterpreterAllocBudget is the allocation budget for the
