@@ -83,14 +83,6 @@ func (c CoreConfig) CyclesToSeconds(cycles uint64) float64 {
 	return float64(cycles) / c.FrequencyHz
 }
 
-// SecondsToCycles converts seconds to cycles (rounded down).
-func (c CoreConfig) SecondsToCycles(s float64) uint64 {
-	if s <= 0 {
-		return 0
-	}
-	return uint64(s * c.FrequencyHz)
-}
-
 // WithEUs returns a copy with the given engine counts — used by the
 // Fig. 25 scaling sweep (2ME-2VE … 8ME-8VE).
 func (c CoreConfig) WithEUs(mes, ves int) CoreConfig {

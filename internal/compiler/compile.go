@@ -114,9 +114,6 @@ func New(core arch.CoreConfig) (*Compiler, error) {
 	return &Compiler{cm: NewCostModel(core), core: core}, nil
 }
 
-// CostModel exposes the compiler's cost model (the allocator reuses it).
-func (c *Compiler) CostModel() *CostModel { return c.cm }
-
 // Compile lowers a graph. For ISANeu, each MatMul is partitioned into up
 // to core.MEs ME µTOps along its independent output tiles; when the
 // output is too small to split, the reduction dimension is split instead

@@ -108,7 +108,7 @@ func TestCompileNeuOutputParallelMatMul(t *testing.T) {
 		t.Fatal("output-parallel matmul marked reduction-split")
 	}
 	// Cycle conservation.
-	cost := c.CostModel().Cost(&g.Ops[0])
+	cost := NewCostModel(testCore()).Cost(&g.Ops[0])
 	if op.TotalME() != cost.MECycles {
 		t.Fatalf("ME cycles not conserved: %d vs %d", op.TotalME(), cost.MECycles)
 	}

@@ -30,22 +30,6 @@ func TestVNPUConfigValidate(t *testing.T) {
 	}
 }
 
-func TestPresets(t *testing.T) {
-	tpu := arch.TPUv4Like()
-	small, med, large := PresetSmall(tpu), PresetMedium(tpu), PresetLarge(tpu)
-	for _, p := range []VNPUConfig{small, med, large} {
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !(small.TotalEUs() < med.TotalEUs() && med.TotalEUs() < large.TotalEUs()) {
-		t.Fatalf("preset sizes not ordered: %d %d %d", small.TotalEUs(), med.TotalEUs(), large.TotalEUs())
-	}
-	if large.NumMEsPerCore != tpu.MEs || large.NumVEsPerCore != tpu.VEs {
-		t.Fatal("large preset is not the whole core")
-	}
-}
-
 // TestEq1KnownValues pins Eq. 1 against hand-computed values.
 func TestEq1KnownValues(t *testing.T) {
 	// m=1, v=0.5: ME-only 0.5, VE-only 0, concurrent 0.5.

@@ -4,11 +4,7 @@
 // vNPU-to-pNPU mapper (§III-C) with segment-based memory isolation.
 package core
 
-import (
-	"fmt"
-
-	"neu10/internal/arch"
-)
+import "fmt"
 
 // VNPUConfig mirrors the paper's Fig. 10 struct vNPU_Config: the
 // user-visible shape of a virtual NPU, following the hierarchy of a
@@ -45,37 +41,6 @@ func (c VNPUConfig) Validate() error {
 // TotalEUs returns execution units per core — the pay-as-you-go cost unit
 // users actually reason about (§III-B).
 func (c VNPUConfig) TotalEUs() int { return c.NumMEsPerCore + c.NumVEsPerCore }
-
-// Preset vNPU sizes cloud providers would list (paper §III-A mentions
-// small/medium/large defaults).
-func PresetSmall(core arch.CoreConfig) VNPUConfig {
-	return preset(core, 1, 1)
-}
-func PresetMedium(core arch.CoreConfig) VNPUConfig {
-	return preset(core, core.MEs/2, core.VEs/2)
-}
-func PresetLarge(core arch.CoreConfig) VNPUConfig {
-	return preset(core, core.MEs, core.VEs)
-}
-
-func preset(core arch.CoreConfig, mes, ves int) VNPUConfig {
-	if mes < 1 {
-		mes = 1
-	}
-	if ves < 1 {
-		ves = 1
-	}
-	frac := int64(mes+ves) * 2
-	total := int64(core.MEs + core.VEs)
-	return VNPUConfig{
-		NumChips:        1,
-		NumCoresPerChip: 1,
-		NumMEsPerCore:   mes,
-		NumVEsPerCore:   ves,
-		SRAMSizePerCore: core.SRAMBytes * frac / (2 * total),
-		MemSizePerCore:  core.HBMBytes * frac / (2 * total),
-	}
-}
 
 // State tracks a vNPU through its lifecycle (§III-A).
 type State int

@@ -327,18 +327,6 @@ func TestOperationEncodingRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestGroupUTops(t *testing.T) {
-	p := buildTestNeuProgram(t)
-	g0 := p.GroupUTops(0)
-	if len(g0) != 2 || g0[0] != 0 || g0[1] != 1 {
-		t.Fatalf("group 0 µTOps = %v", g0)
-	}
-	g1 := p.GroupUTops(1)
-	if len(g1) != 1 || g1[0] != 2 {
-		t.Fatalf("group 1 µTOps = %v", g1)
-	}
-}
-
 func TestStatsCountsSharing(t *testing.T) {
 	p := buildTestNeuProgram(t)
 	s := p.Stats()

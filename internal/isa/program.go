@@ -191,21 +191,6 @@ func (p *NeuProgram) Validate() error {
 	return nil
 }
 
-// GroupUTops returns the µTOp indices populated in group g, ME entries
-// first, then the VE entry.
-func (p *NeuProgram) GroupUTops(g int) []int {
-	var out []int
-	for _, ui := range p.Groups[g].ME {
-		if ui != NullUTop {
-			out = append(out, ui)
-		}
-	}
-	if p.Groups[g].VE != NullUTop {
-		out = append(out, p.Groups[g].VE)
-	}
-	return out
-}
-
 // Stats summarizes a NeuISA program.
 type Stats struct {
 	Groups       int

@@ -1,11 +1,9 @@
 // Package metrics provides the measurement utilities the evaluation
-// harness uses: latency recorders with exact percentiles, time-weighted
-// utilization accumulators, and time-series samplers for the paper's
-// timeline figures.
+// harness uses: latency recorders with exact percentiles and
+// time-series samplers for the paper's timeline figures.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -95,46 +93,6 @@ func (l *Latencies) Reset() {
 
 // Max returns the largest sample.
 func (l *Latencies) Max() float64 { return l.Percentile(100) }
-
-// Utilization accumulates busy capacity-time for a pool of engines and
-// reports the busy fraction of total capacity.
-type Utilization struct {
-	capacity float64 // engines in the pool
-	busyArea float64 // ∫ busy(t) dt
-	start    float64
-	last     float64
-}
-
-// NewUtilization creates an accumulator for `capacity` engines starting
-// at time start.
-func NewUtilization(capacity float64, start float64) *Utilization {
-	return &Utilization{capacity: capacity, start: start, last: start}
-}
-
-// Accumulate adds busy·(now−last) engine-cycles, where busy is the
-// number of engines that were busy over the elapsed interval.
-func (u *Utilization) Accumulate(now, busy float64) {
-	if now < u.last {
-		panic(fmt.Sprintf("metrics: time went backwards: %v < %v", now, u.last))
-	}
-	if busy < 0 {
-		busy = 0
-	}
-	if busy > u.capacity {
-		busy = u.capacity
-	}
-	u.busyArea += busy * (now - u.last)
-	u.last = now
-}
-
-// Value returns the busy fraction in [0,1] over the observed window.
-func (u *Utilization) Value() float64 {
-	dur := (u.last - u.start) * u.capacity
-	if dur <= 0 {
-		return 0
-	}
-	return u.busyArea / dur
-}
 
 // TimeSeries collects (t, value) samples for the paper's timeline plots
 // (Figs. 2, 5, 7, 24) and the observability timelines (internal/obs),

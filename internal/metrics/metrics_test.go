@@ -105,38 +105,6 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-func TestUtilizationAccumulator(t *testing.T) {
-	u := NewUtilization(4, 0)
-	u.Accumulate(10, 4) // fully busy 10 cycles
-	u.Accumulate(20, 0) // idle 10 cycles
-	if got := u.Value(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("utilization %v, want 0.5", got)
-	}
-}
-
-func TestUtilizationClampsBusy(t *testing.T) {
-	u := NewUtilization(2, 0)
-	u.Accumulate(10, 5) // over capacity clamps to 2
-	if got := u.Value(); got != 1 {
-		t.Fatalf("clamped utilization %v, want 1", got)
-	}
-	u2 := NewUtilization(2, 0)
-	u2.Accumulate(10, -3)
-	if got := u2.Value(); got != 0 {
-		t.Fatalf("negative busy gave %v", got)
-	}
-}
-
-func TestUtilizationTimeBackwardsPanics(t *testing.T) {
-	u := NewUtilization(1, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("time reversal did not panic")
-		}
-	}()
-	u.Accumulate(3, 1)
-}
-
 func TestTimeSeriesDownsampling(t *testing.T) {
 	ts := NewTimeSeries("x", 64)
 	for i := 0; i < 1000; i++ {

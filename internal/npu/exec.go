@@ -95,7 +95,7 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			if err := me.LoadWeights(c.SRAM[base:base+rows*cols], rows, cols); err != nil {
 				return 0, fault(err.Error())
 			}
-			cost = uint64(rows * c.Cfg.LoadWPerRow)
+			cost = uint64(rows * loadWPerRow)
 		case isa.OpMEPush:
 			base, n := int(rf.s[op.A]), int(op.Imm)
 			if n < 0 {
@@ -107,7 +107,7 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			if err := me.Push(c.SRAM[base : base+n]); err != nil {
 				return 0, fault(err.Error())
 			}
-			cost = uint64(c.Cfg.PushCycles)
+			cost = pushCycles
 		case isa.OpMEPop, isa.OpMEPopA:
 			row, err := me.Pop()
 			if err != nil {
@@ -124,7 +124,7 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 					dst[i] += v
 				}
 			}
-			cost = uint64(c.Cfg.PopCycles)
+			cost = popCycles
 		}
 		c.MEBusy[env.mes[slot]] += cost
 		if cost > maxCost {
@@ -191,7 +191,7 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			}
 			rf.setS(op.Dst, int32(sum))
 		}
-		cost := uint64(c.Cfg.VEOpCycles)
+		cost := uint64(veOpCycles)
 		c.VEBusy[slot%len(c.VEBusy)] += cost
 		if cost > maxCost {
 			maxCost = cost
@@ -257,7 +257,7 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			}
 			copy(c.HBM[dst:dst+n], c.SRAM[src:src+n])
 		}
-		cost := uint64(n/c.Cfg.DMAWordsPerC) + 1
+		cost := uint64(n/dmaWordsPerC) + 1
 		c.DMACycle += cost
 		if cost > maxCost {
 			maxCost = cost

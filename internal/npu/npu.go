@@ -8,7 +8,7 @@
 // instruction, and is validated against the reference operators in
 // internal/tensor. It also keeps simple per-engine cycle counters, which
 // is enough to demonstrate, e.g., the VE idleness of Fig. 6; the
-// *performance* experiments use internal/perfsim instead.
+// *performance* experiments use the fluid simulator in internal/sched.
 package npu
 
 import (
@@ -19,34 +19,32 @@ import (
 
 // Config describes one NPU core. Defaults follow the paper's Table II.
 type Config struct {
-	MEs          int // matrix engines
-	VEs          int // vector engines
-	SystolicDim  int // ME is SystolicDim × SystolicDim (128 in TPUv4)
-	VELanes      int // lanes per VE operation (128)
-	SRAMWords    int // on-chip SRAM size in float32 words
-	HBMWords     int // off-chip HBM size in float32 words (per core slice)
-	PopCycles    int // cycles per me.pop (8 in the paper's Fig. 6)
-	VEOpCycles   int // cycles per VE operation (1)
-	PushCycles   int // cycles per me.push
-	LoadWPerRow  int // cycles per weight row latched
-	DMAWordsPerC int // DMA throughput, words per cycle
+	MEs       int // matrix engines
+	VEs       int // vector engines
+	SRAMWords int // on-chip SRAM size in float32 words
+	HBMWords  int // off-chip HBM size in float32 words (per core slice)
 }
 
-// DefaultConfig returns a functional-test-sized core: real systolic and
-// lane dimensions, but modest memories so tests stay fast.
+// Engine geometry and per-operation costs, the same on every core.
+const (
+	// systolicDim is the ME array's side (128 in TPUv4). It equals the
+	// vector width so a popped output row always fits one vector register.
+	systolicDim  = isa.VectorLanes
+	popCycles    = 8  // cycles per me.pop (the paper's Fig. 6)
+	veOpCycles   = 1  // cycles per VE operation
+	pushCycles   = 1  // cycles per me.push
+	loadWPerRow  = 1  // cycles per weight row latched
+	dmaWordsPerC = 64 // DMA throughput, words per cycle
+)
+
+// DefaultConfig returns a functional-test-sized core: four MEs and four
+// VEs, with memories modest enough that tests stay fast.
 func DefaultConfig() Config {
 	return Config{
-		MEs:          4,
-		VEs:          4,
-		SystolicDim:  128,
-		VELanes:      isa.VectorLanes,
-		SRAMWords:    1 << 22, // 16 MB of floats
-		HBMWords:     1 << 24, // 64 MB of floats
-		PopCycles:    8,
-		VEOpCycles:   1,
-		PushCycles:   1,
-		LoadWPerRow:  1,
-		DMAWordsPerC: 64,
+		MEs:       4,
+		VEs:       4,
+		SRAMWords: 1 << 22, // 16 MB of floats
+		HBMWords:  1 << 24, // 64 MB of floats
 	}
 }
 
@@ -57,10 +55,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("npu: MEs %d out of range", c.MEs)
 	case c.VEs < 1 || c.VEs > 16:
 		return fmt.Errorf("npu: VEs %d out of range", c.VEs)
-	case c.SystolicDim < 1 || c.SystolicDim > 1024:
-		return fmt.Errorf("npu: systolic dim %d out of range", c.SystolicDim)
-	case c.VELanes != isa.VectorLanes:
-		return fmt.Errorf("npu: VE lanes %d must equal ISA vector lanes %d", c.VELanes, isa.VectorLanes)
 	case c.SRAMWords < 1024:
 		return fmt.Errorf("npu: SRAM %d words too small", c.SRAMWords)
 	case c.HBMWords < 1024:
@@ -118,7 +112,7 @@ func NewCore(cfg Config) (*Core, error) {
 		VEBusy: make([]uint64, cfg.VEs),
 	}
 	for i := range c.MEs {
-		c.MEs[i] = NewSystolicArray(cfg.SystolicDim)
+		c.MEs[i] = NewSystolicArray(systolicDim)
 	}
 	return c, nil
 }

@@ -30,11 +30,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("0-ME config validated")
 	}
-	bad = good
-	bad.VELanes = 64
-	if err := bad.Validate(); err == nil {
-		t.Fatal("mismatched lane config validated")
-	}
 }
 
 func TestSystolicArrayMatchesReference(t *testing.T) {
@@ -93,32 +88,6 @@ func TestSystolicArrayErrors(t *testing.T) {
 	}
 	if err := s.Push(make([]float32, 3)); err == nil {
 		t.Fatal("wrong-length row accepted")
-	}
-}
-
-func TestSystolicSaveRestore(t *testing.T) {
-	s := NewSystolicArray(128)
-	w := []float32{1, 2, 3, 4}
-	if err := s.LoadWeights(w, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push([]float32{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Save()
-	if s.Pending() != 0 {
-		t.Fatal("save did not clear array")
-	}
-	if err := s.Push([]float32{1, 1}); err == nil {
-		t.Fatal("push after save/clear accepted")
-	}
-	s.Restore(st)
-	row, err := s.Pop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0] != 4 || row[1] != 6 {
-		t.Fatalf("restored output %v, want [4 6]", row)
 	}
 }
 
@@ -540,6 +509,36 @@ func TestMalformedProgramReturnsError(t *testing.T) {
 				t.Fatal("malformed program ran without error")
 			}
 		})
+	}
+}
+
+// pushFloodAsm latches a weight tile and then pushes rows forever
+// without popping one.
+const pushFloodAsm = `.neuisa veslots=1
+.utop me flood
+    me.loadw [%r0], 8, 8
+L:
+    me.push [%r0], 8
+    beq %r0, %r0, @L
+    uTop.finish
+.group flood
+`
+
+// TestPushWithoutPopFaults runs a guest loop that pushes rows and never
+// pops them. The bounded output FIFO must fault it after maxPendingRows
+// pushes, not let it run to the instruction cap holding every row.
+func TestPushWithoutPopFaults(t *testing.T) {
+	p, err := isa.Assemble(pushFloodAsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newTestCore(t).RunNeu(p, []int{0})
+	var f *Fault
+	if !errorsAs(err, &f) || !strings.Contains(f.Reason, "FIFO full") {
+		t.Fatalf("push flood ended with %v, want an output-FIFO-full fault", err)
+	}
+	if st.Instructions > 2*maxPendingRows+2 {
+		t.Fatalf("push flood ran %d instructions, want at most %d", st.Instructions, 2*maxPendingRows+2)
 	}
 }
 

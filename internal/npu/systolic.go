@@ -24,11 +24,14 @@ type SystolicArray struct {
 	// as long as the caller holds it while Push itself stays off the
 	// allocator on all but the chunk-boundary iterations.
 	arena []float32
-
-	// Preemption bookkeeping: µTOp context switches save/restore the
-	// latched weights and in-flight outputs (the paper charges 256 cycles
-	// for this: 128 to pop partial sums + 128 to pop weights).
 }
+
+// maxPendingRows bounds the output FIFO. Every compiled µTOp pops each
+// row within a few pushes, so only a program that pushes without popping
+// reaches it; unbounded, such a program grows the arena by 512 bytes per
+// push until the interpreter's instruction cap, over 10 GB. 4096 rows of
+// 128 lanes hold 2 MiB per ME.
+const maxPendingRows = 1 << 12
 
 // NewSystolicArray builds an idle array.
 func NewSystolicArray(dim int) *SystolicArray { return &SystolicArray{Dim: dim} }
@@ -58,6 +61,9 @@ func (s *SystolicArray) Push(x []float32) error {
 	}
 	if len(x) != s.k {
 		return fmt.Errorf("npu: pushed row length %d, tile K=%d", len(x), s.k)
+	}
+	if s.Pending() >= maxPendingRows {
+		return fmt.Errorf("npu: output FIFO full (%d rows pending)", maxPendingRows)
 	}
 	y := s.allocRow(s.n)
 	for j := range y {
@@ -116,22 +122,3 @@ func (s *SystolicArray) Pop() ([]float32, error) {
 
 // Pending reports the number of un-popped output rows.
 func (s *SystolicArray) Pending() int { return len(s.outputs) - s.outHead }
-
-// SavedState is a snapshot of the array for µTOp preemption.
-type SavedState struct {
-	K, N    int
-	Weights []float32
-	Outputs [][]float32
-}
-
-// Save snapshots the array state (for a context switch) and clears it.
-func (s *SystolicArray) Save() SavedState {
-	st := SavedState{K: s.k, N: s.n, Weights: s.weights, Outputs: s.outputs[s.outHead:]}
-	s.k, s.n, s.weights, s.outputs, s.outHead = 0, 0, nil, nil, 0
-	return st
-}
-
-// Restore reinstates a saved snapshot.
-func (s *SystolicArray) Restore(st SavedState) {
-	s.k, s.n, s.weights, s.outputs, s.outHead = st.K, st.N, st.Weights, st.Outputs, 0
-}

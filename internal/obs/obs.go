@@ -17,7 +17,7 @@
 //
 // Two export surfaces:
 //
-//   - WriteChrome/WriteChromeAll emit Chrome trace-event JSON (the
+//   - WriteChromeAll emits Chrome trace-event JSON (the
 //     "JSON Array Format" with a traceEvents envelope) loadable in
 //     Perfetto (https://ui.perfetto.dev) or chrome://tracing. Replica
 //     service segments are complete ("X") slices on per-replica
@@ -90,9 +90,6 @@ type Tracer struct {
 func NewTracer(label string, freqHz float64) *Tracer {
 	return &Tracer{Label: label, freqHz: freqHz, names: map[trackKey]string{}}
 }
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
@@ -184,11 +181,6 @@ type chromeEvent struct {
 	ID   int64          `json:"id,omitempty"` // async pairing
 	S    string         `json:"s,omitempty"`  // instant scope
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChrome exports the tracer's events as Chrome trace-event JSON.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteChromeAll(w, []*Tracer{t})
 }
 
 // WriteChromeAll merges several runs' traces into one Chrome JSON file:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/obs"
 )
 
 // obsOn is the full-observability config for tests.
@@ -71,7 +72,7 @@ func TestObsChaosTraceDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tr, tl bytes.Buffer
-		if err := rep.Trace.WriteChrome(&tr); err != nil {
+		if err := obs.WriteChromeAll(&tr, []*obs.Tracer{rep.Trace}); err != nil {
 			t.Fatal(err)
 		}
 		if err := rep.Timelines.WriteCSV(&tl); err != nil {

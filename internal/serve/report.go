@@ -209,7 +209,7 @@ type Report struct {
 
 	// Observability payloads (nil unless Config.Obs enabled them, so
 	// legacy JSON output is byte-identical): the run's lifecycle trace
-	// — exported to Perfetto via obs.WriteChrome, not marshaled inline
+	// — exported to Perfetto via obs.WriteChromeAll, not marshaled inline
 	// — and the sampled timelines (queue depth, KV occupancy, pool
 	// sizes, link utilization, attainment; see docs/OBSERVABILITY.md).
 	Trace     *obs.Tracer      `json:"-"`

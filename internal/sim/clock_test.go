@@ -4,11 +4,11 @@ import "testing"
 
 // TestClockAccessorGuard locks down the Now() contract the rest of the
 // repository leans on: the clock is monotone, every callback observes
-// Now() equal to its own scheduled timestamp, and RunUntil leaves the
-// clock at min(deadline, last executed event) without jumping past
-// still-queued work. The serving subsystem derives latencies from
-// subtracting Now() values, so a regression here silently corrupts
-// every latency percentile.
+// Now() equal to its own scheduled timestamp, and Step leaves the clock
+// at the last executed event without jumping past still-queued work.
+// The serving subsystem derives latencies from subtracting Now()
+// values, so a regression here silently corrupts every latency
+// percentile.
 func TestClockAccessorGuard(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -31,19 +31,21 @@ func TestClockAccessorGuard(t *testing.T) {
 		e.At(at, record)
 	}
 
-	// RunUntil must execute only events ≤ deadline and park the clock at
-	// the deadline, not at the next queued event.
-	if got := e.RunUntil(25); got != 25 {
-		t.Fatalf("RunUntil(25) = %d, want 25", got)
+	// Three steps execute exactly the three earliest events and park the
+	// clock at the last of them, not at the next queued event.
+	for i := 0; i < 3; i++ {
+		if !e.Step() {
+			t.Fatalf("Step %d found the queue empty", i)
+		}
 	}
-	if e.Now() != 25 {
-		t.Fatalf("Now() after RunUntil(25) = %d, want 25", e.Now())
+	if e.Now() != 20 {
+		t.Fatalf("Now() after three steps = %d, want 20", e.Now())
 	}
 	if len(observed) != 3 {
-		t.Fatalf("RunUntil(25) ran %d events (%v), want 3", len(observed), observed)
+		t.Fatalf("three steps ran %d events (%v), want 3", len(observed), observed)
 	}
 	if e.Pending() != 1 {
-		t.Fatalf("pending after RunUntil = %d, want 1", e.Pending())
+		t.Fatalf("pending after three steps = %d, want 1", e.Pending())
 	}
 
 	// Scheduling before Now() must panic — it always indicates a caller

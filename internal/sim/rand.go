@@ -28,9 +28,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives an independent child generator; the parent advances.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
@@ -66,26 +63,4 @@ func (r *RNG) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// Norm returns a normally distributed value (Box–Muller).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

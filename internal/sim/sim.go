@@ -2,19 +2,19 @@
 //
 // The kernel is intentionally minimal: a monotonically advancing cycle
 // clock, a priority queue of timestamped events, and a seeded random
-// number generator. Everything that needs time in the repository —
-// the performance simulator, the schedulers, the workload generators —
-// is driven from this kernel so that whole experiments are reproducible
-// bit-for-bit from a seed.
+// number generator. The serving fleet, the cluster churn simulator and
+// the transfer links (internal/xfer) run on the Engine; the fluid
+// scheduler and the workload generators draw only from the RNG. Whole
+// experiments are reproducible bit-for-bit from a seed.
 //
 // The queue is a value-based 4-ary implicit heap: events are stored
 // inline in a single slice rather than as individually heap-allocated
 // nodes behind an interface, so scheduling an event performs no
 // allocation once the slice has warmed up, and sift operations touch
 // 4x fewer cache lines than a binary pointer heap. This is the classic
-// low-overhead DES event-queue design; it is what keeps the fluid
-// scheduler and the cluster churn simulator off the allocator in their
-// hot loops.
+// low-overhead DES event-queue design; it is what keeps the serving
+// fleet and the cluster churn simulator off the allocator in their hot
+// loops.
 //
 // # Cancellation semantics
 //
@@ -110,7 +110,7 @@ func (e *Engine) Cancel(h Handle) bool {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// Halt stops Run/RunUntil after the currently executing event returns.
+// Halt stops Run after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
 // Step executes the single earliest event. It reports false when the
@@ -131,20 +131,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() Time {
 	e.halted = false
 	for !e.halted && e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline. The clock is left
-// at min(deadline, time of last event) — it does not jump past work that
-// remains queued beyond the deadline.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.halted = false
-	for !e.halted && len(e.heap) > 0 && e.heap[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline && !e.halted {
-		e.now = deadline
 	}
 	return e.now
 }

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Reference operator implementations. The functional NPU simulator is
 // validated against these: a program compiled to NeuISA and executed on
@@ -34,164 +31,13 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// Add computes elementwise a+b.
-func Add(a, b *Tensor) *Tensor { return zip(a, b, func(x, y float32) float32 { return x + y }) }
-
-// Mul computes elementwise a*b (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return zip(a, b, func(x, y float32) float32 { return x * y }) }
-
-// Sub computes elementwise a-b.
-func Sub(a, b *Tensor) *Tensor { return zip(a, b, func(x, y float32) float32 { return x - y }) }
-
-// Max computes elementwise max(a, b).
-func Max(a, b *Tensor) *Tensor {
-	return zip(a, b, func(x, y float32) float32 {
-		if x > y {
-			return x
-		}
-		return y
-	})
-}
-
-func zip(a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	if !a.Shape.Equal(b.Shape) {
-		panic(fmt.Sprintf("tensor: elementwise shape mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	c := New(a.Shape...)
-	for i := range a.Data {
-		c.Data[i] = f(a.Data[i], b.Data[i])
-	}
-	return c
-}
-
 // ReLU applies max(0, x) elementwise.
-func ReLU(a *Tensor) *Tensor { return apply(a, func(x float32) float32 { return max32(x, 0) }) }
-
-// Scale multiplies every element by s.
-func Scale(a *Tensor, s float32) *Tensor {
-	return apply(a, func(x float32) float32 { return x * s })
-}
-
-// AddScalar adds s to every element.
-func AddScalar(a *Tensor, s float32) *Tensor {
-	return apply(a, func(x float32) float32 { return x + s })
-}
-
-func apply(a *Tensor, f func(float32) float32) *Tensor {
+func ReLU(a *Tensor) *Tensor {
 	c := New(a.Shape...)
-	for i := range a.Data {
-		c.Data[i] = f(a.Data[i])
-	}
-	return c
-}
-
-func max32(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Softmax applies a numerically stable softmax along the last dimension.
-func Softmax(a *Tensor) *Tensor {
-	if a.Shape.Rank() == 0 {
-		panic("tensor: Softmax on scalar")
-	}
-	last := a.Shape[a.Shape.Rank()-1]
-	rows := int(a.Shape.Elems()) / last
-	c := New(a.Shape...)
-	for r := 0; r < rows; r++ {
-		row := a.Data[r*last : (r+1)*last]
-		out := c.Data[r*last : (r+1)*last]
-		mx := row[0]
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for i, v := range row {
-			e := math.Exp(float64(v - mx))
-			out[i] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for i := range out {
-			out[i] *= inv
+	for i, x := range a.Data {
+		if x > 0 {
+			c.Data[i] = x
 		}
 	}
 	return c
-}
-
-// LayerNorm normalizes along the last dimension with unit gain, zero bias.
-func LayerNorm(a *Tensor, eps float64) *Tensor {
-	last := a.Shape[a.Shape.Rank()-1]
-	rows := int(a.Shape.Elems()) / last
-	c := New(a.Shape...)
-	for r := 0; r < rows; r++ {
-		row := a.Data[r*last : (r+1)*last]
-		out := c.Data[r*last : (r+1)*last]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(last)
-		var variance float64
-		for _, v := range row {
-			d := float64(v) - mean
-			variance += d * d
-		}
-		variance /= float64(last)
-		inv := 1 / math.Sqrt(variance+eps)
-		for i, v := range row {
-			out[i] = float32((float64(v) - mean) * inv)
-		}
-	}
-	return c
-}
-
-// Conv2D computes a NHWC convolution with stride and same/valid padding.
-// Input [N,H,W,Cin], kernel [KH,KW,Cin,Cout].
-func Conv2D(in, kernel *Tensor, stride int, samePad bool) *Tensor {
-	if in.Shape.Rank() != 4 || kernel.Shape.Rank() != 4 {
-		panic("tensor: Conv2D requires NHWC input and KHWC kernel")
-	}
-	n, h, w, cin := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	kh, kw, kcin, cout := kernel.Shape[0], kernel.Shape[1], kernel.Shape[2], kernel.Shape[3]
-	if cin != kcin {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch %d vs %d", cin, kcin))
-	}
-	padH, padW := 0, 0
-	if samePad {
-		padH, padW = (kh-1)/2, (kw-1)/2
-	}
-	oh := (h+2*padH-kh)/stride + 1
-	ow := (w+2*padW-kw)/stride + 1
-	out := New(n, oh, ow, cout)
-	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				for oc := 0; oc < cout; oc++ {
-					var sum float32
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*stride + ky - padH
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*stride + kx - padW
-							if ix < 0 || ix >= w {
-								continue
-							}
-							for ic := 0; ic < cin; ic++ {
-								sum += in.At(b, iy, ix, ic) * kernel.At(ky, kx, ic, oc)
-							}
-						}
-					}
-					out.Set(sum, b, oy, ox, oc)
-				}
-			}
-		}
-	}
-	return out
 }

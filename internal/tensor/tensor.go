@@ -1,57 +1,12 @@
-// Package tensor provides the host-side tensor representation shared by
-// the compiler, the DNN model builders, and the functional NPU simulator.
-//
-// Tensors here are deliberately simple — dense row-major float32 buffers
-// with a shape — because they exist to describe workloads and to verify
-// the functional simulator against reference computations, not to be a
-// performance-critical math library.
+// Package tensor is the reference side of the functional NPU
+// simulator's checks: dense row-major float32 tensors and the operators
+// a program run on the simulated engines must reproduce. Only tests and
+// examples/neuisa use it. Tensors are deliberately simple because they
+// exist to verify the simulator, not to be a performance-critical math
+// library.
 package tensor
 
-import (
-	"fmt"
-	"strings"
-)
-
-// DType identifies an element type. The NPU in this repository computes
-// in FP32 (the paper's Table II lists a 128×8 FP32 VE); BF16 and INT8
-// exist for footprint accounting of weights.
-type DType int
-
-const (
-	Float32 DType = iota
-	BFloat16
-	Int8
-	Int32
-)
-
-// Size returns the element size in bytes.
-func (d DType) Size() int {
-	switch d {
-	case Float32, Int32:
-		return 4
-	case BFloat16:
-		return 2
-	case Int8:
-		return 1
-	default:
-		panic(fmt.Sprintf("tensor: unknown dtype %d", int(d)))
-	}
-}
-
-func (d DType) String() string {
-	switch d {
-	case Float32:
-		return "f32"
-	case BFloat16:
-		return "bf16"
-	case Int8:
-		return "i8"
-	case Int32:
-		return "i32"
-	default:
-		return fmt.Sprintf("dtype(%d)", int(d))
-	}
-}
+import "fmt"
 
 // Shape is a tensor shape; dimensions are in row-major order.
 type Shape []int
@@ -64,9 +19,6 @@ func (s Shape) Elems() int64 {
 	}
 	return n
 }
-
-// Bytes returns the buffer size for the shape at the given dtype.
-func (s Shape) Bytes(d DType) int64 { return s.Elems() * int64(d.Size()) }
 
 // Rank returns the number of dimensions.
 func (s Shape) Rank() int { return len(s) }
@@ -97,14 +49,6 @@ func (s Shape) Valid() bool {
 // Clone returns a copy of the shape.
 func (s Shape) Clone() Shape { return append(Shape(nil), s...) }
 
-func (s Shape) String() string {
-	parts := make([]string, len(s))
-	for i, d := range s {
-		parts[i] = fmt.Sprint(d)
-	}
-	return "[" + strings.Join(parts, "×") + "]"
-}
-
 // Tensor is a dense row-major float32 tensor.
 type Tensor struct {
 	Shape Shape
@@ -118,50 +62,6 @@ func New(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: invalid shape %v", s))
 	}
 	return &Tensor{Shape: s.Clone(), Data: make([]float32, s.Elems())}
-}
-
-// FromData wraps data with a shape; the length must match.
-func FromData(data []float32, shape ...int) *Tensor {
-	s := Shape(shape)
-	if int64(len(data)) != s.Elems() {
-		panic(fmt.Sprintf("tensor: %d elements for shape %v", len(data), s))
-	}
-	return &Tensor{Shape: s.Clone(), Data: data}
-}
-
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
-// Set assigns the element at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank %d", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, ix := range idx {
-		if ix < 0 || ix >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dim %d (%d)", ix, i, t.Shape[i]))
-		}
-		off = off*t.Shape[i] + ix
-	}
-	return off
-}
-
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Fill sets every element to v and returns the tensor.
-func (t *Tensor) Fill(v float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between

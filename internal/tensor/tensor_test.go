@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,12 +18,6 @@ func TestShapeElemsAndBytes(t *testing.T) {
 	for _, c := range cases {
 		if got := c.s.Elems(); got != c.elems {
 			t.Errorf("%v.Elems() = %d, want %d", c.s, got, c.elems)
-		}
-		if got := c.s.Bytes(Float32); got != c.elems*4 {
-			t.Errorf("%v.Bytes(f32) = %d, want %d", c.s, got, c.elems*4)
-		}
-		if got := c.s.Bytes(BFloat16); got != c.elems*2 {
-			t.Errorf("%v.Bytes(bf16) = %d, want %d", c.s, got, c.elems*2)
 		}
 	}
 }
@@ -44,35 +37,9 @@ func TestShapeEqualAndClone(t *testing.T) {
 	}
 }
 
-func TestDTypeSizes(t *testing.T) {
-	if Float32.Size() != 4 || BFloat16.Size() != 2 || Int8.Size() != 1 || Int32.Size() != 4 {
-		t.Fatal("dtype sizes wrong")
-	}
-}
-
-func TestTensorIndexing(t *testing.T) {
-	a := New(2, 3, 4)
-	a.Set(42, 1, 2, 3)
-	if a.At(1, 2, 3) != 42 {
-		t.Fatal("Set/At roundtrip failed")
-	}
-	if a.Data[1*12+2*4+3] != 42 {
-		t.Fatal("row-major layout wrong")
-	}
-}
-
-func TestTensorIndexOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range index did not panic")
-		}
-	}()
-	New(2, 2).At(2, 0)
-}
-
 func TestMatMulSmall(t *testing.T) {
-	a := FromData([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromData([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := &Tensor{Shape: Shape{2, 3}, Data: []float32{1, 2, 3, 4, 5, 6}}
+	b := &Tensor{Shape: Shape{3, 2}, Data: []float32{7, 8, 9, 10, 11, 12}}
 	c := MatMul(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
@@ -86,7 +53,7 @@ func TestMatMulIdentity(t *testing.T) {
 	const n = 16
 	id := New(n, n)
 	for i := 0; i < n; i++ {
-		id.Set(1, i, i)
+		id.Data[i*n+i] = 1
 	}
 	a := New(n, n)
 	for i := range a.Data {
@@ -108,7 +75,7 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	a := FromData([]float32{-1, 0, 2, -0.5}, 4)
+	a := &Tensor{Shape: Shape{4}, Data: []float32{-1, 0, 2, -0.5}}
 	c := ReLU(a)
 	want := []float32{0, 0, 2, 0}
 	for i, w := range want {
@@ -118,137 +85,19 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	a := New(5, 8)
-	for i := range a.Data {
-		a.Data[i] = float32(i%7) - 3
-	}
-	s := Softmax(a)
-	for r := 0; r < 5; r++ {
-		var sum float64
-		for j := 0; j < 8; j++ {
-			v := s.At(r, j)
-			if v < 0 || v > 1 {
-				t.Fatalf("softmax out of range: %v", v)
-			}
-			sum += float64(v)
-		}
-		if math.Abs(sum-1) > 1e-5 {
-			t.Fatalf("row %d sums to %v", r, sum)
-		}
-	}
-}
-
-func TestSoftmaxShiftInvariance(t *testing.T) {
-	a := FromData([]float32{1, 2, 3, 4}, 1, 4)
-	b := AddScalar(a, 100)
-	if d := MaxAbsDiff(Softmax(a), Softmax(b)); d > 1e-5 {
-		t.Fatalf("softmax not shift invariant: %v", d)
-	}
-}
-
-func TestLayerNormMoments(t *testing.T) {
-	a := New(3, 64)
-	for i := range a.Data {
-		a.Data[i] = float32(i*i%97) / 10
-	}
-	n := LayerNorm(a, 1e-6)
-	for r := 0; r < 3; r++ {
-		var mean, sq float64
-		for j := 0; j < 64; j++ {
-			v := float64(n.At(r, j))
-			mean += v
-			sq += v * v
-		}
-		mean /= 64
-		variance := sq/64 - mean*mean
-		if math.Abs(mean) > 1e-4 {
-			t.Fatalf("row %d mean %v", r, mean)
-		}
-		if math.Abs(variance-1) > 1e-3 {
-			t.Fatalf("row %d variance %v", r, variance)
-		}
-	}
-}
-
-func TestConv2DIdentityKernel(t *testing.T) {
-	in := New(1, 5, 5, 3)
-	for i := range in.Data {
-		in.Data[i] = float32(i)
-	}
-	// 1x1 kernel that copies channel c to output channel c.
-	k := New(1, 1, 3, 3)
-	for c := 0; c < 3; c++ {
-		k.Set(1, 0, 0, c, c)
-	}
-	out := Conv2D(in, k, 1, false)
-	if !out.Shape.Equal(in.Shape) {
-		t.Fatalf("identity conv changed shape: %v", out.Shape)
-	}
-	if MaxAbsDiff(in, out) != 0 {
-		t.Fatal("identity conv changed values")
-	}
-}
-
-func TestConv2DKnownSum(t *testing.T) {
-	// 3x3 all-ones kernel over an all-ones image, valid padding: each
-	// output element is kh*kw*cin = 9*2 = 18.
-	in := New(1, 4, 4, 2).Fill(1)
-	k := New(3, 3, 2, 1).Fill(1)
-	out := Conv2D(in, k, 1, false)
-	if !out.Shape.Equal(Shape{1, 2, 2, 1}) {
-		t.Fatalf("shape %v", out.Shape)
-	}
-	for _, v := range out.Data {
-		if v != 18 {
-			t.Fatalf("conv value %v, want 18", v)
-		}
-	}
-}
-
-func TestConv2DSamePaddingShape(t *testing.T) {
-	in := New(2, 8, 8, 4)
-	k := New(3, 3, 4, 16)
-	out := Conv2D(in, k, 1, true)
-	if !out.Shape.Equal(Shape{2, 8, 8, 16}) {
-		t.Fatalf("same-pad shape %v", out.Shape)
-	}
-	out2 := Conv2D(in, k, 2, true)
-	if !out2.Shape.Equal(Shape{2, 4, 4, 16}) {
-		t.Fatalf("strided same-pad shape %v", out2.Shape)
-	}
-}
-
 func TestElementwiseProperties(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	mk := func(vals []float32) *Tensor {
 		if len(vals) == 0 {
 			vals = []float32{0}
 		}
-		return FromData(vals, len(vals))
-	}
-	// Add is commutative.
-	if err := quick.Check(func(xs []float32) bool {
-		a, b := mk(xs), mk(xs)
-		for i := range b.Data {
-			b.Data[i] = -b.Data[i]
-		}
-		return MaxAbsDiff(Add(a, b), Add(b, a)) == 0
-	}, cfg); err != nil {
-		t.Error(err)
+		return &Tensor{Shape: Shape{len(vals)}, Data: vals}
 	}
 	// ReLU is idempotent.
 	if err := quick.Check(func(xs []float32) bool {
 		a := mk(xs)
 		r := ReLU(a)
 		return MaxAbsDiff(r, ReLU(r)) == 0
-	}, cfg); err != nil {
-		t.Error(err)
-	}
-	// Max(a,a) == a.
-	if err := quick.Check(func(xs []float32) bool {
-		a := mk(xs)
-		return MaxAbsDiff(Max(a, a), a) == 0
 	}, cfg); err != nil {
 		t.Error(err)
 	}

@@ -314,9 +314,11 @@ func TestBadProgramFaultsDevice(t *testing.T) {
 }
 
 // TestBadGuestProgramIsolated has guest A launch a binary that names
-// register %r40 (VLIW) or pushes a negative-length row (NeuISA): A's VF
-// must fault, and guest B on the same hypervisor must still run a VLIW
-// program (DMA in, one vector op, DMA out) to the exact result.
+// register %r40 (VLIW), pushes a negative-length row (NeuISA) or pushes
+// rows forever without popping them (NeuISA): A's VF must fault within
+// a few thousand cycles, and guest B on the same hypervisor must still
+// run a VLIW program (DMA in, one vector op, DMA out) to the exact
+// result.
 func TestBadGuestProgramIsolated(t *testing.T) {
 	f := isa.Format{MESlots: 1, VESlots: 1}
 	badReg := isa.NewInstruction(f)
@@ -325,6 +327,10 @@ func TestBadGuestProgramIsolated(t *testing.T) {
 	halt.Misc = isa.Halt()
 	badVLIW := &isa.Program{Format: f, Code: []isa.Instruction{badReg, halt}}
 	badNeu, err := isa.Assemble(".neuisa veslots=1\n.utop me bad\n    me.push [%r1], -4\n    uTop.finish\n.group bad\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushFlood, err := isa.Assemble(".neuisa veslots=1\n.utop me flood\n    me.loadw [%r0], 8, 8\nL:\n    me.push [%r0], 8\n    beq %r0, %r0, @L\n    uTop.finish\n.group flood\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +360,7 @@ func TestBadGuestProgramIsolated(t *testing.T) {
 	}{
 		{"VLIW register 40", func(d *Driver) error { return d.LaunchVLIW(badVLIW) }},
 		{"NeuISA negative push", func(d *Driver) error { return d.Launch(badNeu) }},
+		{"NeuISA push without pop", func(d *Driver) error { return d.Launch(pushFlood) }},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			hv := testHV(t)
@@ -372,6 +379,9 @@ func TestBadGuestProgramIsolated(t *testing.T) {
 			drvA.RingDoorbell()
 			if drvA.Status() != StatusError {
 				t.Fatalf("guest A status %d, want StatusError", drvA.Status())
+			}
+			if c := drvA.vf.dev.Cycles; c > 1<<16 {
+				t.Fatalf("guest A ran %d cycles before its fault", c)
 			}
 
 			if err := drvB.MapDMA(0, PageWords); err != nil {

@@ -43,10 +43,6 @@ type LLMRequest struct {
 	SealKey uint64
 }
 
-// Tokens returns the request's full KV-cache residency in tokens — the
-// reservation an admission-time KV accountant must find room for.
-func (r LLMRequest) Tokens() int { return r.Prompt + r.Output }
-
 // LLMTrace is the request-shape distribution: prompt and output lengths
 // drawn independently as shifted exponentials (min + Exp(mean−min))
 // clamped to max — the long-tailed, mostly-short shape of production

@@ -130,9 +130,6 @@ func (l *Link) Name() string { return l.name }
 // phase (latency-phase completions are already off the link).
 func (l *Link) Active() int { return len(l.active) }
 
-// BandwidthScale returns the current runtime multiplier (1 = healthy).
-func (l *Link) BandwidthScale() float64 { return l.scale }
-
 // Backlog returns the payload bytes still queued on the link across its
 // in-flight transfers, advanced to `now` — the instantaneous congestion
 // signal the observability sampler records. Advancing is the same lazy
