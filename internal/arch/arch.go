@@ -4,7 +4,10 @@
 // one place guarantees that "a cycle" means the same thing everywhere.
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CoreConfig describes one physical NPU core.
 type CoreConfig struct {
@@ -53,17 +56,21 @@ func (c CoreConfig) Validate() error {
 		return fmt.Errorf("arch: systolic dim %d too small", c.SystolicDim)
 	case c.VELanes < 8 || c.VESublanes < 1:
 		return fmt.Errorf("arch: VE %dx%d malformed", c.VELanes, c.VESublanes)
-	case c.FrequencyHz <= 0:
-		return fmt.Errorf("arch: frequency %v", c.FrequencyHz)
+	case !positiveFinite(c.FrequencyHz):
+		return fmt.Errorf("arch: frequency %v not positive and finite", c.FrequencyHz)
 	case c.SRAMBytes <= 0 || c.HBMBytes <= 0:
 		return fmt.Errorf("arch: non-positive memory sizes")
-	case c.HBMBwBytes <= 0:
-		return fmt.Errorf("arch: non-positive HBM bandwidth")
+	case !positiveFinite(c.HBMBwBytes):
+		return fmt.Errorf("arch: HBM bandwidth %v not positive and finite", c.HBMBwBytes)
 	case c.MEPreemptCycles < 0:
 		return fmt.Errorf("arch: negative preemption cost")
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is above zero and below +Inf; NaN
+// is neither.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MEMACsPerCycle returns multiply-accumulates one ME retires per cycle.
 func (c CoreConfig) MEMACsPerCycle() float64 {

@@ -80,6 +80,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *CoreConfig) { c.SRAMBytes = 0 },
 		func(c *CoreConfig) { c.HBMBwBytes = -1 },
 		func(c *CoreConfig) { c.MEPreemptCycles = -5 },
+		func(c *CoreConfig) { c.FrequencyHz = math.NaN() },
+		func(c *CoreConfig) { c.FrequencyHz = math.Inf(1) },
+		func(c *CoreConfig) { c.HBMBwBytes = math.NaN() },
+		func(c *CoreConfig) { c.HBMBwBytes = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		c := TPUv4Like()

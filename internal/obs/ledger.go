@@ -33,7 +33,6 @@ package obs
 import (
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Segment identifies one exclusive state of a tracked request's
@@ -543,52 +542,58 @@ func (l *Ledger) WriteCSV(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
-	ms := func(cycles float64) string {
-		return strconv.FormatFloat(cycles/l.FreqHz*1e3, 'g', -1, 64)
-	}
-	var b strings.Builder
-	row := func(tenant, req, seg, val string) {
-		b.WriteString(l.Label)
-		b.WriteByte(',')
-		b.WriteString(tenant)
-		b.WriteByte(',')
-		b.WriteString(req)
-		b.WriteByte(',')
-		b.WriteString(seg)
-		b.WriteByte(',')
-		b.WriteString(val)
-		b.WriteByte('\n')
+	x := newExportBuf(w)
+	l.appendCSV(x)
+	return x.flush()
+}
+
+// appendCSV appends the ledger's rows to x, writing about every
+// flushBytes.
+func (l *Ledger) appendCSV(x *exportBuf) {
+	row := func(tenant string, id int64, seg string, cycles float64) {
+		b := append(x.b, l.Label...)
+		b = append(b, ',')
+		b = append(b, tenant...)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, id, 10)
+		b = append(b, ',')
+		b = append(b, seg...)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, cycles/l.FreqHz*1e3, 'g', -1, 64)
+		x.b = append(b, '\n')
+		x.spill()
 	}
 	for _, r := range l.done {
-		id := strconv.FormatInt(r.ID, 10)
+		if x.err != nil {
+			return
+		}
 		for s, v := range r.Seg {
 			if v > 0 {
-				row(r.Proc, id, Segment(s).String(), ms(v))
+				row(r.Proc, r.ID, Segment(s).String(), v)
 			}
 		}
 	}
 	for _, uid := range l.repOrder {
+		if x.err != nil {
+			return
+		}
 		r := l.reps[uid]
-		id := strconv.Itoa(r.UID)
 		for bk, v := range r.Buckets {
 			if v > 0 {
-				row("fleet", id, Bucket(bk).String(), ms(v))
+				row("fleet", int64(r.UID), Bucket(bk).String(), v)
 			}
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // WriteLedgerCSVAll concatenates several runs' ledgers under one header.
 func WriteLedgerCSVAll(w io.Writer, ls []*Ledger) error {
-	if _, err := io.WriteString(w, LedgerCSVHeader); err != nil {
-		return err
-	}
+	x := newExportBuf(w)
+	x.b = append(x.b, LedgerCSVHeader...)
 	for _, l := range ls {
-		if err := l.WriteCSV(w); err != nil {
-			return err
+		if l != nil {
+			l.appendCSV(x)
 		}
 	}
-	return nil
+	return x.flush()
 }

@@ -30,12 +30,15 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Event phase markers, a subset of the Chrome trace-event phases.
@@ -47,7 +50,8 @@ const (
 )
 
 // Event is one trace record. Fields are fixed and scalar so emitting an
-// event is a single slice append — no maps, no interfaces, no boxing.
+// event copies one struct into the tracer's current chunk — no maps, no
+// interfaces, no boxing.
 type Event struct {
 	Name  string  // what happened ("queue", "llm-decode", "crash", ...)
 	Cat   string  // category ("req", "exec", "control", "fault", ...)
@@ -71,6 +75,11 @@ type trackKey struct {
 	track int32
 }
 
+// chunkEvents is the capacity of one chunk of a Tracer's event store.
+// Recording fills one chunk after another, so a long trace is never
+// copied to grow it.
+const chunkEvents = 4096
+
 // Tracer accumulates events for one simulation run. A nil *Tracer is
 // the disabled state: every method no-ops. Construct with NewTracer
 // only when tracing is on.
@@ -80,7 +89,7 @@ type Tracer struct {
 	Label string
 
 	freqHz float64
-	events []Event
+	chunks [][]Event // in fold order; all but the last hold chunkEvents
 	names  map[trackKey]string
 	order  []trackKey
 }
@@ -91,20 +100,35 @@ func NewTracer(label string, freqHz float64) *Tracer {
 	return &Tracer{Label: label, freqHz: freqHz, names: map[trackKey]string{}}
 }
 
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
+// add appends e to the last chunk, opening a new chunk when it is full.
+func (t *Tracer) add(e Event) {
+	n := len(t.chunks)
+	if n == 0 || len(t.chunks[n-1]) == chunkEvents {
+		t.chunks = append(t.chunks, make([]Event, 0, chunkEvents))
+		n++
 	}
-	return len(t.events)
+	t.chunks[n-1] = append(t.chunks[n-1], e)
 }
 
-// Events exposes the recorded stream in fold order (tests, Gantt).
+// Len returns the number of recorded events.
+func (t *Tracer) Len() int {
+	if t == nil || len(t.chunks) == 0 {
+		return 0
+	}
+	n := len(t.chunks)
+	return (n-1)*chunkEvents + len(t.chunks[n-1])
+}
+
+// Events returns a copy of the recorded stream in fold order (tests).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	out := make([]Event, 0, t.Len())
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // NameTrack labels a (proc, track) pair in the export ("replica 3
@@ -126,7 +150,7 @@ func (t *Tracer) Span(name, cat, proc string, track int32, start, end float64, r
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: PhaseSpan, Proc: proc,
+	t.add(Event{Name: name, Cat: cat, Ph: PhaseSpan, Proc: proc,
 		Track: track, Start: start, Dur: end - start, Req: req,
 		AK: ak, AV: av, BK: bk, BV: bv, SK: sk, SV: sv})
 }
@@ -136,7 +160,7 @@ func (t *Tracer) Begin(name, cat, proc string, at float64, req int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: PhaseBegin, Proc: proc, Start: at, Req: req})
+	t.add(Event{Name: name, Cat: cat, Ph: PhaseBegin, Proc: proc, Start: at, Req: req})
 }
 
 // End closes the matching async phase.
@@ -144,7 +168,7 @@ func (t *Tracer) End(name, cat, proc string, at float64, req int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: PhaseEnd, Proc: proc, Start: at, Req: req})
+	t.add(Event{Name: name, Cat: cat, Ph: PhaseEnd, Proc: proc, Start: at, Req: req})
 }
 
 // Instant records a point event on a track.
@@ -152,79 +176,247 @@ func (t *Tracer) Instant(name, cat, proc string, track int32, at float64, req in
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: PhaseInstant, Proc: proc,
+	t.add(Event{Name: name, Cat: cat, Ph: PhaseInstant, Proc: proc,
 		Track: track, Start: at, Req: req, AK: ak, AV: av, SK: sk, SV: sv})
+}
+
+// ---- Export buffer, shared by the Chrome and CSV exporters ----
+
+// flushBytes is about how many bytes an exporter gathers before each
+// write to its destination.
+const flushBytes = 32 << 10
+
+// exportBuf gathers an export's bytes in one reused buffer and hands
+// them to w about every flushBytes, so an export of any length costs
+// one buffer. err keeps the first failure; once it is set, nothing more
+// is written.
+type exportBuf struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+func newExportBuf(w io.Writer) *exportBuf {
+	return &exportBuf{w: w, b: make([]byte, 0, 2*flushBytes)}
+}
+
+// spill writes the buffer once it holds flushBytes or more.
+func (x *exportBuf) spill() {
+	if len(x.b) >= flushBytes {
+		x.flush()
+	}
+}
+
+// flush writes whatever the buffer holds and returns the first error.
+func (x *exportBuf) flush() error {
+	if x.err == nil && len(x.b) > 0 {
+		_, x.err = x.w.Write(x.b)
+	}
+	x.b = x.b[:0]
+	return x.err
 }
 
 // ---- Chrome trace-event export ----
 
-// chromeMeta is a metadata record (process_name / thread_name).
-type chromeMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
+// chromeEnc appends Chrome trace records to an exportBuf.
+type chromeEnc struct {
+	*exportBuf
+	n int // records written
 }
 
-// chromeEvent is one exported record. encoding/json preserves struct
-// field order and sorts map keys, so the byte stream is a pure function
-// of the event sequence.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid,omitempty"`
-	ID   int64          `json:"id,omitempty"` // async pairing
-	S    string         `json:"s,omitempty"`  // instant scope
-	Args map[string]any `json:"args,omitempty"`
+// open starts a record: the envelope before the first, a comma after.
+func (c *chromeEnc) open() {
+	if c.n == 0 {
+		c.b = append(c.b, `{"traceEvents":[`...)
+	} else {
+		c.b = append(c.b, ',')
+	}
+	c.n++
+}
+
+// meta appends a metadata record (process_name / thread_name).
+func (c *chromeEnc) meta(kind string, pid, tid int, name string) {
+	if c.err != nil {
+		return
+	}
+	c.open()
+	b := append(c.b, `{"name":"`...)
+	b = append(b, kind...)
+	b = append(b, `","ph":"M","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"args":{"name":`...)
+	b = appendJSONString(b, name)
+	c.b = append(b, "}}"...)
+	c.spill()
+}
+
+// event appends e as one record; toUs converts cycles to microseconds.
+// Fields come in encoding/json's struct order under its omitempty
+// rules: dur, tid and id are left out when zero, s and args when empty.
+func (c *chromeEnc) event(e *Event, pid int, toUs float64) {
+	if c.err != nil {
+		return
+	}
+	c.open()
+	b := append(c.b, `{"name":`...)
+	b = appendJSONString(b, e.Name)
+	b = append(b, `,"cat":`...)
+	b = appendJSONString(b, e.Cat)
+	b = append(b, `,"ph":"`...)
+	b = append(b, e.Ph, '"')
+	b = append(b, `,"ts":`...)
+	if b, c.err = appendJSONFloat(b, e.Start*toUs); c.err != nil {
+		return
+	}
+	var tid, id int64
+	switch e.Ph {
+	case PhaseSpan:
+		tid = int64(e.Track)
+		if dur := e.Dur * toUs; dur != 0 {
+			b = append(b, `,"dur":`...)
+			if b, c.err = appendJSONFloat(b, dur); c.err != nil {
+				return
+			}
+		}
+	case PhaseBegin, PhaseEnd:
+		id = e.Req + 1 // ids must be non-zero
+	case PhaseInstant:
+		tid = int64(e.Track)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	if tid != 0 {
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, tid, 10)
+	}
+	if id != 0 {
+		b = append(b, `,"id":`...)
+		b = strconv.AppendInt(b, id, 10)
+	}
+	if e.Ph == PhaseInstant {
+		b = append(b, `,"s":"t"`...)
+	}
+	b = appendArgs(b, e)
+	c.b = append(b, '}')
+	c.spill()
+}
+
+// chromeArg is one entry of a record's args object.
+type chromeArg struct {
+	key, str string
+	num      int64
+	isStr    bool
+}
+
+// appendArgs appends e's args object, or nothing when it has no
+// entries. Keys are set in the order req, AK, BK, SK; a later equal key
+// replaces the earlier value, and keys are written in bytewise order,
+// as encoding/json writes a map.
+func appendArgs(b []byte, e *Event) []byte {
+	var args [4]chromeArg
+	n := 0
+	set := func(a chromeArg) {
+		for i := range args[:n] {
+			if args[i].key == a.key {
+				args[i] = a
+				return
+			}
+		}
+		args[n] = a
+		n++
+	}
+	if e.Req >= 0 {
+		set(chromeArg{key: "req", num: e.Req})
+	}
+	if e.AK != "" {
+		set(chromeArg{key: e.AK, num: e.AV})
+	}
+	if e.BK != "" {
+		set(chromeArg{key: e.BK, num: e.BV})
+	}
+	if e.SK != "" {
+		set(chromeArg{key: e.SK, str: e.SV, isStr: true})
+	}
+	if n == 0 {
+		return b
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && args[j].key < args[j-1].key; j-- {
+			args[j], args[j-1] = args[j-1], args[j]
+		}
+	}
+	b = append(b, `,"args":{`...)
+	for i, a := range args[:n] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, a.key)
+		b = append(b, ':')
+		if a.isStr {
+			b = appendJSONString(b, a.str)
+		} else {
+			b = strconv.AppendInt(b, a.num, 10)
+		}
+	}
+	return append(b, '}')
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. A
+// string of HTML-safe printable ASCII is written as is; any other is
+// left to json.Marshal, which escapes it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: 'f'
+// format, or 'e' when |f| < 1e-6 or |f| >= 1e21 with e-07 trimmed to
+// e-7. NaN and ±Inf have no JSON form; they return the error
+// encoding/json returns.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // WriteChromeAll merges several runs' traces into one Chrome JSON file:
 // each tracer's processes are namespaced by its Label and assigned
-// disjoint pids, in slice order. Nil tracers are skipped.
+// disjoint pids, in slice order. Nil tracers are skipped. A
+// process_name record comes just before the first record that names
+// its process.
 //
-// Records stream to w one at a time — peak memory is one marshaled
-// record, not a second copy of the whole trace. The bytes are the same
-// as encoding the full slice in one Encoder.Encode: compact JSON
-// inside a traceEvents envelope, trailing newline, and the legacy
-// `{"traceEvents":null}` form when nothing at all is emitted.
+// Records are appended to one reused buffer that is written to w about
+// every flushBytes, so peak memory is one buffer, not a second copy of
+// the trace. The bytes are those encoding/json writes for the full
+// record slice in one Encoder.Encode: compact JSON inside a
+// traceEvents envelope, trailing newline, and the legacy
+// `{"traceEvents":null}` form when nothing at all is emitted. A NaN or
+// infinite stamp returns encoding/json's *UnsupportedValueError.
 func WriteChromeAll(w io.Writer, traces []*Tracer) error {
-	bw := bufio.NewWriter(w)
-	var werr error
-	n := 0
-	emit := func(v any) {
-		if werr != nil {
-			return
-		}
-		var data []byte
-		if data, werr = json.Marshal(v); werr != nil {
-			return
-		}
-		if n == 0 {
-			_, werr = bw.WriteString(`{"traceEvents":[`)
-		} else {
-			werr = bw.WriteByte(',')
-		}
-		if werr == nil {
-			n++
-			_, werr = bw.Write(data)
-		}
-	}
-	pids := map[string]int{} // prefixed proc -> pid, first-seen order
-	pid := func(proc string) int {
-		p, ok := pids[proc]
-		if !ok {
-			p = len(pids) + 1
-			pids[proc] = p
-			emit(chromeMeta{Name: "process_name", Ph: "M", Pid: p,
-				Args: map[string]any{"name": proc}})
-		}
-		return p
-	}
+	c := chromeEnc{exportBuf: newExportBuf(w)}
+	pids := map[string]int{}  // prefixed proc -> pid, first-seen order
+	local := map[string]int{} // one tracer's proc -> pid
 	for _, t := range traces {
 		if t == nil {
 			continue
@@ -233,60 +425,41 @@ func WriteChromeAll(w io.Writer, traces []*Tracer) error {
 		if t.Label != "" {
 			prefix = t.Label + ": "
 		}
+		clear(local)
+		pid := func(proc string) int {
+			p, ok := local[proc]
+			if !ok {
+				name := prefix + proc
+				if p, ok = pids[name]; !ok {
+					p = len(pids) + 1
+					pids[name] = p
+					c.meta("process_name", p, 0, name)
+				}
+				local[proc] = p
+			}
+			return p
+		}
 		toUs := 1e6 / t.freqHz
 		for _, k := range t.order { // declared track names, declaration order
-			emit(chromeMeta{Name: "thread_name", Ph: "M",
-				Pid: pid(prefix + k.proc), Tid: int(k.track),
-				Args: map[string]any{"name": t.names[k]}})
+			c.meta("thread_name", pid(k.proc), int(k.track), t.names[k])
 		}
-		for i := range t.events {
-			e := &t.events[i]
-			ce := chromeEvent{Name: e.Name, Cat: e.Cat, Ph: string(e.Ph),
-				Ts: e.Start * toUs, Pid: pid(prefix + e.Proc)}
-			switch e.Ph {
-			case PhaseSpan:
-				ce.Tid = int(e.Track)
-				ce.Dur = e.Dur * toUs
-			case PhaseBegin, PhaseEnd:
-				ce.ID = e.Req + 1 // ids must be non-zero
-			case PhaseInstant:
-				ce.Tid = int(e.Track)
-				ce.S = "t"
+		for _, chunk := range t.chunks {
+			for i := range chunk {
+				c.event(&chunk[i], pid(chunk[i].Proc), toUs)
 			}
-			if e.Req >= 0 || e.AK != "" || e.BK != "" || e.SK != "" {
-				args := make(map[string]any, 4)
-				if e.Req >= 0 {
-					args["req"] = e.Req
-				}
-				if e.AK != "" {
-					args[e.AK] = e.AV
-				}
-				if e.BK != "" {
-					args[e.BK] = e.BV
-				}
-				if e.SK != "" {
-					args[e.SK] = e.SV
-				}
-				ce.Args = args
-			}
-			emit(ce)
 		}
 	}
-	if werr != nil {
-		return werr
+	if c.err != nil {
+		return c.err
 	}
-	if n == 0 {
+	if c.n == 0 {
 		// An empty merge encoded a nil slice before; keep those bytes.
-		if _, err := bw.WriteString(`{"traceEvents":null}`); err != nil {
-			return err
-		}
-	} else if _, err := bw.WriteString(`]}`); err != nil {
-		return err
+		c.b = append(c.b, `{"traceEvents":null}`...)
+	} else {
+		c.b = append(c.b, "]}"...)
 	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	return bw.Flush()
+	c.b = append(c.b, '\n')
+	return c.flush()
 }
 
 // ---- Gantt summary ----
@@ -319,31 +492,33 @@ func (t *Tracer) Gantt(maxReqs int) string {
 	open := map[key]map[string]float64{}
 	byReq := map[key]*ganttReq{}
 	var order []key
-	for i := range t.events {
-		e := &t.events[i]
-		if e.Req < 0 || (e.Ph != PhaseBegin && e.Ph != PhaseEnd) {
-			continue
-		}
-		k := key{e.Proc, e.Req}
-		if e.Ph == PhaseBegin {
-			if open[k] == nil {
-				open[k] = map[string]float64{}
+	for _, c := range t.chunks {
+		for i := range c {
+			e := &c[i]
+			if e.Req < 0 || (e.Ph != PhaseBegin && e.Ph != PhaseEnd) {
+				continue
 			}
-			open[k][e.Name] = e.Start
-			continue
+			k := key{e.Proc, e.Req}
+			if e.Ph == PhaseBegin {
+				if open[k] == nil {
+					open[k] = map[string]float64{}
+				}
+				open[k][e.Name] = e.Start
+				continue
+			}
+			st, ok := open[k][e.Name]
+			if !ok {
+				continue
+			}
+			delete(open[k], e.Name)
+			r := byReq[k]
+			if r == nil {
+				r = &ganttReq{proc: k.proc, req: k.req}
+				byReq[k] = r
+				order = append(order, k)
+			}
+			r.phases = append(r.phases, ganttPhase{e.Name, st, e.Start})
 		}
-		st, ok := open[k][e.Name]
-		if !ok {
-			continue
-		}
-		delete(open[k], e.Name)
-		r := byReq[k]
-		if r == nil {
-			r = &ganttReq{proc: k.proc, req: k.req}
-			byReq[k] = r
-			order = append(order, k)
-		}
-		r.phases = append(r.phases, ganttPhase{e.Name, st, e.Start})
 	}
 	if maxReqs > 0 && len(order) > maxReqs {
 		order = order[:maxReqs]

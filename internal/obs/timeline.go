@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"neu10/internal/metrics"
 )
@@ -97,21 +96,29 @@ func (s *TimelineSet) WriteCSV(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	var b strings.Builder
+	x := newExportBuf(w)
+	s.appendCSV(x)
+	return x.flush()
+}
+
+// appendCSV appends the set's rows to x, writing about every flushBytes.
+func (s *TimelineSet) appendCSV(x *exportBuf) {
 	for _, ts := range s.series {
 		for i := range ts.Times {
-			b.WriteString(s.Label)
-			b.WriteByte(',')
-			b.WriteString(ts.Name)
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(ts.Times[i], 'g', -1, 64))
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(ts.Values[i], 'g', -1, 64))
-			b.WriteByte('\n')
+			if x.err != nil {
+				return
+			}
+			b := append(x.b, s.Label...)
+			b = append(b, ',')
+			b = append(b, ts.Name...)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, ts.Times[i], 'g', -1, 64)
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, ts.Values[i], 'g', -1, 64)
+			x.b = append(b, '\n')
+			x.spill()
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // CSVHeader is the column row matching WriteCSV.
@@ -119,18 +126,14 @@ const CSVHeader = "run,series,time_ms,value\n"
 
 // WriteCSVAll concatenates several runs' timelines under one header.
 func WriteCSVAll(w io.Writer, sets []*TimelineSet) error {
-	if _, err := io.WriteString(w, CSVHeader); err != nil {
-		return err
-	}
+	x := newExportBuf(w)
+	x.b = append(x.b, CSVHeader...)
 	for _, s := range sets {
-		if s == nil {
-			continue
-		}
-		if err := s.WriteCSV(w); err != nil {
-			return err
+		if s != nil {
+			s.appendCSV(x)
 		}
 	}
-	return nil
+	return x.flush()
 }
 
 // WindowedRatio derives a sliding-window ratio series from cumulative

@@ -265,6 +265,10 @@ func TestMalformedFloatConfigRejected(t *testing.T) {
 		{"fault UntilFrac NaN", func(c *Config) {
 			c.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultLinkDegrade, AtFrac: 0.5, Scale: 0.5, UntilFrac: nan}}}
 		}},
+		{"Core.FrequencyHz NaN", func(c *Config) { c.Core.FrequencyHz = nan }},
+		{"Core.FrequencyHz +Inf", func(c *Config) { c.Core.FrequencyHz = inf }},
+		{"Core.HBMBwBytes NaN", func(c *Config) { c.Core.HBMBwBytes = nan }},
+		{"Core.HBMBwBytes +Inf", func(c *Config) { c.Core.HBMBwBytes = inf }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
