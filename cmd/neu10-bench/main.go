@@ -58,47 +58,61 @@ type benchSnapshot struct {
 }
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment id (fig2|fig4|...|fig27|table3) or 'all'")
-		requests = flag.Int("requests", 8, "requests per tenant for steady-state runs")
-		workers  = flag.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS, 1 = sequential)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		jsonOut  = flag.Bool("json", false, "write a BENCH_<n>.json perf snapshot (total ns/allocs/bytes per figure regeneration)")
-		jsonDir  = flag.String("json-dir", ".", "directory for the BENCH_<n>.json snapshot")
-		compare  = flag.String("compare", "", "baseline BENCH_*.json to compare against; exit 1 on any >tolerance slowdown")
-		tol      = flag.Float64("tolerance", 2.5, "slowdown factor tolerated by -compare before failing")
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "neu10-bench:", err)
+		os.Exit(1)
+	}
+}
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+// run is the whole command. Returning its errors, rather than exiting
+// where they occur, lets the deferred profile writers finish first, so
+// a failed run — a -compare regression included — still leaves
+// complete -cpuprofile and -memprofile files.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "all", "experiment id (fig2|fig4|...|fig27|table3) or 'all'")
+		requests = fs.Int("requests", 8, "requests per tenant for steady-state runs")
+		workers  = fs.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS, 1 = sequential)")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		jsonOut  = fs.Bool("json", false, "write a BENCH_<n>.json perf snapshot (total ns/allocs/bytes per figure regeneration)")
+		jsonDir  = fs.String("json-dir", ".", "directory for the BENCH_<n>.json snapshot")
+		compare  = fs.String("compare", "", "baseline BENCH_*.json to compare against; exit 1 on any >tolerance slowdown")
+		tol      = fs.Float64("tolerance", 2.5, "slowdown factor tolerated by -compare before failing")
+
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
+		return nil
 	}
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
+		// ferr, not err: the deferred close must see run's own result.
+		f, ferr := os.Create(*cpuprofile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			if werr := writeHeapProfile(*memprofile); err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -108,7 +122,7 @@ func main() {
 	opts.Workers = *workers
 	runner, err := experiments.NewRunner(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	ids := experiments.IDs()
@@ -136,7 +150,7 @@ func main() {
 		start := time.Now()
 		res, err := runner.Run(id)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
@@ -153,16 +167,29 @@ func main() {
 	if *jsonOut {
 		path, err := writeSnapshot(*jsonDir, snap)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("perf snapshot written to %s\n", path)
 	}
 
 	if *compare != "" {
-		if err := compareSnapshots(*compare, snap, *tol); err != nil {
-			fatal(err)
-		}
+		return compareSnapshots(*compare, snap, *tol)
 	}
+	return nil
+}
+
+// writeHeapProfile writes a heap profile, taken after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // compareSnapshots is the bench-regression gate: every figure present
@@ -239,9 +266,4 @@ func writeSnapshot(dir string, snap benchSnapshot) (string, error) {
 		}
 		return path, os.WriteFile(path, append(data, '\n'), 0o644)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "neu10-bench:", err)
-	os.Exit(1)
 }

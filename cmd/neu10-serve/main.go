@@ -75,22 +75,35 @@ func scenarioNames() string {
 }
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "neu10-serve:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. Returning its errors, rather than exiting
+// where they occur, lets the deferred profile writers finish first, so
+// a failed run still leaves complete -cpuprofile and -memprofile files.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		scenario   = flag.String("scenario", "steady", "scenario: "+scenarioNames())
-		seed       = flag.Uint64("seed", 1, "seed for arrivals, routing and therefore the whole report")
-		workers    = flag.Int("workers", 0, "worker pool for scenario-internal comparisons (0 = GOMAXPROCS)")
-		jsonOut    = flag.Bool("json", false, "emit the structured report(s) as JSON instead of a table")
-		list       = flag.Bool("list", false, "list scenarios and exit")
-		traceOut   = flag.String("trace", "", "write request-lifecycle traces as Chrome trace-event JSON (Perfetto) to this file")
-		ganttN     = flag.Int("gantt", 0, "print a per-request lifecycle summary for the first N requests per tenant")
-		tlOut      = flag.String("timelines", "", "write sampled time series to this file (CSV, or JSON when the path ends in .json)")
-		sampleMs   = flag.Float64("sample-ms", 0, "timeline sampling period in sim milliseconds (0 = default 10)")
-		attrib     = flag.Bool("attrib", false, "record exact latency attribution and the fleet cycle ledger (per-tenant blame tables in the output)")
-		attribCSV  = flag.String("attrib-csv", "", "write per-request segment and per-replica bucket attribution as CSV to this file (implies -attrib)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		scenario   = fs.String("scenario", "steady", "scenario: "+scenarioNames())
+		seed       = fs.Uint64("seed", 1, "seed for arrivals, routing and therefore the whole report")
+		workers    = fs.Int("workers", 0, "worker pool for scenario-internal comparisons (0 = GOMAXPROCS)")
+		jsonOut    = fs.Bool("json", false, "emit the structured report(s) as JSON instead of a table")
+		list       = fs.Bool("list", false, "list scenarios and exit")
+		traceOut   = fs.String("trace", "", "write request-lifecycle traces as Chrome trace-event JSON (Perfetto) to this file")
+		ganttN     = fs.Int("gantt", 0, "print a per-request lifecycle summary for the first N requests per tenant")
+		tlOut      = fs.String("timelines", "", "write sampled time series to this file (CSV, or JSON when the path ends in .json)")
+		sampleMs   = fs.Float64("sample-ms", 0, "timeline sampling period in sim milliseconds (0 = default 10)")
+		attrib     = fs.Bool("attrib", false, "record exact latency attribution and the fleet cycle ledger (per-tenant blame tables in the output)")
+		attribCSV  = fs.String("attrib-csv", "", "write per-request segment and per-replica bucket attribution as CSV to this file (implies -attrib)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		fmt.Println("steady        three mixed tenants at moderate Poisson load, autoscaler on")
@@ -108,27 +121,40 @@ func main() {
 		fmt.Println("              vs paged KV with prefix caching, evict-recompute vs evict-swap, same trace")
 		fmt.Println("attrib        exact latency attribution on one session trace served three ways")
 		fmt.Println("              (reserve vs paged vs disagg); blame tables and the fleet cycle ledger")
-		return
+		return nil
 	}
 
 	id, ok := scenarios[strings.TrimSpace(*scenario)]
 	if !ok {
 		id = strings.TrimSpace(*scenario) // allow raw experiment ids too
 		if !strings.HasPrefix(id, "serve-") {
-			fatal(fmt.Errorf("unknown scenario %q (want one of %s)", *scenario, scenarioNames()))
+			return fmt.Errorf("unknown scenario %q (want one of %s)", *scenario, scenarioNames())
 		}
 	}
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
+		// ferr, not err: the deferred close must see run's own result.
+		f, ferr := os.Create(*cpuprofile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if werr := writeHeapProfile(*memprofile); err == nil {
+				err = werr
+			}
+		}()
 	}
 
 	opts := experiments.DefaultOptions()
@@ -144,22 +170,22 @@ func main() {
 	}
 	runner, err := experiments.NewRunner(opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := runner.Run(id)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	sr, isServe := res.(*experiments.ServeResult)
 	if (*jsonOut || *traceOut != "" || *ganttN > 0 || *tlOut != "" || *attribCSV != "") && !isServe {
-		fatal(fmt.Errorf("%s is not a serving scenario", id))
+		return fmt.Errorf("%s is not a serving scenario", id)
 	}
 
 	if *jsonOut {
 		data, err := json.MarshalIndent(sr.Reports, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		os.Stdout.Write(append(data, '\n'))
 	} else {
@@ -168,7 +194,7 @@ func main() {
 
 	if *traceOut != "" {
 		if err := writeTraces(*traceOut, sr.Reports); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
 	}
@@ -181,27 +207,31 @@ func main() {
 	}
 	if *tlOut != "" {
 		if err := writeTimelines(*tlOut, sr.Reports); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: timelines written to %s\n", *tlOut)
 	}
 	if *attribCSV != "" {
 		if err := writeAttrib(*attribCSV, sr.Reports); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: attribution ledger written to %s\n", *attribCSV)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
+	return nil
+}
+
+// writeHeapProfile writes a heap profile, taken after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeTraces merges every scenario leg's tracer into one Chrome
@@ -285,9 +315,4 @@ func writeAttrib(path string, reports []*serve.Report) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "neu10-serve:", err)
-	os.Exit(1)
 }

@@ -28,6 +28,11 @@ import (
 // request whose prefix chain matches resident nodes pins them and
 // skips re-prefilling the matched whole blocks.
 //
+// The cache allocates nothing in steady state: children hang off
+// intrusive sibling links, every node sits on an intrusive LRU list
+// that a pin or seal touch moves to the recent end, and dropped nodes
+// wait on a free list for the next seal.
+//
 // Invariants (asserted in tests):
 //   - acct.used == Σ live private blocks + Σ cache-node blocks;
 //   - cold == Σ blocks of cache nodes with refs == 0;
@@ -47,12 +52,25 @@ type radixNode struct {
 	startTok int // chain tokens before this segment
 	blocks   int // whole blocks completing within this segment's span
 
-	parent   *radixNode
-	children map[uint64]*radixNode
+	// parent, child (the first child) and next (the next sibling) link
+	// the trie; keys are unique among siblings because seal stops rather
+	// than insert a key that exists with another span. On the free list
+	// next chains the free nodes.
+	parent, child, next *radixNode
 
-	refs    int   // live sequences pinning this node (via descendants too)
-	lastUse int64 // LRU clock at last pin/seal touch
-	ord     int64 // creation ordinal: deterministic LRU tie-break
+	refs int // live sequences pinning this node (via descendants too)
+
+	// older and newer link the node into its pagedKV's LRU list.
+	older, newer *radixNode
+}
+
+// childFor returns n's child under key, or nil.
+func (n *radixNode) childFor(key uint64) *radixNode {
+	c := n.child
+	for c != nil && c.key != key {
+		c = c.next
+	}
+	return c
 }
 
 // swapFlight is one sequence's KV payload on the host link, outbound
@@ -75,11 +93,13 @@ type pagedKV struct {
 	a     *kvAccountant // raw block ledger
 	evict string        // KVEvictRecompute | KVEvictSwap
 
-	root    *radixNode
-	nodes   []*radixNode // every cache node (eviction scan set)
-	cold    int          // Σ blocks of refs==0 nodes: reclaimable without touching live seqs
-	lruTick int64
-	nodeOrd int64
+	root *radixNode
+	// lru is the sentinel of a ring holding every cache node in touch
+	// order: lru.newer is the least recently touched node and lru.older
+	// the most recent.
+	lru  radixNode
+	free *radixNode // dropped nodes awaiting reuse, chained through next
+	cold int        // Σ blocks of refs==0 nodes: reclaimable without touching live seqs
 
 	// hostLink models the NPU↔host swap path (swapGBps); lazily created
 	// at bind. swapQ holds swapped-out sequences FIFO: the head returns
@@ -108,11 +128,13 @@ const swapGBps = 32
 
 // newPagedKV builds the paged machinery over a fresh replica's ledger.
 func newPagedKV(f *fleet, t *tenantState, acct *kvAccountant) *pagedKV {
-	return &pagedKV{
+	p := &pagedKV{
 		f: f, t: t, a: acct,
 		evict: t.cfg.LLM.KVEvict,
-		root:  &radixNode{children: map[uint64]*radixNode{}},
+		root:  &radixNode{},
 	}
+	p.lru.older, p.lru.newer = &p.lru, &p.lru
+	return p
 }
 
 // bind attaches the policy to its spawned replica and opens the host
@@ -149,43 +171,46 @@ func (p *pagedKV) ensureFree(blocks int, now float64) {
 	}
 }
 
-// coldestLeaf picks the eviction victim: among unpinned childless
-// nodes, the least recently used (creation ordinal breaks ties, so the
-// scan order over the node set cannot matter).
+// coldestLeaf picks the eviction victim: the least recently used
+// unpinned childless node, the first one the walk from the LRU list's
+// old end meets.
 func (p *pagedKV) coldestLeaf() *radixNode {
-	var best *radixNode
-	for _, n := range p.nodes {
-		if n.refs != 0 || len(n.children) != 0 {
-			continue
-		}
-		if best == nil || n.lastUse < best.lastUse ||
-			(n.lastUse == best.lastUse && n.ord < best.ord) {
-			best = n
+	for n := p.lru.newer; n != &p.lru; n = n.newer {
+		if n.refs == 0 && n.child == nil {
+			return n
 		}
 	}
-	return best
+	return nil
 }
 
-// dropNode evicts one cold leaf: its blocks return to the ledger and
-// its parent may become a leaf for the next round.
-func (p *pagedKV) dropNode(n *radixNode, now float64) {
-	delete(n.parent.children, n.key)
-	for i, x := range p.nodes {
-		if x == n {
-			p.nodes = append(p.nodes[:i], p.nodes[i+1:]...)
-			break
-		}
+// touch moves n to the recent end of the LRU list, inserting it if it
+// is not on the list yet.
+func (p *pagedKV) touch(n *radixNode) {
+	if n.newer != nil {
+		n.older.newer, n.newer.older = n.newer, n.older
 	}
+	last := p.lru.older
+	n.older, n.newer = last, &p.lru
+	last.newer, p.lru.older = n, n
+}
+
+// dropNode evicts one cold leaf: its blocks return to the ledger, its
+// parent may become a leaf for the next round, and the node goes on
+// the free list.
+func (p *pagedKV) dropNode(n *radixNode, now float64) {
+	link := &n.parent.child
+	for *link != n {
+		link = &(*link).next
+	}
+	*link = n.next
+	n.older.newer, n.newer.older = n.newer, n.older
 	p.cold -= n.blocks
 	p.cacheEvictBlocks += n.blocks
 	if n.blocks > 0 {
 		p.a.free(n.blocks, now)
 	}
-}
-
-func (p *pagedKV) tick() int64 {
-	p.lruTick++
-	return p.lruTick
+	*n = radixNode{next: p.free}
+	p.free = n
 }
 
 // ---- prefix matching ----
@@ -198,7 +223,7 @@ func (p *pagedKV) tick() int64 {
 func (p *pagedKV) matchPrefix(req request) (*radixNode, int, int) {
 	node, tok, coldB := p.root, 0, 0
 	for _, seg := range req.prefix {
-		child := node.children[seg.Key]
+		child := node.childFor(seg.Key)
 		if child == nil || child.tokens != seg.Tokens {
 			break
 		}
@@ -235,7 +260,7 @@ func (p *pagedKV) pinChain(tail *radixNode) {
 			p.cold -= n.blocks
 		}
 		n.refs++
-		n.lastUse = p.tick()
+		p.touch(n)
 	}
 }
 
@@ -256,32 +281,37 @@ func (p *pagedKV) unpin(s *llmSeq) {
 
 // ---- admission / release (through the ledger) ----
 
-// canAdmit: admission charges blocksFor(prompt+1−hit) — the prompt
-// suffix the prefill actually processes plus the first token it emits;
-// decode grows the rest block-by-block. Admission backpressures while
-// any sequence waits in the swap queue (its return has first claim on
-// freed blocks), and discounts the matched chain's cold blocks, which
-// pinning will make unreclaimable.
-func (p *pagedKV) canAdmit(req request) bool {
+// admission sizes admitting req: it matches the request's prefix chain
+// and returns the matched tail, the hit tokens, and the blocks the
+// admission charges — blocksFor(prompt+1−hit), the prompt suffix the
+// prefill actually processes plus the first token it emits; decode
+// grows the rest block-by-block. ok is false while any sequence waits
+// in the swap queue (its return has first claim on freed blocks) or
+// when the charge does not fit once the matched chain's cold blocks,
+// which pinning will make unreclaimable, are discounted.
+func (p *pagedKV) admission(req request) (tail *radixNode, hit, need int, ok bool) {
 	if len(p.swapQ) > 0 {
-		return false
+		return nil, 0, 0, false
 	}
-	_, tok, coldB := p.matchPrefix(req)
-	need := p.a.blocksFor(req.prompt + 1 - p.hitTokens(tok, req.prompt))
-	return p.avail()-coldB >= need
+	tail, tok, coldB := p.matchPrefix(req)
+	hit = p.hitTokens(tok, req.prompt)
+	need = p.a.blocksFor(req.prompt + 1 - hit)
+	return tail, hit, need, p.avail()-coldB >= need
 }
 
-// admit pins the matched prefix chain and charges the private suffix.
-// next() proposes work and launches it within one event, so state
-// cannot shift between the canAdmit that approved this admission and
-// the charge here.
+// canAdmit reports whether admission would admit req now.
+func (p *pagedKV) canAdmit(req request) bool {
+	_, _, _, ok := p.admission(req)
+	return ok
+}
+
+// admit pins the matched prefix chain and charges the private suffix,
+// walking the chain once; it admits nothing when admission refuses.
 func (p *pagedKV) admit(s *llmSeq, now float64) bool {
-	if !p.canAdmit(s.req) {
+	tail, hit, need, ok := p.admission(s.req)
+	if !ok {
 		return false
 	}
-	tail, tok, _ := p.matchPrefix(s.req)
-	hit := p.hitTokens(tok, s.req.prompt)
-	need := p.a.blocksFor(s.req.prompt + 1 - hit)
 	if tail != nil {
 		p.pinChain(tail)
 		s.cref = tail
@@ -321,25 +351,27 @@ func (p *pagedKV) seal(s *llmSeq) {
 	node, tokens := p.root, 0
 	transferred := 0
 	addSeg := func(key uint64, span int) bool {
-		child := node.children[key]
+		child := node.childFor(key)
 		if child != nil {
 			if child.tokens != span {
 				return false // foreign key reuse; stop sealing
 			}
-			child.lastUse = p.tick()
 		} else {
-			child = &radixNode{
+			if child = p.free; child != nil {
+				p.free = child.next
+			} else {
+				child = new(radixNode)
+			}
+			*child = radixNode{
 				key: key, tokens: span, startTok: tokens,
 				blocks: (tokens+span)/kvBlockTokens - tokens/kvBlockTokens,
-				parent: node, children: map[uint64]*radixNode{},
-				lastUse: p.tick(), ord: p.nodeOrd,
+				parent: node, next: node.child,
 			}
-			p.nodeOrd++
-			node.children[key] = child
-			p.nodes = append(p.nodes, child)
+			node.child = child
 			p.cold += child.blocks // born cold; a later admission may pin it
 			transferred += child.blocks
 		}
+		p.touch(child)
 		node = child
 		tokens += span
 		return true

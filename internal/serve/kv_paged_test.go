@@ -49,19 +49,87 @@ func nodeBlocks(n *radixNode) int {
 	return (n.startTok+n.tokens)/kvBlockTokens - n.startTok/kvBlockTokens
 }
 
-// TestPagedDrainInvariants runs the paged backend to a full drain under
-// both eviction policies across several seeds and checks the backend's
-// documented invariants directly on its internal state:
+// checkPagedDrained asserts the paged backend's documented invariants
+// on one replica whose fleet has drained, directly on its internal
+// state:
 //
-//   - no sequence left swapped or in flight once the event queue drains;
+//   - no sequence left swapped or in flight, and none resident;
+//   - the trie's links agree (every child points back at its parent),
+//     the LRU list holds exactly the trie's nodes, each once, and no
+//     node is both in the trie and on the free list;
 //   - every cache node unpinned (refs == 0) with refs never having gone
 //     negative (unpin panics otherwise, so completion certifies it);
 //   - block conservation: each node's owned blocks match the span
 //     arithmetic, the cold counter equals their sum, and — with no live
 //     sequences — the ledger's used equals cold exactly (all residency
-//     is cache, zero private blocks leak);
-//   - report-level conservation: arrivals = rejected + completed, peak
-//     occupancy in (0, 1], and at least one admission hit the cache.
+//     is cache, zero private blocks leak).
+func checkPagedDrained(t *testing.T, label string, p *pagedKV) {
+	t.Helper()
+	if len(p.swapQ) != 0 || len(p.flights) != 0 {
+		t.Errorf("%s: %d swapped seqs and %d transfers survive the drain", label, len(p.swapQ), len(p.flights))
+	}
+	if p.a.curSeqs != 0 {
+		t.Errorf("%s: %d sequences still resident after drain", label, p.a.curSeqs)
+	}
+	var trie []*radixNode
+	inTrie := map[*radixNode]bool{}
+	var walk func(n *radixNode)
+	walk = func(n *radixNode) {
+		for c := n.child; c != nil; c = c.next {
+			if c.parent != n || inTrie[c] {
+				t.Errorf("%s: trie links broken at node key=%d", label, c.key)
+				return
+			}
+			inTrie[c] = true
+			trie = append(trie, c)
+			walk(c)
+		}
+	}
+	walk(p.root)
+	onLRU := map[*radixNode]bool{}
+	for n := p.lru.newer; n != &p.lru; n = n.newer {
+		if onLRU[n] || n.newer.older != n {
+			t.Errorf("%s: LRU list broken at node key=%d", label, n.key)
+			break
+		}
+		onLRU[n] = true
+		if !inTrie[n] {
+			t.Errorf("%s: node key=%d is on the LRU list but not in the trie", label, n.key)
+		}
+	}
+	if len(onLRU) != len(trie) {
+		t.Errorf("%s: LRU list holds %d nodes, trie %d", label, len(onLRU), len(trie))
+	}
+	onFree := map[*radixNode]bool{}
+	for n := p.free; n != nil && !onFree[n]; n = n.next {
+		onFree[n] = true
+		if inTrie[n] {
+			t.Errorf("%s: node key=%d is both in the trie and on the free list", label, n.key)
+		}
+	}
+	sum := 0
+	for _, n := range trie {
+		if n.refs != 0 {
+			t.Errorf("%s: cache node key=%d still pinned (refs %d) after drain", label, n.key, n.refs)
+		}
+		if want := nodeBlocks(n); n.blocks != want {
+			t.Errorf("%s: node key=%d owns %d blocks, span arithmetic says %d", label, n.key, n.blocks, want)
+		}
+		sum += n.blocks
+	}
+	if p.cold != sum {
+		t.Errorf("%s: cold counter %d ≠ Σ unpinned node blocks %d", label, p.cold, sum)
+	}
+	if p.a.usedBlocks != p.cold {
+		t.Errorf("%s: %d blocks used but only %d are cache — private blocks leaked", label, p.a.usedBlocks, p.cold)
+	}
+}
+
+// TestPagedDrainInvariants runs the paged backend to a full drain under
+// both eviction policies across several seeds and checks every
+// replica with checkPagedDrained, plus report-level conservation:
+// arrivals = rejected + completed, peak occupancy in (0, 1], and at
+// least one admission hit the cache.
 func TestPagedDrainInvariants(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -76,37 +144,10 @@ func TestPagedDrainInvariants(t *testing.T) {
 			f.eng.Run()
 			for _, tn := range f.tenants {
 				for _, r := range tn.replicas {
-					p := r.kv.paged
-					if p == nil {
+					if r.kv.paged == nil {
 						t.Fatalf("seed %d/%s: replica runs without the paged policy", seed, evict)
 					}
-					if len(p.swapQ) != 0 || len(p.flights) != 0 {
-						t.Errorf("seed %d/%s: %d swapped seqs and %d transfers survive the drain",
-							seed, evict, len(p.swapQ), len(p.flights))
-					}
-					sum := 0
-					for _, n := range p.nodes {
-						if n.refs != 0 {
-							t.Errorf("seed %d/%s: cache node key=%d still pinned (refs %d) after drain",
-								seed, evict, n.key, n.refs)
-						}
-						if want := nodeBlocks(n); n.blocks != want {
-							t.Errorf("seed %d/%s: node key=%d owns %d blocks, span arithmetic says %d",
-								seed, evict, n.key, n.blocks, want)
-						}
-						sum += n.blocks
-					}
-					if p.cold != sum {
-						t.Errorf("seed %d/%s: cold counter %d ≠ Σ unpinned node blocks %d",
-							seed, evict, p.cold, sum)
-					}
-					if p.a.usedBlocks != p.cold {
-						t.Errorf("seed %d/%s: %d blocks used but only %d are cache — private blocks leaked",
-							seed, evict, p.a.usedBlocks, p.cold)
-					}
-					if p.a.curSeqs != 0 {
-						t.Errorf("seed %d/%s: %d sequences still resident after drain", seed, evict, p.a.curSeqs)
-					}
+					checkPagedDrained(t, fmt.Sprintf("seed %d/%s replica %d", seed, evict, r.id), r.kv.paged)
 				}
 			}
 			rep := f.report()
@@ -142,8 +183,7 @@ func TestPagedDrainInvariants(t *testing.T) {
 // waiting in swapQ. Each phase must be caught on at least one of seeds
 // 1–4. After drain, under both crash policies, every arrival is
 // rejected, completed or lost, the attribution ledger balances with no
-// request open, and every survivor holds no live sequence and only
-// cold cache blocks.
+// request open, and every survivor passes checkPagedDrained.
 func TestPagedCrashMidSwap(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	phases := []struct {
@@ -197,18 +237,7 @@ func TestPagedCrashMidSwap(t *testing.T) {
 				}
 				verifyLedger(t, label, f.report())
 				for _, r := range ten.replicas {
-					p := r.kv.paged
-					if len(p.swapQ) != 0 || len(p.flights) != 0 {
-						t.Errorf("%s: replica %d keeps %d swapped seqs and %d transfers after drain",
-							label, r.id, len(p.swapQ), len(p.flights))
-					}
-					if p.a.curSeqs != 0 {
-						t.Errorf("%s: replica %d has %d resident sequences after drain", label, r.id, p.a.curSeqs)
-					}
-					if p.a.usedBlocks != p.cold {
-						t.Errorf("%s: replica %d uses %d blocks but only %d are cold cache",
-							label, r.id, p.a.usedBlocks, p.cold)
-					}
+					checkPagedDrained(t, fmt.Sprintf("%s replica %d", label, r.id), r.kv.paged)
 				}
 			}
 		}
@@ -314,4 +343,177 @@ func TestPagedValidation(t *testing.T) {
 	bad(func(c *Config) { c.Tenants[0].LLM.KVEvict = "teleport" }, "unknown eviction policy")
 	bad(func(c *Config) { c.Tenants[0].LLM.KVPolicy = "virtual" }, "unknown KV policy")
 	bad(func(c *Config) { c.Tenants[0].LLM.KVPolicy = "" }, "eviction policy without paged backend")
+}
+
+// TestPagedEvictsLRUColdLeaf pins the eviction order on one replica's
+// cache, driven only through admit, release and ensureFree. Three
+// session chains seal under a shared prefix A (leaves S1, S2, S3) and
+// one more chain P seals at the root. Then a live sequence pins P, a
+// second sequence pins A→S1 and leaves without sealing, and a second
+// turn of session 2 seals A→S2 again, which leaves A older than its
+// child S2. Each ensureFree call then reclaims exactly one 2-block
+// node, and the victims must go S3, S1, S2, A: the least recently
+// touched cold leaf first, whether a pin or a seal touched it last;
+// the pinned P never; and A only after its children.
+func TestPagedEvictsLRUColdLeaf(t *testing.T) {
+	f, err := newFleet(pagedCfg(1, KVPaged, KVEvictRecompute), NewCostDB(arch.TPUv4Like()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := f.tenants[0].replicas[0].kv.paged
+	segA := workload.PrefixSeg{Key: 100, Tokens: 32}
+	segP := workload.PrefixSeg{Key: 50, Tokens: 32}
+	sess := func(key uint64) workload.PrefixSeg { return workload.PrefixSeg{Key: key, Tokens: 32} }
+	admit := func(prompt int, sealKey uint64, prefix ...workload.PrefixSeg) *llmSeq {
+		s := &llmSeq{req: request{prompt: prompt, output: 4, prefix: prefix, sealKey: sealKey}, ctx: prompt}
+		if !p.admit(s, 0) {
+			t.Fatalf("admission of a %d-token prompt refused", prompt)
+		}
+		return s
+	}
+	for _, key := range []uint64{1, 2, 3} {
+		p.release(admit(64, key, segA), 0)
+	}
+	p.release(admit(32, segP.Key), 0)
+	pinned := admit(48, 0, segP)
+	p.release(admit(80, 0, segA, sess(1)), 0)
+	p.release(admit(64, 2, segA), 0)
+
+	// resident names the cache nodes whose whole chain still matches.
+	chains := []struct {
+		name  string
+		chain []workload.PrefixSeg
+	}{
+		{"A", []workload.PrefixSeg{segA}},
+		{"S1", []workload.PrefixSeg{segA, sess(1)}},
+		{"S2", []workload.PrefixSeg{segA, sess(2)}},
+		{"S3", []workload.PrefixSeg{segA, sess(3)}},
+		{"P", []workload.PrefixSeg{segP}},
+	}
+	resident := func() map[string]bool {
+		set := map[string]bool{}
+		for _, c := range chains {
+			if _, tok, _ := p.matchPrefix(request{prefix: c.chain}); tok == 32*len(c.chain) {
+				set[c.name] = true
+			}
+		}
+		return set
+	}
+	if got := resident(); len(got) != len(chains) {
+		t.Fatalf("after sealing, resident nodes %v, want all of A S1 S2 S3 P", got)
+	}
+	var order []string
+	for p.cold > 0 {
+		before := resident()
+		p.ensureFree(p.freeBlocks()+1, 0)
+		after := resident()
+		for name := range before {
+			if !after[name] {
+				order = append(order, name)
+			}
+		}
+	}
+	if want := []string{"S3", "S1", "S2", "A"}; !slices.Equal(order, want) {
+		t.Errorf("eviction order %v, want %v", order, want)
+	}
+	if !resident()["P"] {
+		t.Error("the pinned node P was evicted")
+	}
+	p.release(pinned, 0)
+	if p.cold != 2 || p.a.usedBlocks != 2 {
+		t.Errorf("after the pin drops: %d cold blocks, %d used, want 2 and 2 (P alone)", p.cold, p.a.usedBlocks)
+	}
+}
+
+// TestPagedServeAllocBudget locks in the allocation-free paged serve
+// loop. It runs pagedCfg at 20 and 40 simulated seconds under each
+// eviction policy, each after a warm-up run that fills the CostDB: the
+// per-run costs (fleet, replicas, report) cancel in the difference,
+// which must stay at most 4 allocations per extra arrival. Each arrival costs its llmSeq and a
+// share of the recorders' and the session trace's growth; an
+// allocation per decode iteration, per cache node or per event would
+// cost several times that.
+func TestPagedServeAllocBudget(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	for _, evict := range []string{KVEvictRecompute, KVEvictSwap} {
+		run := func(sec float64) (allocs float64, arrivals int) {
+			cfg := pagedCfg(1, KVPaged, evict)
+			cfg.DurationSec = sec
+			// AllocsPerRun's warm-up run measures every CostDB entry
+			// the measured run reads.
+			allocs = testing.AllocsPerRun(1, func() {
+				rep, err := Run(cfg, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arrivals = rep.Tenants[0].Arrivals
+			})
+			return allocs, arrivals
+		}
+		a20, n20 := run(20)
+		a40, n40 := run(40)
+		if n40 <= n20 {
+			t.Fatalf("%s: %d arrivals at 40 s, %d at 20 s", evict, n40, n20)
+		}
+		per := (a40 - a20) / float64(n40-n20)
+		t.Logf("%s: %.0f allocs / %d arrivals at 20 s, %.0f / %d at 40 s: %.2f per extra arrival",
+			evict, a20, n20, a40, n40, per)
+		if per > 4 {
+			t.Errorf("%s: %.2f allocations per extra arrival, want ≤ 4 (per-iteration allocation in the paged loop?)", evict, per)
+		}
+	}
+}
+
+// FuzzPagedKV decodes its arguments into a variant of pagedCfg and runs
+// it to drain. Each bound is an offset from the one below it (prompt
+// and output min, mean, max; the session cap above the smallest one
+// Validate accepts, the shared prefix plus the worst turn and output;
+// the KV partition above the session cap), so most inputs decode to a
+// config newFleet accepts. newFleet may still reject one; otherwise
+// every replica must pass checkPagedDrained, every arrival must be
+// rejected or completed, and the attribution ledger must balance.
+func FuzzPagedKV(f *testing.F) {
+	db := NewCostDB(arch.TPUv4Like())
+	f.Fuzz(func(t *testing.T, seed uint64, swap bool, maxBatch, sessions, shared uint8,
+		promptMin, promptMean, promptMax, outputMin, outputMean, outputMax uint8,
+		sessionSlack, capSlack uint16, tenthsSec uint8) {
+		evict := KVEvictRecompute
+		if swap {
+			evict = KVEvictSwap
+		}
+		cfg := pagedCfg(seed, KVPaged, evict)
+		cfg.DurationSec = float64(1+tenthsSec%40) / 10
+		cfg.Obs = &ObsConfig{Attrib: true}
+		tc := &cfg.Tenants[0]
+		tc.MaxBatch = 1 + int(maxBatch%16)
+		tr := &tc.LLM.Trace
+		tr.Sessions = 1 + int(sessions%16)
+		tr.SharedPrefixTokens = int(shared)
+		tr.PromptMin = 1 + int(promptMin)
+		tr.PromptMean = tr.PromptMin + int(promptMean)
+		tr.PromptMax = tr.PromptMean + int(promptMax)
+		tr.OutputMin = 1 + int(outputMin%64)
+		tr.OutputMean = tr.OutputMin + int(outputMean%64)
+		tr.OutputMax = tr.OutputMean + int(outputMax%64)
+		tr.MaxSessionTokens = tr.SharedPrefixTokens + tr.PromptMax + tr.OutputMax + int(sessionSlack%2048)
+		tc.LLM.KVCapTokens = tr.MaxSessionTokens + int(capSlack%4096)
+
+		fl, err := newFleet(cfg, db)
+		if err != nil {
+			return
+		}
+		ten := fl.tenants[0]
+		fl.scheduleArrival(ten)
+		fl.eng.Run()
+		if fl.costErr != nil {
+			t.Fatalf("run stopped on a costing error: %v", fl.costErr)
+		}
+		for _, r := range ten.replicas {
+			checkPagedDrained(t, fmt.Sprintf("replica %d", r.id), r.kv.paged)
+		}
+		if ten.arrivals != ten.rejected+ten.completed {
+			t.Errorf("%d arrivals ≠ %d rejected + %d completed", ten.arrivals, ten.rejected, ten.completed)
+		}
+		verifyLedger(t, "fuzz", fl.report())
+	})
 }

@@ -409,17 +409,16 @@ func (c *continuousLLM) passedOver(r *replica, q *slotQueue) {
 func (c *continuousLLM) admitsArrival(*replica) bool { return true }
 
 // admit moves admittable requests from the queue head into running
-// sequences: FIFO, stopping at MaxBatch or at the first request whose
-// full KV reservation does not fit (no head-of-line bypass — admission
-// order stays deterministic and starvation-free). A stop forced by KV
-// pressure is counted as a stall. The disaggregated prefill pool runs
-// its own variant of this loop (disaggBatcher.launchPrefill in
-// disagg.go: prompt-only reservation, width counts only unfinished
-// prefills, queue-delay window sample) — bookkeeping changes here
-// likely apply there too.
-func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq {
+// sequences, appending each joiner to batch b: FIFO, stopping at
+// MaxBatch or at the first request whose full KV reservation does not
+// fit (no head-of-line bypass — admission order stays deterministic
+// and starvation-free). A stop forced by KV pressure is counted as a
+// stall. The disaggregated prefill pool runs its own variant of this
+// loop (disaggBatcher.launchPrefill in disagg.go: prompt-only
+// reservation, width counts only unfinished prefills, queue-delay
+// window sample) — bookkeeping changes here likely apply there too.
+func (c *continuousLLM) admit(r *replica, q *slotQueue, b *batch, now sim.Time) {
 	f, t := c.f, q.ten
-	var joined []*llmSeq
 	for len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch {
 		req := q.reqs[0]
 		s := &llmSeq{req: req, ctx: req.prompt}
@@ -427,7 +426,7 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq 
 			break
 		}
 		q.running = append(q.running, s)
-		joined = append(joined, s)
+		b.seqs = append(b.seqs, s)
 		n := copy(q.reqs, q.reqs[1:])
 		q.reqs = q.reqs[:n]
 		t.llm.admitted++
@@ -439,7 +438,6 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq 
 		t.llm.kvStalls++
 		f.obs.admitStall(t, r, q.reqs[0].id, now)
 	}
-	return joined
 }
 
 // launchPrefill starts a prefill invocation for the queue's
@@ -450,7 +448,10 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, now sim.Time) []*llmSeq 
 func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, now sim.Time, restore float64) {
 	f, t := c.f, q.ten
 	f.disarmTimer(r)
-	joined := c.admit(r, q, now)
+	b := f.takeBatch()
+	b.ten, b.restore, b.kind = t, restore, kind
+	c.admit(r, q, b, now)
+	joined := b.seqs
 	if len(joined) == 0 {
 		panic("serve: prefill launch admitted no sequence")
 	}
@@ -484,9 +485,6 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 		cycles, err = f.costs.LLMCycles(PhasePrefill, len(joined), maxPrompt, r.nm, r.nv)
 	}
 	f.costFailed("prefill batch", err)
-	b := f.takeBatch()
-	b.ten, b.restore, b.kind = t, restore, kind
-	b.seqs = append(b.seqs[:0], joined...)
 	f.obs.launched(b, now)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles

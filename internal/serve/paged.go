@@ -54,21 +54,26 @@ func pagedDecodeReady(p *pagedKV, q *slotQueue) (sim.Time, bool) {
 // least work and the oldest finish soonest) until demand fits or one
 // sequence remains. Any still-ungrantable sequence just sits this
 // iteration out.
+//
+// The candidate set is built in the batch's own seqs, so a steady-state
+// launch allocates nothing: victims truncate it, sequences sitting the
+// iteration out are compacted away, and the dropped tail is cleared.
 func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time, restore float64) {
 	f, t := c.f, q.ten
 	p := r.kv.paged
-	var live []*llmSeq
+	b := f.takeBatch()
+	b.ten, b.restore, b.kind = t, restore, kindLLMDecode
+	live := b.seqs
+	need := 0
 	for _, s := range q.running {
 		if s.prefilled && !s.migrating && !s.swapped && s.produced < s.req.output {
 			live = append(live, s)
+			if p.needsBlock(s) {
+				need++
+			}
 		}
 	}
-	need := 0
-	for _, s := range live {
-		if p.needsBlock(s) {
-			need++
-		}
-	}
+	cands := len(live)
 	for need > p.avail() && len(live) > 1 {
 		victim := live[len(live)-1]
 		live = live[:len(live)-1]
@@ -77,9 +82,7 @@ func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time
 		}
 		f.evictSeq(r, q, victim, now)
 	}
-	b := f.takeBatch()
-	b.ten, b.restore, b.kind = t, restore, kindLLMDecode
-	maxCtx := 0
+	maxCtx, n := 0, 0
 	for _, s := range live {
 		if p.needsBlock(s) {
 			if p.avail() < 1 {
@@ -87,11 +90,14 @@ func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time
 			}
 			p.extendSeq(s, float64(now))
 		}
-		b.seqs = append(b.seqs, s)
+		live[n] = s
+		n++
 		if s.ctx > maxCtx {
 			maxCtx = s.ctx
 		}
 	}
+	clear(live[n:cands])
+	b.seqs = live[:n]
 	if len(b.seqs) == 0 {
 		panic("serve: paged decode launch granted no sequence")
 	}

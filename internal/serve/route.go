@@ -14,12 +14,15 @@ func (f *fleet) scheduleArrival(t *tenantState) {
 	if at > f.durCycles {
 		return // traffic ends with the scenario; in-flight work drains
 	}
-	f.eng.At(sim.Time(at), func(now sim.Time) {
-		if t.arrRNG.Float64()*t.peakMult <= t.rateMult(float64(now), f.durCycles) {
-			f.arrive(t, now)
+	if t.arrival == nil {
+		t.arrival = func(now sim.Time) {
+			if t.arrRNG.Float64()*t.peakMult <= t.rateMult(float64(now), f.durCycles) {
+				f.arrive(t, now)
+			}
+			f.scheduleArrival(t)
 		}
-		f.scheduleArrival(t)
-	})
+	}
+	f.eng.At(sim.Time(at), t.arrival)
 }
 
 // arrive routes one request and applies admission control: a request

@@ -32,8 +32,9 @@ import (
 
 // takeBatch returns a recycled (or new) batch instance; retired
 // batches go back through putBatch so the steady-state launch path
-// reuses both the struct and its request slice instead of allocating
-// per invocation (the same pooling discipline as sched's µTOp pool).
+// reuses the struct, its request slices and its completion closure
+// instead of allocating per invocation (the same pooling discipline as
+// sched's µTOp pool).
 func (f *fleet) takeBatch() *batch {
 	if n := len(f.batchFree); n > 0 {
 		b := f.batchFree[n-1]
@@ -41,15 +42,15 @@ func (f *fleet) takeBatch() *batch {
 		f.batchFree = f.batchFree[:n-1]
 		return b
 	}
-	return &batch{}
+	b := &batch{}
+	b.done = func(now sim.Time) { f.finish(b.slot, b, now) }
+	return b
 }
 
 func (f *fleet) putBatch(b *batch) {
-	for i := range b.seqs {
-		b.seqs[i] = nil
-	}
+	clear(b.seqs)
 	reqs, seqs, chunks := b.reqs[:0], b.seqs[:0], b.chunks[:0]
-	*b = batch{reqs: reqs, seqs: seqs, chunks: chunks}
+	*b = batch{reqs: reqs, seqs: seqs, chunks: chunks, done: b.done}
 	f.batchFree = append(f.batchFree, b)
 }
 
@@ -219,10 +220,11 @@ func (f *fleet) dispatch(r *replica, now sim.Time) {
 // segment's completion: restore debt first, then the remaining service.
 func (f *fleet) startSegment(r *replica, b *batch, now sim.Time) {
 	b.started = now
+	b.slot = r
 	r.cur = b
 	f.obs.batchStart(r, b, now)
 	seg := b.restore + b.remaining
-	b.doneH = f.eng.After(sim.Time(seg)+1, func(now sim.Time) { f.finish(r, b, now) })
+	b.doneH = f.eng.After(sim.Time(seg)+1, b.done)
 }
 
 // finish retires a completed invocation through its tenant's batcher —

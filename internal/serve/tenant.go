@@ -94,8 +94,14 @@ type batch struct {
 	restore   float64 // switch cycles to pay before service (re)starts
 
 	started  sim.Time   // start of the current segment
+	slot     *replica   // the slot the current segment runs on
 	doneH    sim.Handle // scheduled completion of the current segment
 	preempts int        // preemptions + priority bypasses suffered (stats)
+
+	// done finishes the batch on slot when a segment completes. It is
+	// built once per batch instance and survives putBatch, so starting
+	// a segment allocates no closure.
+	done func(now sim.Time)
 
 	// Aging credit: victimWait accrues the cycles this batch has spent
 	// suspended (waiting covers the open interval since waitFrom). Once
@@ -233,6 +239,9 @@ type tenantState struct {
 
 	arrRNG   *sim.RNG // arrival gaps + thinning coin
 	routeRNG *sim.RNG // power-of-two sampling
+	// arrival is the event every candidate arrival fires, built once by
+	// scheduleArrival so scheduling one allocates no closure.
+	arrival func(now sim.Time)
 
 	// llm is the autoregressive runtime (request-shape RNG, TTFT/TPOT
 	// recorders, KV stall counters); nil for single-shot tenants.
