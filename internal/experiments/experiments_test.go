@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -23,11 +25,17 @@ func testRunner(t *testing.T) *Runner {
 	return r
 }
 
+// TestIDsAllRunnable renders every experiment and byte-locks the paper's
+// figures and tables: the SHA-256 of each non-serving id's Table() at
+// Requests=4 is pinned in testdata/golden_paper.sha256 (the serving
+// tables have their own snapshots), regenerated only under
+// NEU10_UPDATE_GOLDEN.
 func TestIDsAllRunnable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in long mode only")
 	}
 	r := testRunner(t)
+	var paper strings.Builder
 	for _, id := range IDs() {
 		res, err := r.Run(id)
 		if err != nil {
@@ -36,10 +44,15 @@ func TestIDsAllRunnable(t *testing.T) {
 		if res.Name() != id {
 			t.Errorf("%s: result names itself %s", id, res.Name())
 		}
-		if tbl := res.Table(); len(tbl) < 40 || !strings.Contains(tbl, "\n") {
+		tbl := res.Table()
+		if len(tbl) < 40 || !strings.Contains(tbl, "\n") {
 			t.Errorf("%s: implausible table output (%d bytes)", id, len(tbl))
 		}
+		if !strings.HasPrefix(id, "serve-") {
+			fmt.Fprintf(&paper, "%x  %s\n", sha256.Sum256([]byte(tbl)), id)
+		}
 	}
+	checkGolden(t, "golden_paper.sha256", paper.String())
 }
 
 func TestUnknownExperimentRejected(t *testing.T) {

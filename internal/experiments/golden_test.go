@@ -54,34 +54,16 @@ var goldenServe = []struct {
 // restructuring (and the obs zero-overhead contract) is checked
 // against.
 func TestGoldenServeReports(t *testing.T) {
-	update := os.Getenv("NEU10_UPDATE_GOLDEN") != ""
 	r, err := NewRunner(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	check := func(name, got string) {
-		t.Helper()
-		path := filepath.Join("testdata", name)
-		if update {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := string(data); got != want {
-			t.Errorf("%s diverged:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-		}
 	}
 	for _, g := range goldenServe {
 		res, err := r.Run(g.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(g.table, res.Table())
+		checkGolden(t, g.table, res.Table())
 		if g.json == "" {
 			continue
 		}
@@ -90,7 +72,27 @@ func TestGoldenServeReports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(g.json, string(data)+"\n")
+		checkGolden(t, g.json, string(data)+"\n")
+	}
+}
+
+// checkGolden compares got with the snapshot testdata/name, or rewrites
+// the snapshot when NEU10_UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("NEU10_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s diverged:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 
@@ -157,21 +159,7 @@ func TestGoldenObsExports(t *testing.T) {
 	for _, id := range goldenObsScenarios {
 		fmt.Fprintf(&sb, "%s  %s\n", obsDigest(t, r, id), id)
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "golden_obs.sha256")
-	if os.Getenv("NEU10_UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("observability exports diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "golden_obs.sha256", sb.String())
 }
 
 // tracedOptions is DefaultOptions with lifecycle tracing and timeline

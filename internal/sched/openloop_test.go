@@ -2,9 +2,11 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"neu10/internal/compiler"
+	"neu10/internal/sim"
 )
 
 // Open-loop (Poisson arrival) traffic and the harvest-ablation knobs.
@@ -149,22 +151,31 @@ func TestAblationDisableVEHarvest(t *testing.T) {
 	}
 }
 
+// TestAblationFullDisableEqualsNH checks that Neu10 with both harvest
+// paths disabled is Neu10-NH: over random graphs and EU splits, closed-
+// and open-loop, the two runs return the same Result in every field but
+// Policy, timelines included.
 func TestAblationFullDisableEqualsNH(t *testing.T) {
-	// Neu10 with both harvest paths disabled must behave exactly like
-	// Neu10-NH.
-	mk := func() []TenantSpec {
-		return []TenantSpec{
-			{Name: "A", Graph: synth(compiler.ISANeu, meOp(4, 2000, 500), veOp(3000)), MEs: 2, VEs: 2},
-			{Name: "B", Graph: synth(compiler.ISANeu, meOp(2, 1500, 200), veOp(1000)), MEs: 2, VEs: 2},
-		}
-	}
-	nh := mustRun(t, Config{Core: tpu(), Policy: NeuNH, Requests: 10}, mk()...)
-	abl := mustRun(t, Config{Core: tpu(), Policy: Neu10, Requests: 10,
-		DisableMEHarvest: true, DisableVEHarvest: true}, mk()...)
-	for i := range nh.Tenants {
-		if nh.Tenants[i].MeanLatency != abl.Tenants[i].MeanLatency {
-			t.Fatalf("tenant %d: NH %.2f vs fully-ablated Neu10 %.2f",
-				i, nh.Tenants[i].MeanLatency, abl.Tenants[i].MeanLatency)
+	splits := [][2]int{{2, 2}, {1, 3}, {3, 1}}
+	rng := sim.NewRNG(11)
+	for trial := 0; trial < 100; trial++ {
+		seed := rng.Uint64()
+		me, ve := splits[trial%3], splits[(trial/3)%3]
+		for _, rate := range []float64{0, float64(20_000 + 10_000*(trial%5))} {
+			run := func(cfg Config) *Result {
+				gr := sim.NewRNG(seed)
+				cfg.Core, cfg.Requests, cfg.SampleEvery, cfg.Seed = tpu(), 5, 700, seed
+				return mustRun(t, cfg,
+					TenantSpec{Name: "A", Graph: randGraph(gr, compiler.ISANeu), MEs: me[0], VEs: ve[0], ArrivalRate: rate},
+					TenantSpec{Name: "B", Graph: randGraph(gr, compiler.ISANeu), MEs: me[1], VEs: ve[1], ArrivalRate: rate / 2})
+			}
+			nh := run(Config{Policy: NeuNH})
+			abl := run(Config{Policy: Neu10, DisableMEHarvest: true, DisableVEHarvest: true})
+			abl.Policy = nh.Policy
+			if !reflect.DeepEqual(nh, abl) {
+				t.Fatalf("trial %d rate %.0f: fully-ablated Neu10 differs from NH:\nNH  %+v\nabl %+v",
+					trial, rate, nh.Tenants, abl.Tenants)
+			}
 		}
 	}
 }
