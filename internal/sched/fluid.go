@@ -83,6 +83,9 @@ const eps = 1e-6
 // New validates the scenario and builds a simulator.
 func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 	cfg.defaults()
+	if cfg.Policy == NeuNH {
+		cfg.DisableMEHarvest, cfg.DisableVEHarvest = true, true
+	}
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
@@ -249,11 +252,7 @@ func (s *Simulator) emitGroup(t *tenant) {
 
 func (s *Simulator) bind() {
 	switch s.cfg.Policy {
-	case NeuNH:
-		for _, t := range s.tenants {
-			s.bindOwn(t)
-		}
-	case Neu10:
+	case NeuNH, Neu10:
 		for _, t := range s.tenants {
 			s.reclaim(t)
 		}
@@ -493,11 +492,7 @@ func (s *Simulator) grantVE() {
 		}
 	}
 	switch s.cfg.Policy {
-	case NeuNH:
-		for _, t := range s.tenants {
-			s.grantTenantVE(t, float64(t.spec.VEs))
-		}
-	case Neu10:
+	case NeuNH, Neu10:
 		pool := 0.0
 		for _, t := range s.tenants {
 			pool += s.grantTenantVE(t, float64(t.spec.VEs))

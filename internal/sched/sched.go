@@ -6,7 +6,8 @@
 //   - PMT:    PREMA-style temporal sharing of the whole core.
 //   - V10:    operator-level temporal sharing of all MEs under the VLIW
 //     coupling constraint (an ME operator occupies every ME).
-//   - NeuNH:  Neu10-NoHarvest — spatially isolated vNPUs, MIG-style.
+//   - NeuNH:  Neu10-NoHarvest — spatially isolated vNPUs, MIG-style;
+//     the simulator runs it as Neu10 with both harvest paths off.
 //   - Neu10:  spatial isolation plus dynamic µTOp scheduling with ME/VE
 //     harvesting and 256-cycle reclaim preemption.
 //
@@ -93,7 +94,8 @@ type Config struct {
 
 	// Ablation knobs for the Neu10 policy (the ablation studies in
 	// internal/experiments): disable ME harvesting and/or VE harvesting to isolate
-	// each mechanism's contribution. Both false = full Neu10.
+	// each mechanism's contribution. Both false = full Neu10; both true =
+	// NeuNH, which New forces on for that policy.
 	DisableMEHarvest bool
 	DisableVEHarvest bool
 }
