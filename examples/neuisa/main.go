@@ -6,7 +6,8 @@
 // simulator, verifies the numerics against the host reference, and shows
 // that the NeuISA binary runs unmodified on 1, 2 and 4 matrix engines
 // while the VLIW binary refuses anything narrower than it was compiled
-// for (Fig. 9).
+// for (Fig. 9). The simulator is functional, so it reports µTOps and
+// instructions; timing comes from the fluid simulator in internal/sched.
 //
 //	go run ./examples/neuisa
 package main
@@ -79,8 +80,8 @@ func main() {
 		got := tensor.New(m, n)
 		copy(got.Data, coreDev.SRAM[lay.CBase:int(lay.CBase)+m*n])
 		diff := tensor.MaxAbsDiff(want, got)
-		fmt.Printf("NeuISA on %d ME(s): %5d cycles, %4d instructions, max |err| = %v\n",
-			meCount, st.Cycles, st.Instructions, diff)
+		fmt.Printf("NeuISA on %d ME(s): %d µTOps, %4d instructions, max |err| = %v\n",
+			meCount, st.UTopsRun, st.Instructions, diff)
 
 		// The VLIW binary only runs when the core is at least as wide as
 		// its format — the static coupling NeuISA removes.

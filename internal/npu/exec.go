@@ -39,18 +39,18 @@ type execEnv struct {
 	halted    bool
 }
 
-// RunStats reports what a program run cost.
+// RunStats counts what one program run executed. UTopsRun and GroupsRun
+// stay zero for a VLIW program.
 type RunStats struct {
 	Instructions uint64
-	Cycles       uint64
+	UTopsRun     uint64
+	GroupsRun    uint64
 }
 
 // step executes one instruction and returns the pc delta (normally +1,
 // branch target offset otherwise).
 func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int, error) {
 	delta := 1
-	var maxCost uint64 = 1
-
 	fault := func(reason string) error { return &Fault{PC: pc, Reason: reason} }
 
 	// --- load/store slots ---
@@ -81,7 +81,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			return 0, fault(fmt.Sprintf("ME slot %d has no bound engine", slot))
 		}
 		me := c.MEs[env.mes[slot]]
-		var cost uint64
 		switch op.Op {
 		case isa.OpMELoadW:
 			rows, cols := int(op.Imm>>16), int(op.Imm&0xffff)
@@ -95,7 +94,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			if err := me.LoadWeights(c.SRAM[base:base+rows*cols], rows, cols); err != nil {
 				return 0, fault(err.Error())
 			}
-			cost = uint64(rows * loadWPerRow)
 		case isa.OpMEPush:
 			base, n := int(rf.s[op.A]), int(op.Imm)
 			if n < 0 {
@@ -107,7 +105,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			if err := me.Push(c.SRAM[base : base+n]); err != nil {
 				return 0, fault(err.Error())
 			}
-			cost = pushCycles
 		case isa.OpMEPop, isa.OpMEPopA:
 			row, err := me.Pop()
 			if err != nil {
@@ -124,16 +121,11 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 					dst[i] += v
 				}
 			}
-			cost = popCycles
-		}
-		c.MEBusy[env.mes[slot]] += cost
-		if cost > maxCost {
-			maxCost = cost
 		}
 	}
 
 	// --- VE slots ---
-	for slot, op := range in.VE {
+	for _, op := range in.VE {
 		if op.Op == isa.OpNop {
 			continue
 		}
@@ -190,11 +182,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 				sum += v
 			}
 			rf.setS(op.Dst, int32(sum))
-		}
-		cost := uint64(veOpCycles)
-		c.VEBusy[slot%len(c.VEBusy)] += cost
-		if cost > maxCost {
-			maxCost = cost
 		}
 	}
 
@@ -257,11 +244,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 			}
 			copy(c.HBM[dst:dst+n], c.SRAM[src:src+n])
 		}
-		cost := uint64(n/dmaWordsPerC) + 1
-		c.DMACycle += cost
-		if cost > maxCost {
-			maxCost = cost
-		}
 	case isa.OpUTopFinish:
 		env.finished = true
 	case isa.OpUTopNextGroup:
@@ -271,8 +253,6 @@ func (c *Core) step(in *isa.Instruction, rf *regFile, env *execEnv, pc int) (int
 	case isa.OpUTopIndex:
 		rf.setS(op.Dst, int32(env.index))
 	}
-
-	c.Cycles += maxCost
 	return delta, nil
 }
 
@@ -303,7 +283,7 @@ func (c *Core) scratchMEs(n int) []int {
 // RunVLIW executes a traditional VLIW program to its halt. ME slot i
 // drives physical ME i; the program therefore requires at least
 // Format.MESlots physical MEs — the static coupling the paper's Fig. 9
-// illustrates. It returns run statistics.
+// illustrates. It returns the run's instruction count.
 func (c *Core) RunVLIW(p *isa.Program) (RunStats, error) {
 	var st RunStats
 	if err := p.Validate(); err != nil {
@@ -315,7 +295,6 @@ func (c *Core) RunVLIW(p *isa.Program) (RunStats, error) {
 	mes := c.scratchMEs(p.Format.MESlots)
 	rf := c.scratchRF()
 	env := &execEnv{mes: mes, nextGroup: -1}
-	start := c.Cycles
 	pc := 0
 	for !env.halted {
 		if pc < 0 || pc >= len(p.Code) {
@@ -327,19 +306,12 @@ func (c *Core) RunVLIW(p *isa.Program) (RunStats, error) {
 		}
 		pc += d
 		st.Instructions++
+		c.Instructions++
 		if st.Instructions > maxInstructions {
 			return st, fmt.Errorf("npu: VLIW program exceeded %d instructions", maxInstructions)
 		}
 	}
-	st.Cycles = c.Cycles - start
 	return st, nil
-}
-
-// NeuRunStats extends RunStats with µTOp-level counts.
-type NeuRunStats struct {
-	RunStats
-	UTopsRun  uint64
-	GroupsRun uint64
 }
 
 // RunNeu executes a NeuISA program on the core using the given physical
@@ -349,8 +321,8 @@ type NeuRunStats struct {
 // sequentially (data dependencies), µTOps within a group in table order;
 // uTop.nextGroup redirects sequencing, and conflicting redirections from
 // µTOps of the same group raise an error, per the paper §III-D.
-func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (NeuRunStats, error) {
-	var st NeuRunStats
+func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (RunStats, error) {
+	var st RunStats
 	if err := p.Validate(); err != nil {
 		return st, err
 	}
@@ -362,7 +334,6 @@ func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (NeuRunStats, error) {
 			return st, fmt.Errorf("npu: ME index %d out of range", m)
 		}
 	}
-	start := c.Cycles
 	group := 0
 	for group >= 0 && group < len(p.Groups) {
 		st.GroupsRun++
@@ -400,6 +371,7 @@ func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (NeuRunStats, error) {
 				}
 				pc += d
 				st.Instructions++
+				c.Instructions++
 				if st.Instructions > maxInstructions {
 					return st, fmt.Errorf("npu: NeuISA program exceeded %d instructions", maxInstructions)
 				}
@@ -421,6 +393,5 @@ func (c *Core) RunNeu(p *isa.NeuProgram, mes []int) (NeuRunStats, error) {
 			group++
 		}
 	}
-	st.Cycles = c.Cycles - start
 	return st, nil
 }

@@ -6,9 +6,9 @@
 // The simulator executes real encoded programs from internal/isa — both
 // traditional VLIW binaries and NeuISA binaries — instruction by
 // instruction, and is validated against the reference operators in
-// internal/tensor. It also keeps simple per-engine cycle counters, which
-// is enough to demonstrate, e.g., the VE idleness of Fig. 6; the
-// *performance* experiments use the fluid simulator in internal/sched.
+// internal/tensor. It is purely functional: it counts instructions,
+// µTOps and groups, but keeps no clock. The fluid simulator in
+// internal/sched is the only timing model.
 package npu
 
 import (
@@ -20,29 +20,19 @@ import (
 // Config describes one NPU core. Defaults follow the paper's Table II.
 type Config struct {
 	MEs       int // matrix engines
-	VEs       int // vector engines
 	SRAMWords int // on-chip SRAM size in float32 words
 	HBMWords  int // off-chip HBM size in float32 words (per core slice)
 }
 
-// Engine geometry and per-operation costs, the same on every core.
-const (
-	// systolicDim is the ME array's side (128 in TPUv4). It equals the
-	// vector width so a popped output row always fits one vector register.
-	systolicDim  = isa.VectorLanes
-	popCycles    = 8  // cycles per me.pop (the paper's Fig. 6)
-	veOpCycles   = 1  // cycles per VE operation
-	pushCycles   = 1  // cycles per me.push
-	loadWPerRow  = 1  // cycles per weight row latched
-	dmaWordsPerC = 64 // DMA throughput, words per cycle
-)
+// systolicDim is the ME array's side (128 in TPUv4). It equals the
+// vector width so a popped output row always fits one vector register.
+const systolicDim = isa.VectorLanes
 
-// DefaultConfig returns a functional-test-sized core: four MEs and four
-// VEs, with memories modest enough that tests stay fast.
+// DefaultConfig returns a functional-test-sized core: four MEs, with
+// memories modest enough that tests stay fast.
 func DefaultConfig() Config {
 	return Config{
 		MEs:       4,
-		VEs:       4,
 		SRAMWords: 1 << 22, // 16 MB of floats
 		HBMWords:  1 << 24, // 64 MB of floats
 	}
@@ -53,8 +43,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.MEs < 1 || c.MEs > 16:
 		return fmt.Errorf("npu: MEs %d out of range", c.MEs)
-	case c.VEs < 1 || c.VEs > 16:
-		return fmt.Errorf("npu: VEs %d out of range", c.VEs)
 	case c.SRAMWords < 1024:
 		return fmt.Errorf("npu: SRAM %d words too small", c.SRAMWords)
 	case c.HBMWords < 1024:
@@ -73,22 +61,18 @@ type Fault struct {
 
 func (f *Fault) Error() string { return fmt.Sprintf("npu: fault at pc %d: %s", f.PC, f.Reason) }
 
-// Core is one NPU core: SRAM, MEs, and cycle accounting. HBM is owned by
-// the Device so multiple cores can share it; a single-core test can use
-// NewCore which bundles a private HBM.
+// Core is one NPU core: its SRAM, its private slice of HBM, and its MEs.
+// VE operations run directly on the register file, so the core has no
+// per-VE state.
 type Core struct {
 	Cfg  Config
 	SRAM []float32
 	HBM  []float32
 	MEs  []*SystolicArray
 
-	// Cycle accounting, per engine class. These are functional-simulator
-	// cycles (each instruction advances time by the longest busy slot),
-	// good enough for utilization demonstrations.
-	Cycles   uint64
-	MEBusy   []uint64
-	VEBusy   []uint64
-	DMACycle uint64
+	// Instructions counts the instructions the core has retired over
+	// its lifetime, across every run.
+	Instructions uint64
 
 	// Interpreter scratch state: the register file and ME-binding
 	// slice are reused across runs and µTOps so the execution loop
@@ -104,34 +88,15 @@ func NewCore(cfg Config) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		Cfg:    cfg,
-		SRAM:   make([]float32, cfg.SRAMWords),
-		HBM:    make([]float32, cfg.HBMWords),
-		MEs:    make([]*SystolicArray, cfg.MEs),
-		MEBusy: make([]uint64, cfg.MEs),
-		VEBusy: make([]uint64, cfg.VEs),
+		Cfg:  cfg,
+		SRAM: make([]float32, cfg.SRAMWords),
+		HBM:  make([]float32, cfg.HBMWords),
+		MEs:  make([]*SystolicArray, cfg.MEs),
 	}
 	for i := range c.MEs {
 		c.MEs[i] = NewSystolicArray(systolicDim)
 	}
 	return c, nil
-}
-
-// MEUtilization returns the mean busy fraction of the matrix engines.
-func (c *Core) MEUtilization() float64 { return meanBusy(c.MEBusy, c.Cycles) }
-
-// VEUtilization returns the mean busy fraction of the vector engines.
-func (c *Core) VEUtilization() float64 { return meanBusy(c.VEBusy, c.Cycles) }
-
-func meanBusy(busy []uint64, total uint64) float64 {
-	if total == 0 || len(busy) == 0 {
-		return 0
-	}
-	var sum uint64
-	for _, b := range busy {
-		sum += b
-	}
-	return float64(sum) / (float64(total) * float64(len(busy)))
 }
 
 // WriteHBM copies data into HBM at a word address.

@@ -77,7 +77,6 @@ func (h *Hypervisor) HypercallCreateVNPU(vm *GuestVM, cfg core.VNPUConfig, mode 
 	}
 	devCfg := npu.DefaultConfig()
 	devCfg.MEs = cfg.NumMEsPerCore
-	devCfg.VEs = cfg.NumVEsPerCore
 	devCfg.SRAMWords = int(cfg.SRAMSizePerCore / 4)
 	// Cap the functional HBM model: the vNPU's logical capacity can be
 	// tens of GB; the functional simulator only needs a working set.

@@ -380,8 +380,8 @@ func TestBadGuestProgramIsolated(t *testing.T) {
 			if drvA.Status() != StatusError {
 				t.Fatalf("guest A status %d, want StatusError", drvA.Status())
 			}
-			if c := drvA.vf.dev.Cycles; c > 1<<16 {
-				t.Fatalf("guest A ran %d cycles before its fault", c)
+			if n := drvA.vf.dev.Instructions; n > 1<<16 {
+				t.Fatalf("guest A ran %d instructions before its fault", n)
 			}
 
 			if err := drvB.MapDMA(0, PageWords); err != nil {
