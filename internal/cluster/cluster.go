@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"neu10/internal/arch"
@@ -121,7 +122,12 @@ func requestCatalog(coreCfg arch.CoreConfig) ([]core.VNPUConfig, error) {
 
 // Run executes the churn simulation and returns the stats.
 func Run(cfg Config) (*Stats, error) {
-	if cfg.Cores < 1 || cfg.ArrivalRate <= 0 || cfg.MeanLifetime <= 0 || cfg.Duration <= 0 {
+	// A NaN or infinite rate or duration never ends the arrival loop, and
+	// a non-finite lifetime gives meaningless departure times. NaN fails
+	// x > 0.
+	positiveFinite := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	if cfg.Cores < 1 || !positiveFinite(cfg.ArrivalRate) || !positiveFinite(cfg.MeanLifetime) ||
+		!positiveFinite(cfg.Duration) {
 		return nil, fmt.Errorf("cluster: bad config %+v", cfg)
 	}
 	mapper, err := core.NewMapper(cfg.Cores, cfg.Core)

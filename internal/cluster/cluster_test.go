@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"neu10/internal/core"
@@ -102,16 +103,33 @@ func TestCompareRunsSameTrace(t *testing.T) {
 	}
 }
 
+// TestBadConfigRejected: every rate, lifetime and duration must be
+// positive and finite. A NaN or infinite rate or duration used to spin
+// Run forever.
 func TestBadConfigRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("0-core fleet accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.ArrivalRate = -1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative arrival rate accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"0 cores", func(c *Config) { c.Cores = 0 }},
+		{"negative arrival rate", func(c *Config) { c.ArrivalRate = -1 }},
+		{"NaN arrival rate", func(c *Config) { c.ArrivalRate = nan }},
+		{"infinite arrival rate", func(c *Config) { c.ArrivalRate = inf }},
+		{"zero lifetime", func(c *Config) { c.MeanLifetime = 0 }},
+		{"NaN lifetime", func(c *Config) { c.MeanLifetime = nan }},
+		{"infinite lifetime", func(c *Config) { c.MeanLifetime = inf }},
+		{"zero duration", func(c *Config) { c.Duration = 0 }},
+		{"NaN duration", func(c *Config) { c.Duration = nan }},
+		{"infinite duration", func(c *Config) { c.Duration = inf }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("config accepted")
+			}
+		})
 	}
 }
 
