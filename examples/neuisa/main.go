@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"neu10/internal/compiler"
 	"neu10/internal/isa"
@@ -53,9 +54,10 @@ func main() {
 	fmt.Printf("VLIW binary:   compiled for exactly %d MEs, %d instructions\n\n",
 		vliw.Format.MESlots, len(vliw.Code))
 
-	fmt.Println("first µTOp of the NeuISA binary:")
-	dump := isa.DumpNeuProgram(neu)
-	fmt.Println(truncate(dump, 1200))
+	// The dump is assembler source; µTOps u1-u3 repeat u0's snippet.
+	fmt.Println("first µTOp of the NeuISA binary, as neu10-asm source:")
+	src, _, _ := strings.Cut(isa.DumpNeuProgram(neu), ".utop me u1\n")
+	fmt.Println(src)
 
 	for _, meCount := range []int{1, 2, 4} {
 		cfg := npu.DefaultConfig()
@@ -91,11 +93,4 @@ func main() {
 			fmt.Printf("VLIW on %d ME(s): ok\n", meCount)
 		}
 	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "\n  ..."
 }

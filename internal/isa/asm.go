@@ -7,8 +7,9 @@ import (
 )
 
 // Assembler: a human-writable text format for NeuISA programs, used by
-// tests, tooling and anyone prototyping µTOp kernels by hand. Grammar
-// (one construct per line; ';' starts a comment):
+// tests, tooling and anyone prototyping µTOp kernels by hand, and the
+// format DumpNeuProgram prints. Grammar (one construct per line; ';'
+// starts a comment):
 //
 //	.neuisa veslots=4            header (required, first)
 //	.utop me NAME                start an ME µTOp snippet
@@ -19,7 +20,8 @@ import (
 //	LABEL:                       branch target inside the current snippet
 //
 // Instruction lines hold one or more slot operations separated by '|'
-// (they form one VLIW instruction word):
+// (they form one VLIW instruction word). opSpecs lists every mnemonic's
+// operands; for example:
 //
 //	me.loadw [%r5], 96, 128      latch a 96x128 weight tile
 //	me.push [%r6], 96            push one activation row
@@ -31,8 +33,10 @@ import (
 //	dma.load %r2, %r3, 512       SRAM[%r2] <- HBM[%r3], 512 words
 //	uTop.finish                  end of µTOp
 //
-// Every µTOp must end with uTop.finish. Assemble returns a validated
-// NeuProgram.
+// Numbers are decimal and must fit their field: immediates, counts and
+// offsets an int32, a weight tile's rows a signed and its columns an
+// unsigned 16-bit field. Every µTOp ends at its only uTop.finish.
+// Assemble returns a validated NeuProgram.
 func Assemble(src string) (*NeuProgram, error) {
 	a := &assembler{labels: map[string]int{}, utops: map[string]int{}}
 	return a.run(src)
@@ -194,8 +198,10 @@ func (a *assembler) flushSnippet() error {
 	if err != nil {
 		return fmt.Errorf("µTOp %q: %w", a.curName, err)
 	}
-	if len(code) == 0 || code[len(code)-1].Misc.Op != OpUTopFinish {
-		return fmt.Errorf("µTOp %q does not end with uTop.finish", a.curName)
+	// Code past the first uTop.finish could never run, and
+	// DumpNeuProgram would not print it back.
+	if n, err := snippetLen(code, 0); err != nil || n != len(code) {
+		return fmt.Errorf("µTOp %q does not end at its only uTop.finish", a.curName)
 	}
 	// Resolve branch labels now that the snippet is complete.
 	for _, pb := range a.branches {

@@ -1,47 +1,20 @@
 package isa
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
-const matmulAsm = `
-.neuisa veslots=4
-
-; fused MatMul+ReLU tile: each µTOp multiplies its row range of A by the
-; shared weight tile B and stores ReLU(A·B) — the paper's Fig. 8 kernel.
-.utop me tile
-    uTop.index %r2
-    s.movi %r3, #8              ; rows per µTOp
-    s.mul %r4, %r2, %r3
-    s.movi %r5, #16384
-    me.loadw [%r5], 64, 128
-    s.movi %r8, #64
-    s.mul %r6, %r4, %r8         ; A offset
-    s.movi %r9, #128
-    s.mul %r7, %r4, %r9
-    s.addi %r7, %r7, #65536     ; C base
-    s.movi %r10, #8
-LOOP:
-    me.push [%r6], 64
-    me.pop %v0 | v.relu %v0, %v0
-    ls.store [%r7+0], %v0
-    s.addi %r6, %r6, #64
-    s.addi %r7, %r7, #128
-    s.addi %r10, %r10, #-1
-    bne %r10, %r0, @LOOP
-    uTop.finish
-
-.utop ve sum
-    ls.load %v0, [%r1+0]
-    ls.load %v1, [%r1+128]
-    v.add %v2, %v0, %v1
-    ls.store [%r1+256], %v2
-    uTop.finish
-
-.group tile tile
-.group | sum
-`
+// matmulAsm is testdata/matmul.s, a fused MatMul+ReLU kernel that
+// neu10-asm's test assembles too.
+var matmulAsm = func() string {
+	src, err := os.ReadFile("testdata/matmul.s")
+	if err != nil {
+		panic(err)
+	}
+	return string(src)
+}()
 
 func TestAssembleMatMulKernel(t *testing.T) {
 	p, err := Assemble(matmulAsm)
@@ -100,7 +73,7 @@ func TestAssembleParallelSlots(t *testing.T) {
 	in := p.MECode[p.UTops[0].Start]
 	if in.ME[0].Op != OpMEPop || in.VE[0].Op != OpVRelu || in.VE[1].Op != OpVMov ||
 		in.LS[0].Op != OpVStore {
-		t.Fatalf("parallel slots misassembled: %s", Disassemble(&in))
+		t.Fatalf("parallel slots misassembled: %s", Disassemble(&in, 0))
 	}
 }
 
@@ -121,6 +94,12 @@ func TestAssembleErrors(t *testing.T) {
 		{"two ve in group", ".neuisa veslots=2\n.utop ve a\nuTop.finish\n.utop ve b\nuTop.finish\n.group | a b", "two VE"},
 		{"instr outside utop", ".neuisa veslots=2\ns.movi %r1, #5", "outside"},
 		{"empty group", ".neuisa veslots=2\n.utop me x\nuTop.finish\n.group |", "empty"},
+		{"immediate past int32", ".neuisa veslots=2\n.utop me x\ns.movi %r3, #4294967297\nuTop.finish\n.group x", "s.movi"},
+		{"columns past 16 bits", ".neuisa veslots=2\n.utop me x\nme.loadw [%r5], 64, 65600\nuTop.finish\n.group x", "me.loadw"},
+		{"rows past 16 bits", ".neuisa veslots=2\n.utop me x\nme.loadw [%r5], 32768, 64\nuTop.finish\n.group x", "me.loadw"},
+		{"offset on an ME address", ".neuisa veslots=2\n.utop me x\nme.push [%r1+4], 8\nuTop.finish\n.group x", "me.push"},
+		{"empty label", ".neuisa veslots=2\n.utop me x\nbne %r1, %r0, @\nuTop.finish\n.group x", "bne"},
+		{"code after finish", ".neuisa veslots=2\n.utop me x\nuTop.finish\nhalt\nuTop.finish\n.group x", "only uTop.finish"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -147,19 +147,8 @@ func MEPush(aReg uint8, n int) Operation {
 // MEPop pops one result row into vector register dst.
 func MEPop(dst uint8) Operation { return Operation{Op: OpMEPop, Dst: dst} }
 
-// MEPopA pops one result row and accumulates into vector register dst.
-func MEPopA(dst uint8) Operation { return Operation{Op: OpMEPopA, Dst: dst} }
-
-// V2 builds a two-source VE operation dst = a Op b.
-func V2(op Opcode, dst, a, b uint8) Operation { return Operation{Op: op, Dst: dst, A: a, B: b} }
-
 // V1 builds a one-source VE operation dst = Op a.
 func V1(op Opcode, dst, a uint8) Operation { return Operation{Op: op, Dst: dst, A: a} }
-
-// VLoad loads vreg dst from SRAM[sreg a + off].
-func VLoad(dst, aReg uint8, off int32) Operation {
-	return Operation{Op: OpVLoad, Dst: dst, A: aReg, Imm: off}
-}
 
 // VStore stores vreg b to SRAM[sreg a + off].
 func VStore(aReg, b uint8, off int32) Operation {
@@ -191,12 +180,6 @@ func DMAStore(dstReg, aReg uint8, words int32) Operation {
 
 // UTopFinish terminates a µTOp snippet.
 func UTopFinish() Operation { return Operation{Op: OpUTopFinish} }
-
-// UTopNextGroup redirects group sequencing to the group index in sreg a.
-func UTopNextGroup(aReg uint8) Operation { return Operation{Op: OpUTopNextGroup, A: aReg} }
-
-// UTopGroup stores the current group index into sreg dst.
-func UTopGroup(dst uint8) Operation { return Operation{Op: OpUTopGroup, Dst: dst} }
 
 // UTopIndex stores the µTOp's index within its group into sreg dst.
 func UTopIndex(dst uint8) Operation { return Operation{Op: OpUTopIndex, Dst: dst} }

@@ -5,104 +5,69 @@ import (
 	"strings"
 )
 
-// Disassemble renders an instruction as one line of text, omitting nop
-// slots for readability. Slot order is ME*, VE*, LS*, misc.
-func Disassemble(in *Instruction) string {
+// Disassemble prints an instruction as one line of assembler source:
+// its non-nop slots in ME, VE, LS, misc order, joined by '|', or "nop"
+// when every slot is empty. pc is the instruction's index in its code,
+// from which a branch names its target as the label @L<pc+Imm>.
+func Disassemble(in *Instruction, pc int) string {
 	var parts []string
-	for i, op := range in.ME {
-		if !op.IsNop() {
-			parts = append(parts, fmt.Sprintf("ME%d{%s}", i, opText(op)))
+	for _, ops := range [][]Operation{in.ME, in.VE, in.LS[:], {in.Misc}} {
+		for _, op := range ops {
+			if !op.IsNop() {
+				parts = append(parts, opText(op, pc))
+			}
 		}
-	}
-	for i, op := range in.VE {
-		if !op.IsNop() {
-			parts = append(parts, fmt.Sprintf("VE%d{%s}", i, opText(op)))
-		}
-	}
-	for i, op := range in.LS {
-		if !op.IsNop() {
-			parts = append(parts, fmt.Sprintf("LS%d{%s}", i, opText(op)))
-		}
-	}
-	if !in.Misc.IsNop() {
-		parts = append(parts, fmt.Sprintf("M{%s}", opText(in.Misc)))
 	}
 	if len(parts) == 0 {
 		return "nop"
 	}
-	return strings.Join(parts, " ; ")
+	return strings.Join(parts, " | ")
 }
 
-func opText(op Operation) string {
-	switch op.Op {
-	case OpMELoadW:
-		return fmt.Sprintf("me.loadw [%%r%d] %dx%d", op.A, op.Imm>>16, op.Imm&0xffff)
-	case OpMEPush:
-		return fmt.Sprintf("me.push [%%r%d] len=%d", op.A, op.Imm)
-	case OpMEPop:
-		return fmt.Sprintf("me.pop %%v%d", op.Dst)
-	case OpMEPopA:
-		return fmt.Sprintf("me.popacc %%v%d", op.Dst)
-	case OpVAdd, OpVSub, OpVMul, OpVMax:
-		return fmt.Sprintf("%s %%v%d, %%v%d, %%v%d", op.Op, op.Dst, op.A, op.B)
-	case OpVRelu, OpVMov:
-		return fmt.Sprintf("%s %%v%d, %%v%d", op.Op, op.Dst, op.A)
-	case OpVBcast:
-		return fmt.Sprintf("v.bcast %%v%d, %%r%d", op.Dst, op.A)
-	case OpVAddS, OpVMulS:
-		return fmt.Sprintf("%s %%v%d, %%v%d, #%d", op.Op, op.Dst, op.A, op.Imm)
-	case OpVRsum:
-		return fmt.Sprintf("v.rsum %%r%d, %%v%d", op.Dst, op.A)
-	case OpVLoad:
-		return fmt.Sprintf("ls.load %%v%d, [%%r%d+%d]", op.Dst, op.A, op.Imm)
-	case OpVStore:
-		return fmt.Sprintf("ls.store [%%r%d+%d], %%v%d", op.A, op.Imm, op.B)
-	case OpSMovI:
-		return fmt.Sprintf("s.movi %%r%d, #%d", op.Dst, op.Imm)
-	case OpSAddI:
-		return fmt.Sprintf("s.addi %%r%d, %%r%d, #%d", op.Dst, op.A, op.Imm)
-	case OpSAdd, OpSMul:
-		return fmt.Sprintf("%s %%r%d, %%r%d, %%r%d", op.Op, op.Dst, op.A, op.B)
-	case OpSLoad:
-		return fmt.Sprintf("s.load %%r%d, [%%r%d+%d]", op.Dst, op.A, op.Imm)
-	case OpSStore:
-		return fmt.Sprintf("s.store [%%r%d+%d], %%r%d", op.A, op.Imm, op.B)
-	case OpBEQ, OpBNE, OpBLT:
-		return fmt.Sprintf("%s %%r%d, %%r%d, %+d", op.Op, op.A, op.B, op.Imm)
-	case OpDMALoad:
-		return fmt.Sprintf("dma.load sram[%%r%d] <- hbm[%%r%d], %d", op.Dst, op.A, op.Imm)
-	case OpDMAStore:
-		return fmt.Sprintf("dma.store hbm[%%r%d] <- sram[%%r%d], %d", op.Dst, op.A, op.Imm)
-	case OpUTopNextGroup:
-		return fmt.Sprintf("uTop.nextGroup %%r%d", op.A)
-	case OpUTopGroup, OpUTopIndex:
-		return fmt.Sprintf("%s %%r%d", op.Op, op.Dst)
-	default:
-		return op.Op.String()
-	}
-}
-
-// DumpNeuProgram renders a NeuISA binary as human-readable text: the
-// execution table followed by each µTOp's snippet.
+// DumpNeuProgram prints a NeuISA binary as source that Assemble reads
+// back: the .neuisa header, one .utop per µTOp, named u<index>, with a
+// label L<pc> on each branch target, then one .group line per
+// execution-table row. A snippet that several µTOps share prints once
+// for each of them, so the source reassembles to the same program
+// without the sharing. A binary that fails Validate still prints, as
+// source the assembler rejects.
 func DumpNeuProgram(p *NeuProgram) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "NeuISA program: %d groups, %d µTOps, %d VE slots/inst\n",
-		len(p.Groups), len(p.UTops), p.VESlots)
-	sb.WriteString("µTOp execution table:\n")
-	for gi, g := range p.Groups {
-		fmt.Fprintf(&sb, "  group %d: ME%v VE=%d\n", gi, g.ME, g.VE)
-	}
+	fmt.Fprintf(&sb, ".neuisa veslots=%d\n", p.VESlots)
 	for ui, u := range p.UTops {
+		kind := "ve"
+		if u.Kind == MEUTop {
+			kind = "me"
+		}
+		fmt.Fprintf(&sb, ".utop %s u%d\n", kind, ui)
 		code, _ := p.CodeFor(u.Kind)
 		n, err := snippetLen(code, u.Start)
 		if err != nil {
-			fmt.Fprintf(&sb, "µTOp %d (%s @%d): %v\n", ui, u.Kind, u.Start, err)
+			fmt.Fprintf(&sb, "    ; %v\n", err)
 			continue
 		}
-		fmt.Fprintf(&sb, "µTOp %d (%s @%d, %d insts):\n", ui, u.Kind, u.Start, n)
+		targets := map[int]bool{}
 		for pc := u.Start; pc < u.Start+n; pc++ {
-			fmt.Fprintf(&sb, "  %4d: %s\n", pc, Disassemble(&code[pc]))
+			if b := code[pc].Misc; b.Op.IsBranch() {
+				targets[pc+int(b.Imm)] = true
+			}
 		}
+		for pc := u.Start; pc < u.Start+n; pc++ {
+			if targets[pc] {
+				fmt.Fprintf(&sb, "L%d:\n", pc)
+			}
+			fmt.Fprintf(&sb, "    %s\n", Disassemble(&code[pc], pc))
+		}
+	}
+	for _, g := range p.Groups {
+		sb.WriteString(".group")
+		for _, ui := range g.ME {
+			fmt.Fprintf(&sb, " u%d", ui)
+		}
+		if g.VE != NullUTop {
+			fmt.Fprintf(&sb, " | u%d", g.VE)
+		}
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

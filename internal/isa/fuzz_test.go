@@ -33,7 +33,8 @@ func FuzzDecodeNeuProgram(f *testing.F) {
 
 // FuzzAssemble feeds arbitrary text to the assembler (neu10-asm -in).
 // Every source must come back as an error or as a program whose binary
-// survives Encode → DecodeNeuProgram → Encode byte-identically.
+// survives Encode → DecodeNeuProgram → Encode byte-identically, and
+// whose DumpNeuProgram source assembles back to that same binary.
 func FuzzAssemble(f *testing.F) {
 	f.Add(matmulAsm)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -48,6 +49,14 @@ func FuzzAssemble(f *testing.F) {
 		}
 		if again := q.Encode(); !bytes.Equal(again, bin) {
 			t.Fatalf("encode → decode → encode changed the %d-byte binary", len(bin))
+		}
+		dump := DumpNeuProgram(p)
+		r, err := Assemble(dump)
+		if err != nil {
+			t.Fatalf("dump does not assemble: %v\n%s", err, dump)
+		}
+		if !bytes.Equal(r.Encode(), bin) {
+			t.Fatalf("dump assembles to a different binary:\n%s", dump)
 		}
 	})
 }

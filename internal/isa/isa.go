@@ -67,29 +67,66 @@ const (
 	opCount
 )
 
-var opNames = map[Opcode]string{
-	OpNop: "nop",
+// opSpec is the one definition of an opcode's assembler syntax: its
+// mnemonic, the slot it occupies and its operand tokens, which parseOp
+// reads and opText prints.
+type opSpec struct {
+	name     string
+	slot     SlotKind
+	operands string
+}
 
-	OpMELoadW: "me.loadw", OpMEPush: "me.push", OpMEPop: "me.pop", OpMEPopA: "me.popacc",
+// opSpecs holds every opcode's syntax. Each operand token names the
+// Operation field it fills: vD, vA, vB and rD, rA, rB are a vector or
+// scalar register in Dst, A or B; [rA] and [rA+N] address SRAM through
+// scalar register A, plus offset Imm; #N is Imm as an immediate and N
+// as a count; R and C are a weight tile's rows and columns, packed into
+// Imm as R<<16 | C; @L is a branch label, whose distance from the
+// branch is Imm.
+var opSpecs = [opCount]opSpec{
+	OpNop: {"nop", SlotMisc, ""},
 
-	OpVAdd: "v.add", OpVSub: "v.sub", OpVMul: "v.mul", OpVMax: "v.max",
-	OpVRelu: "v.relu", OpVMov: "v.mov", OpVBcast: "v.bcast",
-	OpVAddS: "v.adds", OpVMulS: "v.muls", OpVRsum: "v.rsum",
+	OpMELoadW: {"me.loadw", SlotME, "[rA], R, C"},
+	OpMEPush:  {"me.push", SlotME, "[rA], N"},
+	OpMEPop:   {"me.pop", SlotME, "vD"},
+	OpMEPopA:  {"me.popacc", SlotME, "vD"},
 
-	OpVLoad: "ls.load", OpVStore: "ls.store",
+	OpVAdd:   {"v.add", SlotVE, "vD, vA, vB"},
+	OpVSub:   {"v.sub", SlotVE, "vD, vA, vB"},
+	OpVMul:   {"v.mul", SlotVE, "vD, vA, vB"},
+	OpVMax:   {"v.max", SlotVE, "vD, vA, vB"},
+	OpVRelu:  {"v.relu", SlotVE, "vD, vA"},
+	OpVMov:   {"v.mov", SlotVE, "vD, vA"},
+	OpVBcast: {"v.bcast", SlotVE, "vD, rA"},
+	OpVAddS:  {"v.adds", SlotVE, "vD, vA, #N"},
+	OpVMulS:  {"v.muls", SlotVE, "vD, vA, #N"},
+	OpVRsum:  {"v.rsum", SlotVE, "rD, vA"},
 
-	OpHalt: "halt", OpSMovI: "s.movi", OpSAddI: "s.addi", OpSAdd: "s.add",
-	OpSMul: "s.mul", OpSLoad: "s.load", OpSStore: "s.store",
-	OpBEQ: "beq", OpBNE: "bne", OpBLT: "blt",
-	OpDMALoad: "dma.load", OpDMAStore: "dma.store",
+	OpVLoad:  {"ls.load", SlotLS, "vD, [rA+N]"},
+	OpVStore: {"ls.store", SlotLS, "[rA+N], vB"},
 
-	OpUTopFinish: "uTop.finish", OpUTopNextGroup: "uTop.nextGroup",
-	OpUTopGroup: "uTop.group", OpUTopIndex: "uTop.index",
+	OpHalt:     {"halt", SlotMisc, ""},
+	OpSMovI:    {"s.movi", SlotMisc, "rD, #N"},
+	OpSAddI:    {"s.addi", SlotMisc, "rD, rA, #N"},
+	OpSAdd:     {"s.add", SlotMisc, "rD, rA, rB"},
+	OpSMul:     {"s.mul", SlotMisc, "rD, rA, rB"},
+	OpSLoad:    {"s.load", SlotMisc, "rD, [rA+N]"},
+	OpSStore:   {"s.store", SlotMisc, "[rA+N], rB"},
+	OpBEQ:      {"beq", SlotMisc, "rA, rB, @L"},
+	OpBNE:      {"bne", SlotMisc, "rA, rB, @L"},
+	OpBLT:      {"blt", SlotMisc, "rA, rB, @L"},
+	OpDMALoad:  {"dma.load", SlotMisc, "rD, rA, N"},
+	OpDMAStore: {"dma.store", SlotMisc, "rD, rA, N"},
+
+	OpUTopFinish:    {"uTop.finish", SlotMisc, ""},
+	OpUTopNextGroup: {"uTop.nextGroup", SlotMisc, "rA"},
+	OpUTopGroup:     {"uTop.group", SlotMisc, "rD"},
+	OpUTopIndex:     {"uTop.index", SlotMisc, "rD"},
 }
 
 func (o Opcode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < opCount {
+		return opSpecs[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -122,21 +159,7 @@ func (k SlotKind) String() string {
 
 // Legal reports whether an opcode may appear in a slot of the given kind.
 func (o Opcode) Legal(k SlotKind) bool {
-	if o == OpNop {
-		return true
-	}
-	switch k {
-	case SlotME:
-		return o >= OpMELoadW && o <= OpMEPopA
-	case SlotVE:
-		return o >= OpVAdd && o <= OpVRsum
-	case SlotLS:
-		return o == OpVLoad || o == OpVStore
-	case SlotMisc:
-		return o >= OpHalt && o <= OpUTopIndex
-	default:
-		return false
-	}
+	return o == OpNop || o < opCount && opSpecs[o].slot == k
 }
 
 // IsBranch reports whether the opcode is a misc-slot branch.
@@ -160,12 +183,9 @@ var Nop = Operation{Op: OpNop}
 // IsNop reports whether the operation does nothing.
 func (op Operation) IsNop() bool { return op.Op == OpNop }
 
-func (op Operation) String() string {
-	if op.IsNop() {
-		return "nop"
-	}
-	return fmt.Sprintf("%s d%d a%d b%d #%d", op.Op, op.Dst, op.A, op.B, op.Imm)
-}
+// String prints the operation in assembler syntax; a branch names its
+// target as if the branch sat at pc 0.
+func (op Operation) String() string { return opText(op, 0) }
 
 // Format describes the slot layout of instructions in a program: how many
 // ME slots and VE slots each instruction word carries. A traditional VLIW
@@ -243,8 +263,8 @@ func (in *Instruction) Validate(f Format) error {
 	// register past the end of either file (both hold 32).
 	for _, ops := range [][]Operation{in.ME, in.VE, in.LS[:], {in.Misc}} {
 		for _, op := range ops {
-			if max(op.Dst, op.A, op.B) >= NumScalarRegs {
-				return fmt.Errorf("isa: %s names a register beyond %%r%d", op, NumScalarRegs-1)
+			if r := max(op.Dst, op.A, op.B); r >= NumScalarRegs {
+				return fmt.Errorf("isa: %s names register %d, beyond %%r%d", op.Op, r, NumScalarRegs-1)
 			}
 		}
 	}

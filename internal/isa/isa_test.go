@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,8 +153,8 @@ func TestVLIWEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for i := range p.Code {
 		a, b := &p.Code[i], &q.Code[i]
-		if Disassemble(a) != Disassemble(b) {
-			t.Fatalf("instruction %d mismatch:\n%s\n%s", i, Disassemble(a), Disassemble(b))
+		if Disassemble(a, i) != Disassemble(b, i) {
+			t.Fatalf("instruction %d mismatch:\n%s\n%s", i, Disassemble(a, i), Disassemble(b, i))
 		}
 	}
 }
@@ -197,8 +199,8 @@ func buildTestNeuProgram(t *testing.T) *NeuProgram {
 	}
 
 	ve := NewBuilder(Format{MESlots: 0, VESlots: 2})
-	ve.LS(VLoad(0, 1, 0)).LS(VLoad(1, 1, 128)).End()
-	ve.VE(V2(OpVAdd, 2, 0, 1)).VE(V1(OpVRelu, 3, 2)).End()
+	ve.LS(Operation{Op: OpVLoad, Dst: 0, A: 1}).LS(Operation{Op: OpVLoad, Dst: 1, A: 1, Imm: 128}).End()
+	ve.VE(Operation{Op: OpVAdd, Dst: 2, A: 0, B: 1}).VE(V1(OpVRelu, 3, 2)).End()
 	ve.LS(VStore(1, 2, 256)).Misc(UTopFinish()).End()
 	veCode, err := ve.Code()
 	if err != nil {
@@ -223,6 +225,29 @@ func buildTestNeuProgram(t *testing.T) *NeuProgram {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestDumpUnsharesSnippets: the snippet two µTOps share prints once for
+// each, and the dump reassembles to the same µTOps and groups.
+func TestDumpUnsharesSnippets(t *testing.T) {
+	p := buildTestNeuProgram(t)
+	q, err := Assemble(DumpNeuProgram(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.MECode) != 2*len(p.MECode) || !reflect.DeepEqual(q.Groups, p.Groups) {
+		t.Fatalf("reassembled %d ME instructions and groups %+v, want %d and %+v",
+			len(q.MECode), q.Groups, 2*len(p.MECode), p.Groups)
+	}
+	for i, u := range p.UTops {
+		code, _ := p.CodeFor(u.Kind)
+		n, _ := snippetLen(code, u.Start)
+		qcode, _ := q.CodeFor(q.UTops[i].Kind)
+		qs := q.UTops[i].Start
+		if q.UTops[i].Kind != u.Kind || !reflect.DeepEqual(qcode[qs:qs+n], code[u.Start:u.Start+n]) {
+			t.Errorf("µTOp %d reassembled differently", i)
+		}
+	}
 }
 
 func TestNeuProgramValidate(t *testing.T) {
@@ -338,11 +363,39 @@ func TestStatsCountsSharing(t *testing.T) {
 	}
 }
 
-func TestDisassembleCoversAllOpcodes(t *testing.T) {
-	for op := OpNop; op < opCount; op++ {
-		txt := opText(Operation{Op: op, Dst: 1, A: 2, B: 3, Imm: 4})
-		if txt == "" {
-			t.Errorf("opcode %s disassembles to empty string", op)
+// TestEveryOpcodeParsesBack prints each opcode with a distinct nonzero
+// value in every field its syntax carries and parses the text back.
+func TestEveryOpcodeParsesBack(t *testing.T) {
+	const pc = 7
+	for code := OpNop; code < opCount; code++ {
+		syntax := opSpecs[code].operands
+		want := Operation{Op: code}
+		if strings.Contains(syntax, "D") {
+			want.Dst = 1
+		}
+		if strings.Contains(syntax, "A") {
+			want.A = 2
+		}
+		if strings.Contains(syntax, "B") {
+			want.B = 3
+		}
+		if strings.ContainsAny(syntax, "NR@") {
+			want.Imm = -0x12345
+		}
+		text := opText(want, pc)
+		got, kind, label, err := parseOp(text)
+		if err != nil {
+			t.Errorf("%s: %q does not parse: %v", code, text, err)
+			continue
+		}
+		if want.Op.IsBranch() {
+			if label != fmt.Sprintf("L%d", pc+int(want.Imm)) {
+				t.Errorf("%s: %q names label %q", code, text, label)
+			}
+			got.Imm = want.Imm
+		}
+		if got != want || !code.Legal(kind) {
+			t.Errorf("%s: %q parses to %#v in a %s slot, want %#v", code, text, got, kind, want)
 		}
 	}
 }

@@ -46,11 +46,11 @@ func vliwGoldenProgram(t *testing.T) *isa.Program {
 	// Push a row through both MEs and pop with VE postprocessing.
 	b.Misc(isa.SMovI(4, 1024)).End()
 	b.ME(isa.MEPush(4, 8)).ME(isa.MEPush(4, 8)).End()
-	b.ME(isa.MEPop(1)).ME(isa.MEPopA(1)).End()
+	b.ME(isa.MEPop(1)).ME(isa.Operation{Op: isa.OpMEPopA, Dst: 1}).End()
 	b.VE(isa.V1(isa.OpVRelu, 2, 1)).
 		VE(isa.Operation{Op: isa.OpVAddS, Dst: 3, A: 1, Imm: 7}).
-		LS(isa.VLoad(4, 1, 128)).End()
-	b.VE(isa.V2(isa.OpVAdd, 5, 2, 3)).VE(isa.V2(isa.OpVMax, 6, 2, 4)).End()
+		LS(isa.Operation{Op: isa.OpVLoad, Dst: 4, A: 1, Imm: 128}).End()
+	b.VE(isa.Operation{Op: isa.OpVAdd, Dst: 5, A: 2, B: 3}).VE(isa.Operation{Op: isa.OpVMax, Dst: 6, A: 2, B: 4}).End()
 	b.LS(isa.VStore(1, 5, 2048)).LS(isa.VStore(1, 4, 2304)).End()
 	// Scalar loop: r10 counts 0..4 with a backward BNE.
 	b.Misc(isa.SMovI(10, 0)).End()

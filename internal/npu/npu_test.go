@@ -243,8 +243,8 @@ func TestNeuNextGroupLoop(t *testing.T) {
 	b.Misc(isa.SAddI(2, 2, 1)).End()
 	b.Misc(isa.Operation{Op: isa.OpSStore, A: 0, B: 2, Imm: counter}).End()
 	b.Misc(isa.SMovI(3, 3)).End()
-	b.Misc(isa.Branch(isa.OpBLT, 3, 2, 2)).End() // counter > 3: skip nextGroup
-	b.Misc(isa.UTopNextGroup(0)).End()           // %r0 == 0: loop to group 0
+	b.Misc(isa.Branch(isa.OpBLT, 3, 2, 2)).End()               // counter > 3: skip nextGroup
+	b.Misc(isa.Operation{Op: isa.OpUTopNextGroup, A: 0}).End() // %r0 == 0: loop to group 0
 	b.Misc(isa.UTopFinish()).End()
 	code, err := b.Code()
 	if err != nil {
@@ -313,11 +313,11 @@ func TestNeuConflictingNextGroupErrors(t *testing.T) {
 	b := isa.NewBuilder(isa.Format{MESlots: 0, VESlots: 1})
 	s0 := b.PC()
 	b.Misc(isa.SMovI(2, 0)).End()
-	b.Misc(isa.UTopNextGroup(2)).End()
+	b.Misc(isa.Operation{Op: isa.OpUTopNextGroup, A: 2}).End()
 	b.Misc(isa.UTopFinish()).End()
 	s1 := b.PC()
 	b.Misc(isa.SMovI(2, 1)).End()
-	b.Misc(isa.UTopNextGroup(2)).End()
+	b.Misc(isa.Operation{Op: isa.OpUTopNextGroup, A: 2}).End()
 	b.Misc(isa.UTopFinish()).End()
 	code, err := b.Code()
 	if err != nil {
@@ -329,11 +329,11 @@ func TestNeuConflictingNextGroupErrors(t *testing.T) {
 	mb := isa.NewBuilder(isa.Format{MESlots: 1, VESlots: 1})
 	m0 := mb.PC()
 	mb.Misc(isa.SMovI(2, 0)).End()
-	mb.Misc(isa.UTopNextGroup(2)).End()
+	mb.Misc(isa.Operation{Op: isa.OpUTopNextGroup, A: 2}).End()
 	mb.Misc(isa.UTopFinish()).End()
 	m1 := mb.PC()
 	mb.Misc(isa.SMovI(2, 1)).End()
-	mb.Misc(isa.UTopNextGroup(2)).End()
+	mb.Misc(isa.Operation{Op: isa.OpUTopNextGroup, A: 2}).End()
 	mb.Misc(isa.UTopFinish()).End()
 	meCode, err := mb.Code()
 	if err != nil {
@@ -462,7 +462,7 @@ func TestFaultOnOutOfRangeAccess(t *testing.T) {
 	c := newTestCore(t)
 	b := isa.NewBuilder(isa.Format{MESlots: 1, VESlots: 1})
 	b.Misc(isa.SMovI(2, int32(len(c.SRAM)))).End()
-	b.LS(isa.VLoad(0, 2, 0)).End()
+	b.LS(isa.Operation{Op: isa.OpVLoad, A: 2}).End()
 	b.Misc(isa.Halt()).End()
 	code, err := b.Code()
 	if err != nil {
@@ -492,8 +492,8 @@ func TestMalformedProgramReturnsError(t *testing.T) {
 		set  func(in *isa.Instruction)
 	}{
 		{"misc register 40", func(in *isa.Instruction) { in.Misc = isa.SMovI(40, 1) }},
-		{"VE register 40", func(in *isa.Instruction) { in.VE[0] = isa.V2(isa.OpVAdd, 40, 0, 0) }},
-		{"LS register 40", func(in *isa.Instruction) { in.LS[0] = isa.VLoad(0, 40, 0) }},
+		{"VE register 40", func(in *isa.Instruction) { in.VE[0] = isa.Operation{Op: isa.OpVAdd, Dst: 40} }},
+		{"LS register 40", func(in *isa.Instruction) { in.LS[0] = isa.Operation{Op: isa.OpVLoad, A: 40} }},
 		{"negative push length", func(in *isa.Instruction) { in.ME[0] = isa.MEPush(1, -4) }},
 		{"negative weight-tile rows", func(in *isa.Instruction) { in.ME[0] = isa.MELoadW(1, -1, 4) }},
 	} {

@@ -341,7 +341,7 @@ func TestBadGuestProgramIsolated(t *testing.T) {
 	b.Misc(isa.SMovI(1, sIn)).End()
 	b.Misc(isa.SMovI(4, hIn)).End()
 	b.Misc(isa.DMALoad(1, 4, n)).End()
-	b.LS(isa.VLoad(1, 1, 0)).End()
+	b.LS(isa.Operation{Op: isa.OpVLoad, Dst: 1, A: 1}).End()
 	b.VE(isa.Operation{Op: isa.OpVAddS, Dst: 2, A: 1, Imm: 3}).End()
 	b.LS(isa.VStore(1, 2, sOut-sIn)).End()
 	b.Misc(isa.SMovI(2, hOut)).End()
