@@ -89,8 +89,8 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Requests < 0 {
-		return nil, fmt.Errorf("sched: negative request count %d", cfg.Requests)
+	if cfg.Requests < 1 {
+		return nil, fmt.Errorf("sched: request count %d, want at least 1", cfg.Requests)
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sched: no tenants")

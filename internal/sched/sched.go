@@ -82,7 +82,7 @@ type Config struct {
 	Core   arch.CoreConfig
 	Policy Mode
 	// Requests: the run ends when every tenant has completed this many
-	// requests (the paper's steady-state methodology, §V-A).
+	// requests, at least 1 (the paper's steady-state methodology, §V-A).
 	Requests int
 	// QuantumCycles is the PMT time slice and the V10 fairness deficit
 	// threshold (0 = default 100k cycles).
@@ -101,9 +101,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Requests == 0 {
-		c.Requests = 10
-	}
 	if c.QuantumCycles == 0 {
 		c.QuantumCycles = 100_000
 	}

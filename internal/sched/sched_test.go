@@ -333,11 +333,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Core: tpu(), Policy: Neu10, Requests: 1}, nil); err == nil {
 		t.Fatal("empty tenant list accepted")
 	}
-	// Negative request count: the run would stop at its first completion
+	// Request count below 1: the run would stop at its first completion
 	// check and report nothing.
-	if _, err := Run(Config{Core: tpu(), Policy: Neu10, Requests: -1},
-		[]TenantSpec{{Name: "x", Graph: g, MEs: 2, VEs: 2}}); err == nil {
-		t.Fatal("negative request count accepted")
+	for _, n := range []int{-1, 0} {
+		if _, err := Run(Config{Core: tpu(), Policy: Neu10, Requests: n},
+			[]TenantSpec{{Name: "x", Graph: g, MEs: 2, VEs: 2}}); err == nil {
+			t.Fatalf("request count %d accepted", n)
+		}
 	}
 	// Zero allocation.
 	if _, err := Run(Config{Core: tpu(), Policy: Neu10, Requests: 1},
