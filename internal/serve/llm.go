@@ -458,32 +458,21 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	if kind == kindLLMStaticPrefill {
 		t.llm.staticBatches++
 	}
-	maxPrompt := 0
+	// Prefix-cache hits shrink the prefill to the unmatched suffix — a
+	// chunk whose attention still spans the cached context behind it,
+	// exactly what LLMChunkCycles measures. With no hit in the batch,
+	// and always outside paged KV, this is a full-prompt chunk at
+	// context 0, which LLMChunkCycles prices as LLMCycles' prefill.
+	maxChunk, maxBehind := 0, 0
 	for _, s := range joined {
-		if s.req.prompt > maxPrompt {
-			maxPrompt = s.req.prompt
+		if c := s.req.prompt - s.hit; c > maxChunk {
+			maxChunk = c
+		}
+		if s.hit > maxBehind {
+			maxBehind = s.hit
 		}
 	}
-	var cycles float64
-	var err error
-	if r.kv.paged != nil {
-		// Prefix-cache hits shrink the prefill to the unmatched suffix —
-		// a chunk whose attention still spans the cached context behind
-		// it, exactly what LLMChunkCycles measures. With no hit in the
-		// batch this is a plain full-prompt chunk at context 0.
-		maxChunk, maxBehind := 0, 0
-		for _, s := range joined {
-			if c := s.req.prompt - s.hit; c > maxChunk {
-				maxChunk = c
-			}
-			if s.hit > maxBehind {
-				maxBehind = s.hit
-			}
-		}
-		cycles, err = f.costs.LLMChunkCycles(len(joined), maxChunk, maxBehind, r.nm, r.nv)
-	} else {
-		cycles, err = f.costs.LLMCycles(PhasePrefill, len(joined), maxPrompt, r.nm, r.nv)
-	}
+	cycles, err := f.costs.LLMChunkCycles(len(joined), maxChunk, maxBehind, r.nm, r.nv)
 	f.costFailed("prefill batch", err)
 	f.obs.launched(b, now)
 	b.total, b.remaining = cycles, cycles
