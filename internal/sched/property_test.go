@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"neu10/internal/compiler"
@@ -47,83 +48,141 @@ func totals(g *compiler.CompiledGraph) (me, ve uint64) {
 	return
 }
 
+// fluidCase is one random two-tenant scenario on the 4+4 core. Both
+// graphs come from randGraph seeded with seed; tenant A gets meA MEs and
+// veA VEs, tenant B the rest. With rate > 0, A's requests arrive
+// open-loop at rate per second and B's at half that. cut and quantum
+// are the progress (a fraction of the run) and the quantum (cycles)
+// CheckpointAt is asked to split the run at.
+type fluidCase struct {
+	seed         uint64
+	policy       Mode
+	meA, veA     int
+	requests     int
+	rate         float64
+	cut, quantum float64
+}
+
+// checkFluid runs c and checks the simulator's invariants: every tenant
+// completes its requests, no request beats its critical path, a second
+// run returns the same result, utilizations lie in [0, 1], and
+// CheckpointAt splits the run's cycles exactly.
+func checkFluid(t *testing.T, c fluidCase) {
+	t.Helper()
+	gr := sim.NewRNG(c.seed)
+	ga := randGraph(gr, c.policy.ISAFor())
+	gb := randGraph(gr, c.policy.ISAFor())
+	specs := []TenantSpec{
+		{Name: "A", Graph: ga, MEs: c.meA, VEs: c.veA, ArrivalRate: c.rate},
+		{Name: "B", Graph: gb, MEs: 4 - c.meA, VEs: 4 - c.veA, ArrivalRate: c.rate / 2},
+	}
+	cfg := Config{Core: tpu(), Policy: c.policy, Requests: c.requests, Seed: c.seed}
+	s, err := New(cfg, specs)
+	if err != nil {
+		t.Fatalf("%+v: %v", c, err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatalf("%+v: %v", c, err)
+	}
+
+	// Invariant 1: every tenant completed the target.
+	for _, tr := range res.Tenants {
+		if tr.Requests < c.requests {
+			t.Fatalf("%+v: tenant %s completed %d/%d", c, tr.Name, tr.Requests, c.requests)
+		}
+	}
+
+	// Invariant 2: latency lower bound — a request can never beat
+	// its critical path on unlimited engines (max over ops of the
+	// longest single µTOp, summed over ops is too strong; use the
+	// sum of each op's longest µTOp, which any schedule must pay).
+	for w, g := range []*compiler.CompiledGraph{ga, gb} {
+		var critical float64
+		for i := range g.Ops {
+			for _, grp := range g.Ops[i].Groups {
+				var longest uint64
+				for _, u := range grp.UTops {
+					n := u.MECycles
+					if u.VECycles > n && u.Kind == isa.MEUTop {
+						n = u.VECycles
+					}
+					if u.Kind == isa.VEUTop {
+						// Divisible across all VEs at best.
+						n = u.VECycles / uint64(tpu().VEs)
+					}
+					if n > longest {
+						longest = n
+					}
+				}
+				critical += float64(longest)
+			}
+		}
+		// Every request's latency must be ≥ the critical path, and so
+		// must the mean and p95 the result reports. (A p95 may still sit
+		// far below the mean: under PMT a tenant can finish dozens of
+		// requests in one quantum and one more across the switch.)
+		tr := res.Tenants[w]
+		lo := s.tenants[w].lat.Percentile(0)
+		if bound := critical * 0.999; lo < bound || tr.MeanLatency < bound || tr.P95Latency < bound {
+			t.Fatalf("%+v tenant %d: latency min %.0f / mean %.0f / p95 %.0f below critical path %.0f",
+				c, w, lo, tr.MeanLatency, tr.P95Latency, critical)
+		}
+	}
+
+	// Invariant 3: determinism.
+	res2, err := Run(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, res2) {
+		t.Fatalf("%+v: nondeterministic result", c)
+	}
+
+	// Invariant 4: utilizations in [0, 1].
+	if res.MEUtil < 0 || res.MEUtil > 1+1e-9 || res.VEUtil < 0 || res.VEUtil > 1+1e-9 {
+		t.Fatalf("%+v: utilization out of range %v/%v", c, res.MEUtil, res.VEUtil)
+	}
+
+	// Invariant 5: a checkpoint anywhere in the run conserves its cycles.
+	total := res.DurationCycles
+	if rp := CheckpointAt(total, c.cut*total, c.quantum); rp.Completed+rp.Remaining != total {
+		t.Fatalf("%+v: checkpoint %v + %v != %v cycles", c, rp.Completed, rp.Remaining, total)
+	}
+}
+
 func TestPropertyRandomGraphsAllPolicies(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
 		seed := rng.Uint64()
 		for _, pol := range []Mode{PMT, V10, NeuNH, Neu10} {
-			gr := sim.NewRNG(seed)
-			ga := randGraph(gr, pol.ISAFor())
-			gb := randGraph(gr, pol.ISAFor())
-			specs := []TenantSpec{
-				{Name: "A", Graph: ga, MEs: 2, VEs: 2},
-				{Name: "B", Graph: gb, MEs: 2, VEs: 2},
-			}
-			cfg := Config{Core: tpu(), Policy: pol, Requests: 4}
-			res, err := Run(cfg, specs)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pol, err)
-			}
-
-			// Invariant 1: every tenant completed the target.
-			for _, tr := range res.Tenants {
-				if tr.Requests < 4 {
-					t.Fatalf("trial %d %s: tenant %s completed %d/4", trial, pol, tr.Name, tr.Requests)
-				}
-				if tr.MeanLatency <= 0 || tr.P95Latency < tr.MeanLatency/2 {
-					t.Fatalf("trial %d %s: implausible latency stats %v/%v",
-						trial, pol, tr.MeanLatency, tr.P95Latency)
-				}
-			}
-
-			// Invariant 2: latency lower bound — a request can never beat
-			// its critical path on unlimited engines (max over ops of the
-			// longest single µTOp, summed over ops is too strong; use the
-			// sum of each op's longest µTOp, which any schedule must pay).
-			for w, g := range []*compiler.CompiledGraph{ga, gb} {
-				var critical float64
-				for i := range g.Ops {
-					for _, grp := range g.Ops[i].Groups {
-						var longest uint64
-						for _, u := range grp.UTops {
-							n := u.MECycles
-							if u.VECycles > n && u.Kind == isa.MEUTop {
-								n = u.VECycles
-							}
-							if u.Kind == isa.VEUTop {
-								// Divisible across all VEs at best.
-								n = u.VECycles / uint64(tpu().VEs)
-							}
-							if n > longest {
-								longest = n
-							}
-						}
-						critical += float64(longest)
-					}
-				}
-				// Every request's latency must be ≥ the critical path.
-				if res.Tenants[w].Latency.Percentile(0) < critical*0.999 {
-					t.Fatalf("trial %d %s tenant %d: min latency %.0f below critical path %.0f",
-						trial, pol, w, res.Tenants[w].Latency.Percentile(0), critical)
-				}
-			}
-
-			// Invariant 3: determinism.
-			res2, err := Run(cfg, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.DurationCycles != res2.DurationCycles {
-				t.Fatalf("trial %d %s: nondeterministic duration", trial, pol)
-			}
-
-			// Invariant 4: utilizations in [0, 1].
-			if res.MEUtil < 0 || res.MEUtil > 1+1e-9 || res.VEUtil < 0 || res.VEUtil > 1+1e-9 {
-				t.Fatalf("trial %d %s: utilization out of range %v/%v", trial, pol, res.MEUtil, res.VEUtil)
-			}
+			checkFluid(t, fluidCase{seed: seed, policy: pol, meA: 2, veA: 2, requests: 4,
+				cut: float64(trial) / trials, quantum: 4096})
 		}
 	}
+}
+
+// FuzzFluid decodes its arguments into a fluidCase and checks it with
+// checkFluid. The EU split, request count (1-8) and open-loop rate
+// (kilo-requests per second; 0 = closed loop) are taken modulo their
+// ranges, so every input decodes to a valid scenario. The checkpoint
+// quantum is a whole number of cycles, as the serving layer's default
+// is: with a fractional one the boundary has bits below the run's
+// last cycle, and Completed + Remaining can miss total by an ulp.
+func FuzzFluid(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, policy, meA, veA, requests, rateK uint8, cut, quantum uint16) {
+		checkFluid(t, fluidCase{
+			seed:     seed,
+			policy:   Mode(policy % 4),
+			meA:      1 + int(meA%3),
+			veA:      1 + int(veA%3),
+			requests: 1 + int(requests%8),
+			rate:     1000 * float64(rateK),
+			cut:      float64(cut) / (1 << 15), // up to twice the run
+			quantum:  1 + float64(quantum),
+		})
+	})
 }
 
 // TestPropertyNHIsolation: under static spatial partitioning with no HBM
