@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"neu10/internal/compiler"
@@ -14,7 +15,10 @@ import (
 // hundreds of thousands per run the allocating version performed.
 // The budget is deliberately loose (1500) to stay robust across Go
 // versions while still catching any reintroduced per-event allocation
-// (each run executes tens of thousands of events).
+// (each run executes tens of thousands of events). The byte budget
+// (16 KB for the run's ~960 events) catches a per-event series that
+// grows by appending, which costs few objects but many bytes: an
+// unsampled run records no timeline.
 func TestSimulatorAllocBudget(t *testing.T) {
 	graphA := synth(compiler.ISANeu,
 		meOp(4, 3000, 800), veOp(4000), meOp(2, 1500, 2200), meOp(3, 2500, 0))
@@ -35,5 +39,17 @@ func TestSimulatorAllocBudget(t *testing.T) {
 	})
 	if allocs > 1500 {
 		t.Fatalf("simulator run allocates %.0f objects, want ≤ 1500 (event-loop allocation regression?)", allocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Run(cfg, specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > 16<<10 {
+		t.Fatalf("simulator run allocates %d bytes, want ≤ 16 KB (a per-event series?)", bytes)
 	}
 }

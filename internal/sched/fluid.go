@@ -102,7 +102,9 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 		meBlocked:    make([]float64, cfg.Core.MEs),
 		activeTenant: -1,
 		complexOwner: -1,
-		hbmTL:        metrics.NewTimeSeries("hbm", 4096),
+	}
+	if cfg.SampleEvery > 0 {
+		s.hbmTL = metrics.NewTimeSeries("hbm", 4096)
 	}
 	for i := range s.meOwner {
 		s.meOwner[i] = -1
@@ -915,7 +917,9 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 		}
 	}
 	s.bwArea += servedBW * dt
-	s.hbmTL.Add(s.now, servedBW)
+	if s.hbmTL != nil {
+		s.hbmTL.Add(s.now, servedBW)
+	}
 	s.now += dt
 }
 
@@ -997,7 +1001,6 @@ func (s *Simulator) collect() *Result {
 		tr := TenantResult{
 			Name:           t.spec.Name,
 			Requests:       t.completed,
-			Latency:        t.lat,
 			MeanLatency:    t.lat.Mean(),
 			P95Latency:     t.lat.P95(),
 			ActiveCycles:   t.activeCycles,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neu10/internal/compiler"
+	"neu10/internal/metrics"
 	"neu10/internal/sim"
 )
 
@@ -154,7 +155,7 @@ func TestAblationDisableVEHarvest(t *testing.T) {
 // TestAblationFullDisableEqualsNH checks that Neu10 with both harvest
 // paths disabled is Neu10-NH: over random graphs and EU splits, closed-
 // and open-loop, the two runs return the same Result in every field but
-// Policy, timelines included.
+// Policy, timelines included, and record the same request latencies.
 func TestAblationFullDisableEqualsNH(t *testing.T) {
 	splits := [][2]int{{2, 2}, {1, 3}, {3, 1}}
 	rng := sim.NewRNG(11)
@@ -162,17 +163,26 @@ func TestAblationFullDisableEqualsNH(t *testing.T) {
 		seed := rng.Uint64()
 		me, ve := splits[trial%3], splits[(trial/3)%3]
 		for _, rate := range []float64{0, float64(20_000 + 10_000*(trial%5))} {
-			run := func(cfg Config) *Result {
+			run := func(cfg Config) (*Result, []*metrics.Latencies) {
 				gr := sim.NewRNG(seed)
 				cfg.Core, cfg.Requests, cfg.SampleEvery, cfg.Seed = tpu(), 5, 700, seed
-				return mustRun(t, cfg,
-					TenantSpec{Name: "A", Graph: randGraph(gr, compiler.ISANeu), MEs: me[0], VEs: ve[0], ArrivalRate: rate},
-					TenantSpec{Name: "B", Graph: randGraph(gr, compiler.ISANeu), MEs: me[1], VEs: ve[1], ArrivalRate: rate / 2})
+				s, err := New(cfg, []TenantSpec{
+					{Name: "A", Graph: randGraph(gr, compiler.ISANeu), MEs: me[0], VEs: ve[0], ArrivalRate: rate},
+					{Name: "B", Graph: randGraph(gr, compiler.ISANeu), MEs: me[1], VEs: ve[1], ArrivalRate: rate / 2},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, []*metrics.Latencies{s.tenants[0].lat, s.tenants[1].lat}
 			}
-			nh := run(Config{Policy: NeuNH})
-			abl := run(Config{Policy: Neu10, DisableMEHarvest: true, DisableVEHarvest: true})
+			nh, nhLat := run(Config{Policy: NeuNH})
+			abl, ablLat := run(Config{Policy: Neu10, DisableMEHarvest: true, DisableVEHarvest: true})
 			abl.Policy = nh.Policy
-			if !reflect.DeepEqual(nh, abl) {
+			if !reflect.DeepEqual(nh, abl) || !reflect.DeepEqual(nhLat, ablLat) {
 				t.Fatalf("trial %d rate %.0f: fully-ablated Neu10 differs from NH:\nNH  %+v\nabl %+v",
 					trial, rate, nh.Tenants, abl.Tenants)
 			}

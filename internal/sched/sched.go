@@ -118,12 +118,13 @@ const (
 	v10SwitchPenalty = 256  // operator-boundary ME-complex switch
 )
 
-// TenantResult aggregates one tenant's measurements.
+// TenantResult aggregates one tenant's measurements. It keeps the
+// latency statistics, not the per-request samples: results are shared
+// read-only between callers, so they hold only what some caller reads.
 type TenantResult struct {
 	Name           string
 	Requests       int
-	Latency        *metrics.Latencies // cycles per completed request
-	MeanLatency    float64
+	MeanLatency    float64 // cycles per completed request
 	P95Latency     float64
 	Throughput     float64 // requests per second (core frequency applied)
 	ActiveCycles   float64 // cycles with ≥1 µTOp running
@@ -137,15 +138,18 @@ type TenantResult struct {
 	VETimeline *metrics.TimeSeries
 }
 
-// Result is a full simulation outcome.
+// Result is a full simulation outcome. Callers may share one Result, so
+// none may modify it.
 type Result struct {
 	Policy         Mode
 	DurationCycles float64
 	Tenants        []TenantResult
-	MEUtil         float64             // work-weighted busy fraction of all MEs (Fig. 22a)
-	VEUtil         float64             // Fig. 22b
-	HBMTimeline    *metrics.TimeSeries // bytes/cycle demand served (Fig. 7)
-	AvgBandwidth   float64             // bytes/cycle average
+	MEUtil         float64 // work-weighted busy fraction of all MEs (Fig. 22a)
+	VEUtil         float64 // Fig. 22b
+	// HBMTimeline (filled when Config.SampleEvery > 0) is the bandwidth
+	// served, in bytes/cycle, at every event (Fig. 7).
+	HBMTimeline  *metrics.TimeSeries
+	AvgBandwidth float64 // bytes/cycle average
 }
 
 // ---- internal runtime state ----
