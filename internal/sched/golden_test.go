@@ -18,13 +18,14 @@ import (
 
 // TestGoldenFluid pins the raw bits of every float the fluid simulator
 // reports. It runs the property test's random graphs (every other trial
-// with HBM traffic added) under each policy, closed- and open-loop,
-// with timeline sampling off and on. It hashes math.Float64bits of each
-// Result field, each timeline point and each tenant's latency samples
-// (read from the Simulator). One SHA-256 per (policy, loop, sampling)
-// group is pinned in testdata/golden_fluid.sha256, regenerated only
-// under NEU10_UPDATE_GOLDEN. The tables' goldens print 2-3 decimals, so
-// a reordered float sum can pass them; it cannot pass this one.
+// varied per µTOp, with HBM traffic) under each policy, closed- and
+// open-loop, with timeline sampling off and on. It hashes
+// math.Float64bits of each Result field, each timeline point and each
+// tenant's latency samples (read from the Simulator). One SHA-256 per
+// (policy, loop, sampling) group is pinned in
+// testdata/golden_fluid.sha256, regenerated only under
+// NEU10_UPDATE_GOLDEN. The tables' goldens print 2-3 decimals, so a
+// reordered float sum can pass them; it cannot pass this one.
 func TestGoldenFluid(t *testing.T) {
 	splits := [][2]int{{2, 2}, {1, 3}, {3, 1}}
 	var sb strings.Builder
@@ -39,8 +40,8 @@ func TestGoldenFluid(t *testing.T) {
 					gr := sim.NewRNG(seed)
 					ga, gb := randGraph(gr, pol.ISAFor()), randGraph(gr, pol.ISAFor())
 					if trial%2 == 1 {
-						addTraffic(ga, gr)
-						addTraffic(gb, gr)
+						vary(ga, gr)
+						vary(gb, gr)
 					}
 					cfg := Config{Core: tpu(), Policy: pol, Requests: 5, SampleEvery: every, Seed: seed}
 					s, err := New(cfg, []TenantSpec{
@@ -80,16 +81,19 @@ func TestGoldenFluid(t *testing.T) {
 	}
 }
 
-// addTraffic gives every µTOp of g HBM traffic of 100-900 bytes per
-// cycle of its work, so that a few µTOps running at once exceed the
-// core's ~1.1 KB/cycle and the bandwidth share is exercised (randGraph
-// alone moves no bytes).
-func addTraffic(g *compiler.CompiledGraph, rng *sim.RNG) {
+// vary gives every µTOp of g its own cycle counts, 75-125% of its
+// group's, and HBM traffic of 50-550 bytes per cycle of work.
+// randGraph's groups are uniform and move no bytes; varied, a few µTOps
+// running at once exceed the core's ~1.1 KB/cycle, and a sum over a
+// group's µTOps depends on their order.
+func vary(g *compiler.CompiledGraph, rng *sim.RNG) {
 	for i := range g.Ops {
 		for _, grp := range g.Ops[i].Groups {
 			for k := range grp.UTops {
 				u := &grp.UTops[k]
-				u.HBMBytes = int64(u.MECycles+u.VECycles) * int64(100+rng.Intn(800))
+				u.MECycles = u.MECycles * uint64(75+rng.Intn(51)) / 100
+				u.VECycles = u.VECycles * uint64(75+rng.Intn(51)) / 100
+				u.HBMBytes = int64(u.MECycles+u.VECycles) * int64(50+rng.Intn(500))
 			}
 		}
 	}
