@@ -44,7 +44,6 @@ type Simulator struct {
 	utopFree []*utop
 	scratch  struct {
 		items   []bwItem
-		tStart  []int
 		tDemand []float64
 		tGrant  []float64
 		demands []float64
@@ -261,10 +260,12 @@ func (s *Simulator) bind() {
 		for _, t := range s.tenants {
 			s.reclaim(t)
 		}
+		ready := false
 		for _, t := range s.tenants {
 			s.bindOwn(t)
+			ready = ready || t.readyME.Len() > 0
 		}
-		if !s.cfg.DisableMEHarvest {
+		if ready && !s.cfg.DisableMEHarvest {
 			s.harvestBind()
 		}
 	case V10:
@@ -491,9 +492,12 @@ func (s *Simulator) pmtBind() {
 // ---- policy: VE grants ----
 
 func (s *Simulator) grantVE() {
-	for _, t := range s.tenants {
-		for _, u := range t.running {
-			u.veGrant = 0
+	// The spatial policies' grants are zeroed in grantTenantVE's pass.
+	if s.cfg.Policy == V10 || s.cfg.Policy == PMT {
+		for _, t := range s.tenants {
+			for _, u := range t.running {
+				u.veGrant = 0
+			}
 		}
 	}
 	switch s.cfg.Policy {
@@ -526,13 +530,20 @@ func (s *Simulator) grantVE() {
 // grantMEUTopVE serves the VE needs of a tenant's bound ME µTOps from a
 // budget, returning the amount consumed. The operation scheduler
 // prioritizes VE operations from ME µTOps so MEs free up sooner (§III-E).
+// Every ME µTOp in t.running is bound: bindTo adds it, unbind removes it.
 func (s *Simulator) grantMEUTopVE(t *tenant, budget float64) float64 {
 	var need float64
 	for _, u := range t.running {
-		if u.kind == isa.MEUTop && u.me >= 0 {
+		if u.kind == isa.MEUTop {
 			need += u.veNeed
 		}
 	}
+	return s.scaleMEUTopVE(t, need, budget)
+}
+
+// scaleMEUTopVE grants each of t's ME µTOps its VE need, scaled down to
+// the budget when their total need exceeds it, and returns the total.
+func (s *Simulator) scaleMEUTopVE(t *tenant, need, budget float64) float64 {
 	if need == 0 {
 		return 0
 	}
@@ -542,7 +553,7 @@ func (s *Simulator) grantMEUTopVE(t *tenant, budget float64) float64 {
 	}
 	var used float64
 	for _, u := range t.running {
-		if u.kind == isa.MEUTop && u.me >= 0 {
+		if u.kind == isa.MEUTop {
 			u.veGrant = u.veNeed * scale
 			used += u.veGrant
 		}
@@ -580,27 +591,33 @@ func (s *Simulator) grantVEUTops(ts []*tenant, budget float64) {
 
 // grantTenantVE serves a tenant from its own VE allocation: bound ME
 // µTOps first, then its VE µTOps. It returns the unused remainder
-// (harvestable under Neu10).
+// (harvestable under Neu10). One pass zeroes the grants, sums the ME
+// µTOps' need (in grantMEUTopVE's order) and counts the VE µTOps.
 func (s *Simulator) grantTenantVE(t *tenant, cap float64) float64 {
-	cap -= s.grantMEUTopVE(t, cap)
+	var need float64
+	ves := 0
+	for _, u := range t.running {
+		u.veGrant = 0
+		if u.kind == isa.MEUTop {
+			need += u.veNeed
+		} else {
+			ves++
+		}
+	}
+	cap -= s.scaleMEUTopVE(t, need, cap)
 	if cap <= 0 {
 		return 0
 	}
-	ves := s.scratch.ves[:0]
+	if ves == 0 {
+		return cap
+	}
+	share := cap / float64(ves)
 	for _, u := range t.running {
 		if u.kind == isa.VEUTop {
-			ves = append(ves, u)
-		}
-	}
-	s.scratch.ves = ves
-	if len(ves) > 0 {
-		share := cap / float64(len(ves))
-		for _, u := range ves {
 			u.veGrant = share
 		}
-		return 0
 	}
-	return cap
+	return 0
 }
 
 // redistributeVE implements VE harvesting (Fig. 18b): leftover VE
@@ -741,24 +758,18 @@ func growFloats(buf []float64, n int) []float64 {
 // (bytes/cycle).
 func (s *Simulator) applySpeeds() float64 {
 	sc := &s.scratch
-	sc.items = sc.items[:0]
-	sc.tStart = sc.tStart[:0]
 	sc.tDemand = growFloats(sc.tDemand, len(s.tenants))
 	var totalDemand float64
 	for ti, t := range s.tenants {
-		sc.tStart = append(sc.tStart, len(sc.items))
 		sc.tDemand[ti] = 0
 		for _, u := range t.running {
 			pre := s.preSpeed(u)
 			u.speed = pre
 			if pre > 0 && u.bwNeed > 0 {
-				d := u.bwNeed * pre
-				sc.items = append(sc.items, bwItem{u, d})
-				sc.tDemand[ti] += d
+				sc.tDemand[ti] += u.bwNeed * pre
 			}
 		}
 	}
-	sc.tStart = append(sc.tStart, len(sc.items))
 	for _, d := range sc.tDemand {
 		totalDemand += d
 	}
@@ -766,11 +777,19 @@ func (s *Simulator) applySpeeds() float64 {
 	if totalDemand <= capacity {
 		return totalDemand
 	}
+	// Over capacity: list each tenant's demands again, in the same
+	// order, to share its grant among them.
 	sc.tGrant = growFloats(sc.tGrant, len(s.tenants))
 	s.waterfill(sc.tDemand, sc.tGrant, capacity)
 	served := 0.0
-	for ti := range s.tenants {
-		items := sc.items[sc.tStart[ti]:sc.tStart[ti+1]]
+	for ti, t := range s.tenants {
+		items := sc.items[:0]
+		for _, u := range t.running {
+			if u.speed > 0 && u.bwNeed > 0 {
+				items = append(items, bwItem{u, u.bwNeed * u.speed})
+			}
+		}
+		sc.items = items
 		if len(items) == 0 {
 			continue
 		}
@@ -927,16 +946,19 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 // requests. It returns true when every tenant has completed the target.
 func (s *Simulator) complete() bool {
 	for _, t := range s.tenants {
-		for i := 0; i < len(t.running); {
-			u := t.running[i]
+		kept := t.running[:0]
+		for _, u := range t.running {
 			if u.rem > eps {
-				i++
+				kept = append(kept, u)
 				continue
 			}
-			s.unbind(u) // removes from t.running
+			if u.me >= 0 {
+				s.meHeld[u.me] = nil
+			}
 			t.inFlight--
 			s.utopFree = append(s.utopFree, u)
 		}
+		t.running = kept
 		for !t.idle && t.inFlight == 0 && t.currentGroup() != nil {
 			s.advanceGroup(t)
 		}
