@@ -33,7 +33,8 @@ func (r *AblationHarvestResult) Table() string {
 }
 
 // AblationHarvest runs the harvest-mechanism ablation over all pairs,
-// one worker-pool job per pair (four simulations each).
+// one worker-pool job per pair: the NH and full-Neu10 legs are shared
+// pair runs, the two ablated legs its own simulations.
 func (r *Runner) AblationHarvest() (*AblationHarvestResult, error) {
 	pairs := workload.Pairs()
 	gains, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) ([3]float64, error) {
@@ -45,6 +46,10 @@ func (r *Runner) AblationHarvest() (*AblationHarvestResult, error) {
 		if err != nil {
 			return [3]float64{}, err
 		}
+		full, err := r.runPair(p, sched.Neu10, r.opts.Core, false)
+		if err != nil {
+			return [3]float64{}, err
+		}
 		agg := func(res *sched.Result) float64 {
 			var s float64
 			for w := 0; w < 2; w++ {
@@ -52,17 +57,16 @@ func (r *Runner) AblationHarvest() (*AblationHarvestResult, error) {
 			}
 			return s / 2
 		}
-		var gains [3]float64
+		gains := [3]float64{agg(full)}
 		for i, cfg := range []sched.Config{
-			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests},
 			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests, DisableMEHarvest: true},
 			{Core: r.opts.Core, Policy: sched.Neu10, Requests: r.opts.Requests, DisableVEHarvest: true},
 		} {
 			res, err := sched.Run(cfg, specs)
 			if err != nil {
-				return [3]float64{}, fmt.Errorf("%s ablation %d: %w", p.Name(), i, err)
+				return [3]float64{}, fmt.Errorf("%s ablation %d: %w", p.Name(), i+1, err)
 			}
-			gains[i] = agg(res)
+			gains[i+1] = agg(res)
 		}
 		return gains, nil
 	})
@@ -129,15 +133,7 @@ func (r *Runner) AblationPreempt() (*AblationPreemptResult, error) {
 	results, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (cellResult, error) {
 		core := r.opts.Core
 		core.MEPreemptCycles = c.cost
-		comp, err := r.compiledFor(core)
-		if err != nil {
-			return cellResult{}, err
-		}
-		specs, err := comp.Tenants(pairs[c.pi], sched.Neu10, core.MEs/2, core.VEs/2)
-		if err != nil {
-			return cellResult{}, err
-		}
-		n10, err := sched.Run(sched.Config{Core: core, Policy: sched.Neu10, Requests: r.opts.Requests}, specs)
+		n10, err := r.runPair(pairs[c.pi], sched.Neu10, core, false)
 		if err != nil {
 			return cellResult{}, err
 		}

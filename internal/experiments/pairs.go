@@ -42,13 +42,6 @@ type PairStudyResult struct {
 	id      string
 }
 
-// view returns a shallow copy presenting as the given figure id.
-func (r *PairStudyResult) view(id string) *PairStudyResult {
-	c := *r
-	c.id = id
-	return &c
-}
-
 func (r *PairStudyResult) Name() string {
 	if r.id == "" {
 		return "fig19"
@@ -147,17 +140,12 @@ func fmtOverhead(v float64) string {
 	return fmt.Sprintf("%.2f%%", v*100)
 }
 
-// PairStudy runs the nine pairs under the four policies — 36
+// PairStudy gathers the nine pairs under the four policies — 36
 // independent scenario simulations fanned across the worker pool and
 // collected in (pair, policy) order, so the result is byte-identical to
-// the sequential sweep. Results are cached within the runner (and the
-// computation single-flighted) so fig19-22/table3 share one sweep.
+// the sequential sweep. The simulations are the runner's shared pair
+// runs, so fig19-22/table3 each rebuild their metrics from one sweep.
 func (r *Runner) PairStudy() (*PairStudyResult, error) {
-	r.pairMu.Lock()
-	defer r.pairMu.Unlock()
-	if r.pairStudy != nil {
-		return r.pairStudy, nil
-	}
 	type cell struct {
 		p   workload.Pair
 		pol sched.Mode
@@ -187,9 +175,7 @@ func (r *Runner) PairStudy() (*PairStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &PairStudyResult{Metrics: metrics}
-	r.pairStudy = out
-	return out, nil
+	return &PairStudyResult{Metrics: metrics}, nil
 }
 
 // Fig. 23 — per-operator speedup of Neu10 over Neu10-NH for each pair,

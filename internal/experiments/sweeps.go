@@ -77,18 +77,15 @@ func (r *Runner) pairThroughputs(p workload.Pair, pol sched.Mode, core arch.Core
 }
 
 // Fig25Scaling sweeps the five hardware configurations over all pairs,
-// one worker-pool job per pair (each job runs its baseline plus the
-// ten per-config simulations).
+// one worker-pool job per pair (each job runs the ten per-config
+// simulations; the first config's V10 run is the baseline).
 func (r *Runner) Fig25Scaling() (*Fig25Result, error) {
 	configs := [][2]int{{2, 2}, {4, 2}, {4, 4}, {8, 4}, {8, 8}}
 	pairs := workload.Pairs()
 	points, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) (map[[2]int][2]float64, error) {
 		pts := map[[2]int][2]float64{}
-		base, err := r.pairThroughputs(p, sched.V10, r.opts.Core.WithEUs(2, 2))
-		if err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", p.Name(), err)
-		}
-		for _, c := range configs {
+		var base [2]float64
+		for i, c := range configs {
 			core := r.opts.Core.WithEUs(c[0], c[1])
 			n10, err := r.pairThroughputs(p, sched.Neu10, core)
 			if err != nil {
@@ -97,6 +94,9 @@ func (r *Runner) Fig25Scaling() (*Fig25Result, error) {
 			v10, err := r.pairThroughputs(p, sched.V10, core)
 			if err != nil {
 				return nil, fmt.Errorf("%s %v: %w", p.Name(), c, err)
+			}
+			if i == 0 {
+				base = v10 // V10 on 2ME-2VE
 			}
 			// Aggregate normalized throughput per policy: mean over the
 			// two workloads of tput/baseline-V10-2ME2VE-tput.
