@@ -15,10 +15,9 @@ import (
 // hundreds of thousands per run the allocating version performed.
 // The budget is deliberately loose (1500) to stay robust across Go
 // versions while still catching any reintroduced per-event allocation
-// (each run executes tens of thousands of events). The byte budget
-// (16 KB for the run's ~960 events) catches a per-event series that
-// grows by appending, which costs few objects but many bytes: an
-// unsampled run records no timeline.
+// (each run executes ~960 events). The byte budget, 16 KB, catches a
+// per-event series that grows by appending, which costs few objects
+// but many bytes: an unsampled run records no timeline.
 func TestSimulatorAllocBudget(t *testing.T) {
 	graphA := synth(compiler.ISANeu,
 		meOp(4, 3000, 800), veOp(4000), meOp(2, 1500, 2200), meOp(3, 2500, 0))
