@@ -403,7 +403,7 @@ func (s *Simulator) v10Bind() {
 			if t.readyME.Len() == 0 {
 				continue
 			}
-			if pick == nil || t.serviceCycles/t.priority() < pick.serviceCycles/pick.priority() {
+			if pick == nil || t.serviceCycles < pick.serviceCycles {
 				pick = t
 			}
 		}
@@ -453,7 +453,7 @@ func (s *Simulator) pmtBind() {
 			if !hasWork(t) {
 				continue
 			}
-			if pick == nil || t.serviceCycles/t.priority() < pick.serviceCycles/pick.priority() {
+			if pick == nil || t.serviceCycles < pick.serviceCycles {
 				pick = t
 			}
 		}

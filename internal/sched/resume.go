@@ -15,9 +15,10 @@ import "math"
 
 // ResumePoint describes a fluid run checkpointed at a µTOp-quantum
 // boundary. Completed and Remaining partition the run's total service
-// cycles exactly (Completed + Remaining == total, bit-for-bit), which
-// is what makes preempt/resume work-conserving: the resumed run owes
-// precisely Remaining cycles, no more, no less.
+// cycles (Completed + Remaining == total, bit-for-bit when the boundary
+// is a whole number of cycles — see CheckpointAt), which is what makes
+// preempt/resume work-conserving: the resumed run owes precisely
+// Remaining cycles, no more, no less.
 type ResumePoint struct {
 	// Boundary is the progress point (service cycles from the start of
 	// the run) where execution actually stops: the first quantum
@@ -39,6 +40,12 @@ type ResumePoint struct {
 // checkpoints immediately. A non-positive quantum means preemption is
 // legal anywhere (the boundary is elapsed itself); elapsed is clamped
 // into [0, total].
+//
+// The split is exact (Completed + Remaining == total) only when the
+// boundary is a whole number of cycles below 2^53, as it is for a whole
+// quantum or at the total: then total − b needs no rounding. A
+// fractional boundary — a fractional quantum, or a non-positive one at
+// a fractional elapsed — can miss total by an ulp.
 func CheckpointAt(total, elapsed, quantum float64) ResumePoint {
 	if total <= 0 {
 		return ResumePoint{Frac: 1}

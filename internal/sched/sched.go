@@ -67,8 +67,7 @@ func (m Mode) ISAFor() compiler.ISAKind {
 type TenantSpec struct {
 	Name     string
 	Graph    *compiler.CompiledGraph
-	MEs, VEs int     // the vNPU's EU allocation
-	Priority float64 // fair-share weight (default 1)
+	MEs, VEs int // the vNPU's EU allocation
 
 	// ArrivalRate, when > 0, switches this tenant to open-loop traffic:
 	// requests arrive in a Poisson stream at this rate (requests/second)
@@ -276,13 +275,6 @@ func (q *utopQueue) Pop() *utop {
 		q.head = 0
 	}
 	return u
-}
-
-func (t *tenant) priority() float64 {
-	if t.spec.Priority > 0 {
-		return t.spec.Priority
-	}
-	return 1
 }
 
 // currentGroup returns the group being executed, or nil when the request

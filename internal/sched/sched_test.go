@@ -367,15 +367,3 @@ func TestTimelineSampling(t *testing.T) {
 		t.Fatal("no HBM timeline")
 	}
 }
-
-func TestPriorityWeighting(t *testing.T) {
-	// Under PMT, a 3x-priority tenant should complete ~3x the requests.
-	g := func() *compiler.CompiledGraph { return synth(compiler.ISAVLIW, meOp(4, 5000, 0)) }
-	res := mustRun(t, Config{Core: tpu(), Policy: PMT, Requests: 6},
-		TenantSpec{Name: "hi", Graph: g(), MEs: 2, VEs: 2, Priority: 3},
-		TenantSpec{Name: "lo", Graph: g(), MEs: 2, VEs: 2, Priority: 1})
-	hi, lo := res.Tenants[0].Requests, res.Tenants[1].Requests
-	if hi < 2*lo {
-		t.Fatalf("priority ignored: hi=%d lo=%d", hi, lo)
-	}
-}

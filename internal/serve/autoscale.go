@@ -298,6 +298,18 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	// below which a queue head could block forever.
 	var kv *kvAccountant
 	{
+		// worst is a peer's maximal request in tokens. A prefill slot only
+		// ever holds prompt KV: generated tokens live on the decode side
+		// of the migration. Under fault injection a crash replay folds
+		// generated tokens back into the prompt (up to MaxTokens−1), so
+		// faulted fleets keep the full floor — otherwise a replayed head
+		// could block the prefill queue forever.
+		worst := func(p *tenantState) int {
+			if role == RolePrefill && f.cfg.Faults == nil {
+				return p.cfg.LLM.Trace.MaxPrompt()
+			}
+			return p.cfg.LLM.Trace.MaxTokens()
+		}
 		var weights, minKV int64
 		capOverride, anyLLM := 0, false
 		for _, p := range t.peers {
@@ -309,17 +321,7 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 			if p.cfg.LLM.KVCapTokens > 0 {
 				capOverride = p.cfg.LLM.KVCapTokens
 			}
-			worst := p.cfg.LLM.Trace.MaxTokens()
-			if role == RolePrefill && f.cfg.Faults == nil {
-				// A prefill slot only ever holds prompt KV: generated
-				// tokens live on the decode side of the migration. Under
-				// fault injection a crash replay folds generated tokens
-				// back into the prompt (up to MaxTokens−1), so faulted
-				// fleets keep the full floor — otherwise a replayed head
-				// could block the prefill queue forever.
-				worst = p.cfg.LLM.Trace.MaxPrompt()
-			}
-			worstTokens := (worst + kvBlockTokens - 1) / kvBlockTokens * kvBlockTokens
+			worstTokens := (worst(p) + kvBlockTokens - 1) / kvBlockTokens * kvBlockTokens
 			minKV += int64(worstTokens) * model.LLMKVBytesPerToken()
 		}
 		if anyLLM {
@@ -334,23 +336,19 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 			if capOverride > 0 {
 				capBytes = int64(capOverride) * model.LLMKVBytesPerToken()
 			}
-			kv = f.newKV(t, capBytes)
+			kv = f.newKV(t, capBytes, role)
 			for _, p := range t.peers {
 				if p.llm == nil {
 					continue
-				}
-				worstTok := p.cfg.LLM.Trace.MaxTokens()
-				if role == RolePrefill && f.cfg.Faults == nil {
-					worstTok = p.cfg.LLM.Trace.MaxPrompt()
 				}
 				// The floor holds under EITHER policy: with full
 				// reservation it keeps the queue head admissible; with
 				// paging it guarantees one maximal sequence can always be
 				// made resident by evicting everything else — the
 				// eviction-progress guarantee.
-				if worst := kv.blocksFor(worstTok); worst > kv.totalBlocks {
+				if blocks := kv.blocksFor(worst(p)); blocks > kv.totalBlocks {
 					return fmt.Errorf("serve: tenant %s: %s replica KV capacity of %d blocks cannot hold one maximal request of %s (%d blocks)",
-						t.cfg.Name, role, kv.totalBlocks, p.cfg.Name, worst)
+						t.cfg.Name, role, kv.totalBlocks, p.cfg.Name, blocks)
 				}
 			}
 		}

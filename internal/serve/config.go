@@ -309,8 +309,9 @@ type Config struct {
 	// baseline the serve-priority scenario compares against.
 	Preempt bool
 	// PreemptQuantumCycles is the µTOp-quantum granularity preemption
-	// checkpoints at (default 4096 cycles). Quanta longer than a batch's
-	// service time make that batch effectively non-preemptible.
+	// checkpoints at, a whole number of cycles (default 4096). Quanta
+	// longer than a batch's service time make that batch effectively
+	// non-preemptible.
 	PreemptQuantumCycles float64
 	// MaxPreemptsPerBatch denominates the aging-credit budget that
 	// bounds Batch wait (default 4): every batch tolerates up to
@@ -393,8 +394,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: autoscale interval %v s is under one core cycle", c.ScaleEverySec)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("serve: no tenants")
-	case c.PreemptQuantumCycles < 0:
-		return fmt.Errorf("serve: preemption quantum %v", c.PreemptQuantumCycles)
+	case c.PreemptQuantumCycles < 0 || c.PreemptQuantumCycles != math.Trunc(c.PreemptQuantumCycles):
+		// sched.CheckpointAt splits a batch's work exactly only at
+		// whole-cycle boundaries.
+		return fmt.Errorf("serve: preemption quantum %v is not a whole number of cycles ≥ 0", c.PreemptQuantumCycles)
 	case c.MaxPreemptsPerBatch < 1:
 		return fmt.Errorf("serve: max preempts per batch %d", c.MaxPreemptsPerBatch)
 	case c.LinkGBps < 0:

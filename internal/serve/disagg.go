@@ -49,21 +49,14 @@ type disaggBatcher struct {
 }
 
 // next: role-specialized slots see exactly one work kind — prompt
-// processing on the prefill pool, decode iterations over migrated
-// sequences on the decode pool.
+// processing on the prefill pool, and on the decode pool the wrapped
+// policy's decode iterations (no arrival ever queues there).
 func (d *disaggBatcher) next(r *replica, q *slotQueue) (batchKind, sim.Time, bool) {
-	if r.role == RolePrefill {
-		if key, ok := d.prefillWork(r, q); ok {
-			return kindLLMPrefill, key, true
-		}
-		return 0, 0, false
+	if r.role != RolePrefill {
+		return d.inner.next(r, q)
 	}
-	for _, s := range q.running {
-		if s.prefilled && !s.migrating && s.produced < s.req.output {
-			return kindLLMDecode, s.req.at, true
-		}
-	}
-	return 0, 0, false
+	key, ok := d.prefillWork(r, q)
+	return kindLLMPrefill, key, ok
 }
 
 func (d *disaggBatcher) launch(r *replica, q *slotQueue, kind batchKind, now sim.Time, restore float64) {
@@ -93,78 +86,47 @@ func (d *disaggBatcher) passedOver(*replica, *slotQueue) {}
 // migration.
 func (d *disaggBatcher) admitsArrival(r *replica) bool { return r.role == RolePrefill }
 
+// prefilling returns the prefill width in use on q — its in-flight
+// prompts — and the FIFO key of the oldest of them.
+func prefilling(q *slotQueue) (width int, key sim.Time) {
+	for _, s := range q.running {
+		if s.promptDone < s.req.prompt {
+			if width == 0 || s.req.at < key {
+				key = s.req.at
+			}
+			width++
+		}
+	}
+	return width, key
+}
+
 // prefillWork reports whether slot r (RolePrefill) has launchable
 // prefill work on queue q and, if so, the FIFO key of its oldest
 // contributor: an in-flight chunked prompt, or the queue head if it is
-// admittable (prompt reservation fits and the prefill width has room).
+// admittable (the ledger admits it and the prefill width has room).
 func (d *disaggBatcher) prefillWork(r *replica, q *slotQueue) (sim.Time, bool) {
-	t := q.ten
-	var key sim.Time
-	found := false
-	width := 0
-	for _, s := range q.running {
-		if s.promptDone < s.req.prompt {
-			width++
-			if !found || s.req.at < key {
-				key, found = s.req.at, true
-			}
-		}
-	}
-	if len(q.reqs) > 0 && width < t.cfg.MaxBatch &&
-		r.kv.fits(r.kv.blocksFor(q.reqs[0].prompt)) {
-		if !found || q.reqs[0].at < key {
-			key, found = q.reqs[0].at, true
-		}
+	width, key := prefilling(q)
+	found := width > 0
+	if len(q.reqs) > 0 && width < q.ten.cfg.MaxBatch && r.kv.canAdmit(q.reqs[0]) &&
+		(!found || q.reqs[0].at < key) {
+		key, found = q.reqs[0].at, true
 	}
 	return key, found
 }
 
 // launchPrefill starts one prefill invocation on a RolePrefill slot:
-// admit queue-head requests (FIFO, prompt-only KV reservation, no
-// head-of-line bypass) while the prefill width has room, then advance
-// up to MaxBatch in-flight prompts by one chunk each (the whole
-// remaining prompt when chunking is off). next only proposes this
-// kind when prefillWork holds, so the invocation always carries work.
-// The admission loop is the role-specialized sibling of
-// continuousLLM.admit (llm.go) — bookkeeping changes there likely
-// apply here too.
+// admit queue-head requests through the shared admission loop
+// (continuousLLM.admit; the ledger charges prompt KV only) while the
+// prefill width has room, then advance up to MaxBatch in-flight prompts
+// by one chunk each (the whole remaining prompt when chunking is off).
+// next only proposes this kind when prefillWork holds, so the
+// invocation always carries work.
 func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, restore float64) {
 	f, t := db.f, q.ten
 	d := t.cfg.LLM.Disagg
 	f.disarmTimer(r)
-
-	width := 0
-	for _, s := range q.running {
-		if s.promptDone < s.req.prompt {
-			width++
-		}
-	}
-	for len(q.reqs) > 0 && width < t.cfg.MaxBatch {
-		req := q.reqs[0]
-		blocks := r.kv.blocksFor(req.prompt)
-		if !r.kv.fits(blocks) {
-			// KV pressure (in-flight prompts plus prompts parked behind a
-			// slow migration path) blocks admission — the stall signal.
-			t.llm.kvStalls++
-			f.obs.admitStall(t, r, req.id, now)
-			break
-		}
-		r.kv.alloc(blocks, float64(now))
-		s := &llmSeq{req: req, blocks: blocks}
-		q.running = append(q.running, s)
-		n := copy(q.reqs, q.reqs[1:])
-		q.reqs = q.reqs[:n]
-		width++
-		t.llm.admitted++
-		t.llm.promptTokens += int64(req.prompt)
-		t.llm.outputTokens += int64(req.output)
-		f.obs.prefillAdmit(t, req.id, now)
-		if f.cfg.Autoscale {
-			// The prefill pool's autoscale signal: queue delay from
-			// arrival to the first prefill invocation.
-			t.llm.windowWait.Add(float64(now - req.at))
-		}
-	}
+	width, _ := prefilling(q)
+	db.inner.admit(r, q, nil, width, now)
 
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kindLLMPrefill
@@ -214,7 +176,6 @@ func (d *disaggBatcher) finishPrefill(r *replica, b *batch, now sim.Time) {
 	for i, s := range b.seqs {
 		s.promptDone += b.chunks[i]
 		if s.promptDone >= s.req.prompt {
-			s.ctx = s.req.prompt
 			s.prefDone = now
 			f.obs.handoff(t, s.req.id, now)
 			f.startMigration(r, s, now)
@@ -226,9 +187,9 @@ func (d *disaggBatcher) finishPrefill(r *replica, b *batch, now sim.Time) {
 
 // pickDecode selects the decode replica to migrate s to: the
 // least-committed non-draining RoleDecode slot (running plus inbound
-// migrations, ties toward the older slot) whose KV partition fits the
-// sequence's full reservation and whose running set has width room.
-// Returns nil when no slot can admit it now.
+// migrations, ties toward the older slot) whose ledger admits the
+// sequence and whose running set has width room. Returns nil when no
+// slot can admit it now.
 func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 	var best *replica
 	bestLoad := 0
@@ -241,7 +202,7 @@ func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 		if load >= 2*t.cfg.MaxBatch {
 			continue
 		}
-		if !r.kv.fits(r.kv.blocksFor(s.req.prompt + s.req.output)) {
+		if !r.kv.canAdmit(s.req) {
 			continue
 		}
 		if best == nil || load < bestLoad || (load == bestLoad && r.uid < best.uid) {
@@ -270,17 +231,18 @@ func (f *fleet) startMigration(src *replica, s *llmSeq, now sim.Time) {
 
 // beginTransfer puts one sequence's resident KV on the wire from src to
 // dst: a prefill→decode handoff, or (evac) a crash evacuation of a
-// mid-generation sequence. The full prompt+output reservation is
-// charged to dst at start, so concurrent transfers can never
-// oversubscribe it; src's blocks stay held until the last byte lands —
-// the pages cannot be dropped while they are still being copied. An
-// evacuated sequence freezes (no decode advances it) while its pages
-// are on the wire. The flight enters the tenant's in-flight registry so
-// a crash can abort it mid-copy with conservation intact (recovery.go).
+// mid-generation sequence. dst's ledger footprint — the full
+// prompt+output reservation — is charged at start, so concurrent
+// transfers can never oversubscribe it; src's blocks stay held until
+// the last byte lands — the pages cannot be dropped while they are
+// still being copied. An evacuated sequence freezes (no decode advances
+// it) while its pages are on the wire. The flight enters the tenant's
+// in-flight registry so a crash can abort it mid-copy with conservation
+// intact (recovery.go).
 func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, evac bool, now sim.Time) {
 	t := src.ten
 	s.migrating = evac
-	dblocks := dst.kv.blocksFor(s.req.prompt + s.req.output)
+	dblocks := dst.kv.footprint(s.req, 0)
 	dst.kv.alloc(dblocks, float64(now))
 	dst.inbound++
 	bytes := model.LLMKVTransferBytes(s.ctx)
@@ -296,9 +258,10 @@ func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, evac bool, now sim.T
 	f.obs.xferStart(fl, now)
 }
 
-// landTransfer lands a KV transfer: src's blocks are released exactly
-// now, the dst reservation (charged at start) takes over, and the
-// sequence joins dst's running set. A handoff then delivers the first
+// landTransfer lands a KV transfer: the sequence drops from src's
+// ledger (its blocks released exactly now), counts into dst's, whose
+// reservation (charged at start) takes over, and joins dst's running
+// set. A handoff then delivers the first
 // token — TTFT prices queueing, prefill and the migration; an
 // evacuated sequence thaws mid-generation. Payload bytes count at
 // landing, so an aborted transfer never inflates the conservation
@@ -307,11 +270,12 @@ func (f *fleet) landTransfer(fl *migFlight, now sim.Time) {
 	src, dst, s := fl.src, fl.dst, fl.seq
 	t := src.ten
 	t.llm.dropFlight(fl)
-	src.kv.free(s.blocks, float64(now))
+	src.kv.drop(s, float64(now))
 	src.queueFor(t).removeRunning(s)
 	s.blocks = fl.dblocks
 	s.migrating = false
 	dst.inbound--
+	dst.kv.seqIn()
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
 	if fl.evac {
 		t.llm.evacLanded++

@@ -43,72 +43,97 @@ func disaggConfig(seed uint64, gbps float64, kvCap int) Config {
 // every admitted sequence migrates exactly once, the bytes shipped are
 // exactly the admitted prompt tokens' KV, prefill-side blocks are
 // released when (and only when) their transfer completes, and at drain
-// every accountant on every replica is back to zero — no double-count
-// surviving a migration, no leak. (The accountants themselves panic on
-// any overcommit or over-free, so a clean run also certifies that no
-// intermediate state ever went negative or past capacity.)
+// every accountant on every replica is back to zero blocks and zero
+// resident sequences — no double-count surviving a migration, no leak.
+// (The accountants themselves panic on any overcommit or over-free, so
+// a clean run also certifies that no intermediate state ever went
+// negative or past capacity.) One leg sets the reserve policy
+// explicitly, so the report's peak resident sequences must show the
+// admitted concurrency.
 func TestDisaggMigrationAccounting(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
+	type leg struct {
+		gbps   float64
+		seed   uint64
+		policy string
+	}
+	var legs []leg
 	for _, gbps := range []float64{64, 0.25} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			// 640 KV tokens ≈ 2 worst-case sequences per decode replica:
-			// the migration queue and its FIFO drain do real work.
-			f, err := newFleet(disaggConfig(seed, gbps, 640), db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ten := range f.tenants {
-				f.scheduleArrival(ten)
-			}
-			f.eng.Run()
-			rep := f.report()
+			legs = append(legs, leg{gbps, seed, ""})
+		}
+	}
+	legs = append(legs, leg{64, 1, KVReserve})
+	for _, lg := range legs {
+		gbps, seed := lg.gbps, lg.seed
+		// 640 KV tokens ≈ 2 worst-case sequences per decode replica:
+		// the migration queue and its FIFO drain do real work.
+		cfg := disaggConfig(seed, gbps, 640)
+		cfg.Tenants[0].LLM.KVPolicy = lg.policy
+		f, err := newFleet(cfg, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ten := range f.tenants {
+			f.scheduleArrival(ten)
+		}
+		f.eng.Run()
+		rep := f.report()
 
-			ten := f.tenants[0]
-			l := ten.llm
-			tr := rep.Tenants[0]
-			if tr.Arrivals != tr.Rejected+tr.Completed {
-				t.Errorf("gbps %v seed %d: %d arrivals ≠ %d rejected + %d completed",
-					gbps, seed, tr.Arrivals, tr.Rejected, tr.Completed)
+		ten := f.tenants[0]
+		l := ten.llm
+		tr := rep.Tenants[0]
+		if tr.Arrivals != tr.Rejected+tr.Completed {
+			t.Errorf("gbps %v seed %d: %d arrivals ≠ %d rejected + %d completed",
+				gbps, seed, tr.Arrivals, tr.Rejected, tr.Completed)
+		}
+		if l.migrations != l.admitted {
+			t.Errorf("gbps %v seed %d: %d admitted sequences but %d migrations — a sequence skipped or repeated the handoff",
+				gbps, seed, l.admitted, l.migrations)
+		}
+		if l.migLanded != l.migrations {
+			t.Errorf("gbps %v seed %d: %d migrations started but %d landed after drain",
+				gbps, seed, l.migrations, l.migLanded)
+		}
+		if want := l.promptTokens * model.LLMKVBytesPerToken(); l.migBytes != want {
+			t.Errorf("gbps %v seed %d: migrated %d bytes, want exactly the admitted prompt KV %d",
+				gbps, seed, l.migBytes, want)
+		}
+		if len(l.migQ) != 0 {
+			t.Errorf("gbps %v seed %d: %d migrations still parked after drain", gbps, seed, len(l.migQ))
+		}
+		for _, r := range ten.replicas {
+			if r.kv.usedBlocks != 0 {
+				t.Errorf("gbps %v seed %d: %s replica %d holds %d KV blocks after drain — leaked reservation",
+					gbps, seed, r.role, r.id, r.kv.usedBlocks)
 			}
-			if l.migrations != l.admitted {
-				t.Errorf("gbps %v seed %d: %d admitted sequences but %d migrations — a sequence skipped or repeated the handoff",
-					gbps, seed, l.admitted, l.migrations)
+			if r.kv.curSeqs != 0 {
+				t.Errorf("gbps %v seed %d: %s replica %d counts %d resident sequences after drain",
+					gbps, seed, r.role, r.id, r.kv.curSeqs)
 			}
-			if l.migLanded != l.migrations {
-				t.Errorf("gbps %v seed %d: %d migrations started but %d landed after drain",
-					gbps, seed, l.migrations, l.migLanded)
+			if r.inbound != 0 {
+				t.Errorf("gbps %v seed %d: replica %d reports %d inbound transfers after drain",
+					gbps, seed, r.id, r.inbound)
 			}
-			if want := l.promptTokens * model.LLMKVBytesPerToken(); l.migBytes != want {
-				t.Errorf("gbps %v seed %d: migrated %d bytes, want exactly the admitted prompt KV %d",
-					gbps, seed, l.migBytes, want)
-			}
-			if len(l.migQ) != 0 {
-				t.Errorf("gbps %v seed %d: %d migrations still parked after drain", gbps, seed, len(l.migQ))
-			}
-			for _, r := range ten.replicas {
-				if r.kv.usedBlocks != 0 {
-					t.Errorf("gbps %v seed %d: %s replica %d holds %d KV blocks after drain — leaked reservation",
-						gbps, seed, r.role, r.id, r.kv.usedBlocks)
-				}
-				if r.inbound != 0 {
-					t.Errorf("gbps %v seed %d: replica %d reports %d inbound transfers after drain",
-						gbps, seed, r.id, r.inbound)
-				}
-				if len(r.queueFor(ten).running) != 0 {
-					t.Errorf("gbps %v seed %d: replica %d still runs %d sequences after drain",
-						gbps, seed, r.id, len(r.queueFor(ten).running))
-				}
-			}
-			if tr.LLM.KVOccPeak <= 0 || tr.LLM.KVOccPeak > 1 {
-				t.Errorf("gbps %v seed %d: peak KV occupancy %.3f out of (0,1]", gbps, seed, tr.LLM.KVOccPeak)
-			}
-			if tr.LLM.MigStalls == 0 {
-				t.Errorf("gbps %v seed %d: tight KV produced no migration stalls — backpressure untested", gbps, seed)
-			}
-			if tr.Completed == 0 {
-				t.Errorf("gbps %v seed %d: nothing completed", gbps, seed)
+			if len(r.queueFor(ten).running) != 0 {
+				t.Errorf("gbps %v seed %d: replica %d still runs %d sequences after drain",
+					gbps, seed, r.id, len(r.queueFor(ten).running))
 			}
 		}
+		if tr.LLM.KVOccPeak <= 0 || tr.LLM.KVOccPeak > 1 {
+			t.Errorf("gbps %v seed %d: peak KV occupancy %.3f out of (0,1]", gbps, seed, tr.LLM.KVOccPeak)
+		}
+		if tr.LLM.MigStalls == 0 {
+			t.Errorf("gbps %v seed %d: tight KV produced no migration stalls — backpressure untested", gbps, seed)
+		}
+		if tr.Completed == 0 {
+			t.Errorf("gbps %v seed %d: nothing completed", gbps, seed)
+		}
+		if lg.policy == KVReserve && tr.LLM.PeakSeqs < 1 {
+			t.Errorf("gbps %v seed %d: reserve policy reports kv_peak_seqs %d for %d admitted sequences",
+				gbps, seed, tr.LLM.PeakSeqs, l.admitted)
+		}
+
 	}
 }
 

@@ -12,23 +12,26 @@ import (
 // kvBlockTokens tokens — paged-attention-style block granularity, which
 // bounds fragmentation to under one block per sequence.
 //
-// Every LLM slot carries one kvAccountant, its block ledger. The
-// admission policy follows LLMConfig.KVPolicy:
+// Every LLM slot carries one kvAccountant, its block ledger, and the
+// ledger alone decides a sequence's footprint and residency. The
+// footprint follows LLMConfig.KVPolicy and the slot's role:
 //
 //   - "reserve" (the default): a sequence reserves its FULL
-//     prompt+output footprint at admission, so a running generation can
-//     never overcommit mid-flight; its blocks free when it completes.
-//     Every legacy scenario runs on it byte-identically.
+//     prompt+output footprint at admission — only its prompt on a
+//     prefill-pool slot, whose generated tokens live on the decode side
+//     — so a running generation never needs another block; its blocks
+//     free when it leaves. Every legacy scenario runs on it
+//     byte-identically.
 //   - "paged": the ledger's paged field holds the paged machinery
-//     (kv_paged.go). Blocks allocate as decode actually produces
-//     tokens, cold sequences evict under pressure (recompute or swap,
+//     (kv_paged.go). Admission charges the prompt past any prefix-cache
+//     hit plus the first token, decode grants one block per token
+//     (grow), cold sequences evict under pressure (recompute or swap,
 //     priced), and a radix-trie prefix cache lets session traffic reuse
 //     resident blocks across requests.
 //
-// canAdmit, admit, release and addStats dispatch on paged. The raw
-// ledger (blocksFor/fits/alloc/free/accrue) serves both policies; the
-// disaggregated handoff and evacuation paths charge explicit
-// reservations through it.
+// A sequence is counted in at admission and when a KV transfer or a
+// swap-in lands on the slot, and counted out by one drop on completion
+// (release), eviction, swap-out and a transfer's hand-off.
 
 // KVStats is the stable KV accounting block every consumer — report
 // tables, JSON, and internal/obs timelines — reads uniformly. The
@@ -79,12 +82,14 @@ type KVStats struct {
 // kvBlockTokens is the KV-cache block granularity in tokens.
 const kvBlockTokens = 16
 
-// newKV builds the KV ledger a fresh replica slot runs on, per the
-// serving group's KVPolicy (newFleet validates that LLM peers in one
-// share group agree, so the first explicit policy found is the group's
-// policy; empty means the implicit reserve default).
-func (f *fleet) newKV(t *tenantState, capBytes int64) *kvAccountant {
+// newKV builds the KV ledger a fresh replica slot of the given role
+// runs on, per the serving group's KVPolicy (newFleet validates that
+// LLM peers in one share group agree, so the first explicit policy
+// found is the group's policy; empty means the implicit reserve
+// default).
+func (f *fleet) newKV(t *tenantState, capBytes int64, role Role) *kvAccountant {
 	a := newKVAccountant(capBytes, model.LLMKVBytesPerToken(), float64(f.eng.Now()))
+	a.prefill = role == RolePrefill
 	for _, p := range t.peers {
 		if p.llm != nil && p.cfg.LLM.KVPolicy == KVPaged {
 			a.paged = newPagedKV(f, p, a)
@@ -106,10 +111,12 @@ type kvAccountant struct {
 	usedArea float64 // ∫ usedBlocks dt since born
 
 	// Resident-sequence count (the admitted concurrency the two policies
-	// are compared on); crash-discarded sequences skip release, but the
+	// are compared on); crash-discarded sequences skip drop, but the
 	// peak is already correct when the replica folds.
 	curSeqs, peakSeqs int
 
+	// prefill marks a prefill-pool slot: its sequences hold prompt KV only.
+	prefill bool
 	// paged is the paged policy's machinery; nil under full reservation.
 	paged *pagedKV
 }
@@ -135,6 +142,16 @@ func (a *kvAccountant) blocksFor(tokens int) int {
 
 // fits reports whether `blocks` more blocks can be allocated now.
 func (a *kvAccountant) fits(blocks int) bool { return a.usedBlocks+blocks <= a.totalBlocks }
+
+// avail is what a decode launch can still grant: the free blocks plus,
+// under paging, the cold cache blocks reclaimable on demand.
+func (a *kvAccountant) avail() int {
+	n := a.totalBlocks - a.usedBlocks
+	if a.paged != nil {
+		n += a.paged.cold
+	}
+	return n
+}
 
 // alloc charges blocks; the caller must have checked fits (admission is
 // the only gate, so overcommit here is a scheduler bug, not load).
@@ -166,28 +183,42 @@ func (a *kvAccountant) accrue(now float64) {
 	}
 }
 
+// footprint is the blocks admitting req charges on this slot, given hit
+// prefix-cache tokens: under paging the prompt suffix the prefill
+// processes plus the first token it emits (decode grows the rest block
+// by block), on a prefill-pool slot the prompt, elsewhere the whole
+// prompt+output.
+func (a *kvAccountant) footprint(req request, hit int) int {
+	switch {
+	case a.paged != nil:
+		return a.blocksFor(req.prompt + 1 - hit)
+	case a.prefill:
+		return a.blocksFor(req.prompt)
+	}
+	return a.blocksFor(req.prompt + req.output)
+}
+
 // canAdmit reports, side-effect-free, whether the ledger would admit
 // this request now — the scheduling predicate next() and the stall
-// accounting read. Under reservation the full prompt+output footprint
-// must fit.
+// accounting read, and the test a KV transfer's target must pass.
 func (a *kvAccountant) canAdmit(req request) bool {
 	if a.paged != nil {
 		return a.paged.canAdmit(req)
 	}
-	return a.fits(a.blocksFor(req.prompt + req.output))
+	return a.fits(a.footprint(req, 0))
 }
 
-// admit charges a fresh sequence's admission footprint and fills in its
-// bookkeeping (s.blocks, and under paging its prefix-cache pin). The
-// caller constructs s with req and ctx set; false admits nothing and
-// charges nothing.
+// admit charges a fresh sequence's footprint and counts it in, filling
+// in its bookkeeping (s.blocks, and under paging its prefix-cache pin).
+// The caller constructs s with req and ctx set; false admits nothing
+// and charges nothing.
 func (a *kvAccountant) admit(s *llmSeq, now float64) bool {
 	if a.paged != nil {
 		if !a.paged.admit(s, now) {
 			return false
 		}
 	} else {
-		blocks := a.blocksFor(s.req.prompt + s.req.output)
+		blocks := a.footprint(s.req, 0)
 		if !a.fits(blocks) {
 			return false
 		}
@@ -206,13 +237,40 @@ func (a *kvAccountant) seqIn() {
 	}
 }
 
-// release retires a completed sequence, returning its blocks (under
-// paging, reusable prefix blocks first seal into the cache).
+// needsBlock reports whether s's next decoded token, at ctx+1, needs a
+// block beyond its private blocks plus its cache-served hit. Under full
+// reservation it never does.
+func (a *kvAccountant) needsBlock(s *llmSeq) bool {
+	return s.blocks*kvBlockTokens+s.hit < s.ctx+1
+}
+
+// grow grants s one more block, reclaiming a cold cache block if the
+// ledger is out of free ones; the caller checked avail. Only paging
+// grows a sequence.
+func (a *kvAccountant) grow(s *llmSeq, now float64) {
+	a.paged.ensureFree(1, now)
+	a.alloc(1, now)
+	s.blocks++
+}
+
+// release retires a completed sequence: under paging its reusable
+// blocks first seal into the prefix cache, then it drops.
 func (a *kvAccountant) release(s *llmSeq, now float64) {
+	if a.paged != nil && s.req.sealKey != 0 {
+		a.paged.seal(s)
+	}
+	a.drop(s, now)
+}
+
+// drop counts a sequence out of this slot, returning its prefix-cache
+// pin and its private blocks.
+func (a *kvAccountant) drop(s *llmSeq, now float64) {
 	if a.paged != nil {
-		a.paged.release(s, now)
-	} else {
+		a.paged.unpin(s)
+	}
+	if s.blocks > 0 {
 		a.free(s.blocks, now)
+		s.blocks = 0
 	}
 	a.curSeqs--
 }

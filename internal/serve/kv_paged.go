@@ -11,14 +11,15 @@ import (
 // RadixAttention reuse, on the simulator's block ledger).
 //
 // Where reservation charges a sequence's whole prompt+output
-// footprint at admission, paging charges only the prompt
-// (plus the prefill's first token) and grants one block at a time as
-// decode actually produces tokens. That admits far more concurrent
-// sequences on the same HBM — and makes mid-flight exhaustion possible,
-// which the scheduling layer (paged.go) resolves by evicting the
-// youngest sequences: dropping their blocks and replaying the lost
-// tokens through a chunked re-prefill ("recompute"), or shipping them
-// to host memory and back over a modeled PCIe-class link ("swap").
+// footprint at admission, paging charges only the prompt (plus the
+// prefill's first token) and grants one block at a time as decode
+// actually produces tokens. That admits far more concurrent sequences
+// on the same HBM — and makes mid-flight exhaustion possible, which the
+// decode launcher (launchDecode, evictSeq in paged.go) resolves by
+// evicting the youngest sequences: dropping their blocks and replaying
+// the lost tokens through a chunked re-prefill ("recompute"), or
+// shipping them to host memory and back over a modeled PCIe-class link
+// ("swap").
 //
 // Completed sequences do not just free their blocks: a session-traced
 // request seals its tokens into the radix cache, a refcounted trie
@@ -83,9 +84,9 @@ type swapFlight struct {
 }
 
 // pagedKV is the paged policy's machinery behind a kvAccountant's paged
-// field: block-on-demand allocation, cold-block eviction and prefix
-// caching on top of the raw ledger, which keeps owning the occupancy
-// integral, the peaks and the resident-sequence count.
+// field: prefix matching, cold-block eviction and prefix caching on top
+// of the ledger, which keeps owning footprints, block grants, the
+// occupancy integral, the peaks and the resident-sequence count.
 type pagedKV struct {
 	f     *fleet
 	t     *tenantState  // owning LLM tenant (paged excludes share groups)
@@ -152,15 +153,11 @@ func (p *pagedKV) bind(r *replica) {
 
 // ---- allocation arithmetic ----
 
-// freeBlocks is the ledger's unallocated remainder; avail adds the cold
-// cache blocks reclaimable on demand.
+// freeBlocks is the ledger's unallocated remainder.
 func (p *pagedKV) freeBlocks() int { return p.a.totalBlocks - p.a.usedBlocks }
-func (p *pagedKV) avail() int      { return p.freeBlocks() + p.cold }
-
-func (p *pagedKV) canAlloc(blocks int) bool { return p.avail() >= blocks }
 
 // ensureFree evicts cold cache blocks LRU-leaf-first until `blocks` can
-// allocate from the ledger. Callers must have checked canAlloc.
+// allocate from the ledger. Callers must have checked the ledger's avail.
 func (p *pagedKV) ensureFree(blocks int, now float64) {
 	for p.freeBlocks() < blocks {
 		v := p.coldestLeaf()
@@ -279,24 +276,23 @@ func (p *pagedKV) unpin(s *llmSeq) {
 	s.cref = nil
 }
 
-// ---- admission / release (through the ledger) ----
+// ---- admission (through the ledger) ----
 
 // admission sizes admitting req: it matches the request's prefix chain
 // and returns the matched tail, the hit tokens, and the blocks the
-// admission charges — blocksFor(prompt+1−hit), the prompt suffix the
-// prefill actually processes plus the first token it emits; decode
-// grows the rest block-by-block. ok is false while any sequence waits
-// in the swap queue (its return has first claim on freed blocks) or
-// when the charge does not fit once the matched chain's cold blocks,
-// which pinning will make unreclaimable, are discounted.
+// admission charges (the ledger's footprint at that hit). ok is false
+// while any sequence waits in the swap queue (its return has first
+// claim on freed blocks) or when the charge does not fit once the
+// matched chain's cold blocks, which pinning will make unreclaimable,
+// are discounted.
 func (p *pagedKV) admission(req request) (tail *radixNode, hit, need int, ok bool) {
 	if len(p.swapQ) > 0 {
 		return nil, 0, 0, false
 	}
 	tail, tok, coldB := p.matchPrefix(req)
 	hit = p.hitTokens(tok, req.prompt)
-	need = p.a.blocksFor(req.prompt + 1 - hit)
-	return tail, hit, need, p.avail()-coldB >= need
+	need = p.a.footprint(req, hit)
+	return tail, hit, need, p.a.avail()-coldB >= need
 }
 
 // canAdmit reports whether admission would admit req now.
@@ -325,21 +321,6 @@ func (p *pagedKV) admit(s *llmSeq, now float64) bool {
 		p.prefixHitTokens += int64(hit)
 	}
 	return true
-}
-
-// release retires a completed sequence: its tokens seal into the cache
-// under the request's seal key (transferring the covering blocks from
-// the private pool), the chain pin drops, and the private remainder
-// frees.
-func (p *pagedKV) release(s *llmSeq, now float64) {
-	if s.req.sealKey != 0 {
-		p.seal(s)
-	}
-	p.unpin(s)
-	if s.blocks > 0 {
-		p.a.free(s.blocks, now)
-		s.blocks = 0
-	}
 }
 
 // seal walks/creates the request's full chain — prefix segments plus
@@ -388,21 +369,6 @@ func (p *pagedKV) seal(s *llmSeq) {
 	if s.blocks < 0 {
 		panic("serve: paged KV sealed more blocks than the sequence owned")
 	}
-}
-
-// needsBlock: the next decoded token lands at ctx+1; capacity is the
-// private blocks plus the cache-served hit.
-func (p *pagedKV) needsBlock(s *llmSeq) bool {
-	return s.blocks*kvBlockTokens+s.hit < s.ctx+1
-}
-
-// extendSeq grants one more private block, reclaiming a cold cache
-// block if the ledger is out of free ones. The scheduling layer
-// (launchPagedDecode) checked avail.
-func (p *pagedKV) extendSeq(s *llmSeq, now float64) {
-	p.ensureFree(1, now)
-	p.a.alloc(1, now)
-	s.blocks++
 }
 
 // teardown cancels in-flight swap copies when the replica leaves the

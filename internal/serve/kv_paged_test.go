@@ -346,7 +346,8 @@ func TestPagedValidation(t *testing.T) {
 }
 
 // TestPagedEvictsLRUColdLeaf pins the eviction order on one replica's
-// cache, driven only through admit, release and ensureFree. Three
+// cache, driven only through the ledger's admit and release and the
+// cache's ensureFree. Three
 // session chains seal under a shared prefix A (leaves S1, S2, S3) and
 // one more chain P seals at the root. Then a live sequence pins P, a
 // second sequence pins A→S1 and leaves without sealing, and a second
@@ -360,24 +361,25 @@ func TestPagedEvictsLRUColdLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.tenants[0].replicas[0].kv.paged
+	a := f.tenants[0].replicas[0].kv
+	p := a.paged
 	segA := workload.PrefixSeg{Key: 100, Tokens: 32}
 	segP := workload.PrefixSeg{Key: 50, Tokens: 32}
 	sess := func(key uint64) workload.PrefixSeg { return workload.PrefixSeg{Key: key, Tokens: 32} }
 	admit := func(prompt int, sealKey uint64, prefix ...workload.PrefixSeg) *llmSeq {
 		s := &llmSeq{req: request{prompt: prompt, output: 4, prefix: prefix, sealKey: sealKey}, ctx: prompt}
-		if !p.admit(s, 0) {
+		if !a.admit(s, 0) {
 			t.Fatalf("admission of a %d-token prompt refused", prompt)
 		}
 		return s
 	}
 	for _, key := range []uint64{1, 2, 3} {
-		p.release(admit(64, key, segA), 0)
+		a.release(admit(64, key, segA), 0)
 	}
-	p.release(admit(32, segP.Key), 0)
+	a.release(admit(32, segP.Key), 0)
 	pinned := admit(48, 0, segP)
-	p.release(admit(80, 0, segA, sess(1)), 0)
-	p.release(admit(64, 2, segA), 0)
+	a.release(admit(80, 0, segA, sess(1)), 0)
+	a.release(admit(64, 2, segA), 0)
 
 	// resident names the cache nodes whose whole chain still matches.
 	chains := []struct {
@@ -419,9 +421,9 @@ func TestPagedEvictsLRUColdLeaf(t *testing.T) {
 	if !resident()["P"] {
 		t.Error("the pinned node P was evicted")
 	}
-	p.release(pinned, 0)
-	if p.cold != 2 || p.a.usedBlocks != 2 {
-		t.Errorf("after the pin drops: %d cold blocks, %d used, want 2 and 2 (P alone)", p.cold, p.a.usedBlocks)
+	a.release(pinned, 0)
+	if p.cold != 2 || a.usedBlocks != 2 || a.curSeqs != 0 {
+		t.Errorf("after the pin drops: %d cold blocks, %d used, %d resident, want 2, 2 (P alone) and 0", p.cold, a.usedBlocks, a.curSeqs)
 	}
 }
 

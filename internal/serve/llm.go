@@ -285,7 +285,7 @@ func (l *llmTenant) dropFlight(fl *migFlight) {
 // from admission (prefill launch) to completion.
 type llmSeq struct {
 	req       request
-	blocks    int  // KV blocks reserved (full prompt+output footprint)
+	blocks    int  // KV blocks held on its slot (the ledger's footprint, grown under paging)
 	ctx       int  // tokens resident in the KV cache
 	produced  int  // output tokens emitted
 	prefilled bool // prompt processed; eligible for decode iterations
@@ -293,10 +293,7 @@ type llmSeq struct {
 
 	// Disaggregation: prefill progress in tokens (chunked prefill
 	// advances it per chunk; colocated sequences never use it) and the
-	// prefill-completion time the migration wait is measured from. On a
-	// prefill replica `blocks` covers only the prompt; the migration
-	// swaps it for the full prompt+output reservation on the decode
-	// side.
+	// prefill-completion time the migration wait is measured from.
 	promptDone int
 	prefDone   sim.Time
 
@@ -319,6 +316,27 @@ type llmSeq struct {
 	swapReady bool
 }
 
+// decodable: prefilled, not frozen by a swap or an evacuation, output
+// unfinished.
+func (s *llmSeq) decodable() bool {
+	return s.prefilled && !s.migrating && !s.swapped && s.produced < s.req.output
+}
+
+// replay is the request that re-runs s from scratch after its KV is
+// lost to an eviction or a crash: the original arrival (the penalty
+// lands on the SLO), with any generated prefix folded into the prompt
+// and its first token marked delivered.
+func (s *llmSeq) replay() request {
+	req := s.req
+	req.replay = true
+	if s.produced > 0 {
+		req.prompt += s.produced
+		req.output -= s.produced
+		req.hadTok = true
+	}
+	return req
+}
+
 // continuousLLM is the autoregressive batcher policy: one invocation
 // per iteration under continuous batching (the default), or the
 // two-leg static baseline when LLMConfig.Static is set. It owns the
@@ -330,11 +348,10 @@ type continuousLLM struct {
 }
 
 // next proposes this queue's launchable work. Continuous mode: a
-// prefill when the queue head's KV reservation fits and the running
-// set has room (prefill-prioritized joins), else one decode iteration
-// when prefilled sequences remain. Static mode: a fresh batch, only
-// when no batch of this queue is mid-generation and the head's
-// reservation fits.
+// prefill when the queue head fits the ledger and the running set has
+// room (prefill-prioritized joins), else one decode iteration when
+// decodeReady holds. Static mode: a fresh batch, only when no batch of
+// this queue is mid-generation and the head fits.
 func (c *continuousLLM) next(r *replica, q *slotQueue) (batchKind, sim.Time, bool) {
 	t := q.ten
 	if t.cfg.LLM.Static {
@@ -346,22 +363,34 @@ func (c *continuousLLM) next(r *replica, q *slotQueue) (batchKind, sim.Time, boo
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && r.kv.canAdmit(q.reqs[0]) {
 		return kindLLMPrefill, q.reqs[0].at, true
 	}
-	if p := r.kv.paged; p != nil {
-		// Block-on-demand decode readiness is stricter than "any
-		// decodable sequence": the iteration must be able to grant or
-		// free the blocks it needs (paged.go).
-		if at, ok := pagedDecodeReady(p, q); ok {
-			return kindLLMDecode, at, true
-		}
-		return 0, 0, false
-	}
+	at, ok := decodeReady(r.kv, q)
+	return kindLLMDecode, at, ok
+}
+
+// decodeReady reports whether a decode iteration can launch on q, and
+// the FIFO key of the oldest decodable sequence: some decodable
+// sequence already has room for its next token (under full reservation
+// every one does), or a block can be granted (free or reclaimable-cold),
+// or there are two candidates so the launch can evict the youngest to
+// feed the oldest. A lone candidate with no grantable block cannot help
+// itself by eviction, so the slot waits for a completion or swap
+// landing.
+func decodeReady(a *kvAccountant, q *slotQueue) (sim.Time, bool) {
+	var at sim.Time
+	cands := 0
 	for _, s := range q.running {
-		if s.prefilled && s.produced < s.req.output {
-			// FIFO key: the oldest decodable sequence's arrival.
-			return kindLLMDecode, s.req.at, true
+		if !s.decodable() {
+			continue
 		}
+		if cands == 0 {
+			at = s.req.at
+		}
+		if !a.needsBlock(s) {
+			return at, true
+		}
+		cands++
 	}
-	return 0, 0, false
+	return at, cands >= 2 || cands == 1 && a.avail() >= 1
 }
 
 func (c *continuousLLM) launch(r *replica, q *slotQueue, kind batchKind, now sim.Time, restore float64) {
@@ -409,32 +438,37 @@ func (c *continuousLLM) passedOver(r *replica, q *slotQueue) {
 func (c *continuousLLM) admitsArrival(*replica) bool { return true }
 
 // admit moves admittable requests from the queue head into running
-// sequences, appending each joiner to batch b: FIFO, stopping at
-// MaxBatch or at the first request whose full KV reservation does not
-// fit (no head-of-line bypass — admission order stays deterministic
-// and starvation-free). A stop forced by KV pressure is counted as a
-// stall. The disaggregated prefill pool runs its own variant of this
-// loop (disaggBatcher.launchPrefill in disagg.go: prompt-only
-// reservation, width counts only unfinished prefills, queue-delay
-// window sample) — bookkeeping changes here likely apply there too.
-func (c *continuousLLM) admit(r *replica, q *slotQueue, b *batch, now sim.Time) {
+// sequences — the one admission loop of colocated and prefill-pool
+// slots. width is the batch width already in use; each joiner widens it
+// and, when b is non-nil, joins batch b. FIFO, stopping at MaxBatch or
+// at the first request the ledger does not admit (no head-of-line
+// bypass — admission order stays deterministic and starvation-free). A
+// stop forced by KV pressure is counted as a stall. On the prefill pool
+// the queue delay feeds the autoscaler's window.
+func (c *continuousLLM) admit(r *replica, q *slotQueue, b *batch, width int, now sim.Time) {
 	f, t := c.f, q.ten
-	for len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch {
+	for len(q.reqs) > 0 && width < t.cfg.MaxBatch {
 		req := q.reqs[0]
 		s := &llmSeq{req: req, ctx: req.prompt}
 		if !r.kv.admit(s, float64(now)) {
 			break
 		}
 		q.running = append(q.running, s)
-		b.seqs = append(b.seqs, s)
+		if b != nil {
+			b.seqs = append(b.seqs, s)
+		}
 		n := copy(q.reqs, q.reqs[1:])
 		q.reqs = q.reqs[:n]
+		width++
 		t.llm.admitted++
 		t.llm.promptTokens += int64(req.prompt)
 		t.llm.outputTokens += int64(req.output)
 		f.obs.prefillAdmit(t, req.id, now)
+		if r.role == RolePrefill && f.cfg.Autoscale {
+			t.llm.windowWait.Add(float64(now - req.at))
+		}
 	}
-	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch {
+	if len(q.reqs) > 0 && width < t.cfg.MaxBatch {
 		t.llm.kvStalls++
 		f.obs.admitStall(t, r, q.reqs[0].id, now)
 	}
@@ -450,7 +484,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	f.disarmTimer(r)
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kind
-	c.admit(r, q, b, now)
+	c.admit(r, q, b, len(q.running), now)
 	joined := b.seqs
 	if len(joined) == 0 {
 		panic("serve: prefill launch admitted no sequence")
@@ -480,37 +514,69 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	f.startSegment(r, b, now)
 }
 
-// launchDecode starts one decode iteration over the queue's
-// prefilled, unfinished sequences. An iteration that could not also
-// grow the batch because the queue head's KV reservation does not fit
-// counts as a stall — the KV-pressure signal in the report.
+// launchDecode starts one decode iteration over the queue's decodable
+// sequences on any LLM slot. An iteration that could not also grow the
+// batch because the queue head does not fit counts as a stall — the
+// KV-pressure signal in the report. Sequences needing a block for the
+// token this iteration produces are granted one; if demand exceeds what
+// is free plus cold, the YOUNGEST sequences evict (vLLM's preemption
+// order — they lose the least work and the oldest finish soonest) until
+// demand fits or one sequence remains, and any still-ungrantable
+// sequence sits this iteration out. Only paging ever grants or evicts:
+// under full reservation the batch is the whole decodable set.
+//
+// The batch is built in its own seqs, so a steady-state launch
+// allocates nothing: victims truncate it, sequences sitting the
+// iteration out are compacted away, and the dropped tail is cleared.
 func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, restore float64) {
-	f, t := c.f, q.ten
+	f, t, a := c.f, q.ten, r.kv
 	f.disarmTimer(r)
-	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && !r.kv.canAdmit(q.reqs[0]) {
+	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && !a.canAdmit(q.reqs[0]) {
 		t.llm.kvStalls++
 		f.obs.kvStall(t, q.reqs[0].id, now)
 	}
-	if r.kv.paged != nil {
-		c.launchPagedDecode(r, q, now, restore)
-		return
-	}
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kindLLMDecode
-	maxCtx := 0
+	live := b.seqs
+	need := 0
 	for _, s := range q.running {
-		if s.prefilled && !s.migrating && s.produced < s.req.output {
-			b.seqs = append(b.seqs, s)
-			if s.ctx > maxCtx {
-				maxCtx = s.ctx
+		if s.decodable() {
+			live = append(live, s)
+			if a.needsBlock(s) {
+				need++
 			}
 		}
 	}
-	if len(b.seqs) == 0 {
-		panic("serve: decode launch with no decodable sequence")
+	cands := len(live)
+	for need > a.avail() && len(live) > 1 {
+		victim := live[len(live)-1]
+		live = live[:len(live)-1]
+		if a.needsBlock(victim) {
+			need--
+		}
+		f.evictSeq(r, q, victim, now)
+	}
+	maxCtx, n := 0, 0
+	for _, s := range live {
+		if a.needsBlock(s) {
+			if a.avail() < 1 {
+				continue // skipped this iteration; retried at the next
+			}
+			a.grow(s, float64(now))
+		}
+		live[n] = s
+		n++
+		if s.ctx > maxCtx {
+			maxCtx = s.ctx
+		}
+	}
+	clear(live[n:cands])
+	b.seqs = live[:n]
+	if n == 0 {
+		panic("serve: decode launch granted no sequence")
 	}
 	f.obs.launched(b, now)
-	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
+	cycles, err := f.costs.LLMCycles(PhaseDecode, n, maxCtx, r.nm, r.nv)
 	f.costFailed("decode iteration", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles

@@ -6,108 +6,10 @@ import (
 	"neu10/internal/sim"
 )
 
-// Paged decode scheduling (the policy half of kv_paged.go): block
-// grants at iteration launch, youngest-first sequence eviction under
-// pressure, and the swap-out/swap-in pipeline over the host link.
-//
-// The contract with the slot machinery is the same as every batcher
-// arm's: next() (via pagedDecodeReady) only proposes a decode the
-// launch can actually run, and both run inside one event, so the
-// predicate's view cannot go stale before the grants happen.
-
-// pagedDecodeReady reports whether a paged decode iteration can launch:
-// there is a decodable resident sequence (prefilled, not frozen by a
-// swap or evacuation, output unfinished) AND the iteration can make
-// progress — some candidate already has room for its next token, or a
-// block can be granted (free or reclaimable-cold), or there are at
-// least two candidates so the launch can evict the youngest to feed the
-// oldest. A lone candidate with no grantable block cannot help itself
-// by eviction, so the slot waits for a completion or swap landing.
-func pagedDecodeReady(p *pagedKV, q *slotQueue) (sim.Time, bool) {
-	var at sim.Time
-	cands, allNeed := 0, true
-	for _, s := range q.running {
-		if !s.prefilled || s.migrating || s.swapped || s.produced >= s.req.output {
-			continue
-		}
-		if cands == 0 {
-			at = s.req.at // FIFO key: the oldest decodable sequence's arrival
-		}
-		cands++
-		if !p.needsBlock(s) {
-			allNeed = false
-		}
-	}
-	if cands == 0 {
-		return 0, false
-	}
-	if !allNeed || p.avail() >= 1 || cands >= 2 {
-		return at, true
-	}
-	return 0, false
-}
-
-// launchPagedDecode starts one decode iteration under block-on-demand
-// allocation. Sequences needing a block for the token this iteration
-// produces are granted one; if demand exceeds what is free plus cold,
-// the YOUNGEST sequences evict (vLLM's preemption order — they lose the
-// least work and the oldest finish soonest) until demand fits or one
-// sequence remains. Any still-ungrantable sequence just sits this
-// iteration out.
-//
-// The candidate set is built in the batch's own seqs, so a steady-state
-// launch allocates nothing: victims truncate it, sequences sitting the
-// iteration out are compacted away, and the dropped tail is cleared.
-func (c *continuousLLM) launchPagedDecode(r *replica, q *slotQueue, now sim.Time, restore float64) {
-	f, t := c.f, q.ten
-	p := r.kv.paged
-	b := f.takeBatch()
-	b.ten, b.restore, b.kind = t, restore, kindLLMDecode
-	live := b.seqs
-	need := 0
-	for _, s := range q.running {
-		if s.prefilled && !s.migrating && !s.swapped && s.produced < s.req.output {
-			live = append(live, s)
-			if p.needsBlock(s) {
-				need++
-			}
-		}
-	}
-	cands := len(live)
-	for need > p.avail() && len(live) > 1 {
-		victim := live[len(live)-1]
-		live = live[:len(live)-1]
-		if p.needsBlock(victim) {
-			need--
-		}
-		f.evictSeq(r, q, victim, now)
-	}
-	maxCtx, n := 0, 0
-	for _, s := range live {
-		if p.needsBlock(s) {
-			if p.avail() < 1 {
-				continue // skipped this iteration; retried at the next
-			}
-			p.extendSeq(s, float64(now))
-		}
-		live[n] = s
-		n++
-		if s.ctx > maxCtx {
-			maxCtx = s.ctx
-		}
-	}
-	clear(live[n:cands])
-	b.seqs = live[:n]
-	if len(b.seqs) == 0 {
-		panic("serve: paged decode launch granted no sequence")
-	}
-	f.obs.launched(b, now)
-	cycles, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx, r.nm, r.nv)
-	f.costFailed("paged decode iteration", err)
-	b.total, b.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
-	f.startSegment(r, b, now)
-}
+// Paged KV's eviction half (the policy half of kv_paged.go): the
+// youngest-first victims launchDecode (llm.go) picks under block
+// pressure evict here, by recompute or by the swap-out/swap-in pipeline
+// over the host link.
 
 // evictSeq removes one victim from the decode set per the tenant's
 // eviction policy: recompute drops its device state and replays it
@@ -124,26 +26,16 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 	}
 	p.evictRecompute++
 	p.recomputeTokens += int64(s.ctx - s.hit)
-	p.unpin(s)
-	if s.blocks > 0 {
-		p.a.free(s.blocks, float64(now))
-		s.blocks = 0
-	}
-	p.a.curSeqs--
+	r.kv.drop(s, float64(now))
 	q.removeRunning(s)
 	// Replay with the original arrival — the eviction penalty lands on
-	// the SLO — and the generated prefix folded into the prompt, exactly
-	// the crash-replay shape (crashSeqOutcome). Requeued at the FRONT:
-	// the victim re-admits before newer arrivals, vLLM's preemption
-	// re-entry order, which also keeps it from starving.
-	req := s.req
-	req.replay = true
-	req.hadTok = true
-	req.prompt = s.req.prompt + s.produced
-	req.output = s.req.output - s.produced
+	// the SLO — exactly the crash-replay shape (crashSeqOutcome).
+	// Requeued at the FRONT: the victim re-admits before newer arrivals,
+	// vLLM's preemption re-entry order, which also keeps it from
+	// starving.
 	q.reqs = append(q.reqs, request{})
 	copy(q.reqs[1:], q.reqs)
-	q.reqs[0] = req
+	q.reqs[0] = s.replay()
 	f.obs.evicted(t, r, s, now)
 }
 
@@ -158,14 +50,9 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 func (f *fleet) swapOut(p *pagedKV, r *replica, s *llmSeq, now sim.Time) {
 	t := p.t
 	p.evictSwap++
-	p.unpin(s)
-	if s.blocks > 0 {
-		p.a.free(s.blocks, float64(now))
-		s.blocks = 0
-	}
+	p.a.drop(s, float64(now))
 	s.hit = 0
 	s.swapped, s.swapReady = true, false
-	p.a.curSeqs--
 	bytes := model.LLMKVTransferBytes(s.ctx)
 	p.swapOutBytes += bytes
 	fl := &swapFlight{seq: s, out: true}
@@ -196,7 +83,7 @@ func (f *fleet) drainSwaps(r *replica, now sim.Time) {
 			return
 		}
 		blocks := p.a.blocksFor(s.ctx)
-		if !p.canAlloc(blocks) {
+		if p.a.avail() < blocks {
 			return
 		}
 		p.swapQ = p.swapQ[1:]

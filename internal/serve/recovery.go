@@ -264,13 +264,9 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 		f.obs.lost(t, s.req.id, s.produced, "policy-fail", now)
 		return
 	}
-	req := s.req
-	req.replay = true
+	req := s.replay()
 	req.crashed = true
 	if s.produced > 0 {
-		req.prompt = s.req.prompt + s.produced
-		req.output = s.req.output - s.produced
-		req.hadTok = true
 		t.replays++
 	}
 	t.recomputeTokens += int64(lost)
@@ -362,7 +358,7 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 		}
 		var pick *llmSeq
 		for _, s := range hi.queueFor(t).running {
-			if s.migrating || !s.prefilled || s.produced >= s.req.output || inCur(s) {
+			if !s.decodable() || inCur(s) {
 				continue
 			}
 			if pick == nil || s.ctx < pick.ctx || (s.ctx == pick.ctx && s.req.at < pick.req.at) {
@@ -376,14 +372,14 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 			// iteration drains (finish() checks the flag at every decode
 			// batch boundary, before the next batch collects).
 			for _, s := range hi.queueFor(t).running {
-				if !s.migrating && s.prefilled && s.produced < s.req.output && inCur(s) {
+				if s.decodable() && inCur(s) {
 					t.llm.rebalPending = true
 					break
 				}
 			}
 			return
 		}
-		if !lo.kv.fits(lo.kv.blocksFor(pick.req.prompt + pick.req.output)) {
+		if !lo.kv.canAdmit(pick.req) {
 			return
 		}
 		f.beginTransfer(hi, lo, pick, true, now)

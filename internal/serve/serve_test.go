@@ -246,6 +246,7 @@ func TestMalformedFloatConfigRejected(t *testing.T) {
 		{"ScaleEverySec NaN", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, nan }},
 		{"ScaleEverySec under a cycle", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, 1e-12 }},
 		{"PreemptQuantumCycles NaN", func(c *Config) { c.PreemptQuantumCycles = nan }},
+		{"PreemptQuantumCycles 4096.5", func(c *Config) { c.PreemptQuantumCycles = 4096.5 }},
 		{"RatePerSec +Inf", func(c *Config) { c.Tenants[0].RatePerSec = inf }},
 		{"Load NaN", func(c *Config) { c.Tenants[0].Load = nan }},
 		{"Load -1", func(c *Config) { c.Tenants[0].Load = -1 }},
