@@ -322,10 +322,10 @@ func (s *llmSeq) decodable() bool {
 	return s.prefilled && !s.migrating && !s.swapped && s.produced < s.req.output
 }
 
-// replay is the request that re-runs s from scratch after its KV is
-// lost to an eviction or a crash: the original arrival (the penalty
-// lands on the SLO), with any generated prefix folded into the prompt
-// and its first token marked delivered.
+// replay is the request that runs s again after its KV is lost to an
+// eviction or a crash: the original arrival (the penalty lands on the
+// SLO), with any generated prefix folded into the prompt and its first
+// token marked delivered.
 func (s *llmSeq) replay() request {
 	req := s.req
 	req.replay = true
