@@ -199,7 +199,7 @@ func TestServeChaosTracedMatchesUntraced(t *testing.T) {
 		if rep.Trace == nil || rep.Trace.Len() == 0 {
 			t.Errorf("traced leg %d has no trace", i)
 		}
-		if rep.Timelines == nil || len(rep.Timelines.Series()) == 0 {
+		if rep.Timelines == nil || rep.Timelines.Len() == 0 {
 			t.Errorf("traced leg %d has no timelines", i)
 		}
 	}
@@ -281,7 +281,7 @@ func TestServeAttribKeepsCallerCollectors(t *testing.T) {
 		if rep.Trace == nil || rep.Trace.Len() == 0 {
 			t.Errorf("%s carries no trace", rep.Scenario)
 		}
-		if rep.Timelines == nil || len(rep.Timelines.Series()) == 0 {
+		if rep.Timelines == nil || rep.Timelines.Len() == 0 {
 			t.Errorf("%s carries no timelines", rep.Scenario)
 		}
 		if rep.Ledger == nil {

@@ -110,16 +110,21 @@ func NewTimeSeries(name string, limit int) *TimeSeries {
 	return &TimeSeries{Name: name, limit: limit}
 }
 
-// Add appends a sample; when over the limit, every other point is dropped
-// (keeping endpoints), halving resolution rather than truncating time.
+// Add appends a sample; when over the limit, every other point is dropped,
+// halving resolution rather than truncating time. The first and newest
+// points always stay, so a limit of 1 acts as 2.
 func (ts *TimeSeries) Add(t, v float64) {
 	ts.Times = append(ts.Times, t)
 	ts.Values = append(ts.Values, v)
-	if ts.limit > 0 && len(ts.Times) > ts.limit {
+	if n := len(ts.Times); ts.limit > 0 && n > ts.limit {
 		nt, nv := ts.Times[:0], ts.Values[:0]
-		for i := 0; i < len(ts.Times); i += 2 {
+		for i := 0; i < n; i += 2 {
 			nt = append(nt, ts.Times[i])
 			nv = append(nv, ts.Values[i])
+		}
+		if n%2 == 0 { // the stride stepped over the newest point
+			nt = append(nt, t)
+			nv = append(nv, v)
 		}
 		ts.Times, ts.Values = nt, nv
 	}

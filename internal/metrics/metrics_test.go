@@ -122,6 +122,21 @@ func TestTimeSeriesDownsampling(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesOddLimitKeepsNewest: halving under an odd limit keeps
+// the newest point as well as the first, and stays within the limit.
+func TestTimeSeriesOddLimitKeepsNewest(t *testing.T) {
+	for _, limit := range []int{3, 5} {
+		ts := NewTimeSeries("x", limit)
+		for i := 0; i <= 40; i++ {
+			ts.Add(float64(i), float64(-i))
+			n := ts.Len()
+			if n > limit || ts.Times[0] != 0 || ts.Times[n-1] != float64(i) || ts.Values[n-1] != float64(-i) {
+				t.Fatalf("limit %d after t=%d: times %v values %v", limit, i, ts.Times, ts.Values)
+			}
+		}
+	}
+}
+
 func TestTimeSeriesMeanStepWeighted(t *testing.T) {
 	ts := NewTimeSeries("x", 0)
 	ts.Add(0, 10) // 10 for t in [0, 2)

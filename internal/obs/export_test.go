@@ -113,12 +113,24 @@ func mixedTracer(n int) *Tracer {
 	return tr
 }
 
-// mixedTimelines samples rows samples over three series.
+// mixedTimelines samples rows samples over three series on 2·rows/5
+// ticks: gen/queue on every tick, stepping every tenth; gen/attain,
+// late-starting, over the last three quarters; link/util,
+// early-ending, over the first three quarters. The last two change on
+// every tick.
 func mixedTimelines(rows int) *TimelineSet {
 	s := NewTimelineSet("chaos", 1e9)
-	names := []string{"gen/queue", "gen/attain", "link/util"}
-	for i := 0; i < rows; i++ {
-		s.Add(names[i%3], float64(i/3)*1e7, float64(i)/7)
+	queue, attain, util := s.Track("gen/queue"), s.Track("gen/attain"), s.Track("link/util")
+	ticks := 2 * rows / 5
+	for i := 0; i < ticks; i++ {
+		s.Tick(float64(i) * 1e7)
+		queue.Set(float64(i / 10))
+		if i >= ticks/4 {
+			attain.Set(float64(i) / 7)
+		}
+		if i < ticks-ticks/4 {
+			util.Set(float64(i) / 3)
+		}
 	}
 	return s
 }

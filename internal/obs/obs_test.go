@@ -143,9 +143,12 @@ func TestGantt(t *testing.T) {
 // CSV, and the JSON schema.
 func TestTimelineSetExports(t *testing.T) {
 	s := NewTimelineSet("run", 1e9)
-	s.Add("b", 1e6, 2)   // 1 ms
-	s.Add("a", 1e6, 0.5) // registered second: must export second
-	s.Add("b", 2e6, 3)
+	b, a := s.Track("b"), s.Track("a") // registered second: must export second
+	s.Tick(1e6)                        // 1 ms
+	b.Set(2)
+	a.Set(0.5)
+	s.Tick(2e6)
+	b.Set(3)
 	var buf bytes.Buffer
 	if err := WriteCSVAll(&buf, []*TimelineSet{s, nil}); err != nil {
 		t.Fatal(err)
@@ -179,16 +182,22 @@ func TestTimelineSetExports(t *testing.T) {
 // replacing a same-named series.
 func TestTimelineAttachReplaces(t *testing.T) {
 	s := NewTimelineSet("run", 1e9)
-	s.Add("x", 1e6, 1)
-	s.Add("y", 1e6, 2)
+	x, y := s.Track("x"), s.Track("y")
+	s.Tick(1e6)
+	x.Set(1)
+	y.Set(2)
 	repl := metrics.NewTimeSeries("x", 0)
 	repl.Add(5, 9)
 	s.Attach(repl)
 	if got := s.Get("x"); got != repl {
 		t.Fatal("Attach did not replace the indexed series")
 	}
-	if s.Series()[0] != repl || s.Series()[1].Name != "y" {
-		t.Fatal("Attach broke registration order")
+	var buf bytes.Buffer
+	if err := s.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "run,x,5,9\nrun,y,1,2\n"; buf.String() != want || s.Len() != 2 {
+		t.Fatalf("Attach broke registration order: %d series\n%s", s.Len(), buf.String())
 	}
 }
 

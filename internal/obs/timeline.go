@@ -3,12 +3,19 @@
 // into rates, rolling-histogram percentiles — exported as CSV or JSON
 // so a chaos or disagg run can be plotted over time (attainment dips,
 // time-to-recover, link backlog) instead of read as one scalar.
+//
+// A set costs what changes, not what elapses. It keeps one grid of tick
+// times, and each sampled series keeps only the ticks where it starts,
+// stops or changes value. The exports expand every series back to one
+// row per sampled tick, formatting each grid time and each change-point
+// value once, so their bytes are those of one (time, value) pair per
+// sample.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"neu10/internal/metrics"
@@ -17,75 +24,290 @@ import (
 // TimelineSet is an ordered registry of time series for one run. Times
 // are milliseconds of sim time; series appear in first-Track order, so
 // every export is deterministic.
+//
+// A run samples in ticks: Tick appends the tick's time to the set's
+// grid, then Series.Set records each sampled series' value at it.
 type TimelineSet struct {
 	Label  string  // run label (scenario), carried into merged exports
 	FreqHz float64 // cycles per second, for cycle→ms conversion
 
-	series []*metrics.TimeSeries
-	index  map[string]*metrics.TimeSeries
+	grid   []float64 // ms time of each tick, in Tick order
+	series []*Series
+	index  map[string]*Series
+}
+
+// Series is one series of a TimelineSet. Track hands it out once, so a
+// sampler records through it without building a name or looking one
+// up. A sampled series stores change points against its set's grid; an
+// attached one (Attach) keeps its own times.
+type Series struct {
+	Name string
+
+	set  *TimelineSet
+	pts  []point             // change points, in tick order
+	last int                 // latest tick sampled; -1 before the first
+	ext  *metrics.TimeSeries // the attached series, or nil
+}
+
+// point opens a step: v holds from grid tick `tick` up to the next
+// point, or through the series' last tick. A point with a negative tick
+// ends a run instead: the series was not sampled from tick ^tick up to
+// the next point.
+type point struct {
+	tick int
+	v    float64
 }
 
 // NewTimelineSet builds an empty registry on a sim clock of freqHz.
 func NewTimelineSet(label string, freqHz float64) *TimelineSet {
-	return &TimelineSet{Label: label, FreqHz: freqHz, index: map[string]*metrics.TimeSeries{}}
+	return &TimelineSet{Label: label, FreqHz: freqHz, index: map[string]*Series{}}
 }
 
-// Track returns the named series, creating it (unbounded) on first use.
-func (s *TimelineSet) Track(name string) *metrics.TimeSeries {
+// Tick opens a sampling tick at atCycles, converted to ms: every Set
+// until the next Tick records at this time. Two ticks may share a time.
+func (s *TimelineSet) Tick(atCycles float64) {
+	s.grid = append(s.grid, atCycles/s.FreqHz*1e3)
+}
+
+// Track returns the named series, registering it on first use.
+func (s *TimelineSet) Track(name string) *Series {
 	if ts, ok := s.index[name]; ok {
 		return ts
 	}
-	ts := metrics.NewTimeSeries(name, 0)
+	ts := &Series{Name: name, set: s, last: -1}
 	s.index[name] = ts
 	s.series = append(s.series, ts)
 	return ts
 }
 
-// Add appends one sample to the named series; atCycles converts to ms.
-func (s *TimelineSet) Add(name string, atCycles, v float64) {
-	s.Track(name).Add(atCycles/s.FreqHz*1e3, v)
+// Set records v at the set's latest tick; before the first Tick it does
+// nothing. A series holds one value per tick, the first set. A value
+// whose bits repeat the previous tick's extends the current step, so -0
+// and 0 differ and a NaN repeats; a sample after a tick without one
+// starts a new run.
+func (ts *Series) Set(v float64) {
+	k := len(ts.set.grid) - 1
+	if k <= ts.last {
+		return
+	}
+	n := len(ts.pts)
+	switch {
+	case n > 0 && k == ts.last+1 && math.Float64bits(v) == math.Float64bits(ts.pts[n-1].v):
+		// a repeat: the current step grows by this tick
+	case n > 0 && k > ts.last+1:
+		ts.pts = append(ts.pts, point{tick: ^(ts.last + 1)}, point{tick: k, v: v})
+	default:
+		ts.pts = append(ts.pts, point{tick: k, v: v})
+	}
+	ts.last = k
 }
 
 // Attach adopts an externally built series (times already in ms) under
-// its own name, replacing any same-named track.
+// its own name, replacing any same-named series in its place. It keeps
+// its own times and takes no Set.
 func (s *TimelineSet) Attach(ts *metrics.TimeSeries) {
-	if old, ok := s.index[ts.Name]; ok {
-		for i, cur := range s.series {
-			if cur == old {
-				s.series[i] = ts
-				break
-			}
-		}
-		s.index[ts.Name] = ts
-		return
-	}
-	s.index[ts.Name] = ts
-	s.series = append(s.series, ts)
+	*s.Track(ts.Name) = Series{Name: ts.Name, set: s, last: math.MaxInt, ext: ts}
 }
 
-// Series lists the registered series in registration order.
-func (s *TimelineSet) Series() []*metrics.TimeSeries {
+// Len returns the number of registered series.
+func (s *TimelineSet) Len() int {
 	if s == nil {
-		return nil
+		return 0
 	}
-	return s.series
+	return len(s.series)
 }
 
-// Get returns the named series, or nil.
+// Get returns the named series with one point per sample, or nil. A
+// sampled series is expanded into a new copy; an attached one is
+// returned as attached.
 func (s *TimelineSet) Get(name string) *metrics.TimeSeries {
 	if s == nil {
 		return nil
 	}
-	return s.index[name]
+	ts := s.index[name]
+	if ts == nil {
+		return nil
+	}
+	if ts.ext != nil {
+		return ts.ext
+	}
+	out := metrics.NewTimeSeries(name, 0)
+	ts.steps(func(from, to int, v float64) {
+		for k := from; k < to; k++ {
+			out.Add(s.grid[k], v)
+		}
+	})
+	return out
 }
 
-// MarshalJSON exports {label, freq_hz, series:[{name,times_ms,values}]}.
+// steps calls fn for each run of rows that share one value, as indices
+// [from, to) into the series' times: a step on the set's grid, or one
+// point of an attached series.
+func (ts *Series) steps(fn func(from, to int, v float64)) {
+	if ts.ext != nil {
+		for i := range ts.ext.Times {
+			fn(i, i+1, ts.ext.Values[i])
+		}
+		return
+	}
+	for i, p := range ts.pts {
+		if p.tick < 0 {
+			continue
+		}
+		to := ts.last + 1
+		if i+1 < len(ts.pts) {
+			if to = ts.pts[i+1].tick; to < 0 {
+				to = ^to
+			}
+		}
+		fn(p.tick, to, p.v)
+	}
+}
+
+// ---- Export ----
+
+// maxFloatText bounds the text of one float64 in either export format.
+const maxFloatText = 25
+
+// floatText holds the text of each value of a slice, formatted once.
+type floatText struct {
+	vals []float64
+	b    []byte
+	end  []int // the text of vals[k] is b[end[k]:end[k+1]]
+}
+
+// fill formats vals, reusing t's buffers. It allocates only when they
+// are too small, so a fill of any length costs at most two allocations.
+func (t *floatText) fill(vals []float64, format func([]byte, float64) []byte) {
+	if n := len(vals) * maxFloatText; cap(t.b) < n {
+		t.b = make([]byte, 0, n)
+	}
+	if cap(t.end) <= len(vals) {
+		t.end = make([]int, 0, len(vals)+1)
+	}
+	t.vals, t.b, t.end = vals, t.b[:0], append(t.end[:0], 0)
+	for _, f := range vals {
+		t.b = format(t.b, f)
+		t.end = append(t.end, len(t.b))
+	}
+}
+
+func (t *floatText) at(k int) []byte { return t.b[t.end[k]:t.end[k+1]] }
+
+// timeText formats row times for one export: each set's grid once, and
+// an attached series' own times when the export reaches it.
+type timeText struct {
+	grid, own floatText
+	format    func([]byte, float64) []byte
+}
+
+// of returns the text of ts's row times.
+func (c *timeText) of(ts *Series) *floatText {
+	if ts.ext == nil {
+		return &c.grid
+	}
+	c.own.fill(ts.ext.Times, c.format)
+	return &c.own
+}
+
+func appendCSVFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
+// appendJSONText is appendJSONFloat that appends nothing for a value
+// JSON cannot hold; the exporter reports that value's error when a row
+// needs it.
+func appendJSONText(b []byte, f float64) []byte {
+	b, _ = appendJSONFloat(b, f)
+	return b
+}
+
+// MarshalJSON exports {label, freq_hz, series:[{name,times_ms,values}]}
+// as the bytes encoding/json writes for the set with one
+// metrics.TimeSeries per series. A NaN or infinite frequency, time or
+// value returns encoding/json's *UnsupportedValueError for the first in
+// that order.
 func (s *TimelineSet) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Label  string                `json:"label,omitempty"`
-		FreqHz float64               `json:"freq_hz"`
-		Series []*metrics.TimeSeries `json:"series"`
-	}{s.Label, s.FreqHz, s.series})
+	b := []byte{'{'}
+	if s.Label != "" {
+		b = append(b, `"label":`...)
+		b = appendJSONString(b, s.Label)
+		b = append(b, ',')
+	}
+	b = append(b, `"freq_hz":`...)
+	b, err := appendJSONFloat(b, s.FreqHz)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"series":`...)
+	if s.series == nil {
+		return append(b, "null}"...), nil
+	}
+	c := timeText{format: appendJSONText}
+	c.grid.fill(s.grid, c.format)
+	for i, ts := range s.series {
+		b = appendItem(b, i)
+		if b, err = ts.appendJSON(b, c.of(ts)); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendJSON appends ts as {"name","times_ms","values"}, one array entry
+// per row, given the text of its row times. A series without rows
+// writes null for both arrays, as encoding/json does for nil slices.
+func (ts *Series) appendJSON(b []byte, times *floatText) ([]byte, error) {
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, ts.Name)
+	b = append(b, `,"times_ms":`...)
+	var err error
+	rows := 0
+	ts.steps(func(from, to int, _ float64) {
+		for k := from; k < to && err == nil; k++ {
+			b = appendItem(b, rows)
+			rows++
+			if t := times.at(k); len(t) > 0 {
+				b = append(b, t...)
+			} else {
+				_, err = appendJSONFloat(nil, times.vals[k])
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rows == 0 {
+		return append(b, `null,"values":null}`...), nil
+	}
+	b = append(b, `],"values":`...)
+	rows = 0
+	ts.steps(func(from, to int, v float64) {
+		if err != nil {
+			return
+		}
+		var vb [maxFloatText]byte
+		var val []byte
+		if val, err = appendJSONFloat(vb[:0], v); err != nil {
+			return
+		}
+		for k := from; k < to; k++ {
+			b = appendItem(b, rows)
+			rows++
+			b = append(b, val...)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendItem opens array entry n: the bracket before the first, a comma
+// before any other.
+func appendItem(b []byte, n int) []byte {
+	if n == 0 {
+		return append(b, '[')
+	}
+	return append(b, ',')
 }
 
 // WriteCSV emits the set in long format — run,series,time_ms,value —
@@ -97,27 +319,28 @@ func (s *TimelineSet) WriteCSV(w io.Writer) error {
 		return nil
 	}
 	x := newExportBuf(w)
-	s.appendCSV(x)
+	s.appendCSV(x, &timeText{format: appendCSVFloat})
 	return x.flush()
 }
 
-// appendCSV appends the set's rows to x, writing about every flushBytes.
-func (s *TimelineSet) appendCSV(x *exportBuf) {
+// appendCSV appends the set's rows to x, writing about every flushBytes;
+// c formats the row times.
+func (s *TimelineSet) appendCSV(x *exportBuf, c *timeText) {
+	c.grid.fill(s.grid, c.format)
 	for _, ts := range s.series {
-		for i := range ts.Times {
-			if x.err != nil {
-				return
+		times := c.of(ts)
+		var pb [64]byte
+		pre := append(append(append(append(pb[:0], s.Label...), ','), ts.Name...), ',')
+		ts.steps(func(from, to int, v float64) {
+			var vb [maxFloatText + 2]byte
+			val := append(appendCSVFloat(append(vb[:0], ','), v), '\n')
+			for k := from; k < to && x.err == nil; k++ {
+				b := append(x.b, pre...)
+				b = append(b, times.at(k)...)
+				x.b = append(b, val...)
+				x.spill()
 			}
-			b := append(x.b, s.Label...)
-			b = append(b, ',')
-			b = append(b, ts.Name...)
-			b = append(b, ',')
-			b = strconv.AppendFloat(b, ts.Times[i], 'g', -1, 64)
-			b = append(b, ',')
-			b = strconv.AppendFloat(b, ts.Values[i], 'g', -1, 64)
-			x.b = append(b, '\n')
-			x.spill()
-		}
+		})
 	}
 }
 
@@ -128,9 +351,10 @@ const CSVHeader = "run,series,time_ms,value\n"
 func WriteCSVAll(w io.Writer, sets []*TimelineSet) error {
 	x := newExportBuf(w)
 	x.b = append(x.b, CSVHeader...)
+	c := timeText{format: appendCSVFloat}
 	for _, s := range sets {
 		if s != nil {
-			s.appendCSV(x)
+			s.appendCSV(x, &c)
 		}
 	}
 	return x.flush()

@@ -93,10 +93,14 @@ type obsState struct {
 	// hist accumulates per-interval completion latencies (ms) per
 	// tenant for the rolling p50/p99 timeline.
 	hist []metrics.RollingHist
-	// lastLinkBusy remembers each link's busy integral at the previous
-	// tick, keyed by link name, to derive per-interval utilization.
-	lastLinkBusy map[string]float64
-	lastSample   float64
+	// Timeline handles, each tracked at its series' first sample so the
+	// set registers series in first-sample order: per tenant (by index),
+	// per replica (by uid) and per link (in Fabric.EachLink order).
+	tenTL      []tenantTL
+	repTL      []replicaTL
+	linkTL     []linkTL
+	lastSample float64
+	tick       func(now sim.Time) // the sampling event, built once
 
 	// attribWin holds, per tenant, a sliding window (obsWindowSamples+1
 	// deep, oldest first) of cumulative completed-request segment totals;
@@ -107,6 +111,22 @@ type obsState struct {
 
 // segSnap is one cumulative segment-total snapshot.
 type segSnap [obs.NumSegments]float64
+
+// tenantTL holds one tenant's timeline handles.
+type tenantTL struct {
+	queue, active, running, prefill, decode, attribDom      *obs.Series
+	arrivals, sloOK, attain, fwAttain, latN, latP50, latP99 *obs.Series
+}
+
+// replicaTL holds one replica's KV timeline handles.
+type replicaTL struct{ kvFrac, kvCold, kvSwapQ *obs.Series }
+
+// linkTL holds one link's timeline handles and its busy integral at the
+// previous tick, which per-interval utilization differences against.
+type linkTL struct {
+	util, backlog, active *obs.Series
+	busy                  float64
+}
 
 // Trace/track layout: one Chrome "process" per tenant plus a "fleet"
 // process for fabric and fault-plan events. Within a tenant process,
@@ -163,7 +183,7 @@ func newObsState(cfg *ObsConfig, scenario string, freqHz float64, tenants int) *
 	}
 	if cfg.Timelines {
 		o.tl = obs.NewTimelineSet(scenario, freqHz)
-		o.lastLinkBusy = map[string]float64{}
+		o.tenTL = make([]tenantTL, tenants)
 	}
 	if cfg.Attrib {
 		o.led = obs.NewLedger(scenario, freqHz)
@@ -605,15 +625,20 @@ func (f *fleet) scheduleObs() {
 	if at > f.durCycles {
 		return
 	}
-	f.eng.At(sim.Time(at), func(now sim.Time) {
-		f.obsSample(float64(now))
-		f.scheduleObs()
-	})
+	if o.tick == nil {
+		o.tick = func(now sim.Time) {
+			f.obsSample(float64(now))
+			f.scheduleObs()
+		}
+	}
+	f.eng.At(sim.Time(at), o.tick)
 }
 
 // obsSample records one timeline tick at `now` cycles. All reads are
 // pure or lazily-advancing integrals (kv accrue, link advance), so a
-// sample never changes simulation behavior.
+// sample never changes simulation behavior. Each series' handle is
+// resolved at its first sample; after that a tick builds no name and
+// looks none up.
 func (f *fleet) obsSample(now float64) {
 	o := f.obs
 	if o == nil || o.tl == nil || now < o.lastSample {
@@ -621,10 +646,11 @@ func (f *fleet) obsSample(now float64) {
 	}
 	dt := now - o.lastSample
 	o.lastSample = now
+	o.tl.Tick(now)
 	// Queue depth and running-set size, attributed to the QUEUE OWNER
 	// tenant (shared slots carry one queue per group member).
 	for _, t := range f.tenants {
-		name := t.cfg.Name
+		name, tt := t.cfg.Name, &o.tenTL[t.idx]
 		var depth, running int
 		for _, p := range t.peers {
 			for _, r := range p.replicas {
@@ -634,14 +660,14 @@ func (f *fleet) obsSample(now float64) {
 				}
 			}
 		}
-		o.tl.Add(name+"/queue", now, float64(depth))
-		o.tl.Add(name+"/replicas_active", now, float64(t.activeCount()))
+		o.gauge(&tt.queue, name, "/queue", float64(depth))
+		o.gauge(&tt.active, name, "/replicas_active", float64(t.activeCount()))
 		if t.llm != nil {
-			o.tl.Add(name+"/running", now, float64(running))
+			o.gauge(&tt.running, name, "/running", float64(running))
 		}
 		if t.disagg() != nil {
-			o.tl.Add(name+"/prefill_replicas", now, float64(t.activeRole(RolePrefill)))
-			o.tl.Add(name+"/decode_replicas", now, float64(t.activeRole(RoleDecode)))
+			o.gauge(&tt.prefill, name, "/prefill_replicas", float64(t.activeRole(RolePrefill)))
+			o.gauge(&tt.decode, name, "/decode_replicas", float64(t.activeRole(RoleDecode)))
 		}
 		// Per-replica KV occupancy fraction (live replicas only; a
 		// retired replica's occupancy is folded into the tenant
@@ -650,16 +676,26 @@ func (f *fleet) obsSample(now float64) {
 			if r.kv == nil {
 				continue
 			}
+			for len(o.repTL) <= r.uid {
+				o.repTL = append(o.repTL, replicaTL{})
+			}
+			rt := &o.repTL[r.uid]
 			if r.kv.totalBlocks > 0 {
-				o.tl.Add(fmt.Sprintf("%s/kv_frac/r%d", name, r.id), now,
-					float64(r.kv.usedBlocks)/float64(r.kv.totalBlocks))
+				if rt.kvFrac == nil {
+					rt.kvFrac = o.tl.Track(fmt.Sprintf("%s/kv_frac/r%d", name, r.id))
+				}
+				rt.kvFrac.Set(float64(r.kv.usedBlocks) / float64(r.kv.totalBlocks))
 			}
 			// Paged-policy internals (absent for reserve tenants, so
 			// legacy timeline sets are unchanged): reclaimable cold cache
 			// blocks and the swapped-out sequence backlog.
 			if p := r.kv.paged; p != nil {
-				o.tl.Add(fmt.Sprintf("%s/kv_cold/r%d", name, r.id), now, float64(p.cold))
-				o.tl.Add(fmt.Sprintf("%s/kv_swap_q/r%d", name, r.id), now, float64(len(p.swapQ)))
+				if rt.kvCold == nil {
+					rt.kvCold = o.tl.Track(fmt.Sprintf("%s/kv_cold/r%d", name, r.id))
+					rt.kvSwapQ = o.tl.Track(fmt.Sprintf("%s/kv_swap_q/r%d", name, r.id))
+				}
+				rt.kvCold.Set(float64(p.cold))
+				rt.kvSwapQ.Set(float64(len(p.swapQ)))
 			}
 		}
 		// Dominant-blame share over the sliding window: the largest
@@ -689,43 +725,59 @@ func (f *fleet) obsSample(now float64) {
 			if sum > 0 {
 				share = max / sum
 			}
-			o.tl.Add(name+"/attrib_dom", now, share)
+			o.gauge(&tt.attribDom, name, "/attrib_dom", share)
 		}
 		// Cumulative attainment (and its numerator/denominator, which
 		// the report post-processes into a sliding-window series).
-		o.tl.Add(name+"/arrivals", now, float64(t.arrivals))
-		o.tl.Add(name+"/slo_ok", now, float64(o.sloOK[t.idx]))
+		o.gauge(&tt.arrivals, name, "/arrivals", float64(t.arrivals))
+		o.gauge(&tt.sloOK, name, "/slo_ok", float64(o.sloOK[t.idx]))
 		attain := 0.0
 		if t.arrivals > 0 {
 			attain = float64(o.sloOK[t.idx]) / float64(t.arrivals)
 		}
-		o.tl.Add(name+"/attain", now, attain)
+		o.gauge(&tt.attain, name, "/attain", attain)
 		if f.faulted {
 			fw := 0.0
 			if t.fwArrivals > 0 {
 				fw = float64(t.fwSloOK) / float64(t.fwArrivals)
 			}
-			o.tl.Add(name+"/fw_attain", now, fw)
+			o.gauge(&tt.fwAttain, name, "/fw_attain", fw)
 		}
 		// Rolling per-interval latency percentiles.
 		n, p50, p99 := o.hist[t.idx].Flush()
-		o.tl.Add(name+"/lat_n", now, float64(n))
-		o.tl.Add(name+"/lat_p50_ms", now, p50)
-		o.tl.Add(name+"/lat_p99_ms", now, p99)
+		o.gauge(&tt.latN, name, "/lat_n", float64(n))
+		o.gauge(&tt.latP50, name, "/lat_p50_ms", p50)
+		o.gauge(&tt.latP99, name, "/lat_p99_ms", p99)
 	}
 	if f.fabric != nil {
+		i := 0
 		f.fabric.EachLink(func(l *xfer.Link) {
+			if i == len(o.linkTL) {
+				p := "link/" + l.Name()
+				o.linkTL = append(o.linkTL, linkTL{util: o.tl.Track(p + "/util"),
+					backlog: o.tl.Track(p + "/backlog_mb"), active: o.tl.Track(p + "/active")})
+			}
+			lt := &o.linkTL[i]
+			i++
 			busy := l.BusyCycles(now)
 			util := 0.0
 			if dt > 0 {
-				util = (busy - o.lastLinkBusy[l.Name()]) / dt
+				util = (busy - lt.busy) / dt
 			}
-			o.lastLinkBusy[l.Name()] = busy
-			o.tl.Add("link/"+l.Name()+"/util", now, util)
-			o.tl.Add("link/"+l.Name()+"/backlog_mb", now, l.Backlog(now)/(1<<20))
-			o.tl.Add("link/"+l.Name()+"/active", now, float64(l.Active()))
+			lt.busy = busy
+			lt.util.Set(util)
+			lt.backlog.Set(l.Backlog(now) / (1 << 20))
+			lt.active.Set(float64(l.Active()))
 		})
 	}
+}
+
+// gauge records v on the series *h, tracking name+suffix the first time.
+func (o *obsState) gauge(h **obs.Series, name, suffix string, v float64) {
+	if *h == nil {
+		*h = o.tl.Track(name + suffix)
+	}
+	(*h).Set(v)
 }
 
 // obsFinish seals the ledger into the attribution report sections

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"neu10/internal/arch"
 	"neu10/internal/obs"
+	"neu10/internal/sim"
 )
 
 // obsOn is the full-observability config for tests.
@@ -38,7 +40,7 @@ func TestObsZeroOverhead(t *testing.T) {
 	if traced.Trace.Len() == 0 {
 		t.Error("traced run recorded no events")
 	}
-	if len(traced.Timelines.Series()) == 0 {
+	if traced.Timelines.Len() == 0 {
 		t.Error("traced run sampled no timelines")
 	}
 }
@@ -54,6 +56,48 @@ func TestObsSharedConfigNotMutated(t *testing.T) {
 	}
 	if shared.SampleEveryMs != 0 {
 		t.Errorf("Run mutated the caller's ObsConfig: %+v", *shared)
+	}
+}
+
+// TestTimelineSampleAllocBudget: once each series has its handle, a
+// timeline tick builds no name and allocates almost nothing. A fixed
+// disaggregated fleet (two prefill and two decode replicas, four links)
+// serves 45 s with timelines on and with obs off; the run with
+// timelines makes at most timelineTickAllocs more allocations per 10 ms
+// tick between 20 and 40 simulated seconds. The sampler measured 0.011
+// (slice growth alone); building each series' name on every tick, three
+// per link, cost 32.
+func TestTimelineSampleAllocBudget(t *testing.T) {
+	const timelineTickAllocs = 0.05
+	db := NewCostDB(arch.TPUv4Like())
+	window := func(o *ObsConfig) uint64 {
+		cfg := disaggConfig(1, 64, 0)
+		cfg.DurationSec = 45
+		cfg.Obs = o
+		f, err := newFleet(cfg, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		hz := cfg.Core.FrequencyHz
+		f.eng.At(sim.Time(20*hz), func(sim.Time) { runtime.ReadMemStats(&m0) })
+		f.eng.At(sim.Time(40*hz), func(sim.Time) { runtime.ReadMemStats(&m1) })
+		for _, ten := range f.tenants {
+			f.scheduleArrival(ten)
+		}
+		f.scheduleObs()
+		f.eng.Run()
+		if f.costErr != nil {
+			t.Fatal(f.costErr)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	window(nil) // measure every cost entry the window launches
+	off, on := window(nil), window(&ObsConfig{Timelines: true})
+	perTick := (float64(on) - float64(off)) / 2000
+	t.Logf("20-40 s: %d allocations with timelines, %d without: %.3f per tick", on, off, perTick)
+	if perTick > timelineTickAllocs {
+		t.Errorf("timelines add %.3f allocations per tick, want <= %v", perTick, timelineTickAllocs)
 	}
 }
 
