@@ -58,18 +58,10 @@ func chaosFaults(policy CrashPolicy) *FaultPlan {
 // fleet so tests can audit the internal accountants after drain.
 func runFleet(t *testing.T, cfg Config, db *CostDB) *fleet {
 	t.Helper()
-	f, err := newFleet(cfg, db)
+	f, err := simulate(cfg, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ten := range f.tenants {
-		f.scheduleArrival(ten)
-	}
-	f.scheduleFaults()
-	if f.cfg.Autoscale {
-		f.scheduleScale(f.cfg.ScaleEverySec * f.cfg.Core.FrequencyHz)
-	}
-	f.eng.Run()
 	return f
 }
 

@@ -125,6 +125,29 @@ func checkPagedDrained(t *testing.T, label string, p *pagedKV) {
 	}
 }
 
+// checkDrained asserts that every surviving replica of a drained fleet
+// holds no work: a paged slot passes checkPagedDrained, any other KV
+// ledger is back to zero used blocks and zero resident sequences, and
+// no slot waits on an inbound transfer.
+func checkDrained(t *testing.T, f *fleet) {
+	t.Helper()
+	for _, ten := range f.tenants {
+		for _, r := range ten.replicas {
+			label := fmt.Sprintf("%s %s replica %d", ten.cfg.Name, r.role, r.id)
+			switch {
+			case r.kv == nil:
+			case r.kv.paged != nil:
+				checkPagedDrained(t, label, r.kv.paged)
+			case r.kv.usedBlocks != 0 || r.kv.curSeqs != 0:
+				t.Errorf("%s: %d KV blocks and %d sequences held after drain", label, r.kv.usedBlocks, r.kv.curSeqs)
+			}
+			if r.inbound != 0 {
+				t.Errorf("%s: %d inbound transfers after drain", label, r.inbound)
+			}
+		}
+	}
+}
+
 // TestPagedDrainInvariants runs the paged backend to a full drain under
 // both eviction policies across several seeds and checks every
 // replica with checkPagedDrained, plus report-level conservation:
@@ -510,9 +533,7 @@ func FuzzPagedKV(f *testing.F) {
 		if fl.costErr != nil {
 			t.Fatalf("run stopped on a costing error: %v", fl.costErr)
 		}
-		for _, r := range ten.replicas {
-			checkPagedDrained(t, fmt.Sprintf("replica %d", r.id), r.kv.paged)
-		}
+		checkDrained(t, fl)
 		if ten.arrivals != ten.rejected+ten.completed {
 			t.Errorf("%d arrivals ≠ %d rejected + %d completed", ten.arrivals, ten.rejected, ten.completed)
 		}

@@ -33,6 +33,15 @@ package serve
 // (model, batch, shape), so sharing the database never changes results.
 // A launch whose cost cannot be measured stops the run with an error.
 func Run(cfg Config, db *CostDB) (*Report, error) {
+	f, err := simulate(cfg, db)
+	if err != nil {
+		return nil, err
+	}
+	return f.report(), nil
+}
+
+// simulate builds the fleet for cfg and runs it to drain.
+func simulate(cfg Config, db *CostDB) (*fleet, error) {
 	f, err := newFleet(cfg, db)
 	if err != nil {
 		return nil, err
@@ -49,5 +58,5 @@ func Run(cfg Config, db *CostDB) (*Report, error) {
 	if f.costErr != nil {
 		return nil, f.costErr
 	}
-	return f.report(), nil
+	return f, nil
 }
