@@ -37,8 +37,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -193,7 +195,9 @@ func run(args []string) (err error) {
 	}
 
 	if *traceOut != "" {
-		if err := writeTraces(*traceOut, sr.Reports); err != nil {
+		err := writeLegs(*traceOut, sr.Reports, func(r *serve.Report) *obs.Tracer { return r.Trace },
+			obs.WriteChromeAll, "no traces collected (scenario ran with tracing off)")
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
@@ -206,13 +210,21 @@ func run(args []string) (err error) {
 		}
 	}
 	if *tlOut != "" {
-		if err := writeTimelines(*tlOut, sr.Reports); err != nil {
+		write := obs.WriteCSVAll
+		if strings.HasSuffix(*tlOut, ".json") {
+			write = writeTimelinesJSON
+		}
+		err := writeLegs(*tlOut, sr.Reports, func(r *serve.Report) *obs.TimelineSet { return r.Timelines },
+			write, "no timelines collected (scenario ran with sampling off)")
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: timelines written to %s\n", *tlOut)
 	}
 	if *attribCSV != "" {
-		if err := writeAttrib(*attribCSV, sr.Reports); err != nil {
+		err := writeLegs(*attribCSV, sr.Reports, func(r *serve.Report) *obs.Ledger { return r.Ledger },
+			obs.WriteLedgerCSVAll, "no attribution collected (scenario ran with the ledger off)")
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "neu10-serve: attribution ledger written to %s\n", *attribCSV)
@@ -234,85 +246,39 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-// writeTraces merges every scenario leg's tracer into one Chrome
-// trace-event file; legs become distinct Perfetto process groups via
-// their scenario labels.
-func writeTraces(path string, reports []*serve.Report) error {
-	var tracers []*obs.Tracer
+// writeLegs writes what get returns for every scenario leg, skipping
+// legs without it, to a new file at path through write: the leg
+// collectors merge into one file (Chrome traces become distinct
+// Perfetto process groups via their scenario labels; CSVs share one
+// header). No leg with a collector at all is the error none.
+func writeLegs[T any](path string, reports []*serve.Report, get func(*serve.Report) *T,
+	write func(io.Writer, []*T) error, none string) error {
+	var legs []*T
 	for _, rep := range reports {
-		if rep.Trace != nil {
-			tracers = append(tracers, rep.Trace)
+		if x := get(rep); x != nil {
+			legs = append(legs, x)
 		}
 	}
-	if len(tracers) == 0 {
-		return fmt.Errorf("no traces collected (scenario ran with tracing off)")
+	if len(legs) == 0 {
+		return errors.New(none)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteChromeAll(f, tracers); err != nil {
+	if err := write(f, legs); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// writeTimelines dumps every leg's sampled series: long-format CSV by
-// default, JSON when the path ends in .json.
-func writeTimelines(path string, reports []*serve.Report) error {
-	var sets []*obs.TimelineSet
-	for _, rep := range reports {
-		if rep.Timelines != nil {
-			sets = append(sets, rep.Timelines)
-		}
+// writeTimelinesJSON writes the legs' timeline sets as one indented
+// JSON array.
+func writeTimelinesJSON(w io.Writer, sets []*obs.TimelineSet) error {
+	data, err := json.MarshalIndent(sets, "", "  ")
+	if err == nil {
+		_, err = w.Write(append(data, '\n'))
 	}
-	if len(sets) == 0 {
-		return fmt.Errorf("no timelines collected (scenario ran with sampling off)")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := error(nil)
-	if strings.HasSuffix(path, ".json") {
-		data, err := json.MarshalIndent(sets, "", "  ")
-		if err == nil {
-			data = append(data, '\n')
-			_, werr = f.Write(data)
-		} else {
-			werr = err
-		}
-	} else {
-		werr = obs.WriteCSVAll(f, sets)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
-}
-
-// writeAttrib dumps every leg's attribution ledger — one row per
-// nonzero request segment and per nonzero replica cycle bucket — as one
-// long-format CSV under a single header.
-func writeAttrib(path string, reports []*serve.Report) error {
-	var ledgers []*obs.Ledger
-	for _, rep := range reports {
-		if rep.Ledger != nil {
-			ledgers = append(ledgers, rep.Ledger)
-		}
-	}
-	if len(ledgers) == 0 {
-		return fmt.Errorf("no attribution collected (scenario ran with the ledger off)")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteLedgerCSVAll(f, ledgers); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return err
 }

@@ -318,8 +318,8 @@ func (r *Runner) ServeDisagg() (*ServeResult, error) {
 //   - chaos/fault: a mid-trace decode-replica crash (35%), a correlated
 //     pod outage taking chips 0–1 down (52%), and the interconnect
 //     degraded to 1/16 bandwidth for [55%, 72%) — no recovery machinery
-//     beyond the autoscaler's ordinary windowed ladder and MinReplicas
-//     resurrection;
+//     beyond the autoscaler's ordinary windowed ladder and its
+//     one-replica resurrection floor;
 //   - chaos/fault+recover: the same faults with one warm spare per
 //     pool, crash-triggered emergency spawns (bypassing the p99
 //     window), and migration-based decode-pool evacuation.
@@ -719,10 +719,10 @@ func (r *Runner) ServeMixShift() (*ServeResult, error) {
 		Tenants: []serve.TenantConfig{
 			{Name: "east", Model: "RtNt", Load: 0.55, EUs: 4, MaxBatch: 8,
 				Arrival: serve.Diurnal, DiurnalDepth: 0.7,
-				InitialReplicas: 2, MinReplicas: 1, MaxReplicas: 4},
+				InitialReplicas: 2, MaxReplicas: 4},
 			{Name: "west", Model: "BERT", Load: 0.55, EUs: 4, MaxBatch: 8,
 				Arrival: serve.Diurnal, DiurnalDepth: 0.7, DiurnalPhase: 3.141592653589793,
-				InitialReplicas: 2, MinReplicas: 1, MaxReplicas: 4},
+				InitialReplicas: 2, MaxReplicas: 4},
 		},
 	}
 	rep, err := serve.Run(cfg, r.serveCosts())

@@ -177,27 +177,3 @@ func (ts *TimeSeries) Last() float64 {
 	}
 	return ts.Values[len(ts.Values)-1]
 }
-
-// RollingHist is an interval histogram: it accumulates samples between
-// observability ticks and, on Flush, reports the interval's order
-// statistics and starts the next interval — the time-resolved
-// counterpart of a run-wide Latencies recorder. The backing array is
-// retained across intervals, so a steady-state flush loop does not
-// allocate.
-type RollingHist struct {
-	win Latencies
-}
-
-// Add records one sample into the current interval.
-func (h *RollingHist) Add(v float64) { h.win.Add(v) }
-
-// Flush reports the current interval's count, p50 and p99, then resets
-// for the next interval. An empty interval reports zeros.
-func (h *RollingHist) Flush() (n int, p50, p99 float64) {
-	n = h.win.Count()
-	if n > 0 {
-		p50, p99 = h.win.P50(), h.win.P99()
-	}
-	h.win.Reset()
-	return n, p50, p99
-}

@@ -299,41 +299,34 @@ func (l *Ledger) ReqSeg(proc string, id int64, seg Segment, at float64) {
 // ReqSuspend parks the request in SegPreempt, remembering the segment
 // to restore on resume. Idempotent while suspended.
 func (l *Ledger) ReqSuspend(proc string, id int64, at float64) {
-	if l == nil {
-		return
+	if r := l.req(proc, id); r != nil && !r.suspended {
+		r.close(at)
+		r.susp, r.cur, r.suspended = r.cur, SegPreempt, true
 	}
-	r := l.reqs[reqKey{proc, id}]
-	if r == nil || r.suspended {
-		return
-	}
-	r.close(at)
-	r.susp = r.cur
-	r.cur = SegPreempt
-	r.suspended = true
 }
 
 // ReqResume restores the segment ReqSuspend parked.
 func (l *Ledger) ReqResume(proc string, id int64, at float64) {
+	if r := l.req(proc, id); r != nil && r.suspended {
+		r.close(at)
+		r.cur, r.suspended = r.susp, false
+	}
+}
+
+// req returns the open record of request id of proc, or nil; a nil
+// ledger has none.
+func (l *Ledger) req(proc string, id int64) *ReqRecord {
 	if l == nil {
-		return
+		return nil
 	}
-	r := l.reqs[reqKey{proc, id}]
-	if r == nil || !r.suspended {
-		return
-	}
-	r.close(at)
-	r.cur = r.susp
-	r.suspended = false
+	return l.reqs[reqKey{proc, id}]
 }
 
 // ReqFirstToken stamps the request's first-token emission (first call
 // wins — a crash replay whose token was already delivered must not
 // restamp).
 func (l *Ledger) ReqFirstToken(proc string, id int64, at float64) {
-	if l == nil {
-		return
-	}
-	if r := l.reqs[reqKey{proc, id}]; r != nil && r.FirstTok == 0 {
+	if r := l.req(proc, id); r != nil && r.FirstTok == 0 {
 		r.FirstTok = at
 	}
 }
@@ -417,42 +410,15 @@ func (l *Ledger) RepMark(uid int, b Bucket, at float64) {
 // RepCrash ends a replica's lifetime at a fault, re-attributing the
 // open span — whatever work was in flight — to BucketFaulted.
 func (l *Ledger) RepCrash(uid int, at float64) {
-	if l == nil {
-		return
+	if l != nil {
+		l.closeRep(l.reps[uid], true, at)
 	}
-	r := l.reps[uid]
-	if r == nil || !r.open {
-		return
-	}
-	r.Buckets[BucketFaulted] += at - r.since
-	r.since = at
-	l.sealRep(r, at)
 }
 
 // RepRetire ends a replica's lifetime at a graceful retire.
 func (l *Ledger) RepRetire(uid int, at float64) {
-	if l == nil {
-		return
-	}
-	r := l.reps[uid]
-	if r == nil || !r.open {
-		return
-	}
-	r.Buckets[r.cur] += at - r.since
-	r.since = at
-	l.sealRep(r, at)
-}
-
-// sealRep closes the record and checks bucket conservation.
-func (l *Ledger) sealRep(r *RepRecord, at float64) {
-	r.End = at
-	r.open = false
-	var sum float64
-	for _, v := range r.Buckets {
-		sum += v
-	}
-	if sum != r.End-r.Spawn {
-		l.violations++
+	if l != nil {
+		l.closeRep(l.reps[uid], false, at)
 	}
 }
 
@@ -463,11 +429,28 @@ func (l *Ledger) FinishReps(at float64) {
 		return
 	}
 	for _, uid := range l.repOrder {
-		if r := l.reps[uid]; r.open {
-			r.Buckets[r.cur] += at - r.since
-			r.since = at
-			l.sealRep(r, at)
-		}
+		l.closeRep(l.reps[uid], false, at)
+	}
+}
+
+// closeRep ends an open record's lifetime at `at`: the open span goes to
+// its current bucket, or to BucketFaulted at a crash, and the buckets
+// must sum to the lifetime. A missing or closed record is left alone.
+func (l *Ledger) closeRep(r *RepRecord, crashed bool, at float64) {
+	if r == nil || !r.open {
+		return
+	}
+	if crashed {
+		r.cur = BucketFaulted
+	}
+	r.Buckets[r.cur] += at - r.since
+	r.since, r.End, r.open = at, at, false
+	var sum float64
+	for _, v := range r.Buckets {
+		sum += v
+	}
+	if sum != r.End-r.Spawn {
+		l.violations++
 	}
 }
 
@@ -529,23 +512,11 @@ func (l *Ledger) Violations() int {
 	return l.violations
 }
 
-// LedgerCSVHeader is the column row matching WriteCSV: one row per
-// nonzero request segment (tenant/req keyed) and, with tenant "fleet",
-// one row per nonzero replica bucket (req column carries the uid).
+// LedgerCSVHeader is the column row WriteLedgerCSVAll writes first: one
+// row per nonzero request segment (tenant/req keyed) and, with tenant
+// "fleet", one row per nonzero replica bucket (req column carries the
+// uid).
 const LedgerCSVHeader = "run,tenant,req,segment,ms\n"
-
-// WriteCSV emits the ledger in long format, requests in completion
-// order then replicas in spawn order, segments in taxonomy order.
-// Floats use the shortest round-trip representation, so the bytes are
-// a deterministic function of the records.
-func (l *Ledger) WriteCSV(w io.Writer) error {
-	if l == nil {
-		return nil
-	}
-	x := newExportBuf(w)
-	l.appendCSV(x)
-	return x.flush()
-}
 
 // appendCSV appends the ledger's rows to x, writing about every
 // flushBytes.
@@ -586,7 +557,11 @@ func (l *Ledger) appendCSV(x *exportBuf) {
 	}
 }
 
-// WriteLedgerCSVAll concatenates several runs' ledgers under one header.
+// WriteLedgerCSVAll emits several runs' ledgers under one header in long
+// format, runs in slice order (nil ledgers skipped), each run's requests
+// in completion order then its replicas in spawn order, segments in
+// taxonomy order. Floats use the shortest round-trip representation, so
+// the bytes are a deterministic function of the records.
 func WriteLedgerCSVAll(w io.Writer, ls []*Ledger) error {
 	x := newExportBuf(w)
 	x.b = append(x.b, LedgerCSVHeader...)

@@ -19,8 +19,9 @@ func TestNilLedgerIsSafeAndFree(t *testing.T) {
 	if tot := l.SegTotals("p"); tot != ([numSegments]float64{}) {
 		t.Fatal("nil ledger has totals")
 	}
-	if err := l.WriteCSV(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := WriteLedgerCSVAll(&buf, []*Ledger{l}); err != nil || buf.String() != LedgerCSVHeader {
+		t.Fatalf("nil ledger exports %q, %v", buf.String(), err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.ReqStart("p", 1, 0)

@@ -193,10 +193,10 @@ func TestTimelineAttachReplaces(t *testing.T) {
 		t.Fatal("Attach did not replace the indexed series")
 	}
 	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
+	if err := WriteCSVAll(&buf, []*TimelineSet{s}); err != nil {
 		t.Fatal(err)
 	}
-	if want := "run,x,5,9\nrun,y,1,2\n"; buf.String() != want || s.Len() != 2 {
+	if want := CSVHeader + "run,x,5,9\nrun,y,1,2\n"; buf.String() != want || s.Len() != 2 {
 		t.Fatalf("Attach broke registration order: %d series\n%s", s.Len(), buf.String())
 	}
 }

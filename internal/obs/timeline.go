@@ -7,12 +7,14 @@
 // A set costs what changes, not what elapses. It keeps one grid of tick
 // times, and each sampled series keeps only the ticks where it starts,
 // stops or changes value. The exports expand every series back to one
-// row per sampled tick, formatting each grid time and each change-point
-// value once, so their bytes are those of one (time, value) pair per
-// sample.
+// row per sampled tick, so their bytes are those of one (time, value)
+// pair per sample: the CSV export formats each grid time and each
+// change-point value once, and the JSON export marshals each series as
+// Get expands it.
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -166,169 +168,62 @@ func (ts *Series) steps(fn func(from, to int, v float64)) {
 
 // ---- Export ----
 
-// maxFloatText bounds the text of one float64 in either export format.
+// maxFloatText bounds the CSV text of one float64.
 const maxFloatText = 25
 
-// floatText holds the text of each value of a slice, formatted once.
+// floatText holds the CSV text of each value of a slice, formatted once.
 type floatText struct {
-	vals []float64
-	b    []byte
-	end  []int // the text of vals[k] is b[end[k]:end[k+1]]
+	b   []byte
+	end []int // the text of value k is b[end[k]:end[k+1]]
 }
 
 // fill formats vals, reusing t's buffers. It allocates only when they
 // are too small, so a fill of any length costs at most two allocations.
-func (t *floatText) fill(vals []float64, format func([]byte, float64) []byte) {
+func (t *floatText) fill(vals []float64) {
 	if n := len(vals) * maxFloatText; cap(t.b) < n {
 		t.b = make([]byte, 0, n)
 	}
 	if cap(t.end) <= len(vals) {
 		t.end = make([]int, 0, len(vals)+1)
 	}
-	t.vals, t.b, t.end = vals, t.b[:0], append(t.end[:0], 0)
+	t.b, t.end = t.b[:0], append(t.end[:0], 0)
 	for _, f := range vals {
-		t.b = format(t.b, f)
+		t.b = appendCSVFloat(t.b, f)
 		t.end = append(t.end, len(t.b))
 	}
 }
 
 func (t *floatText) at(k int) []byte { return t.b[t.end[k]:t.end[k+1]] }
 
-// timeText formats row times for one export: each set's grid once, and
-// an attached series' own times when the export reaches it.
-type timeText struct {
-	grid, own floatText
-	format    func([]byte, float64) []byte
-}
-
-// of returns the text of ts's row times.
-func (c *timeText) of(ts *Series) *floatText {
-	if ts.ext == nil {
-		return &c.grid
-	}
-	c.own.fill(ts.ext.Times, c.format)
-	return &c.own
-}
-
 func appendCSVFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
-// appendJSONText is appendJSONFloat that appends nothing for a value
-// JSON cannot hold; the exporter reports that value's error when a row
-// needs it.
-func appendJSONText(b []byte, f float64) []byte {
-	b, _ = appendJSONFloat(b, f)
-	return b
-}
-
 // MarshalJSON exports {label, freq_hz, series:[{name,times_ms,values}]}
-// as the bytes encoding/json writes for the set with one
-// metrics.TimeSeries per series. A NaN or infinite frequency, time or
-// value returns encoding/json's *UnsupportedValueError for the first in
-// that order.
+// through encoding/json, each series expanded by Get. A NaN or infinite
+// frequency, time or value returns encoding/json's
+// *UnsupportedValueError.
 func (s *TimelineSet) MarshalJSON() ([]byte, error) {
-	b := []byte{'{'}
-	if s.Label != "" {
-		b = append(b, `"label":`...)
-		b = appendJSONString(b, s.Label)
-		b = append(b, ',')
-	}
-	b = append(b, `"freq_hz":`...)
-	b, err := appendJSONFloat(b, s.FreqHz)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, `,"series":`...)
-	if s.series == nil {
-		return append(b, "null}"...), nil
-	}
-	c := timeText{format: appendJSONText}
-	c.grid.fill(s.grid, c.format)
-	for i, ts := range s.series {
-		b = appendItem(b, i)
-		if b, err = ts.appendJSON(b, c.of(ts)); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, "]}"...), nil
-}
-
-// appendJSON appends ts as {"name","times_ms","values"}, one array entry
-// per row, given the text of its row times. A series without rows
-// writes null for both arrays, as encoding/json does for nil slices.
-func (ts *Series) appendJSON(b []byte, times *floatText) ([]byte, error) {
-	b = append(b, `{"name":`...)
-	b = appendJSONString(b, ts.Name)
-	b = append(b, `,"times_ms":`...)
-	var err error
-	rows := 0
-	ts.steps(func(from, to int, _ float64) {
-		for k := from; k < to && err == nil; k++ {
-			b = appendItem(b, rows)
-			rows++
-			if t := times.at(k); len(t) > 0 {
-				b = append(b, t...)
-			} else {
-				_, err = appendJSONFloat(nil, times.vals[k])
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rows == 0 {
-		return append(b, `null,"values":null}`...), nil
-	}
-	b = append(b, `],"values":`...)
-	rows = 0
-	ts.steps(func(from, to int, v float64) {
-		if err != nil {
-			return
-		}
-		var vb [maxFloatText]byte
-		var val []byte
-		if val, err = appendJSONFloat(vb[:0], v); err != nil {
-			return
-		}
-		for k := from; k < to; k++ {
-			b = appendItem(b, rows)
-			rows++
-			b = append(b, val...)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(b, "]}"...), nil
-}
-
-// appendItem opens array entry n: the bracket before the first, a comma
-// before any other.
-func appendItem(b []byte, n int) []byte {
-	if n == 0 {
-		return append(b, '[')
-	}
-	return append(b, ',')
-}
-
-// WriteCSV emits the set in long format — run,series,time_ms,value —
-// one row per sample, series in registration order. Floats use the
-// shortest round-trip representation, so the bytes are a deterministic
-// function of the samples.
-func (s *TimelineSet) WriteCSV(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	x := newExportBuf(w)
-	s.appendCSV(x, &timeText{format: appendCSVFloat})
-	return x.flush()
-}
-
-// appendCSV appends the set's rows to x, writing about every flushBytes;
-// c formats the row times.
-func (s *TimelineSet) appendCSV(x *exportBuf, c *timeText) {
-	c.grid.fill(s.grid, c.format)
+	var series []*metrics.TimeSeries
 	for _, ts := range s.series {
-		times := c.of(ts)
+		series = append(series, s.Get(ts.Name))
+	}
+	return json.Marshal(struct {
+		Label  string                `json:"label,omitempty"`
+		FreqHz float64               `json:"freq_hz"`
+		Series []*metrics.TimeSeries `json:"series"`
+	}{s.Label, s.FreqHz, series})
+}
+
+// appendCSV appends the set's rows to x, writing about every flushBytes.
+// It formats the row times into grid once, and an attached series' own
+// times into own when the export reaches it.
+func (s *TimelineSet) appendCSV(x *exportBuf, grid, own *floatText) {
+	grid.fill(s.grid)
+	for _, ts := range s.series {
+		times := grid
+		if ts.ext != nil {
+			own.fill(ts.ext.Times)
+			times = own
+		}
 		var pb [64]byte
 		pre := append(append(append(append(pb[:0], s.Label...), ','), ts.Name...), ',')
 		ts.steps(func(from, to int, v float64) {
@@ -344,17 +239,21 @@ func (s *TimelineSet) appendCSV(x *exportBuf, c *timeText) {
 	}
 }
 
-// CSVHeader is the column row matching WriteCSV.
+// CSVHeader is the column row WriteCSVAll writes first.
 const CSVHeader = "run,series,time_ms,value\n"
 
-// WriteCSVAll concatenates several runs' timelines under one header.
+// WriteCSVAll emits several runs' timelines under one header in long
+// format — run,series,time_ms,value — one row per sample, runs in slice
+// order and series in registration order; nil sets are skipped. Floats
+// use the shortest round-trip representation, so the bytes are a
+// deterministic function of the samples.
 func WriteCSVAll(w io.Writer, sets []*TimelineSet) error {
 	x := newExportBuf(w)
 	x.b = append(x.b, CSVHeader...)
-	c := timeText{format: appendCSVFloat}
+	var grid, own floatText
 	for _, s := range sets {
 		if s != nil {
-			s.appendCSV(x, &c)
+			s.appendCSV(x, &grid, &own)
 		}
 	}
 	return x.flush()

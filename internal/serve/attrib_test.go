@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/obs"
 )
 
 // attribOn clones a config with the attribution ledger enabled.
@@ -180,7 +181,7 @@ func TestAttribDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var csv strings.Builder
-		if err := rep.Ledger.WriteCSV(&csv); err != nil {
+		if err := obs.WriteLedgerCSVAll(&csv, []*obs.Ledger{rep.Ledger}); err != nil {
 			t.Fatal(err)
 		}
 		return rep.AttribTable(), csv.String()
@@ -193,7 +194,7 @@ func TestAttribDeterminism(t *testing.T) {
 	if csv1 != csv2 {
 		t.Error("ledger CSV export is not deterministic")
 	}
-	if len(tbl1) == 0 || len(csv1) == 0 {
+	if len(tbl1) == 0 || len(csv1) <= len(obs.LedgerCSVHeader) {
 		t.Fatal("empty attribution exports")
 	}
 }

@@ -81,16 +81,15 @@ func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
 	if t.disagg() != nil {
 		pools = []Role{RolePrefill, RoleDecode}
 	}
-	// The resurrection floor: a pool's minimum is a capacity promise, not
-	// a decay asymptote. A pool crashed below it (fault.go) presents an
+	// The resurrection floor: a pool's minimum (one replica plus warm
+	// spares) is a capacity promise, not a decay asymptote. A pool crashed below it (fault.go) presents an
 	// empty window — no samples, and a backlog of zero once everything
 	// shed — which the ladder reads as idle calm; without this a tenant
 	// crashed to nothing would stay dead forever while every arrival
 	// sheds at the door. Warm spares raise the floor the same way they
 	// raised the initial spawn.
 	for _, role := range pools {
-		lo, _ := t.poolBounds(role)
-		for t.activeRole(role) < lo+f.warmSpares() && f.scaleOut(t, role, now) {
+		for t.activeRole(role) < 1+f.warmSpares() && f.scaleOut(t, role, now) {
 		}
 	}
 	for _, role := range pools {
@@ -105,16 +104,16 @@ func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
 	}
 }
 
-// poolBounds returns the replica bounds of t's role pool. A
-// disaggregated pool's floor is one replica.
-func (t *tenantState) poolBounds(role Role) (lo, hi int) {
+// poolMax returns the replica ceiling of t's role pool. Every pool's
+// floor is one replica.
+func (t *tenantState) poolMax(role Role) int {
 	switch d := t.disagg(); role {
 	case RolePrefill:
-		return 1, d.MaxPrefill
+		return d.MaxPrefill
 	case RoleDecode:
-		return 1, d.MaxDecode
+		return d.MaxDecode
 	}
-	return t.cfg.MinReplicas, t.cfg.MaxReplicas
+	return t.cfg.MaxReplicas
 }
 
 // poolReading is one pool's state at a control tick: its latency window
@@ -132,8 +131,7 @@ type poolReading struct {
 
 // readPool takes t's role pool reading for this tick.
 func (f *fleet) readPool(t *tenantState, role Role) poolReading {
-	lo, hi := t.poolBounds(role)
-	p := poolReading{role: role, floor: lo + f.warmSpares(), max: hi}
+	p := poolReading{role: role, floor: 1 + f.warmSpares(), max: t.poolMax(role)}
 	switch l := t.llm; role {
 	case RoleMixed:
 		p.win, p.slo, p.backlog = &t.windowLat, t.sloCycles, f.tenantBacklog(t)
@@ -433,7 +431,7 @@ func (f *fleet) drainOne(t *tenantState, role Role, now sim.Time, bySize bool) {
 		return
 	}
 	pick.draining = true
-	f.obs.drain(pick, now)
+	f.obs.replicaEvent(pick, "drain", now)
 	if pick.idleEmpty() {
 		f.retire(pick, now)
 	}
@@ -447,7 +445,7 @@ func (f *fleet) retire(r *replica, now sim.Time) {
 		return
 	}
 	r.retired = true
-	f.obs.retire(r, now)
+	f.obs.replicaEvent(r, "retire", now)
 	f.removeReplica(r, now)
 }
 

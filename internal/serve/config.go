@@ -163,7 +163,6 @@ type TenantConfig struct {
 	// to what fits one physical core, and shrink it back.
 	EUs             int
 	InitialReplicas int // default 1
-	MinReplicas     int // default 1
 	MaxReplicas     int // default InitialReplicas
 
 	// Priority is the class every request of this tenant carries
@@ -198,9 +197,6 @@ func (tc *TenantConfig) defaults() {
 	}
 	if tc.InitialReplicas == 0 {
 		tc.InitialReplicas = 1
-	}
-	if tc.MinReplicas == 0 {
-		tc.MinReplicas = 1
 	}
 	if tc.MaxReplicas == 0 {
 		tc.MaxReplicas = tc.InitialReplicas
@@ -243,11 +239,9 @@ func (tc *TenantConfig) validate() error {
 		return fmt.Errorf("serve: tenant %s diurnal depth %v out of [0,1)", tc.Name, tc.DiurnalDepth)
 	case tc.SLOMs < 0 || tc.SLOFactor <= 0:
 		return fmt.Errorf("serve: tenant %s SLO %v ms, SLO factor %v", tc.Name, tc.SLOMs, tc.SLOFactor)
-	case tc.MinReplicas < 1:
-		return fmt.Errorf("serve: tenant %s needs ≥1 replica", tc.Name)
-	case tc.InitialReplicas < tc.MinReplicas || tc.MaxReplicas < tc.InitialReplicas:
-		return fmt.Errorf("serve: tenant %s replica bounds %d ≤ %d ≤ %d malformed",
-			tc.Name, tc.MinReplicas, tc.InitialReplicas, tc.MaxReplicas)
+	case tc.InitialReplicas < 1 || tc.MaxReplicas < tc.InitialReplicas:
+		return fmt.Errorf("serve: tenant %s replica bounds 1 ≤ %d ≤ %d malformed",
+			tc.Name, tc.InitialReplicas, tc.MaxReplicas)
 	case tc.QueueCap < 1:
 		return fmt.Errorf("serve: tenant %s queue cap %d", tc.Name, tc.QueueCap)
 	case tc.MaxBatch < 1:

@@ -212,6 +212,34 @@ func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 	return best
 }
 
+// dropStranded resolves the handoffs a drained engine left parked. With
+// no event left, no decode slot can ever admit them: their tenant's
+// decode pool died and nothing respawned it. Each is lost to the crash,
+// and its source frees the prompt KV and serves its queue on, which may
+// park more. It reports whether it dropped any.
+func (f *fleet) dropStranded() bool {
+	now := f.eng.Now()
+	var srcs []*replica
+	for _, t := range f.tenants {
+		if t.llm == nil {
+			continue
+		}
+		for _, m := range t.llm.migQ {
+			f.obs.crashed(t, m.seq.req.id, "migrate", now)
+			m.from.queueFor(t).removeRunning(m.seq)
+			m.from.kv.drop(m.seq, float64(now))
+			t.crashLost++
+			f.obs.lost(t, m.seq.req.id, 0, "no-decode", now)
+			srcs = append(srcs, m.from)
+		}
+		t.llm.migQ = nil
+	}
+	for _, r := range srcs {
+		f.dispatch(r, now)
+	}
+	return len(srcs) > 0
+}
+
 // startMigration ships a freshly prefilled sequence's KV toward the
 // decode pool, or parks it (FIFO, prompt KV still held on the prefill
 // slot) when no decode replica can admit it yet.
@@ -277,15 +305,14 @@ func (f *fleet) landTransfer(fl *migFlight, now sim.Time) {
 	dst.inbound--
 	dst.kv.seqIn()
 	dst.queueFor(t).running = append(dst.queueFor(t).running, s)
+	f.obs.xferLand(fl, now)
 	if fl.evac {
 		t.llm.evacLanded++
 		t.llm.evacBytes += fl.bytes
-		f.obs.xferLand(fl, now)
 	} else {
 		t.llm.migLanded++
 		t.llm.migBytes += fl.bytes
 		t.llm.migWaitCycles += float64(now - s.prefDone)
-		f.obs.xferLand(fl, now)
 		f.emitFirstToken(t, s, now)
 		if s.produced >= s.req.output {
 			f.completeSeq(dst, t, s, now)

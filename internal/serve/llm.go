@@ -431,7 +431,7 @@ func (c *continuousLLM) passedOver(r *replica, q *slotQueue) {
 	}
 	if len(q.reqs) > 0 && len(q.running) == 0 && !r.kv.canAdmit(q.reqs[0]) {
 		c.t.llm.kvStalls++
-		c.f.obs.kvStall(c.t, q.reqs[0].id, c.f.eng.Now())
+		c.f.obs.seg(c.t, q.reqs[0].id, obs.SegKVStall, c.f.eng.Now())
 	}
 }
 
@@ -533,7 +533,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 	f.disarmTimer(r)
 	if len(q.reqs) > 0 && len(q.running) < t.cfg.MaxBatch && !a.canAdmit(q.reqs[0]) {
 		t.llm.kvStalls++
-		f.obs.kvStall(t, q.reqs[0].id, now)
+		f.obs.seg(t, q.reqs[0].id, obs.SegKVStall, now)
 	}
 	b := f.takeBatch()
 	b.ten, b.restore, b.kind = t, restore, kindLLMDecode

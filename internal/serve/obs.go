@@ -90,9 +90,10 @@ type obsState struct {
 	// attainment numerator, maintained incrementally so sampling never
 	// re-sorts the latency recorder.
 	sloOK []int
-	// hist accumulates per-interval completion latencies (ms) per
-	// tenant for the rolling p50/p99 timeline.
-	hist []metrics.RollingHist
+	// hist accumulates per-tenant completion latencies (ms) between
+	// ticks for the rolling count, p50 and p99 timelines; each tick reads
+	// and resets it.
+	hist []metrics.Latencies
 	// Timeline handles, each tracked at its series' first sample so the
 	// set registers series in first-sample order: per tenant (by index),
 	// per replica (by uid) and per link (in Fabric.EachLink order).
@@ -106,11 +107,8 @@ type obsState struct {
 	// deep, oldest first) of cumulative completed-request segment totals;
 	// the attrib_dom series differences the newest snapshot against the
 	// oldest to get the window's dominant-blame share.
-	attribWin [][]segSnap
+	attribWin [][][obs.NumSegments]float64
 }
-
-// segSnap is one cumulative segment-total snapshot.
-type segSnap [obs.NumSegments]float64
 
 // tenantTL holds one tenant's timeline handles.
 type tenantTL struct {
@@ -149,15 +147,6 @@ var execName = [...]string{
 	kindLLMStaticDecode:  "llm-static-decode",
 }
 
-// execWidth is the slice's width arg: requests for single-shot
-// batches, sequences for LLM kinds.
-func execWidth(b *batch) int {
-	if b.kind == kindInvoke {
-		return len(b.reqs)
-	}
-	return len(b.seqs)
-}
-
 // busyBucket maps a batch kind to the fleet-cycle bucket its
 // compute occupies.
 func busyBucket(k batchKind) obs.Bucket {
@@ -177,7 +166,7 @@ func newObsState(cfg *ObsConfig, scenario string, freqHz float64, tenants int) *
 	if cfg == nil || !(cfg.Trace || cfg.Timelines || cfg.Attrib) {
 		return nil
 	}
-	o := &obsState{cfg: *cfg, freqHz: freqHz, sloOK: make([]int, tenants), hist: make([]metrics.RollingHist, tenants)}
+	o := &obsState{cfg: *cfg, freqHz: freqHz, sloOK: make([]int, tenants), hist: make([]metrics.Latencies, tenants)}
 	if cfg.Trace {
 		o.trace = obs.NewTracer(scenario, freqHz)
 	}
@@ -187,6 +176,7 @@ func newObsState(cfg *ObsConfig, scenario string, freqHz float64, tenants int) *
 	}
 	if cfg.Attrib {
 		o.led = obs.NewLedger(scenario, freqHz)
+		o.attribWin = make([][][obs.NumSegments]float64, tenants)
 	}
 	return o
 }
@@ -233,12 +223,10 @@ func (o *obsState) seg(t *tenantState, id int64, s obs.Segment, now sim.Time) {
 	}
 }
 
-// kvStall marks the queue head KV-stalled: admissible but for blocks.
-func (o *obsState) kvStall(t *tenantState, id int64, now sim.Time) { o.seg(t, id, obs.SegKVStall, now) }
-
-// admitStall is a kvStall that stopped an admission loop on r.
+// admitStall: the queue head, admissible but for KV blocks, stalled an
+// admission loop on r.
 func (o *obsState) admitStall(t *tenantState, r *replica, id int64, now sim.Time) {
-	o.kvStall(t, id, now)
+	o.seg(t, id, obs.SegKVStall, now)
 	o.slotInstant("kv-stall", r.ten, r, now, id, "", 0, "tenant", t.cfg.Name)
 }
 
@@ -269,22 +257,32 @@ func (o *obsState) launched(b *batch, now sim.Time) {
 		return
 	}
 	name, at := b.ten.cfg.Name, float64(now)
-	for i := range b.reqs {
-		o.trace.End("queue", "req", name, at, b.reqs[i].id)
-		o.trace.Begin("service", "req", name, at, b.reqs[i].id)
-		o.led.ReqSeg(name, b.reqs[i].id, obs.SegService, at)
-	}
 	prefill := b.kind == kindLLMPrefill || b.kind == kindLLMStaticPrefill
-	for _, s := range b.seqs {
+	eachReq(b, func(q *request) {
 		seg := obs.SegDecode
-		if prefill && s.req.crashed {
+		switch {
+		case b.kind == kindInvoke:
+			o.trace.End("queue", "req", name, at, q.id)
+			o.trace.Begin("service", "req", name, at, q.id)
+			seg = obs.SegService
+		case prefill && q.crashed:
 			seg = obs.SegCrashReplay
-		} else if prefill && s.req.replay {
+		case prefill && q.replay:
 			seg = obs.SegReplay
-		} else if prefill {
+		case prefill:
 			seg = obs.SegPrefill
 		}
-		o.led.ReqSeg(name, s.req.id, seg, at)
+		o.led.ReqSeg(name, q.id, seg, at)
+	})
+}
+
+// eachReq calls fn on every request of b, single-shot or sequence.
+func eachReq(b *batch, fn func(q *request)) {
+	for i := range b.reqs {
+		fn(&b.reqs[i])
+	}
+	for _, s := range b.seqs {
+		fn(&s.req)
 	}
 }
 
@@ -352,7 +350,7 @@ func (o *obsState) xferStart(fl *migFlight, now sim.Time) {
 	}
 	name, cat := "kv-xfer", "req"
 	if fl.evac {
-		o.move(fl.src.ten, fl.seq.req.id, "", "evac", obs.SegMigrate, now)
+		o.move(fl.src.ten, fl.seq.req.id, "", flightPhase(fl), obs.SegMigrate, now)
 		name, cat = "evac-start", "fault"
 	}
 	o.slotIdle(fl.dst, now)
@@ -365,21 +363,26 @@ func (o *obsState) xferStart(fl *migFlight, now sim.Time) {
 // xferLand: flight fl landed. A handoff's first token follows; an
 // evacuated sequence thaws on the target.
 func (o *obsState) xferLand(fl *migFlight, now sim.Time) {
+	seg := noSeg
 	if fl.evac {
-		o.move(fl.src.ten, fl.seq.req.id, "evac", "", obs.SegDecodeGap, now)
-	} else {
-		o.move(fl.src.ten, fl.seq.req.id, "migrate", "", noSeg, now)
+		seg = obs.SegDecodeGap
 	}
+	o.move(fl.src.ten, fl.seq.req.id, flightPhase(fl), "", seg, now)
 	o.slotIdle(fl.dst, now)
 }
 
 // xferLost: flight fl's source died mid-copy, taking the KV with it.
 func (o *obsState) xferLost(fl *migFlight, now sim.Time) {
+	o.crashed(fl.src.ten, fl.seq.req.id, flightPhase(fl), now)
+}
+
+// flightPhase names fl's trace phase: an evacuation's own, or the
+// handoff's migrate phase.
+func flightPhase(fl *migFlight) string {
 	if fl.evac {
-		o.crashed(fl.src.ten, fl.seq.req.id, "evac", now)
-	} else {
-		o.crashed(fl.src.ten, fl.seq.req.id, "migrate", now)
+		return "evac"
 	}
+	return "migrate"
 }
 
 // evacAbort: an evacuation's target died; the sequence thaws in place.
@@ -446,15 +449,9 @@ func (o *obsState) suspend(r *replica, b *batch, now sim.Time) {
 	if o == nil {
 		return
 	}
-	name := b.ten.cfg.Name
 	o.execSpan(r, b, "partial", 1, now)
-	o.slotInstant("preempt", r.ten, r, now, -1, "preempts", int64(b.preempts), "victim", name)
-	for i := range b.reqs {
-		o.led.ReqSuspend(name, b.reqs[i].id, float64(now))
-	}
-	for _, s := range b.seqs {
-		o.led.ReqSuspend(name, s.req.id, float64(now))
-	}
+	o.slotInstant("preempt", r.ten, r, now, -1, "preempts", int64(b.preempts), "victim", b.ten.cfg.Name)
+	eachReq(b, func(q *request) { o.led.ReqSuspend(b.ten.cfg.Name, q.id, float64(now)) })
 }
 
 // resume: suspended batch b restarts on r.
@@ -462,14 +459,8 @@ func (o *obsState) resume(r *replica, b *batch, now sim.Time) {
 	if o == nil {
 		return
 	}
-	name := b.ten.cfg.Name
-	o.slotInstant("resume", r.ten, r, now, -1, "preempts", int64(b.preempts), "victim", name)
-	for i := range b.reqs {
-		o.led.ReqResume(name, b.reqs[i].id, float64(now))
-	}
-	for _, s := range b.seqs {
-		o.led.ReqResume(name, s.req.id, float64(now))
-	}
+	o.slotInstant("resume", r.ten, r, now, -1, "preempts", int64(b.preempts), "victim", b.ten.cfg.Name)
+	eachReq(b, func(q *request) { o.led.ReqResume(b.ten.cfg.Name, q.id, float64(now)) })
 }
 
 // bypass: a higher-priority queue launched past suspended batch top.
@@ -491,28 +482,25 @@ func (o *obsState) spawn(r *replica, now float64) {
 	}
 }
 
-// drain: replica r stopped taking work.
-func (o *obsState) drain(r *replica, now sim.Time) {
-	if o != nil {
+// replicaEvent: replica r drained (stopped taking work), retired
+// (returned its resources after a drain) or crashed. A drain re-marks
+// its standing bucket; a retire or crash closes its cycle record, a
+// crash moving the open span to BucketFaulted.
+func (o *obsState) replicaEvent(r *replica, ev string, now sim.Time) {
+	if o == nil {
+		return
+	}
+	cat := "scale"
+	switch ev {
+	case "drain":
 		o.slotIdle(r, now)
-		o.replicaInstant("drain", "scale", r, now)
-	}
-}
-
-// retire: drained replica r returned its resources.
-func (o *obsState) retire(r *replica, now sim.Time) {
-	if o != nil {
+	case "retire":
 		o.led.RepRetire(r.uid, float64(now))
-		o.replicaInstant("retire", "scale", r, now)
-	}
-}
-
-// crash: replica r died; its open cycle span becomes BucketFaulted.
-func (o *obsState) crash(r *replica, now sim.Time) {
-	if o != nil {
+	case "crash":
 		o.led.RepCrash(r.uid, float64(now))
-		o.replicaInstant("crash", "fault", r, now)
+		cat = "fault"
 	}
+	o.ctl(ev, cat, r.ten, now, -1, "replica", int64(r.id), "role", r.role.String())
 }
 
 // emergencySpawn: recovery brought up a replacement replica.
@@ -596,15 +584,11 @@ func (o *obsState) slotInstant(name string, proc *tenantState, r *replica, now s
 	}
 }
 
-// replicaInstant records a replica-lifecycle instant (non-nil sink only).
-func (o *obsState) replicaInstant(name, cat string, r *replica, now sim.Time) {
-	o.ctl(name, cat, r.ten, now, -1, "replica", int64(r.id), "role", r.role.String())
-}
-
-// execSpan draws b's execution slice on r's track (non-nil sink only).
+// execSpan draws b's execution slice on r's track (non-nil sink only);
+// its width is b's requests or sequences, whichever it holds.
 func (o *obsState) execSpan(r *replica, b *batch, bk string, bv int64, now sim.Time) {
 	o.trace.Span(execName[b.kind], "exec", r.ten.cfg.Name, replicaTrack(r),
-		float64(b.started), float64(now), -1, "width", int64(execWidth(b)), bk, bv, "tenant", b.ten.cfg.Name)
+		float64(b.started), float64(now), -1, "width", int64(len(b.reqs)+len(b.seqs)), bk, bv, "tenant", b.ten.cfg.Name)
 }
 
 // us converts cycles to whole microseconds for trace args.
@@ -702,10 +686,7 @@ func (f *fleet) obsSample(now float64) {
 		// segment's fraction of all attributed cycles completed in the
 		// last obsWindowSamples ticks (0 while the window saw no completion).
 		if o.led != nil {
-			if o.attribWin == nil {
-				o.attribWin = make([][]segSnap, len(f.tenants))
-			}
-			cur := segSnap(o.led.SegTotals(name))
+			cur := o.led.SegTotals(name)
 			win := append(o.attribWin[t.idx], cur)
 			if len(win) > obsWindowSamples+1 {
 				n := copy(win, win[1:])
@@ -743,11 +724,12 @@ func (f *fleet) obsSample(now float64) {
 			}
 			o.gauge(&tt.fwAttain, name, "/fw_attain", fw)
 		}
-		// Rolling per-interval latency percentiles.
-		n, p50, p99 := o.hist[t.idx].Flush()
-		o.gauge(&tt.latN, name, "/lat_n", float64(n))
-		o.gauge(&tt.latP50, name, "/lat_p50_ms", p50)
-		o.gauge(&tt.latP99, name, "/lat_p99_ms", p99)
+		// Rolling per-interval latency percentiles (0 without a completion).
+		h := &o.hist[t.idx]
+		o.gauge(&tt.latN, name, "/lat_n", float64(h.Count()))
+		o.gauge(&tt.latP50, name, "/lat_p50_ms", h.P50())
+		o.gauge(&tt.latP99, name, "/lat_p99_ms", h.P99())
+		h.Reset()
 	}
 	if f.fabric != nil {
 		i := 0
@@ -803,9 +785,7 @@ func (f *fleet) obsFinish(rep *Report, end float64) {
 				o.tl.Attach(win)
 			}
 		}
-		// The replica timeline report.go previously dropped from JSON
-		// (json:"-"): re-based from cycles to ms and exported with
-		// everything else.
+		// The tenant's replica-count timeline, re-based from cycles to ms.
 		rt := metrics.NewTimeSeries(name+"/replicas", 0)
 		for i := range t.replicaTL.Times {
 			rt.Add(t.replicaTL.Times[i]/f.cfg.Core.FrequencyHz*1e3, t.replicaTL.Values[i])

@@ -294,8 +294,9 @@ func TestPriorityImprovesInteractiveTail(t *testing.T) {
 
 // TestEmptyWindowAutoscalerDecision pins the documented three-way read
 // of an empty observation window: backlogged-but-silent windows HOLD
-// the fleet, truly idle windows DECAY it toward MinReplicas (pre-fix,
-// both held forever, freezing an idle tenant at its peak size).
+// the fleet, truly idle windows DECAY it toward the one-replica floor
+// (pre-fix, both held forever, freezing an idle tenant at its peak
+// size).
 func TestEmptyWindowAutoscalerDecision(t *testing.T) {
 	mk := func() (*fleet, *tenantState) {
 		cfg := Config{
@@ -307,7 +308,7 @@ func TestEmptyWindowAutoscalerDecision(t *testing.T) {
 			Autoscale:   true,
 			Tenants: []TenantConfig{
 				{Name: "a", Model: "MNIST", Load: 0.5, EUs: 2, MaxBatch: 4, QueueCap: 8,
-					InitialReplicas: 2, MinReplicas: 1, MaxReplicas: 2},
+					InitialReplicas: 2, MaxReplicas: 2},
 			},
 		}
 		f, err := newFleet(cfg, nil)
@@ -331,12 +332,12 @@ func TestEmptyWindowAutoscalerDecision(t *testing.T) {
 	f, ten = mk()
 	f.scaleTenant(ten, 0)
 	if ten.activeCount() != 1 || ten.scaleDowns != 1 {
-		t.Errorf("decay: idle window kept %d active replicas (%d scale-downs); want decay toward MinReplicas",
+		t.Errorf("decay: idle window kept %d active replicas (%d scale-downs); want decay toward the floor",
 			ten.activeCount(), ten.scaleDowns)
 	}
-	// And never below MinReplicas.
+	// And never below the floor of one replica.
 	f.scaleTenant(ten, 0)
 	if ten.activeCount() != 1 {
-		t.Errorf("decay went below MinReplicas: %d active", ten.activeCount())
+		t.Errorf("decay went below the floor: %d active", ten.activeCount())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"neu10/internal/metrics"
 	"neu10/internal/obs"
 )
 
@@ -81,8 +80,6 @@ type TenantReport struct {
 	// cohort blame breakdowns and worst-request drilldowns from the
 	// run's conservation-checked ledger (attrib.go).
 	Attrib *TenantAttrib `json:"attrib,omitempty"`
-
-	ReplicaTimeline *metrics.TimeSeries `json:"-"`
 }
 
 // LLMTenantReport is the per-phase outcome of one LLM tenant: time to
@@ -511,7 +508,6 @@ func (f *fleet) report() *Report {
 			Resumes:         t.resumes,
 			StolenMs:        ms(t.stolenCycles),
 			MaxBatchPreempt: t.maxPreempts,
-			ReplicaTimeline: t.replicaTL,
 		}
 		if t.llm != nil {
 			l := t.llm

@@ -55,6 +55,9 @@ func simulate(cfg Config, db *CostDB) (*fleet, error) {
 	}
 	f.scheduleObs()
 	f.eng.Run()
+	for f.dropStranded() {
+		f.eng.Run()
+	}
 	if f.costErr != nil {
 		return nil, f.costErr
 	}
