@@ -81,13 +81,13 @@ func (f *fleet) scaleTenant(t *tenantState, now sim.Time) {
 	if t.disagg() != nil {
 		pools = []Role{RolePrefill, RoleDecode}
 	}
-	// The resurrection floor: a pool's minimum (one replica plus warm
-	// spares) is a capacity promise, not a decay asymptote. A pool crashed below it (fault.go) presents an
-	// empty window — no samples, and a backlog of zero once everything
-	// shed — which the ladder reads as idle calm; without this a tenant
-	// crashed to nothing would stay dead forever while every arrival
-	// sheds at the door. Warm spares raise the floor the same way they
-	// raised the initial spawn.
+	// The resurrection floor: a pool's minimum of one replica is a
+	// capacity promise, not a decay asymptote. A pool crashed below it
+	// (fault.go) presents an empty window — no samples, and a backlog of
+	// zero once everything shed — which the ladder reads as idle calm;
+	// without this a tenant crashed to nothing would stay dead forever
+	// while every arrival sheds at the door. Warm spares raise the floor
+	// the same way they raised the initial spawn.
 	for _, role := range pools {
 		for t.activeRole(role) < 1+f.warmSpares() && f.scaleOut(t, role, now) {
 		}

@@ -25,8 +25,10 @@ func (in *fuzzBytes) next() int {
 func (in *fuzzBytes) frac() float64 { return float64(in.next()) / 255 }
 
 // fuzzServeConfig decodes a fuzz input into a serving config of at most
-// two simulated seconds. The first byte picks a base test config, the
-// second its seed; the bytes after perturb, in order, the duration (up
+// two simulated seconds. The first byte picks a base test config (mod 7)
+// and its variant (the quotient's bits: static batching, crash-fail,
+// swap eviction or preemption; then the reserve KV policy), the second
+// its seed; the bytes after perturb, in order, the duration (up
 // to 4× the base's, so cheap models stay cheap to simulate), the
 // autoscaler, the link bandwidth, each tenant (load, batch, queue,
 // replicas, EUs, arrival, KV capacity, disaggregation), the fault plan
@@ -34,28 +36,29 @@ func (in *fuzzBytes) frac() float64 { return float64(in.next()) / 255 }
 func fuzzServeConfig(data []byte) Config {
 	in := fuzzBytes(data)
 	base, seed := in.next(), uint64(in.next())
+	variant := base / 7
 	var cfg Config
 	switch base % 7 {
 	case 0:
 		cfg = fastConfig(seed)
 	case 1:
-		cfg = llmConfig(seed, base&8 != 0)
+		cfg = llmConfig(seed, variant&1 != 0)
 	case 2:
 		cfg = disaggConfig(seed, 64, 0)
 	case 3:
-		cfg = chaosConfig(seed, chaosFaults(CrashPolicy(base>>3&1)),
+		cfg = chaosConfig(seed, chaosFaults(CrashPolicy(variant&1)),
 			&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true})
 	case 4:
 		policy, evict := KVPaged, KVEvictRecompute
-		if base&8 != 0 {
+		if variant&1 != 0 {
 			evict = KVEvictSwap
 		}
-		if base&16 != 0 {
-			policy = KVReserve
+		if variant&2 != 0 {
+			policy, evict = KVReserve, ""
 		}
 		cfg = pagedCfg(seed, policy, evict)
 	case 5:
-		cfg = priorityConfig(seed, base&8 != 0)
+		cfg = priorityConfig(seed, variant&1 != 0)
 	case 6:
 		cfg = sharedPoolConfig(seed)
 	}

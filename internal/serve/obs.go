@@ -8,7 +8,7 @@ package serve
 // The contract every hook site follows:
 //
 //   - Serve reports each lifecycle event with ONE unguarded call on
-//     f.obs (admitted, launched, firstToken, complete, crash, ...),
+//     f.obs (admitted, launched, firstToken, complete, replicaEvent, ...),
 //     passing plain serve values. Every sink method is
 //     nil-receiver-safe: f.obs == nil is the disabled state, so a
 //     disabled run pays a nil test inside the sink, evaluates nothing

@@ -142,7 +142,7 @@ func TestObsChaosTraceDeterministic(t *testing.T) {
 // fault-window attainment series must equal the report's
 // FaultAttainment exactly (same counters, same division), the overall
 // attainment series must end at SLOAttainment, and the replica-count
-// series must hold the crash's steps and end at the report's Replicas.
+// series must have at least two points and end at the report's Replicas.
 func TestObsTimelinesReproduceReport(t *testing.T) {
 	cfg := chaosConfig(1, chaosFaults(CrashReplay), nil)
 	cfg.Obs = obsOn()

@@ -55,7 +55,7 @@ func simulate(cfg Config, db *CostDB) (*fleet, error) {
 	}
 	f.scheduleObs()
 	f.eng.Run()
-	for f.dropStranded() {
+	for f.costErr == nil && f.dropStranded() {
 		f.eng.Run()
 	}
 	if f.costErr != nil {
