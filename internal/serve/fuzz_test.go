@@ -28,11 +28,11 @@ func (in *fuzzBytes) frac() float64 { return float64(in.next()) / 255 }
 // two simulated seconds. The first byte picks a base test config (mod 7)
 // and its variant (the quotient's bits: static batching, crash-fail,
 // swap eviction or preemption; then the reserve KV policy), the second
-// its seed; the bytes after perturb, in order, the duration (up
-// to 4× the base's, so cheap models stay cheap to simulate), the
-// autoscaler, the link bandwidth, each tenant (load, batch, queue,
-// replicas, EUs, arrival, KV capacity, disaggregation), the fault plan
-// and the recovery config. Every collector is on.
+// its seed. The bytes after perturb, in order, the duration (up to 4×
+// the base's, so cheap models stay cheap to simulate), the autoscaler,
+// the link bandwidth, each tenant (load, batch, queue, replicas, EUs,
+// arrival, KV capacity, disaggregation), the fault plan and the
+// recovery config. Every collector is on.
 func fuzzServeConfig(data []byte) Config {
 	in := fuzzBytes(data)
 	base, seed := in.next(), uint64(in.next())
