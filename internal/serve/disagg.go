@@ -212,16 +212,18 @@ func (f *fleet) pickDecode(t *tenantState, s *llmSeq) *replica {
 	return best
 }
 
-// dropStranded resolves the handoffs a drained engine left parked. With
-// no event left, no decode slot can ever admit them: their tenant's
-// decode pool died and nothing respawned it. Each is lost to the crash,
-// and its source frees the prompt KV and serves its queue on, which may
-// park more. It reports whether it dropped any.
+// dropStranded resolves the handoffs a drained engine left parked by a
+// tenant with no live, non-draining decode replica: with no event left,
+// its decode pool died and nothing will respawn it. Each is lost to the
+// crash, and its source frees the prompt KV and serves its queue on,
+// which may park more. Handoffs parked beside a live decode pool stay
+// parked, for the drain checks to report. It reports whether it dropped
+// any.
 func (f *fleet) dropStranded() bool {
 	now := f.eng.Now()
 	var srcs []*replica
 	for _, t := range f.tenants {
-		if t.llm == nil {
+		if t.llm == nil || t.activeRole(RoleDecode) > 0 {
 			continue
 		}
 		for _, m := range t.llm.migQ {

@@ -317,3 +317,26 @@ func TestDisaggValidation(t *testing.T) {
 		t.Error("decode pool below the one-maximal-request KV floor accepted")
 	}
 }
+
+// TestStrandedHandoffStaysBesideLiveDecodePool: the drain loses a
+// parked handoff only for a tenant whose decode pool died. Beside a
+// live decode replica a handoff still parked at drain is a fault the
+// drain checks must see, so dropStranded leaves it parked.
+func TestStrandedHandoffStaysBesideLiveDecodePool(t *testing.T) {
+	f := runFleet(t, disaggConfig(1, 64, 0), nil)
+	ten := f.tenants[0]
+	var src *replica
+	for _, r := range ten.replicas {
+		if r.role == RolePrefill {
+			src = r
+		}
+	}
+	if src == nil || ten.activeRole(RoleDecode) == 0 {
+		t.Fatal("the run left no prefill source or no live decode replica")
+	}
+	ten.llm.migQ = append(ten.llm.migQ, migPending{seq: &llmSeq{}, from: src})
+	if f.dropStranded() || len(ten.llm.migQ) != 1 || ten.crashLost != 0 {
+		t.Errorf("dropStranded lost a handoff parked beside a live decode pool (%d parked, %d lost)",
+			len(ten.llm.migQ), ten.crashLost)
+	}
+}
