@@ -62,7 +62,8 @@ const (
 	// SegDecodeGap: in the running set between decode iterations (or
 	// between prefill completion and the first decode launch).
 	SegDecodeGap
-	// SegPreempt: suspended mid-service by a preemption.
+	// SegPreempt: suspended mid-service by a preemption. Only
+	// Ledger.ReqSuspend enters it.
 	SegPreempt
 	// SegSwapOut: paged KV being written to host memory after eviction.
 	SegSwapOut
@@ -167,10 +168,9 @@ type ReqRecord struct {
 	OutTokens int     // tokens produced (0 for single-shot requests)
 	Seg       [numSegments]float64
 
-	cur       Segment
-	since     float64
-	susp      Segment // segment to restore on resume
-	suspended bool
+	cur   Segment
+	since float64
+	susp  Segment // segment to restore on resume, while cur is SegPreempt
 }
 
 // E2E is the request's end-to-end latency in cycles.
@@ -293,23 +293,23 @@ func (l *Ledger) ReqSeg(proc string, id int64, seg Segment, at float64) {
 	}
 	r.close(at)
 	r.cur = seg
-	r.suspended = false
 }
 
 // ReqSuspend parks the request in SegPreempt, remembering the segment
 // to restore on resume. Idempotent while suspended.
 func (l *Ledger) ReqSuspend(proc string, id int64, at float64) {
-	if r := l.req(proc, id); r != nil && !r.suspended {
+	if r := l.req(proc, id); r != nil && r.cur != SegPreempt {
 		r.close(at)
-		r.susp, r.cur, r.suspended = r.cur, SegPreempt, true
+		r.susp = r.cur
+		r.cur = SegPreempt
 	}
 }
 
 // ReqResume restores the segment ReqSuspend parked.
 func (l *Ledger) ReqResume(proc string, id int64, at float64) {
-	if r := l.req(proc, id); r != nil && r.suspended {
+	if r := l.req(proc, id); r != nil && r.cur == SegPreempt {
 		r.close(at)
-		r.cur, r.suspended = r.susp, false
+		r.cur = r.susp
 	}
 }
 
@@ -444,7 +444,8 @@ func (l *Ledger) closeRep(r *RepRecord, crashed bool, at float64) {
 		r.cur = BucketFaulted
 	}
 	r.Buckets[r.cur] += at - r.since
-	r.since, r.End, r.open = at, at, false
+	r.End = at
+	r.open = false
 	var sum float64
 	for _, v := range r.Buckets {
 		sum += v

@@ -470,13 +470,6 @@ type ganttPhase struct {
 	start, end float64
 }
 
-// ganttReq collects one request's phases, keyed by (proc, req).
-type ganttReq struct {
-	proc   string
-	req    int64
-	phases []ganttPhase
-}
-
 // Gantt renders a compact per-request phase summary of the trace: one
 // line per request (first maxReqs by first-event order; 0 = all),
 // listing each closed async phase with its duration in milliseconds.
@@ -489,8 +482,12 @@ func (t *Tracer) Gantt(maxReqs int) string {
 		proc string
 		req  int64
 	}
-	open := map[key]map[string]float64{}
-	byReq := map[key]*ganttReq{}
+	type phaseKey struct {
+		key
+		name string
+	}
+	open := map[phaseKey]float64{}
+	byReq := map[key][]ganttPhase{}
 	var order []key
 	for _, c := range t.chunks {
 		for i := range c {
@@ -499,25 +496,20 @@ func (t *Tracer) Gantt(maxReqs int) string {
 				continue
 			}
 			k := key{e.Proc, e.Req}
+			pk := phaseKey{k, e.Name}
 			if e.Ph == PhaseBegin {
-				if open[k] == nil {
-					open[k] = map[string]float64{}
-				}
-				open[k][e.Name] = e.Start
+				open[pk] = e.Start
 				continue
 			}
-			st, ok := open[k][e.Name]
+			st, ok := open[pk]
 			if !ok {
 				continue
 			}
-			delete(open[k], e.Name)
-			r := byReq[k]
-			if r == nil {
-				r = &ganttReq{proc: k.proc, req: k.req}
-				byReq[k] = r
+			delete(open, pk)
+			if byReq[k] == nil {
 				order = append(order, k)
 			}
-			r.phases = append(r.phases, ganttPhase{e.Name, st, e.Start})
+			byReq[k] = append(byReq[k], ganttPhase{e.Name, st, e.Start})
 		}
 	}
 	if maxReqs > 0 && len(order) > maxReqs {
@@ -527,17 +519,17 @@ func (t *Tracer) Gantt(maxReqs int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "request Gantt (%d of %d requests with closed phases)\n", len(order), len(byReq))
 	for _, k := range order {
-		r := byReq[k]
-		sort.SliceStable(r.phases, func(i, j int) bool { return r.phases[i].start < r.phases[j].start })
-		t0 := r.phases[0].start
+		ps := byReq[k]
+		sort.SliceStable(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
+		t0 := ps[0].start
 		tEnd := t0
-		for _, p := range r.phases {
+		for _, p := range ps {
 			if p.end > tEnd {
 				tEnd = p.end
 			}
 		}
-		fmt.Fprintf(&b, "  %s#%d @%.2fms:", r.proc, r.req, t0/msPer)
-		for _, p := range r.phases {
+		fmt.Fprintf(&b, "  %s#%d @%.2fms:", k.proc, k.req, t0/msPer)
+		for _, p := range ps {
 			fmt.Fprintf(&b, "  %s %.2fms", p.name, (p.end-p.start)/msPer)
 		}
 		fmt.Fprintf(&b, "  | total %.2fms\n", (tEnd-t0)/msPer)

@@ -431,7 +431,7 @@ func (f *fleet) drainOne(t *tenantState, role Role, now sim.Time, bySize bool) {
 		return
 	}
 	pick.draining = true
-	f.obs.replicaEvent(pick, "drain", now)
+	f.obs.drain(pick, now)
 	if pick.idleEmpty() {
 		f.retire(pick, now)
 	}
@@ -445,7 +445,7 @@ func (f *fleet) retire(r *replica, now sim.Time) {
 		return
 	}
 	r.retired = true
-	f.obs.replicaEvent(r, "retire", now)
+	f.obs.retire(r, now)
 	f.removeReplica(r, now)
 }
 

@@ -8,7 +8,7 @@ package serve
 // The contract every hook site follows:
 //
 //   - Serve reports each lifecycle event with ONE unguarded call on
-//     f.obs (admitted, launched, firstToken, complete, replicaEvent, ...),
+//     f.obs (admitted, launched, firstToken, complete, crash, ...),
 //     passing plain serve values. Every sink method is
 //     nil-receiver-safe: f.obs == nil is the disabled state, so a
 //     disabled run pays a nil test inside the sink, evaluates nothing
@@ -257,23 +257,24 @@ func (o *obsState) launched(b *batch, now sim.Time) {
 		return
 	}
 	name, at := b.ten.cfg.Name, float64(now)
+	for i := range b.reqs {
+		o.trace.End("queue", "req", name, at, b.reqs[i].id)
+		o.trace.Begin("service", "req", name, at, b.reqs[i].id)
+		o.led.ReqSeg(name, b.reqs[i].id, obs.SegService, at)
+	}
 	prefill := b.kind == kindLLMPrefill || b.kind == kindLLMStaticPrefill
-	eachReq(b, func(q *request) {
+	for _, s := range b.seqs {
 		seg := obs.SegDecode
 		switch {
-		case b.kind == kindInvoke:
-			o.trace.End("queue", "req", name, at, q.id)
-			o.trace.Begin("service", "req", name, at, q.id)
-			seg = obs.SegService
-		case prefill && q.crashed:
+		case prefill && s.req.crashed:
 			seg = obs.SegCrashReplay
-		case prefill && q.replay:
+		case prefill && s.req.replay:
 			seg = obs.SegReplay
 		case prefill:
 			seg = obs.SegPrefill
 		}
-		o.led.ReqSeg(name, q.id, seg, at)
-	})
+		o.led.ReqSeg(name, s.req.id, seg, at)
+	}
 }
 
 // eachReq calls fn on every request of b, single-shot or sequence.
@@ -482,25 +483,28 @@ func (o *obsState) spawn(r *replica, now float64) {
 	}
 }
 
-// replicaEvent: replica r drained (stopped taking work), retired
-// (returned its resources after a drain) or crashed. A drain re-marks
-// its standing bucket; a retire or crash closes its cycle record, a
-// crash moving the open span to BucketFaulted.
-func (o *obsState) replicaEvent(r *replica, ev string, now sim.Time) {
-	if o == nil {
-		return
-	}
-	cat := "scale"
-	switch ev {
-	case "drain":
+// drain: replica r stopped taking work.
+func (o *obsState) drain(r *replica, now sim.Time) {
+	if o != nil {
 		o.slotIdle(r, now)
-	case "retire":
-		o.led.RepRetire(r.uid, float64(now))
-	case "crash":
-		o.led.RepCrash(r.uid, float64(now))
-		cat = "fault"
+		o.replicaInstant("drain", "scale", r, now)
 	}
-	o.ctl(ev, cat, r.ten, now, -1, "replica", int64(r.id), "role", r.role.String())
+}
+
+// retire: drained replica r returned its resources.
+func (o *obsState) retire(r *replica, now sim.Time) {
+	if o != nil {
+		o.led.RepRetire(r.uid, float64(now))
+		o.replicaInstant("retire", "scale", r, now)
+	}
+}
+
+// crash: replica r died; its open cycle span becomes BucketFaulted.
+func (o *obsState) crash(r *replica, now sim.Time) {
+	if o != nil {
+		o.led.RepCrash(r.uid, float64(now))
+		o.replicaInstant("crash", "fault", r, now)
+	}
 }
 
 // emergencySpawn: recovery brought up a replacement replica.
@@ -582,6 +586,11 @@ func (o *obsState) slotInstant(name string, proc *tenantState, r *replica, now s
 	if o != nil {
 		o.trace.Instant(name, "sched", proc.cfg.Name, replicaTrack(r), float64(now), id, ak, av, sk, sv)
 	}
+}
+
+// replicaInstant records a replica-lifecycle instant (non-nil sink only).
+func (o *obsState) replicaInstant(name, cat string, r *replica, now sim.Time) {
+	o.ctl(name, cat, r.ten, now, -1, "replica", int64(r.id), "role", r.role.String())
 }
 
 // execSpan draws b's execution slice on r's track (non-nil sink only);

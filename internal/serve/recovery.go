@@ -198,7 +198,7 @@ func (f *fleet) crashReplicas(victims []*replica, now sim.Time) {
 func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 	t := r.ten
 	t.crashes++
-	f.obs.replicaEvent(r, "crash", now)
+	f.obs.crash(r, now)
 	harvestBatch := func(b *batch) {
 		// Un-issue the undelivered remainder: issued−served stays exact
 		// (served was settled at the last checkpoint; the partial segment
