@@ -45,10 +45,7 @@ func (l *Latencies) Percentile(p float64) float64 {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
+	l.sort()
 	if p <= 0 {
 		return l.samples[0]
 	}
@@ -76,11 +73,107 @@ func (l *Latencies) P99() float64 { return l.Percentile(99) }
 // CountBelow returns how many samples are ≤ v — the numerator of an
 // SLO-attainment ratio.
 func (l *Latencies) CountBelow(v float64) int {
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
+	l.sort()
 	return sort.SearchFloat64s(l.samples, math.Nextafter(v, math.Inf(1)))
+}
+
+// sort orders the samples in place, once per run of Adds, into exactly
+// the slice sort.Float64s would give, so Mean sums them in the same
+// order either way.
+func (l *Latencies) sort() {
+	if l.sorted {
+		return
+	}
+	l.sorted = true
+	if len(l.samples) >= radixMin && radixable(l.samples) {
+		radixSort(l.samples, 56)
+		return
+	}
+	sort.Float64s(l.samples)
+}
+
+// radixMin is the sample count from which sort uses radixSort; below
+// it the per-level counting costs more than sort.Float64s's
+// comparisons. radixSmall is the bucket size radixSort finishes by
+// insertion sort.
+const (
+	radixMin   = 512
+	radixSmall = 32
+)
+
+// radixable reports whether every sample has its sign bit clear and is
+// not NaN: its bits are at most +Inf's. For such floats the bit
+// patterns, read as unsigned integers, order exactly as the values do,
+// and equal values have equal bits, so sorting by bits gives the one
+// slice sort.Float64s gives. −0 (sign bit set), negative values and NaN
+// fail the test; sort.Float64s orders them.
+func radixable(s []float64) bool {
+	for _, v := range s {
+		if math.Float64bits(v) > math.Float64bits(math.Inf(1)) {
+			return false
+		}
+	}
+	return true
+}
+
+// radixSort sorts radixable samples in place by their bits, most
+// significant byte first, shift being the current byte's offset: an
+// American flag sort. It counts each byte value's bucket, swaps every
+// sample straight into its bucket, and sorts each bucket by the next
+// byte down. A byte all samples share splits nothing and is skipped.
+// It allocates nothing and recurses at most eight levels.
+func radixSort(s []float64, shift uint) {
+	digit := func(v float64) int { return int(byte(math.Float64bits(v) >> shift)) }
+	for len(s) > radixSmall {
+		var next, end [256]int
+		for _, v := range s {
+			end[digit(v)]++
+		}
+		if end[digit(s[0])] == len(s) {
+			if shift == 0 {
+				return // every sample has the same bits
+			}
+			shift -= 8
+			continue
+		}
+		at := 0
+		for d, n := range end {
+			next[d] = at
+			at += n
+			end[d] = at
+		}
+		for d := range next {
+			for next[d] < end[d] {
+				// Carry v along the cycle of displaced samples until one
+				// belongs in bucket d's free position.
+				v := s[next[d]]
+				for b := digit(v); b != d; b = digit(v) {
+					v, s[next[b]] = s[next[b]], v
+					next[b]++
+				}
+				s[next[d]] = v
+				next[d]++
+			}
+		}
+		if shift == 0 {
+			return
+		}
+		start := 0
+		for _, e := range end {
+			if e-start > 1 {
+				radixSort(s[start:e], shift-8)
+			}
+			start = e
+		}
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		v, j := s[i], i
+		for ; j > 0 && s[j-1] > v; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
 }
 
 // Reset discards all samples but keeps the backing array, so windowed

@@ -361,7 +361,8 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	now := float64(f.eng.Now())
 	f.snapshot(now)
 	f.allocatedEUs += vc.TotalEUs()
-	r := &replica{id: t.nextReplicaID, uid: f.nextUID, ten: t, vnpu: v, nm: a.MEs, nv: a.VEs, eus: eus, role: role, kv: kv}
+	r := &replica{id: t.nextReplicaID, uid: f.nextUID, ten: t, vnpu: v, nm: a.MEs, nv: a.VEs, eus: eus, role: role, kv: kv,
+		costs: f.costTable(a.MEs, a.VEs)}
 	f.nextUID++
 	t.nextReplicaID++
 	if kv != nil && kv.paged != nil {

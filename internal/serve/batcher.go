@@ -102,7 +102,7 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	rest := copy(q.reqs, q.reqs[n:])
 	q.reqs = q.reqs[:rest]
 	f.obs.launched(b, now)
-	cycles, err := f.costs.ServiceCycles(t.cfg.Model, n, r.nm, r.nv)
+	cycles, err := r.costs.service(t, n)
 	f.costFailed("launched batch", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles

@@ -211,7 +211,12 @@ func (tc *TenantConfig) defaults() {
 		tc.DiurnalDepth = 0.8
 	}
 	if tc.LLM != nil {
-		tc.LLM.defaults()
+		// Clone before defaulting, as Config.defaults does for ObsConfig:
+		// one LLMConfig may serve several runs at once, and each run must
+		// default its own copy.
+		llm := *tc.LLM
+		llm.defaults()
+		tc.LLM = &llm
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"neu10/internal/arch"
@@ -32,7 +33,8 @@ import (
 // Every entry is a pure function of its key, so population order — which
 // run, worker or launch measured it first — cannot leak into results.
 // A failed measurement is cached like a value; a serving run that hits
-// one stops with that error.
+// one stops with that error. A serving run's launches read the database
+// through the run's cost tables (costTable), once per launch shape.
 type CostDB struct {
 	core    arch.CoreConfig
 	mu      sync.Mutex
@@ -287,4 +289,120 @@ func (db *CostDB) measure(key costKey) (float64, error) {
 		return 0, fmt.Errorf("serve: costing %s/%d on %dME+%dVE: %w", key.model, key.batch, key.nm, key.nv, err)
 	}
 	return res.Tenants[0].MeanLatency, nil
+}
+
+// costTable is one run's record of the launch costs one vNPU split
+// pays, so a launch finds its cycles by a slice index instead of the
+// CostDB's string-keyed map, its mutex and its sync.Once. A cell is
+// filled from the CostDB on its first use: the database still measures,
+// single-flights, caps and shares every entry across runs, and a failed
+// lookup is returned, never stored, so it still reaches costFailed. A
+// table belongs to one run and is used by its goroutine alone.
+type costTable struct {
+	db     *CostDB
+	nm, nv int
+	// grids holds one grid per invocation kind: decodeCost, prefillCost,
+	// and fullCost plus a tenant's index for a whole-model invocation of
+	// that tenant's model.
+	grids []costGrid
+}
+
+// Invocation kinds of a costTable grid.
+const (
+	decodeCost = iota
+	prefillCost
+	fullCost // + tenant index
+)
+
+// costTable returns the run's table for replicas of nm MEs and nv VEs,
+// making it on first use.
+func (f *fleet) costTable(nm, nv int) *costTable {
+	for _, c := range f.tables {
+		if c.nm == nm && c.nv == nv {
+			return c
+		}
+	}
+	c := &costTable{db: f.costs, nm: nm, nv: nv, grids: make([]costGrid, fullCost+len(f.tenants))}
+	f.tables = append(f.tables, c)
+	return c
+}
+
+// decode prices one decode iteration (CostDB.LLMCycles, PhaseDecode).
+func (c *costTable) decode(batch, ctx int) (float64, error) {
+	return c.cycles(decodeCost, batch, ctx, 0, "")
+}
+
+// prefill prices one prefill chunk (CostDB.LLMChunkCycles).
+func (c *costTable) prefill(batch, chunk, ctxBefore int) (float64, error) {
+	return c.cycles(prefillCost, batch, chunk, ctxBefore, "")
+}
+
+// service prices one whole-model invocation of t's model
+// (CostDB.ServiceCycles).
+func (c *costTable) service(t *tenantState, batch int) (float64, error) {
+	return c.cycles(fullCost+t.idx, batch, 0, 0, t.cfg.Model)
+}
+
+// cycles returns the cell of one launch shape: its batch, its sequence
+// (decode context or prefill chunk) and the cached context behind a
+// chunk, filling it from the database on first use. A negative
+// dimension, which no launch asks for, would share ordinal 0 with zero,
+// so it goes to the database, which rejects it.
+func (c *costTable) cycles(kind, batch, seq, ctx int, model string) (float64, error) {
+	if seq < 0 || ctx < 0 {
+		return c.query(kind, batch, seq, ctx, model)
+	}
+	v := c.grids[kind].at(ordinal(batch), ordinal(seq), ordinal(ctx))
+	if *v == 0 {
+		x, err := c.query(kind, batch, seq, ctx, model)
+		if err != nil {
+			return 0, err
+		}
+		*v = x
+	}
+	return *v, nil
+}
+
+// query asks the database for one launch shape's cycles.
+func (c *costTable) query(kind, batch, seq, ctx int, model string) (float64, error) {
+	switch kind {
+	case decodeCost:
+		return c.db.LLMCycles(PhaseDecode, batch, seq, c.nm, c.nv)
+	case prefillCost:
+		return c.db.LLMChunkCycles(batch, seq, ctx, c.nm, c.nv)
+	}
+	return c.db.ServiceCycles(model, batch, c.nm, c.nv)
+}
+
+// ordinal numbers a shape dimension's power-of-two bucket: 0 for 0, and
+// 1 + log2(PadBatch(n)) otherwise. The bucket fixes the dimension's
+// padded CostDB value, fine or coarse (padShape), so one ordinal never
+// stands for two different costs.
+func ordinal(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return 1 + bits.Len(uint(n-1))
+}
+
+// costGrid holds one invocation kind's cells, row-major over the
+// [batch][seq][ctx] ordinals, and grows to the largest ordinals seen.
+type costGrid struct {
+	nb, ns, nc int
+	cells      []float64 // 0 until looked up (a zero cost is just looked up again)
+}
+
+// at returns the cell of ordinals (b, s, x), growing the grid to hold it.
+func (g *costGrid) at(b, s, x int) *float64 {
+	if b >= g.nb || s >= g.ns || x >= g.nc {
+		old := *g
+		g.nb, g.ns, g.nc = max(g.nb, b+1), max(g.ns, s+1), max(g.nc, x+1)
+		g.cells = make([]float64, g.nb*g.ns*g.nc)
+		for i := 0; i < old.nb; i++ {
+			for j := 0; j < old.ns; j++ {
+				copy(g.cells[(i*g.ns+j)*g.nc:], old.cells[(i*old.ns+j)*old.nc:][:old.nc])
+			}
+		}
+	}
+	return &g.cells[(b*g.ns+s)*g.nc+x]
 }

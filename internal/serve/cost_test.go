@@ -354,3 +354,61 @@ func TestCostingFailureIsRunError(t *testing.T) {
 		}
 	}
 }
+
+// TestCostTableMatchesCostDB: every cell of a finished run's cost
+// tables equals a direct CostDB query of its shape, and the run's
+// database holds exactly the entries a run without tables measures: the
+// SLO anchors newFleet measures plus one entry per launch shape. A fresh
+// database that measures the anchors and then queries each cell's shape
+// directly must end up with the same keys.
+func TestCostTableMatchesCostDB(t *testing.T) {
+	shape := func(ord int) int { // the smallest dimension with ordinal ord
+		if ord == 0 {
+			return 0
+		}
+		return 1 << (ord - 1)
+	}
+	for _, cfg := range []Config{fastConfig(1), sharedPoolConfig(1), llmConfig(1, true),
+		pagedCfg(1, KVPaged, KVEvictSwap), disaggConfig(1, 64, 0)} {
+		db := NewCostDB(cfg.Core)
+		f := runFleet(t, cfg, db)
+		direct := NewCostDB(cfg.Core)
+		if _, err := newFleet(cfg, direct); err != nil {
+			t.Fatal(err)
+		}
+		cells := 0
+		for _, c := range f.tables {
+			ref := &costTable{db: direct, nm: c.nm, nv: c.nv}
+			for kind, g := range c.grids {
+				model := ""
+				if kind >= fullCost {
+					model = f.tenants[kind-fullCost].cfg.Model
+				}
+				for i, v := range g.cells {
+					if v == 0 {
+						continue
+					}
+					cells++
+					b, s, x := i/(g.ns*g.nc), i/g.nc%g.ns, i%g.nc
+					want, err := ref.query(kind, shape(b), shape(s), shape(x), model)
+					if err != nil || v != want {
+						t.Errorf("%s: %dME+%dVE kind %d cell [%d][%d][%d] = %v, CostDB says %v (%v)",
+							cfg.Scenario, c.nm, c.nv, kind, b, s, x, v, want, err)
+					}
+				}
+			}
+		}
+		if cells == 0 {
+			t.Errorf("%s: the run's cost tables hold no cell", cfg.Scenario)
+		}
+		if len(db.entries) != len(direct.entries) {
+			t.Errorf("%s: the run measured %d entries, anchors plus table shapes %d",
+				cfg.Scenario, len(db.entries), len(direct.entries))
+		}
+		for k := range db.entries {
+			if direct.entries[k] == nil {
+				t.Errorf("%s: the run measured %+v, which no table cell or anchor names", cfg.Scenario, k)
+			}
+		}
+	}
+}

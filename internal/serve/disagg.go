@@ -159,7 +159,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 	// whole cached context behind it, so a late chunk of a long prompt
 	// costs real work beyond the weight re-streaming. The invocation is
 	// priced at the batch's widest chunk and deepest context.
-	cycles, err := f.costs.LLMChunkCycles(len(b.seqs), maxChunk, maxCtx, r.nm, r.nv)
+	cycles, err := r.costs.prefill(len(b.seqs), maxChunk, maxCtx)
 	f.costFailed("disaggregated prefill", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
@@ -223,7 +223,7 @@ func (f *fleet) dropStranded() bool {
 	now := f.eng.Now()
 	var srcs []*replica
 	for _, t := range f.tenants {
-		if t.llm == nil || t.activeRole(RoleDecode) > 0 {
+		if !t.decodeDead() {
 			continue
 		}
 		for _, m := range t.llm.migQ {
@@ -232,6 +232,7 @@ func (f *fleet) dropStranded() bool {
 			m.from.kv.drop(m.seq, float64(now))
 			t.crashLost++
 			f.obs.lost(t, m.seq.req.id, 0, "no-decode", now)
+			f.putSeq(m.seq)
 			srcs = append(srcs, m.from)
 		}
 		t.llm.migQ = nil
@@ -318,6 +319,7 @@ func (f *fleet) landTransfer(fl *migFlight, now sim.Time) {
 		f.emitFirstToken(t, s, now)
 		if s.produced >= s.req.output {
 			f.completeSeq(dst, t, s, now)
+			f.putSeq(s)
 		}
 	}
 	// Freed source KV may unblock queued admissions or a parked

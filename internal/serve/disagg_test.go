@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"neu10/internal/arch"
@@ -338,5 +341,78 @@ func TestStrandedHandoffStaysBesideLiveDecodePool(t *testing.T) {
 	if f.dropStranded() || len(ten.llm.migQ) != 1 || ten.crashLost != 0 {
 		t.Errorf("dropStranded lost a handoff parked beside a live decode pool (%d parked, %d lost)",
 			len(ten.llm.migQ), ten.crashLost)
+	}
+}
+
+// TestRunLeavesCallerConfig: Run defaults a private copy of each
+// tenant's LLMConfig and DisaggConfig, never the caller's.
+func TestRunLeavesCallerConfig(t *testing.T) {
+	cfg := disaggConfig(1, 64, 0)
+	cfg.DurationSec = 1
+	llm := cfg.Tenants[0].LLM
+	want, wantDisagg := *llm, *llm.Disagg
+	if _, err := Run(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if *llm != want || *llm.Disagg != wantDisagg {
+		t.Errorf("Run defaulted the caller's config: LLM %+v, Disagg %+v", *llm, *llm.Disagg)
+	}
+}
+
+// TestParallelRunsShareConfig runs one config twice at once, as the
+// experiment runner's parallel legs do; under -race it fails if a run
+// writes to the shared config. Both runs must report the same JSON.
+func TestParallelRunsShareConfig(t *testing.T) {
+	cfg := disaggConfig(1, 64, 0)
+	cfg.DurationSec = 1
+	db := NewCostDB(cfg.Core)
+	var reps [2][]byte
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := Run(cfg, db)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if reps[i], err = json.Marshal(rep); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !bytes.Equal(reps[0], reps[1]) {
+		t.Error("two runs of one shared config reported differently")
+	}
+}
+
+// TestDeadDecodePoolRejectsArrivals: with the autoscaler off, nothing
+// can replace a crashed decode pool, so every later arrival of its
+// tenant is rejected at the door instead of being prefilled into a
+// handoff that can never land. Requests admitted before the crash are
+// still lost when the engine drains. With the autoscaler on, the pool
+// comes back at the next control tick, so the tenant keeps admitting.
+func TestDeadDecodePoolRejectsArrivals(t *testing.T) {
+	for _, autoscale := range []bool{false, true} {
+		cfg := disaggConfig(1, 64, 0)
+		cfg.DurationSec = 1
+		cfg.Autoscale = autoscale
+		cfg.Tenants[0].LLM.Disagg = &DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 1}
+		cfg.Faults = &FaultPlan{Events: []FaultEvent{
+			{Kind: FaultCrashReplica, AtFrac: 0.3, Tenant: "gen", Role: RoleDecode}}}
+		ten := runFleet(t, cfg, nil).tenants[0]
+		if ten.fwArrivals == 0 || ten.fwArrivals == ten.arrivals {
+			t.Fatalf("autoscale %v: %d of %d arrivals after the crash", autoscale, ten.fwArrivals, ten.arrivals)
+		}
+		want, lost := ten.fwArrivals, ten.arrivals-ten.fwArrivals-ten.completed
+		if autoscale {
+			want, lost = 0, 0
+		}
+		if ten.rejected != want || ten.crashLost != lost {
+			t.Errorf("autoscale %v: %d arrivals, %d after the crash: %d rejected, %d lost, %d completed; want %d rejected, %d lost",
+				autoscale, ten.arrivals, ten.fwArrivals, ten.rejected, ten.crashLost, ten.completed, want, lost)
+		}
 	}
 }

@@ -16,9 +16,11 @@ import (
 
 // fleet is the whole serving simulation.
 type fleet struct {
-	cfg    Config
-	eng    *sim.Engine
-	costs  *CostDB
+	cfg   Config
+	eng   *sim.Engine
+	costs *CostDB
+	// tables hold the run's launch costs, one per vNPU split (costTable).
+	tables []*costTable
 	mapper *core.Mapper
 	alloc  *core.Allocator
 	// fabric is the chip-to-chip interconnect KV migrations ship over;
@@ -57,7 +59,8 @@ type fleet struct {
 	mapRejects    int
 	routeScratch  []*replica
 	routeScratch2 []*replica
-	batchFree     []*batch // recycled batch instances (zero-alloc steady state)
+	batchFree     []*batch  // recycled batch instances (zero-alloc steady state)
+	seqFree       []*llmSeq // recycled sequences (takeSeq, putSeq)
 
 	// obs is the run's observability sink: tracer, timelines and
 	// attribution ledger behind one set of nil-receiver-safe lifecycle

@@ -454,10 +454,12 @@ func TestPagedEvictsLRUColdLeaf(t *testing.T) {
 // loop. It runs pagedCfg at 20 and 40 simulated seconds under each
 // eviction policy, each after a warm-up run that fills the CostDB: the
 // per-run costs (fleet, replicas, report) cancel in the difference,
-// which must stay at most 4 allocations per extra arrival. Each arrival costs its llmSeq and a
-// share of the recorders' and the session trace's growth; an
-// allocation per decode iteration, per cache node or per event would
-// cost several times that.
+// which must stay at most 1.5 allocations per extra arrival. Sequences
+// are recycled, so an arrival costs a share of the recorders' and the
+// session trace's growth, and under swap eviction the flight and
+// closure of each swap; a sequence allocated per arrival costs one
+// more, and an allocation per decode iteration, per cache node or per
+// event several times that.
 func TestPagedServeAllocBudget(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	for _, evict := range []string{KVEvictRecompute, KVEvictSwap} {
@@ -483,8 +485,8 @@ func TestPagedServeAllocBudget(t *testing.T) {
 		per := (a40 - a20) / float64(n40-n20)
 		t.Logf("%s: %.0f allocs / %d arrivals at 20 s, %.0f / %d at 40 s: %.2f per extra arrival",
 			evict, a20, n20, a40, n40, per)
-		if per > 4 {
-			t.Errorf("%s: %.2f allocations per extra arrival, want ≤ 4 (per-iteration allocation in the paged loop?)", evict, per)
+		if per > 1.5 {
+			t.Errorf("%s: %.2f allocations per extra arrival, want ≤ 1.5 (a sequence per arrival, or per-iteration allocation in the paged loop?)", evict, per)
 		}
 	}
 }

@@ -152,13 +152,18 @@ const (
 	KVEvictSwap      = "swap"
 )
 
+// defaults fills the trace, eviction and pool defaults. It runs on a
+// run's own copy (TenantConfig.defaults), which still shares the
+// caller's DisaggConfig, so that is copied too.
 func (lc *LLMConfig) defaults() {
 	lc.Trace.Defaults()
 	if lc.KVPolicy == KVPaged && lc.KVEvict == "" {
 		lc.KVEvict = KVEvictRecompute
 	}
 	if lc.Disagg != nil {
-		lc.Disagg.defaults()
+		d := *lc.Disagg
+		d.defaults()
+		lc.Disagg = &d
 	}
 }
 
@@ -283,12 +288,32 @@ func (l *llmTenant) dropFlight(fl *migFlight) {
 // llmSeq is one admitted sequence: a request plus its KV reservation
 // and generation progress. It lives in its slot queue's running set
 // from admission (prefill launch) to completion.
+//
+// Sequences are recycled (takeSeq, putSeq). Besides its running set, a
+// sequence can be held by the batches that advance it (the slot's
+// current batch, a suspended one, a static batch's chained decode
+// leg), by the migration queue, by a migration or evacuation flight and
+// its landing closure, and by a swap flight and its closure or the swap
+// queue. It is released where it dies, once nothing still read holds
+// it:
+//   - completed: by the batch that completed it, when putBatch recycles
+//     that batch (done), or at once when it completes on landing
+//     (landTransfer), where no batch holds it;
+//   - evicted for recompute: at once (evictSeq). Only the decode batch
+//     being built holds it, in the tail launchDecode clears before
+//     anything can admit;
+//   - crashed: once crashSeqOutcome has turned it into a request. A
+//     dead replica's batches are recycled before its running set is
+//     harvested, a parked or flying sequence is in no batch, and the
+//     flights it rode are cancelled, so their closures never run;
+//   - stranded (dropStranded).
 type llmSeq struct {
 	req       request
 	blocks    int  // KV blocks held on its slot (the ledger's footprint, grown under paging)
 	ctx       int  // tokens resident in the KV cache
 	produced  int  // output tokens emitted
 	prefilled bool // prompt processed; eligible for decode iterations
+	done      bool // completed (completeSeq)
 	ttftAt    sim.Time
 
 	// Disaggregation: prefill progress in tokens (chunked prefill
@@ -449,8 +474,9 @@ func (c *continuousLLM) admit(r *replica, q *slotQueue, b *batch, width int, now
 	f, t := c.f, q.ten
 	for len(q.reqs) > 0 && width < t.cfg.MaxBatch {
 		req := q.reqs[0]
-		s := &llmSeq{req: req, ctx: req.prompt}
+		s := f.takeSeq(req)
 		if !r.kv.admit(s, float64(now)) {
+			f.putSeq(s)
 			break
 		}
 		q.running = append(q.running, s)
@@ -506,7 +532,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 			maxBehind = s.hit
 		}
 	}
-	cycles, err := f.costs.LLMChunkCycles(len(joined), maxChunk, maxBehind, r.nm, r.nv)
+	cycles, err := r.costs.prefill(len(joined), maxChunk, maxBehind)
 	f.costFailed("prefill batch", err)
 	f.obs.launched(b, now)
 	b.total, b.remaining = cycles, cycles
@@ -576,7 +602,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 		panic("serve: decode launch granted no sequence")
 	}
 	f.obs.launched(b, now)
-	cycles, err := f.costs.LLMCycles(PhaseDecode, n, maxCtx, r.nm, r.nv)
+	cycles, err := r.costs.decode(n, maxCtx)
 	f.costFailed("decode iteration", err)
 	b.total, b.remaining = cycles, cycles
 	t.issuedServiceCycles += cycles
@@ -641,7 +667,7 @@ func (c *continuousLLM) finishStaticPrefill(r *replica, b *batch, now sim.Time) 
 	}
 	var cycles float64
 	for i := 0; i < maxRem; i++ {
-		c, err := f.costs.LLMCycles(PhaseDecode, len(b.seqs), maxCtx+i, r.nm, r.nv)
+		c, err := r.costs.decode(len(b.seqs), maxCtx+i)
 		f.costFailed("static decode leg", err)
 		cycles += c
 	}
@@ -706,6 +732,7 @@ func (q *slotQueue) removeRunning(s *llmSeq) {
 // against the SLO, per-token latency derived from TTFT, KV freed, and
 // the sequence removed from its running set.
 func (f *fleet) completeSeq(r *replica, t *tenantState, s *llmSeq, now sim.Time) {
+	s.done = true
 	r.queueFor(t).removeRunning(s)
 	r.kv.release(s, float64(now))
 	f.recordDone(t, &s.req, s.produced, now)

@@ -37,6 +37,7 @@ func (f *fleet) evictSeq(r *replica, q *slotQueue, s *llmSeq, now sim.Time) {
 	copy(q.reqs[1:], q.reqs)
 	q.reqs[0] = s.replay()
 	f.obs.evicted(t, r, s, now)
+	f.putSeq(s)
 }
 
 // swapOut freezes a victim in its running set and ships its whole

@@ -259,6 +259,7 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 	} else if s.promptDone > 0 {
 		lost = s.promptDone // chunked-prefill progress
 	}
+	defer f.putSeq(s)
 	if s.produced > 0 && f.cfg.Faults.Policy == CrashFail {
 		t.crashLost++
 		f.obs.lost(t, s.req.id, s.produced, "policy-fail", now)

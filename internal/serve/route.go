@@ -25,11 +25,9 @@ func (f *fleet) scheduleArrival(t *tenantState) {
 	f.eng.At(sim.Time(at), t.arrival)
 }
 
-// arrive routes one request and applies admission control: a request
-// bound for a slot where the tenant's queue is at QueueCap is rejected
-// (shed at the front door) rather than queued into certain SLO
-// violation. A tenant with no replica at all — not even a draining one
-// — also sheds (admission-reject); route documents when that happens.
+// arrive routes one request and applies admission control (admitTo),
+// shedding at the front door what would otherwise queue into certain
+// SLO violation or never be served.
 func (f *fleet) arrive(t *tenantState, now sim.Time) {
 	t.arrivals++
 	if f.faulted && float64(now) >= f.fwStart {
@@ -50,30 +48,46 @@ func (f *fleet) arrive(t *tenantState, now sim.Time) {
 			req.prompt, req.output = shape.Prompt, shape.Output
 		}
 	}
-	r := f.route(t)
+	r, reason := f.admitTo(t)
 	if r == nil {
 		t.rejected++
 		if f.cfg.Autoscale {
 			t.windowRejected++
 		}
-		f.obs.rejected(t, req.id, "no-replica", now)
+		f.obs.rejected(t, req.id, reason, now)
 		return
 	}
 	q := r.queueFor(t)
-	if len(q.reqs) >= t.cfg.QueueCap {
-		t.rejected++
-		if f.cfg.Autoscale {
-			t.windowRejected++
-		}
-		f.obs.rejected(t, req.id, "queue-cap", now)
-		return
-	}
 	f.obs.admitted(t, req.id, now)
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) > t.maxQueue {
 		t.maxQueue = len(q.reqs)
 	}
 	f.poke(r, t, now)
+}
+
+// admitTo picks the slot an arrival of t queues on, or returns nil and
+// the reason it is rejected:
+//   - "no-decode": t is disaggregated, has no live, non-draining decode
+//     replica (decodeDead), and the autoscaler is off. Nothing can bring
+//     a decode replica back: emergency spawns replace only the victims of
+//     a crash, and there is no decode replica left to crash. The request
+//     would be prefilled and then lost when the engine drains
+//     (dropStranded);
+//   - "no-replica": t has no replica at all (see route);
+//   - "queue-cap": t's queue on the routed slot is at QueueCap.
+func (f *fleet) admitTo(t *tenantState) (*replica, string) {
+	if !f.cfg.Autoscale && t.decodeDead() {
+		return nil, "no-decode"
+	}
+	r := f.route(t)
+	switch {
+	case r == nil:
+		return nil, "no-replica"
+	case len(r.queueFor(t).reqs) >= t.cfg.QueueCap:
+		return nil, "queue-cap"
+	}
+	return r, ""
 }
 
 // route picks the target slot among the serving group's non-draining

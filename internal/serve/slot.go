@@ -48,11 +48,34 @@ func (f *fleet) takeBatch() *batch {
 }
 
 func (f *fleet) putBatch(b *batch) {
+	for _, s := range b.seqs {
+		if s.done {
+			f.putSeq(s) // this batch completed s and held it last
+		}
+	}
 	clear(b.seqs)
 	reqs, seqs, chunks := b.reqs[:0], b.seqs[:0], b.chunks[:0]
 	*b = batch{reqs: reqs, seqs: seqs, chunks: chunks, done: b.done}
 	f.batchFree = append(f.batchFree, b)
 }
+
+// takeSeq returns a recycled (or new) sequence for req, its context the
+// prompt. Sequences return through putSeq only where nothing can reach
+// them any more (see llmSeq), so a steady-state admission allocates
+// nothing, and one the ledger refuses hands its sequence straight back.
+func (f *fleet) takeSeq(req request) *llmSeq {
+	var s *llmSeq
+	if n := len(f.seqFree); n > 0 {
+		s = f.seqFree[n-1]
+		f.seqFree = f.seqFree[:n-1]
+	} else {
+		s = new(llmSeq)
+	}
+	*s = llmSeq{req: req, ctx: req.prompt}
+	return s
+}
+
+func (f *fleet) putSeq(s *llmSeq) { f.seqFree = append(f.seqFree, s) }
 
 // creditLeft returns the unexhausted victimization allowance of batch
 // b at `now`, counting the open suspension interval. ≤ 0 means immune:

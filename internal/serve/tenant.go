@@ -125,6 +125,8 @@ type replica struct {
 	nm, nv int
 	eus    int  // EU budget this replica was allocated at
 	role   Role // RoleMixed unless the owner is disaggregated
+	// costs prices this replica's launches (its split's costTable).
+	costs *costTable
 
 	qs   []slotQueue // admitted, waiting; one queue per serving tenant
 	cur  *batch      // the batch currently in service
@@ -363,6 +365,12 @@ func (t *tenantState) disagg() *DisaggConfig {
 		return nil
 	}
 	return t.cfg.LLM.Disagg
+}
+
+// decodeDead reports whether t is disaggregated and has no live,
+// non-draining decode replica: its handoffs have nowhere to land.
+func (t *tenantState) decodeDead() bool {
+	return t.disagg() != nil && t.activeRole(RoleDecode) == 0
 }
 
 // activeRole counts non-draining replicas of one role.
