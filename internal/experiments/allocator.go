@@ -184,12 +184,7 @@ func (r *Runner) Fig16NeuISAOverhead() (*Fig16Result, error) {
 }
 
 func (r *Runner) soloLatency(name string, batch int, kind compiler.ISAKind) (float64, error) {
-	cg, err := r.comp.Graph(name, batch, kind)
-	if err != nil {
-		return 0, err
-	}
-	policy := coreSoloPolicy(kind)
-	res, err := runSolo(r, cg, policy)
+	res, err := r.solo(name, batch, kind, false)
 	if err != nil {
 		return 0, err
 	}

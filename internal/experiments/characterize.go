@@ -195,15 +195,26 @@ func (r *Fig5Result) Table() string {
 	return "Fig. 5 — solo ME/VE utilization per inference request\n" + tab.String()
 }
 
-func (r *Runner) soloRun(name string, batch int) (SoloStat, error) {
-	cg, err := r.comp.Graph(name, batch, compiler.ISANeu)
+// solo runs three requests of one model alone on the whole core: NeuISA
+// under Neu10-NH, VLIW under PMT (with one tenant, plain full-core VLIW
+// execution). sample records the utilization and bandwidth timelines.
+func (r *Runner) solo(name string, batch int, kind compiler.ISAKind, sample bool) (*sched.Result, error) {
+	cg, err := r.comp.Graph(name, batch, kind)
 	if err != nil {
-		return SoloStat{}, err
+		return nil, err
 	}
-	res, err := sched.Run(sched.Config{
-		Core: r.opts.Core, Policy: sched.NeuNH, Requests: 3,
-		SampleEvery: sampleEvery,
-	}, []sched.TenantSpec{{Name: name, Graph: cg, MEs: r.opts.Core.MEs, VEs: r.opts.Core.VEs}})
+	cfg := sched.Config{Core: r.opts.Core, Policy: sched.NeuNH, Requests: 3}
+	if kind == compiler.ISAVLIW {
+		cfg.Policy = sched.PMT
+	}
+	if sample {
+		cfg.SampleEvery = sampleEvery
+	}
+	return sched.Run(cfg, []sched.TenantSpec{{Name: name, Graph: cg, MEs: r.opts.Core.MEs, VEs: r.opts.Core.VEs}})
+}
+
+func (r *Runner) soloRun(name string, batch int) (SoloStat, error) {
+	res, err := r.solo(name, batch, compiler.ISANeu, true)
 	if err != nil {
 		return SoloStat{}, err
 	}

@@ -5,22 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"neu10/internal/compiler"
 	"neu10/internal/sched"
 	"neu10/internal/workload"
 )
-
-func coreSoloPolicy(kind compiler.ISAKind) sched.Mode {
-	if kind == compiler.ISAVLIW {
-		return sched.PMT // PMT with a single tenant = plain full-core VLIW execution
-	}
-	return sched.NeuNH
-}
-
-func runSolo(r *Runner, cg *compiler.CompiledGraph, policy sched.Mode) (*sched.Result, error) {
-	return sched.Run(sched.Config{Core: r.opts.Core, Policy: policy, Requests: 3},
-		[]sched.TenantSpec{{Name: cg.Model, Graph: cg, MEs: r.opts.Core.MEs, VEs: r.opts.Core.VEs}})
-}
 
 // PairMetrics is one (pair, policy) outcome.
 type PairMetrics struct {

@@ -61,20 +61,40 @@ func (r *Runner) serveCosts() *serve.CostDB {
 	return r.serveDB
 }
 
+// serveLeg runs one scenario leg on the runner's shared CostDB, with the
+// runner's core and serve seed, and its ServeObs unless the leg set its
+// own Obs.
+func (r *Runner) serveLeg(cfg serve.Config) (*serve.Report, error) {
+	cfg.Core, cfg.Seed = r.opts.Core, r.opts.ServeSeed
+	if cfg.Obs == nil {
+		cfg.Obs = r.opts.ServeObs
+	}
+	return serve.Run(cfg, r.serveCosts())
+}
+
+// serveLegs runs a scenario's legs on the worker pool and returns their
+// reports, in leg order, as result id.
+func (r *Runner) serveLegs(id string, legs ...serve.Config) (*ServeResult, error) {
+	reports, err := parMapPairs(r.workers(), legs, func(_ int, cfg serve.Config) (*serve.Report, error) {
+		return r.serveLeg(cfg)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
+	}
+	return &ServeResult{ID: id, Reports: reports}, nil
+}
+
 // ServeSteady is the bring-up scenario: three tenants with distinct
 // service-time scales (a transformer, a detector, a recommender) at
 // moderate Poisson load on a 4-pNPU fleet, autoscaler on. Healthy
 // output: high attainment for all three, a mostly flat replica count,
 // and fleet utilization comfortably under allocation.
 func (r *Runner) ServeSteady() (*ServeResult, error) {
-	cfg := serve.Config{
+	return r.serveLegs("serve-steady", serve.Config{
 		Scenario:    "steady",
-		Core:        r.opts.Core,
 		Cores:       4,
 		Router:      serve.LeastLoaded,
 		DurationSec: 2.0,
-		Seed:        r.opts.ServeSeed,
-		Obs:         r.opts.ServeObs,
 		Autoscale:   true,
 		Tenants: []serve.TenantConfig{
 			{Name: "chat", Model: "BERT", Load: 0.55, EUs: 4, MaxBatch: 8,
@@ -84,12 +104,7 @@ func (r *Runner) ServeSteady() (*ServeResult, error) {
 			{Name: "rank", Model: "DLRM", Load: 0.45, EUs: 2, MaxBatch: 16,
 				InitialReplicas: 1, MaxReplicas: 3},
 		},
-	}
-	rep, err := serve.Run(cfg, r.serveCosts())
-	if err != nil {
-		return nil, fmt.Errorf("serve-steady: %w", err)
-	}
-	return &ServeResult{ID: "serve-steady", Reports: []*serve.Report{rep}}, nil
+	})
 }
 
 // ServeFlashCrowd hits one tenant with a 5× flash crowd for the middle
@@ -97,19 +112,12 @@ func (r *Runner) ServeSteady() (*ServeResult, error) {
 // off — in one result. The autoscaled run should recover SLO attainment
 // that the fixed fleet loses to queue sheds and tail blowup.
 func (r *Runner) ServeFlashCrowd() (*ServeResult, error) {
-	mk := func(autoscale bool) serve.Config {
-		label := "flash-crowd"
-		if !autoscale {
-			label = "flash-crowd/no-autoscale"
-		}
+	mk := func(label string, autoscale bool) serve.Config {
 		return serve.Config{
 			Scenario:      label,
-			Core:          r.opts.Core,
 			Cores:         6,
 			Router:        serve.PowerOfTwo,
 			DurationSec:   3.0,
-			Seed:          r.opts.ServeSeed,
-			Obs:           r.opts.ServeObs,
 			Autoscale:     autoscale,
 			ScaleEverySec: 0.1,
 			Tenants: []serve.TenantConfig{
@@ -121,14 +129,7 @@ func (r *Runner) ServeFlashCrowd() (*ServeResult, error) {
 			},
 		}
 	}
-	reports, err := parMapPairs(r.workers(), []bool{true, false},
-		func(_ int, autoscale bool) (*serve.Report, error) {
-			return serve.Run(mk(autoscale), r.serveCosts())
-		})
-	if err != nil {
-		return nil, fmt.Errorf("serve-flash: %w", err)
-	}
-	return &ServeResult{ID: "serve-flash", Reports: reports}, nil
+	return r.serveLegs("serve-flash", mk("flash-crowd", true), mk("flash-crowd/no-autoscale", false))
 }
 
 // ServePriority is the mixed interactive/batch scenario: a
@@ -143,19 +144,12 @@ func (r *Runner) ServeFlashCrowd() (*ServeResult, error) {
 // and the batch tenant pays a bounded, reported goodput/latency cost
 // (see the per-priority section and the preemption line of the table).
 func (r *Runner) ServePriority() (*ServeResult, error) {
-	mk := func(preempt bool) serve.Config {
-		label := "priority"
-		if !preempt {
-			label = "priority/fifo"
-		}
+	mk := func(label string, preempt bool) serve.Config {
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       3,
 			Router:      serve.LeastLoaded,
 			DurationSec: 2.0,
-			Seed:        r.opts.ServeSeed,
-			Obs:         r.opts.ServeObs,
 			Preempt:     preempt,
 			// ~50 quantum boundaries per TFMR batch; the aging credit
 			// (64 × 0.5 ms quanta ≈ 32 ms of tolerated victimization
@@ -171,14 +165,7 @@ func (r *Runner) ServePriority() (*ServeResult, error) {
 			},
 		}
 	}
-	reports, err := parMapPairs(r.workers(), []bool{true, false},
-		func(_ int, preempt bool) (*serve.Report, error) {
-			return serve.Run(mk(preempt), r.serveCosts())
-		})
-	if err != nil {
-		return nil, fmt.Errorf("serve-priority: %w", err)
-	}
-	return &ServeResult{ID: "serve-priority", Reports: reports}, nil
+	return r.serveLegs("serve-priority", mk("priority", true), mk("priority/fifo", false))
 }
 
 // ServeLLM is the KV-cache-aware LLM serving scenario: one
@@ -195,19 +182,12 @@ func (r *Runner) ServePriority() (*ServeResult, error) {
 // static on goodput, SLO attainment, TTFT and p99 per-token latency,
 // with identical arrivals and token totals.
 func (r *Runner) ServeLLM() (*ServeResult, error) {
-	mk := func(continuous bool) serve.Config {
-		label := "llm"
-		if !continuous {
-			label = "llm/static"
-		}
+	mk := func(label string, continuous bool) serve.Config {
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       2,
 			Router:      serve.LeastLoaded,
 			DurationSec: 10.0,
-			Seed:        r.opts.ServeSeed,
-			Obs:         r.opts.ServeObs,
 			Tenants: []serve.TenantConfig{{
 				Name: "assistant", Model: "LLaMA", Load: 0.75, EUs: 4,
 				MaxBatch: 8, QueueCap: 32, InitialReplicas: 2, MaxReplicas: 2,
@@ -226,14 +206,7 @@ func (r *Runner) ServeLLM() (*ServeResult, error) {
 			}},
 		}
 	}
-	reports, err := parMapPairs(r.workers(), []bool{true, false},
-		func(_ int, continuous bool) (*serve.Report, error) {
-			return serve.Run(mk(continuous), r.serveCosts())
-		})
-	if err != nil {
-		return nil, fmt.Errorf("serve-llm: %w", err)
-	}
-	return &ServeResult{ID: "serve-llm", Reports: reports}, nil
+	return r.serveLegs("serve-llm", mk("llm", true), mk("llm/static", false))
 }
 
 // ServeDisagg is the disaggregated prefill/decode scenario: one
@@ -274,12 +247,9 @@ func (r *Runner) ServeDisagg() (*ServeResult, error) {
 		}
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       4,
 			Router:      serve.LeastLoaded,
 			DurationSec: 8.0,
-			Seed:        r.opts.ServeSeed,
-			Obs:         r.opts.ServeObs,
 			LinkGBps:    gbps,
 			Tenants: []serve.TenantConfig{{
 				// RatePerSec (not Load) so every configuration sees the
@@ -292,21 +262,12 @@ func (r *Runner) ServeDisagg() (*ServeResult, error) {
 			}},
 		}
 	}
-	cfgs := []serve.Config{
+	return r.serveLegs("serve-disagg",
 		mk("disagg/colocated", false, 64),
 		mk("disagg/64GBps", true, 64),
 		mk("disagg/4GBps", true, 4),
 		mk("disagg/0.5GBps", true, 0.5),
-		mk("disagg/0.0625GBps", true, 0.0625),
-	}
-	reports, err := parMapPairs(r.workers(), cfgs,
-		func(_ int, cfg serve.Config) (*serve.Report, error) {
-			return serve.Run(cfg, r.serveCosts())
-		})
-	if err != nil {
-		return nil, fmt.Errorf("serve-disagg: %w", err)
-	}
-	return &ServeResult{ID: "serve-disagg", Reports: reports}, nil
+		mk("disagg/0.0625GBps", true, 0.0625))
 }
 
 // ServeChaos is the fault-injection scenario: one disaggregated
@@ -347,12 +308,9 @@ func (r *Runner) ServeChaos() (*ServeResult, error) {
 	mk := func(label string, faults *serve.FaultPlan, rec *serve.RecoveryConfig) serve.Config {
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       8,
 			Router:      serve.LeastLoaded,
 			DurationSec: 6.0,
-			Seed:        r.opts.ServeSeed,
-			Obs:         r.opts.ServeObs,
 			Autoscale:   true,
 			Faults:      faults,
 			Recover:     rec,
@@ -374,20 +332,11 @@ func (r *Runner) ServeChaos() (*ServeResult, error) {
 			}},
 		}
 	}
-	cfgs := []serve.Config{
+	return r.serveLegs("serve-chaos",
 		mk("chaos/no-fault", nil, nil),
 		mk("chaos/fault", mkFaults(), nil),
 		mk("chaos/fault+recover", mkFaults(),
-			&serve.RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}),
-	}
-	reports, err := parMapPairs(r.workers(), cfgs,
-		func(_ int, cfg serve.Config) (*serve.Report, error) {
-			return serve.Run(cfg, r.serveCosts())
-		})
-	if err != nil {
-		return nil, fmt.Errorf("serve-chaos: %w", err)
-	}
-	return &ServeResult{ID: "serve-chaos", Reports: reports}, nil
+			&serve.RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}))
 }
 
 // ServeConsolidate is the consolidation study the batcher policy layer
@@ -451,17 +400,13 @@ func (r *Runner) ServeConsolidate() (*ServeResult, error) {
 	results, err := parMapPairs(r.workers(), variants, func(_ int, v variant) (sized, error) {
 		var lastErr error
 		for chips := 1; chips <= 10; chips++ {
-			cfg := serve.Config{
+			rep, err := r.serveLeg(serve.Config{
 				Scenario:    fmt.Sprintf("%s@%dchip", v.label, chips),
-				Core:        r.opts.Core,
 				Cores:       chips,
 				Router:      serve.LeastLoaded,
 				DurationSec: 2.0,
-				Seed:        r.opts.ServeSeed,
-				Obs:         r.opts.ServeObs,
 				Tenants:     v.tenants,
-			}
-			rep, err := serve.Run(cfg, r.serveCosts())
+			})
 			if err != nil {
 				lastErr = err // placement did not fit: try a bigger fleet
 				continue
@@ -537,12 +482,9 @@ func (r *Runner) ServePaged() (*ServeResult, error) {
 	mk := func(label, policy, evict string) serve.Config {
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       2,
 			Router:      serve.LeastLoaded,
 			DurationSec: 8.0,
-			Seed:        r.opts.ServeSeed,
-			Obs:         r.opts.ServeObs,
 			Tenants: []serve.TenantConfig{{
 				// RatePerSec (not Load) so every backend sees the
 				// byte-identical session trace; SLOMs explicit for the same
@@ -563,18 +505,14 @@ func (r *Runner) ServePaged() (*ServeResult, error) {
 			}},
 		}
 	}
-	cfgs := []serve.Config{
+	res, err := r.serveLegs("serve-paged",
 		mk("paged/reserve", serve.KVReserve, ""),
 		mk("paged/recompute", serve.KVPaged, serve.KVEvictRecompute),
-		mk("paged/swap", serve.KVPaged, serve.KVEvictSwap),
-	}
-	reports, err := parMapPairs(r.workers(), cfgs,
-		func(_ int, cfg serve.Config) (*serve.Report, error) {
-			return serve.Run(cfg, r.serveCosts())
-		})
+		mk("paged/swap", serve.KVPaged, serve.KVEvictSwap))
 	if err != nil {
-		return nil, fmt.Errorf("serve-paged: %w", err)
+		return nil, err
 	}
+	reports := res.Reports
 	resv := reports[0].Tenants[0]
 	parts := make([]string, 0, 2)
 	for _, rep := range reports[1:] {
@@ -590,11 +528,11 @@ func (r *Runner) ServePaged() (*ServeResult, error) {
 		parts = append(parts, fmt.Sprintf("%s %d seqs / %.1f rps", rep.Scenario, t.LLM.PeakSeqs, t.GoodputRPS))
 	}
 	rec, swp := reports[1].Tenants[0].LLM, reports[2].Tenants[0].LLM
-	summary := fmt.Sprintf(
+	res.Summary = fmt.Sprintf(
 		"paged KV: reserve %d seqs / %.1f rps vs %s; eviction price: %d recompute evicts replay %d tokens vs %d swap evicts move %.1f MB",
 		resv.LLM.PeakSeqs, resv.GoodputRPS, strings.Join(parts, ", "),
 		rec.EvictRecompute, rec.RecomputeTokens, swp.EvictSwap, swp.SwapOutMB+swp.SwapInMB)
-	return &ServeResult{ID: "serve-paged", Reports: reports, Summary: summary}, nil
+	return res, nil
 }
 
 // ServeAttrib is the latency-attribution scenario: one LLaMA-13B tenant
@@ -631,11 +569,9 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 	mk := func(label string) serve.Config {
 		return serve.Config{
 			Scenario:    label,
-			Core:        r.opts.Core,
 			Cores:       2,
 			Router:      serve.LeastLoaded,
 			DurationSec: 6.0,
-			Seed:        r.opts.ServeSeed,
 			Obs:         &obsCfg,
 			Tenants: []serve.TenantConfig{{
 				// RatePerSec (not Load) so every leg sees the byte-identical
@@ -665,15 +601,12 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 	cfgs[2].Tenants[0].LLM.Disagg = &serve.DisaggConfig{
 		PrefillReplicas: 1, DecodeReplicas: 1, ChunkTokens: 64,
 	}
-	reports, err := parMapPairs(r.workers(), cfgs,
-		func(_ int, cfg serve.Config) (*serve.Report, error) {
-			return serve.Run(cfg, r.serveCosts())
-		})
+	res, err := r.serveLegs("serve-attrib", cfgs...)
 	if err != nil {
-		return nil, fmt.Errorf("serve-attrib: %w", err)
+		return nil, err
 	}
-	shares := make([]float64, len(reports))
-	for i, rep := range reports {
+	shares := make([]float64, len(res.Reports))
+	for i, rep := range res.Reports {
 		led := rep.Ledger
 		if led == nil {
 			return nil, fmt.Errorf("serve-attrib: %s carried no ledger", rep.Scenario)
@@ -696,10 +629,10 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 		return nil, fmt.Errorf("serve-attrib: paged queue share %.1f%% not below reserve's %.1f%% — paging collapsed nothing",
 			shares[1]*100, shares[0]*100)
 	}
-	summary := fmt.Sprintf(
+	res.Summary = fmt.Sprintf(
 		"attribution: queue share of attributed time — reserve %.1f%%, paged %.1f%%, disagg %.1f%%; paged admission converts reserve's queueing into on-chip decode time; conservation: 0 violations, 0 open across all legs",
 		shares[0]*100, shares[1]*100, shares[2]*100)
-	return &ServeResult{ID: "serve-attrib", Reports: reports, Summary: summary}, nil
+	return res, nil
 }
 
 // ServeMixShift runs two diurnal tenants in antiphase — as one's
@@ -707,14 +640,11 @@ func (r *Runner) ServeAttrib() (*ServeResult, error) {
 // capacity between them on a fleet too small to hold both peaks at
 // once.
 func (r *Runner) ServeMixShift() (*ServeResult, error) {
-	cfg := serve.Config{
+	return r.serveLegs("serve-mix", serve.Config{
 		Scenario:    "mix-shift",
-		Core:        r.opts.Core,
 		Cores:       5,
 		Router:      serve.JSQ,
 		DurationSec: 4.0,
-		Seed:        r.opts.ServeSeed,
-		Obs:         r.opts.ServeObs,
 		Autoscale:   true,
 		Tenants: []serve.TenantConfig{
 			{Name: "east", Model: "RtNt", Load: 0.55, EUs: 4, MaxBatch: 8,
@@ -724,10 +654,5 @@ func (r *Runner) ServeMixShift() (*ServeResult, error) {
 				Arrival: serve.Diurnal, DiurnalDepth: 0.7, DiurnalPhase: 3.141592653589793,
 				InitialReplicas: 2, MaxReplicas: 4},
 		},
-	}
-	rep, err := serve.Run(cfg, r.serveCosts())
-	if err != nil {
-		return nil, fmt.Errorf("serve-mix: %w", err)
-	}
-	return &ServeResult{ID: "serve-mix", Reports: []*serve.Report{rep}}, nil
+	})
 }

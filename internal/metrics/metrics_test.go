@@ -191,4 +191,25 @@ func TestLatenciesServingStats(t *testing.T) {
 	if got := l.CountBelow(10); got != 1 {
 		t.Errorf("post-Reset CountBelow = %v, want 1", got)
 	}
+	// The edges a threshold search can miss: a +Inf sample under a +Inf
+	// threshold, and a NaN sample, which sorts first but is ≤ nothing.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		samples []float64
+		v       float64
+		want    int
+	}{
+		{[]float64{1, inf}, inf, 2},
+		{[]float64{nan, 1}, 1, 1},
+		{[]float64{nan, 1}, inf, 1},
+		{[]float64{nan, 1}, nan, 0},
+	} {
+		var l Latencies
+		for _, x := range c.samples {
+			l.Add(x)
+		}
+		if got := l.CountBelow(c.v); got != c.want {
+			t.Errorf("%v.CountBelow(%v) = %d, want %d", c.samples, c.v, got, c.want)
+		}
+	}
 }

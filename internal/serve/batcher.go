@@ -105,7 +105,7 @@ func (d *dynamicBatch) launch(r *replica, q *slotQueue, _ batchKind, now sim.Tim
 	cycles, err := r.costs.service(t, n)
 	f.costFailed("launched batch", err)
 	b.total, b.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
+	t.issuedCycles += cycles
 	f.startSegment(r, b, now)
 }
 

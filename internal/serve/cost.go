@@ -11,18 +11,19 @@ import (
 	"neu10/internal/sched"
 )
 
-// CostDB resolves (model, batch, vNPU shape) → service cycles for one
-// batched inference invocation. Costs are not a closed-form guess: each
-// entry is measured by compiling the model at the padded batch size and
+// CostDB resolves (invocation, batch, vNPU shape) → service cycles for
+// one batched launch. Costs are not a closed-form guess: each entry is
+// measured by compiling the invocation's graph at its padded shape and
 // replaying it solo through the §III-G fluid simulator on a core carved
 // down to the vNPU's engine counts and its fair HBM-bandwidth share
 // (§III-B: bandwidth is shared in proportion to EUs by default). The
 // fluid model therefore prices in ME/VE pipelining, reduction-split
 // overheads and memory-boundedness exactly as the figure experiments do.
 //
-// Batch sizes are padded up to the next power of two before costing —
-// real serving kernels are compiled for bucketed shapes, and bucketing
-// bounds the cache to O(log MaxBatch) entries per (model, shape).
+// Batch sizes, sequence lengths and cached contexts are padded up to the
+// next power of two before costing — real serving kernels are compiled
+// for bucketed shapes, and bucketing bounds the cache to a logarithmic
+// number of entries per dimension, invocation and vNPU shape.
 //
 // Entries are measured on first use: nothing is measured ahead of time,
 // and the first launch that asks for a key pays for its measurement.
@@ -33,27 +34,19 @@ import (
 // Every entry is a pure function of its key, so population order — which
 // run, worker or launch measured it first — cannot leak into results.
 // A failed measurement is cached like a value; a serving run that hits
-// one stops with that error. A serving run's launches read the database
-// through the run's cost tables (costTable), once per launch shape.
+// one stops with that error. A serving run reads the database only
+// through its cost tables (costTable), once per launch shape.
 type CostDB struct {
 	core    arch.CoreConfig
 	mu      sync.Mutex
 	entries map[costKey]*costEntry
 
 	// maxEntries bounds the cache (DefaultMaxCostEntries; tests lower
-	// it). Long parameter sweeps — many models × shapes × vNPU splits —
-	// would otherwise grow the map without limit. Growth is contained
-	// twice over, and neither mechanism can change a result:
-	//
-	//   - Coarse-bucket fallback: shapes beyond the fine catalog
-	//     (batch > 64, seq/ctx > 4096 after padding) bucket to powers
-	//     of FOUR instead of two — a pure function of the QUERY, never
-	//     of cache state, so which bucket a shape lands in is identical
-	//     in every run and at every worker count.
-	//   - Entry cap: once the map is full, new keys measure WITHOUT
-	//     caching. The measurement is a pure function of the key — the
-	//     exact value the cache would have held — so hitting the cap
-	//     makes overflow queries slower, never different.
+	// it), so a long parameter sweep — many models × shapes × vNPU
+	// splits — cannot grow the map without limit. Once the map is full,
+	// new keys measure WITHOUT caching. The measurement is a pure
+	// function of the key — the exact value the cache would have held —
+	// so hitting the cap makes overflow queries slower, never different.
 	maxEntries int
 
 	// onMeasure, when non-nil, is invoked immediately before any
@@ -68,41 +61,21 @@ type CostDB struct {
 // enough that a runaway sweep cannot hold gigabytes of map.
 const DefaultMaxCostEntries = 8192
 
-// Phase distinguishes the invocation kinds a key can price. The zero
-// value is a whole-model inference (the pre-LLM behavior); the LLM
-// phases price one prefill or one decode iteration of the serving LLM
-// (model.LLMPrefill / model.LLMDecode).
-type Phase int
-
+// Invocation kinds, of a costKey and of a costTable grid: one decode
+// iteration of the serving LLM (model.LLMDecode), one prefill chunk
+// (model.LLMPrefill, or model.LLMPrefillChunk behind cached context),
+// or a whole-model batched inference.
 const (
-	// PhaseFull is a whole-model batched inference invocation.
-	PhaseFull Phase = iota
-	// PhasePrefill is the prompt-processing phase of an LLM request:
-	// seq = prompt tokens per sequence.
-	PhasePrefill
-	// PhaseDecode is one autoregressive decode iteration: seq = cached
-	// context tokens attended over.
-	PhaseDecode
+	decodeCost = iota
+	prefillCost
+	fullCost // + a tenant's index in a costTable
 )
-
-func (p Phase) String() string {
-	switch p {
-	case PhaseFull:
-		return "full"
-	case PhasePrefill:
-		return "prefill"
-	case PhaseDecode:
-		return "decode"
-	default:
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
-}
 
 type costKey struct {
 	model  string
-	phase  Phase
+	kind   int // decodeCost, prefillCost or fullCost
 	batch  int // padded
-	seq    int // padded prompt (prefill) / context (decode); 0 for full
+	seq    int // padded context (decode) / chunk (prefill); 0 for full
 	ctx    int // padded cached context BEHIND a prefill chunk; 0 otherwise
 	nm, nv int
 }
@@ -137,86 +110,27 @@ func PadBatch(b int) int {
 	return p
 }
 
-// The fine bucket catalogs. Shapes padding inside these bounds keep
-// power-of-two buckets (the kernel catalog real serving compiles);
-// anything beyond coarsens to powers of FOUR, halving the bucket count
-// per dimension for outsized sweeps. Both rules are pure functions of
-// the query, so bucketing never depends on cache state or timing.
-const (
-	fineBatchMax = 64
-	fineSeqMax   = 4096
-)
-
-// padShape buckets one shape dimension against its fine catalog bound.
-func padShape(n, fineMax int) int {
-	if p := PadBatch(n); p <= fineMax {
-		return p
-	}
-	return padPow4(n)
-}
-
-// ServiceCycles returns the cycles one invocation of `name` at the given
-// batch size takes on a vNPU with nm MEs and nv VEs.
-func (db *CostDB) ServiceCycles(name string, batch, nm, nv int) (float64, error) {
-	if batch < 1 || nm < 1 || nv < 1 {
-		return 0, fmt.Errorf("serve: bad cost query %s/%d on %dME+%dVE", name, batch, nm, nv)
-	}
-	key := costKey{model: name, batch: padShape(batch, fineBatchMax), nm: nm, nv: nv}
-	return db.cycles(key)
-}
-
 // llmModel names the serving LLM in phase-cost keys. The phase graphs
 // share the registry LLaMA's dimensions (see model/llm.go), so one
 // name covers the figure sweeps, the serving costs and KV accounting.
 const llmModel = "LLaMA"
 
-// LLMCycles returns the cycles of one LLM phase invocation on a vNPU
-// with nm MEs and nv VEs: a prefill of `seq` prompt tokens per
-// sequence, or one decode iteration over `seq` cached context tokens.
-// Batch and sequence both pad to power-of-two buckets (serving kernels
-// compile for bucketed shapes), bounding the cache at
-// O(log MaxBatch · log MaxTokens) entries per phase and shape.
-func (db *CostDB) LLMCycles(phase Phase, batch, seq, nm, nv int) (float64, error) {
-	if phase != PhasePrefill && phase != PhaseDecode {
-		return 0, fmt.Errorf("serve: LLM cost query with phase %v", phase)
+// cost returns the cycles of one launch on a vNPU with nm MEs and nv
+// VEs. kind decodeCost is one decode iteration over seq cached tokens;
+// prefillCost is a chunk of seq new tokens per sequence attending over
+// ctx already-cached ones (ctx 0 is a whole-prompt prefill); fullCost
+// and above is a whole-model inference of the model called name. Batch,
+// seq and ctx each pad to their power-of-two bucket; 0 stays 0.
+func (db *CostDB) cost(kind int, name string, batch, seq, ctx, nm, nv int) (float64, error) {
+	if kind < fullCost {
+		name = llmModel
 	}
-	if batch < 1 || seq < 1 || nm < 1 || nv < 1 {
-		return 0, fmt.Errorf("serve: bad LLM cost query %v/%d/%d on %dME+%dVE", phase, batch, seq, nm, nv)
+	kind = min(kind, fullCost)
+	if batch < 1 || seq < 0 || ctx < 0 || (kind < fullCost && seq < 1) || nm < 1 || nv < 1 {
+		return 0, fmt.Errorf("serve: bad cost query %s/%d/%d+%d on %dME+%dVE", name, batch, seq, ctx, nm, nv)
 	}
-	key := costKey{model: llmModel, phase: phase,
-		batch: padShape(batch, fineBatchMax), seq: padShape(seq, fineSeqMax), nm: nm, nv: nv}
-	return db.cycles(key)
-}
-
-// LLMChunkCycles prices one chunked-prefill invocation: `chunk` new
-// tokens per sequence attending over `ctxBefore` already-cached tokens
-// (plus the chunk itself). ctxBefore = 0 degenerates to LLMCycles'
-// whole-prompt prefill and shares its cache entries. All three shape
-// dimensions pad to power-of-two buckets.
-func (db *CostDB) LLMChunkCycles(batch, chunk, ctxBefore, nm, nv int) (float64, error) {
-	if batch < 1 || chunk < 1 || ctxBefore < 0 || nm < 1 || nv < 1 {
-		return 0, fmt.Errorf("serve: bad chunk cost query %d/%d+%d on %dME+%dVE", batch, chunk, ctxBefore, nm, nv)
-	}
-	if ctxBefore == 0 {
-		return db.LLMCycles(PhasePrefill, batch, chunk, nm, nv)
-	}
-	key := costKey{model: llmModel, phase: PhasePrefill, batch: padShape(batch, fineBatchMax),
-		seq: padShape(chunk, fineSeqMax), ctx: padShape(ctxBefore, fineSeqMax), nm: nm, nv: nv}
-	return db.cycles(key)
-}
-
-// padPow4 returns the power-of-four bucket covering n (0 stays 0) —
-// the coarse grid capped lookups fall back to: half the buckets per
-// dimension, idempotent, and a pure function of n.
-func padPow4(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	p := 1
-	for p < n {
-		p <<= 2
-	}
-	return p
+	pad := func(n int) int { return 1 << ordinal(n) >> 1 }
+	return db.cycles(costKey{model: name, kind: kind, batch: pad(batch), seq: pad(seq), ctx: pad(ctx), nm: nm, nv: nv})
 }
 
 // cycles resolves one key through the single-flight cache, degrading
@@ -253,14 +167,14 @@ func (db *CostDB) cycles(key costKey) (float64, error) {
 func (db *CostDB) measure(key costKey) (float64, error) {
 	var g *compiler.Graph
 	var err error
-	switch key.phase {
-	case PhasePrefill:
+	switch key.kind {
+	case prefillCost:
 		if key.ctx > 0 {
 			g = model.LLMPrefillChunk(key.batch, key.seq, key.ctx)
 		} else {
 			g = model.LLMPrefill(key.batch, key.seq)
 		}
-	case PhaseDecode:
+	case decodeCost:
 		g = model.LLMDecode(key.batch, key.seq)
 	default:
 		g, err = model.Build(key.model, key.batch)
@@ -307,13 +221,6 @@ type costTable struct {
 	grids []costGrid
 }
 
-// Invocation kinds of a costTable grid.
-const (
-	decodeCost = iota
-	prefillCost
-	fullCost // + tenant index
-)
-
 // costTable returns the run's table for replicas of nm MEs and nv VEs,
 // making it on first use.
 func (f *fleet) costTable(nm, nv int) *costTable {
@@ -327,34 +234,30 @@ func (f *fleet) costTable(nm, nv int) *costTable {
 	return c
 }
 
-// decode prices one decode iteration (CostDB.LLMCycles, PhaseDecode).
+// decode prices one decode iteration over ctx cached tokens.
 func (c *costTable) decode(batch, ctx int) (float64, error) {
 	return c.cycles(decodeCost, batch, ctx, 0, "")
 }
 
-// prefill prices one prefill chunk (CostDB.LLMChunkCycles).
+// prefill prices one prefill chunk behind ctxBefore cached tokens.
 func (c *costTable) prefill(batch, chunk, ctxBefore int) (float64, error) {
 	return c.cycles(prefillCost, batch, chunk, ctxBefore, "")
 }
 
-// service prices one whole-model invocation of t's model
-// (CostDB.ServiceCycles).
+// service prices one whole-model invocation of t's model.
 func (c *costTable) service(t *tenantState, batch int) (float64, error) {
 	return c.cycles(fullCost+t.idx, batch, 0, 0, t.cfg.Model)
 }
 
 // cycles returns the cell of one launch shape: its batch, its sequence
 // (decode context or prefill chunk) and the cached context behind a
-// chunk, filling it from the database on first use. A negative
-// dimension, which no launch asks for, would share ordinal 0 with zero,
-// so it goes to the database, which rejects it.
-func (c *costTable) cycles(kind, batch, seq, ctx int, model string) (float64, error) {
-	if seq < 0 || ctx < 0 {
-		return c.query(kind, batch, seq, ctx, model)
-	}
+// chunk, filling it from the database (CostDB.cost) on first use. A
+// negative dimension, which no launch asks for, would share ordinal 0
+// with zero, so it always goes to the database, which rejects it.
+func (c *costTable) cycles(kind, batch, seq, ctx int, name string) (float64, error) {
 	v := c.grids[kind].at(ordinal(batch), ordinal(seq), ordinal(ctx))
-	if *v == 0 {
-		x, err := c.query(kind, batch, seq, ctx, model)
+	if *v == 0 || seq < 0 || ctx < 0 {
+		x, err := c.db.cost(kind, name, batch, seq, ctx, c.nm, c.nv)
 		if err != nil {
 			return 0, err
 		}
@@ -363,21 +266,10 @@ func (c *costTable) cycles(kind, batch, seq, ctx int, model string) (float64, er
 	return *v, nil
 }
 
-// query asks the database for one launch shape's cycles.
-func (c *costTable) query(kind, batch, seq, ctx int, model string) (float64, error) {
-	switch kind {
-	case decodeCost:
-		return c.db.LLMCycles(PhaseDecode, batch, seq, c.nm, c.nv)
-	case prefillCost:
-		return c.db.LLMChunkCycles(batch, seq, ctx, c.nm, c.nv)
-	}
-	return c.db.ServiceCycles(model, batch, c.nm, c.nv)
-}
-
 // ordinal numbers a shape dimension's power-of-two bucket: 0 for 0, and
-// 1 + log2(PadBatch(n)) otherwise. The bucket fixes the dimension's
-// padded CostDB value, fine or coarse (padShape), so one ordinal never
-// stands for two different costs.
+// 1 + log2(PadBatch(n)) otherwise. The bucket of ordinal o is 1<<o>>1,
+// which is how CostDB.cost pads, so one ordinal never stands for two
+// different costs.
 func ordinal(n int) int {
 	if n <= 0 {
 		return 0

@@ -31,7 +31,7 @@ func TestCostDBSingleFlightConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Batch 3 pads to 4: every racer resolves the same key.
-			vals[i], errs[i] = db.ServiceCycles("MNIST", 3, 2, 2)
+			vals[i], errs[i] = db.cost(fullCost, "MNIST", 3, 0, 0, 2, 2)
 		}(i)
 	}
 	wg.Wait()
@@ -52,10 +52,10 @@ func TestCostDBSingleFlightConcurrent(t *testing.T) {
 	measures.Store(0)
 	type query func() (float64, error)
 	queries := []query{
-		func() (float64, error) { return db.ServiceCycles("MNIST", 8, 2, 2) },
-		func() (float64, error) { return db.ServiceCycles("DLRM", 8, 2, 2) },
-		func() (float64, error) { return db.LLMCycles(PhasePrefill, 2, 32, 2, 2) },
-		func() (float64, error) { return db.LLMCycles(PhaseDecode, 2, 32, 2, 2) },
+		func() (float64, error) { return db.cost(fullCost, "MNIST", 8, 0, 0, 2, 2) },
+		func() (float64, error) { return db.cost(fullCost, "DLRM", 8, 0, 0, 2, 2) },
+		func() (float64, error) { return db.cost(prefillCost, "", 2, 32, 0, 2, 2) },
+		func() (float64, error) { return db.cost(decodeCost, "", 2, 32, 0, 2, 2) },
 	}
 	for i := 0; i < racers; i++ {
 		wg.Add(1)
@@ -72,23 +72,23 @@ func TestCostDBSingleFlightConcurrent(t *testing.T) {
 	}
 }
 
-// TestLLMCyclesBuckets pins the phase-key bucketing: batch and sequence
+// TestLLMCostBuckets pins the phase-key bucketing: batch and sequence
 // both pad to powers of two, so lookups inside one bucket share an
 // entry, and the two phases never alias.
-func TestLLMCyclesBuckets(t *testing.T) {
+func TestLLMCostBuckets(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
-	a, err := db.LLMCycles(PhaseDecode, 3, 33, 2, 2)
+	a, err := db.cost(decodeCost, "", 3, 33, 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.LLMCycles(PhaseDecode, 4, 64, 2, 2) // same padded bucket (4, 64)
+	b, err := db.cost(decodeCost, "", 4, 64, 0, 2, 2) // same padded bucket (4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("bucketed lookups disagree: %v vs %v", a, b)
 	}
-	pre, err := db.LLMCycles(PhasePrefill, 4, 64, 2, 2)
+	pre, err := db.cost(prefillCost, "", 4, 64, 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,7 @@ func TestLLMCyclesBuckets(t *testing.T) {
 	if pre < b {
 		t.Errorf("prefill (%v cycles) cheaper than one decode step (%v cycles)", pre, b)
 	}
-	if _, err := db.LLMCycles(PhaseFull, 4, 64, 2, 2); err == nil {
-		t.Error("PhaseFull accepted by LLMCycles")
-	}
-	if _, err := db.LLMCycles(PhaseDecode, 0, 64, 2, 2); err == nil {
+	if _, err := db.cost(decodeCost, "", 0, 64, 0, 2, 2); err == nil {
 		t.Error("zero batch accepted")
 	}
 }
@@ -138,7 +135,7 @@ func TestCostDBEntryCapConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, query := range queries {
-				v, err := db.ServiceCycles("MNIST", query.batch, query.nm, query.nv)
+				v, err := db.cost(fullCost, "MNIST", query.batch, 0, 0, query.nm, query.nv)
 				if err != nil {
 					t.Errorf("query %+v: %v", query, err)
 					return
@@ -175,7 +172,7 @@ func TestCostDBEntryCapConcurrent(t *testing.T) {
 	free.onMeasure = func(costKey) { count.Add(1) }
 	for round := 0; round < 2; round++ {
 		for j, query := range queries {
-			v, err := free.ServiceCycles("MNIST", query.batch, query.nm, query.nv)
+			v, err := free.cost(fullCost, "MNIST", query.batch, 0, 0, query.nm, query.nv)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,47 +186,33 @@ func TestCostDBEntryCapConcurrent(t *testing.T) {
 	}
 }
 
-// TestCostDBCoarseBuckets pins the coarse-bucket fallback for outsized
-// shapes: inside the fine catalog (batch ≤ 64 padded) buckets stay
-// powers of two; beyond it they coarsen to powers of four — a pure
-// function of the query, so two shapes in one coarse bucket share an
-// entry in every run regardless of arrival order.
-func TestCostDBCoarseBuckets(t *testing.T) {
+// TestCostDBBatchBuckets pins whole-model batch bucketing: a batch
+// pads to the next power of two at every size, so two batches in one
+// bucket share an entry in every run regardless of arrival order, and
+// neighbouring buckets never alias.
+func TestCostDBBatchBuckets(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	var measures atomic.Int64
 	db.onMeasure = func(costKey) { measures.Add(1) }
-	// Fine: 33 and 64 share the power-of-two bucket 64.
-	a, err := db.ServiceCycles("MNIST", 33, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	cost := func(batch int) float64 {
+		t.Helper()
+		v, err := db.cost(fullCost, "MNIST", batch, 0, 0, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	b, err := db.ServiceCycles("MNIST", 64, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	// 33 and 64 share the bucket 64; past it, 65 and 128 share 128,
+	// which neither 64 nor 256 joins.
+	if a, b := cost(33), cost(64); a != b || measures.Load() != 1 {
+		t.Errorf("bucket 64 not shared: %v vs %v (%d measurements)", a, b, measures.Load())
 	}
-	if a != b || measures.Load() != 1 {
-		t.Errorf("fine bucket not shared: %v vs %v (%d measurements)", a, b, measures.Load())
-	}
-	// Coarse: 100 (pads past the fine catalog) and 256 share the
-	// power-of-four bucket 256; 65 joins them too.
 	measures.Store(0)
-	c100, err := db.ServiceCycles("MNIST", 100, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	if a, b := cost(65), cost(128); a != b || measures.Load() != 1 {
+		t.Errorf("bucket 128 not shared: %v vs %v (%d measurements)", a, b, measures.Load())
 	}
-	c256, err := db.ServiceCycles("MNIST", 256, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c65, err := db.ServiceCycles("MNIST", 65, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c100 != c256 || c65 != c256 || measures.Load() != 1 {
-		t.Errorf("coarse bucket not shared: %v / %v / %v (%d measurements)", c100, c256, c65, measures.Load())
-	}
-	if c256 == b {
-		t.Error("coarse bucket aliased a fine bucket")
+	if c := cost(128); c == cost(64) || c == cost(256) {
+		t.Error("bucket 128 aliased a neighbouring bucket")
 	}
 }
 
@@ -304,8 +287,8 @@ func TestLazyCostingOrderIndependent(t *testing.T) {
 // TestCostingFailureIsRunError seeds a failed entry — its sync.Once
 // already spent, its error set — for a key a launch will ask for, and
 // requires Run to return an error wrapping it instead of panicking.
-// For each config it fails, in turn, the first key of each phase the
-// run's launches measure, which together reach every costing site:
+// For each config it fails, in turn, the first key of each invocation
+// kind the run's launches measure, which together reach every costing site:
 // dynamic batches, colocated prefill and decode (continuous, static and
 // paged), and disaggregated chunked prefill.
 func TestCostingFailureIsRunError(t *testing.T) {
@@ -328,10 +311,10 @@ func TestCostingFailureIsRunError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var firsts []costKey
-		seen := map[Phase]bool{}
+		seen := map[int]bool{}
 		db.onMeasure = func(k costKey) {
-			if !seen[k.phase] {
-				seen[k.phase] = true
+			if !seen[k.kind] {
+				seen[k.kind] = true
 				firsts = append(firsts, k)
 			}
 		}
@@ -356,11 +339,11 @@ func TestCostingFailureIsRunError(t *testing.T) {
 }
 
 // TestCostTableMatchesCostDB: every cell of a finished run's cost
-// tables equals a direct CostDB query of its shape, and the run's
-// database holds exactly the entries a run without tables measures: the
-// SLO anchors newFleet measures plus one entry per launch shape. A fresh
-// database that measures the anchors and then queries each cell's shape
-// directly must end up with the same keys.
+// tables equals a direct CostDB lookup of its shape, and the run's
+// database holds exactly the entries its tables' cells name — newFleet's
+// SLO anchors included, since they too are priced through a replica's
+// table. A fresh database that looks up each cell's shape directly must
+// end up with the same keys.
 func TestCostTableMatchesCostDB(t *testing.T) {
 	shape := func(ord int) int { // the smallest dimension with ordinal ord
 		if ord == 0 {
@@ -373,12 +356,8 @@ func TestCostTableMatchesCostDB(t *testing.T) {
 		db := NewCostDB(cfg.Core)
 		f := runFleet(t, cfg, db)
 		direct := NewCostDB(cfg.Core)
-		if _, err := newFleet(cfg, direct); err != nil {
-			t.Fatal(err)
-		}
 		cells := 0
 		for _, c := range f.tables {
-			ref := &costTable{db: direct, nm: c.nm, nv: c.nv}
 			for kind, g := range c.grids {
 				model := ""
 				if kind >= fullCost {
@@ -390,7 +369,7 @@ func TestCostTableMatchesCostDB(t *testing.T) {
 					}
 					cells++
 					b, s, x := i/(g.ns*g.nc), i/g.nc%g.ns, i%g.nc
-					want, err := ref.query(kind, shape(b), shape(s), shape(x), model)
+					want, err := direct.cost(kind, model, shape(b), shape(s), shape(x), c.nm, c.nv)
 					if err != nil || v != want {
 						t.Errorf("%s: %dME+%dVE kind %d cell [%d][%d][%d] = %v, CostDB says %v (%v)",
 							cfg.Scenario, c.nm, c.nv, kind, b, s, x, v, want, err)
@@ -402,12 +381,12 @@ func TestCostTableMatchesCostDB(t *testing.T) {
 			t.Errorf("%s: the run's cost tables hold no cell", cfg.Scenario)
 		}
 		if len(db.entries) != len(direct.entries) {
-			t.Errorf("%s: the run measured %d entries, anchors plus table shapes %d",
+			t.Errorf("%s: the run measured %d entries, its table cells name %d",
 				cfg.Scenario, len(db.entries), len(direct.entries))
 		}
 		for k := range db.entries {
 			if direct.entries[k] == nil {
-				t.Errorf("%s: the run measured %+v, which no table cell or anchor names", cfg.Scenario, k)
+				t.Errorf("%s: the run measured %+v, which no table cell names", cfg.Scenario, k)
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func (db *disaggBatcher) launchPrefill(r *replica, q *slotQueue, now sim.Time, r
 	cycles, err := r.costs.prefill(len(b.seqs), maxChunk, maxCtx)
 	f.costFailed("disaggregated prefill", err)
 	b.total, b.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
+	t.issuedCycles += cycles
 	f.startSegment(r, b, now)
 }
 

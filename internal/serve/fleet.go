@@ -253,11 +253,11 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 			// all at MaxBatch occupancy — the SLO/capacity anchor playing
 			// the role the whole-model full-batch time plays below.
 			tr := t.cfg.LLM.Trace
-			pre, perr := db.LLMCycles(PhasePrefill, t.cfg.MaxBatch, tr.MeanPrompt(), r0.nm, r0.nv)
+			pre, perr := r0.costs.prefill(t.cfg.MaxBatch, tr.MeanPrompt(), 0)
 			if perr != nil {
 				return nil, perr
 			}
-			dec, derr := db.LLMCycles(PhaseDecode, t.cfg.MaxBatch, tr.MeanPrompt()+tr.OutputMean, r0.nm, r0.nv)
+			dec, derr := r0.costs.decode(t.cfg.MaxBatch, tr.MeanPrompt()+tr.OutputMean)
 			if derr != nil {
 				return nil, derr
 			}
@@ -277,7 +277,7 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 				t.tpotSLO = t.cfg.SLOFactor * dec
 			}
 		} else {
-			full, err = db.ServiceCycles(t.cfg.Model, t.cfg.MaxBatch, r0.nm, r0.nv)
+			full, err = r0.costs.service(t, t.cfg.MaxBatch)
 			if err != nil {
 				return nil, err
 			}

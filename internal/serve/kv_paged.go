@@ -74,15 +74,6 @@ func (n *radixNode) childFor(key uint64) *radixNode {
 	return c
 }
 
-// swapFlight is one sequence's KV payload on the host link, outbound
-// (evict) or inbound (restore). Held so a crash teardown can cancel the
-// copy mid-flight.
-type swapFlight struct {
-	seq *llmSeq
-	xfr *xfer.Transfer
-	out bool
-}
-
 // pagedKV is the paged policy's machinery behind a kvAccountant's paged
 // field: prefix matching, cold-block eviction and prefix caching on top
 // of the ledger, which keeps owning footprints, block grants, the
@@ -105,10 +96,13 @@ type pagedKV struct {
 	// hostLink models the NPU↔host swap path (swapGBps); lazily created
 	// at bind. swapQ holds swapped-out sequences FIFO: the head returns
 	// as soon as its outbound copy landed and blocks free up, and
-	// admission backpressures while any sequence waits here.
+	// admission backpressures while any sequence waits here. flights
+	// holds the copies on the host link, outbound (evict) or inbound
+	// (restore), so a crash teardown can cancel them mid-flight; each
+	// copy's completion drops its own handle (llmSeq.flight).
 	hostLink *xfer.Link
 	swapQ    []*llmSeq
-	flights  []*swapFlight
+	flights  []*xfer.Transfer
 
 	// Policy counters the ledger folds into KVStats at addStats.
 	evictions        int
@@ -374,14 +368,14 @@ func (p *pagedKV) seal(s *llmSeq) {
 // teardown cancels in-flight swap copies when the replica leaves the
 // fleet; a crash's harvested sequences are handled by the caller.
 func (p *pagedKV) teardown() {
-	for _, fl := range p.flights {
-		fl.xfr.Cancel()
+	for _, x := range p.flights {
+		x.Cancel()
 	}
 	p.flights = p.flights[:0]
 	p.swapQ = p.swapQ[:0]
 }
 
-func (p *pagedKV) dropFlight(fl *swapFlight) {
+func (p *pagedKV) dropFlight(fl *xfer.Transfer) {
 	for i, x := range p.flights {
 		if x == fl {
 			p.flights = append(p.flights[:i], p.flights[i+1:]...)

@@ -209,16 +209,23 @@ func TestPagedDrainInvariants(t *testing.T) {
 // request open, and every survivor passes checkPagedDrained.
 func TestPagedCrashMidSwap(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
+	outbound := func(p *pagedKV) int {
+		n := 0
+		for _, s := range p.swapQ {
+			if !s.swapReady {
+				n++
+			}
+		}
+		return n
+	}
 	phases := []struct {
 		name  string
 		found func(p *pagedKV) bool
 	}{
-		{"outbound", func(p *pagedKV) bool {
-			return slices.ContainsFunc(p.flights, func(fl *swapFlight) bool { return fl.out })
-		}},
-		{"inbound", func(p *pagedKV) bool {
-			return slices.ContainsFunc(p.flights, func(fl *swapFlight) bool { return !fl.out })
-		}},
+		// A swapQ sequence whose copy has not landed is on its way out;
+		// any other flight is a restore on its way in.
+		{"outbound", func(p *pagedKV) bool { return outbound(p) > 0 }},
+		{"inbound", func(p *pagedKV) bool { return len(p.flights) > outbound(p) }},
 		{"landed", func(p *pagedKV) bool {
 			return slices.ContainsFunc(p.swapQ, func(s *llmSeq) bool { return s.swapReady })
 		}},

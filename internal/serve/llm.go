@@ -65,7 +65,7 @@ type LLMConfig struct {
 	KVPolicy string
 	// KVEvict selects how the paged backend reclaims a victim's
 	// blocks: KVEvictRecompute drops them and replays the lost tokens
-	// through a chunked re-prefill (priced via CostDB.LLMChunkCycles),
+	// through a chunked re-prefill (priced as model.LLMPrefillChunk),
 	// KVEvictSwap ships them to host memory over a modeled link and
 	// back (priced via internal/xfer at swapGBps). Default recompute;
 	// only meaningful with KVPaged.
@@ -108,7 +108,7 @@ type DisaggConfig struct {
 	// its first chunk after the long prompt's CURRENT chunk, not after
 	// its whole prefill. Chunking is not free — every chunk invocation
 	// re-streams the weights, and a late chunk's attention spans the
-	// whole cached context behind it (CostDB.LLMChunkCycles measures
+	// whole cached context behind it (the CostDB's chunk cost measures
 	// both). 0 prefills whole prompts in one invocation.
 	ChunkTokens int
 }
@@ -293,9 +293,8 @@ func (l *llmTenant) dropFlight(fl *migFlight) {
 // sequence can be held by the batches that advance it (the slot's
 // current batch, a suspended one, a static batch's chained decode
 // leg), by the migration queue, by a migration or evacuation flight and
-// its landing closure, and by a swap flight and its closure or the swap
-// queue. It is released where it dies, once nothing still read holds
-// it:
+// its landing closure, and by a swap copy's closure or the swap queue.
+// It is released where it dies, once nothing still read holds it:
 //   - completed: by the batch that completed it, when putBatch recycles
 //     that batch (done), or at once when it completes on landing
 //     (landTransfer), where no batch holds it;
@@ -334,11 +333,13 @@ type llmSeq struct {
 	// radix chain from admission to release. A swapped sequence stays in
 	// its running set but owns no device blocks: swapped freezes it,
 	// swapReady marks its KV landed in host memory (eligible to swap
-	// back in when blocks free up).
+	// back in when blocks free up), and flight is its latest copy on the
+	// host link, out or back in (one at a time).
 	hit       int
 	cref      *radixNode
 	swapped   bool
 	swapReady bool
+	flight    *xfer.Transfer
 }
 
 // decodable: prefilled, not frozen by a swap or an evacuation, output
@@ -520,9 +521,9 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	}
 	// Prefix-cache hits shrink the prefill to the unmatched suffix — a
 	// chunk whose attention still spans the cached context behind it,
-	// exactly what LLMChunkCycles measures. With no hit in the batch,
-	// and always outside paged KV, this is a full-prompt chunk at
-	// context 0, which LLMChunkCycles prices as LLMCycles' prefill.
+	// exactly what a prefill chunk's cost measures. With no hit in the
+	// batch, and always outside paged KV, this is a full-prompt chunk at
+	// context 0: a whole-prompt prefill.
 	maxChunk, maxBehind := 0, 0
 	for _, s := range joined {
 		if c := s.req.prompt - s.hit; c > maxChunk {
@@ -536,7 +537,7 @@ func (c *continuousLLM) launchPrefill(r *replica, q *slotQueue, kind batchKind, 
 	f.costFailed("prefill batch", err)
 	f.obs.launched(b, now)
 	b.total, b.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
+	t.issuedCycles += cycles
 	f.startSegment(r, b, now)
 }
 
@@ -605,7 +606,7 @@ func (c *continuousLLM) launchDecode(r *replica, q *slotQueue, now sim.Time, res
 	cycles, err := r.costs.decode(n, maxCtx)
 	f.costFailed("decode iteration", err)
 	b.total, b.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
+	t.issuedCycles += cycles
 	f.startSegment(r, b, now)
 }
 
@@ -675,7 +676,7 @@ func (c *continuousLLM) finishStaticPrefill(r *replica, b *batch, now sim.Time) 
 	nb.ten, nb.kind = t, kindLLMStaticDecode
 	nb.seqs = append(nb.seqs[:0], b.seqs...)
 	nb.total, nb.remaining = cycles, cycles
-	t.issuedServiceCycles += cycles
+	t.issuedCycles += cycles
 	// The monolithic decode leg starts the instant this prefill retires
 	// (finish chains it), so the whole leg is decode time.
 	f.obs.launched(nb, now)

@@ -56,14 +56,13 @@ func (f *fleet) swapOut(p *pagedKV, r *replica, s *llmSeq, now sim.Time) {
 	s.swapped, s.swapReady = true, false
 	bytes := model.LLMKVTransferBytes(s.ctx)
 	p.swapOutBytes += bytes
-	fl := &swapFlight{seq: s, out: true}
-	fl.xfr = p.hostLink.Start(bytes, func(at sim.Time) {
-		p.dropFlight(fl)
+	s.flight = p.hostLink.Start(bytes, func(at sim.Time) {
+		p.dropFlight(s.flight)
 		s.swapReady = true
 		f.obs.seg(t, s.req.id, obs.SegSwapQ, at)
 		f.drainSwaps(r, at)
 	})
-	p.flights = append(p.flights, fl)
+	p.flights = append(p.flights, s.flight)
 	p.swapQ = append(p.swapQ, s)
 	f.obs.swapOut(t, r, s, bytes, now)
 }
@@ -95,12 +94,11 @@ func (f *fleet) drainSwaps(r *replica, now sim.Time) {
 		f.obs.seg(p.t, s.req.id, obs.SegSwapIn, now)
 		bytes := model.LLMKVTransferBytes(s.ctx)
 		p.swapInBytes += bytes
-		fl := &swapFlight{seq: s}
-		fl.xfr = p.hostLink.Start(bytes, func(at sim.Time) {
-			p.dropFlight(fl)
+		s.flight = p.hostLink.Start(bytes, func(at sim.Time) {
+			p.dropFlight(s.flight)
 			f.swapInLanded(r, s, at)
 		})
-		p.flights = append(p.flights, fl)
+		p.flights = append(p.flights, s.flight)
 	}
 }
 

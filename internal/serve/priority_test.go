@@ -139,9 +139,9 @@ func TestPreemptionWorkConservation(t *testing.T) {
 			t.Errorf("seed %d: %d preemptions with no switch overhead recorded", seed, pre)
 		}
 		for _, ten := range f.tenants {
-			if diff := math.Abs(ten.issuedServiceCycles - ten.servedServiceCycles); diff > 1e-6*ten.issuedServiceCycles {
+			if diff := math.Abs(ten.issuedCycles - ten.servedCycles); diff > 1e-6*ten.issuedCycles {
 				t.Errorf("seed %d tenant %s: issued %.3f service cycles, served %.3f — work not conserved",
-					seed, ten.cfg.Name, ten.issuedServiceCycles, ten.servedServiceCycles)
+					seed, ten.cfg.Name, ten.issuedCycles, ten.servedCycles)
 			}
 		}
 		for _, tr := range rep.Tenants {

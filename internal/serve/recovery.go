@@ -203,7 +203,7 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 		// Un-issue the undelivered remainder: issued−served stays exact
 		// (served was settled at the last checkpoint; the partial segment
 		// since then was never settled and is now never delivered).
-		b.ten.issuedServiceCycles -= b.remaining
+		b.ten.issuedCycles -= b.remaining
 		if b.kind == kindInvoke {
 			for _, req := range b.reqs {
 				f.obs.crashed(b.ten, req.id, "service", now)

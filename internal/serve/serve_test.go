@@ -182,18 +182,18 @@ func TestReportShape(t *testing.T) {
 // and padded batches must share entries.
 func TestCostDBPureFunction(t *testing.T) {
 	a, b := NewCostDB(arch.TPUv4Like()), NewCostDB(arch.TPUv4Like())
-	ca, err := a.ServiceCycles("MNIST", 5, 2, 2)
+	ca, err := a.cost(fullCost, "MNIST", 5, 0, 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := b.ServiceCycles("MNIST", 8, 2, 2) // same pad bucket as 5
+	cb, err := b.cost(fullCost, "MNIST", 8, 0, 0, 2, 2) // same pad bucket as 5
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ca != cb {
 		t.Errorf("cost not a pure function of the padded key: %v vs %v", ca, cb)
 	}
-	if _, err := a.ServiceCycles("no-such-model", 1, 1, 1); err == nil {
+	if _, err := a.cost(fullCost, "no-such-model", 1, 0, 0, 1, 1); err == nil {
 		t.Error("unknown model not rejected")
 	}
 }

@@ -261,7 +261,7 @@ func (f *fleet) finish(r *replica, b *batch, now sim.Time) {
 	f.obs.batchEnd(r, b, now)
 	chain := t.batcher.finish(r, b, now)
 	r.busyEUCycles += (b.restore + b.remaining) * float64(r.nm+r.nv)
-	t.servedServiceCycles += b.remaining
+	t.servedCycles += b.remaining
 	r.cur = nil
 	if r.preemptSet { // defensive: a preemption can never outlive its target
 		f.eng.Cancel(r.preemptH)
@@ -337,7 +337,7 @@ func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time
 	}
 	f.eng.Cancel(b.doneH)
 	t := b.ten
-	t.servedServiceCycles += rp.Completed - (b.total - b.remaining)
+	t.servedCycles += rp.Completed - (b.total - b.remaining)
 	r.busyEUCycles += float64(now-b.started) * float64(r.nm+r.nv)
 	b.remaining = rp.Remaining
 	b.preempts++

@@ -284,8 +284,8 @@ type tenantState struct {
 
 	// work-conservation ledger (tests): service cycles priced at launch
 	// versus service cycles actually delivered across all segments.
-	issuedServiceCycles float64
-	servedServiceCycles float64
+	issuedCycles float64
+	servedCycles float64
 
 	// KV occupancy folded from this tenant's replicas (retired ones at
 	// retire time, live ones at report time): ∫used dt, ∫total dt, and
