@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"neu10/internal/arch"
 	"neu10/internal/compiler"
 	"neu10/internal/metrics"
 	"neu10/internal/sim"
@@ -19,49 +20,60 @@ import (
 // TestGoldenFluid pins the raw bits of every float the fluid simulator
 // reports. It runs the property test's random graphs (every other trial
 // varied per µTOp, with HBM traffic) under each policy, closed- and
-// open-loop, with timeline sampling off and on. It hashes
+// open-loop, with timeline sampling off and on, on the 4ME-4VE core and
+// on an 8ME-8VE one (Fig. 25's largest), where harvesting and the
+// blocked-ME scans see more engines. It hashes
 // math.Float64bits of each Result field, each timeline point and each
 // tenant's latency samples (read from the Simulator). One SHA-256 per
-// (policy, loop, sampling) group is pinned in
+// (core, policy, loop, sampling) group is pinned in
 // testdata/golden_fluid.sha256, regenerated only under
 // NEU10_UPDATE_GOLDEN. The tables' goldens print 2-3 decimals, so a
 // reordered float sum can pass them; it cannot pass this one.
 func TestGoldenFluid(t *testing.T) {
-	splits := [][2]int{{2, 2}, {1, 3}, {3, 1}}
+	cores := []struct {
+		core   arch.CoreConfig
+		splits [][2]int
+		label  string // appended to the group's line; empty for 4ME-4VE
+	}{
+		{tpu(), [][2]int{{2, 2}, {1, 3}, {3, 1}}, ""},
+		{tpu().WithEUs(8, 8), [][2]int{{4, 4}, {2, 6}, {6, 2}}, " core=8ME-8VE"},
+	}
 	var sb strings.Builder
-	for _, pol := range []Mode{PMT, V10, NeuNH, Neu10} {
-		for _, rate := range []float64{0, 30_000} {
-			for _, every := range []float64{0, 700} {
-				h := sha256.New()
-				rng := sim.NewRNG(2024)
-				for trial := 0; trial < 25; trial++ {
-					seed := rng.Uint64()
-					me, ve := splits[trial%3], splits[(trial/3)%3]
-					gr := sim.NewRNG(seed)
-					ga, gb := randGraph(gr, pol.ISAFor()), randGraph(gr, pol.ISAFor())
-					if trial%2 == 1 {
-						vary(ga, gr)
-						vary(gb, gr)
+	for _, c := range cores {
+		for _, pol := range []Mode{PMT, V10, NeuNH, Neu10} {
+			for _, rate := range []float64{0, 30_000} {
+				for _, every := range []float64{0, 700} {
+					h := sha256.New()
+					rng := sim.NewRNG(2024)
+					for trial := 0; trial < 25; trial++ {
+						seed := rng.Uint64()
+						me, ve := c.splits[trial%3], c.splits[(trial/3)%3]
+						gr := sim.NewRNG(seed)
+						ga, gb := randGraph(gr, pol.ISAFor()), randGraph(gr, pol.ISAFor())
+						if trial%2 == 1 {
+							vary(ga, gr)
+							vary(gb, gr)
+						}
+						cfg := Config{Core: c.core, Policy: pol, Requests: 5, SampleEvery: every, Seed: seed}
+						s, err := New(cfg, []TenantSpec{
+							{Name: "A", Graph: ga, MEs: me[0], VEs: ve[0], ArrivalRate: rate},
+							{Name: "B", Graph: gb, MEs: me[1], VEs: ve[1], ArrivalRate: rate / 2},
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := s.Run()
+						if err != nil {
+							t.Fatalf("%s%s trial %d: %v", pol, c.label, trial, err)
+						}
+						hashResult(h, s, res, every > 0)
 					}
-					cfg := Config{Core: tpu(), Policy: pol, Requests: 5, SampleEvery: every, Seed: seed}
-					s, err := New(cfg, []TenantSpec{
-						{Name: "A", Graph: ga, MEs: me[0], VEs: ve[0], ArrivalRate: rate},
-						{Name: "B", Graph: gb, MEs: me[1], VEs: ve[1], ArrivalRate: rate / 2},
-					})
-					if err != nil {
-						t.Fatal(err)
+					loop := "closed"
+					if rate > 0 {
+						loop = "open"
 					}
-					res, err := s.Run()
-					if err != nil {
-						t.Fatalf("%s trial %d: %v", pol, trial, err)
-					}
-					hashResult(h, s, res, every > 0)
+					fmt.Fprintf(&sb, "%x  %s %s sample=%v%s\n", h.Sum(nil), pol, loop, every, c.label)
 				}
-				loop := "closed"
-				if rate > 0 {
-					loop = "open"
-				}
-				fmt.Fprintf(&sb, "%x  %s %s sample=%v\n", h.Sum(nil), pol, loop, every)
 			}
 		}
 	}
