@@ -52,3 +52,30 @@ func TestSimulatorAllocBudget(t *testing.T) {
 		t.Fatalf("simulator run allocates %d bytes, want ≤ 16 KB (a per-event series?)", bytes)
 	}
 }
+
+// TestOpenLoopAllocBudget bounds what an open-loop run allocates per
+// extra arrival. A request that arrives while its vNPU is busy waits in
+// a head-indexed FIFO that reuses its array, so doubling the requests
+// adds only the latency recorder's amortized growth. A queue that pops
+// by re-slicing instead regrows its array behind the dead prefix: about
+// one allocation every few queued arrivals.
+func TestOpenLoopAllocBudget(t *testing.T) {
+	core := tpu()
+	g := synth(compiler.ISANeu, meOp(4, 1000, 0))
+	rate := 0.9 * core.FrequencyHz / 1000 // 90% load: most arrivals queue
+	run := func(requests int) float64 {
+		cfg := Config{Core: core, Policy: NeuNH, Requests: requests, Seed: 7}
+		specs := []TenantSpec{{Name: "ol", Graph: g, MEs: 4, VEs: 4, ArrivalRate: rate}}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg, specs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a1, a2 := run(1000), run(2000)
+	per := (a2 - a1) / 1000
+	t.Logf("%.0f allocs at 1000 requests, %.0f at 2000: %.3f per extra arrival", a1, a2, per)
+	if per > 0.02 {
+		t.Errorf("%.3f allocations per extra arrival, want ≤ 0.02 (a queue that regrows as it pops?)", per)
+	}
+}

@@ -16,9 +16,16 @@ type Simulator struct {
 	tenants []*tenant
 
 	// Physical ME state.
-	meOwner   []int     // ME -> owning tenant (spatial modes) or -1
-	meHeld    []*utop   // ME -> running µTOp
-	meBlocked []float64 // ME -> blocked-until time (preemption penalties)
+	meOwner    []int     // ME -> owning tenant (spatial modes) or -1
+	meHeld     []*utop   // ME -> running µTOp
+	meBlocked  []float64 // ME -> blocked-until time (preemption penalties)
+	blockedMax float64   // watermark: no meBlocked entry exceeds it
+	harvesters int       // bound µTOps running on another vNPU's ME
+
+	// Per-run constants, and the harvested VE share that applySpeeds adds
+	// to every VE µTOp's grant (set by redistributeVE, 0 when none).
+	hbmCap, reclaimCost float64
+	veShare             float64
 
 	// Temporal-sharing state.
 	activeTenant int // PMT: the tenant owning the whole core
@@ -64,15 +71,13 @@ type bwItem struct {
 
 // takeUTop returns a recycled (or new) µTOp initialized for the spec.
 func (s *Simulator) takeUTop(t *tenant, opIdx int, spec compiler.UTopSpec) *utop {
+	var u *utop
 	if n := len(s.utopFree); n > 0 {
-		u := s.utopFree[n-1]
-		s.utopFree[n-1] = nil
+		u = s.utopFree[n-1]
 		s.utopFree = s.utopFree[:n-1]
-		*u = utop{}
-		u.init(t, opIdx, spec)
-		return u
+	} else {
+		u = new(utop)
 	}
-	u := &utop{}
 	u.init(t, opIdx, spec)
 	return u
 }
@@ -101,6 +106,8 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 		meBlocked:    make([]float64, cfg.Core.MEs),
 		activeTenant: -1,
 		complexOwner: -1,
+		hbmCap:       cfg.Core.HBMBytesPerCycle(),
+		reclaimCost:  float64(cfg.Core.MEPreemptCycles),
 	}
 	if cfg.SampleEvery > 0 {
 		s.hbmTL = metrics.NewTimeSeries("hbm", 4096)
@@ -182,16 +189,12 @@ func (s *Simulator) Run() (*Result, error) {
 		s.pumpArrivals()
 		s.bind()
 		s.grantVE()
-		served := s.applySpeeds()
-		dt, anyWork := s.horizon()
+		served, dt, anyWork := s.applySpeeds()
+		dt, anyWork = s.horizon(dt, anyWork)
 		if !anyWork {
 			return nil, fmt.Errorf("sched: deadlock at cycle %.0f (no runnable work)", s.now)
 		}
-		if s.now+dt >= maxCycles {
-			break
-		}
-		s.advance(dt, served)
-		if s.complete() {
+		if s.now+dt >= maxCycles || s.step(dt, served) {
 			break
 		}
 	}
@@ -227,7 +230,7 @@ func (s *Simulator) pumpArrivals() {
 			if t.idle {
 				s.beginService(t, at)
 			} else {
-				t.pending = append(t.pending, at)
+				t.pending.Push(at)
 			}
 		}
 	}
@@ -258,6 +261,9 @@ func (s *Simulator) bind() {
 	switch s.cfg.Policy {
 	case NeuNH, Neu10:
 		for _, t := range s.tenants {
+			if s.harvesters == 0 {
+				break // nothing to reclaim
+			}
 			s.reclaim(t)
 		}
 		ready := false
@@ -282,6 +288,9 @@ func (s *Simulator) meFree(m int) bool {
 func (s *Simulator) bindTo(u *utop, m int, harvested bool) {
 	u.me = m
 	u.harvested = harvested
+	if harvested {
+		s.harvesters++
+	}
 	s.meHeld[m] = u
 	u.ten.running = append(u.ten.running, u)
 }
@@ -319,7 +328,7 @@ func (s *Simulator) reclaim(t *tenant) {
 		if u != nil && u.harvested {
 			s.unbind(u)
 			u.ten.readyME.Push(u) // state saved; work resumes later
-			s.meBlocked[m] = s.now + float64(s.cfg.Core.MEPreemptCycles)
+			s.block(m, s.now+s.reclaimCost)
 			need--
 		} else if u == nil && s.meBlocked[m] > s.now+eps {
 			need-- // already draining for us
@@ -329,10 +338,21 @@ func (s *Simulator) reclaim(t *tenant) {
 	}
 }
 
+// block makes ME m unavailable until the given time.
+func (s *Simulator) block(m int, until float64) {
+	s.meBlocked[m] = until
+	if until > s.blockedMax {
+		s.blockedMax = until
+	}
+}
+
 func (s *Simulator) unbind(u *utop) {
 	if u.me >= 0 {
 		s.meHeld[u.me] = nil
 		u.me = -1
+	}
+	if u.harvested {
+		s.harvesters--
 	}
 	u.harvested = false
 	t := u.ten
@@ -413,7 +433,7 @@ func (s *Simulator) v10Bind() {
 				// Ownership changed hands: pay the ME-complex switch cost.
 				for m := range s.meBlocked {
 					if s.meBlocked[m] < s.now+v10SwitchPenalty {
-						s.meBlocked[m] = s.now + v10SwitchPenalty
+						s.block(m, s.now+v10SwitchPenalty)
 					}
 				}
 			}
@@ -470,7 +490,7 @@ func (s *Simulator) pmtBind() {
 					}
 				}
 				for m := range s.meBlocked {
-					s.meBlocked[m] = s.now + pmtSwitchPenalty
+					s.block(m, s.now+pmtSwitchPenalty)
 				}
 			}
 			s.activeTenant = pick.idx
@@ -492,6 +512,7 @@ func (s *Simulator) pmtBind() {
 // ---- policy: VE grants ----
 
 func (s *Simulator) grantVE() {
+	s.veShare = 0
 	// The spatial policies' grants are zeroed in grantTenantVE's pass.
 	if s.cfg.Policy == V10 || s.cfg.Policy == PMT {
 		for _, t := range s.tenants {
@@ -502,12 +523,14 @@ func (s *Simulator) grantVE() {
 	}
 	switch s.cfg.Policy {
 	case NeuNH, Neu10:
-		pool := 0.0
+		pool, ves := 0.0, 0
 		for _, t := range s.tenants {
-			pool += s.grantTenantVE(t, float64(t.spec.VEs))
+			left, n := s.grantTenantVE(t, float64(t.spec.VEs))
+			pool += left
+			ves += n
 		}
 		if !s.cfg.DisableVEHarvest {
-			s.redistributeVE(pool)
+			s.redistributeVE(pool, ves)
 		}
 	case V10:
 		pool := float64(s.cfg.Core.VEs)
@@ -591,9 +614,10 @@ func (s *Simulator) grantVEUTops(ts []*tenant, budget float64) {
 
 // grantTenantVE serves a tenant from its own VE allocation: bound ME
 // µTOps first, then its VE µTOps. It returns the unused remainder
-// (harvestable under Neu10). One pass zeroes the grants, sums the ME
-// µTOps' need (in grantMEUTopVE's order) and counts the VE µTOps.
-func (s *Simulator) grantTenantVE(t *tenant, cap float64) float64 {
+// (harvestable under Neu10) and the tenant's VE µTOp count. One pass
+// zeroes the grants, sums the ME µTOps' need (in grantMEUTopVE's order)
+// and counts the VE µTOps.
+func (s *Simulator) grantTenantVE(t *tenant, cap float64) (float64, int) {
 	var need float64
 	ves := 0
 	for _, u := range t.running {
@@ -604,12 +628,13 @@ func (s *Simulator) grantTenantVE(t *tenant, cap float64) float64 {
 			ves++
 		}
 	}
+	t.veShort = need > cap // else every ME µTOp's grant is its need, exactly
 	cap -= s.scaleMEUTopVE(t, need, cap)
 	if cap <= 0 {
-		return 0
+		return 0, ves
 	}
 	if ves == 0 {
-		return cap
+		return cap, 0
 	}
 	share := cap / float64(ves)
 	for _, u := range t.running {
@@ -617,19 +642,22 @@ func (s *Simulator) grantTenantVE(t *tenant, cap float64) float64 {
 			u.veGrant = share
 		}
 	}
-	return 0
+	return 0, ves
 }
 
 // redistributeVE implements VE harvesting (Fig. 18b): leftover VE
 // capacity flows to other tenants' unmet ME-µTOp needs first, then to
-// VE µTOps.
-func (s *Simulator) redistributeVE(pool float64) {
+// the ves VE µTOps, in equal shares that applySpeeds adds.
+func (s *Simulator) redistributeVE(pool float64, ves int) {
 	if pool <= 0 {
 		return
 	}
 	unmet := s.scratch.unmet[:0]
 	var totalUnmet float64
 	for _, t := range s.tenants {
+		if !t.veShort {
+			continue
+		}
 		for _, u := range t.running {
 			if u.kind == isa.MEUTop && u.me >= 0 && u.veGrant < u.veNeed-eps {
 				unmet = append(unmet, u)
@@ -649,29 +677,9 @@ func (s *Simulator) redistributeVE(pool float64) {
 			pool -= extra
 		}
 	}
-	if pool <= eps {
-		return
-	}
 	// Remaining pool → VE µTOps (they can absorb arbitrary rate).
-	ves := s.scratch.ves[:0]
-	for _, t := range s.tenants {
-		for _, u := range t.running {
-			if u.kind == isa.VEUTop {
-				ves = append(ves, u)
-			}
-		}
-	}
-	s.scratch.ves = ves
-	if len(ves) == 0 {
-		return
-	}
-	share := pool / float64(len(ves))
-	max := float64(s.cfg.Core.VEs)
-	for _, u := range ves {
-		u.veGrant += share
-		if u.veGrant > max {
-			u.veGrant = max
-		}
+	if pool > eps && ves > 0 {
+		s.veShare = pool / float64(ves)
 	}
 }
 
@@ -684,7 +692,7 @@ func (s *Simulator) preSpeed(u *utop) float64 {
 		if u.me < 0 {
 			return 0
 		}
-		if u.veNeed <= eps {
+		if u.veNeed <= eps || u.veGrant == u.veNeed { // x/x is exactly 1
 			return 1
 		}
 		sp := u.veGrant / u.veNeed
@@ -755,33 +763,45 @@ func growFloats(buf []float64, n int) []float64 {
 // by default"), then across each vNPU's µTOps. Light consumers
 // (compute-bound tenants) receive their full demand; the shortage lands
 // on the heavy, memory-bound ones. It returns the bandwidth served
-// (bytes/cycle).
-func (s *Simulator) applySpeeds() float64 {
+// (bytes/cycle) and the horizon's µTOp part: the time to the first µTOp
+// completion (at most maxCycles-now) and whether any µTOp progresses.
+// The first pass also adds redistributeVE's share to each VE µTOp.
+func (s *Simulator) applySpeeds() (served, dt float64, any bool) {
 	sc := &s.scratch
 	sc.tDemand = growFloats(sc.tDemand, len(s.tenants))
+	dt = maxCycles - s.now
+	maxVE := float64(s.cfg.Core.VEs)
 	var totalDemand float64
 	for ti, t := range s.tenants {
-		sc.tDemand[ti] = 0
+		var demand float64
 		for _, u := range t.running {
+			if s.veShare > 0 && u.kind == isa.VEUTop {
+				if u.veGrant += s.veShare; u.veGrant > maxVE {
+					u.veGrant = maxVE
+				}
+			}
 			pre := s.preSpeed(u)
 			u.speed = pre
 			if pre > 0 && u.bwNeed > 0 {
-				sc.tDemand[ti] += u.bwNeed * pre
+				demand += u.bwNeed * pre
+			}
+			if pre > eps {
+				any = true
+				if d := u.rem / pre; d < dt {
+					dt = d
+				}
 			}
 		}
+		sc.tDemand[ti] = demand
+		totalDemand += demand
 	}
-	for _, d := range sc.tDemand {
-		totalDemand += d
-	}
-	capacity := s.cfg.Core.HBMBytesPerCycle()
-	if totalDemand <= capacity {
-		return totalDemand
+	if totalDemand <= s.hbmCap {
+		return totalDemand, dt, any
 	}
 	// Over capacity: list each tenant's demands again, in the same
 	// order, to share its grant among them.
 	sc.tGrant = growFloats(sc.tGrant, len(s.tenants))
-	s.waterfill(sc.tDemand, sc.tGrant, capacity)
-	served := 0.0
+	s.waterfill(sc.tDemand, sc.tGrant, s.hbmCap)
 	for ti, t := range s.tenants {
 		items := sc.items[:0]
 		for _, u := range t.running {
@@ -807,14 +827,8 @@ func (s *Simulator) applySpeeds() float64 {
 			served += grants[i]
 		}
 	}
-	return served
-}
-
-// horizon returns the time to the next event and whether any progress or
-// pending unblock exists.
-func (s *Simulator) horizon() (float64, bool) {
-	dt := maxCycles - s.now
-	any := false
+	// The throttled speeds move the first completion.
+	dt, any = maxCycles-s.now, false
 	for _, t := range s.tenants {
 		for _, u := range t.running {
 			if u.speed > eps {
@@ -825,11 +839,19 @@ func (s *Simulator) horizon() (float64, bool) {
 			}
 		}
 	}
-	for _, until := range s.meBlocked {
-		if until > s.now+eps {
-			any = true
-			if d := until - s.now; d < dt {
-				dt = d
+	return served, dt, any
+}
+
+// horizon takes applySpeeds' µTOp horizon to the time to the next event,
+// and reports whether any progress or pending unblock exists.
+func (s *Simulator) horizon(dt float64, any bool) (float64, bool) {
+	if s.blockedMax > s.now+eps { // else no ME is blocked past now
+		for _, until := range s.meBlocked {
+			if until > s.now+eps {
+				any = true
+				if d := until - s.now; d < dt {
+					dt = d
+				}
 			}
 		}
 	}
@@ -879,42 +901,24 @@ func (s *Simulator) sample() {
 	}
 }
 
-func (s *Simulator) advance(dt float64, servedBW float64) {
+// step advances every running µTOp by dt, retires the finished ones and
+// moves each tenant on to its next group, operator or request. It
+// returns true when every tenant has completed the target. One pass per
+// tenant both advances and retires; what reads the engines as they were
+// over the interval (the Table III flags, V10's service charge) runs
+// first, before a retiring µTOp frees its ME.
+func (s *Simulator) step(dt, servedBW float64) bool {
+	// Table III accounting: the tenant is "blocked due to being
+	// harvested" when it has ready µTOps while one of its own MEs is
+	// running a harvester or draining a reclaim.
 	for _, t := range s.tenants {
-		active := false
-		for _, u := range t.running {
-			if u.speed <= eps {
-				continue
-			}
-			active = true
-			u.rem -= u.speed * dt
-			if u.kind == isa.MEUTop {
-				s.meBusyArea += u.meFrac * u.speed * dt
-				s.veBusyArea += u.veNeed * u.speed * dt
-			} else {
-				s.veBusyArea += u.speed * dt
-			}
+		if t.readyME.Len() == 0 {
+			continue
 		}
-		if active {
-			t.activeCycles += dt
-		}
-		// Table III accounting: the tenant is "blocked due to being
-		// harvested" when it has ready µTOps while one of its own MEs is
-		// running a harvester or draining a reclaim.
-		if t.readyME.Len() > 0 {
-			blocked := false
-			for _, m := range t.ownMEs {
-				if u := s.meHeld[m]; u != nil && u.harvested {
-					blocked = true
-					break
-				}
-				if s.meBlocked[m] > s.now+eps {
-					blocked = true
-					break
-				}
-			}
-			if blocked {
+		for _, m := range t.ownMEs {
+			if u := s.meHeld[m]; (u != nil && u.harvested) || s.meBlocked[m] > s.now+eps {
 				t.harvestBlocked += dt
+				break
 			}
 		}
 	}
@@ -940,14 +944,21 @@ func (s *Simulator) advance(dt float64, servedBW float64) {
 		s.hbmTL.Add(s.now, servedBW)
 	}
 	s.now += dt
-}
-
-// complete retires finished µTOps and advances groups, operators and
-// requests. It returns true when every tenant has completed the target.
-func (s *Simulator) complete() bool {
+	done := true
 	for _, t := range s.tenants {
+		active := false
 		kept := t.running[:0]
 		for _, u := range t.running {
+			if u.speed > eps {
+				active = true
+				u.rem -= u.speed * dt
+				if u.kind == isa.MEUTop {
+					s.meBusyArea += u.meFrac * u.speed * dt
+					s.veBusyArea += u.veNeed * u.speed * dt
+				} else {
+					s.veBusyArea += u.speed * dt
+				}
+			}
 			if u.rem > eps {
 				kept = append(kept, u)
 				continue
@@ -955,20 +966,20 @@ func (s *Simulator) complete() bool {
 			if u.me >= 0 {
 				s.meHeld[u.me] = nil
 			}
+			if u.harvested {
+				s.harvesters--
+			}
 			t.inFlight--
 			s.utopFree = append(s.utopFree, u)
 		}
 		t.running = kept
+		if active {
+			t.activeCycles += dt
+		}
 		for !t.idle && t.inFlight == 0 && t.currentGroup() != nil {
 			s.advanceGroup(t)
 		}
-	}
-	done := true
-	for _, t := range s.tenants {
-		if t.completed < s.cfg.Requests {
-			done = false
-			break
-		}
+		done = done && t.completed >= s.cfg.Requests
 	}
 	return done
 }
@@ -994,10 +1005,8 @@ func (s *Simulator) advanceGroup(t *tenant) {
 	t.lat.Add(s.now - t.reqStart)
 	t.completed++
 	if t.spec.ArrivalRate > 0 {
-		if len(t.pending) > 0 {
-			at := t.pending[0]
-			t.pending = t.pending[1:]
-			s.beginService(t, at)
+		if t.pending.Len() > 0 {
+			s.beginService(t, t.pending.Pop())
 		} else {
 			t.idle = true
 		}

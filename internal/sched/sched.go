@@ -175,32 +175,26 @@ type utop struct {
 	speed   float64
 }
 
-// init (re)initializes a µTOp instance for a spec; instances are pooled
-// by the simulator (Simulator.takeUTop) so the event loop stays off the
-// allocator.
+// init (re)initializes a µTOp instance for a spec, writing every field
+// once; instances are pooled by the simulator (Simulator.takeUTop) so
+// the event loop stays off the allocator.
 func (u *utop) init(t *tenant, opIdx int, spec compiler.UTopSpec) {
-	u.ten, u.opIdx, u.kind, u.me = t, opIdx, spec.Kind, -1
-	me := float64(spec.MECycles)
-	ve := float64(spec.VECycles)
-	switch spec.Kind {
-	case isa.MEUTop:
-		u.nominal = me
-		if ve > u.nominal {
-			u.nominal = ve
-		}
-		if u.nominal == 0 {
-			u.nominal = 1
-		}
-		u.meFrac = me / u.nominal
-		u.veNeed = ve / u.nominal
-	default:
-		u.nominal = ve
-		if u.nominal == 0 {
-			u.nominal = 1
-		}
+	me, ve := float64(spec.MECycles), float64(spec.VECycles)
+	nominal := ve
+	if spec.Kind == isa.MEUTop && me >= ve {
+		nominal = me
 	}
-	u.rem = u.nominal
-	u.bwNeed = float64(spec.HBMBytes) / u.nominal
+	if nominal == 0 {
+		nominal = 1
+	}
+	if spec.Kind == isa.MEUTop {
+		u.meFrac, u.veNeed = me/nominal, ve/nominal
+	} else {
+		u.meFrac, u.veNeed = 0, 0
+	}
+	u.ten, u.opIdx, u.kind, u.me, u.harvested = t, opIdx, spec.Kind, -1, false
+	u.rem, u.nominal, u.bwNeed = nominal, nominal, float64(spec.HBMBytes)/nominal
+	u.veGrant, u.speed = 0, 0
 }
 
 // tenant is the runtime state of one collocated vNPU.
@@ -216,8 +210,9 @@ type tenant struct {
 	groupIdx int
 	inFlight int // µTOps of the current group still unfinished
 
-	readyME utopQueue // ready, unbound ME µTOps of the current group
-	running []*utop   // bound ME µTOps + active VE µTOps
+	readyME fifo[*utop] // ready, unbound ME µTOps of the current group
+	running []*utop     // bound ME µTOps + active VE µTOps
+	veShort bool        // this event, its ME µTOps' VE need exceeds its VEs
 
 	reqStart  float64
 	completed int
@@ -226,7 +221,7 @@ type tenant struct {
 	// time, and arrival timestamps waiting for service.
 	rng         *sim.RNG
 	nextArrival float64
-	pending     []float64
+	pending     fifo[float64]
 	idle        bool
 
 	// fairness accounting
@@ -242,39 +237,38 @@ type tenant struct {
 	meTL, veTL     *metrics.TimeSeries
 }
 
-// utopQueue is a FIFO of ready µTOps with a head index instead of
-// re-slicing, so the backing array's capacity is reused across the
-// simulation instead of leaking one slot per pop.
-type utopQueue struct {
-	buf  []*utop
+// fifo is a queue with a head index instead of re-slicing, so the
+// backing array's capacity is reused across the simulation instead of
+// leaking one slot per pop (and regrowing behind the dead prefix).
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *utopQueue) Len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) Len() int { return len(q.buf) - q.head }
 
-func (q *utopQueue) Push(u *utop) {
+func (q *fifo[T]) Push(v T) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		// Compact before growing: usually frees enough room to avoid
 		// the reallocation entirely.
 		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
+		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, u)
+	q.buf = append(q.buf, v)
 }
 
-func (q *utopQueue) Pop() *utop {
-	u := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *fifo[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return u
+	return v
 }
 
 // currentGroup returns the group being executed, or nil when the request
