@@ -283,10 +283,10 @@ func (f *fleet) beginTransfer(src, dst *replica, s *llmSeq, evac bool, now sim.T
 		t.llm.migrations++
 	}
 	fl := &migFlight{seq: s, src: src, dst: dst, dblocks: dblocks, bytes: bytes, evac: evac}
-	fl.xfr = f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU).Start(bytes,
-		func(now sim.Time) { f.landTransfer(fl, now) })
+	link := f.fabric.Link(src.vnpu.Mapping.PNPU, dst.vnpu.Mapping.PNPU)
+	fl.xfr = link.Start(bytes, func(now sim.Time) { f.landTransfer(fl, now) })
 	t.llm.migInflight = append(t.llm.migInflight, fl)
-	f.obs.xferStart(fl, now)
+	f.obs.xferStart(fl, link.Name(), now)
 }
 
 // landTransfer lands a KV transfer: the sequence drops from src's

@@ -343,9 +343,10 @@ func (o *obsState) migStall(t *tenantState, id int64, parked int, now sim.Time) 
 	o.ctl("mig-stall", "sched", t, now, id, "parked", int64(parked), "", "")
 }
 
-// xferStart: flight fl put a sequence's KV on the wire, its target
-// already charged. An evacuation freezes its sequence in SegMigrate.
-func (o *obsState) xferStart(fl *migFlight, now sim.Time) {
+// xferStart: flight fl put a sequence's KV on the wire (the named
+// link), its target already charged. An evacuation freezes its sequence
+// in SegMigrate.
+func (o *obsState) xferStart(fl *migFlight, link string, now sim.Time) {
 	if o == nil {
 		return
 	}
@@ -356,8 +357,7 @@ func (o *obsState) xferStart(fl *migFlight, now sim.Time) {
 	}
 	o.slotIdle(fl.dst, now)
 	if o.trace != nil {
-		o.ctl(name, cat, fl.src.ten, now, fl.seq.req.id, "bytes", fl.bytes, "link",
-			fmt.Sprintf("chip%d→chip%d", fl.src.vnpu.Mapping.PNPU, fl.dst.vnpu.Mapping.PNPU))
+		o.ctl(name, cat, fl.src.ten, now, fl.seq.req.id, "bytes", fl.bytes, "link", link)
 	}
 }
 

@@ -32,12 +32,16 @@ package xfer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"neu10/internal/sim"
 )
 
-// transfer is one in-flight payload on a link.
-type transfer struct {
+// Transfer is one payload on a link, and the handle Start returns for
+// it: it stays valid for the transfer's whole lifetime and supports
+// cancellation.
+type Transfer struct {
+	l         *Link
 	remaining float64 // payload bytes still to move
 	bytes     int64
 	done      func(now sim.Time)
@@ -47,20 +51,13 @@ type transfer struct {
 	finished bool // done fired, or the transfer was canceled
 }
 
-// Transfer is the handle Start returns for one payload: it stays valid
-// for the transfer's whole lifetime and supports cancellation.
-type Transfer struct {
-	l *Link
-	t *transfer
-}
-
 // Cancel aborts the transfer if it has not completed: its done callback
 // will never fire, and any payload still unsent is abandoned (partial
 // progress does not count toward BytesMoved — the payload never fully
 // drained). Surviving transfers on the link immediately speed up to the
 // wider fair share. Reports false when the transfer already completed.
-func (tr *Transfer) Cancel() bool {
-	l, t := tr.l, tr.t
+func (t *Transfer) Cancel() bool {
+	l := t.l
 	if t.finished {
 		return false
 	}
@@ -72,15 +69,14 @@ func (tr *Transfer) Cancel() bool {
 		// never be acted on.
 		l.eng.Cancel(t.latH)
 		t.latSet = false
+		i := slices.Index(l.landing, t)
+		l.landing = slices.Delete(l.landing, i, i+1)
 		return true
 	}
 	now := float64(l.eng.Now())
 	l.advance(now)
-	for i, x := range l.active {
-		if x == t {
-			l.active = append(l.active[:i], l.active[i+1:]...)
-			break
-		}
+	if i := slices.Index(l.active, t); i >= 0 {
+		l.active = slices.Delete(l.active, i, i+1)
 	}
 	l.reschedule(now)
 	return true
@@ -95,7 +91,15 @@ type Link struct {
 	latency    float64 // cycles added after the last byte drains
 	scale      float64 // runtime bandwidth multiplier (fault injection)
 
-	active []*transfer
+	active []*Transfer
+	// landing holds drained transfers in the order of their pending
+	// latency-phase events (see awaitLanding).
+	landing []*Transfer
+
+	// fire's scratch and the two event callbacks, bound once, so a
+	// transfer's life allocates only its record.
+	finished       []*Transfer
+	fireFn, landFn func(now sim.Time)
 
 	// stats
 	lastAt     float64
@@ -119,8 +123,10 @@ func NewLink(eng *sim.Engine, name string, bwPerCycle, latency float64) (*Link, 
 	if latency < 0 {
 		return nil, fmt.Errorf("xfer: link %s latency %v cycles", name, latency)
 	}
-	return &Link{eng: eng, name: name, bwPerCycle: bwPerCycle, latency: latency,
-		scale: 1, lastAt: float64(eng.Now())}, nil
+	l := &Link{eng: eng, name: name, bwPerCycle: bwPerCycle, latency: latency,
+		scale: 1, lastAt: float64(eng.Now())}
+	l.fireFn, l.landFn = l.fire, l.land
+	return l, nil
 }
 
 // Name returns the link's label.
@@ -188,22 +194,37 @@ func (l *Link) Start(bytes int64, done func(now sim.Time)) *Transfer {
 	now := float64(l.eng.Now())
 	l.advance(now)
 	l.transfers++
-	t := &transfer{remaining: float64(bytes), bytes: bytes, done: done}
+	t := &Transfer{l: l, remaining: float64(bytes), bytes: bytes, done: done}
 	if bytes <= 0 {
-		t.latSet = true
-		t.latH = l.eng.After(sim.Time(l.latency)+1, func(at sim.Time) { l.complete(t, at) })
-		return &Transfer{l: l, t: t}
+		l.awaitLanding(t)
+		return t
 	}
 	l.active = append(l.active, t)
 	if len(l.active) > l.peakActive {
 		l.peakActive = len(l.active)
 	}
 	l.reschedule(now)
-	return &Transfer{l: l, t: t}
+	return t
+}
+
+// awaitLanding schedules t's completion latency+1 cycles from now. Every
+// landing event is scheduled that far ahead, so they fire in the order
+// they were scheduled, which is l.landing's order.
+func (l *Link) awaitLanding(t *Transfer) {
+	t.latSet = true
+	t.latH = l.eng.After(sim.Time(l.latency)+1, l.landFn)
+	l.landing = append(l.landing, t)
+}
+
+// land completes the transfer at the front of l.landing.
+func (l *Link) land(now sim.Time) {
+	t := l.landing[0]
+	l.landing = slices.Delete(l.landing, 0, 1)
+	l.complete(t, now)
 }
 
 // complete fires a transfer's done callback exactly once.
-func (l *Link) complete(t *transfer, now sim.Time) {
+func (l *Link) complete(t *Transfer, now sim.Time) {
 	t.latSet = false
 	t.finished = true
 	t.done(now)
@@ -249,7 +270,7 @@ func (l *Link) reschedule(now float64) {
 	}
 	eta := min / (l.rate() / float64(len(l.active)))
 	l.doneSet = true
-	l.doneH = l.eng.After(sim.Time(eta)+1, l.fire)
+	l.doneH = l.eng.After(sim.Time(eta)+1, l.fireFn)
 }
 
 // fire advances progress and completes every transfer whose payload has
@@ -260,8 +281,7 @@ func (l *Link) fire(nowT sim.Time) {
 	l.doneSet = false
 	now := float64(nowT)
 	l.advance(now)
-	kept := l.active[:0]
-	var finished []*transfer
+	kept, finished := l.active[:0], l.finished[:0]
 	for _, t := range l.active {
 		// The event lands ≥1 cycle past the exact drain time, so the
 		// earliest transfer is at or below zero; anything within one
@@ -272,21 +292,19 @@ func (l *Link) fire(nowT sim.Time) {
 			kept = append(kept, t)
 		}
 	}
-	for i := len(kept); i < len(l.active); i++ {
-		l.active[i] = nil
-	}
-	l.active = kept
+	clear(l.active[len(kept):])
+	l.active, l.finished = kept, finished
 	l.reschedule(now)
 	for _, t := range finished {
 		l.bytesMoved += t.bytes
 		if l.latency > 0 {
-			t.latSet = true
-			tt := t
-			t.latH = l.eng.After(sim.Time(l.latency)+1, func(at sim.Time) { l.complete(tt, at) })
+			l.awaitLanding(t)
 		} else {
 			l.complete(t, nowT)
 		}
 	}
+	clear(finished)
+	l.finished = finished[:0]
 }
 
 // Stats is a link's (or fabric's) aggregate accounting.

@@ -359,3 +359,67 @@ func TestLinkValidation(t *testing.T) {
 		t.Error("negative-latency fabric accepted")
 	}
 }
+
+// TestLandingsAfterLatencyPhaseCancel: transfers that drain one after
+// another land in drain order, each through its own callback, and
+// canceling one in its latency phase leaves the others' landings (time
+// and callback) as they were.
+func TestLandingsAfterLatencyPhaseCancel(t *testing.T) {
+	run := func(cancelB bool) map[string]sim.Time {
+		eng := sim.NewEngine()
+		l, err := NewLink(eng, "test", 10, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		landed := map[string]sim.Time{}
+		start := func(name string, bytes int64) *Transfer {
+			return l.Start(bytes, func(now sim.Time) { landed[name] = now })
+		}
+		start("A", 100)
+		b := start("B", 200)
+		start("C", 300)
+		if cancelB {
+			// All three drain by cycle ~62; B's landing is pending.
+			eng.At(500, func(sim.Time) {
+				if !b.Cancel() {
+					t.Error("latency-phase cancel reported false")
+				}
+			})
+		}
+		eng.Run()
+		return landed
+	}
+	all, some := run(false), run(true)
+	if len(all) != 3 || !(all["A"] < all["B"] && all["B"] < all["C"]) {
+		t.Fatalf("landings %v, want A < B < C", all)
+	}
+	if _, ok := some["B"]; ok || len(some) != 2 || some["A"] != all["A"] || some["C"] != all["C"] {
+		t.Fatalf("with B canceled: landings %v, want A at %d and C at %d", some, all["A"], all["C"])
+	}
+}
+
+// TestTransferAllocBudget: a transfer's start-to-landing cycle allocates
+// only its record. The link's event callbacks are bound once and fire's
+// list of drained transfers is link scratch, so neither a reschedule
+// nor a landing allocates.
+func TestTransferAllocBudget(t *testing.T) {
+	eng := sim.NewEngine()
+	l, err := NewLink(eng, "test", 10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := 0
+	done := func(sim.Time) { landed++ }
+	cycle := func() {
+		l.Start(1000, done)
+		l.Start(3000, done) // overlapping: the first landing reschedules the second
+		eng.Run()
+	}
+	cycle() // grow the engine's heap and the link's scratch
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 2 {
+		t.Fatalf("two transfers allocate %.0f objects start to landing, want ≤ 2 (one record each)", allocs)
+	}
+	if landed != 2*52 {
+		t.Fatalf("%d landings, want %d", landed, 2*52)
+	}
+}
