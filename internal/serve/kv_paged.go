@@ -337,11 +337,10 @@ func (p *pagedKV) seal(s *llmSeq) {
 			} else {
 				child = new(radixNode)
 			}
-			*child = radixNode{
-				key: key, tokens: span, startTok: tokens,
-				blocks: (tokens+span)/kvBlockTokens - tokens/kvBlockTokens,
-				parent: node, next: node.child,
-			}
+			*child = radixNode{} // then set: a literal would be copied whole
+			child.key, child.tokens, child.startTok = key, span, tokens
+			child.blocks = (tokens+span)/kvBlockTokens - tokens/kvBlockTokens
+			child.parent, child.next = node, node.child
 			node.child = child
 			p.cold += child.blocks // born cold; a later admission may pin it
 			transferred += child.blocks

@@ -54,8 +54,11 @@ func (f *fleet) putBatch(b *batch) {
 		}
 	}
 	clear(b.seqs)
-	reqs, seqs, chunks := b.reqs[:0], b.seqs[:0], b.chunks[:0]
-	*b = batch{reqs: reqs, seqs: seqs, chunks: chunks, done: b.done}
+	// Zero, then restore what the batch keeps: assigning a literal that
+	// sets them would build it aside and copy it whole.
+	reqs, seqs, chunks, done := b.reqs[:0], b.seqs[:0], b.chunks[:0], b.done
+	*b = batch{}
+	b.reqs, b.seqs, b.chunks, b.done = reqs, seqs, chunks, done
 	f.batchFree = append(f.batchFree, b)
 }
 
@@ -71,7 +74,8 @@ func (f *fleet) takeSeq(req request) *llmSeq {
 	} else {
 		s = new(llmSeq)
 	}
-	*s = llmSeq{req: req, ctx: req.prompt}
+	*s = llmSeq{} // then set, as in putBatch
+	s.req, s.ctx = req, req.prompt
 	return s
 }
 
