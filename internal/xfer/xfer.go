@@ -297,9 +297,10 @@ func (l *Link) fire(nowT sim.Time) {
 	l.reschedule(now)
 	for _, t := range finished {
 		l.bytesMoved += t.bytes
-		if l.latency > 0 {
+		switch {
+		case l.latency > 0:
 			l.awaitLanding(t)
-		} else {
+		case !t.finished: // an earlier done in this loop may have canceled t
 			l.complete(t, nowT)
 		}
 	}

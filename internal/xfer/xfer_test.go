@@ -273,7 +273,9 @@ func TestFabricRescaleCoversFutureLinks(t *testing.T) {
 // (survivors reclaim bandwidth, no bytes counted), latency phase (bytes
 // counted, done never fires), and post-completion (Cancel reports
 // false). Exactly the semantics a chip crash needs: the dead endpoint's
-// transfers vanish without their landing callbacks ever firing.
+// transfers vanish without their landing callbacks ever firing. On a
+// zero-latency link, a done that cancels a transfer drained in the same
+// event keeps that transfer's done from firing.
 func TestTransferCancel(t *testing.T) {
 	eng := sim.NewEngine()
 	l, _ := NewLink(eng, "test", 10, 0)
@@ -340,6 +342,26 @@ func TestTransferCancel(t *testing.T) {
 	eng.Run()
 	if zFired {
 		t.Error("canceled zero-byte transfer's done fired")
+	}
+
+	// Two transfers drain in one event on a zero-latency link; the
+	// first's done cancels the second, whose bytes had drained.
+	eng = sim.NewEngine()
+	l, _ = NewLink(eng, "test", 10, 0)
+	var tf *Transfer
+	fFired := false
+	l.Start(100, func(sim.Time) {
+		if !tf.Cancel() {
+			t.Error("cancel of a drained sibling reported false")
+		}
+	})
+	tf = l.Start(100, func(sim.Time) { fFired = true })
+	eng.Run()
+	if fFired {
+		t.Error("sibling canceled by an earlier done in the same drain fired")
+	}
+	if st := l.Stats(float64(eng.Now())); st.BytesMoved != 200 || st.Canceled != 1 {
+		t.Errorf("stats %+v, want 200 B moved, 1 canceled", st)
 	}
 }
 
