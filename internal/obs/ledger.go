@@ -105,12 +105,7 @@ var segmentNames = [...]string{
 	SegCrashReplay:  "crash_replay",
 }
 
-func (s Segment) String() string {
-	if int(s) < len(segmentNames) {
-		return segmentNames[s]
-	}
-	return "segment(" + strconv.Itoa(int(s)) + ")"
-}
+func (s Segment) String() string { return enumName(segmentNames[:], int(s), "segment") }
 
 // Bucket identifies one exclusive state of a replica's lifetime in the
 // fleet cycle ledger.
@@ -150,11 +145,14 @@ var bucketNames = [...]string{
 	BucketIdle:      "idle",
 }
 
-func (b Bucket) String() string {
-	if int(b) < len(bucketNames) {
-		return bucketNames[b]
+func (b Bucket) String() string { return enumName(bucketNames[:], int(b), "bucket") }
+
+// enumName returns names[i], or kind(i) past the end of names.
+func enumName(names []string, i int, kind string) string {
+	if i < len(names) {
+		return names[i]
 	}
-	return "bucket(" + strconv.Itoa(int(b)) + ")"
+	return kind + "(" + strconv.Itoa(i) + ")"
 }
 
 // ReqRecord is one completed request's segment decomposition. All
@@ -238,11 +236,11 @@ type Ledger struct {
 	done []*ReqRecord          // completed, in completion order
 
 	reps     map[int]*RepRecord
-	repOrder []int // spawn order
+	repOrder []*RepRecord // spawn order
 
 	// totals accumulates completed requests' segments per tenant — the
 	// cheap cumulative series the attribution timeline samples.
-	totals map[string]*[numSegments]float64
+	totals map[string][numSegments]float64
 
 	drops      int
 	violations int
@@ -255,7 +253,7 @@ func NewLedger(label string, freqHz float64) *Ledger {
 		FreqHz: freqHz,
 		reqs:   map[reqKey]*ReqRecord{},
 		reps:   map[int]*RepRecord{},
-		totals: map[string]*[numSegments]float64{},
+		totals: map[string][numSegments]float64{},
 	}
 }
 
@@ -271,28 +269,23 @@ func (l *Ledger) ReqStart(proc string, id int64, at float64) {
 	if l == nil {
 		return
 	}
-	k := reqKey{proc, id}
-	if _, ok := l.reqs[k]; ok {
+	if l.req(proc, id) != nil {
 		l.violations++
 		return
 	}
-	l.reqs[k] = &ReqRecord{Proc: proc, ID: id, Arrive: at, cur: SegQueue, since: at}
+	l.reqs[reqKey{proc, id}] = &ReqRecord{Proc: proc, ID: id, Arrive: at, cur: SegQueue, since: at}
 }
 
 // ReqSeg transitions the request into seg, closing the open interval
 // into the outgoing segment. Unknown requests (a hook firing before
 // ReqStart) count as violations.
 func (l *Ledger) ReqSeg(proc string, id int64, seg Segment, at float64) {
-	if l == nil {
-		return
-	}
-	r := l.reqs[reqKey{proc, id}]
-	if r == nil {
+	if r := l.req(proc, id); r != nil {
+		r.close(at)
+		r.cur = seg
+	} else if l != nil {
 		l.violations++
-		return
 	}
-	r.close(at)
-	r.cur = seg
 }
 
 // ReqSuspend parks the request in SegPreempt, remembering the segment
@@ -335,46 +328,33 @@ func (l *Ledger) ReqFirstToken(proc string, id int64, at float64) {
 // conservation invariant (Σ segments == done − arrive, exactly) and
 // moves the record to the completed list.
 func (l *Ledger) ReqDone(proc string, id int64, at float64, outTokens int) {
-	if l == nil {
-		return
-	}
-	k := reqKey{proc, id}
-	r := l.reqs[k]
+	r := l.req(proc, id)
 	if r == nil {
-		l.violations++
+		if l != nil {
+			l.violations++
+		}
 		return
 	}
 	r.close(at)
 	r.Done = at
 	r.OutTokens = outTokens
-	var sum float64
-	for _, v := range r.Seg {
-		sum += v
-	}
-	if sum != at-r.Arrive {
+	if sum(r.Seg[:]) != at-r.Arrive {
 		l.violations++
 	}
-	delete(l.reqs, k)
+	delete(l.reqs, reqKey{proc, id})
 	l.done = append(l.done, r)
 	tot := l.totals[proc]
-	if tot == nil {
-		tot = new([numSegments]float64)
-		l.totals[proc] = tot
-	}
 	for i, v := range r.Seg {
 		tot[i] += v
 	}
+	l.totals[proc] = tot
 }
 
 // ReqDrop discards an open record — a request lost to a crash or a
 // recovery policy, whose lifetime will never complete.
 func (l *Ledger) ReqDrop(proc string, id int64) {
-	if l == nil {
-		return
-	}
-	k := reqKey{proc, id}
-	if l.reqs[k] != nil {
-		delete(l.reqs, k)
+	if l.req(proc, id) != nil {
+		delete(l.reqs, reqKey{proc, id})
 		l.drops++
 	}
 }
@@ -388,8 +368,9 @@ func (l *Ledger) RepSpawn(proc string, uid int, at float64) {
 		l.violations++
 		return
 	}
-	l.reps[uid] = &RepRecord{Proc: proc, UID: uid, Spawn: at, cur: BucketIdle, since: at, open: true}
-	l.repOrder = append(l.repOrder, uid)
+	r := &RepRecord{Proc: proc, UID: uid, Spawn: at, cur: BucketIdle, since: at, open: true}
+	l.reps[uid] = r
+	l.repOrder = append(l.repOrder, r)
 }
 
 // RepMark transitions the replica into bucket b, closing the open span
@@ -409,18 +390,10 @@ func (l *Ledger) RepMark(uid int, b Bucket, at float64) {
 
 // RepCrash ends a replica's lifetime at a fault, re-attributing the
 // open span — whatever work was in flight — to BucketFaulted.
-func (l *Ledger) RepCrash(uid int, at float64) {
-	if l != nil {
-		l.closeRep(l.reps[uid], true, at)
-	}
-}
+func (l *Ledger) RepCrash(uid int, at float64) { l.closeRep(uid, true, at) }
 
 // RepRetire ends a replica's lifetime at a graceful retire.
-func (l *Ledger) RepRetire(uid int, at float64) {
-	if l != nil {
-		l.closeRep(l.reps[uid], false, at)
-	}
-}
+func (l *Ledger) RepRetire(uid int, at float64) { l.closeRep(uid, false, at) }
 
 // FinishReps seals every still-open replica record at the end-of-run
 // instant, so Σ buckets == integrated capacity over the whole fleet.
@@ -428,15 +401,19 @@ func (l *Ledger) FinishReps(at float64) {
 	if l == nil {
 		return
 	}
-	for _, uid := range l.repOrder {
-		l.closeRep(l.reps[uid], false, at)
+	for _, r := range l.repOrder {
+		l.closeRep(r.UID, false, at)
 	}
 }
 
-// closeRep ends an open record's lifetime at `at`: the open span goes to
+// closeRep ends replica uid's lifetime at `at`: the open span goes to
 // its current bucket, or to BucketFaulted at a crash, and the buckets
 // must sum to the lifetime. A missing or closed record is left alone.
-func (l *Ledger) closeRep(r *RepRecord, crashed bool, at float64) {
+func (l *Ledger) closeRep(uid int, crashed bool, at float64) {
+	if l == nil {
+		return
+	}
+	r := l.reps[uid]
 	if r == nil || !r.open {
 		return
 	}
@@ -446,13 +423,17 @@ func (l *Ledger) closeRep(r *RepRecord, crashed bool, at float64) {
 	r.Buckets[r.cur] += at - r.since
 	r.End = at
 	r.open = false
-	var sum float64
-	for _, v := range r.Buckets {
-		sum += v
-	}
-	if sum != r.End-r.Spawn {
+	if sum(r.Buckets[:]) != r.End-r.Spawn {
 		l.violations++
 	}
+}
+
+// sum adds vs in order.
+func sum(vs []float64) (s float64) {
+	for _, v := range vs {
+		s += v
+	}
+	return s
 }
 
 // Completed lists completed request records in completion order.
@@ -468,11 +449,7 @@ func (l *Ledger) Replicas() []*RepRecord {
 	if l == nil {
 		return nil
 	}
-	out := make([]*RepRecord, 0, len(l.repOrder))
-	for _, uid := range l.repOrder {
-		out = append(out, l.reps[uid])
-	}
-	return out
+	return l.repOrder
 }
 
 // SegTotals returns the cumulative completed-request segment cycles of
@@ -481,10 +458,7 @@ func (l *Ledger) SegTotals(proc string) [numSegments]float64 {
 	if l == nil {
 		return [numSegments]float64{}
 	}
-	if tot := l.totals[proc]; tot != nil {
-		return *tot
-	}
-	return [numSegments]float64{}
+	return l.totals[proc]
 }
 
 // Open counts requests still in flight (must be zero once a run has
@@ -545,11 +519,10 @@ func (l *Ledger) appendCSV(x *exportBuf) {
 			}
 		}
 	}
-	for _, uid := range l.repOrder {
+	for _, r := range l.repOrder {
 		if x.err != nil {
 			return
 		}
-		r := l.reps[uid]
 		for bk, v := range r.Buckets {
 			if v > 0 {
 				row("fleet", int64(r.UID), Bucket(bk).String(), v)

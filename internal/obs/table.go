@@ -10,15 +10,14 @@ import (
 // widest cell, and columns are separated by two spaces.
 func WriteTable(sb *strings.Builder, header []string, rows [][]string) {
 	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	measure := func(cells []string) {
+		for i, c := range cells {
+			widths[i] = max(widths[i], len(c))
 		}
+	}
+	measure(header)
+	for _, r := range rows {
+		measure(r)
 	}
 	line := func(cells []string) {
 		for i, c := range cells {
