@@ -31,9 +31,45 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// event is one trace record with its strings looked up in the table.
+type event struct {
+	Name  string  // what happened ("queue", "llm-decode", "crash", ...)
+	Cat   string  // category ("req", "exec", "control", "fault", ...)
+	Ph    byte    // PhaseSpan, PhaseBegin, PhaseEnd or PhaseInstant
+	Proc  string  // process label (tenant name, or "fleet")
+	Track int32   // thread within the process (PhaseSpan/PhaseInstant)
+	Start float64 // sim cycles
+	Dur   float64 // sim cycles (PhaseSpan only)
+	Req   int64   // request id for lifecycle events, -1 otherwise
+
+	// Up to two numeric args and one string arg, keyed; empty keys are
+	// omitted from the export.
+	AK, BK string
+	AV, BV int64
+	SK, SV string
+}
+
+// events decodes t's records in fold order; a nil tracer has none.
+func events(t *Tracer) []event {
+	if t == nil {
+		return nil
+	}
+	var out []event
+	s := t.strs
+	for _, c := range t.chunks {
+		for _, r := range c {
+			out = append(out, event{Name: s[r.name], Cat: s[r.cat], Ph: r.ph, Proc: s[r.proc],
+				Track: r.track, Start: r.start, Dur: r.dur, Req: r.req,
+				AK: s[r.ak], AV: r.av, BK: s[r.bk], BV: r.bv, SK: s[r.sk], SV: s[r.sv]})
+		}
+	}
+	return out
+}
+
 // writeChromeRef is the reflection exporter WriteChromeAll replaced,
-// kept unchanged as the reference FuzzWriteChrome checks it against:
-// one chromeMeta or chromeEvent per record, each through json.Marshal.
+// kept as the reference FuzzWriteChrome checks it against: one
+// chromeMeta or chromeEvent per record, each through json.Marshal. It
+// reads the records back through events.
 func writeChromeRef(w io.Writer, traces []*Tracer) error {
 	bw := bufio.NewWriter(w)
 	var werr error
@@ -78,12 +114,12 @@ func writeChromeRef(w io.Writer, traces []*Tracer) error {
 		toUs := 1e6 / t.freqHz
 		for _, k := range t.order { // declared track names, declaration order
 			emit(chromeMeta{Name: "thread_name", Ph: "M",
-				Pid: pid(prefix + k.proc), Tid: int(k.track),
+				Pid: pid(prefix + t.strs[k.proc]), Tid: int(k.track),
 				Args: map[string]any{"name": t.names[k]}})
 		}
-		events := t.Events()
-		for i := range events {
-			e := &events[i]
+		evs := events(t)
+		for i := range evs {
+			e := &evs[i]
 			ce := chromeEvent{Name: e.Name, Cat: e.Cat, Ph: string(e.Ph),
 				Ts: e.Start * toUs, Pid: pid(prefix + e.Proc)}
 			switch e.Ph {

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -41,37 +43,58 @@ func (in *fuzzInput) str() string { return string(in.take(int(in.word(1)))) }
 
 // fuzzTracer decodes a fuzz input into a tracer: the clock word, the
 // label, then records until the input runs out, each an op byte and
-// the arguments of the Tracer method it selects, in parameter order.
-func fuzzTracer(data []byte) *Tracer {
+// the arguments of the Tracer method it selects, in parameter order
+// (op 2 begins an async phase, op 3 ends one). It also returns each
+// record as decoded, before the tracer interned its strings.
+func fuzzTracer(data []byte) (*Tracer, []event) {
 	in := fuzzInput(data)
 	freqHz := in.f64()
 	tr := NewTracer(in.str(), freqHz)
+	var evs []event
 	for len(in) > 0 {
-		switch in.word(1) % 5 {
-		case 0:
+		op := in.word(1) % 5
+		if op == 0 {
 			tr.NameTrack(in.str(), in.i32(), in.str())
-		case 1:
-			tr.Span(in.str(), in.str(), in.str(), in.i32(), in.f64(), in.f64(), in.i64(),
-				in.str(), in.i64(), in.str(), in.i64(), in.str(), in.str())
-		case 2:
-			tr.Begin(in.str(), in.str(), in.str(), in.f64(), in.i64())
-		case 3:
-			tr.End(in.str(), in.str(), in.str(), in.f64(), in.i64())
-		case 4:
-			tr.Instant(in.str(), in.str(), in.str(), in.i32(), in.f64(), in.i64(),
-				in.str(), in.i64(), in.str(), in.str())
+			continue
 		}
+		e := event{Name: in.str(), Cat: in.str(), Proc: in.str()}
+		switch op {
+		case 1:
+			var end float64
+			e.Ph, e.Track, e.Start, end, e.Req = PhaseSpan, in.i32(), in.f64(), in.f64(), in.i64()
+			e.AK, e.AV, e.BK, e.BV, e.SK, e.SV = in.str(), in.i64(), in.str(), in.i64(), in.str(), in.str()
+			e.Dur = end - e.Start
+			tr.Span(e.Name, e.Cat, e.Proc, e.Track, e.Start, end, e.Req, e.AK, e.AV, e.BK, e.BV, e.SK, e.SV)
+		case 2, 3:
+			e.Ph, e.Start, e.Req = PhaseBegin, in.f64(), in.i64()
+			if op == 3 {
+				e.Ph = PhaseEnd
+			}
+			tr.Async(e.Ph, e.Name, e.Cat, e.Proc, e.Start, e.Req)
+		case 4:
+			e.Ph, e.Track, e.Start, e.Req = PhaseInstant, in.i32(), in.f64(), in.i64()
+			e.AK, e.AV, e.SK, e.SV = in.str(), in.i64(), in.str(), in.str()
+			tr.Instant(e.Name, e.Cat, e.Proc, e.Track, e.Start, e.Req, e.AK, e.AV, e.SK, e.SV)
+		}
+		evs = append(evs, e)
 	}
-	return tr
+	return tr, evs
 }
 
-// FuzzWriteChrome checks the append encoder against the reflection
-// reference: for any decoded tracer, exported twice with a nil between,
-// the two write identical bytes, or both fail with the same error.
+// FuzzWriteChrome checks recording and the append encoder: for any
+// decoded tracer, its records read back as decoded, and against the
+// reflection reference, the tracer exported twice with a nil between
+// and then on a clock half as fast writes identical bytes, or both fail
+// with the same error.
 func FuzzWriteChrome(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := fuzzTracer(data)
-		traces := []*Tracer{tr, nil, tr}
+		tr, decoded := fuzzTracer(data)
+		if got := events(tr); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", decoded) {
+			t.Fatalf("records read back as\n%#v\nwant\n%#v", got, decoded)
+		}
+		slow := *tr // the same records and string table
+		slow.freqHz /= 2
+		traces := []*Tracer{tr, nil, tr, &slow}
 		var got, want bytes.Buffer
 		gerr := WriteChromeAll(&got, traces)
 		werr := writeChromeRef(&want, traces)
@@ -101,9 +124,9 @@ func mixedTracer(n int) *Tracer {
 		p, at, req := procs[i%3], float64(i)*1000, int64(i/4)
 		switch i % 4 {
 		case 0:
-			tr.Begin("queue", "req", p, at, req)
+			tr.Async(PhaseBegin, "queue", "req", p, at, req)
 		case 1:
-			tr.End("queue", "req", p, at, req)
+			tr.Async(PhaseEnd, "queue", "req", p, at, req)
 		case 2:
 			tr.Span("llm-decode", "exec", p, 3, at, at+2500, -1, "width", 8, "preempts", 0, "tenant", p)
 		case 3:
@@ -156,7 +179,15 @@ func mixedLedger(reqs int) *Ledger {
 // TestObsExportAllocBudget: each exporter allocates a fixed number of
 // times however much it writes, and recording allocates about once per
 // chunk of events and never more than the chunks' bytes plus a little.
+// A stored record holds no pointer, so the collector never scans the
+// chunks.
 func TestObsExportAllocBudget(t *testing.T) {
+	rt := reflect.TypeOf(record{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Type.Kind() < reflect.Bool || f.Type.Kind() > reflect.Complex128 {
+			t.Errorf("record field %s is a %s, want a bool or a number", f.Name, f.Type)
+		}
+	}
 	var chrome, timelines, ledger [2]float64
 	for i, n := range []int{10_000, 50_000} {
 		var m0, m1 runtime.MemStats
@@ -169,7 +200,7 @@ func TestObsExportAllocBudget(t *testing.T) {
 		if limit := chunks + 24; allocs > limit {
 			t.Errorf("recording %d events: %d allocations, want <= %d", n, allocs, limit)
 		}
-		if limit := chunks*chunkEvents*uint64(unsafe.Sizeof(Event{})) + 64<<10; size > limit {
+		if limit := chunks*chunkEvents*uint64(unsafe.Sizeof(record{})) + 64<<10; size > limit {
 			t.Errorf("recording %d events: %d bytes allocated, want <= %d", n, size, limit)
 		}
 		chrome[i] = testing.AllocsPerRun(3, func() {
@@ -200,6 +231,33 @@ func TestObsExportAllocBudget(t *testing.T) {
 	}
 	if ledger[0] != ledger[1] {
 		t.Errorf("WriteLedgerCSVAll: %.0f / %.0f allocations for 10k / 50k requests, want equal", ledger[0], ledger[1])
+	}
+}
+
+// TestWriteChromeConcurrent: an export only reads its tracers, so two
+// goroutines exporting one trace at once write the same bytes. Under
+// -race, a write to the tracer inside the export fails the test.
+func TestWriteChromeConcurrent(t *testing.T) {
+	tr := mixedTracer(10_000)
+	var out [2]bytes.Buffer
+	var errs [2]error
+	var wg sync.WaitGroup
+	start := make(chan struct{}) // released at once, so the exports overlap
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs[i] = WriteChromeAll(&out[i], []*Tracer{tr, nil, tr})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("export errors %v, %v", errs[0], errs[1])
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatal("two concurrent exports of one trace differ")
 	}
 }
 

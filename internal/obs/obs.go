@@ -49,31 +49,30 @@ const (
 	PhaseInstant = byte('i') // point event
 )
 
-// Event is one trace record. Fields are fixed and scalar so emitting an
-// event copies one struct into the tracer's current chunk — no maps, no
-// interfaces, no boxing.
-type Event struct {
-	Name  string  // what happened ("queue", "llm-decode", "crash", ...)
-	Cat   string  // category ("req", "exec", "control", "fault", ...)
-	Ph    byte    // PhaseSpan, PhaseBegin, PhaseEnd or PhaseInstant
-	Proc  string  // process label (tenant name, or "fleet")
-	Track int32   // thread within the process (PhaseSpan/PhaseInstant)
-	Start float64 // sim cycles
-	Dur   float64 // sim cycles (PhaseSpan only)
-	Req   int64   // request id for lifecycle events, -1 otherwise
+// record is one stored trace event. It holds no pointer, so the
+// garbage collector never scans the store: its strings are indices
+// into the tracer's string table, where 0 is "".
+type record struct {
+	start, dur float64 // sim cycles; dur for PhaseSpan only
+	req        int64   // request id for lifecycle events, -1 otherwise
+	av, bv     int64   // the numeric args, keyed by ak and bk
 
-	// Up to two numeric args and one string arg, keyed; empty keys are
-	// omitted from the export.
-	AK, BK string
-	AV, BV int64
-	SK, SV string
+	// Name ("queue", "crash", ...), category ("req", "fault", ...),
+	// process (tenant, or "fleet"), then the arg keys and the string
+	// arg's value; an empty key leaves its arg out of the export.
+	name, cat, proc, ak, bk, sk, sv uint32
+
+	track int32 // thread within the process (PhaseSpan/PhaseInstant)
+	ph    byte  // PhaseSpan, PhaseBegin, PhaseEnd or PhaseInstant
 }
 
 // trackKey identifies one named track.
 type trackKey struct {
-	proc  string
+	proc  uint32 // string table index
 	track int32
 }
+
+const reqArg = 1 // the table index of "req", the args key of a record's request id
 
 // chunkEvents is the capacity of one chunk of a Tracer's event store.
 // Recording fills one chunk after another, so a long trace is never
@@ -89,7 +88,10 @@ type Tracer struct {
 	Label string
 
 	freqHz float64
-	chunks [][]Event // in fold order; all but the last hold chunkEvents
+	chunks [][]record        // in fold order; all but the last hold chunkEvents
+	strs   []string          // the string table: "", "req", then first uses
+	ids    map[string]uint32 // each table string's index
+	recent [64]uint32        // indices of recent strings, by length and end bytes
 	names  map[trackKey]string
 	order  []trackKey
 }
@@ -97,17 +99,38 @@ type Tracer struct {
 // NewTracer builds an enabled tracer; freqHz converts cycle stamps to
 // microseconds at export time.
 func NewTracer(label string, freqHz float64) *Tracer {
-	return &Tracer{Label: label, freqHz: freqHz, names: map[trackKey]string{}}
+	return &Tracer{Label: label, freqHz: freqHz, strs: append(make([]string, 0, 64), "", "req"),
+		ids: map[string]uint32{"req": reqArg}, names: map[trackKey]string{}}
 }
 
-// add appends e to the last chunk, opening a new chunk when it is full.
-func (t *Tracer) add(e Event) {
+// id returns s's index in the string table, adding s on first use. The
+// recent slots answer a repeated string without hashing it.
+func (t *Tracer) id(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	h := uint(len(s)*7+int(s[0])*3+int(s[len(s)-1])) % uint(len(t.recent))
+	if i := t.recent[h]; t.strs[i] == s {
+		return i
+	}
+	i, ok := t.ids[s]
+	if !ok {
+		i = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.ids[s] = i
+	}
+	t.recent[h] = i
+	return i
+}
+
+// add appends r to the last chunk, opening a new chunk when it is full.
+func (t *Tracer) add(r record) {
 	n := len(t.chunks)
 	if n == 0 || len(t.chunks[n-1]) == chunkEvents {
-		t.chunks = append(t.chunks, make([]Event, 0, chunkEvents))
+		t.chunks = append(t.chunks, make([]record, 0, chunkEvents))
 		n++
 	}
-	t.chunks[n-1] = append(t.chunks[n-1], e)
+	t.chunks[n-1] = append(t.chunks[n-1], r)
 }
 
 // Len returns the number of recorded events.
@@ -119,25 +142,13 @@ func (t *Tracer) Len() int {
 	return (n-1)*chunkEvents + len(t.chunks[n-1])
 }
 
-// Events returns a copy of the recorded stream in fold order (tests).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, 0, t.Len())
-	for _, c := range t.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // NameTrack labels a (proc, track) pair in the export ("replica 3
 // (decode, chip 5)"). First writer wins; renaming is a no-op.
 func (t *Tracer) NameTrack(proc string, track int32, label string) {
 	if t == nil {
 		return
 	}
-	k := trackKey{proc, track}
+	k := trackKey{t.id(proc), track}
 	if _, ok := t.names[k]; ok {
 		return
 	}
@@ -150,25 +161,18 @@ func (t *Tracer) Span(name, cat, proc string, track int32, start, end float64, r
 	if t == nil {
 		return
 	}
-	t.add(Event{Name: name, Cat: cat, Ph: PhaseSpan, Proc: proc,
-		Track: track, Start: start, Dur: end - start, Req: req,
-		AK: ak, AV: av, BK: bk, BV: bv, SK: sk, SV: sv})
+	t.add(record{name: t.id(name), cat: t.id(cat), ph: PhaseSpan, proc: t.id(proc),
+		track: track, start: start, dur: end - start, req: req,
+		ak: t.id(ak), av: av, bk: t.id(bk), bv: bv, sk: t.id(sk), sv: t.id(sv)})
 }
 
-// Begin opens an async lifecycle phase for request req.
-func (t *Tracer) Begin(name, cat, proc string, at float64, req int64) {
+// Async opens (ph PhaseBegin) or closes (ph PhaseEnd) an async
+// lifecycle phase of request req.
+func (t *Tracer) Async(ph byte, name, cat, proc string, at float64, req int64) {
 	if t == nil {
 		return
 	}
-	t.add(Event{Name: name, Cat: cat, Ph: PhaseBegin, Proc: proc, Start: at, Req: req})
-}
-
-// End closes the matching async phase.
-func (t *Tracer) End(name, cat, proc string, at float64, req int64) {
-	if t == nil {
-		return
-	}
-	t.add(Event{Name: name, Cat: cat, Ph: PhaseEnd, Proc: proc, Start: at, Req: req})
+	t.add(record{name: t.id(name), cat: t.id(cat), ph: ph, proc: t.id(proc), start: at, req: req})
 }
 
 // Instant records a point event on a track.
@@ -176,8 +180,8 @@ func (t *Tracer) Instant(name, cat, proc string, track int32, at float64, req in
 	if t == nil {
 		return
 	}
-	t.add(Event{Name: name, Cat: cat, Ph: PhaseInstant, Proc: proc,
-		Track: track, Start: at, Req: req, AK: ak, AV: av, SK: sk, SV: sv})
+	t.add(record{name: t.id(name), cat: t.id(cat), ph: PhaseInstant, proc: t.id(proc),
+		track: track, start: at, req: req, ak: t.id(ak), av: av, sk: t.id(sk), sv: t.id(sv)})
 }
 
 // ---- Export buffer, shared by the Chrome and CSV exporters ----
@@ -218,10 +222,21 @@ func (x *exportBuf) flush() error {
 
 // ---- Chrome trace-event export ----
 
-// chromeEnc appends Chrome trace records to an exportBuf.
+// chromeEnc appends Chrome trace records to an exportBuf. It only reads
+// the tracers it exports, so one trace may be exported by several
+// goroutines at once.
 type chromeEnc struct {
 	*exportBuf
 	n int // records written
+
+	toUs float64  // the tracer being written: its cycle-to-µs factor,
+	strs []string // its string table
+	q    texts    // and each table string, quoted
+
+	// The previous ts value's bits and text; tsLen is 0 before the first.
+	tsBits uint64
+	tsLen  int
+	ts     [32]byte
 }
 
 // open starts a record: the envelope before the first, a comma after.
@@ -232,6 +247,22 @@ func (c *chromeEnc) open() {
 		c.b = append(c.b, ',')
 	}
 	c.n++
+}
+
+// str appends table string i, quoted.
+func (c *chromeEnc) str(b []byte, i uint32) []byte { return append(b, c.q.at(int(i))...) }
+
+// stamp appends ts, reusing the previous stamp's text when ts has the
+// same bits. Bits, not ==: -0 equals 0 but prints as "-0".
+func (c *chromeEnc) stamp(b []byte, ts float64) []byte {
+	bits := math.Float64bits(ts)
+	if c.tsLen > 0 && bits == c.tsBits {
+		return append(b, c.ts[:c.tsLen]...)
+	}
+	n := len(b)
+	b, c.err = appendJSONFloat(b, ts)
+	c.tsBits, c.tsLen = bits, copy(c.ts[:], b[n:])
+	return b
 }
 
 // meta appends a metadata record (process_name / thread_name).
@@ -252,38 +283,38 @@ func (c *chromeEnc) meta(kind string, pid, tid int, name string) {
 	c.spill()
 }
 
-// event appends e as one record; toUs converts cycles to microseconds.
-// Fields come in encoding/json's struct order under its omitempty
-// rules: dur, tid and id are left out when zero, s and args when empty.
-func (c *chromeEnc) event(e *Event, pid int, toUs float64) {
+// event appends r as one record. Fields come in encoding/json's struct
+// order under its omitempty rules: dur, tid and id are left out when
+// zero, s and args when empty.
+func (c *chromeEnc) event(r *record, pid int) {
 	if c.err != nil {
 		return
 	}
 	c.open()
 	b := append(c.b, `{"name":`...)
-	b = appendJSONString(b, e.Name)
+	b = c.str(b, r.name)
 	b = append(b, `,"cat":`...)
-	b = appendJSONString(b, e.Cat)
+	b = c.str(b, r.cat)
 	b = append(b, `,"ph":"`...)
-	b = append(b, e.Ph, '"')
+	b = append(b, r.ph, '"')
 	b = append(b, `,"ts":`...)
-	if b, c.err = appendJSONFloat(b, e.Start*toUs); c.err != nil {
+	if b = c.stamp(b, r.start*c.toUs); c.err != nil {
 		return
 	}
 	var tid, id int64
-	switch e.Ph {
+	switch r.ph {
 	case PhaseSpan:
-		tid = int64(e.Track)
-		if dur := e.Dur * toUs; dur != 0 {
+		tid = int64(r.track)
+		if dur := r.dur * c.toUs; dur != 0 {
 			b = append(b, `,"dur":`...)
 			if b, c.err = appendJSONFloat(b, dur); c.err != nil {
 				return
 			}
 		}
 	case PhaseBegin, PhaseEnd:
-		id = e.Req + 1 // ids must be non-zero
+		id = r.req + 1 // ids must be non-zero
 	case PhaseInstant:
-		tid = int64(e.Track)
+		tid = int64(r.track)
 	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
@@ -295,26 +326,26 @@ func (c *chromeEnc) event(e *Event, pid int, toUs float64) {
 		b = append(b, `,"id":`...)
 		b = strconv.AppendInt(b, id, 10)
 	}
-	if e.Ph == PhaseInstant {
+	if r.ph == PhaseInstant {
 		b = append(b, `,"s":"t"`...)
 	}
-	b = appendArgs(b, e)
+	b = c.appendArgs(b, r)
 	c.b = append(b, '}')
 	c.spill()
 }
 
-// chromeArg is one entry of a record's args object.
+// chromeArg is one entry of a record's args object; a string value is a table index.
 type chromeArg struct {
-	key, str string
-	num      int64
-	isStr    bool
+	key   uint32
+	val   int64
+	isStr bool
 }
 
-// appendArgs appends e's args object, or nothing when it has no
+// appendArgs appends r's args object, or nothing when it has no
 // entries. Keys are set in the order req, AK, BK, SK; a later equal key
 // replaces the earlier value, and keys are written in bytewise order,
 // as encoding/json writes a map.
-func appendArgs(b []byte, e *Event) []byte {
+func (c *chromeEnc) appendArgs(b []byte, r *record) []byte {
 	var args [4]chromeArg
 	n := 0
 	set := func(a chromeArg) {
@@ -327,23 +358,23 @@ func appendArgs(b []byte, e *Event) []byte {
 		args[n] = a
 		n++
 	}
-	if e.Req >= 0 {
-		set(chromeArg{key: "req", num: e.Req})
+	if r.req >= 0 {
+		set(chromeArg{key: reqArg, val: r.req})
 	}
-	if e.AK != "" {
-		set(chromeArg{key: e.AK, num: e.AV})
+	if r.ak != 0 {
+		set(chromeArg{key: r.ak, val: r.av})
 	}
-	if e.BK != "" {
-		set(chromeArg{key: e.BK, num: e.BV})
+	if r.bk != 0 {
+		set(chromeArg{key: r.bk, val: r.bv})
 	}
-	if e.SK != "" {
-		set(chromeArg{key: e.SK, str: e.SV, isStr: true})
+	if r.sk != 0 {
+		set(chromeArg{key: r.sk, val: int64(r.sv), isStr: true})
 	}
 	if n == 0 {
 		return b
 	}
 	for i := 1; i < n; i++ {
-		for j := i; j > 0 && args[j].key < args[j-1].key; j-- {
+		for j := i; j > 0 && c.strs[args[j].key] < c.strs[args[j-1].key]; j-- {
 			args[j], args[j-1] = args[j-1], args[j]
 		}
 	}
@@ -352,12 +383,12 @@ func appendArgs(b []byte, e *Event) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, a.key)
+		b = c.str(b, a.key)
 		b = append(b, ':')
 		if a.isStr {
-			b = appendJSONString(b, a.str)
+			b = c.str(b, uint32(a.val))
 		} else {
-			b = strconv.AppendInt(b, a.num, 10)
+			b = strconv.AppendInt(b, a.val, 10)
 		}
 	}
 	return append(b, '}')
@@ -415,37 +446,37 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 // infinite stamp returns encoding/json's *UnsupportedValueError.
 func WriteChromeAll(w io.Writer, traces []*Tracer) error {
 	c := chromeEnc{exportBuf: newExportBuf(w)}
-	pids := map[string]int{}  // prefixed proc -> pid, first-seen order
-	local := map[string]int{} // one tracer's proc -> pid
+	pids := map[string]int{} // prefixed proc -> pid, first-seen order
+	var local []int          // one tracer's proc string index -> pid, 0 until seen
 	for _, t := range traces {
 		if t == nil {
 			continue
 		}
-		prefix := ""
-		if t.Label != "" {
-			prefix = t.Label + ": "
-		}
-		clear(local)
-		pid := func(proc string) int {
-			p, ok := local[proc]
-			if !ok {
-				name := prefix + proc
-				if p, ok = pids[name]; !ok {
+		c.toUs, c.strs = 1e6/t.freqHz, t.strs
+		fillTexts(&c.q, t.strs, 0, appendJSONString) // each table string, quoted once
+		local = append(local[:0], make([]int, len(c.strs))...)
+		pid := func(proc uint32) int {
+			if local[proc] == 0 {
+				name := c.strs[proc]
+				if t.Label != "" {
+					name = t.Label + ": " + name
+				}
+				p, ok := pids[name]
+				if !ok {
 					p = len(pids) + 1
 					pids[name] = p
 					c.meta("process_name", p, 0, name)
 				}
 				local[proc] = p
 			}
-			return p
+			return local[proc]
 		}
-		toUs := 1e6 / t.freqHz
 		for _, k := range t.order { // declared track names, declaration order
 			c.meta("thread_name", pid(k.proc), int(k.track), t.names[k])
 		}
 		for _, chunk := range t.chunks {
 			for i := range chunk {
-				c.event(&chunk[i], pid(chunk[i].Proc), toUs)
+				c.event(&chunk[i], pid(chunk[i].proc))
 			}
 		}
 	}
@@ -466,7 +497,7 @@ func WriteChromeAll(w io.Writer, traces []*Tracer) error {
 
 // ganttPhase is one closed lifecycle phase of a request.
 type ganttPhase struct {
-	name       string
+	name       uint32
 	start, end float64
 }
 
@@ -478,27 +509,23 @@ func (t *Tracer) Gantt(maxReqs int) string {
 	if t == nil {
 		return ""
 	}
+	// A request's key has name 0; an open phase's, the phase name.
 	type key struct {
-		proc string
-		req  int64
+		proc, name uint32
+		req        int64
 	}
-	type phaseKey struct {
-		key
-		name string
-	}
-	open := map[phaseKey]float64{}
+	open := map[key]float64{}
 	byReq := map[key][]ganttPhase{}
 	var order []key
 	for _, c := range t.chunks {
 		for i := range c {
-			e := &c[i]
-			if e.Req < 0 || (e.Ph != PhaseBegin && e.Ph != PhaseEnd) {
+			r := &c[i]
+			if r.req < 0 || (r.ph != PhaseBegin && r.ph != PhaseEnd) {
 				continue
 			}
-			k := key{e.Proc, e.Req}
-			pk := phaseKey{k, e.Name}
-			if e.Ph == PhaseBegin {
-				open[pk] = e.Start
+			pk := key{r.proc, r.name, r.req}
+			if r.ph == PhaseBegin {
+				open[pk] = r.start
 				continue
 			}
 			st, ok := open[pk]
@@ -506,10 +533,11 @@ func (t *Tracer) Gantt(maxReqs int) string {
 				continue
 			}
 			delete(open, pk)
+			k := key{r.proc, 0, r.req}
 			if byReq[k] == nil {
 				order = append(order, k)
 			}
-			byReq[k] = append(byReq[k], ganttPhase{e.Name, st, e.Start})
+			byReq[k] = append(byReq[k], ganttPhase{r.name, st, r.start})
 		}
 	}
 	if maxReqs > 0 && len(order) > maxReqs {
@@ -528,9 +556,9 @@ func (t *Tracer) Gantt(maxReqs int) string {
 				tEnd = p.end
 			}
 		}
-		fmt.Fprintf(&b, "  %s#%d @%.2fms:", k.proc, k.req, t0/msPer)
+		fmt.Fprintf(&b, "  %s#%d @%.2fms:", t.strs[k.proc], k.req, t0/msPer)
 		for _, p := range ps {
-			fmt.Fprintf(&b, "  %s %.2fms", p.name, (p.end-p.start)/msPer)
+			fmt.Fprintf(&b, "  %s %.2fms", t.strs[p.name], (p.end-p.start)/msPer)
 		}
 		fmt.Fprintf(&b, "  | total %.2fms\n", (tEnd-t0)/msPer)
 	}

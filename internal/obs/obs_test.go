@@ -14,7 +14,7 @@ import (
 // the whole hook surface must allocate nothing.
 func TestNilTracerIsSafeAndFree(t *testing.T) {
 	var tr *Tracer
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || events(tr) != nil {
 		t.Fatal("nil tracer has events")
 	}
 	if tr.Gantt(0) != "" {
@@ -23,8 +23,8 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.NameTrack("p", 1, "label")
 		tr.Span("exec", "exec", "p", 1, 0, 10, -1, "a", 1, "b", 2, "s", "v")
-		tr.Begin("queue", "req", "p", 0, 7)
-		tr.End("queue", "req", "p", 5, 7)
+		tr.Async(PhaseBegin, "queue", "req", "p", 0, 7)
+		tr.Async(PhaseEnd, "queue", "req", "p", 5, 7)
 		tr.Instant("crash", "fault", "p", 0, 5, -1, "a", 1, "s", "v")
 	})
 	if allocs > 0 {
@@ -37,11 +37,11 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 func sampleTracer() *Tracer {
 	tr := NewTracer("run", 1e9)
 	tr.NameTrack("ten", 2, "replica 0")
-	tr.Begin("queue", "req", "ten", 0, 1)
-	tr.End("queue", "req", "ten", 1e6, 1)
-	tr.Begin("service", "req", "ten", 1e6, 1)
+	tr.Async(PhaseBegin, "queue", "req", "ten", 0, 1)
+	tr.Async(PhaseEnd, "queue", "req", "ten", 1e6, 1)
+	tr.Async(PhaseBegin, "service", "req", "ten", 1e6, 1)
 	tr.Span("invoke", "exec", "ten", 2, 1e6, 3e6, -1, "width", 2, "", 0, "tenant", "ten")
-	tr.End("service", "req", "ten", 3e6, 1)
+	tr.Async(PhaseEnd, "service", "req", "ten", 3e6, 1)
 	tr.Instant("complete", "req", "ten", 0, 3e6, 1, "lat_us", 3000, "", "")
 	return tr
 }
@@ -132,8 +132,8 @@ func TestGantt(t *testing.T) {
 	}
 	// maxReqs truncation.
 	tr := sampleTracer()
-	tr.Begin("queue", "req", "ten", 0, 2)
-	tr.End("queue", "req", "ten", 5e5, 2)
+	tr.Async(PhaseBegin, "queue", "req", "ten", 0, 2)
+	tr.Async(PhaseEnd, "queue", "req", "ten", 5e5, 2)
 	if g := tr.Gantt(1); strings.Contains(g, "ten#2") {
 		t.Fatalf("Gantt(1) shows a second request:\n%s", g)
 	}

@@ -171,29 +171,30 @@ func (ts *Series) steps(fn func(from, to int, v float64)) {
 // maxFloatText bounds the CSV text of one float64.
 const maxFloatText = 25
 
-// floatText holds the CSV text of each value of a slice, formatted once.
-type floatText struct {
+// texts holds the text of each value of a slice, formatted once.
+type texts struct {
 	b   []byte
 	end []int // the text of value k is b[end[k]:end[k+1]]
 }
 
-// fill formats vals, reusing t's buffers. It allocates only when they
-// are too small, so a fill of any length costs at most two allocations.
-func (t *floatText) fill(vals []float64) {
-	if n := len(vals) * maxFloatText; cap(t.b) < n {
-		t.b = make([]byte, 0, n)
+// fillTexts formats vals into t with text, reusing t's buffers, which
+// it grows to hold len(vals) texts and size bytes; a fill whose texts
+// fit in size bytes costs at most two allocations.
+func fillTexts[T any](t *texts, vals []T, size int, text func([]byte, T) []byte) {
+	if cap(t.b) < size {
+		t.b = make([]byte, 0, size)
 	}
 	if cap(t.end) <= len(vals) {
 		t.end = make([]int, 0, len(vals)+1)
 	}
 	t.b, t.end = t.b[:0], append(t.end[:0], 0)
-	for _, f := range vals {
-		t.b = appendCSVFloat(t.b, f)
+	for _, v := range vals {
+		t.b = text(t.b, v)
 		t.end = append(t.end, len(t.b))
 	}
 }
 
-func (t *floatText) at(k int) []byte { return t.b[t.end[k]:t.end[k+1]] }
+func (t *texts) at(k int) []byte { return t.b[t.end[k]:t.end[k+1]] }
 
 func appendCSVFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
@@ -216,12 +217,12 @@ func (s *TimelineSet) MarshalJSON() ([]byte, error) {
 // appendCSV appends the set's rows to x, writing about every flushBytes.
 // It formats the row times into grid once, and an attached series' own
 // times into own when the export reaches it.
-func (s *TimelineSet) appendCSV(x *exportBuf, grid, own *floatText) {
-	grid.fill(s.grid)
+func (s *TimelineSet) appendCSV(x *exportBuf, grid, own *texts) {
+	fillTexts(grid, s.grid, len(s.grid)*maxFloatText, appendCSVFloat)
 	for _, ts := range s.series {
 		times := grid
 		if ts.ext != nil {
-			own.fill(ts.ext.Times)
+			fillTexts(own, ts.ext.Times, len(ts.ext.Times)*maxFloatText, appendCSVFloat)
 			times = own
 		}
 		var pb [64]byte
@@ -250,7 +251,7 @@ const CSVHeader = "run,series,time_ms,value\n"
 func WriteCSVAll(w io.Writer, sets []*TimelineSet) error {
 	x := newExportBuf(w)
 	x.b = append(x.b, CSVHeader...)
-	var grid, own floatText
+	var grid, own texts
 	for _, s := range sets {
 		if s != nil {
 			s.appendCSV(x, &grid, &own)

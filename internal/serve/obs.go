@@ -206,10 +206,10 @@ func (o *obsState) move(t *tenantState, id int64, from, to string, seg obs.Segme
 		return
 	}
 	if from != "" {
-		o.trace.End(from, "req", t.cfg.Name, float64(now), id)
+		o.trace.Async(obs.PhaseEnd, from, "req", t.cfg.Name, float64(now), id)
 	}
 	if to != "" {
-		o.trace.Begin(to, "req", t.cfg.Name, float64(now), id)
+		o.trace.Async(obs.PhaseBegin, to, "req", t.cfg.Name, float64(now), id)
 	}
 	if seg != noSeg {
 		o.led.ReqSeg(t.cfg.Name, id, seg, float64(now))
@@ -258,8 +258,8 @@ func (o *obsState) launched(b *batch, now sim.Time) {
 	}
 	name, at := b.ten.cfg.Name, float64(now)
 	for i := range b.reqs {
-		o.trace.End("queue", "req", name, at, b.reqs[i].id)
-		o.trace.Begin("service", "req", name, at, b.reqs[i].id)
+		o.trace.Async(obs.PhaseEnd, "queue", "req", name, at, b.reqs[i].id)
+		o.trace.Async(obs.PhaseBegin, "service", "req", name, at, b.reqs[i].id)
 		o.led.ReqSeg(name, b.reqs[i].id, obs.SegService, at)
 	}
 	prefill := b.kind == kindLLMPrefill || b.kind == kindLLMStaticPrefill
@@ -356,9 +356,7 @@ func (o *obsState) xferStart(fl *migFlight, link string, now sim.Time) {
 		name, cat = "evac-start", "fault"
 	}
 	o.slotIdle(fl.dst, now)
-	if o.trace != nil {
-		o.ctl(name, cat, fl.src.ten, now, fl.seq.req.id, "bytes", fl.bytes, "link", link)
-	}
+	o.ctl(name, cat, fl.src.ten, now, fl.seq.req.id, "bytes", fl.bytes, "link", link)
 }
 
 // xferLand: flight fl landed. A handoff's first token follows; an

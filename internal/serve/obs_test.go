@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
@@ -174,8 +175,16 @@ func TestObsTimelinesReproduceReport(t *testing.T) {
 		t.Error("windowed attainment series not derived")
 	}
 	// The trace must carry the fault instants the scenario injected.
+	var buf bytes.Buffer
+	if err := obs.WriteChromeAll(&buf, []*obs.Tracer{rep.Trace}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ TraceEvents []struct{ Name string } }
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
 	var faults, crashes int
-	for _, e := range rep.Trace.Events() {
+	for _, e := range doc.TraceEvents {
 		switch e.Name {
 		case "fault":
 			faults++
