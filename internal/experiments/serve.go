@@ -122,8 +122,7 @@ func (r *Runner) ServeFlashCrowd() (*ServeResult, error) {
 			ScaleEverySec: 0.1,
 			Tenants: []serve.TenantConfig{
 				{Name: "web", Model: "ENet", Load: 0.5, EUs: 2, MaxBatch: 8,
-					Arrival: serve.Flash, BurstFactor: 5, BurstStart: 0.35, BurstEnd: 0.65,
-					InitialReplicas: 1, MaxReplicas: 3},
+					Arrival: serve.Flash, InitialReplicas: 1, MaxReplicas: 3},
 				{Name: "batch", Model: "TFMR", Load: 0.4, EUs: 4, MaxBatch: 8,
 					InitialReplicas: 1, MaxReplicas: 2},
 			},
@@ -151,12 +150,6 @@ func (r *Runner) ServePriority() (*ServeResult, error) {
 			Router:      serve.LeastLoaded,
 			DurationSec: 2.0,
 			Preempt:     preempt,
-			// ~50 quantum boundaries per TFMR batch; the aging credit
-			// (64 × 0.5 ms quanta ≈ 32 ms of tolerated victimization
-			// wait) keeps a batch effectively always preemptible while
-			// its total extra delay stays hard-bounded.
-			PreemptQuantumCycles: 524_288,
-			MaxPreemptsPerBatch:  64,
 			Tenants: []serve.TenantConfig{
 				{Name: "chat", Model: "ENet", Priority: serve.Interactive, ShareGroup: "pool",
 					Load: 0.35, EUs: 4, MaxBatch: 4, InitialReplicas: 1, MaxReplicas: 1},
@@ -648,10 +641,9 @@ func (r *Runner) ServeMixShift() (*ServeResult, error) {
 		Autoscale:   true,
 		Tenants: []serve.TenantConfig{
 			{Name: "east", Model: "RtNt", Load: 0.55, EUs: 4, MaxBatch: 8,
-				Arrival: serve.Diurnal, DiurnalDepth: 0.7,
-				InitialReplicas: 2, MaxReplicas: 4},
+				Arrival: serve.Diurnal, InitialReplicas: 2, MaxReplicas: 4},
 			{Name: "west", Model: "BERT", Load: 0.55, EUs: 4, MaxBatch: 8,
-				Arrival: serve.Diurnal, DiurnalDepth: 0.7, DiurnalPhase: 3.141592653589793,
+				Arrival: serve.Diurnal, DiurnalPhase: 3.141592653589793,
 				InitialReplicas: 2, MaxReplicas: 4},
 		},
 	})

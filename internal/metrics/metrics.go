@@ -70,17 +70,6 @@ func (l *Latencies) P95() float64 { return l.Percentile(95) }
 // user-facing latency agreement.
 func (l *Latencies) P99() float64 { return l.Percentile(99) }
 
-// CountBelow returns how many samples x satisfy x ≤ v — the numerator
-// of an SLO-attainment ratio. No NaN sample counts, and a NaN v counts
-// nothing.
-func (l *Latencies) CountBelow(v float64) int {
-	l.sort()
-	all := l.samples
-	nans := sort.Search(len(all), func(i int) bool { return !math.IsNaN(all[i]) }) // NaNs sort first
-	s := all[nans:]
-	return sort.Search(len(s), func(i int) bool { return !(s[i] <= v) })
-}
-
 // sort orders the samples in place, once per run of Adds, into exactly
 // the slice sort.Float64s would give, so Mean sums them in the same
 // order either way.

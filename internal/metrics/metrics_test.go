@@ -161,8 +161,8 @@ func TestTimeSeriesEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLatenciesServingStats covers the percentile and SLO helpers the
-// online serving subsystem reports through.
+// TestLatenciesServingStats covers the percentile helpers the online
+// serving subsystem reports through, and Reset.
 func TestLatenciesServingStats(t *testing.T) {
 	l := &Latencies{}
 	for i := 100; i >= 1; i-- { // descending: forces the sort paths
@@ -174,42 +174,12 @@ func TestLatenciesServingStats(t *testing.T) {
 	if got := l.P99(); got != 99 {
 		t.Errorf("P99 = %v, want 99", got)
 	}
-	if got := l.CountBelow(25); got != 25 {
-		t.Errorf("CountBelow(25) = %v, want 25 (bound is inclusive)", got)
-	}
-	if got := l.CountBelow(25.5); got != 25 {
-		t.Errorf("CountBelow(25.5) = %v, want 25", got)
-	}
-	if got := l.CountBelow(0); got != 0 {
-		t.Errorf("CountBelow(0) = %v, want 0", got)
-	}
 	l.Reset()
 	if l.Count() != 0 || l.P99() != 0 {
 		t.Error("Reset did not clear samples")
 	}
 	l.Add(7)
-	if got := l.CountBelow(10); got != 1 {
-		t.Errorf("post-Reset CountBelow = %v, want 1", got)
-	}
-	// The edges a threshold search can miss: a +Inf sample under a +Inf
-	// threshold, and a NaN sample, which sorts first but is ≤ nothing.
-	inf, nan := math.Inf(1), math.NaN()
-	for _, c := range []struct {
-		samples []float64
-		v       float64
-		want    int
-	}{
-		{[]float64{1, inf}, inf, 2},
-		{[]float64{nan, 1}, 1, 1},
-		{[]float64{nan, 1}, inf, 1},
-		{[]float64{nan, 1}, nan, 0},
-	} {
-		var l Latencies
-		for _, x := range c.samples {
-			l.Add(x)
-		}
-		if got := l.CountBelow(c.v); got != c.want {
-			t.Errorf("%v.CountBelow(%v) = %d, want %d", c.samples, c.v, got, c.want)
-		}
+	if got := l.P50(); l.Count() != 1 || got != 7 {
+		t.Errorf("post-Reset: %d samples, P50 = %v, want 1 sample at 7", l.Count(), got)
 	}
 }

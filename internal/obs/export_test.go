@@ -10,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
@@ -190,10 +191,15 @@ func TestObsExportAllocBudget(t *testing.T) {
 	}
 	var chrome, timelines, ledger [2]float64
 	for i, n := range []int{10_000, 50_000} {
+		// The recording is counted with the collector paused: a cycle
+		// that starts inside it can add an allocation of its own, so
+		// the count would move between runs.
 		var m0, m1 runtime.MemStats
+		gc := debug.SetGCPercent(-1)
 		runtime.ReadMemStats(&m0)
 		tr := mixedTracer(n)
 		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(gc)
 		allocs, size := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
 		chunks := uint64(n+chunkEvents-1) / chunkEvents
 		t.Logf("recording %d events: %d allocations, %d bytes", n, allocs, size)

@@ -86,7 +86,6 @@ const eps = 1e-6
 
 // New validates the scenario and builds a simulator.
 func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
-	cfg.defaults()
 	if cfg.Policy == NeuNH {
 		cfg.DisableMEHarvest, cfg.DisableVEHarvest = true, true
 	}
@@ -466,7 +465,7 @@ func (s *Simulator) pmtBind() {
 	// Quantum expiry or empty slot → switch to least-served tenant.
 	cur := s.activeTenant
 	needSwitch := cur < 0 || !hasWork(s.tenants[cur]) ||
-		s.now-s.quantumStart >= s.cfg.QuantumCycles
+		s.now-s.quantumStart >= pmtQuantumCycles
 	if needSwitch {
 		var pick *tenant
 		for _, t := range s.tenants {
@@ -864,7 +863,7 @@ func (s *Simulator) horizon(dt float64, any bool) (float64, bool) {
 		}
 	}
 	if s.cfg.Policy == PMT && s.activeTenant >= 0 {
-		if d := s.quantumStart + s.cfg.QuantumCycles - s.now; d > eps && d < dt {
+		if d := s.quantumStart + pmtQuantumCycles - s.now; d > eps && d < dt {
 			dt = d
 		}
 	}

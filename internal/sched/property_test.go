@@ -167,9 +167,10 @@ func TestPropertyRandomGraphsAllPolicies(t *testing.T) {
 // checkFluid. The EU split, request count (1-8) and open-loop rate
 // (kilo-requests per second; 0 = closed loop) are taken modulo their
 // ranges, so every input decodes to a valid scenario. The checkpoint
-// quantum is a whole number of cycles, as the serving layer's default
-// is: with a fractional one the boundary has bits below the run's
-// last cycle, and Completed + Remaining can miss total by an ulp.
+// quantum is a whole number of cycles, as the serving layer's
+// preemption quantum is: with a fractional one the boundary has bits
+// below the run's last cycle, and Completed + Remaining can miss total
+// by an ulp.
 func FuzzFluid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, policy, meA, veA, requests, rateK uint8, cut, quantum uint16) {
 		checkFluid(t, fluidCase{

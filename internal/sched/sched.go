@@ -83,9 +83,6 @@ type Config struct {
 	// Requests: the run ends when every tenant has completed this many
 	// requests, at least 1 (the paper's steady-state methodology, §V-A).
 	Requests int
-	// QuantumCycles is the PMT time slice and the V10 fairness deficit
-	// threshold (0 = default 100k cycles).
-	QuantumCycles float64
 	// SampleEvery enables timeline sampling at this cycle interval.
 	SampleEvery float64
 	// Seed drives the deterministic RNG behind open-loop arrivals.
@@ -99,12 +96,6 @@ type Config struct {
 	DisableVEHarvest bool
 }
 
-func (c *Config) defaults() {
-	if c.QuantumCycles == 0 {
-		c.QuantumCycles = 100_000
-	}
-}
-
 // maxCycles is the safety stop: a run ends at this cycle even if some
 // tenant has not completed its requests.
 const maxCycles = 5e12
@@ -116,6 +107,10 @@ const (
 	pmtSwitchPenalty = 1024 // full-core context switch (PREMA-style)
 	v10SwitchPenalty = 256  // operator-boundary ME-complex switch
 )
+
+// pmtQuantumCycles is PMT's time slice: at each slice's end the core
+// switches to the least-served tenant with work.
+const pmtQuantumCycles = 100_000
 
 // TenantResult aggregates one tenant's measurements. It keeps the
 // latency statistics, not the per-request samples: results are shared

@@ -232,11 +232,13 @@ func TestV10OverlapsMEWithVE(t *testing.T) {
 
 func TestPMTTimeSharesFairly(t *testing.T) {
 	// Two identical tenants: PMT must give each ~half the core; each
-	// latency ≈ 2x the solo latency.
-	g := func() *compiler.CompiledGraph { return synth(compiler.ISAVLIW, meOp(4, 5000, 0)) }
-	solo := mustRun(t, Config{Core: tpu(), Policy: PMT, Requests: 40, QuantumCycles: 20000},
+	// latency ≈ 2x the solo latency. A shared request takes two rounds
+	// of 25k-cycle µTOps, half of PMT's 100k-cycle slice, so neither
+	// tenant runs far ahead inside one slice.
+	g := func() *compiler.CompiledGraph { return synth(compiler.ISAVLIW, meOp(4, 25000, 0)) }
+	solo := mustRun(t, Config{Core: tpu(), Policy: PMT, Requests: 40},
 		TenantSpec{Name: "A", Graph: g(), MEs: 4, VEs: 4})
-	both := mustRun(t, Config{Core: tpu(), Policy: PMT, Requests: 40, QuantumCycles: 20000},
+	both := mustRun(t, Config{Core: tpu(), Policy: PMT, Requests: 40},
 		TenantSpec{Name: "A", Graph: g(), MEs: 2, VEs: 2},
 		TenantSpec{Name: "B", Graph: g(), MEs: 2, VEs: 2})
 	soloLat := solo.Tenants[0].MeanLatency

@@ -90,8 +90,9 @@ func verifyLedger(t *testing.T, label string, rep *Report) {
 // every serving mode — single-shot dynamic batching with autoscaling,
 // continuous and static LLM batching, both paged-KV eviction policies,
 // preemptive priority sharing, disaggregation, and chaos with crashes,
-// a pod outage, link degradation and recovery — both conservation laws
-// must hold exactly and the scenario must leave nothing unaccounted.
+// a pod outage and link degradation, with and without recovery — both
+// conservation laws must hold exactly and the scenario must leave
+// nothing unaccounted.
 func TestAttribConservation(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -106,9 +107,9 @@ func TestAttribConservation(t *testing.T) {
 			{"paged-swap", pagedCfg(seed, KVPaged, KVEvictSwap)},
 			{"priority-preempt", priorityConfig(seed, true)},
 			{"disagg", disaggConfig(seed, 1, 640)},
-			{"chaos-recover", chaosConfig(seed, chaosFaults(CrashReplay),
+			{"chaos-recover", chaosConfig(seed, chaosFaults(),
 				&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true})},
-			{"chaos-fail", chaosConfig(seed, chaosFaults(CrashFail), nil)},
+			{"chaos-norecover", chaosConfig(seed, chaosFaults(), nil)},
 		}
 		for _, c := range cases {
 			rep, err := Run(attribOn(c.cfg), db)
@@ -133,7 +134,7 @@ func TestAttribZeroOverhead(t *testing.T) {
 		{"fast", fastConfig(7)},
 		{"llm", llmConfig(2, false)},
 		{"paged-swap", pagedCfg(2, KVPaged, KVEvictSwap)},
-		{"chaos", chaosConfig(1, chaosFaults(CrashReplay),
+		{"chaos", chaosConfig(1, chaosFaults(),
 			&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true})},
 	} {
 		plain, err := Run(c.cfg, db)

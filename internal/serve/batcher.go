@@ -118,12 +118,18 @@ func (d *dynamicBatch) finish(r *replica, b *batch, now sim.Time) *batch {
 }
 
 // recordDone books one completion with out generated tokens: its
-// end-to-end latency against the SLO and the fault-window, autoscaler
-// and priority recorders, then the observation sink.
+// end-to-end latency against the SLO (whole run and, for requests that
+// arrived from the first fault on, the fault window) and into the
+// autoscaler and priority recorders, then the observation sink.
 func (f *fleet) recordDone(t *tenantState, req *request, out int, now sim.Time) {
 	lat := float64(now - req.at)
 	t.lat.Add(lat)
-	f.noteFaultDone(t, req.at, lat)
+	if lat <= t.sloCycles {
+		t.sloOK++
+		if f.faulted && float64(req.at) >= f.fwStart {
+			t.fwSloOK++
+		}
+	}
 	if f.cfg.Autoscale {
 		// The observation window only exists for the autoscaler; a
 		// fixed fleet would just duplicate every sample unread.

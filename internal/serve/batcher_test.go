@@ -31,20 +31,21 @@ func TestBatcherBinding(t *testing.T) {
 }
 
 // sharedPoolConfig overloads a preemptive temporal-shared pool of two
-// dynamic-batch tenants — an interactive one and a batch one — so the
-// interactive tenant's work has to preempt in-flight batch work.
+// dynamic-batch tenants — an interactive ENet one and a batch TFMR one,
+// serve-priority's pairing — so the interactive tenant's work has to
+// preempt in-flight batch work, which spans many preemption quanta.
 func sharedPoolConfig(seed uint64) Config {
 	return Config{
 		Scenario:    "batcher-test",
 		Core:        arch.TPUv4Like(),
 		Cores:       2,
-		DurationSec: 0.02,
+		DurationSec: 0.2,
 		Seed:        seed,
 		Preempt:     true,
 		Tenants: []TenantConfig{
-			{Name: "inter", Model: "MNIST", Load: 1.2, EUs: 2, MaxBatch: 4, QueueCap: 16,
+			{Name: "inter", Model: "ENet", Load: 1.2, EUs: 2, MaxBatch: 4, QueueCap: 16,
 				Priority: Interactive, ShareGroup: "pool", InitialReplicas: 1},
-			{Name: "batch", Model: "DLRM", Load: 1.5, EUs: 2, MaxBatch: 8, QueueCap: 32,
+			{Name: "batch", Model: "TFMR", Load: 1.5, EUs: 2, MaxBatch: 8, QueueCap: 32,
 				ShareGroup: "pool", InitialReplicas: 1},
 		},
 	}

@@ -107,14 +107,21 @@ type ArrivalKind int
 const (
 	// Poisson is a homogeneous Poisson stream at the base rate.
 	Poisson ArrivalKind = iota
-	// Flash is Poisson with the rate multiplied by BurstFactor inside
-	// the [BurstStartFrac, BurstEndFrac) window of the run — a flash
-	// crowd.
+	// Flash is Poisson with the rate multiplied by flashFactor inside
+	// the [flashStart, flashEnd) window of the run — a flash crowd.
 	Flash
 	// Diurnal modulates the rate sinusoidally with one period spanning
-	// the run: base·(1 + depth·sin(...)), the shape of a day/night
-	// traffic trace.
+	// the run: base·(1 + diurnalDepth·sin(...)), the shape of a
+	// day/night traffic trace.
 	Diurnal
+)
+
+// The Flash and Diurnal rate envelopes: a 5× burst over [0.35, 0.65)
+// of the run, and a swing of ±0.7 around the base rate.
+const (
+	flashFactor          = 5
+	flashStart, flashEnd = 0.35, 0.65
+	diurnalDepth         = 0.7
 )
 
 func (k ArrivalKind) String() string {
@@ -142,10 +149,6 @@ type TenantConfig struct {
 	RatePerSec float64
 
 	Arrival      ArrivalKind
-	BurstFactor  float64 // Flash: rate multiplier during the burst window
-	BurstStart   float64 // Flash: window start, fraction of the run (default 1/3)
-	BurstEnd     float64 // Flash: window end, fraction of the run (default 2/3)
-	DiurnalDepth float64 // Diurnal: modulation depth in [0, 1) (default 0.8)
 	DiurnalPhase float64 // Diurnal: phase offset in radians
 
 	// SLOMs is the per-request latency objective in milliseconds; when 0
@@ -201,15 +204,6 @@ func (tc *TenantConfig) defaults() {
 	if tc.MaxReplicas == 0 {
 		tc.MaxReplicas = tc.InitialReplicas
 	}
-	if tc.BurstFactor == 0 {
-		tc.BurstFactor = 1
-	}
-	if tc.BurstStart == 0 && tc.BurstEnd == 0 {
-		tc.BurstStart, tc.BurstEnd = 1.0/3, 2.0/3
-	}
-	if tc.DiurnalDepth == 0 {
-		tc.DiurnalDepth = 0.8
-	}
 	if tc.LLM != nil {
 		// Clone before defaulting, as Config.defaults does for ObsConfig:
 		// one LLMConfig may serve several runs at once, and each run must
@@ -225,9 +219,8 @@ func (tc *TenantConfig) validate() error {
 		return fmt.Errorf("serve: tenant without a name")
 	}
 	if err := checkFinite("tenant "+tc.Name,
-		"Load RatePerSec BurstFactor BurstStart BurstEnd DiurnalDepth DiurnalPhase SLOMs SLOFactor",
-		tc.Load, tc.RatePerSec, tc.BurstFactor, tc.BurstStart, tc.BurstEnd, tc.DiurnalDepth,
-		tc.DiurnalPhase, tc.SLOMs, tc.SLOFactor); err != nil {
+		"Load RatePerSec DiurnalPhase SLOMs SLOFactor",
+		tc.Load, tc.RatePerSec, tc.DiurnalPhase, tc.SLOMs, tc.SLOFactor); err != nil {
 		return err
 	}
 	switch {
@@ -235,13 +228,6 @@ func (tc *TenantConfig) validate() error {
 		return fmt.Errorf("serve: tenant %s load %v, rate %v per second", tc.Name, tc.Load, tc.RatePerSec)
 	case tc.Load <= 0 && tc.RatePerSec <= 0:
 		return fmt.Errorf("serve: tenant %s has no offered load", tc.Name)
-	case tc.BurstFactor < 1:
-		return fmt.Errorf("serve: tenant %s burst factor %v < 1", tc.Name, tc.BurstFactor)
-	case tc.Arrival == Flash && !(tc.BurstStart >= 0 && tc.BurstStart < tc.BurstEnd && tc.BurstEnd <= 1):
-		return fmt.Errorf("serve: tenant %s burst window [%v, %v) must satisfy 0 ≤ start < end ≤ 1",
-			tc.Name, tc.BurstStart, tc.BurstEnd)
-	case tc.DiurnalDepth < 0 || tc.DiurnalDepth >= 1:
-		return fmt.Errorf("serve: tenant %s diurnal depth %v out of [0,1)", tc.Name, tc.DiurnalDepth)
 	case tc.SLOMs < 0 || tc.SLOFactor <= 0:
 		return fmt.Errorf("serve: tenant %s SLO %v ms, SLO factor %v", tc.Name, tc.SLOMs, tc.SLOFactor)
 	case tc.InitialReplicas < 1 || tc.MaxReplicas < tc.InitialReplicas:
@@ -300,30 +286,14 @@ type Config struct {
 
 	// Preempt enables priority-aware preemptive scheduling on
 	// temporal-shared slots: a waiting higher-priority batch preempts an
-	// in-flight lower-priority one at the next µTOp-quantum boundary,
-	// and the victim later resumes with exactly its remaining service
-	// cycles (sched.CheckpointAt models the checkpoint; each
-	// save/restore costs virt.SwitchCycles on the slot). When false,
-	// shared slots serve their queues FIFO by arrival — the no-priority
-	// baseline the serve-priority scenario compares against.
+	// in-flight lower-priority one at the next µTOp-quantum boundary
+	// (preemptQuantumCycles), and the victim later resumes with exactly
+	// its remaining service cycles (sched.CheckpointAt models the
+	// checkpoint; each save/restore costs virt.SwitchCycles on the
+	// slot). When false, shared slots serve their queues FIFO by
+	// arrival — the no-priority baseline the serve-priority scenario
+	// compares against.
 	Preempt bool
-	// PreemptQuantumCycles is the µTOp-quantum granularity preemption
-	// checkpoints at, a whole number of cycles (default 4096). Quanta
-	// longer than a batch's service time make that batch effectively
-	// non-preemptible.
-	PreemptQuantumCycles float64
-	// MaxPreemptsPerBatch denominates the aging-credit budget that
-	// bounds Batch wait (default 4): every batch tolerates up to
-	// MaxPreemptsPerBatch × PreemptQuantumCycles cycles of victimization
-	// delay (time spent suspended or bypassed by higher-priority work);
-	// once the accrued delay exhausts that credit the batch is immune to
-	// further preemption and bypass — the anti-starvation bound for
-	// Batch work under sustained Interactive load. (This replaces the
-	// original hard event cap: a batch victimized by many cheap
-	// interruptions now stays preemptible longer, one victimized by a
-	// single long one becomes immune sooner, and either way its total
-	// extra wait is bounded in cycles, not events.)
-	MaxPreemptsPerBatch int
 
 	// LinkGBps is the modeled chip-to-chip interconnect bandwidth per
 	// link in GB/s (default 64). Only disaggregated tenants
@@ -354,12 +324,6 @@ func (c *Config) defaults() {
 	if c.ScaleEverySec == 0 {
 		c.ScaleEverySec = 0.25
 	}
-	if c.PreemptQuantumCycles == 0 {
-		c.PreemptQuantumCycles = 4096
-	}
-	if c.MaxPreemptsPerBatch == 0 {
-		c.MaxPreemptsPerBatch = 4
-	}
 	if c.LinkGBps == 0 {
 		c.LinkGBps = 64
 	}
@@ -378,8 +342,8 @@ func (c *Config) validate() error {
 		return err
 	}
 	if err := checkFinite("config",
-		"DurationSec ScaleEverySec PreemptQuantumCycles LinkGBps",
-		c.DurationSec, c.ScaleEverySec, c.PreemptQuantumCycles, c.LinkGBps); err != nil {
+		"DurationSec ScaleEverySec LinkGBps",
+		c.DurationSec, c.ScaleEverySec, c.LinkGBps); err != nil {
 		return err
 	}
 	switch {
@@ -393,12 +357,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: autoscale interval %v s is under one core cycle", c.ScaleEverySec)
 	case len(c.Tenants) == 0:
 		return fmt.Errorf("serve: no tenants")
-	case c.PreemptQuantumCycles < 0 || c.PreemptQuantumCycles != math.Trunc(c.PreemptQuantumCycles):
-		// sched.CheckpointAt splits a batch's work exactly only at
-		// whole-cycle boundaries.
-		return fmt.Errorf("serve: preemption quantum %v is not a whole number of cycles ≥ 0", c.PreemptQuantumCycles)
-	case c.MaxPreemptsPerBatch < 1:
-		return fmt.Errorf("serve: max preempts per batch %d", c.MaxPreemptsPerBatch)
 	case c.LinkGBps < 0:
 		return fmt.Errorf("serve: link bandwidth %v GB/s", c.LinkGBps)
 	}

@@ -267,7 +267,7 @@ func TestLazyCostingOrderIndependent(t *testing.T) {
 	fresh := run(NewCostDB(arch.TPUv4Like()))
 
 	warm := NewCostDB(arch.TPUv4Like())
-	if _, err := Run(chaosConfig(1, chaosFaults(CrashReplay), nil), warm); err != nil {
+	if _, err := Run(chaosConfig(1, chaosFaults(), nil), warm); err != nil {
 		t.Fatal(err)
 	}
 	if got := run(warm); !bytes.Equal(got, fresh) {

@@ -231,7 +231,7 @@ func (f *fleet) dropStranded() bool {
 			m.from.queueFor(t).removeRunning(m.seq)
 			m.from.kv.drop(m.seq, float64(now))
 			t.crashLost++
-			f.obs.lost(t, m.seq.req.id, 0, "no-decode", now)
+			f.obs.lost(t, m.seq.req.id, "no-decode", now)
 			f.putSeq(m.seq)
 			srcs = append(srcs, m.from)
 		}

@@ -22,42 +22,17 @@ import (
 // no graceful drain. Resident KV is lost with the chip; in-flight and
 // queued requests are re-queued to surviving slots (re-entering through
 // the ordinary router and admission control), and a partially-generated
-// sequence is handled per CrashPolicy: replayed — its generated prefix
-// folds into the prompt, so the lost KV is recomputed by one prefill
-// over prompt+produced tokens, priced through the ordinary prefill cost
-// path (model.LLMPrefillChunk on chunked pools) — or failed outright.
+// sequence is replayed: its generated prefix folds into the prompt
+// (prompt' = prompt+produced, output' = output−produced), so the lost
+// KV is recomputed by one prefill over prompt+produced tokens, priced
+// through the ordinary prefill cost path (model.LLMPrefillChunk on
+// chunked pools), and decoding resumes at the next token. End-to-end
+// latency keeps the original arrival, so the crash penalty lands on
+// the SLO.
 // In-flight KV migrations touching the dead chip abort with exact
 // conservation: a reservation charged to a dead target rolls back on
 // the source's surviving books, a transfer whose source died frees the
 // target's reservation at abort, and nothing lands twice.
-
-// CrashPolicy selects what happens to a sequence that had already
-// produced output when its replica crashes.
-type CrashPolicy int
-
-const (
-	// CrashReplay (the default) re-queues the request with its generated
-	// prefix folded into the prompt: prompt' = prompt+produced, output' =
-	// output−produced. The lost KV is recomputed by a prefill over the
-	// folded prompt, decoding resumes at the next token, and end-to-end
-	// latency keeps the original arrival — the crash penalty lands on the
-	// SLO. Sequences with no output yet are always re-queued this way.
-	CrashReplay CrashPolicy = iota
-	// CrashFail drops partially-generated sequences outright: the crash
-	// costs those requests, not recompute capacity.
-	CrashFail
-)
-
-func (p CrashPolicy) String() string {
-	switch p {
-	case CrashReplay:
-		return "replay"
-	case CrashFail:
-		return "fail"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
 
 // FaultKind is one fault event's mechanism.
 type FaultKind int
@@ -115,13 +90,9 @@ type FaultEvent struct {
 // FaultPlan is a run's full fault schedule.
 type FaultPlan struct {
 	Events []FaultEvent
-	Policy CrashPolicy
 }
 
 func (p *FaultPlan) validate(c *Config) error {
-	if p.Policy < CrashReplay || p.Policy > CrashFail {
-		return fmt.Errorf("serve: crash policy %d unknown", p.Policy)
-	}
 	for i := range p.Events {
 		e := &p.Events[i]
 		if err := checkFinite(fmt.Sprintf("fault %d", i), "AtFrac Scale UntilFrac", e.AtFrac, e.Scale, e.UntilFrac); err != nil {

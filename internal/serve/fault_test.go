@@ -43,9 +43,8 @@ func chaosConfig(seed uint64, faults *FaultPlan, rec *RecoveryConfig) Config {
 	}
 }
 
-func chaosFaults(policy CrashPolicy) *FaultPlan {
+func chaosFaults() *FaultPlan {
 	return &FaultPlan{
-		Policy: policy,
 		Events: []FaultEvent{
 			{Kind: FaultCrashReplica, AtFrac: 0.35, Tenant: "gen", Role: RoleDecode},
 			{Kind: FaultPodOutage, AtFrac: 0.52, Chips: []int{0, 1}},
@@ -66,71 +65,63 @@ func runFleet(t *testing.T, cfg Config, db *CostDB) *fleet {
 }
 
 // TestCrashConservation extends the KV-conservation property to the
-// crash paths: across seeds and both crash policies, with replicas
-// dying mid-prefill, mid-transfer and mid-decode, every accountant on
-// every surviving replica is back to zero after drain, every request
-// is accounted for exactly once (completed, rejected, or crash-lost),
-// and every transfer either landed or was aborted — never both, never
-// neither. The KV accountants panic on over-free or overcommit, so a
-// clean run also certifies no intermediate state went negative.
+// crash paths: across seeds, with replicas dying mid-prefill,
+// mid-transfer and mid-decode, every accountant on every surviving
+// replica is back to zero after drain, every request is accounted for
+// exactly once (completed, rejected, or crash-lost), every transfer
+// either landed or was aborted — never both, never neither — and
+// mid-generation sequences replay. The KV accountants panic on
+// over-free or overcommit, so a clean run also certifies no
+// intermediate state went negative.
 func TestCrashConservation(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
-	for _, policy := range []CrashPolicy{CrashReplay, CrashFail} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			f := runFleet(t, chaosConfig(seed, chaosFaults(policy),
-				&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}), db)
-			rep := f.report()
-			ten := f.tenants[0]
-			l, tr := ten.llm, rep.Tenants[0]
+	for seed := uint64(1); seed <= 3; seed++ {
+		f := runFleet(t, chaosConfig(seed, chaosFaults(),
+			&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}), db)
+		rep := f.report()
+		ten := f.tenants[0]
+		l, tr := ten.llm, rep.Tenants[0]
 
-			if ten.crashes == 0 {
-				t.Fatalf("policy %s seed %d: fault plan crashed nothing", policy, seed)
+		if ten.crashes == 0 {
+			t.Fatalf("seed %d: fault plan crashed nothing", seed)
+		}
+		if got := tr.Rejected + tr.Completed + tr.CrashLost; tr.Arrivals != got {
+			t.Errorf("seed %d: %d arrivals ≠ %d rejected + %d completed + %d lost",
+				seed, tr.Arrivals, tr.Rejected, tr.Completed, tr.CrashLost)
+		}
+		if l.migrations != l.migLanded+l.migAborted {
+			t.Errorf("seed %d: %d migrations ≠ %d landed + %d aborted",
+				seed, l.migrations, l.migLanded, l.migAborted)
+		}
+		if l.evacStarted != l.evacLanded+l.evacAborted {
+			t.Errorf("seed %d: %d evacuations ≠ %d landed + %d aborted",
+				seed, l.evacStarted, l.evacLanded, l.evacAborted)
+		}
+		if len(l.migQ) != 0 {
+			t.Errorf("seed %d: %d migrations parked after drain", seed, len(l.migQ))
+		}
+		if len(l.migInflight) != 0 {
+			t.Errorf("seed %d: %d transfers in flight after drain", seed, len(l.migInflight))
+		}
+		for _, r := range ten.replicas {
+			if r.kv.usedBlocks != 0 {
+				t.Errorf("seed %d: %s replica %d holds %d KV blocks after drain",
+					seed, r.role, r.id, r.kv.usedBlocks)
 			}
-			if got := tr.Rejected + tr.Completed + tr.CrashLost; tr.Arrivals != got {
-				t.Errorf("policy %s seed %d: %d arrivals ≠ %d rejected + %d completed + %d lost",
-					policy, seed, tr.Arrivals, tr.Rejected, tr.Completed, tr.CrashLost)
+			if r.inbound != 0 {
+				t.Errorf("seed %d: replica %d reports %d inbound after drain",
+					seed, r.id, r.inbound)
 			}
-			if l.migrations != l.migLanded+l.migAborted {
-				t.Errorf("policy %s seed %d: %d migrations ≠ %d landed + %d aborted",
-					policy, seed, l.migrations, l.migLanded, l.migAborted)
+			if n := len(r.queueFor(ten).running); n != 0 {
+				t.Errorf("seed %d: replica %d still runs %d sequences after drain",
+					seed, r.id, n)
 			}
-			if l.evacStarted != l.evacLanded+l.evacAborted {
-				t.Errorf("policy %s seed %d: %d evacuations ≠ %d landed + %d aborted",
-					policy, seed, l.evacStarted, l.evacLanded, l.evacAborted)
-			}
-			if len(l.migQ) != 0 {
-				t.Errorf("policy %s seed %d: %d migrations parked after drain", policy, seed, len(l.migQ))
-			}
-			if len(l.migInflight) != 0 {
-				t.Errorf("policy %s seed %d: %d transfers in flight after drain", policy, seed, len(l.migInflight))
-			}
-			for _, r := range ten.replicas {
-				if r.kv.usedBlocks != 0 {
-					t.Errorf("policy %s seed %d: %s replica %d holds %d KV blocks after drain",
-						policy, seed, r.role, r.id, r.kv.usedBlocks)
-				}
-				if r.inbound != 0 {
-					t.Errorf("policy %s seed %d: replica %d reports %d inbound after drain",
-						policy, seed, r.id, r.inbound)
-				}
-				if n := len(r.queueFor(ten).running); n != 0 {
-					t.Errorf("policy %s seed %d: replica %d still runs %d sequences after drain",
-						policy, seed, r.id, n)
-				}
-			}
-			switch policy {
-			case CrashReplay:
-				if tr.Replays == 0 {
-					t.Errorf("seed %d: replay policy produced no replays", seed)
-				}
-				if tr.RecomputeTokens == 0 {
-					t.Errorf("seed %d: replays billed no recompute tokens", seed)
-				}
-			case CrashFail:
-				if tr.Replays != 0 {
-					t.Errorf("seed %d: fail policy replayed %d mid-generation sequences", seed, tr.Replays)
-				}
-			}
+		}
+		if tr.Replays == 0 {
+			t.Errorf("seed %d: crashes produced no replays", seed)
+		}
+		if tr.RecomputeTokens == 0 {
+			t.Errorf("seed %d: replays billed no recompute tokens", seed)
 		}
 	}
 }
@@ -409,11 +400,11 @@ func TestCrashAbortsInFlightTransfers(t *testing.T) {
 // lower time-to-recover — with the recompute bill itemized.
 func TestChaosRecoveryBeatsBaseline(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
-	base, err := Run(chaosConfig(1, chaosFaults(CrashReplay), nil), db)
+	base, err := Run(chaosConfig(1, chaosFaults(), nil), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Run(chaosConfig(1, chaosFaults(CrashReplay),
+	rec, err := Run(chaosConfig(1, chaosFaults(),
 		&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}), db)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +439,7 @@ func TestChaosDeterminism(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	rec := &RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true}
 	run := func(seed uint64) []byte {
-		rep, err := Run(chaosConfig(seed, chaosFaults(CrashReplay), rec), db)
+		rep, err := Run(chaosConfig(seed, chaosFaults(), rec), db)
 		if err != nil {
 			t.Fatal(err)
 		}

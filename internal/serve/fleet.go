@@ -42,12 +42,8 @@ type fleet struct {
 	// gates the per-priority report section so priority-unaware configs
 	// render exactly as before.
 	prioEnabled bool
-	// preemptBudget is the aging-credit allowance in cycles:
-	// MaxPreemptsPerBatch × PreemptQuantumCycles of victimization delay
-	// per batch.
-	preemptBudget float64
-	prioLat       [numPriorities]metrics.Latencies
-	switches      virt.SwitchLedger
+	prioLat     [numPriorities]metrics.Latencies
+	switches    virt.SwitchLedger
 
 	// time-weighted fleet accounting (lazy snapshots, like internal/cluster)
 	lastSnap      float64
@@ -111,13 +107,12 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 		return nil, err
 	}
 	f := &fleet{
-		cfg:           cfg,
-		eng:           sim.NewEngine(),
-		costs:         db,
-		mapper:        mapper,
-		alloc:         alloc,
-		durCycles:     cfg.DurationSec * cfg.Core.FrequencyHz,
-		preemptBudget: float64(cfg.MaxPreemptsPerBatch) * cfg.PreemptQuantumCycles,
+		cfg:       cfg,
+		eng:       sim.NewEngine(),
+		costs:     db,
+		mapper:    mapper,
+		alloc:     alloc,
+		durCycles: cfg.DurationSec * cfg.Core.FrequencyHz,
 	}
 	if cfg.Faults != nil && len(cfg.Faults.Events) > 0 {
 		f.faulted = true
@@ -307,9 +302,9 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 		t.basePerCycle = rps / cfg.Core.FrequencyHz
 		t.peakMult = 1
 		if t.cfg.Arrival == Flash {
-			t.peakMult = t.cfg.BurstFactor
+			t.peakMult = flashFactor
 		} else if t.cfg.Arrival == Diurnal {
-			t.peakMult = 1 + t.cfg.DiurnalDepth
+			t.peakMult = 1 + diurnalDepth
 		}
 	}
 	return f, nil

@@ -26,13 +26,16 @@ func (in *fuzzBytes) frac() float64 { return float64(in.next()) / 255 }
 
 // fuzzServeConfig decodes a fuzz input into a serving config of at most
 // two simulated seconds. The first byte picks a base test config (mod 7)
-// and its variant (the quotient's bits: static batching, crash-fail,
-// swap eviction or preemption; then the reserve KV policy), the second
-// its seed. The bytes after perturb, in order, the duration (up to 4×
-// the base's, so cheap models stay cheap to simulate), the autoscaler,
-// the link bandwidth, each tenant (load, batch, queue, replicas, EUs,
-// arrival, KV capacity, disaggregation), the fault plan and the
-// recovery config. Every collector is on.
+// and its variant (the quotient's bits: static batching, swap eviction
+// or preemption; then the reserve KV policy), the second its seed. The
+// bytes after perturb, in order, the duration (up to 4× the base's, so
+// cheap models stay cheap to simulate), the autoscaler, the link
+// bandwidth, each tenant (load, batch, queue, replicas, EUs, arrival,
+// KV capacity, disaggregation), the fault plan and the recovery config.
+// Every collector is on. Some bits once chose settings that are now
+// fixed (the chaos variant's and the fault plan's low bit chose the
+// crash policy, an arrival byte's upper bits the burst factor); they
+// are read and ignored, so every committed seed decodes as before.
 func fuzzServeConfig(data []byte) Config {
 	in := fuzzBytes(data)
 	base, seed := in.next(), uint64(in.next())
@@ -46,7 +49,7 @@ func fuzzServeConfig(data []byte) Config {
 	case 2:
 		cfg = disaggConfig(seed, 64, 0)
 	case 3:
-		cfg = chaosConfig(seed, chaosFaults(CrashPolicy(variant&1)),
+		cfg = chaosConfig(seed, chaosFaults(),
 			&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true})
 	case 4:
 		policy, evict := KVPaged, KVEvictRecompute
@@ -95,7 +98,6 @@ func fuzzServeConfig(data []byte) Config {
 		}
 		if b := in.next(); b > 0 {
 			tc.Arrival = ArrivalKind(b % 3)
-			tc.BurstFactor = float64(1 + b>>2%6)
 		}
 		llm := tc.LLM
 		if llm == nil {
@@ -116,7 +118,7 @@ func fuzzServeConfig(data []byte) Config {
 		}
 	}
 	if b := in.next(); b > 0 {
-		plan := &FaultPlan{Policy: CrashPolicy(b & 1)}
+		plan := &FaultPlan{}
 		for n := 1 + b>>1%4; n > 0; n-- {
 			e := FaultEvent{Kind: FaultKind(in.next() % 3), AtFrac: in.frac()}
 			e.Tenant = cfg.Tenants[in.next()%len(cfg.Tenants)].Name

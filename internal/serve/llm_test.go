@@ -174,11 +174,9 @@ func TestLLMPreemptionInterplay(t *testing.T) {
 		Router:      LeastLoaded,
 		DurationSec: 6.0,
 		Seed:        2,
-		Preempt:     true,
-		// ~0.5 ms quanta: an ~86 ms decode iteration offers plenty of
-		// checkpoints.
-		PreemptQuantumCycles: 524_288,
-		MaxPreemptsPerBatch:  64,
+		// The ~0.5 ms preemption quanta give an ~86 ms decode iteration
+		// plenty of checkpoints.
+		Preempt: true,
 		Tenants: []TenantConfig{
 			{Name: "chat", Model: "ENet", Priority: Interactive, ShareGroup: "pool",
 				Load: 0.25, EUs: 4, MaxBatch: 4, InitialReplicas: 1, MaxReplicas: 1},

@@ -86,10 +86,6 @@ type obsState struct {
 	tl     *obs.TimelineSet // nil unless cfg.Timelines
 	led    *obs.Ledger      // nil unless cfg.Attrib
 
-	// sloOK counts completions within SLO per tenant — the cumulative
-	// attainment numerator, maintained incrementally so sampling never
-	// re-sorts the latency recorder.
-	sloOK []int
 	// hist accumulates per-tenant completion latencies (ms) between
 	// ticks for the rolling count, p50 and p99 timelines; each tick reads
 	// and resets it.
@@ -166,7 +162,7 @@ func newObsState(cfg *ObsConfig, scenario string, freqHz float64, tenants int) *
 	if cfg == nil || !(cfg.Trace || cfg.Timelines || cfg.Attrib) {
 		return nil
 	}
-	o := &obsState{cfg: *cfg, freqHz: freqHz, sloOK: make([]int, tenants), hist: make([]metrics.Latencies, tenants)}
+	o := &obsState{cfg: *cfg, freqHz: freqHz, hist: make([]metrics.Latencies, tenants)}
 	if cfg.Trace {
 		o.trace = obs.NewTracer(scenario, freqHz)
 	}
@@ -309,17 +305,14 @@ func (o *obsState) firstToken(t *tenantState, s *llmSeq, now sim.Time) {
 }
 
 // complete retires a request with out generated tokens: the ledger
-// record closes, the attainment counters take its latency, and its
-// open phase (service; decode unless it had one output token) closes.
+// record closes, the latency timelines take its latency, and its open
+// phase (service; decode unless it had one output token) closes.
 func (o *obsState) complete(t *tenantState, req *request, out int, now sim.Time) {
 	if o == nil {
 		return
 	}
 	lat := float64(now - req.at)
 	o.led.ReqDone(t.cfg.Name, req.id, float64(now), out)
-	if lat <= t.sloCycles {
-		o.sloOK[t.idx]++
-	}
 	if o.tl != nil {
 		o.hist[t.idx].Add(lat / o.freqHz * 1e3)
 	}
@@ -544,18 +537,13 @@ func (o *obsState) crashSeq(t *tenantState, s *llmSeq, now sim.Time) {
 	}
 }
 
-// lost: a crash-harvested request was dropped for reason; produced > 0
-// only under policy-fail.
-func (o *obsState) lost(t *tenantState, id int64, produced int, reason string, now sim.Time) {
+// lost: a crash-harvested request was dropped for reason.
+func (o *obsState) lost(t *tenantState, id int64, reason string, now sim.Time) {
 	if o == nil {
 		return
 	}
 	o.led.ReqDrop(t.cfg.Name, id)
-	ak := ""
-	if produced > 0 {
-		ak = "produced"
-	}
-	o.ctl("crash-lost", "fault", t, now, id, ak, int64(produced), "reason", reason)
+	o.ctl("crash-lost", "fault", t, now, id, "", 0, "reason", reason)
 }
 
 // replayed: a crashed sequence will replay, recomputing lost tokens.
@@ -718,10 +706,10 @@ func (f *fleet) obsSample(now float64) {
 		// Cumulative attainment (and its numerator/denominator, which
 		// the report post-processes into a sliding-window series).
 		o.gauge(&tt.arrivals, name, "/arrivals", float64(t.arrivals))
-		o.gauge(&tt.sloOK, name, "/slo_ok", float64(o.sloOK[t.idx]))
+		o.gauge(&tt.sloOK, name, "/slo_ok", float64(t.sloOK))
 		attain := 0.0
 		if t.arrivals > 0 {
-			attain = float64(o.sloOK[t.idx]) / float64(t.arrivals)
+			attain = float64(t.sloOK) / float64(t.arrivals)
 		}
 		o.gauge(&tt.attain, name, "/attain", attain)
 		if f.faulted {

@@ -109,7 +109,7 @@ func TestTimelineSampleAllocBudget(t *testing.T) {
 func TestObsChaosTraceDeterministic(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	export := func() (string, string) {
-		cfg := chaosConfig(1, chaosFaults(CrashReplay),
+		cfg := chaosConfig(1, chaosFaults(),
 			&RecoveryConfig{WarmSpares: 1, EmergencySpawn: true, Evacuate: true})
 		cfg.Obs = obsOn()
 		rep, err := Run(cfg, db)
@@ -145,7 +145,7 @@ func TestObsChaosTraceDeterministic(t *testing.T) {
 // attainment series must end at SLOAttainment, and the replica-count
 // series must have at least two points and end at the report's Replicas.
 func TestObsTimelinesReproduceReport(t *testing.T) {
-	cfg := chaosConfig(1, chaosFaults(CrashReplay), nil)
+	cfg := chaosConfig(1, chaosFaults(), nil)
 	cfg.Obs = obsOn()
 	rep, err := Run(cfg, NewCostDB(arch.TPUv4Like()))
 	if err != nil {

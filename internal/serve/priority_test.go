@@ -8,27 +8,27 @@ import (
 )
 
 // priorityConfig is the fast mixed-priority scenario the preemption
-// tests run: an Interactive MNIST tenant and a Batch DLRM tenant
-// pooling their replicas in one share group. MNIST batches cost ~13k
-// cycles while DLRM batches cost ~350k, so without preemption an
-// interactive request routinely waits an order of magnitude past its
-// SLO behind an in-flight DLRM batch.
+// tests run, with serve-priority's pairing: an Interactive ENet tenant
+// and a Batch TFMR tenant pooling their replicas in one share group.
+// TFMR batches span many 0.5 ms preemption quanta, so without
+// preemption an interactive request routinely waits far past its SLO
+// behind an in-flight TFMR batch, and with it a batch is checkpointed
+// many times.
 func priorityConfig(seed uint64, preempt bool) Config {
 	return Config{
-		Scenario:             "prio-test",
-		Core:                 arch.TPUv4Like(),
-		Cores:                3,
-		Router:               LeastLoaded,
-		DurationSec:          0.02,
-		Seed:                 seed,
-		Autoscale:            true,
-		ScaleEverySec:        0.004,
-		Preempt:              preempt,
-		PreemptQuantumCycles: 2048,
+		Scenario:      "prio-test",
+		Core:          arch.TPUv4Like(),
+		Cores:         3,
+		Router:        LeastLoaded,
+		DurationSec:   0.2,
+		Seed:          seed,
+		Autoscale:     true,
+		ScaleEverySec: 0.004,
+		Preempt:       preempt,
 		Tenants: []TenantConfig{
-			{Name: "fg", Model: "MNIST", Priority: Interactive, ShareGroup: "pool",
+			{Name: "fg", Model: "ENet", Priority: Interactive, ShareGroup: "pool",
 				Load: 0.35, EUs: 2, MaxBatch: 2, QueueCap: 16, InitialReplicas: 1, MaxReplicas: 2},
-			{Name: "bg", Model: "DLRM", Priority: Batch, ShareGroup: "pool",
+			{Name: "bg", Model: "TFMR", Priority: Batch, ShareGroup: "pool",
 				Load: 0.7, EUs: 2, MaxBatch: 8, QueueCap: 32, InitialReplicas: 1, MaxReplicas: 2},
 		},
 	}
@@ -167,9 +167,13 @@ func TestPreemptionWorkConservation(t *testing.T) {
 }
 
 // TestBatchBoundedWait is the no-starvation property: under sustained
-// Interactive pressure, no Batch batch may be preempted or bypassed
-// more than MaxPreemptsPerBatch times, so its wait is bounded and all
-// of its admitted work completes.
+// Interactive pressure the Batch tenant keeps completing work and
+// accounts for every arrival. The aging credit bounds a batch's wait,
+// not its count of preempts and bypasses (TestAgingCreditBoundsWait);
+// at this config the worst count also stays within the 64 quanta the
+// credit is denominated in, which the test checks as a guard against
+// runaway preemption (other pairings can exceed it, e.g. MNIST
+// interactive over TFMR batch).
 func TestBatchBoundedWait(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := priorityConfig(seed, true)
@@ -184,9 +188,9 @@ func TestBatchBoundedWait(t *testing.T) {
 		f.scheduleScale(cfg.ScaleEverySec * cfg.Core.FrequencyHz)
 		f.eng.Run()
 		bg := f.tenants[1]
-		if bg.maxPreempts > f.cfg.MaxPreemptsPerBatch {
+		if bg.maxPreempts > maxPreemptsPerBatch {
 			t.Errorf("seed %d: a batch suffered %d preempts+bypasses, bound %d",
-				seed, bg.maxPreempts, f.cfg.MaxPreemptsPerBatch)
+				seed, bg.maxPreempts, maxPreemptsPerBatch)
 		}
 		if bg.completed == 0 {
 			t.Errorf("seed %d: Batch tenant starved outright (0 completions)", seed)
@@ -200,10 +204,9 @@ func TestBatchBoundedWait(t *testing.T) {
 
 // TestAgingCreditBoundsWait pins the credit scheme's defining
 // property: a batch's total victimization wait (time suspended, across
-// preemptions and bypasses) never exceeds the aging-credit budget of
-// MaxPreemptsPerBatch × PreemptQuantumCycles by more than the one
-// interloper that was in flight when the credit ran out. Event counts
-// are NOT the bound — delay is.
+// preemptions and bypasses) never exceeds the aging-credit budget
+// (preemptBudget) by more than the one interloper that was in flight
+// when the credit ran out. Event counts are NOT the bound — delay is.
 func TestAgingCreditBoundsWait(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
 	exercised := false
@@ -219,10 +222,12 @@ func TestAgingCreditBoundsWait(t *testing.T) {
 		}
 		f.scheduleScale(cfg.ScaleEverySec * cfg.Core.FrequencyHz)
 		f.eng.Run()
-		budget := f.preemptBudget
-		// Overshoot allowance: the interloper running when the credit
-		// expired (an MNIST batch, ~13k cycles here) plus its context
-		// switches — far below one more budget.
+		budget := float64(preemptBudget)
+		// Overshoot allowance for the interloper running when the
+		// credit expired plus its context switches. It is stricter than
+		// the design's bound (an ENet batch of two on two EUs is ~0.8M
+		// cycles); at this config the worst wait stays under the budget
+		// itself (~31M of ~33.5M cycles over these seeds).
 		const slack = 150_000
 		bg := f.tenants[1]
 		if bg.maxVictimWait > budget+slack {

@@ -248,9 +248,9 @@ func (f *fleet) destroyReplica(r *replica, now sim.Time, out *[]harvested) {
 }
 
 // crashSeqOutcome resolves one sequence whose resident KV died with its
-// replica: re-queue (replaying any generated prefix by folding it into
-// the prompt) or fail, per the plan's CrashPolicy. The KV tokens lost —
-// everything resident at the crash — are itemized as recompute debt.
+// replica: re-queue it, replaying any generated prefix by folding it
+// into the prompt. The KV tokens lost — everything resident at the
+// crash — are itemized as recompute debt.
 func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now sim.Time) {
 	f.obs.crashSeq(t, s, now)
 	lost := 0
@@ -260,11 +260,6 @@ func (f *fleet) crashSeqOutcome(t *tenantState, s *llmSeq, out *[]harvested, now
 		lost = s.promptDone // chunked-prefill progress
 	}
 	defer f.putSeq(s)
-	if s.produced > 0 && f.cfg.Faults.Policy == CrashFail {
-		t.crashLost++
-		f.obs.lost(t, s.req.id, s.produced, "policy-fail", now)
-		return
-	}
 	req := s.replay()
 	req.crashed = true
 	if s.produced > 0 {
@@ -285,13 +280,13 @@ func (f *fleet) requeue(h harvested, now sim.Time) {
 	r := f.route(t)
 	if r == nil {
 		t.crashLost++
-		f.obs.lost(t, h.req.id, 0, "no-replica", now)
+		f.obs.lost(t, h.req.id, "no-replica", now)
 		return
 	}
 	q := r.queueFor(t)
 	if len(q.reqs) >= t.cfg.QueueCap {
 		t.crashLost++
-		f.obs.lost(t, h.req.id, 0, "queue-cap", now)
+		f.obs.lost(t, h.req.id, "queue-cap", now)
 		return
 	}
 	f.obs.requeued(t, h.req.id, now)
@@ -384,18 +379,5 @@ func (f *fleet) rebalanceDecode(t *tenantState, now sim.Time) {
 			return
 		}
 		f.beginTransfer(hi, lo, pick, true, now)
-	}
-}
-
-// noteFaultDone feeds the fault-window attainment counters: requests
-// that ARRIVED inside the window (first fault → end of run) and were
-// served within the SLO. The ≤ comparison matches Latencies.CountBelow,
-// so window and whole-run attainment are directly comparable.
-func (f *fleet) noteFaultDone(t *tenantState, reqAt sim.Time, lat float64) {
-	if !f.faulted || float64(reqAt) < f.fwStart {
-		return
-	}
-	if lat <= t.sloCycles {
-		t.fwSloOK++
 	}
 }

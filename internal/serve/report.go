@@ -45,7 +45,9 @@ type TenantReport struct {
 	// suspended (and later resumed), how many preemptions its own
 	// batches triggered, the context-switch cycles charged against its
 	// service (as milliseconds), and the worst preempt+bypass count any
-	// single batch suffered (bounded by Config.MaxPreemptsPerBatch).
+	// single batch suffered. The aging credit bounds a batch's wait,
+	// not this count: many short interruptions may add up to more
+	// events than the credit's 64 quanta.
 	Preemptions     int     `json:"preemptions,omitempty"`
 	PreemptsIssued  int     `json:"preempts_issued,omitempty"`
 	Resumes         int     `json:"resumes,omitempty"`
@@ -184,8 +186,9 @@ type Report struct {
 	LinkCanceled  int     `json:"link_canceled,omitempty"`
 
 	// Fault schedule (zero/empty on fault-free runs): event count, crash
-	// policy, when the fault window opens, and the recovery machinery
-	// enabled for the run.
+	// policy (always "replay": a crashed sequence re-queues with its
+	// generated prefix folded into the prompt), when the fault window
+	// opens, and the recovery machinery enabled for the run.
 	FaultEvents    int     `json:"fault_events,omitempty"`
 	FaultPolicy    string  `json:"fault_policy,omitempty"`
 	FaultFromSec   float64 `json:"fault_from_sec,omitempty"`
@@ -482,7 +485,6 @@ func (f *fleet) report() *Report {
 		for _, r := range t.replicas {
 			busy += r.busyEUCycles
 		}
-		sloOK := t.lat.CountBelow(t.sloCycles)
 		tr := TenantReport{
 			Name:            t.cfg.Name,
 			Model:           t.cfg.Model,
@@ -494,7 +496,7 @@ func (f *fleet) report() *Report {
 			P95Ms:           ms(t.lat.P95()),
 			P99Ms:           ms(t.lat.P99()),
 			MeanMs:          ms(t.lat.Mean()),
-			GoodputRPS:      float64(sloOK) / f.cfg.DurationSec,
+			GoodputRPS:      float64(t.sloOK) / f.cfg.DurationSec,
 			Replicas:        t.activeCount(),
 			PeakReplicas:    t.peakReplicas,
 			EUsPerReplica:   t.curEUs,
@@ -602,7 +604,7 @@ func (f *fleet) report() *Report {
 			a.arrivals += t.arrivals
 			a.rejected += t.rejected
 			a.completed += t.completed
-			a.sloOK += sloOK
+			a.sloOK += t.sloOK
 			a.preempted += t.preempted
 			a.resumes += t.resumes
 			a.stolen += t.stolenCycles
@@ -610,7 +612,7 @@ func (f *fleet) report() *Report {
 		if t.arrivals > 0 {
 			// Rejected requests count against attainment: a shed request
 			// is a broken promise too.
-			tr.SLOAttainment = float64(sloOK) / float64(t.arrivals)
+			tr.SLOAttainment = float64(t.sloOK) / float64(t.arrivals)
 		}
 		if f.faulted {
 			tr.Crashes = t.crashes
@@ -624,7 +626,7 @@ func (f *fleet) report() *Report {
 				tr.EvacuationMB = float64(t.llm.evacBytes) / (1 << 20)
 			}
 			// Fault-window attainment/goodput: requests arriving from the
-			// first scheduled fault onward, same ≤-SLO rule as CountBelow.
+			// first scheduled fault onward, same ≤-SLO rule as sloOK.
 			if t.fwArrivals > 0 {
 				tr.FaultAttainment = float64(t.fwSloOK) / float64(t.fwArrivals)
 			}
@@ -685,7 +687,7 @@ func (f *fleet) report() *Report {
 	}
 	if f.faulted {
 		rep.FaultEvents = len(f.cfg.Faults.Events)
-		rep.FaultPolicy = f.cfg.Faults.Policy.String()
+		rep.FaultPolicy = "replay"
 		rep.FaultFromSec = f.fwStart / freq
 		if rc := f.cfg.Recover; rc != nil {
 			rep.WarmSpares = rc.WarmSpares

@@ -26,9 +26,9 @@ func fastConfig(seed uint64) Config {
 		ScaleEverySec: 0.004,
 		Tenants: []TenantConfig{
 			{Name: "a", Model: "MNIST", Load: 1.4, EUs: 2, MaxBatch: 4, QueueCap: 8,
-				Arrival: Flash, BurstFactor: 3, InitialReplicas: 1, MaxReplicas: 3},
+				Arrival: Flash, InitialReplicas: 1, MaxReplicas: 3},
 			{Name: "b", Model: "DLRM", Load: 0.9, EUs: 2, MaxBatch: 8, QueueCap: 16,
-				Arrival: Diurnal, DiurnalDepth: 0.6, InitialReplicas: 1, MaxReplicas: 2},
+				Arrival: Diurnal, InitialReplicas: 1, MaxReplicas: 2},
 		},
 	}
 }
@@ -199,20 +199,18 @@ func TestCostDBPureFunction(t *testing.T) {
 }
 
 // TestArrivalEnvelopes pins the deterministic rate envelopes the thinned
-// Poisson streams are drawn against.
+// Poisson streams are drawn against: a 5× flash over [0.35, 0.65) of
+// the run, and a diurnal swing between 0.3 and 1.7 of the base rate.
 func TestArrivalEnvelopes(t *testing.T) {
-	ts := &tenantState{cfg: TenantConfig{
-		Arrival: Flash, BurstFactor: 4, BurstStart: 0.25, BurstEnd: 0.75,
-	}}
-	if got := ts.rateMult(0.1e6, 1e6); got != 1 {
-		t.Errorf("flash outside window: mult %v, want 1", got)
+	ts := &tenantState{cfg: TenantConfig{Arrival: Flash}}
+	for _, c := range []struct{ frac, want float64 }{
+		{0.1, 1}, {0.35, 5}, {0.5, 5}, {0.65, 1}, {0.9, 1},
+	} {
+		if got := ts.rateMult(c.frac*1e6, 1e6); got != c.want {
+			t.Errorf("flash at %v of the run: mult %v, want %v", c.frac, got, c.want)
+		}
 	}
-	if got := ts.rateMult(0.5e6, 1e6); got != 4 {
-		t.Errorf("flash inside window: mult %v, want 4", got)
-	}
-	ts = &tenantState{cfg: TenantConfig{
-		Arrival: Diurnal, DiurnalDepth: 0.5,
-	}}
+	ts = &tenantState{cfg: TenantConfig{Arrival: Diurnal}}
 	lo, hi := 2.0, 0.0
 	for i := 0; i <= 100; i++ {
 		m := ts.rateMult(float64(i)*1e4, 1e6)
@@ -223,8 +221,8 @@ func TestArrivalEnvelopes(t *testing.T) {
 			hi = m
 		}
 	}
-	if lo < 0.49 || hi > 1.51 {
-		t.Errorf("diurnal envelope [%v, %v] escapes 1±depth", lo, hi)
+	if math.Abs(lo-0.3) > 1e-9 || math.Abs(hi-1.7) > 1e-9 {
+		t.Errorf("diurnal envelope [%v, %v], want [0.3, 1.7]", lo, hi)
 	}
 }
 
@@ -245,14 +243,9 @@ func TestMalformedFloatConfigRejected(t *testing.T) {
 		{"ScaleEverySec -1", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, -1 }},
 		{"ScaleEverySec NaN", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, nan }},
 		{"ScaleEverySec under a cycle", func(c *Config) { c.Autoscale, c.ScaleEverySec = true, 1e-12 }},
-		{"PreemptQuantumCycles NaN", func(c *Config) { c.PreemptQuantumCycles = nan }},
-		{"PreemptQuantumCycles 4096.5", func(c *Config) { c.PreemptQuantumCycles = 4096.5 }},
 		{"RatePerSec +Inf", func(c *Config) { c.Tenants[0].RatePerSec = inf }},
 		{"Load NaN", func(c *Config) { c.Tenants[0].Load = nan }},
 		{"Load -1", func(c *Config) { c.Tenants[0].Load = -1 }},
-		{"BurstFactor NaN", func(c *Config) { c.Tenants[0].BurstFactor = nan }},
-		{"BurstEnd NaN", func(c *Config) { c.Tenants[0].BurstEnd = nan }},
-		{"DiurnalDepth NaN", func(c *Config) { c.Tenants[0].DiurnalDepth = nan }},
 		{"DiurnalPhase +Inf", func(c *Config) { c.Tenants[0].DiurnalPhase = inf }},
 		{"SLOMs NaN", func(c *Config) { c.Tenants[0].SLOMs = nan }},
 		{"SLOFactor -1", func(c *Config) { c.Tenants[0].SLOFactor = -1 }},

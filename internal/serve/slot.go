@@ -19,16 +19,28 @@ import (
 //	restore) unless an even higher-priority queue is waiting and the
 //	victim still has aging credit.
 //
+// The quantum grid is preemptQuantumCycles, about 0.5 ms at the
+// default 1.05 GHz clock: a ~25 ms TFMR batch offers ~50 boundaries,
+// and every resumed segment makes real progress. It is a whole number
+// of cycles because sched.CheckpointAt splits a batch's work exactly
+// only at whole-cycle boundaries.
+//
 // Starvation is bounded by AGING CREDIT, denominated in delay rather
-// than events: every batch tolerates up to MaxPreemptsPerBatch ×
-// PreemptQuantumCycles cycles of victimization wait (time suspended,
-// whether it got there by preemption or was bypassed while suspended).
-// A batch whose accrued wait exhausts the credit is immune to further
-// preemption and bypass, so its total extra delay is hard-bounded in
-// cycles — many cheap interruptions spend the credit slowly, one long
-// one spends it at once, and either way the victim's wait cannot
-// exceed the budget plus the one interloper in flight when the credit
-// ran out.
+// than events: every batch tolerates up to preemptBudget =
+// maxPreemptsPerBatch × preemptQuantumCycles cycles (≈ 32 ms) of
+// victimization wait (time suspended, whether it got there by
+// preemption or was bypassed while suspended). A batch whose accrued
+// wait exhausts the credit is immune to further preemption and bypass,
+// so its total extra delay is hard-bounded in cycles — many cheap
+// interruptions spend the credit slowly, one long one spends it at
+// once, and either way the victim's wait cannot exceed the budget plus
+// the one interloper in flight when the credit ran out. The credit
+// bounds the wait, not the number of preemptions and bypasses.
+const (
+	preemptQuantumCycles = 524_288
+	maxPreemptsPerBatch  = 64
+	preemptBudget        = maxPreemptsPerBatch * preemptQuantumCycles
+)
 
 // takeBatch returns a recycled (or new) batch instance; retired
 // batches go back through putBatch so the steady-state launch path
@@ -90,7 +102,7 @@ func (f *fleet) creditLeft(b *batch, now sim.Time) float64 {
 	if b.waiting {
 		w += float64(now - b.waitFrom)
 	}
-	return f.preemptBudget - w
+	return preemptBudget - w
 }
 
 // disarmTimer cancels the slot's armed batch-window timer, if any.
@@ -292,8 +304,8 @@ func (f *fleet) finish(r *replica, b *batch, now sim.Time) {
 // waiting higher-priority one and, if so, schedules the suspension at
 // the next µTOp-quantum boundary (sched.CheckpointAt). Each segment is
 // guaranteed at least one quantum of fresh progress, so preemption can
-// never livelock a batch, and MaxPreemptsPerBatch caps how often one
-// batch yields at all.
+// never livelock a batch, and the aging credit caps how long one batch
+// yields at all.
 func (f *fleet) maybePreempt(r *replica, now sim.Time) {
 	if !f.cfg.Preempt || r.cur == nil || r.preemptSet {
 		return
@@ -312,11 +324,11 @@ func (f *fleet) maybePreempt(r *replica, now sim.Time) {
 	if elapsed < done {
 		elapsed = done // still paying the restore: no service progress yet
 	}
-	rp := sched.CheckpointAt(b.total, elapsed, f.cfg.PreemptQuantumCycles)
+	rp := sched.CheckpointAt(b.total, elapsed, preemptQuantumCycles)
 	if rp.Completed <= done {
 		// Sitting exactly on the last checkpoint: insist on one quantum
 		// of fresh progress before yielding again.
-		rp = sched.CheckpointAt(b.total, done+f.cfg.PreemptQuantumCycles, f.cfg.PreemptQuantumCycles)
+		rp = sched.CheckpointAt(b.total, done+preemptQuantumCycles, preemptQuantumCycles)
 	}
 	if rp.Remaining < 1 {
 		return // the batch completes at (or within a cycle of) the boundary

@@ -105,9 +105,9 @@ type batch struct {
 
 	// Aging credit: victimWait accrues the cycles this batch has spent
 	// suspended (waiting covers the open interval since waitFrom). Once
-	// it exhausts the fleet's preemptBudget the batch is immune to
-	// further preemption and bypass — the wait-denominated
-	// anti-starvation bound (see Config.MaxPreemptsPerBatch).
+	// it exhausts preemptBudget the batch is immune to further
+	// preemption and bypass — the wait-denominated anti-starvation
+	// bound (see slot.go).
 	victimWait float64
 	waiting    bool
 	waitFrom   sim.Time
@@ -263,6 +263,7 @@ type tenantState struct {
 	arrivals       int
 	rejected       int
 	completed      int
+	sloOK          int // completions within the SLO (latency ≤ sloCycles)
 	windowRejected int
 	maxQueue       int
 	peakReplicas   int
@@ -301,7 +302,7 @@ type tenantState struct {
 	// Fault/recovery accounting (see fault.go; all zero fault-free).
 	crashes         int   // replicas lost to fault events
 	crashRequeued   int   // harvested requests re-queued to survivors
-	crashLost       int   // harvested requests lost (policy or no room)
+	crashLost       int   // harvested requests lost (no replica, queue room or decode pool)
 	replays         int   // partially-generated sequences replayed
 	recomputeTokens int64 // Σ resident KV tokens lost to crashes
 	emergencySpawns int   // crash-triggered replacement spawns
@@ -337,12 +338,12 @@ func (t *tenantState) rateMult(at, durCycles float64) float64 {
 	switch t.cfg.Arrival {
 	case Flash:
 		frac := at / durCycles
-		if frac >= t.cfg.BurstStart && frac < t.cfg.BurstEnd {
-			return t.cfg.BurstFactor
+		if frac >= flashStart && frac < flashEnd {
+			return flashFactor
 		}
 		return 1
 	case Diurnal:
-		return 1 + t.cfg.DiurnalDepth*math.Sin(2*math.Pi*at/durCycles+t.cfg.DiurnalPhase)
+		return 1 + diurnalDepth*math.Sin(2*math.Pi*at/durCycles+t.cfg.DiurnalPhase)
 	default:
 		return 1
 	}
