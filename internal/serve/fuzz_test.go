@@ -32,10 +32,10 @@ func (in *fuzzBytes) frac() float64 { return float64(in.next()) / 255 }
 // cheap models stay cheap to simulate), the autoscaler, the link
 // bandwidth, each tenant (load, batch, queue, replicas, EUs, arrival,
 // KV capacity, disaggregation), the fault plan and the recovery config.
-// Every collector is on. Some bits once chose settings that are now
-// fixed (the chaos variant's and the fault plan's low bit chose the
-// crash policy, an arrival byte's upper bits the burst factor); they
-// are read and ignored, so every committed seed decodes as before.
+// Every collector is on. Some bits are read and ignored: the chaos
+// variant's low bit, the fault-plan byte's low bit and an arrival
+// byte's upper bits. Skipping them would shift every later field of
+// the committed seeds.
 func fuzzServeConfig(data []byte) Config {
 	in := fuzzBytes(data)
 	base, seed := in.next(), uint64(in.next())
