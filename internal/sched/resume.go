@@ -37,15 +37,13 @@ type ResumePoint struct {
 // `total` service cycles that has progressed `elapsed` cycles: the next
 // µTOp-quantum boundary (a multiple of `quantum`) at or after elapsed,
 // capped at total. A run already sitting exactly on a boundary
-// checkpoints immediately. A non-positive quantum means preemption is
-// legal anywhere (the boundary is elapsed itself); elapsed is clamped
-// into [0, total].
+// checkpoints immediately. The quantum must be positive; elapsed is
+// clamped into [0, total].
 //
 // The split is exact (Completed + Remaining == total) only when the
 // boundary is a whole number of cycles below 2^53, as it is for a whole
 // quantum or at the total: then total − b needs no rounding. A
-// fractional boundary — a fractional quantum, or a non-positive one at
-// a fractional elapsed — can miss total by an ulp.
+// fractional quantum can miss total by an ulp.
 func CheckpointAt(total, elapsed, quantum float64) ResumePoint {
 	if total <= 0 {
 		return ResumePoint{Frac: 1}
@@ -56,10 +54,7 @@ func CheckpointAt(total, elapsed, quantum float64) ResumePoint {
 	if elapsed > total {
 		elapsed = total
 	}
-	b := elapsed
-	if quantum > 0 {
-		b = math.Ceil(elapsed/quantum) * quantum
-	}
+	b := math.Ceil(elapsed/quantum) * quantum
 	if b > total {
 		b = total
 	}

@@ -18,7 +18,9 @@ import (
 
 // benchFleet builds (without running) a fleet exercising both decision
 // shapes: four dynamic tenants of mixed priority pooling their slots,
-// plus a private continuous-batching LLM tenant.
+// plus a private continuous-batching LLM tenant. b0's TFMR batches span
+// many preemption quanta, so the interactive tenant preempts them; the
+// other batch models finish inside one quantum.
 func benchFleet(b *testing.B) *fleet {
 	b.Helper()
 	cfg := Config{
@@ -30,7 +32,7 @@ func benchFleet(b *testing.B) *fleet {
 		Preempt:     true,
 		Tenants: []TenantConfig{
 			{Name: "i0", Model: "MNIST", Load: 1, EUs: 2, Priority: Interactive, ShareGroup: "pool"},
-			{Name: "b0", Model: "DLRM", Load: 1, EUs: 2, ShareGroup: "pool"},
+			{Name: "b0", Model: "TFMR", Load: 1, EUs: 2, ShareGroup: "pool"},
 			{Name: "b1", Model: "NCF", Load: 1, EUs: 2, ShareGroup: "pool"},
 			{Name: "b2", Model: "MNIST", Load: 1, EUs: 2, ShareGroup: "pool"},
 			{Name: "llm", Model: "LLaMA", Load: 0.5, EUs: 2, MaxBatch: 4,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/virt"
 )
 
 // priorityConfig is the fast mixed-priority scenario the preemption
@@ -207,12 +208,15 @@ func TestBatchBoundedWait(t *testing.T) {
 // preemptions and bypasses) never exceeds the aging-credit budget
 // (preemptBudget) by more than the one interloper that was in flight
 // when the credit ran out. Event counts are NOT the bound — delay is.
+// The interactive load is past what one slot serves, so batches wait
+// out their whole credit and the immunity that follows is what holds
+// the bound.
 func TestAgingCreditBoundsWait(t *testing.T) {
 	db := NewCostDB(arch.TPUv4Like())
-	exercised := false
+	exhausted := false
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := priorityConfig(seed, true)
-		cfg.Tenants[0].Load = 0.9 // sustained interactive pressure
+		cfg.Tenants[0].Load = 1.5 // interactive pressure past one slot's capacity
 		f, err := newFleet(cfg, db)
 		if err != nil {
 			t.Fatal(err)
@@ -222,24 +226,30 @@ func TestAgingCreditBoundsWait(t *testing.T) {
 		}
 		f.scheduleScale(cfg.ScaleEverySec * cfg.Core.FrequencyHz)
 		f.eng.Run()
-		budget := float64(preemptBudget)
-		// Overshoot allowance for the interloper running when the
-		// credit expired plus its context switches. It is stricter than
-		// the design's bound (an ENet batch of two on two EUs is ~0.8M
-		// cycles); at this config the worst wait stays under the budget
-		// itself (~31M of ~33.5M cycles over these seeds).
-		const slack = 150_000
-		bg := f.tenants[1]
-		if bg.maxVictimWait > budget+slack {
-			t.Errorf("seed %d: a batch waited %.0f cycles under a %.0f-cycle credit budget",
-				seed, bg.maxVictimWait, budget)
+		fg, bg := f.tenants[0], f.tenants[1]
+		// The designed overshoot: one interactive batch of MaxBatch on
+		// the slowest split any pool replica of the run had, the
+		// checkpoint save a preemptor pays before it runs, and the cycle
+		// its completion event rounds up by.
+		var slack float64
+		for _, c := range f.tables {
+			cycles, err := c.service(fg, fg.cfg.MaxBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slack = math.Max(slack, cycles+virt.SwitchCycles(c.nm, c.nv)+1)
 		}
-		if bg.maxVictimWait > 0 {
-			exercised = true
+		budget := float64(preemptBudget)
+		if bg.maxVictimWait > budget+slack {
+			t.Errorf("seed %d: a batch waited %.0f cycles under a %.0f-cycle credit budget (overshoot bound %.0f)",
+				seed, bg.maxVictimWait, budget, slack)
+		}
+		if bg.maxVictimWait >= budget {
+			exhausted = true
 		}
 	}
-	if !exercised {
-		t.Error("no batch was ever victimized — the credit ledger was never exercised")
+	if !exhausted {
+		t.Error("no batch ever spent its whole credit — the immunity it earns was never exercised")
 	}
 }
 
