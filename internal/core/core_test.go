@@ -351,68 +351,3 @@ func TestSegmentTranslationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestManagerLifecycle(t *testing.T) {
-	tpu := arch.TPUv4Like()
-	mgr, err := NewManager(2, tpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := VNPUConfig{1, 1, 2, 2, 32 << 20, 8 << 30}
-	v, err := mgr.Create("tenant-a", cfg, SpatialIsolated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.State != StateMapped {
-		t.Fatalf("state %v after create", v.State)
-	}
-	got, err := mgr.Get(v.ID)
-	if err != nil || got.ID != v.ID {
-		t.Fatalf("Get: %v", err)
-	}
-	// Reconfigure to a bigger shape.
-	if err := mgr.Reconfigure(v.ID, VNPUConfig{1, 1, 3, 2, 32 << 20, 8 << 30}); err != nil {
-		t.Fatal(err)
-	}
-	if v.Config.NumMEsPerCore != 3 {
-		t.Fatal("reconfigure did not apply")
-	}
-	if err := mgr.Free(v.ID); err != nil {
-		t.Fatal(err)
-	}
-	if mgr.Live() != 0 {
-		t.Fatal("vNPU still live after free")
-	}
-	if _, err := mgr.Get(v.ID); err == nil {
-		t.Fatal("freed vNPU still retrievable")
-	}
-}
-
-func TestManagerRejectsOversizedVNPU(t *testing.T) {
-	tpu := arch.TPUv4Like()
-	mgr, _ := NewManager(1, tpu)
-	cfg := VNPUConfig{1, 1, tpu.MEs + 1, 2, 32 << 20, 8 << 30}
-	if _, err := mgr.Create("t", cfg, SpatialIsolated); err == nil {
-		t.Fatal("vNPU bigger than pNPU accepted")
-	}
-}
-
-func TestManagerReconfigureRollsBackOnFailure(t *testing.T) {
-	tpu := arch.TPUv4Like()
-	mgr, _ := NewManager(1, tpu)
-	cfg := VNPUConfig{1, 1, 2, 2, 32 << 20, 8 << 30}
-	v, err := mgr.Create("a", cfg, SpatialIsolated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Create("b", cfg, SpatialIsolated); err != nil {
-		t.Fatal(err)
-	}
-	// Growing A to 3 MEs can't fit (B holds 2 of 4); must roll back.
-	if err := mgr.Reconfigure(v.ID, VNPUConfig{1, 1, 3, 2, 32 << 20, 8 << 30}); err == nil {
-		t.Fatal("impossible reconfigure succeeded")
-	}
-	if v.Config.NumMEsPerCore != 2 || v.State != StateMapped {
-		t.Fatalf("rollback failed: %d MEs, state %v", v.Config.NumMEsPerCore, v.State)
-	}
-}

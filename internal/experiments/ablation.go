@@ -21,8 +21,6 @@ type AblationHarvestResult struct {
 	Gains map[string][3]float64
 }
 
-func (r *AblationHarvestResult) Name() string { return "ablation-harvest" }
-
 func (r *AblationHarvestResult) Table() string {
 	tab := &table{header: []string{"pair", "Neu10", "-ME harvest", "-VE harvest"}}
 	for _, p := range sortedKeys(r.Gains) {
@@ -37,7 +35,7 @@ func (r *AblationHarvestResult) Table() string {
 // pair runs, the two ablated legs its own simulations.
 func (r *Runner) AblationHarvest() (*AblationHarvestResult, error) {
 	pairs := workload.Pairs()
-	gains, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) ([3]float64, error) {
+	gains, err := parMap(r.workers(), pairs, func(p workload.Pair) ([3]float64, error) {
 		specs, err := r.comp.Tenants(p, sched.Neu10, r.opts.Core.MEs/2, r.opts.Core.VEs/2)
 		if err != nil {
 			return [3]float64{}, err
@@ -87,8 +85,6 @@ type AblationPreemptResult struct {
 	PerCost map[int][2]float64
 }
 
-func (r *AblationPreemptResult) Name() string { return "ablation-preempt" }
-
 func (r *AblationPreemptResult) Table() string {
 	tab := &table{header: []string{"reclaim cycles", "throughput vs NH", "worst blocked %"}}
 	for _, c := range r.Costs {
@@ -110,7 +106,7 @@ func (r *Runner) AblationPreempt() (*AblationPreemptResult, error) {
 	pairs := workload.Pairs()
 	// The NeuNH baseline does not depend on the preemption cost: run it
 	// once per pair instead of once per grid cell.
-	baselines, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) (*sched.Result, error) {
+	baselines, err := parMap(r.workers(), pairs, func(p workload.Pair) (*sched.Result, error) {
 		return r.runPair(p, sched.NeuNH, r.opts.Core, false)
 	})
 	if err != nil {
@@ -130,7 +126,7 @@ func (r *Runner) AblationPreempt() (*AblationPreemptResult, error) {
 			cells = append(cells, gridCell{cost, pi})
 		}
 	}
-	results, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (cellResult, error) {
+	results, err := parMap(r.workers(), cells, func(c gridCell) (cellResult, error) {
 		core := r.opts.Core
 		core.MEPreemptCycles = c.cost
 		n10, err := r.runPair(pairs[c.pi], sched.Neu10, core, false)
@@ -174,8 +170,6 @@ type SLOResult struct {
 	// P95Ms[policy][load] in milliseconds.
 	P95Ms map[string]map[float64]float64
 }
-
-func (r *SLOResult) Name() string { return "slo" }
 
 func (r *SLOResult) Table() string {
 	tab := &table{header: []string{"offered load"}}
@@ -223,7 +217,7 @@ func (r *Runner) SLOStudy() (*SLOResult, error) {
 			cells = append(cells, gridCell{pol, load})
 		}
 	}
-	p95s, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (float64, error) {
+	p95s, err := parMap(r.workers(), cells, func(c gridCell) (float64, error) {
 		mnist, err := r.comp.Graph("MNIST", workload.BatchFor("MNIST"), c.pol.ISAFor())
 		if err != nil {
 			return 0, err

@@ -24,8 +24,6 @@ type AllocCurve struct {
 // Fig12Result holds the four allocation sweeps.
 type Fig12Result struct{ Curves []AllocCurve }
 
-func (r *Fig12Result) Name() string { return "fig12" }
-
 func (r *Fig12Result) Table() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 12 — vNPU allocation sweep (selected config per EU budget)\n")
@@ -72,7 +70,7 @@ func (r *Runner) Fig12Allocator() (*Fig12Result, error) {
 	}{
 		{"BERT", 32}, {"RsNt", 32}, {"ENet", 32}, {"SMask", 8},
 	}
-	curves, err := parMapPairs(r.workers(), cases, func(_ int, c struct {
+	curves, err := parMap(r.workers(), cases, func(c struct {
 		name  string
 		batch int
 	}) (AllocCurve, error) {
@@ -109,8 +107,6 @@ type Fig16Result struct {
 	Batches []int
 	Points  map[string]map[int]float64
 }
-
-func (r *Fig16Result) Name() string { return "fig16" }
 
 func (r *Fig16Result) Table() string {
 	tab := &table{header: []string{"model"}}
@@ -154,7 +150,7 @@ func (r *Runner) Fig16NeuISAOverhead() (*Fig16Result, error) {
 		v  float64
 		ok bool
 	}
-	points, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (overhead, error) {
+	points, err := parMap(r.workers(), cells, func(c gridCell) (overhead, error) {
 		g, err := model.Build(c.name, c.batch)
 		if err != nil {
 			return overhead{}, err

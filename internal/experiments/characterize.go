@@ -28,8 +28,6 @@ type Fig2Result struct {
 	Series map[string][]DemandPoint
 }
 
-func (r *Fig2Result) Name() string { return "fig2" }
-
 func (r *Fig2Result) Table() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 2 — ME/VE demand over time (batch %d)\n", r.Batch)
@@ -54,7 +52,7 @@ func (r *Runner) Fig2Demand() (*Fig2Result, error) {
 func (r *Runner) demandTimelines(models []string, batch int) (*Fig2Result, error) {
 	out := &Fig2Result{Batch: batch, Series: map[string][]DemandPoint{}}
 	cm := compiler.NewCostModel(r.opts.Core)
-	series, err := parMapPairs(r.workers(), models, func(_ int, name string) ([]DemandPoint, error) {
+	series, err := parMap(r.workers(), models, func(name string) ([]DemandPoint, error) {
 		g, err := model.Build(name, batch)
 		if err != nil {
 			return nil, err
@@ -118,8 +116,6 @@ type Fig4Result struct {
 	Batches []int
 	Ratios  map[string]map[int]float64
 }
-
-func (r *Fig4Result) Name() string { return "fig4" }
 
 func (r *Fig4Result) Table() string {
 	tab := &table{header: []string{"model"}}
@@ -185,8 +181,6 @@ type SoloStat struct {
 // Fig5Result holds solo utilization stats.
 type Fig5Result struct{ Stats []SoloStat }
 
-func (r *Fig5Result) Name() string { return "fig5" }
-
 func (r *Fig5Result) Table() string {
 	tab := &table{header: []string{"model", "batch", "ME util", "VE util", "latency(ms)"}}
 	for _, s := range r.Stats {
@@ -234,7 +228,7 @@ func (r *Runner) soloRun(name string, batch int) (SoloStat, error) {
 // per model.
 func (r *Runner) Fig5Utilization() (*Fig5Result, error) {
 	models := []string{"BERT", "TFMR", "DLRM", "NCF", "RsNt", "MRCNN"}
-	stats, err := parMapPairs(r.workers(), models, func(_ int, name string) (SoloStat, error) {
+	stats, err := parMap(r.workers(), models, func(name string) (SoloStat, error) {
 		return r.soloRun(name, 8)
 	})
 	if err != nil {
@@ -245,8 +239,6 @@ func (r *Runner) Fig5Utilization() (*Fig5Result, error) {
 
 // Fig7Result holds HBM bandwidth stats for BERT/DLRM at two batch sizes.
 type Fig7Result struct{ Stats []SoloStat }
-
-func (r *Fig7Result) Name() string { return "fig7" }
 
 func (r *Fig7Result) Table() string {
 	tab := &table{header: []string{"model", "batch", "avg BW (GB/s)", "peak BW (GB/s)"}}
@@ -263,7 +255,7 @@ func (r *Runner) Fig7HBM() (*Fig7Result, error) {
 		batch int
 	}
 	cells := []gridCell{{"BERT", 8}, {"BERT", 32}, {"DLRM", 8}, {"DLRM", 32}}
-	stats, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (SoloStat, error) {
+	stats, err := parMap(r.workers(), cells, func(c gridCell) (SoloStat, error) {
 		return r.soloRun(c.name, c.batch)
 	})
 	if err != nil {

@@ -13,8 +13,6 @@ type ClusterResult struct {
 	Stats map[core.PlacementPolicy]*cluster.Stats
 }
 
-func (r *ClusterResult) Name() string { return "cluster" }
-
 func (r *ClusterResult) Table() string {
 	tab := &table{header: []string{"policy", "arrived", "accepted", "acceptance", "mean EU util", "stranded EUs"}}
 	for _, pol := range []core.PlacementPolicy{core.GreedyBalance, core.FirstFit, core.WorstFit} {

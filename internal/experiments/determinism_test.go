@@ -50,7 +50,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunManyOrdersResults checks RunMany returns results positionally.
+// TestRunManyOrdersResults checks RunMany returns results positionally:
+// each result renders the table a sequential Run of its id renders.
 func TestRunManyOrdersResults(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Requests = 2
@@ -64,8 +65,12 @@ func TestRunManyOrdersResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		if res[i].Name() != id {
-			t.Fatalf("result %d is %q, want %q", i, res[i].Name(), id)
+		one, err := r.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Table() != one.Table() {
+			t.Fatalf("result %d does not render %s's table", i, id)
 		}
 	}
 }

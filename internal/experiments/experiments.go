@@ -2,8 +2,8 @@
 // evaluation (§II characterization and §V results) from the simulator.
 // Each experiment is a pure function returning a typed result with a
 // Table() renderer; cmd/neu10-bench and the repository benchmarks are
-// thin wrappers around this package. Runner.Run's switch is the
-// experiment index (neu10-bench -list prints it).
+// thin wrappers around this package. The index table below lists every
+// experiment id with its runner (neu10-bench -list prints the ids).
 package experiments
 
 import (
@@ -54,8 +54,6 @@ func Policies() []sched.Mode {
 
 // Result is the interface every experiment result implements.
 type Result interface {
-	// Name is the experiment id, e.g. "fig19".
-	Name() string
 	// Table renders the result as the paper's rows/series in plain text.
 	Table() string
 }
@@ -96,83 +94,82 @@ func NewRunner(opts Options) (*Runner, error) {
 	return &Runner{opts: opts, comp: comp, pairRuns: map[pairKey]*pairRun{}}, nil
 }
 
-// IDs returns all experiment identifiers: the paper's figures/tables in
-// paper order, then the extension studies (ablations, SLO).
-func IDs() []string {
-	return []string{
-		"fig2", "fig4", "fig5", "fig7", "fig12", "fig16",
-		"fig19", "fig20", "fig21", "fig22", "fig23", "table3",
-		"fig24", "fig25", "fig26", "fig27",
-		"ablation-harvest", "ablation-preempt", "slo", "cluster",
-		"serve-steady", "serve-flash", "serve-mix", "serve-priority", "serve-llm",
-		"serve-disagg", "serve-chaos", "serve-consolidate",
-		"serve-paged", "serve-attrib",
-	}
+// experiment is one entry of the index: an id and the runner behind it.
+type experiment struct {
+	id  string
+	run func(*Runner) (Result, error)
 }
 
-// Run executes one experiment by id.
-func (r *Runner) Run(id string) (Result, error) {
-	switch id {
-	case "fig2":
-		return r.Fig2Demand()
-	case "fig4":
-		return r.Fig4Intensity()
-	case "fig5":
-		return r.Fig5Utilization()
-	case "fig7":
-		return r.Fig7HBM()
-	case "fig12":
-		return r.Fig12Allocator()
-	case "fig16":
-		return r.Fig16NeuISAOverhead()
-	case "fig19", "fig20", "fig21", "fig22", "table3":
+// entry adapts a typed experiment method to the index.
+func entry[R Result](id string, run func(*Runner) (R, error)) experiment {
+	return experiment{id, func(r *Runner) (Result, error) { return run(r) }}
+}
+
+// pairEntry is the index entry of one of the five ids PairStudy renders.
+func pairEntry(id string) experiment {
+	return experiment{id, func(r *Runner) (Result, error) {
 		pr, err := r.PairStudy()
 		if err != nil {
 			return nil, err
 		}
 		pr.id = id
 		return pr, nil
-	case "fig23":
-		return r.Fig23Breakdown()
-	case "fig24":
-		return r.Fig24Timeline()
-	case "fig25":
-		return r.Fig25Scaling()
-	case "fig26":
-		return r.Fig26Bandwidth()
-	case "fig27":
-		return r.Fig27LLM()
-	case "ablation-harvest":
-		return r.AblationHarvest()
-	case "ablation-preempt":
-		return r.AblationPreempt()
-	case "slo":
-		return r.SLOStudy()
-	case "cluster":
-		return r.ClusterStudy()
-	case "serve-steady":
-		return r.ServeSteady()
-	case "serve-flash":
-		return r.ServeFlashCrowd()
-	case "serve-mix":
-		return r.ServeMixShift()
-	case "serve-priority":
-		return r.ServePriority()
-	case "serve-llm":
-		return r.ServeLLM()
-	case "serve-disagg":
-		return r.ServeDisagg()
-	case "serve-chaos":
-		return r.ServeChaos()
-	case "serve-consolidate":
-		return r.ServeConsolidate()
-	case "serve-paged":
-		return r.ServePaged()
-	case "serve-attrib":
-		return r.ServeAttrib()
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
+	}}
+}
+
+// index lists every experiment: the paper's figures and tables in paper
+// order, then the extension studies (ablations, SLO, cluster) and the
+// online-serving scenarios.
+var index = []experiment{
+	entry("fig2", (*Runner).Fig2Demand),
+	entry("fig4", (*Runner).Fig4Intensity),
+	entry("fig5", (*Runner).Fig5Utilization),
+	entry("fig7", (*Runner).Fig7HBM),
+	entry("fig12", (*Runner).Fig12Allocator),
+	entry("fig16", (*Runner).Fig16NeuISAOverhead),
+	pairEntry("fig19"),
+	pairEntry("fig20"),
+	pairEntry("fig21"),
+	pairEntry("fig22"),
+	entry("fig23", (*Runner).Fig23Breakdown),
+	pairEntry("table3"),
+	entry("fig24", (*Runner).Fig24Timeline),
+	entry("fig25", (*Runner).Fig25Scaling),
+	entry("fig26", (*Runner).Fig26Bandwidth),
+	entry("fig27", (*Runner).Fig27LLM),
+	entry("ablation-harvest", (*Runner).AblationHarvest),
+	entry("ablation-preempt", (*Runner).AblationPreempt),
+	entry("slo", (*Runner).SLOStudy),
+	entry("cluster", (*Runner).ClusterStudy),
+	entry("serve-steady", (*Runner).ServeSteady),
+	entry("serve-flash", (*Runner).ServeFlashCrowd),
+	entry("serve-mix", (*Runner).ServeMixShift),
+	entry("serve-priority", (*Runner).ServePriority),
+	entry("serve-llm", (*Runner).ServeLLM),
+	entry("serve-disagg", (*Runner).ServeDisagg),
+	entry("serve-chaos", (*Runner).ServeChaos),
+	entry("serve-consolidate", (*Runner).ServeConsolidate),
+	entry("serve-paged", (*Runner).ServePaged),
+	entry("serve-attrib", (*Runner).ServeAttrib),
+}
+
+// IDs returns all experiment identifiers in index order.
+func IDs() []string {
+	ids := make([]string, len(index))
+	for i, e := range index {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// Run executes one experiment by id.
+func (r *Runner) Run(id string) (Result, error) {
+	for _, e := range index {
+		if e.id == id {
+			return e.run(r)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
 // RunMany executes several experiments, fanning them across the worker
@@ -180,7 +177,7 @@ func (r *Runner) Run(id string) (Result, error) {
 // are returned in the order of ids; the figures share pair runs exactly
 // as they do sequentially (runPair single-flights them).
 func (r *Runner) RunMany(ids []string) ([]Result, error) {
-	return parMapPairs(r.workers(), ids, func(_ int, id string) (Result, error) {
+	return parMap(r.workers(), ids, func(id string) (Result, error) {
 		res, err := r.Run(strings.TrimSpace(id))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", strings.TrimSpace(id), err)

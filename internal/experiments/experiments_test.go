@@ -41,9 +41,6 @@ func TestIDsAllRunnable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if res.Name() != id {
-			t.Errorf("%s: result names itself %s", id, res.Name())
-		}
 		tbl := res.Table()
 		if len(tbl) < 40 || !strings.Contains(tbl, "\n") {
 			t.Errorf("%s: implausible table output (%d bytes)", id, len(tbl))

@@ -23,17 +23,10 @@ type PairMetrics struct {
 }
 
 // PairStudyResult backs Figs. 19-22 and Table III: the nine pairs under
-// all four policies.
+// all four policies. id selects the figure Table renders ("" is fig19).
 type PairStudyResult struct {
 	Metrics []PairMetrics
 	id      string
-}
-
-func (r *PairStudyResult) Name() string {
-	if r.id == "" {
-		return "fig19"
-	}
-	return r.id
 }
 
 // byPair groups metrics by pair name preserving paper order.
@@ -60,8 +53,8 @@ func (r *PairStudyResult) Table() string {
 	var sb strings.Builder
 	var title string
 	metric := func(pm, base PairMetrics, w int) float64 { return 0 }
-	switch r.Name() {
-	case "fig19":
+	switch r.id {
+	case "", "fig19":
 		title = "Fig. 19 — 95th-percentile latency normalized to PMT (lower is better)"
 		metric = func(pm, base PairMetrics, w int) float64 { return pm.P95[w] / base.P95[w] }
 	case "fig20":
@@ -79,7 +72,7 @@ func (r *PairStudyResult) Table() string {
 	}
 	sb.WriteString(title + "\n")
 
-	switch r.Name() {
+	switch r.id {
 	case "fig22":
 		tab := &table{header: []string{"pair", "PMT ME", "V10 ME", "NH ME", "Neu10 ME",
 			"PMT VE", "V10 VE", "NH VE", "Neu10 VE"}}
@@ -143,7 +136,7 @@ func (r *Runner) PairStudy() (*PairStudyResult, error) {
 			cells = append(cells, cell{p, pol})
 		}
 	}
-	metrics, err := parMapPairs(r.workers(), cells, func(_ int, c cell) (PairMetrics, error) {
+	metrics, err := parMap(r.workers(), cells, func(c cell) (PairMetrics, error) {
 		res, err := r.runPair(c.p, c.pol, r.opts.Core, false)
 		if err != nil {
 			return PairMetrics{}, fmt.Errorf("%s/%s: %w", c.p.Name(), c.pol, err)
@@ -178,8 +171,6 @@ type BreakdownCurve struct {
 // Fig23Result holds all breakdown curves.
 type Fig23Result struct{ Curves []BreakdownCurve }
 
-func (r *Fig23Result) Name() string { return "fig23" }
-
 func (r *Fig23Result) Table() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 23 — per-operator speedup of Neu10 over Neu10-NH (deciles)\n")
@@ -200,7 +191,7 @@ func (r *Fig23Result) Table() string {
 // the speedup distribution. Each pair's NH/Neu10 run couple is one
 // worker-pool job.
 func (r *Runner) Fig23Breakdown() (*Fig23Result, error) {
-	curves, err := parMapPairs(r.workers(), workload.Pairs(), func(_ int, p workload.Pair) (BreakdownCurve, error) {
+	curves, err := parMap(r.workers(), workload.Pairs(), func(p workload.Pair) (BreakdownCurve, error) {
 		nh, err := r.runPair(p, sched.NeuNH, r.opts.Core, false)
 		if err != nil {
 			return BreakdownCurve{}, err
@@ -254,8 +245,6 @@ type TimelineStat struct {
 // Fig24Result holds assignment timeline summaries.
 type Fig24Result struct{ Stats []TimelineStat }
 
-func (r *Fig24Result) Name() string { return "fig24" }
-
 func (r *Fig24Result) Table() string {
 	tab := &table{header: []string{"pair", "tenant", "mean MEs", "max MEs", "mean VEs", "max VEs", "samples"}}
 	for _, s := range r.Stats {
@@ -270,7 +259,7 @@ func (r *Runner) Fig24Timeline() (*Fig24Result, error) {
 	pairs := []workload.Pair{
 		{W1: "DLRM", W2: "RtNt"}, {W1: "ENet", W2: "SMask"}, {W1: "RNRS", W2: "RtNt"},
 	}
-	perPair, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) ([]TimelineStat, error) {
+	perPair, err := parMap(r.workers(), pairs, func(p workload.Pair) ([]TimelineStat, error) {
 		res, err := r.runPair(p, sched.Neu10, r.opts.Core, true)
 		if err != nil {
 			return nil, err

@@ -30,9 +30,10 @@ import (
 //
 // TestParallelMatchesSequential locks the byte-identical property down.
 
-// parMap runs fn over 0..n-1 on min(workers, n) goroutines and returns
-// the results indexed by job. workers <= 0 means GOMAXPROCS.
-func parMap[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
+// parMap runs fn over items on min(workers, len(items)) goroutines and
+// returns the results in item order. workers <= 0 means GOMAXPROCS.
+func parMap[T, R any](workers int, items []T, fn func(item T) (R, error)) ([]R, error) {
+	n := len(items)
 	results := make([]R, n)
 	errs := make([]error, n)
 	if workers <= 0 {
@@ -43,7 +44,7 @@ func parMap[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			r, err := fn(i)
+			r, err := fn(items[i])
 			if err != nil {
 				return nil, err // fail fast, like the sequential loop
 			}
@@ -70,7 +71,7 @@ func parMap[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 					if int64(i) > failedAt.Load() {
 						continue
 					}
-					results[i], errs[i] = fn(i)
+					results[i], errs[i] = fn(items[i])
 					if errs[i] != nil {
 						for {
 							cur := failedAt.Load()
@@ -94,11 +95,4 @@ func parMap[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 		}
 	}
 	return results, nil
-}
-
-// parMapPairs is parMap over an item slice.
-func parMapPairs[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	return parMap(workers, len(items), func(i int) (R, error) {
-		return fn(i, items[i])
-	})
 }

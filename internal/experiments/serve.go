@@ -20,15 +20,12 @@ import (
 // Reports holds the underlying structured data for JSON output
 // (cmd/neu10-serve -json).
 type ServeResult struct {
-	ID      string
 	Reports []*serve.Report
 	// Summary is an optional scenario-level verdict rendered after the
 	// report tables (the consolidation scenario's chips-needed
 	// comparison).
 	Summary string
 }
-
-func (r *ServeResult) Name() string { return r.ID }
 
 func (r *ServeResult) Table() string {
 	var sb strings.Builder
@@ -73,15 +70,15 @@ func (r *Runner) serveLeg(cfg serve.Config) (*serve.Report, error) {
 }
 
 // serveLegs runs a scenario's legs on the worker pool and returns their
-// reports, in leg order, as result id.
+// reports in leg order; id names the scenario in a failed leg's error.
 func (r *Runner) serveLegs(id string, legs ...serve.Config) (*ServeResult, error) {
-	reports, err := parMapPairs(r.workers(), legs, func(_ int, cfg serve.Config) (*serve.Report, error) {
+	reports, err := parMap(r.workers(), legs, func(cfg serve.Config) (*serve.Report, error) {
 		return r.serveLeg(cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
-	return &ServeResult{ID: id, Reports: reports}, nil
+	return &ServeResult{Reports: reports}, nil
 }
 
 // ServeSteady is the bring-up scenario: three tenants with distinct
@@ -390,7 +387,7 @@ func (r *Runner) ServeConsolidate() (*ServeResult, error) {
 		chips int
 		rep   *serve.Report
 	}
-	results, err := parMapPairs(r.workers(), variants, func(_ int, v variant) (sized, error) {
+	results, err := parMap(r.workers(), variants, func(v variant) (sized, error) {
 		var lastErr error
 		for chips := 1; chips <= 10; chips++ {
 			rep, err := r.serveLeg(serve.Config{
@@ -435,7 +432,7 @@ func (r *Runner) ServeConsolidate() (*ServeResult, error) {
 	}
 	summary := fmt.Sprintf("consolidation: merged fleet %d chips vs siloed %d (%s) at ≥%.2f attainment — %d chip(s) saved",
 		merged.chips, siloSum, strings.Join(parts, " + "), attainFloor, siloSum-merged.chips)
-	return &ServeResult{ID: "serve-consolidate", Reports: reports, Summary: summary}, nil
+	return &ServeResult{Reports: reports, Summary: summary}, nil
 }
 
 // ServePaged is the KV-backend comparison scenario: one autoregressive

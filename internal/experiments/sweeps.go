@@ -24,8 +24,6 @@ type Fig25Result struct {
 	Points map[string]map[[2]int][2]float64
 }
 
-func (r *Fig25Result) Name() string { return "fig25" }
-
 func (r *Fig25Result) Table() string {
 	tab := &table{header: []string{"pair"}}
 	for _, c := range r.Configs {
@@ -82,7 +80,7 @@ func (r *Runner) pairThroughputs(p workload.Pair, pol sched.Mode, core arch.Core
 func (r *Runner) Fig25Scaling() (*Fig25Result, error) {
 	configs := [][2]int{{2, 2}, {4, 2}, {4, 4}, {8, 4}, {8, 8}}
 	pairs := workload.Pairs()
-	points, err := parMapPairs(r.workers(), pairs, func(_ int, p workload.Pair) (map[[2]int][2]float64, error) {
+	points, err := parMap(r.workers(), pairs, func(p workload.Pair) (map[[2]int][2]float64, error) {
 		pts := map[[2]int][2]float64{}
 		var base [2]float64
 		for i, c := range configs {
@@ -127,8 +125,6 @@ type Fig26Result struct {
 	Points     map[string]map[float64]float64
 }
 
-func (r *Fig26Result) Name() string { return "fig26" }
-
 func (r *Fig26Result) Table() string {
 	tab := &table{header: []string{"pair"}}
 	for _, bw := range r.Bandwidths {
@@ -162,7 +158,7 @@ func (r *Runner) Fig26Bandwidth() (*Fig26Result, error) {
 			cells = append(cells, gridCell{p, bw})
 		}
 	}
-	gains, err := parMapPairs(r.workers(), cells, func(_ int, c gridCell) (float64, error) {
+	gains, err := parMap(r.workers(), cells, func(c gridCell) (float64, error) {
 		gain, err := r.pairGain(c.p, r.opts.Core.WithHBMBandwidth(c.bw))
 		if err != nil {
 			return 0, fmt.Errorf("%s @%.0fGB/s: %w", c.p.Name(), c.bw/1e9, err)
@@ -199,8 +195,6 @@ type LLMPoint struct {
 // Fig27Result holds the LLM collocation study.
 type Fig27Result struct{ Points []LLMPoint }
 
-func (r *Fig27Result) Name() string { return "fig27" }
-
 func (r *Fig27Result) Table() string {
 	tab := &table{header: []string{"pair",
 		"W1 V10→Neu10 (rps)", "W2 V10→Neu10 (rps)", "W2 gain",
@@ -223,7 +217,7 @@ func (r *Fig27Result) Table() string {
 // Fig27LLM runs the three LLaMA collocations under V10 and Neu10, one
 // worker-pool job per collocation.
 func (r *Runner) Fig27LLM() (*Fig27Result, error) {
-	points, err := parMapPairs(r.workers(), workload.MemoryPairs()[2:], func(_ int, p workload.Pair) (LLMPoint, error) {
+	points, err := parMap(r.workers(), workload.MemoryPairs()[2:], func(p workload.Pair) (LLMPoint, error) {
 		v10, err := r.runPair(p, sched.V10, r.opts.Core, false)
 		if err != nil {
 			return LLMPoint{}, err

@@ -53,10 +53,6 @@ type batcher interface {
 	// the slot that was NOT picked, so a policy can account work it has
 	// but could not start (the static batcher's KV-pressure stall).
 	passedOver(r *replica, q *slotQueue)
-	// admitsArrival reports whether slot r accepts this tenant's new
-	// arrivals (the disagg policy routes arrivals to prefill slots
-	// only; everything else takes any slot).
-	admitsArrival(r *replica) bool
 }
 
 // newBatcher builds tenant t's policy object from its config.
@@ -144,4 +140,3 @@ func (f *fleet) recordDone(t *tenantState, req *request, out int, now sim.Time) 
 
 func (d *dynamicBatch) coalesces() bool                 { return true }
 func (d *dynamicBatch) passedOver(*replica, *slotQueue) {}
-func (d *dynamicBatch) admitsArrival(*replica) bool     { return true }

@@ -20,7 +20,9 @@ import (
 // shapes: four dynamic tenants of mixed priority pooling their slots,
 // plus a private continuous-batching LLM tenant. b0's TFMR batches span
 // many preemption quanta, so the interactive tenant preempts them; the
-// other batch models finish inside one quantum.
+// other batch models finish inside one quantum. The LLM tenant's
+// explicit rate gives it a handful of requests in the short run, so
+// the chain prices continuous batching too.
 func benchFleet(b *testing.B) *fleet {
 	b.Helper()
 	cfg := Config{
@@ -35,7 +37,7 @@ func benchFleet(b *testing.B) *fleet {
 			{Name: "b0", Model: "TFMR", Load: 1, EUs: 2, ShareGroup: "pool"},
 			{Name: "b1", Model: "NCF", Load: 1, EUs: 2, ShareGroup: "pool"},
 			{Name: "b2", Model: "MNIST", Load: 1, EUs: 2, ShareGroup: "pool"},
-			{Name: "llm", Model: "LLaMA", Load: 0.5, EUs: 2, MaxBatch: 4,
+			{Name: "llm", Model: "LLaMA", RatePerSec: 400, EUs: 2, MaxBatch: 4,
 				LLM: &LLMConfig{Trace: workload.LLMTrace{PromptMean: 128, OutputMean: 32}}},
 		},
 	}
@@ -87,8 +89,12 @@ func BenchmarkBestWork(b *testing.B) {
 func BenchmarkDispatchChain(b *testing.B) {
 	cfg := benchFleet(b).cfg
 	db := NewCostDB(cfg.Core)
-	if _, err := Run(cfg, db); err != nil { // warm the cost DB once
+	rep, err := Run(cfg, db) // warm the cost DB once
+	if err != nil {
 		b.Fatal(err)
+	}
+	if llm := rep.Tenants[4]; llm.Completed == 0 {
+		b.Fatalf("LLM tenant completed none of its %d arrivals", llm.Arrivals)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

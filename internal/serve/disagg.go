@@ -81,11 +81,6 @@ func (d *disaggBatcher) finish(r *replica, b *batch, now sim.Time) *batch {
 func (d *disaggBatcher) coalesces() bool                 { return false }
 func (d *disaggBatcher) passedOver(*replica, *slotQueue) {}
 
-// admitsArrival: arrivals of a disaggregated tenant route exclusively
-// to prefill slots; decode slots receive work only through KV
-// migration.
-func (d *disaggBatcher) admitsArrival(r *replica) bool { return r.role == RolePrefill }
-
 // prefilling returns the prefill width in use on q — its in-flight
 // prompts — and the FIFO key of the oldest of them.
 func prefilling(q *slotQueue) (width int, key sim.Time) {

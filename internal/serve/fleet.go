@@ -9,7 +9,6 @@ import (
 	"neu10/internal/metrics"
 	"neu10/internal/model"
 	"neu10/internal/sim"
-	"neu10/internal/virt"
 	"neu10/internal/workload"
 	"neu10/internal/xfer"
 )
@@ -43,7 +42,6 @@ type fleet struct {
 	// render exactly as before.
 	prioEnabled bool
 	prioLat     [numPriorities]metrics.Latencies
-	switches    virt.SwitchLedger
 
 	// time-weighted fleet accounting (lazy snapshots, like internal/cluster)
 	lastSnap      float64

@@ -461,8 +461,6 @@ func (c *continuousLLM) passedOver(r *replica, q *slotQueue) {
 	}
 }
 
-func (c *continuousLLM) admitsArrival(*replica) bool { return true }
-
 // admit moves admittable requests from the queue head into running
 // sequences — the one admission loop of colocated and prefill-pool
 // slots. width is the batch width already in use; each joiner widens it

@@ -131,7 +131,7 @@ func TestPreemptionWorkConservation(t *testing.T) {
 		f.eng.Run()
 		rep := f.report()
 
-		pre, res, overhead := f.switches.Snapshot()
+		pre, res, overhead := rep.Preemptions, rep.Resumes, rep.SwitchOverheadMs
 		totalPreempts += pre
 		if pre != res {
 			t.Errorf("seed %d: %d preemptions but %d resumes — a suspended batch was lost", seed, pre, res)

@@ -470,6 +470,9 @@ func (f *fleet) report() *Report {
 	}
 	var agg [numPriorities]classAgg
 	busy := f.busySum
+	// Switch costs are whole cycles far below 2^53, so this sum is
+	// exact in any order.
+	var switchCycles float64
 	// Fold every live replica's KV accountant into its owner BEFORE
 	// assembling any tenant report: an LLM tenant aggregates occupancy
 	// across its whole serving group (peer-owned shared slots hold its
@@ -485,6 +488,9 @@ func (f *fleet) report() *Report {
 		for _, r := range t.replicas {
 			busy += r.busyEUCycles
 		}
+		rep.Preemptions += t.preempted
+		rep.Resumes += t.resumes
+		switchCycles += t.stolenCycles
 		tr := TenantReport{
 			Name:            t.cfg.Name,
 			Model:           t.cfg.Model,
@@ -671,9 +677,7 @@ func (f *fleet) report() *Report {
 		}
 		rep.Priorities = append(rep.Priorities, pr)
 	}
-	var overhead float64
-	rep.Preemptions, rep.Resumes, overhead = f.switches.Snapshot()
-	rep.SwitchOverheadMs = ms(overhead)
+	rep.SwitchOverheadMs = ms(switchCycles)
 	if f.fabric != nil {
 		st := f.fabric.Stats(end)
 		rep.LinkGBps = f.cfg.LinkGBps

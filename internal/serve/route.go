@@ -91,9 +91,10 @@ func (f *fleet) admitTo(t *tenantState) (*replica, string) {
 }
 
 // route picks the target slot among the serving group's non-draining
-// replicas (the tenant's own, plus every share-group peer's). All ties
-// break toward the older slot (smaller fleet-wide uid), keeping the
-// decision deterministic.
+// replicas (the tenant's own, plus every share-group peer's). Decode
+// slots take no arrivals: a disaggregated tenant's decode pool gets
+// work only through KV migration. All ties break toward the older slot
+// (smaller fleet-wide uid), keeping the decision deterministic.
 //
 // When every slot in the group is draining — make-before-break resize
 // churn and preemptive drains reach exactly this state — the request
@@ -108,7 +109,7 @@ func (f *fleet) route(t *tenantState) *replica {
 	cands := f.routeScratch[:0]
 	for _, p := range t.peers {
 		for _, r := range p.replicas {
-			if !r.draining && t.batcher.admitsArrival(r) {
+			if !r.draining && r.role != RoleDecode {
 				cands = append(cands, r)
 			}
 		}
@@ -125,7 +126,7 @@ func (f *fleet) route(t *tenantState) *replica {
 		}
 		for _, p := range t.peers {
 			for _, r := range p.replicas {
-				if !t.batcher.admitsArrival(r) {
+				if r.role == RoleDecode {
 					continue
 				}
 				if better(r, pick) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"neu10/internal/sched"
 	"neu10/internal/sim"
+	"neu10/internal/virt"
 )
 
 // Slot scheduling: dynamic batching plus priority-aware preemptive
@@ -362,7 +363,7 @@ func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time
 	}
 	t.preempted++
 	q.ten.preemptsIssued++
-	sw := f.switches.RecordPreempt(r.nm, r.nv)
+	sw := virt.SwitchCycles(r.nm, r.nv)
 	t.stolenCycles += sw
 	r.cur = nil
 	b.waiting, b.waitFrom = true, now
@@ -384,7 +385,7 @@ func (f *fleet) resume(r *replica, b *batch, now sim.Time) {
 			t.maxVictimWait = b.victimWait
 		}
 	}
-	sw := f.switches.RecordResume(r.nm, r.nv)
+	sw := virt.SwitchCycles(r.nm, r.nv)
 	b.restore = sw
 	t.resumes++
 	t.stolenCycles += sw

@@ -1,7 +1,5 @@
 package virt
 
-import "sync"
-
 // Temporal-share context switching. When two tenants' batches
 // interleave on one vNPU slot (internal/serve's preemptive temporal
 // sharing), every preemption checkpoints the victim's architectural
@@ -9,11 +7,10 @@ import "sync"
 // paper's reclaim accounting (§III-G): each ME pays the pop-partials +
 // pop-weights drain the 256-cycle reclaim penalty prices, each VE pays
 // a register-file save, and the slot pays a fixed command-queue
-// drain/descriptor-swap cost once per switch. The ledger below is the
-// management-plane view of that traffic — the analogue of Hypervisor.
-// Hypercalls for the data path: serving layers record every switch
-// here so reports can show exactly how many cycles temporal sharing
-// stole from useful service.
+// drain/descriptor-swap cost once per switch. The serving layer charges
+// each switch's SwitchCycles to the batch's tenant, and its report sums
+// those charges into how many cycles temporal sharing stole from useful
+// service.
 
 const (
 	// SwitchBaseCycles is the per-switch fixed cost: draining the slot's
@@ -38,46 +35,4 @@ func SwitchCycles(nm, nv int) float64 {
 		nv = 0
 	}
 	return float64(SwitchBaseCycles + SwitchPerMECycles*nm + SwitchPerVECycles*nv)
-}
-
-// SwitchLedger aggregates temporal-share context-switch accounting.
-// A serving fleet embeds its own ledger and drives it from a
-// single-threaded event loop; the locking exists so one ledger can
-// also be shared as a cross-run aggregate (several scenario runs on a
-// worker pool feeding one management-plane accountant), following the
-// same locking discipline as Hypervisor.
-type SwitchLedger struct {
-	mu             sync.Mutex
-	preemptions    int
-	resumes        int
-	overheadCycles float64
-}
-
-// RecordPreempt charges one checkpoint save on an nm×nv slot and
-// returns its cost in cycles.
-func (l *SwitchLedger) RecordPreempt(nm, nv int) float64 {
-	c := SwitchCycles(nm, nv)
-	l.mu.Lock()
-	l.preemptions++
-	l.overheadCycles += c
-	l.mu.Unlock()
-	return c
-}
-
-// RecordResume charges one checkpoint restore on an nm×nv slot and
-// returns its cost in cycles.
-func (l *SwitchLedger) RecordResume(nm, nv int) float64 {
-	c := SwitchCycles(nm, nv)
-	l.mu.Lock()
-	l.resumes++
-	l.overheadCycles += c
-	l.mu.Unlock()
-	return c
-}
-
-// Snapshot returns the totals recorded so far.
-func (l *SwitchLedger) Snapshot() (preemptions, resumes int, overheadCycles float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.preemptions, l.resumes, l.overheadCycles
 }

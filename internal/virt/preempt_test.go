@@ -1,9 +1,6 @@
 package virt
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // TestSwitchCyclesModel pins the temporal-share context-switch cost
 // model: positive, engine-count-monotone, and exactly the documented
@@ -20,49 +17,5 @@ func TestSwitchCyclesModel(t *testing.T) {
 	}
 	if got, want := SwitchCycles(-3, -1), float64(SwitchBaseCycles); got != want {
 		t.Errorf("negative engine counts not clamped: %v, want %v", got, want)
-	}
-}
-
-// TestSwitchLedgerTotals checks the ledger sums preempt/resume traffic
-// exactly and symmetrically.
-func TestSwitchLedgerTotals(t *testing.T) {
-	var l SwitchLedger
-	var want float64
-	for i := 0; i < 5; i++ {
-		want += l.RecordPreempt(2, 2)
-		want += l.RecordResume(2, 2)
-	}
-	p, r, oh := l.Snapshot()
-	if p != 5 || r != 5 {
-		t.Errorf("ledger counted %d preempts / %d resumes, want 5/5", p, r)
-	}
-	if oh != want {
-		t.Errorf("ledger overhead %v, want %v", oh, want)
-	}
-}
-
-// TestSwitchLedgerConcurrent hammers the ledger from many goroutines —
-// the -race CI step for this package leans on it.
-func TestSwitchLedgerConcurrent(t *testing.T) {
-	var l SwitchLedger
-	var wg sync.WaitGroup
-	const workers, each = 8, 200
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				l.RecordPreempt(1, 1)
-				l.RecordResume(1, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	p, r, oh := l.Snapshot()
-	if p != workers*each || r != workers*each {
-		t.Errorf("concurrent ledger lost events: %d preempts / %d resumes", p, r)
-	}
-	if want := float64(2*workers*each) * SwitchCycles(1, 1); oh != want {
-		t.Errorf("concurrent overhead %v, want %v", oh, want)
 	}
 }

@@ -1,6 +1,7 @@
 package virt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,8 +49,42 @@ func TestVNPULifecycle(t *testing.T) {
 	if err := drv.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if hv.Live() != 0 || hv.Manager().Live() != 0 {
+	if hv.Live() != 0 || drv.vf.VNPU.State != core.StateFreed {
 		t.Fatal("vNPU not torn down")
+	}
+}
+
+// TestHypercallLifecycle drives the three management hypercalls
+// directly: create maps the vNPU, reconfigure applies a bigger shape,
+// and free unregisters it so no later hypercall can reach it.
+func TestHypercallLifecycle(t *testing.T) {
+	hv := testHV(t)
+	vf, err := hv.HypercallCreateVNPU(NewGuestVM("tenant-a", 1<<16), smallVNPU(), core.SpatialIsolated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vf.VNPU.State != core.StateMapped || hv.Live() != 1 {
+		t.Fatalf("state %v and %d live VFs after create", vf.VNPU.State, hv.Live())
+	}
+	cfg := smallVNPU()
+	cfg.NumMEsPerCore = 3
+	if err := hv.HypercallReconfigureVNPU(vf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if vf.VNPU.Config != cfg || vf.VNPU.State != core.StateMapped {
+		t.Fatalf("reconfigure did not apply: config %+v, state %v", vf.VNPU.Config, vf.VNPU.State)
+	}
+	if err := hv.HypercallFreeVNPU(vf); err != nil {
+		t.Fatal(err)
+	}
+	if hv.Live() != 0 || vf.VNPU.State != core.StateFreed {
+		t.Fatal("vNPU still live after free")
+	}
+	if err := hv.HypercallFreeVNPU(vf); err == nil {
+		t.Fatal("freed vNPU freed again")
+	}
+	if err := hv.HypercallReconfigureVNPU(vf, smallVNPU()); err == nil {
+		t.Fatal("freed vNPU reconfigured")
 	}
 }
 
@@ -67,6 +102,82 @@ func TestHypercallReconfigure(t *testing.T) {
 	}
 	if drv.Hierarchy().NumMEsPerCore != 3 {
 		t.Fatal("reconfigure did not apply")
+	}
+}
+
+// TestHypercallReconfigureResizesDevice grows a vNPU from 2 to 3 MEs
+// and runs a VLIW binary compiled for 3 MEs on it: the device must have
+// been rebuilt at the new size and kept the HBM word written before.
+func TestHypercallReconfigureResizesDevice(t *testing.T) {
+	hv := testHV(t)
+	vm := NewGuestVM("t", 1<<16)
+	drv, err := Attach(hv, vm, smallVNPU(), core.SpatialIsolated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drv.MapDMA(0, PageWords); err != nil {
+		t.Fatal(err)
+	}
+	vm.Mem[0] = 42
+	if err := drv.MemcpyH2D(100, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	drv.RingDoorbell()
+	cfg := smallVNPU()
+	cfg.NumMEsPerCore = 3
+	if err := hv.HypercallReconfigureVNPU(drv.vf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.LowerMatMulVLIW(12, 16, isa.VectorLanes, 3, false,
+		compiler.MatMulLayout{ABase: 0, BBase: 4096, CBase: 8192}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := drv.Completions()
+	if err := drv.LaunchVLIW(prog); err != nil {
+		t.Fatal(err)
+	}
+	drv.RingDoorbell()
+	if drv.Status() != StatusIdle || drv.Completions() != before+1 {
+		t.Fatalf("3-ME binary on the grown vNPU: status %d and %d completions, want status %d and 1",
+			drv.Status(), drv.Completions()-before, StatusIdle)
+	}
+	if err := drv.MemcpyD2H(1, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	drv.RingDoorbell()
+	if vm.Mem[1] != 42 {
+		t.Fatalf("HBM word read back as %v after the resize, want 42", vm.Mem[1])
+	}
+}
+
+// TestHypercallReconfigureRollsBack has two guests fill one core;
+// growing one of them cannot fit, so its config, state, mapping and
+// device must be restored.
+func TestHypercallReconfigureRollsBack(t *testing.T) {
+	hv, err := NewHypervisor(1, arch.TPUv4Like())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drvA, err := Attach(hv, NewGuestVM("a", 1<<16), smallVNPU(), core.SpatialIsolated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Attach(hv, NewGuestVM("b", 1<<16), smallVNPU(), core.SpatialIsolated); err != nil {
+		t.Fatal(err)
+	}
+	v := drvA.vf.VNPU
+	oldMap, oldDev := *v.Mapping, drvA.vf.dev
+	cfg := smallVNPU()
+	cfg.NumMEsPerCore = 3 // B holds 2 of the core's 4 MEs
+	if err := hv.HypercallReconfigureVNPU(drvA.vf, cfg); err == nil {
+		t.Fatal("impossible reconfigure succeeded")
+	}
+	if v.Config != smallVNPU() || v.State != core.StateMapped {
+		t.Fatalf("rollback failed: config %+v, state %v", v.Config, v.State)
+	}
+	if !reflect.DeepEqual(*v.Mapping, oldMap) || drvA.vf.dev != oldDev {
+		t.Fatalf("rollback changed the binding: mapping %+v, want %+v", *v.Mapping, oldMap)
 	}
 }
 
@@ -294,6 +405,35 @@ func TestOversizedVNPURejected(t *testing.T) {
 	}
 	if hv.Live() != 0 {
 		t.Fatal("failed attach leaked a VF")
+	}
+}
+
+// TestHypercallRejectsOversizedVNPU caps create and reconfigure at the
+// physical core in both isolation modes.
+func TestHypercallRejectsOversizedVNPU(t *testing.T) {
+	hv := testHV(t)
+	vm := NewGuestVM("t", 1<<16)
+	cfg := smallVNPU()
+	cfg.NumMEsPerCore = arch.TPUv4Like().MEs + 1
+	for _, mode := range []core.IsolationMode{core.SpatialIsolated, core.TemporalShared} {
+		if _, err := hv.HypercallCreateVNPU(vm, cfg, mode); err == nil {
+			t.Fatalf("%s vNPU bigger than the physical core accepted", mode)
+		}
+	}
+	if hv.Live() != 0 {
+		t.Fatal("failed create leaked a VF")
+	}
+	// A temporal-shared vNPU claims no engines, so only the cap at the
+	// physical core stops it growing past one.
+	vf, err := hv.HypercallCreateVNPU(vm, smallVNPU(), core.TemporalShared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hv.HypercallReconfigureVNPU(vf, cfg); err == nil {
+		t.Fatal("vNPU grown past the physical core")
+	}
+	if vf.VNPU.Config != smallVNPU() {
+		t.Fatalf("rejected reconfigure changed the config to %+v", vf.VNPU.Config)
 	}
 }
 
