@@ -18,26 +18,29 @@ import (
 // (batch, chunk+ctx).
 var goldenLLMShapes = [][3]int{{1, 16, 0}, {4, 64, 128}, {16, 1, 640}}
 
-// goldenGraphs returns every graph TestGoldenGraphs pins, each with the
-// label of its golden line.
-func goldenGraphs(t testing.TB) (labels []string, graphs []*compiler.Graph) {
+// goldenBuild is one graph TestGoldenGraphs pins: the label of its
+// golden line and the call that builds it.
+type goldenBuild struct {
+	label string
+	build func() *compiler.Graph
+}
+
+func goldenBuilds() []goldenBuild {
+	var out []goldenBuild
 	for _, name := range Names() {
 		for _, batch := range []int{1, 8, 64} {
-			g, err := Build(name, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			labels = append(labels, fmt.Sprintf("%s batch=%d", name, batch))
-			graphs = append(graphs, g)
+			out = append(out, goldenBuild{fmt.Sprintf("%s batch=%d", name, batch),
+				func() *compiler.Graph { g, _ := Build(name, batch); return g }})
 		}
 	}
 	for _, s := range goldenLLMShapes {
-		labels = append(labels, fmt.Sprintf("LLMPrefillChunk(%d,%d,%d)", s[0], s[1], s[2]))
-		graphs = append(graphs, LLMPrefillChunk(s[0], s[1], s[2]))
-		labels = append(labels, fmt.Sprintf("LLMDecode(%d,%d)", s[0], s[1]+s[2]))
-		graphs = append(graphs, LLMDecode(s[0], s[1]+s[2]))
+		out = append(out,
+			goldenBuild{fmt.Sprintf("LLMPrefillChunk(%d,%d,%d)", s[0], s[1], s[2]),
+				func() *compiler.Graph { return LLMPrefillChunk(s[0], s[1], s[2]) }},
+			goldenBuild{fmt.Sprintf("LLMDecode(%d,%d)", s[0], s[1]+s[2]),
+				func() *compiler.Graph { return LLMDecode(s[0], s[1]+s[2]) }})
 	}
-	return labels, graphs
+	return out
 }
 
 // TestGoldenGraphs pins every field of every op (its name included),
@@ -48,12 +51,15 @@ func goldenGraphs(t testing.TB) (labels []string, graphs []*compiler.Graph) {
 // One SHA-256 per graph lives in testdata/golden_graphs.sha256,
 // regenerated only under NEU10_UPDATE_GOLDEN.
 func TestGoldenGraphs(t *testing.T) {
-	labels, graphs := goldenGraphs(t)
 	var sb strings.Builder
-	for i, g := range graphs {
+	for _, gb := range goldenBuilds() {
+		g := gb.build()
+		if g == nil {
+			t.Fatalf("%s: no graph", gb.label)
+		}
 		h := sha256.New()
 		hashGraph(h, g)
-		fmt.Fprintf(&sb, "%x  %s\n", h.Sum(nil), labels[i])
+		fmt.Fprintf(&sb, "%x  %s\n", h.Sum(nil), gb.label)
 	}
 	path := filepath.Join("testdata", "golden_graphs.sha256")
 	if os.Getenv("NEU10_UPDATE_GOLDEN") != "" {
@@ -99,5 +105,28 @@ func hashGraph(h hash.Hash, g *compiler.Graph) {
 		str(o.Name)
 		put(int64(o.Kind), int64(o.M), int64(o.K), int64(o.N), o.Elems, int64(o.Passes),
 			fused, o.WeightBytes, o.IOBytes)
+	}
+}
+
+// maxBuildAllocs is what one graph build allocates at most: the Graph,
+// its op slice and its one name string.
+const maxBuildAllocs = 3
+
+// TestBuildAllocatesOnce: every builder sizes its op slice exactly
+// (cap == len) and allocates the same few objects however many ops it
+// emits, from MNIST's 7 to LLaMA's 2888; the per-op names live in one
+// string per graph and the layer names callers concatenate stay on
+// their stack.
+func TestBuildAllocatesOnce(t *testing.T) {
+	for _, gb := range goldenBuilds() {
+		g := gb.build()
+		if cap(g.Ops) != len(g.Ops) {
+			t.Errorf("%s: %d ops in a slice of capacity %d", gb.label, len(g.Ops), cap(g.Ops))
+		}
+		// AllocsPerRun's mean over 20 runs rounds down, so a stray
+		// allocation of the runtime (a GC cycle's) cannot fail it.
+		if n := testing.AllocsPerRun(20, func() { gb.build() }); n > maxBuildAllocs {
+			t.Errorf("%s: %d ops built in %v allocations, want at most %d", gb.label, len(g.Ops), n, maxBuildAllocs)
+		}
 	}
 }

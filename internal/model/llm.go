@@ -8,8 +8,9 @@ import "neu10/internal/compiler"
 // but useless for serving, where every iteration's composition changes.
 // Serving instead prices the two phases separately:
 //
-//   - LLMPrefill(batch, prompt): process `prompt` tokens per sequence in
-//     one forward pass — the compute-bound phase (big GEMMs, quadratic
+//   - LLMPrefillChunk(batch, chunk, ctx): process `chunk` prompt tokens
+//     per sequence in one forward pass behind `ctx` cached ones (0 for a
+//     whole prompt) — the compute-bound phase (big GEMMs, quadratic
 //     attention) that also emits each sequence's first token.
 //   - LLMDecode(batch, ctx): one decode iteration — a single token per
 //     sequence attending over `ctx` cached tokens. GEMV-shaped matmuls
@@ -54,42 +55,37 @@ func LLMKVTransferBytes(tokens int) int64 {
 	return int64(tokens) * LLMKVBytesPerToken()
 }
 
-// LLMPrefill builds the prompt-processing phase: `prompt` tokens per
-// sequence through every layer, plus the last position's logits (the
-// first emitted token). Attention is quadratic in the prompt; the
-// weight matrices stream once regardless of batch. It is exactly the
-// zero-context chunk case.
-func LLMPrefill(batch, prompt int) *compiler.Graph {
-	return LLMPrefillChunk(batch, prompt, 0)
-}
-
 // LLMPrefillChunk builds one chunked-prefill step: `chunk` new tokens
 // per sequence pushed through every layer while attending over `ctx`
 // ALREADY-CACHED tokens plus the chunk itself. The GEMMs scale with
 // the chunk alone (that is what chunking buys), but attention scales
 // with chunk × (ctx + chunk): a late chunk of a long prompt pays for
 // the whole context behind it, exactly the work a constant per-chunk
-// price would hide. LLMPrefillChunk(b, p, 0) is LLMPrefill(b, p).
+// price would hide. LLMPrefillChunk(b, p, 0) is a whole-prompt
+// prefill: p tokens per sequence plus the last position's logits (the
+// first emitted token), with the weights streamed once for the batch.
 func LLMPrefillChunk(batch, chunk, ctx int) *compiler.Graph {
 	b := newBuilder("LLaMA-prefill", batch)
 	headDim := llmHidden / llmHeads
 	tokens := batch * chunk
 	span := ctx + chunk
 
-	for l := 0; l < llmLayers; l++ {
-		b.matmul(layerName("qkv", l), tokens, llmHidden, 3*llmHidden, false)
-		b.actMatmul(layerName("scores", l), batch*llmHeads*chunk, headDim, span, false)
-		b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(chunk)*int64(span), 4)
-		b.actMatmul(layerName("ctx", l), batch*llmHeads*chunk, span, headDim, false)
-		b.matmul(layerName("o-proj", l), tokens, llmHidden, llmHidden, false)
-		b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
-		b.matmul(layerName("gate-up", l), tokens, llmHidden, 2*llmFFN, true) // fused SiLU
-		b.matmul(layerName("ffn-down", l), tokens, llmFFN, llmHidden, false)
-		b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
+	for b.pass() {
+		for l := 0; l < llmLayers; l++ {
+			b.matmul(layerName("qkv", l), tokens, llmHidden, 3*llmHidden, false)
+			b.actMatmul(layerName("scores", l), batch*llmHeads*chunk, headDim, span, false)
+			b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(chunk)*int64(span), 4)
+			b.actMatmul(layerName("ctx", l), batch*llmHeads*chunk, span, headDim, false)
+			b.matmul(layerName("o-proj", l), tokens, llmHidden, llmHidden, false)
+			b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
+			b.matmul(layerName("gate-up", l), tokens, llmHidden, 2*llmFFN, true) // fused SiLU
+			b.matmul(layerName("ffn-down", l), tokens, llmFFN, llmHidden, false)
+			b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(tokens)*llmHidden, 3)
+		}
+		// Only the final position needs logits; intermediate chunks carry
+		// the (small) lm-head too, pricing the conservative side.
+		b.matmul("lm-head", batch, llmHidden, llmVocab, false)
 	}
-	// Only the final position needs logits; intermediate chunks carry
-	// the (small) lm-head too, pricing the conservative side.
-	b.matmul("lm-head", batch, llmHidden, llmVocab, false)
 
 	kv := int64(batch) * int64(span) * LLMKVBytesPerToken()
 	return b.finish(LLMWeightBytes() + kv)
@@ -103,18 +99,20 @@ func LLMDecode(batch, ctx int) *compiler.Graph {
 	b := newBuilder("LLaMA-decode", batch)
 	headDim := llmHidden / llmHeads
 
-	for l := 0; l < llmLayers; l++ {
-		b.matmul(layerName("qkv", l), batch, llmHidden, 3*llmHidden, false)
-		b.actMatmul(layerName("scores", l), batch*llmHeads, headDim, ctx, false)
-		b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(ctx), 4)
-		b.actMatmul(layerName("ctx", l), batch*llmHeads, ctx, headDim, false)
-		b.matmul(layerName("o-proj", l), batch, llmHidden, llmHidden, false)
-		b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
-		b.matmul(layerName("gate-up", l), batch, llmHidden, 2*llmFFN, true) // fused SiLU
-		b.matmul(layerName("ffn-down", l), batch, llmFFN, llmHidden, false)
-		b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
+	for b.pass() {
+		for l := 0; l < llmLayers; l++ {
+			b.matmul(layerName("qkv", l), batch, llmHidden, 3*llmHidden, false)
+			b.actMatmul(layerName("scores", l), batch*llmHeads, headDim, ctx, false)
+			b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*int64(llmHeads)*int64(ctx), 4)
+			b.actMatmul(layerName("ctx", l), batch*llmHeads, ctx, headDim, false)
+			b.matmul(layerName("o-proj", l), batch, llmHidden, llmHidden, false)
+			b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
+			b.matmul(layerName("gate-up", l), batch, llmHidden, 2*llmFFN, true) // fused SiLU
+			b.matmul(layerName("ffn-down", l), batch, llmFFN, llmHidden, false)
+			b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(batch)*llmHidden, 3)
+		}
+		b.matmul("lm-head", batch, llmHidden, llmVocab, false)
 	}
-	b.matmul("lm-head", batch, llmHidden, llmVocab, false)
 
 	kv := int64(batch) * int64(ctx+1) * LLMKVBytesPerToken()
 	return b.finish(LLMWeightBytes() + kv)

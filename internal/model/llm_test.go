@@ -8,7 +8,7 @@ import "testing"
 func TestLLMPhaseGraphsValid(t *testing.T) {
 	for _, batch := range []int{1, 4, 16} {
 		for _, seq := range []int{16, 256, 1024} {
-			if err := LLMPrefill(batch, seq).Validate(); err != nil {
+			if err := LLMPrefillChunk(batch, seq, 0).Validate(); err != nil {
 				t.Errorf("prefill(%d, %d): %v", batch, seq, err)
 			}
 			if err := LLMDecode(batch, seq).Validate(); err != nil {
@@ -23,7 +23,7 @@ func TestLLMPhaseGraphsValid(t *testing.T) {
 // prompt length), decode is memory-bound (MEs mostly idle, like the
 // registry LLaMA it mirrors).
 func TestLLMPhaseAsymmetry(t *testing.T) {
-	pre := cm().ProfileGraph(LLMPrefill(8, 256))
+	pre := cm().ProfileGraph(LLMPrefillChunk(8, 256, 0))
 	dec := cm().ProfileGraph(LLMDecode(8, 256))
 	if pre.M <= dec.M {
 		t.Errorf("prefill m=%.3f not more ME-intensive than decode m=%.3f", pre.M, dec.M)
@@ -36,7 +36,7 @@ func TestLLMPhaseAsymmetry(t *testing.T) {
 			pre.TotalCycles, dec.TotalCycles)
 	}
 	// Prefill work grows with the prompt.
-	long := cm().ProfileGraph(LLMPrefill(8, 512))
+	long := cm().ProfileGraph(LLMPrefillChunk(8, 512, 0))
 	if long.TotalCycles <= pre.TotalCycles {
 		t.Errorf("prefill cycles did not grow with prompt length: %v vs %v",
 			long.TotalCycles, pre.TotalCycles)

@@ -14,6 +14,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"neu10/internal/compiler"
 )
@@ -74,6 +75,12 @@ const (
 	gb = int64(1) << 30
 )
 
+// builder emits one graph's ops. A graph's body runs twice, under
+// `for b.pass()`: the first pass only counts the ops and the bytes of
+// their names, so the second writes the ops into a slice and their names
+// into one string, each allocated once at its final size. A name is
+// copied, never kept, so the names callers concatenate for it stay on
+// their stack. The body must emit the same ops on both passes.
 type builder struct {
 	g *compiler.Graph
 	// sramResident is the per-tensor activation working set the compiler
@@ -81,6 +88,10 @@ type builder struct {
 	// weights-in-flight, double buffers and activations). Only the
 	// excess spills to HBM.
 	sramResident int64
+
+	passes         int // passes started; the first only counts
+	ops, nameBytes int // what the counting pass counted
+	names          strings.Builder
 }
 
 func newBuilder(name string, batch int) *builder {
@@ -88,6 +99,31 @@ func newBuilder(name string, batch int) *builder {
 		g:            &compiler.Graph{Model: name, BatchSize: batch},
 		sramResident: 32 * mb,
 	}
+}
+
+// pass starts the next pass over a graph's body: true for the counting
+// pass and then for the writing pass, which it sizes; false after both.
+func (b *builder) pass() bool {
+	b.passes++
+	if b.passes == 2 {
+		b.g.Ops = make([]compiler.Op, 0, b.ops)
+		b.names.Grow(b.nameBytes)
+	}
+	return b.passes <= 2
+}
+
+// add appends op under name, or only counts it on the counting pass.
+// Each name is a slice of the graph's one name string.
+func (b *builder) add(name string, op compiler.Op) {
+	if b.passes == 1 {
+		b.ops++
+		b.nameBytes += len(name)
+		return
+	}
+	start := b.names.Len()
+	b.names.WriteString(name)
+	op.Name = b.names.String()[start:]
+	b.g.Ops = append(b.g.Ops, op)
 }
 
 // spill returns the HBM traffic for one tensor: the part of it that does
@@ -102,27 +138,30 @@ func (b *builder) spill(bytes int64) int64 {
 // matmul appends a dense matrix multiply (weights streamed from HBM,
 // activations spilled only beyond the SRAM-resident working set).
 func (b *builder) matmul(name string, m, k, n int, fuse bool) {
-	in := int64(m) * int64(k) * f32
-	out := int64(m) * int64(n) * f32
-	b.g.Ops = append(b.g.Ops, compiler.Op{
-		Name: name, Kind: compiler.MatMul,
-		M: m, K: k, N: n, FusedVE: fuse,
-		WeightBytes: int64(k) * int64(n) * f32,
-		IOBytes:     b.spill(in) + b.spill(out),
-	})
+	b.add(name, b.matmulOp(m, k, n, fuse, int64(k)*int64(n)*f32))
 }
 
 // actMatmul appends an activation×activation matmul (attention scores /
 // context): no weights are streamed.
 func (b *builder) actMatmul(name string, m, k, n int, fuse bool) {
-	b.matmul(name, m, k, n, fuse)
-	b.g.Ops[len(b.g.Ops)-1].WeightBytes = 0
+	b.add(name, b.matmulOp(m, k, n, fuse, 0))
+}
+
+// matmulOp is the op of an m×k×n matmul that streams weights bytes.
+func (b *builder) matmulOp(m, k, n int, fuse bool, weights int64) compiler.Op {
+	in := int64(m) * int64(k) * f32
+	out := int64(m) * int64(n) * f32
+	return compiler.Op{
+		Kind: compiler.MatMul, M: m, K: k, N: n, FusedVE: fuse,
+		WeightBytes: weights,
+		IOBytes:     b.spill(in) + b.spill(out),
+	}
 }
 
 // vec appends a vector operator.
 func (b *builder) vec(name string, kind compiler.OpKind, elems int64, passes int) {
-	b.g.Ops = append(b.g.Ops, compiler.Op{
-		Name: name, Kind: kind, Elems: elems, Passes: passes,
+	b.add(name, compiler.Op{
+		Kind: kind, Elems: elems, Passes: passes,
 		IOBytes: 2 * b.spill(elems*f32),
 	})
 }
@@ -138,9 +177,8 @@ func (b *builder) gather(name string, rows int64, dim int, amp float64) {
 	if passes < 1 {
 		passes = 1
 	}
-	b.g.Ops = append(b.g.Ops, compiler.Op{
-		Name: name, Kind: compiler.EmbeddingLookup,
-		Elems: elems, Passes: passes,
+	b.add(name, compiler.Op{
+		Kind: compiler.EmbeddingLookup, Elems: elems, Passes: passes,
 		WeightBytes: int64(float64(elems*f32) * amp),
 	})
 }

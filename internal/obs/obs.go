@@ -91,7 +91,7 @@ type Tracer struct {
 	chunks [][]record        // in fold order; all but the last hold chunkEvents
 	strs   []string          // the string table: "", "req", then first uses
 	ids    map[string]uint32 // each table string's index
-	recent [64]uint32        // indices of recent strings, by length and end bytes
+	recent [128]uint32       // recent strings' indices, by length and 3 bytes (s[len/3] parts chip0→chip2 from chip1→chip2)
 	names  map[trackKey]string
 	order  []trackKey
 }
@@ -109,7 +109,7 @@ func (t *Tracer) id(s string) uint32 {
 	if s == "" {
 		return 0
 	}
-	h := uint(len(s)*7+int(s[0])*3+int(s[len(s)-1])) % uint(len(t.recent))
+	h := uint(len(s)*7+int(s[0])*3+int(s[len(s)/3])*5+int(s[len(s)-1])) % uint(len(t.recent))
 	if i := t.recent[h]; t.strs[i] == s {
 		return i
 	}

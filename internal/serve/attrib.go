@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"neu10/internal/obs"
@@ -88,15 +87,8 @@ func (o *obsState) attribFinish(rep *Report, end float64) {
 		if c, ok := tailCohort("p99_tpot", own, (*obs.ReqRecord).TPOT, ms); ok {
 			ta.Cohorts = append(ta.Cohorts, c)
 		}
-		sorted := append([]*obs.ReqRecord(nil), own...)
-		sort.Slice(sorted, func(a, b int) bool {
-			if sorted[a].E2E() != sorted[b].E2E() {
-				return sorted[a].E2E() > sorted[b].E2E()
-			}
-			return sorted[a].ID < sorted[b].ID
-		})
-		for k := 0; k < len(sorted) && k < 5; k++ {
-			r := sorted[k]
+		var worst [5]*obs.ReqRecord
+		for _, r := range worstFirst(own, worst[:0]) {
 			dom := r.Dominant()
 			w := AttribWorst{
 				Req:        r.ID,
@@ -157,6 +149,33 @@ func attribCohort(name string, recs []*obs.ReqRecord, ms func(float64) float64) 
 	return c
 }
 
+// worstFirst returns the cap(dst) records of recs with the longest
+// end-to-end latency, longest first and ties by ascending ID, in one
+// pass that insertion-sorts each record into dst. IDs are unique within
+// a tenant, so the order is total and equals a full sort's prefix.
+func worstFirst(recs, dst []*obs.ReqRecord) []*obs.ReqRecord {
+	worse := func(a, b *obs.ReqRecord) bool {
+		if a.E2E() != b.E2E() {
+			return a.E2E() > b.E2E()
+		}
+		return a.ID < b.ID
+	}
+	for _, r := range recs {
+		switch {
+		case len(dst) < cap(dst):
+			dst = append(dst, r)
+		case worse(r, dst[len(dst)-1]):
+			dst[len(dst)-1] = r
+		default:
+			continue
+		}
+		for j := len(dst) - 1; j > 0 && worse(dst[j], dst[j-1]); j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
+}
+
 // tailCohort selects the records making up the p99 tail of the given
 // metric — everything at or above the p99 threshold over records where
 // the metric is defined (> 0) — and folds them. ok=false when no
@@ -173,12 +192,11 @@ func tailCohort(name string, recs []*obs.ReqRecord, metric func(*obs.ReqRecord) 
 	if len(pool) == 0 {
 		return AttribCohort{}, false
 	}
-	sort.Float64s(vals)
 	idx := (len(vals)*99+99)/100 - 1 // ceil(0.99·n) − 1
 	if idx < 0 {
 		idx = 0
 	}
-	thr := vals[idx]
+	thr := kthSmallest(vals, idx)
 	var cohort []*obs.ReqRecord
 	for _, r := range pool {
 		if metric(r) >= thr {
@@ -186,6 +204,39 @@ func tailCohort(name string, recs []*obs.ReqRecord, metric func(*obs.ReqRecord) 
 		}
 	}
 	return attribCohort(name, cohort, ms), true
+}
+
+// kthSmallest returns the value sort.Float64s would put at vals[k],
+// reordering vals: Hoare's quickselect, O(len(vals)) expected. vals
+// holds no NaN.
+func kthSmallest(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		p := vals[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < p {
+				i++
+			}
+			for vals[j] > p {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i, j = i+1, j-1
+			}
+		}
+		// vals[lo..j] ≤ p ≤ vals[i..hi], and everything between is p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return vals[k]
+		}
+	}
+	return vals[k]
 }
 
 // AttribTable renders the attribution sections as plain-text tables:

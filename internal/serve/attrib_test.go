@@ -2,11 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	"neu10/internal/arch"
 	"neu10/internal/obs"
+	"neu10/internal/sim"
 )
 
 // attribOn clones a config with the attribution ledger enabled.
@@ -247,4 +249,47 @@ func TestAttribTableShape(t *testing.T) {
 func db(t *testing.T) *CostDB {
 	t.Helper()
 	return NewCostDB(arch.TPUv4Like())
+}
+
+// TestAttribSelectionMatchesSort: the tail threshold and the worst-five
+// drilldown that attribFinish selects in one pass each equal what a
+// full sort yields, on random latencies heavy with ties (the p99 cohort
+// and the ID tie-break both see them) at every size up to 300.
+func TestAttribSelectionMatchesSort(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for n := 1; n <= 300; n++ {
+		recs := make([]*obs.ReqRecord, n)
+		vals := make([]float64, n)
+		for i := range recs {
+			e2e := float64(1 + rng.Intn(n/3+1)) // many ties
+			recs[i] = &obs.ReqRecord{ID: int64(rng.Intn(1 << 20)), Arrive: 100, Done: 100 + e2e}
+			recs[i].ID = recs[i].ID<<9 | int64(i) // unique
+			vals[i] = e2e
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		for _, k := range []int{0, n / 2, (n*99+99)/100 - 1, n - 1} {
+			if got := kthSmallest(append([]float64(nil), vals...), k); got != sorted[k] {
+				t.Fatalf("n=%d k=%d: selected %v, sort says %v", n, k, got, sorted[k])
+			}
+		}
+		byE2E := append([]*obs.ReqRecord(nil), recs...)
+		sort.Slice(byE2E, func(a, b int) bool {
+			if byE2E[a].E2E() != byE2E[b].E2E() {
+				return byE2E[a].E2E() > byE2E[b].E2E()
+			}
+			return byE2E[a].ID < byE2E[b].ID
+		})
+		var worst [5]*obs.ReqRecord
+		got := worstFirst(recs, worst[:0])
+		if want := byE2E[:min(n, 5)]; len(got) != len(want) {
+			t.Fatalf("n=%d: %d worst, want %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != byE2E[i] {
+				t.Fatalf("n=%d: worst[%d] is req %d (%v), sort says req %d (%v)",
+					n, i, got[i].ID, got[i].E2E(), byE2E[i].ID, byE2E[i].E2E())
+			}
+		}
+	}
 }

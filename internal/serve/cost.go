@@ -36,10 +36,19 @@ import (
 // A failed measurement is cached like a value; a serving run that hits
 // one stops with that error. A serving run reads the database only
 // through its cost tables (costTable), once per launch shape.
+//
+// The database also memoizes each (model, padded batch)'s §III-B
+// allocator profile and HBM footprint (profile), from which newFleet
+// sizes a tenant's vNPUs, so runs sharing a database build and profile
+// each tenant's graph once. The memo is single-flighted, caches errors,
+// and stays outside Entries() and the cap: a run adds at most one per
+// tenant. It lives on the database, not in a package variable, so a
+// fresh database starts cold, as each neu10-serve invocation does.
 type CostDB struct {
-	core    arch.CoreConfig
-	mu      sync.Mutex
-	entries map[costKey]*costEntry
+	core     arch.CoreConfig
+	mu       sync.Mutex
+	entries  map[costKey]*costEntry
+	profiles map[costKey]*profileEntry // keyed by model and padded batch
 
 	// maxEntries bounds the cache (DefaultMaxCostEntries; tests lower
 	// it), so a long parameter sweep — many models × shapes × vNPU
@@ -51,8 +60,9 @@ type CostDB struct {
 
 	// onMeasure, when non-nil, is invoked immediately before any
 	// measurement — inside the entry's sync.Once for cached keys, per
-	// call for capped uncached ones — a test hook that observes the
-	// single-flight property and the cap's fallback behavior.
+	// call for capped uncached ones — and before each profile build, whose
+	// key has nm = nv = 0: a test hook that observes the single-flight
+	// property and the cap's fallback behavior.
 	onMeasure func(costKey)
 }
 
@@ -86,9 +96,17 @@ type costEntry struct {
 	err    error
 }
 
+type profileEntry struct {
+	once      sync.Once
+	prof      compiler.Profile
+	footprint int64
+	err       error
+}
+
 // NewCostDB builds a cost database for a physical core family.
 func NewCostDB(core arch.CoreConfig) *CostDB {
-	return &CostDB{core: core, entries: map[costKey]*costEntry{}, maxEntries: DefaultMaxCostEntries}
+	return &CostDB{core: core, entries: map[costKey]*costEntry{},
+		profiles: map[costKey]*profileEntry{}, maxEntries: DefaultMaxCostEntries}
 }
 
 // Entries returns the current cached-entry count.
@@ -163,17 +181,37 @@ func (db *CostDB) cycles(key costKey) (float64, error) {
 	return e.cycles, e.err
 }
 
+// profile returns the allocator profile and HBM footprint of the named
+// registry model at batch (a padded one), building its graph on the
+// database's first query for it.
+func (db *CostDB) profile(name string, batch int) (compiler.Profile, int64, error) {
+	key := costKey{model: name, kind: fullCost, batch: batch}
+	db.mu.Lock()
+	e := db.profiles[key]
+	if e == nil {
+		e = &profileEntry{}
+		db.profiles[key] = e
+	}
+	db.mu.Unlock()
+	e.once.Do(func() {
+		if db.onMeasure != nil {
+			db.onMeasure(key)
+		}
+		var g *compiler.Graph
+		if g, e.err = model.Build(name, batch); e.err == nil {
+			e.prof, e.footprint = compiler.NewCostModel(db.core).ProfileGraph(g), g.HBMFootprint
+		}
+	})
+	return e.prof, e.footprint, e.err
+}
+
 // measure runs the solo fluid simulation behind one cache entry.
 func (db *CostDB) measure(key costKey) (float64, error) {
 	var g *compiler.Graph
 	var err error
 	switch key.kind {
 	case prefillCost:
-		if key.ctx > 0 {
-			g = model.LLMPrefillChunk(key.batch, key.seq, key.ctx)
-		} else {
-			g = model.LLMPrefill(key.batch, key.seq)
-		}
+		g = model.LLMPrefillChunk(key.batch, key.seq, key.ctx)
 	case decodeCost:
 		g = model.LLMDecode(key.batch, key.seq)
 	default:

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"neu10/internal/arch"
+	"neu10/internal/compiler"
+	"neu10/internal/model"
 	"neu10/internal/workload"
 )
 
@@ -69,6 +71,118 @@ func TestCostDBSingleFlightConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := measures.Load(); got != int64(len(queries)) {
 		t.Errorf("%d distinct keys measured %d times, want one each", len(queries), got)
+	}
+}
+
+// TestProfileMemoMatchesGraph: the memo returns exactly the profile and
+// footprint of the graph it stands for, for every registry model at
+// every padded batch from 1 to 64; it builds each (model, padded batch)
+// once, caches an unknown model's error like a value, and adds nothing
+// to Entries().
+func TestProfileMemoMatchesGraph(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	builds := map[costKey]int{}
+	db.onMeasure = func(k costKey) { builds[k]++ }
+	cm := compiler.NewCostModel(db.Core())
+	for _, name := range model.Names() {
+		for batch := 1; batch <= 64; batch++ {
+			g, err := model.Build(name, PadBatch(batch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, footprint, err := db.profile(name, PadBatch(batch))
+			if err != nil || prof != cm.ProfileGraph(g) || footprint != g.HBMFootprint {
+				t.Errorf("%s batch %d: memo holds (%+v, %d, %v), the graph (%+v, %d)",
+					name, batch, prof, footprint, err, cm.ProfileGraph(g), g.HBMFootprint)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := db.profile("GPT7", 8); err == nil {
+			t.Error("unknown model profiled")
+		}
+	}
+	if want := len(model.Names())*7 + 1; len(builds) != want {
+		t.Errorf("%d keys built, want %d", len(builds), want)
+	}
+	for k, n := range builds {
+		if n != 1 || k.nm != 0 || k.nv != 0 {
+			t.Errorf("profile key %+v built %d times, want once with nm = nv = 0", k, n)
+		}
+	}
+	if n := db.Entries(); n != 0 {
+		t.Errorf("Entries() = %d after profiles alone, want 0", n)
+	}
+}
+
+// TestProfileMemoSharedAcrossRuns: runs sharing one database in parallel,
+// as the experiment runner's workers do, build each tenant's profile
+// once between them (CI runs this under -race), and report what each
+// run reports on a database of its own.
+func TestProfileMemoSharedAcrossRuns(t *testing.T) {
+	const runs = 4
+	db := NewCostDB(arch.TPUv4Like())
+	var mu sync.Mutex
+	builds := map[costKey]int{}
+	db.onMeasure = func(k costKey) {
+		if k.nm == 0 {
+			mu.Lock()
+			builds[k]++
+			mu.Unlock()
+		}
+	}
+	reps := make([][]byte, runs)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := Run(fastConfig(uint64(i%2+1)), db)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reps[i], _ = json.Marshal(rep)
+		}(i)
+	}
+	wg.Wait()
+	want := map[costKey]int{
+		{model: "MNIST", kind: fullCost, batch: 4}: 1,
+		{model: "DLRM", kind: fullCost, batch: 8}:  1,
+	}
+	if len(builds) != len(want) {
+		t.Errorf("profiles built %v, want %v", builds, want)
+	}
+	for k, n := range want {
+		if builds[k] != n {
+			t.Errorf("profile %+v built %d times across %d runs, want %d", k, builds[k], runs, n)
+		}
+	}
+	for i, got := range reps {
+		rep, err := Run(fastConfig(uint64(i%2+1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone, _ := json.Marshal(rep); !bytes.Equal(got, alone) {
+			t.Errorf("run %d on the shared database differs from its run alone", i)
+		}
+	}
+}
+
+// TestEntriesCountsOnlyCosts: Entries() counts cost entries alone. One
+// simulated second of the llm-long benchmark's fleet (serve-paged's
+// recompute leg at 4 rps) on a fresh database reads 5, the benchmark's
+// serve.costdb.entries, with the tenant's LLaMA profile memoized beside
+// them.
+func TestEntriesCountsOnlyCosts(t *testing.T) {
+	cfg := servePagedRecompute()
+	cfg.DurationSec, cfg.Tenants[0].RatePerSec = 1, 4
+	db := NewCostDB(cfg.Core)
+	if _, err := Run(cfg, db); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Entries(); n != 5 || len(db.profiles) != 1 {
+		t.Errorf("Entries() = %d with %d profiles, want 5 and 1", n, len(db.profiles))
 	}
 }
 

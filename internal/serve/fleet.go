@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"neu10/internal/compiler"
 	"neu10/internal/core"
 	"neu10/internal/metrics"
 	"neu10/internal/model"
@@ -122,7 +121,6 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 		}
 	}
 	f.obs = newObsState(cfg.Obs, cfg.Scenario, cfg.Core.FrequencyHz, len(cfg.Tenants))
-	cm := compiler.NewCostModel(cfg.Core)
 	// Phase 1: build every tenant, so share groups can be resolved
 	// before any slot (whose queues span the whole group) is spawned.
 	for i := range cfg.Tenants {
@@ -131,12 +129,11 @@ func newFleet(cfg Config, db *CostDB) (*fleet, error) {
 		if err := t.cfg.validate(); err != nil {
 			return nil, err
 		}
-		g, err := model.Build(t.cfg.Model, PadBatch(t.cfg.MaxBatch))
+		var err error
+		t.profile, t.footprint, err = db.profile(t.cfg.Model, PadBatch(t.cfg.MaxBatch))
 		if err != nil {
 			return nil, fmt.Errorf("serve: tenant %s: %w", t.cfg.Name, err)
 		}
-		t.profile = cm.ProfileGraph(g)
-		t.footprint = g.HBMFootprint
 		t.curEUs = t.cfg.EUs
 		t.arrRNG = sim.NewRNG(cfg.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 		t.routeRNG = sim.NewRNG(cfg.Seed ^ (uint64(i)+1)*0xbf58476d1ce4e5b9)
