@@ -123,8 +123,9 @@ func TestBuildAllocatesOnce(t *testing.T) {
 		if cap(g.Ops) != len(g.Ops) {
 			t.Errorf("%s: %d ops in a slice of capacity %d", gb.label, len(g.Ops), cap(g.Ops))
 		}
-		// AllocsPerRun's mean over 20 runs rounds down, so a stray
-		// allocation of the runtime (a GC cycle's) cannot fail it.
+		// AllocsPerRun's mean over 20 runs rounds down, so the odd
+		// allocation the runtime makes during a GC cycle does not fail it,
+		// while one more allocation per build does.
 		if n := testing.AllocsPerRun(20, func() { gb.build() }); n > maxBuildAllocs {
 			t.Errorf("%s: %d ops built in %v allocations, want at most %d", gb.label, len(g.Ops), n, maxBuildAllocs)
 		}
