@@ -38,40 +38,9 @@ type CompiledOp struct {
 	ReductionSplit bool
 }
 
-// TotalME returns the summed ME cycles across all µTOps.
-func (c *CompiledOp) TotalME() uint64 {
-	var t uint64
-	for _, g := range c.Groups {
-		for _, u := range g.UTops {
-			t += u.MECycles
-		}
-	}
-	return t
-}
-
-// TotalVE returns the summed VE cycles across all µTOps.
-func (c *CompiledOp) TotalVE() uint64 {
-	var t uint64
-	for _, g := range c.Groups {
-		for _, u := range g.UTops {
-			t += u.VECycles
-		}
-	}
-	return t
-}
-
-// TotalHBM returns the summed HBM bytes across all µTOps.
-func (c *CompiledOp) TotalHBM() int64 {
-	var t int64
-	for _, g := range c.Groups {
-		for _, u := range g.UTops {
-			t += u.HBMBytes
-		}
-	}
-	return t
-}
-
-// CompiledGraph is a whole workload lowered to µTOp groups.
+// CompiledGraph is a whole workload lowered to µTOp groups. Ops that
+// lowered from equal operators share one Groups array (see Compile), so
+// a compiled graph's groups and µTOps are read-only.
 type CompiledGraph struct {
 	Model     string
 	BatchSize int
@@ -123,6 +92,12 @@ func New(core arch.CoreConfig) (*Compiler, error) {
 // (enforced by the scheduler, not the data) and reduction summation
 // pipelines with the MEs, matching the paper's observation that the
 // traditional ISA can pipeline what NeuISA must serialize.
+//
+// An op equal to an earlier op of the graph in every field but Name
+// lowers once: it gets that op's Groups, shared, and its
+// ReductionSplit. Layered models repeat a few operator shapes (the LLM
+// phase graphs are 40 identical transformer layers), so most ops of a
+// serving graph share; the groups are read-only.
 func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -135,21 +110,30 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 		Footprint: g.HBMFootprint,
 		Ops:       make([]CompiledOp, len(g.Ops)),
 	}
-	// Every op's groups and µTOps are carved from two graph-wide backing
-	// arrays sized up front, so a compile allocates a fixed handful of
-	// times however many ops the graph has.
+	// Every distinct op's groups and µTOps are carved from two
+	// graph-wide backing arrays sized up front, so a compile allocates a
+	// fixed handful of times however many ops the graph has. Both passes
+	// find repeats through the same table from empty, so they agree.
 	var nGroups, nUTops int
+	var seen repeats
 	for i := range g.Ops {
-		groups, utops := c.shape(&g.Ops[i], kind)
-		nGroups += groups
-		nUTops += utops
+		if _, ok := seen.find(g.Ops, i); !ok {
+			groups, utops := c.shape(&g.Ops[i], kind)
+			nGroups += groups
+			nUTops += utops
+		}
 	}
 	a := arena{groups: make([]GroupSpec, nGroups), utops: make([]UTopSpec, nUTops)}
+	seen = repeats{}
 	for i := range g.Ops {
 		op := &g.Ops[i]
-		cost := c.cm.Cost(op)
 		co := &out.Ops[i]
 		co.Name, co.Kind = op.Name, op.Kind
+		if j, ok := seen.find(g.Ops, i); ok {
+			co.Groups, co.ReductionSplit = out.Ops[j].Groups, out.Ops[j].ReductionSplit
+			continue
+		}
+		cost := c.cm.Cost(op)
 		if op.Kind.IsME() {
 			c.compileMatMul(co, op, cost, kind, &a)
 			continue
@@ -162,6 +146,39 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 		}
 	}
 	return out, nil
+}
+
+// repeats finds ops equal to an earlier op of their graph in every
+// field but Name through an open-addressed table of op indices, with no
+// map and no allocation, so a graph without repeats pays a hash per op.
+// Once the table is full, further distinct ops lower afresh: that costs
+// time, never a wrong share.
+type repeats [256]int32 // op index + 1; 0 is an empty slot
+
+// find returns the earlier op that ops[i] repeats, or records ops[i].
+func (r *repeats) find(ops []Op, i int) (int, bool) {
+	op := &ops[i]
+	h := uint64(op.Kind) << 1
+	if op.FusedVE {
+		h |= 1
+	}
+	for _, x := range [...]int64{int64(op.M), int64(op.K), int64(op.N), op.Elems,
+		int64(op.Passes), op.WeightBytes, op.IOBytes} {
+		h = (h ^ uint64(x)) * 0x100000001b3 // FNV-1a's prime, a word at a time
+	}
+	start := int((h * 0x9e3779b97f4a7c15) >> 56)
+	for n := range len(r) {
+		slot := &r[(start+n)%len(r)]
+		if *slot == 0 {
+			*slot = int32(i + 1)
+			break
+		}
+		a, b := ops[*slot-1], *op
+		if a.Name, b.Name = "", ""; a == b {
+			return int(*slot - 1), true
+		}
+	}
+	return i, false
 }
 
 // arena hands out windows of a compile's backing arrays. Each window is

@@ -109,14 +109,14 @@ func TestCompileNeuOutputParallelMatMul(t *testing.T) {
 	}
 	// Cycle conservation.
 	cost := NewCostModel(testCore()).Cost(&g.Ops[0])
-	if op.TotalME() != cost.MECycles {
-		t.Fatalf("ME cycles not conserved: %d vs %d", op.TotalME(), cost.MECycles)
+	var me, ve uint64
+	var hbm int64
+	for _, u := range op.Groups[0].UTops {
+		me, ve, hbm = me+u.MECycles, ve+u.VECycles, hbm+u.HBMBytes
 	}
-	if op.TotalVE() != cost.VECycles {
-		t.Fatalf("VE cycles not conserved: %d vs %d", op.TotalVE(), cost.VECycles)
-	}
-	if op.TotalHBM() != cost.HBMBytes {
-		t.Fatalf("HBM bytes not conserved: %d vs %d", op.TotalHBM(), cost.HBMBytes)
+	if me != cost.MECycles || ve != cost.VECycles || hbm != cost.HBMBytes {
+		t.Fatalf("cycles or bytes not conserved: ME %d vs %d, VE %d vs %d, HBM %d vs %d",
+			me, cost.MECycles, ve, cost.VECycles, hbm, cost.HBMBytes)
 	}
 }
 

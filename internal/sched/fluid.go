@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"neu10/internal/arch"
 	"neu10/internal/compiler"
 	"neu10/internal/isa"
 	"neu10/internal/metrics"
@@ -49,7 +50,10 @@ type Simulator struct {
 	// only ever grow; result bytes are unaffected because the arithmetic
 	// runs in exactly the order the allocating version used.
 	utopFree []*utop
-	scratch  struct {
+	// solo records the run's events when SoloLatency runs it; its ends
+	// are nil otherwise.
+	solo    soloTrace
+	scratch struct {
 		items   []bwItem
 		tDemand []float64
 		tGrant  []float64
@@ -103,6 +107,7 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 		meOwner:      make([]int, cfg.Core.MEs),
 		meHeld:       make([]*utop, cfg.Core.MEs),
 		meBlocked:    make([]float64, cfg.Core.MEs),
+		tenants:      make([]*tenant, 0, len(specs)),
 		activeTenant: -1,
 		complexOwner: -1,
 		hbmCap:       cfg.Core.HBMBytesPerCycle(),
@@ -132,8 +137,8 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 			idx:  i,
 			lat:  &metrics.Latencies{},
 		}
-		t.opDurSum = make([]float64, len(spec.Graph.Ops))
-		t.opDurN = make([]int, len(spec.Graph.Ops))
+		durs := make([]float64, 2*len(spec.Graph.Ops))
+		t.opDurSum, t.opDurN = durs[:len(spec.Graph.Ops)], durs[len(spec.Graph.Ops):]
 		if spec.ArrivalRate < 0 {
 			return nil, fmt.Errorf("sched: tenant %q has negative arrival rate", spec.Name)
 		}
@@ -148,6 +153,7 @@ func New(cfg Config, specs []TenantSpec) (*Simulator, error) {
 			if nextME+spec.MEs > cfg.Core.MEs {
 				return nil, fmt.Errorf("sched: spatial mapping exceeds %d MEs", cfg.Core.MEs)
 			}
+			t.ownMEs = make([]int, 0, spec.MEs)
 			for k := 0; k < spec.MEs; k++ {
 				t.ownMEs = append(t.ownMEs, nextME)
 				s.meOwner[nextME] = i
@@ -179,7 +185,6 @@ func (s *Simulator) Run() (*Result, error) {
 			s.beginService(t, 0)
 		}
 	}
-	const maxEvents = 80_000_000
 	for {
 		s.events++
 		if s.events > maxEvents {
@@ -192,6 +197,9 @@ func (s *Simulator) Run() (*Result, error) {
 		dt, anyWork = s.horizon(dt, anyWork)
 		if !anyWork {
 			return nil, fmt.Errorf("sched: deadlock at cycle %.0f (no runnable work)", s.now)
+		}
+		if s.solo.ends != nil {
+			s.solo.dts = append(s.solo.dts, dt)
 		}
 		if s.now+dt >= maxCycles || s.step(dt, served) {
 			break
@@ -991,6 +999,9 @@ func (s *Simulator) advanceGroup(t *tenant) {
 		return
 	}
 	// Operator finished.
+	if s.solo.ends != nil {
+		s.solo.ends[t.opIdx+1] = int32(len(s.solo.dts))
+	}
 	t.opDurSum[t.opIdx] += s.now - t.opStart
 	t.opDurN[t.opIdx]++
 	t.opIdx++
@@ -1044,7 +1055,7 @@ func (s *Simulator) collect() *Result {
 		tr.OpDurations = make([]float64, len(t.opDurSum))
 		for i := range t.opDurSum {
 			if t.opDurN[i] > 0 {
-				tr.OpDurations[i] = t.opDurSum[i] / float64(t.opDurN[i])
+				tr.OpDurations[i] = t.opDurSum[i] / t.opDurN[i]
 			}
 		}
 		res.Tenants = append(res.Tenants, tr)
@@ -1059,4 +1070,97 @@ func Run(cfg Config, specs []TenantSpec) (*Result, error) {
 		return nil, err
 	}
 	return s.Run()
+}
+
+// soloTrace is what SoloLatency records of its run: every event's dt;
+// operator d's events are dts[ends[d]:ends[d+1]].
+type soloTrace struct {
+	dts  []float64
+	ends []int32
+}
+
+// SoloLatency returns, bit for bit, the MeanLatency of
+//
+//	Run(Config{Core: core, Policy: NeuNH, Requests: 1},
+//		[]TenantSpec{{Name: cg.Model, Graph: cg, MEs: mes, VEs: ves}})
+//
+// or an error where that run completes no request: a deadlock (named at
+// a cycle of the distinct-operator run below), or a run cut off at the
+// event or cycle cap. It simulates each distinct operator once, ops
+// that share groups being one operator, in first-occurrence order,
+// recording every event's dt and where each operator's events end, then
+// adds the dts over the whole operator sequence in Run's order, as Run
+// adds them to its clock. This is exact because in a lone NeuNH
+// closed-loop run no ME is blocked or harvested and nothing arrives, so
+// every operator starts on an idle vNPU and its events depend on it
+// alone; the clock is read only to add dt to it and to stop at the
+// cycle cap, which the sum applies as Run does.
+func SoloLatency(core arch.CoreConfig, cg *compiler.CompiledGraph, mes, ves int) (float64, error) {
+	// rep[i] is op i's index among the distinct ops; firsts[d] is the
+	// graph index of distinct op d, and then the trace's ends[d+1].
+	n := len(cg.Ops)
+	buf := make([]int32, 2*n+1)
+	rep, firsts := buf[:n], buf[n+1:n+1]
+	utops := 0
+	for i := range cg.Ops {
+		gs := cg.Ops[i].Groups
+		d := 0
+		for d < len(firsts) && !sameGroups(cg.Ops[firsts[d]].Groups, gs) {
+			d++
+		}
+		if d == len(firsts) {
+			firsts = append(firsts, int32(i))
+			for _, g := range gs {
+				utops += len(g.UTops)
+			}
+		}
+		rep[i] = int32(d)
+	}
+	distinct := *cg
+	if len(firsts) < n {
+		distinct.Ops = make([]compiler.CompiledOp, len(firsts))
+		for d, i := range firsts {
+			distinct.Ops[d] = cg.Ops[i]
+		}
+	}
+	s, err := New(Config{Core: core, Policy: NeuNH, Requests: 1},
+		[]TenantSpec{{Name: cg.Model, Graph: &distinct, MEs: mes, VEs: ves}})
+	if err != nil {
+		return 0, err
+	}
+	// A µTOp's completion is usually its own event.
+	s.solo = soloTrace{dts: make([]float64, 0, utops+len(firsts)), ends: buf[n : n+1+len(firsts)]}
+	res, err := s.Run()
+	if err != nil {
+		return 0, err
+	}
+	if res.Tenants[0].Requests == 0 {
+		return 0, errCutOff
+	}
+	var now float64
+	events := 0
+	for _, d := range rep {
+		for _, dt := range s.solo.dts[s.solo.ends[d]:s.solo.ends[d+1]] {
+			if events++; events > maxEvents {
+				return 0, fmt.Errorf("sched: exceeded %d events at cycle %.0f", uint64(maxEvents), now)
+			}
+			if c := maxCycles - now; c < dt {
+				dt = c // Run's horizon never passes the cap
+			}
+			if now+dt >= maxCycles {
+				return 0, errCutOff
+			}
+			now += dt
+		}
+	}
+	return now, nil
+}
+
+// errCutOff is SoloLatency's error for a run that reaches the cycle cap
+// before its request completes.
+var errCutOff = fmt.Errorf("sched: no request completed within %.0f cycles", float64(maxCycles))
+
+// sameGroups reports whether a and b are one groups array.
+func sameGroups(a, b []compiler.GroupSpec) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

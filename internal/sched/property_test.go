@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,14 +41,6 @@ func randGraph(rng *sim.RNG, kind compiler.ISAKind) *compiler.CompiledGraph {
 	return synth(kind, ops...)
 }
 
-func totals(g *compiler.CompiledGraph) (me, ve uint64) {
-	for i := range g.Ops {
-		me += g.Ops[i].TotalME()
-		ve += g.Ops[i].TotalVE()
-	}
-	return
-}
-
 // fluidCase is one random two-tenant scenario on the 4+4 core. Both
 // graphs come from randGraph seeded with seed; tenant A gets meA MEs and
 // veA VEs, tenant B the rest. With rate > 0, A's requests arrive
@@ -65,8 +58,9 @@ type fluidCase struct {
 
 // checkFluid runs c and checks the simulator's invariants: every tenant
 // completes its requests, no request beats its critical path, a second
-// run returns the same result, utilizations lie in [0, 1], and
-// CheckpointAt splits the run's cycles exactly.
+// run returns the same result, utilizations lie in [0, 1], CheckpointAt
+// splits the run's cycles exactly, and SoloLatency prices tenant A's
+// graph alone as Run does.
 func checkFluid(t *testing.T, c fluidCase) {
 	t.Helper()
 	gr := sim.NewRNG(c.seed)
@@ -149,6 +143,15 @@ func checkFluid(t *testing.T, c fluidCase) {
 	if rp := CheckpointAt(total, c.cut*total, c.quantum); rp.Completed+rp.Remaining != total {
 		t.Fatalf("%+v: checkpoint %v + %v != %v cycles", c, rp.Completed, rp.Remaining, total)
 	}
+
+	// Invariant 6: SoloLatency of tenant A's graph, and of a copy whose
+	// operators repeat through shared groups, equals a one-request NeuNH
+	// Run of it alone on A's split, bit for bit.
+	solo := *ga
+	solo.ISA = compiler.ISANeu
+	label := fmt.Sprintf("%+v: tenant A alone", c)
+	checkSolo(t, tpu(), &solo, c.meA, c.veA, label)
+	checkSolo(t, tpu(), repeated(&solo, sim.NewRNG(c.seed)), c.meA, c.veA, label+", repeated")
 }
 
 func TestPropertyRandomGraphsAllPolicies(t *testing.T) {

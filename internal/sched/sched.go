@@ -97,8 +97,12 @@ type Config struct {
 }
 
 // maxCycles is the safety stop: a run ends at this cycle even if some
-// tenant has not completed its requests.
-const maxCycles = 5e12
+// tenant has not completed its requests. A run of more than maxEvents
+// events is an error.
+const (
+	maxCycles = 5e12
+	maxEvents = 80_000_000
+)
 
 // Penalties (cycles). The ME reclaim penalty comes from the core config
 // (256 = pop partials + pop weights, §III-G); the others model the
@@ -227,7 +231,7 @@ type tenant struct {
 	activeCycles   float64
 	harvestBlocked float64
 	opDurSum       []float64
-	opDurN         []int
+	opDurN         []float64 // whole counts; one array holds both
 	opStart        float64
 	meTL, veTL     *metrics.TimeSeries
 }

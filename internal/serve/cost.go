@@ -19,6 +19,10 @@ import (
 // (§III-B: bandwidth is shared in proportion to EUs by default). The
 // fluid model therefore prices in ME/VE pipelining, reduction-split
 // overheads and memory-boundedness exactly as the figure experiments do.
+// The replay is sched.SoloLatency, which simulates each distinct
+// operator once and equals a one-request sched.Run bit for bit; a
+// replay that completes no request, cut off at the simulator's cycle or
+// event cap or deadlocked, is a costing error, never a 0-cycle entry.
 //
 // Batch sizes, sequence lengths and cached contexts are padded up to the
 // next power of two before costing — real serving kernels are compiled
@@ -205,8 +209,24 @@ func (db *CostDB) profile(name string, batch int) (compiler.Profile, int64, erro
 	return e.prof, e.footprint, e.err
 }
 
-// measure runs the solo fluid simulation behind one cache entry.
+// measure prices one cache entry: the latency of its compiled graph
+// run solo on its vNPU, as sched.SoloLatency gives it.
 func (db *CostDB) measure(key costKey) (float64, error) {
+	sub, cg, err := db.compile(key)
+	if err != nil {
+		return 0, err
+	}
+	c, err := sched.SoloLatency(sub, cg, key.nm, key.nv)
+	if err != nil {
+		return 0, fmt.Errorf("serve: costing %s/%d on %dME+%dVE: %w", key.model, key.batch, key.nm, key.nv, err)
+	}
+	return c, nil
+}
+
+// compile builds an entry's graph at its padded shape and compiles it
+// for its vNPU, which sees its own engines and its proportional
+// bandwidth slice.
+func (db *CostDB) compile(key costKey) (arch.CoreConfig, *compiler.CompiledGraph, error) {
 	var g *compiler.Graph
 	var err error
 	switch key.kind {
@@ -218,9 +238,8 @@ func (db *CostDB) measure(key costKey) (float64, error) {
 		g, err = model.Build(key.model, key.batch)
 	}
 	if err != nil {
-		return 0, err
+		return arch.CoreConfig{}, nil, err
 	}
-	// The vNPU sees its own engines and its proportional bandwidth slice.
 	frac := float64(key.nm+key.nv) / float64(db.core.MEs+db.core.VEs)
 	if frac > 1 {
 		frac = 1
@@ -228,19 +247,10 @@ func (db *CostDB) measure(key costKey) (float64, error) {
 	sub := db.core.WithEUs(key.nm, key.nv).WithHBMBandwidth(db.core.HBMBwBytes * frac)
 	comp, err := compiler.New(sub)
 	if err != nil {
-		return 0, err
+		return sub, nil, err
 	}
 	cg, err := comp.Compile(g, compiler.ISANeu)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sched.Run(
-		sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1},
-		[]sched.TenantSpec{{Name: key.model, Graph: cg, MEs: key.nm, VEs: key.nv}})
-	if err != nil {
-		return 0, fmt.Errorf("serve: costing %s/%d on %dME+%dVE: %w", key.model, key.batch, key.nm, key.nv, err)
-	}
-	return res.Tenants[0].MeanLatency, nil
+	return sub, cg, err
 }
 
 // costTable is one run's record of the launch costs one vNPU split

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"neu10/internal/arch"
 	"neu10/internal/compiler"
 	"neu10/internal/model"
+	"neu10/internal/sched"
 	"neu10/internal/workload"
 )
 
@@ -502,6 +505,78 @@ func TestCostTableMatchesCostDB(t *testing.T) {
 			if direct.entries[k] == nil {
 				t.Errorf("%s: the run measured %+v, which no table cell names", cfg.Scenario, k)
 			}
+		}
+	}
+}
+
+// TestCutOffCostingIsError: a solo costing run that reaches the fluid
+// simulator's cycle cap before its request completes is a costing
+// error, not a 0-cycle entry. A tenant whose SLO anchor is such an
+// entry fails its run at once; with a 0-cycle anchor its load-derived
+// rate was infinite and Run never returned, so each run here is given
+// 30 s before the test fails.
+func TestCutOffCostingIsError(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	for _, q := range []struct {
+		kind                  int
+		name                  string
+		batch, seq, ctx, m, v int
+	}{
+		{prefillCost, "", 64, 65536, 1 << 20, 1, 1},
+		{fullCost, "RsNt", 1 << 28, 0, 0, 4, 4},
+	} {
+		if c, err := db.cost(q.kind, q.name, q.batch, q.seq, q.ctx, q.m, q.v); err == nil {
+			t.Errorf("%+v: cost %v with no error, want a cut-off error", q, c)
+		}
+	}
+	for _, tc := range []TenantConfig{
+		{Name: "huge", Model: "RsNt", EUs: 4, MaxBatch: 1 << 28, RatePerSec: 100},
+		{Name: "huge", Model: "RsNt", EUs: 4, MaxBatch: 1 << 28, Load: 0.5},
+	} {
+		cfg := Config{Scenario: "cutoff-test", Core: arch.TPUv4Like(), Cores: 1, DurationSec: 0.01,
+			Seed: 1, Tenants: []TenantConfig{tc}}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg, db)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("rate %v load %v: Run returned no error", tc.RatePerSec, tc.Load)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("rate %v load %v: Run did not return within 30 s", tc.RatePerSec, tc.Load)
+		}
+	}
+}
+
+// TestCostEntriesMatchRun: every entry a run measures equals, bit for
+// bit, the MeanLatency of a one-request NeuNH sched.Run of the same
+// compiled graph, the reference sched.SoloLatency stands for.
+func TestCostEntriesMatchRun(t *testing.T) {
+	for _, cfg := range []Config{fastConfig(1), sharedPoolConfig(1), llmConfig(1, true),
+		pagedCfg(1, KVPaged, KVEvictSwap), disaggConfig(1, 64, 0)} {
+		db := NewCostDB(cfg.Core)
+		if _, err := Run(cfg, db); err != nil {
+			t.Fatal(err)
+		}
+		for key, e := range db.entries {
+			sub, cg, err := db.compile(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sched.Run(sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1},
+				[]sched.TenantSpec{{Name: key.model, Graph: cg, MEs: key.nm, VEs: key.nv}})
+			if err != nil || e.err != nil {
+				t.Fatalf("%s %+v: Run %v, entry %v", cfg.Scenario, key, err, e.err)
+			}
+			if want := res.Tenants[0].MeanLatency; math.Float64bits(e.cycles) != math.Float64bits(want) {
+				t.Errorf("%s %+v: entry %v, sched.Run %v", cfg.Scenario, key, e.cycles, want)
+			}
+		}
+		if len(db.entries) == 0 {
+			t.Errorf("%s: the run measured no entry", cfg.Scenario)
 		}
 	}
 }

@@ -356,3 +356,39 @@ func TestEmptyWindowAutoscalerDecision(t *testing.T) {
 		t.Errorf("decay went below the floor: %d active", ten.activeCount())
 	}
 }
+
+// TestDynamicBatchAllocBudget locks in the timers bound once per
+// replica. It runs priorityConfig with preemption on and a fixed fleet
+// at 1 and 2 simulated seconds, each after a warm-up run that fills the
+// CostDB, so the per-run costs cancel in the difference, which must
+// stay at most 0.1 allocations per extra arrival. An arrival at an idle
+// slot arms the batch-window timer and one at a busy slot may arm a
+// preemption; a closure per arming cost about 0.7 allocations per
+// arrival here.
+func TestDynamicBatchAllocBudget(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	run := func(sec float64) (allocs float64, arrivals, preempts int) {
+		cfg := priorityConfig(1, true)
+		cfg.Autoscale = false
+		cfg.DurationSec = sec
+		allocs = testing.AllocsPerRun(1, func() {
+			rep, err := Run(cfg, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrivals = rep.Tenants[0].Arrivals + rep.Tenants[1].Arrivals
+			preempts = rep.Preemptions
+		})
+		return allocs, arrivals, preempts
+	}
+	a1, n1, p1 := run(1)
+	a2, n2, p2 := run(2)
+	if n2 <= n1 || p2 <= p1 {
+		t.Fatalf("%d arrivals and %d preemptions at 2 s, %d and %d at 1 s", n2, p2, n1, p1)
+	}
+	per := (a2 - a1) / float64(n2-n1)
+	t.Logf("%.0f allocs / %d arrivals at 1 s, %.0f / %d at 2 s: %.3f per extra arrival", a1, n1, a2, n2, per)
+	if per > 0.1 {
+		t.Errorf("%.3f allocations per extra arrival, want ≤ 0.1 (a closure per timer arming?)", per)
+	}
+}

@@ -210,12 +210,15 @@ func (f *fleet) poke(r *replica, t *tenantState, now sim.Time) {
 	}
 	r.timerSet = true
 	r.timerAt = deadline
-	r.timer = f.eng.At(deadline, func(now sim.Time) {
-		r.timerSet = false
-		if r.cur == nil && !r.retired {
-			f.dispatch(r, now)
-		}
-	})
+	r.timer = f.eng.At(deadline, r.onWindow)
+}
+
+// windowClosed fires r's batch-window timer.
+func (f *fleet) windowClosed(r *replica, now sim.Time) {
+	r.timerSet = false
+	if r.cur == nil && !r.retired {
+		f.dispatch(r, now)
+	}
 }
 
 // dispatch fills a free slot: resume the most recently suspended batch
@@ -336,14 +339,17 @@ func (f *fleet) maybePreempt(r *replica, now sim.Time) {
 	}
 	at := serviceStart + (rp.Completed - done)
 	r.preemptSet = true
-	r.preemptH = f.eng.At(sim.Time(at)+1, func(now sim.Time) { f.suspend(r, b, rp, now) })
+	r.preemptB, r.preemptRP = b, rp
+	r.preemptH = f.eng.At(sim.Time(at)+1, r.onPreempt)
 }
 
 // suspend checkpoints the running batch at its quantum boundary: the
 // completed fraction rp reports is banked (work conservation: served +
 // Remaining == total exactly), the checkpoint save is charged to the
-// slot, and the waiting higher-priority batch launches behind it.
-func (f *fleet) suspend(r *replica, b *batch, rp sched.ResumePoint, now sim.Time) {
+// slot, and the waiting higher-priority batch launches behind it. b and
+// rp are what maybePreempt held on the replica when it armed the timer.
+func (f *fleet) suspend(r *replica, now sim.Time) {
+	b, rp := r.preemptB, r.preemptRP
 	r.preemptSet = false
 	if r.cur != b {
 		return // the batch finished first (defensive; finish cancels us)

@@ -6,6 +6,7 @@ import (
 	"neu10/internal/compiler"
 	"neu10/internal/core"
 	"neu10/internal/metrics"
+	"neu10/internal/sched"
 	"neu10/internal/sim"
 	"neu10/internal/workload"
 )
@@ -146,8 +147,14 @@ type replica struct {
 	timerAt    sim.Time // armed batch-window deadline
 	preemptSet bool
 	preemptH   sim.Handle
-	draining   bool
-	retired    bool
+	// preemptB and preemptRP are the armed preemption's victim and
+	// checkpoint. onWindow and onPreempt fire the two timers; they are
+	// bound once at spawn, so arming a timer allocates nothing.
+	preemptB            *batch
+	preemptRP           sched.ResumePoint
+	onWindow, onPreempt func(now sim.Time)
+	draining            bool
+	retired             bool
 
 	busyEUCycles float64 // Σ occupied-cycles × (nm+nv), incl. switch overhead
 }
