@@ -363,8 +363,6 @@ func (f *fleet) spawnReplica(t *tenantState, eus int, role Role) error {
 	f.allocatedEUs += vc.TotalEUs()
 	r := &replica{id: t.nextReplicaID, uid: f.nextUID, ten: t, vnpu: v, nm: a.MEs, nv: a.VEs, eus: eus, role: role, kv: kv,
 		costs: f.costTable(a.MEs, a.VEs)}
-	r.onWindow = func(now sim.Time) { f.windowClosed(r, now) }
-	r.onPreempt = func(now sim.Time) { f.suspend(r, now) }
 	f.nextUID++
 	t.nextReplicaID++
 	if kv != nil && kv.paged != nil {

@@ -210,6 +210,9 @@ func (f *fleet) poke(r *replica, t *tenantState, now sim.Time) {
 	}
 	r.timerSet = true
 	r.timerAt = deadline
+	if r.onWindow == nil {
+		r.onWindow = func(now sim.Time) { f.windowClosed(r, now) }
+	}
 	r.timer = f.eng.At(deadline, r.onWindow)
 }
 
@@ -340,6 +343,9 @@ func (f *fleet) maybePreempt(r *replica, now sim.Time) {
 	at := serviceStart + (rp.Completed - done)
 	r.preemptSet = true
 	r.preemptB, r.preemptRP = b, rp
+	if r.onPreempt == nil {
+		r.onPreempt = func(now sim.Time) { f.suspend(r, now) }
+	}
 	r.preemptH = f.eng.At(sim.Time(at)+1, r.onPreempt)
 }
 

@@ -148,8 +148,9 @@ type replica struct {
 	preemptSet bool
 	preemptH   sim.Handle
 	// preemptB and preemptRP are the armed preemption's victim and
-	// checkpoint. onWindow and onPreempt fire the two timers; they are
-	// bound once at spawn, so arming a timer allocates nothing.
+	// checkpoint. onWindow and onPreempt fire the two timers; each is
+	// bound on its timer's first arming, so a replica that never arms
+	// one pays nothing and re-arming allocates nothing.
 	preemptB            *batch
 	preemptRP           sched.ResumePoint
 	onWindow, onPreempt func(now sim.Time)
