@@ -112,24 +112,27 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 	}
 	// Every distinct op's groups and µTOps are carved from two
 	// graph-wide backing arrays sized up front, so a compile allocates a
-	// fixed handful of times however many ops the graph has. Both passes
-	// find repeats through the same table from empty, so they agree.
+	// fixed handful of times however many ops the graph has. The sizing
+	// pass parks each op's first occurrence in its compiled Kind, which
+	// the lowering pass reads and then overwrites.
 	var nGroups, nUTops int
 	var seen repeats
 	for i := range g.Ops {
-		if _, ok := seen.find(g.Ops, i); !ok {
+		j := seen.find(g.Ops, i)
+		out.Ops[i].Kind = OpKind(j)
+		if j == i {
 			groups, utops := c.shape(&g.Ops[i], kind)
 			nGroups += groups
 			nUTops += utops
 		}
 	}
 	a := arena{groups: make([]GroupSpec, nGroups), utops: make([]UTopSpec, nUTops)}
-	seen = repeats{}
 	for i := range g.Ops {
 		op := &g.Ops[i]
 		co := &out.Ops[i]
+		j := int(co.Kind)
 		co.Name, co.Kind = op.Name, op.Kind
-		if j, ok := seen.find(g.Ops, i); ok {
+		if j < i {
 			co.Groups, co.ReductionSplit = out.Ops[j].Groups, out.Ops[j].ReductionSplit
 			continue
 		}
@@ -155,17 +158,15 @@ func (c *Compiler) Compile(g *Graph, kind ISAKind) (*CompiledGraph, error) {
 // time, never a wrong share.
 type repeats [256]int32 // op index + 1; 0 is an empty slot
 
-// find returns the earlier op that ops[i] repeats, or records ops[i].
-func (r *repeats) find(ops []Op, i int) (int, bool) {
+// find returns the index of the first op equal to ops[i] but for its
+// name: i itself when ops[i] is the first, which it then records.
+func (r *repeats) find(ops []Op, i int) int {
 	op := &ops[i]
-	h := uint64(op.Kind) << 1
-	if op.FusedVE {
-		h |= 1
-	}
-	for _, x := range [...]int64{int64(op.M), int64(op.K), int64(op.N), op.Elems,
-		int64(op.Passes), op.WeightBytes, op.IOBytes} {
-		h = (h ^ uint64(x)) * 0x100000001b3 // FNV-1a's prime, a word at a time
-	}
+	// Independent products, so the hash costs a few cycles; fields it
+	// leaves out only lengthen a probe.
+	h := uint64(op.M)*0x9e3779b97f4a7c15 ^ uint64(op.K)*0xc2b2ae3d27d4eb4f ^
+		uint64(op.N)*0x165667b19e3779f9 ^ uint64(op.Elems)*0x27d4eb2f165667c5 ^
+		uint64(op.WeightBytes+op.IOBytes)*0x94d049bb133111eb ^ uint64(op.Kind)
 	start := int((h * 0x9e3779b97f4a7c15) >> 56)
 	for n := range len(r) {
 		slot := &r[(start+n)%len(r)]
@@ -173,12 +174,20 @@ func (r *repeats) find(ops []Op, i int) (int, bool) {
 			*slot = int32(i + 1)
 			break
 		}
-		a, b := ops[*slot-1], *op
-		if a.Name, b.Name = "", ""; a == b {
-			return int(*slot - 1), true
+		if j := int(*slot - 1); sameOp(&ops[j], op) {
+			return j
 		}
 	}
-	return i, false
+	return i
+}
+
+// sameOp reports whether a and b are equal in every field but Name.
+// TestCompileSharesOnlyEqualOps changes each field in turn, so a field
+// added to Op and missed here fails it.
+func sameOp(a, b *Op) bool {
+	return a.Kind == b.Kind && a.M == b.M && a.K == b.K && a.N == b.N && a.Elems == b.Elems &&
+		a.Passes == b.Passes && a.FusedVE == b.FusedVE && a.WeightBytes == b.WeightBytes &&
+		a.IOBytes == b.IOBytes
 }
 
 // arena hands out windows of a compile's backing arrays. Each window is

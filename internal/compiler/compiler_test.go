@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +226,54 @@ func TestIntensityRatioOrdering(t *testing.T) {
 	}
 	if cm.IntensityRatio(veHeavy) >= 1 {
 		t.Fatal("vector graph not VE-intensive")
+	}
+}
+
+// TestCompileSharesOnlyEqualOps changes each field of an op but its
+// name in turn: the changed op gets its own groups, and a renamed copy
+// of the original shares the original's. A table whose every slot holds
+// the original makes find compare the changed op with it whatever its
+// hash, so a field sameOp skips fails here too.
+func TestCompileSharesOnlyEqualOps(t *testing.T) {
+	c, err := New(testCore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Op{Name: "a", Kind: MatMul, M: 64, K: 512, N: 256, Elems: 4096,
+		Passes: 2, FusedVE: true, WeightBytes: 1 << 20, IOBytes: 1 << 16}
+	renamed := base
+	renamed.Name = "b"
+	for f := 0; f < reflect.TypeOf(base).NumField(); f++ {
+		changed := base
+		v := reflect.ValueOf(&changed).Elem().Field(f)
+		switch v.Kind() {
+		case reflect.String:
+			continue
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			v.SetInt(v.Int() + 1)
+		}
+		name := reflect.TypeOf(base).Field(f).Name
+		cg, err := c.Compile(&Graph{Model: "m", BatchSize: 1, Ops: []Op{base, changed, renamed}}, ISANeu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &cg.Ops[1].Groups[0] == &cg.Ops[0].Groups[0] {
+			t.Errorf("ops differing in %s share groups", name)
+		}
+		if &cg.Ops[2].Groups[0] != &cg.Ops[0].Groups[0] {
+			t.Errorf("with a %s-changed op between them, equal ops do not share groups", name)
+		}
+		var full repeats
+		for k := range full {
+			full[k] = 1 // op 0
+		}
+		if j := full.find([]Op{base, changed}, 1); j != 1 {
+			t.Errorf("find takes an op differing in %s for a repeat of op %d", name, j)
+		}
+		if j := full.find([]Op{base, renamed}, 1); j != 0 {
+			t.Errorf("find misses a renamed repeat (got op %d)", j)
+		}
 	}
 }

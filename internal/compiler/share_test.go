@@ -84,44 +84,6 @@ func TestCompileSharesRepeats(t *testing.T) {
 	}
 }
 
-// TestCompileSharesOnlyEqualOps changes each field of an op but its
-// name in turn: the changed op gets its own groups, and a renamed copy
-// of the original shares the original's.
-func TestCompileSharesOnlyEqualOps(t *testing.T) {
-	c, err := compiler.New(arch.TPUv4Like())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := compiler.Op{Name: "a", Kind: compiler.MatMul, M: 64, K: 512, N: 256, Elems: 4096,
-		Passes: 2, FusedVE: true, WeightBytes: 1 << 20, IOBytes: 1 << 16}
-	for f := 0; f < reflect.TypeOf(base).NumField(); f++ {
-		changed := base
-		v := reflect.ValueOf(&changed).Elem().Field(f)
-		switch v.Kind() {
-		case reflect.String:
-			continue
-		case reflect.Bool:
-			v.SetBool(!v.Bool())
-		default:
-			v.SetInt(v.Int() + 1)
-		}
-		renamed := base
-		renamed.Name = "b"
-		g := &compiler.Graph{Model: "m", BatchSize: 1, Ops: []compiler.Op{base, changed, renamed}}
-		cg, err := c.Compile(g, compiler.ISANeu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := reflect.TypeOf(base).Field(f).Name
-		if &cg.Ops[1].Groups[0] == &cg.Ops[0].Groups[0] {
-			t.Errorf("ops differing in %s share groups", name)
-		}
-		if &cg.Ops[2].Groups[0] != &cg.Ops[0].Groups[0] {
-			t.Errorf("with a %s-changed op between them, equal ops do not share groups", name)
-		}
-	}
-}
-
 // TestCompileAllocations: a compile allocates the compiled graph, its
 // op slice and the two arrays every distinct op's groups and µTOps are
 // carved from, whatever the graph's op count and however many repeat.
