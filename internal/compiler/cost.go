@@ -110,31 +110,27 @@ type Profile struct {
 // 1 ME + 1 VE is max(me, ve) and the active fractions follow. The paper's
 // observation m+v ≥ 1 holds by construction.
 func (cm *CostModel) ProfileGraph(g *Graph) Profile {
+	return cm.ProfileRepeats(g, func(int) uint64 { return 1 })
+}
+
+// ProfileRepeats is ProfileGraph of the graph in which op i of g occurs
+// repeats(i) times, in any order. Its totals are integer sums, so it
+// equals that graph's ProfileGraph exactly.
+func (cm *CostModel) ProfileRepeats(g *Graph, repeats func(i int) uint64) Profile {
 	p := Profile{Model: g.Model, BatchSize: g.BatchSize}
 	for i := range g.Ops {
+		n := repeats(i)
 		c := cm.Cost(&g.Ops[i])
-		t := c.MECycles
-		if c.VECycles > t {
-			t = c.VECycles
-		}
 		// A memory-bound operator cannot finish faster than its traffic.
-		if h := cm.HBMCycles(c.HBMBytes); h > t {
-			t = h
-		}
-		p.TotalCycles += t
-		p.MECycles += c.MECycles
-		p.VECycles += c.VECycles
-		p.HBMBytes += c.HBMBytes
+		t := max(c.MECycles, c.VECycles, cm.HBMCycles(c.HBMBytes))
+		p.TotalCycles += n * t
+		p.MECycles += n * c.MECycles
+		p.VECycles += n * c.VECycles
+		p.HBMBytes += int64(n) * c.HBMBytes
 	}
 	if p.TotalCycles > 0 {
-		p.M = float64(p.MECycles) / float64(p.TotalCycles)
-		p.V = float64(p.VECycles) / float64(p.TotalCycles)
-	}
-	if p.M > 1 {
-		p.M = 1
-	}
-	if p.V > 1 {
-		p.V = 1
+		p.M = min(float64(p.MECycles)/float64(p.TotalCycles), 1)
+		p.V = min(float64(p.VECycles)/float64(p.TotalCycles), 1)
 	}
 	return p
 }
@@ -142,14 +138,9 @@ func (cm *CostModel) ProfileGraph(g *Graph) Profile {
 // IntensityRatio returns the ME:VE execution-time ratio of a graph — the
 // quantity plotted in the paper's Fig. 4 (0.001…100 across workloads).
 func (cm *CostModel) IntensityRatio(g *Graph) float64 {
-	var me, ve uint64
-	for i := range g.Ops {
-		c := cm.Cost(&g.Ops[i])
-		me += c.MECycles
-		ve += c.VECycles
-	}
-	if ve == 0 {
+	p := cm.ProfileGraph(g)
+	if p.VECycles == 0 {
 		return math.Inf(1)
 	}
-	return float64(me) / float64(ve)
+	return float64(p.MECycles) / float64(p.VECycles)
 }

@@ -24,7 +24,8 @@ func sharingGraphs(t *testing.T) []*compiler.Graph {
 		}
 	}
 	for _, s := range [][3]int{{1, 16, 0}, {4, 64, 128}, {16, 1, 640}} {
-		out = append(out, model.LLMPrefillChunk(s[0], s[1], s[2]), model.LLMDecode(s[0], s[1]+s[2]))
+		out = append(out, model.LLMPrefillChunk(s[0], s[1], s[2], model.LLMLayers),
+			model.LLMDecode(s[0], s[1]+s[2], model.LLMLayers))
 	}
 	return out
 }

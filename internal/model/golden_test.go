@@ -36,9 +36,9 @@ func goldenBuilds() []goldenBuild {
 	for _, s := range goldenLLMShapes {
 		out = append(out,
 			goldenBuild{fmt.Sprintf("LLMPrefillChunk(%d,%d,%d)", s[0], s[1], s[2]),
-				func() *compiler.Graph { return LLMPrefillChunk(s[0], s[1], s[2]) }},
+				func() *compiler.Graph { return LLMPrefillChunk(s[0], s[1], s[2], LLMLayers) }},
 			goldenBuild{fmt.Sprintf("LLMDecode(%d,%d)", s[0], s[1]+s[2]),
-				func() *compiler.Graph { return LLMDecode(s[0], s[1]+s[2]) }})
+				func() *compiler.Graph { return LLMDecode(s[0], s[1]+s[2], LLMLayers) }})
 	}
 	return out
 }

@@ -35,7 +35,7 @@ var registry = map[string]Factory{
 	"RsNt":  ResNet,
 	"RNRS":  ResNetRS,
 	"ENet":  EfficientNet,
-	"LLaMA": LLaMA,
+	"LLaMA": func(batch int) *compiler.Graph { return LLaMA(batch, LLMLayers) },
 }
 
 // Names returns the registered model abbreviations, sorted.

@@ -94,45 +94,6 @@ func Transformer(batch int) *compiler.Graph {
 	return b.finish(weights*f32 + acts*f32/2)
 }
 
-// LLaMA builds the §V-F case study: LLaMA2-13B, batch 8, input sequence
-// 512, modeled as a short batched decode run — the memory-bandwidth-bound
-// regime the paper collocates with compute-bound models in Fig. 27.
-func LLaMA(batch int) *compiler.Graph {
-	const (
-		layers  = 40
-		hidden  = 5120
-		ffnDim  = 13824
-		heads   = 40
-		ctxLen  = 512
-		decodes = 8 // decode steps simulated per request
-	)
-	b := newBuilder("LLaMA", batch)
-	headDim := hidden / heads
-
-	for b.pass() {
-		for step := 0; step < decodes; step++ {
-			for l := 0; l < layers; l++ {
-				// Decode: one token per sample; GEMV-shaped matmuls stream
-				// the full weight matrices for tiny M — the HBM-bound shape.
-				b.matmul(layerName("qkv", l), batch, hidden, 3*hidden, false)
-				b.actMatmul(layerName("scores", l), batch*heads, headDim, ctxLen+step, false)
-				b.vec(layerName("softmax", l), compiler.Softmax, int64(batch)*heads*int64(ctxLen+step), 4)
-				b.actMatmul(layerName("ctx", l), batch*heads, ctxLen+step, headDim, false)
-				b.matmul(layerName("o-proj", l), batch, hidden, hidden, false)
-				b.vec(layerName("rmsnorm1", l), compiler.LayerNorm, int64(batch)*hidden, 3)
-				b.matmul(layerName("gate-up", l), batch, hidden, 2*ffnDim, true) // fused SiLU
-				b.matmul(layerName("ffn-down", l), batch, ffnDim, hidden, false)
-				b.vec(layerName("rmsnorm2", l), compiler.LayerNorm, int64(batch)*hidden, 3)
-			}
-			b.matmul("lm-head", batch, hidden, 32000, false)
-		}
-	}
-
-	params := int64(layers)*(4*int64(hidden)*int64(hidden)+3*int64(hidden)*int64(ffnDim)) + 2*32000*int64(hidden)
-	kvCache := int64(2) * layers * int64(ctxLen+decodes) * int64(hidden) * int64(2) // bf16 KV
-	return b.finish(params*2 /* bf16 */ + int64(8)*kvCache)
-}
-
 // layerName returns base.l. The number is formatted into a stack
 // buffer, so a name that does not escape its caller allocates nothing.
 func layerName(base string, l int) string {

@@ -1082,20 +1082,22 @@ type soloTrace struct {
 // SoloLatency returns, bit for bit, the MeanLatency of
 //
 //	Run(Config{Core: core, Policy: NeuNH, Requests: 1},
-//		[]TenantSpec{{Name: cg.Model, Graph: cg, MEs: mes, VEs: ves}})
+//		[]TenantSpec{{Name: cg.Model, Graph: g, MEs: mes, VEs: ves}})
 //
-// or an error where that run completes no request: a deadlock (named at
-// a cycle of the distinct-operator run below), or a run cut off at the
-// event or cycle cap. It simulates each distinct operator once, ops
-// that share groups being one operator, in first-occurrence order,
-// recording every event's dt and where each operator's events end, then
-// adds the dts over the whole operator sequence in Run's order, as Run
-// adds them to its clock. This is exact because in a lone NeuNH
-// closed-loop run no ME is blocked or harvested and nothing arrives, so
-// every operator starts on an idle vNPU and its events depend on it
-// alone; the clock is read only to add dt to it and to stop at the
-// cycle cap, which the sum applies as Run does.
-func SoloLatency(core arch.CoreConfig, cg *compiler.CompiledGraph, mes, ves int) (float64, error) {
+// where g is cg with its ops in order: g's op k is cg's op order[k], and
+// an empty order makes g cg itself. An order index outside cg is an
+// error, and so is a run that completes no request: a deadlock (named
+// at a cycle of the distinct-operator run below), or a run cut off at
+// the event or cycle cap. It simulates each distinct operator of cg
+// once, ops that share groups being one operator, in first-occurrence
+// order, recording every event's dt and where each operator's events
+// end, then adds the dts along the order, as Run adds them to its
+// clock. This is exact because in a lone NeuNH closed-loop run no ME is
+// blocked or harvested and nothing arrives, so every operator starts on
+// an idle vNPU and its events depend on it alone; the clock is read
+// only to add dt to it and to stop at the cycle cap, which the sum
+// applies as Run does. g itself is never built.
+func SoloLatency(core arch.CoreConfig, cg *compiler.CompiledGraph, order []int32, mes, ves int) (float64, error) {
 	// rep[i] is op i's index among the distinct ops; firsts[d] is the
 	// graph index of distinct op d, and then the trace's ends[d+1].
 	n := len(cg.Ops)
@@ -1137,9 +1139,20 @@ func SoloLatency(core arch.CoreConfig, cg *compiler.CompiledGraph, mes, ves int)
 	if res.Tenants[0].Requests == 0 {
 		return 0, errCutOff
 	}
+	steps := len(order)
+	if steps == 0 {
+		steps = n
+	}
 	var now float64
 	events := 0
-	for _, d := range rep {
+	for k := range steps {
+		i := k
+		if len(order) > 0 {
+			if i = int(order[k]); i < 0 || i >= n {
+				return 0, fmt.Errorf("sched: op order index %d outside the graph's %d ops", i, n)
+			}
+		}
+		d := rep[i]
 		for _, dt := range s.solo.dts[s.solo.ends[d]:s.solo.ends[d+1]] {
 			if events++; events > maxEvents {
 				return 0, fmt.Errorf("sched: exceeded %d events at cycle %.0f", uint64(maxEvents), now)

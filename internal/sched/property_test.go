@@ -60,7 +60,7 @@ type fluidCase struct {
 // completes its requests, no request beats its critical path, a second
 // run returns the same result, utilizations lie in [0, 1], CheckpointAt
 // splits the run's cycles exactly, and SoloLatency prices tenant A's
-// graph alone as Run does.
+// graph alone, in graph order and along a random order, as Run does.
 func checkFluid(t *testing.T, c fluidCase) {
 	t.Helper()
 	gr := sim.NewRNG(c.seed)
@@ -144,14 +144,17 @@ func checkFluid(t *testing.T, c fluidCase) {
 		t.Fatalf("%+v: checkpoint %v + %v != %v cycles", c, rp.Completed, rp.Remaining, total)
 	}
 
-	// Invariant 6: SoloLatency of tenant A's graph, and of a copy whose
-	// operators repeat through shared groups, equals a one-request NeuNH
-	// Run of it alone on A's split, bit for bit.
+	// Invariant 6: SoloLatency of tenant A's graph, in graph order, along
+	// a random order whose operators repeat, and as the graph of that
+	// order, equals a one-request NeuNH Run of that op sequence alone on
+	// A's split, bit for bit.
 	solo := *ga
 	solo.ISA = compiler.ISANeu
 	label := fmt.Sprintf("%+v: tenant A alone", c)
-	checkSolo(t, tpu(), &solo, c.meA, c.veA, label)
-	checkSolo(t, tpu(), repeated(&solo, sim.NewRNG(c.seed)), c.meA, c.veA, label+", repeated")
+	order := repeated(len(solo.Ops), sim.NewRNG(c.seed))
+	checkSolo(t, tpu(), &solo, nil, c.meA, c.veA, label)
+	checkSolo(t, tpu(), &solo, order, c.meA, c.veA, label+", repeated")
+	checkSolo(t, tpu(), along(&solo, order), nil, c.meA, c.veA, label+", repeated graph")
 }
 
 func TestPropertyRandomGraphsAllPolicies(t *testing.T) {

@@ -11,17 +11,17 @@ import (
 	"neu10/internal/sim"
 )
 
-// checkSolo requires SoloLatency of cg on a mes+ves vNPU of core to
-// equal, bit for bit, the MeanLatency of the one-request NeuNH Run it
-// stands for.
-func checkSolo(t *testing.T, core arch.CoreConfig, cg *compiler.CompiledGraph, mes, ves int, label string) {
+// checkSolo requires SoloLatency of cg along order on a mes+ves vNPU of
+// core to equal, bit for bit, the MeanLatency of the one-request NeuNH
+// Run of the graph it stands for, along(cg, order).
+func checkSolo(t *testing.T, core arch.CoreConfig, cg *compiler.CompiledGraph, order []int32, mes, ves int, label string) {
 	t.Helper()
 	res, err := Run(Config{Core: core, Policy: NeuNH, Requests: 1},
-		[]TenantSpec{{Name: cg.Model, Graph: cg, MEs: mes, VEs: ves}})
+		[]TenantSpec{{Name: cg.Model, Graph: along(cg, order), MEs: mes, VEs: ves}})
 	if err != nil {
 		t.Fatalf("%s: Run: %v", label, err)
 	}
-	got, err := SoloLatency(core, cg, mes, ves)
+	got, err := SoloLatency(core, cg, order, mes, ves)
 	if err != nil {
 		t.Fatalf("%s: SoloLatency: %v", label, err)
 	}
@@ -31,15 +31,28 @@ func checkSolo(t *testing.T, core arch.CoreConfig, cg *compiler.CompiledGraph, m
 	}
 }
 
-// repeated returns a graph three times g's length whose operators are
-// g's drawn at random, so that they repeat through shared groups.
-func repeated(g *compiler.CompiledGraph, rng *sim.RNG) *compiler.CompiledGraph {
-	out := *g
-	out.Ops = make([]compiler.CompiledOp, 3*len(g.Ops))
-	for i := range out.Ops {
-		out.Ops[i] = g.Ops[rng.Intn(len(g.Ops))]
+// along returns cg's ops in order, or cg for an empty order. Repeated
+// ops share their groups.
+func along(cg *compiler.CompiledGraph, order []int32) *compiler.CompiledGraph {
+	if len(order) == 0 {
+		return cg
 	}
-	return &out
+	g := *cg
+	g.Ops = make([]compiler.CompiledOp, len(order))
+	for k, i := range order {
+		g.Ops[k] = cg.Ops[i]
+	}
+	return &g
+}
+
+// repeated returns an order of three times n ops drawn at random from
+// a graph of n, so that they repeat.
+func repeated(n int, rng *sim.RNG) []int32 {
+	order := make([]int32, 3*n)
+	for k := range order {
+		order[k] = int32(rng.Intn(n))
+	}
+	return order
 }
 
 // TestSoloLatencyMatchesRun covers every registry model at batches 1,
@@ -59,7 +72,8 @@ func TestSoloLatencyMatchesRun(t *testing.T) {
 		}
 	}
 	for _, s := range [][3]int{{1, 16, 0}, {4, 64, 128}, {16, 1, 640}} {
-		graphs = append(graphs, model.LLMPrefillChunk(s[0], s[1], s[2]), model.LLMDecode(s[0], s[1]+s[2]))
+		graphs = append(graphs, model.LLMPrefillChunk(s[0], s[1], s[2], model.LLMLayers),
+			model.LLMDecode(s[0], s[1]+s[2], model.LLMLayers))
 	}
 	core := tpu()
 	for _, n := range []int{1, 2, 4} {
@@ -74,15 +88,15 @@ func TestSoloLatencyMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSolo(t, sub, cg, n, n, fmt.Sprintf("%s b%d on %dME+%dVE", g.Model, g.BatchSize, n, n))
+			checkSolo(t, sub, cg, nil, n, n, fmt.Sprintf("%s b%d on %dME+%dVE", g.Model, g.BatchSize, n, n))
 		}
 	}
 }
 
 // TestSoloLatencyRandomRepeats covers randGraph graphs, every other
-// one varied per µTOp with HBM traffic, and copies of them whose
-// operators repeat through shared groups, on every split of the 4+4
-// core.
+// one varied per µTOp with HBM traffic, in graph order, along a random
+// order whose operators repeat, and as the graph of that order, whose
+// repeats share groups, on every split of the 4+4 core.
 func TestSoloLatencyRandomRepeats(t *testing.T) {
 	rng := sim.NewRNG(35)
 	for trial := 0; trial < 60; trial++ {
@@ -92,7 +106,21 @@ func TestSoloLatencyRandomRepeats(t *testing.T) {
 		}
 		mes, ves := 1+trial%4, 1+trial/4%4
 		label := fmt.Sprintf("trial %d on %dME+%dVE", trial, mes, ves)
-		checkSolo(t, tpu(), g, mes, ves, label)
-		checkSolo(t, tpu(), repeated(g, rng), mes, ves, label+", repeated")
+		order := repeated(len(g.Ops), rng)
+		checkSolo(t, tpu(), g, nil, mes, ves, label)
+		checkSolo(t, tpu(), g, order, mes, ves, label+", repeated")
+		checkSolo(t, tpu(), along(g, order), nil, mes, ves, label+", repeated graph")
+	}
+}
+
+// TestSoloLatencyRejectsBadOrder: an order index outside the graph is
+// an error, not a panic.
+func TestSoloLatencyRejectsBadOrder(t *testing.T) {
+	g := randGraph(sim.NewRNG(36), compiler.ISANeu)
+	n := int32(len(g.Ops))
+	for _, order := range [][]int32{{0, n}, {-1}, {n - 1, 0, 1 << 30}} {
+		if c, err := SoloLatency(tpu(), g, order, 2, 2); err == nil {
+			t.Errorf("order %v over %d ops: latency %v and no error", order, n, c)
+		}
 	}
 }

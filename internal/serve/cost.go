@@ -16,38 +16,43 @@ import (
 // measured by compiling the invocation's graph at its padded shape and
 // replaying it solo through the §III-G fluid simulator on a core carved
 // down to the vNPU's engine counts and its fair HBM-bandwidth share
-// (§III-B: bandwidth is shared in proportion to EUs by default). The
-// fluid model therefore prices in ME/VE pipelining, reduction-split
-// overheads and memory-boundedness exactly as the figure experiments do.
-// The replay is sched.SoloLatency, which simulates each distinct
-// operator once and equals a one-request sched.Run bit for bit; a
-// replay that completes no request, cut off at the simulator's cycle or
-// event cap or deadlocked, is a costing error, never a 0-cycle entry.
+// (§III-B: bandwidth is shared in proportion to EUs by default), so it
+// prices ME/VE pipelining, reduction-split overheads and
+// memory-boundedness exactly as the figure experiments do. The replay
+// is sched.SoloLatency, which simulates each distinct operator once and
+// equals a one-request sched.Run bit for bit. An LLM phase entry builds
+// and compiles one transformer layer and its lm-head (10 ops) and
+// replays them along model.LLMOrder, which is the 40-layer graph's
+// latency bit for bit. A replay that completes no request, cut off at
+// the simulator's cycle or event cap or deadlocked, is a costing error,
+// never a 0-cycle entry.
 //
 // Batch sizes, sequence lengths and cached contexts are padded up to the
 // next power of two before costing — real serving kernels are compiled
 // for bucketed shapes, and bucketing bounds the cache to a logarithmic
 // number of entries per dimension, invocation and vNPU shape.
 //
-// Entries are measured on first use: nothing is measured ahead of time,
-// and the first launch that asks for a key pays for its measurement.
-// Entries are single-flighted per key (the workload.Compiled pattern):
-// the map lock is held only to claim a slot, measurement runs under the
-// entry's sync.Once, so distinct keys measure concurrently and the
-// parallel experiment runner shares one CostDB across its worker pool.
-// Every entry is a pure function of its key, so population order — which
-// run, worker or launch measured it first — cannot leak into results.
-// A failed measurement is cached like a value; a serving run that hits
-// one stops with that error. A serving run reads the database only
-// through its cost tables (costTable), once per launch shape.
+// Entries are measured on first use: the first launch that asks for a
+// key pays for its measurement. Entries are single-flighted per key
+// (the workload.Compiled pattern): the map lock is held only to claim a
+// slot, measurement runs under the entry's sync.Once, so distinct keys
+// measure concurrently and the parallel experiment runner shares one
+// CostDB across its worker pool. Every entry is a pure function of its
+// key, so population order — which run, worker or launch measured it
+// first — cannot leak into results. A failed measurement is cached like
+// a value; a serving run that hits one stops with that error. A serving
+// run reads the database only through its cost tables (costTable), once
+// per launch shape.
 //
 // The database also memoizes each (model, padded batch)'s §III-B
 // allocator profile and HBM footprint (profile), from which newFleet
-// sizes a tenant's vNPUs, so runs sharing a database build and profile
-// each tenant's graph once. The memo is single-flighted, caches errors,
-// and stays outside Entries() and the cap: a run adds at most one per
-// tenant. It lives on the database, not in a package variable, so a
-// fresh database starts cold, as each neu10-serve invocation does.
+// sizes a tenant's vNPUs, so runs sharing a database profile each
+// tenant's model once; the serving LLM's profile is summed from an
+// 80-op one-layer build of the registry LLaMA. The memo is
+// single-flighted, caches errors, and stays outside Entries() and the
+// cap: a run adds at most one per tenant. It lives on the database, not
+// in a package variable, so a fresh database starts cold, as each
+// neu10-serve invocation does.
 type CostDB struct {
 	core     arch.CoreConfig
 	mu       sync.Mutex
@@ -77,8 +82,8 @@ const DefaultMaxCostEntries = 8192
 
 // Invocation kinds, of a costKey and of a costTable grid: one decode
 // iteration of the serving LLM (model.LLMDecode), one prefill chunk
-// (model.LLMPrefill, or model.LLMPrefillChunk behind cached context),
-// or a whole-model batched inference.
+// (model.LLMPrefillChunk, behind cached context or none), or a
+// whole-model batched inference.
 const (
 	decodeCost = iota
 	prefillCost
@@ -201,50 +206,52 @@ func (db *CostDB) profile(name string, batch int) (compiler.Profile, int64, erro
 		if db.onMeasure != nil {
 			db.onMeasure(key)
 		}
-		var g *compiler.Graph
-		if g, e.err = model.Build(name, batch); e.err == nil {
-			e.prof, e.footprint = compiler.NewCostModel(db.core).ProfileGraph(g), g.HBMFootprint
+		cm := compiler.NewCostModel(db.core)
+		if name == llmModel {
+			g := model.LLaMA(batch, 1)
+			e.prof, e.footprint = cm.ProfileRepeats(g, model.LLMRepeats), g.HBMFootprint
+		} else if g, err := model.Build(name, batch); err != nil {
+			e.err = err
+		} else {
+			e.prof, e.footprint = cm.ProfileGraph(g), g.HBMFootprint
 		}
 	})
 	return e.prof, e.footprint, e.err
 }
 
-// measure prices one cache entry: the latency of its compiled graph
-// run solo on its vNPU, as sched.SoloLatency gives it.
+// measure prices one cache entry: the latency of its graph, compiled
+// for its vNPU and run solo on it, as sched.SoloLatency gives it.
 func (db *CostDB) measure(key costKey) (float64, error) {
-	sub, cg, err := db.compile(key)
+	var g *compiler.Graph
+	var order []int32
+	switch key.kind {
+	case prefillCost:
+		g, order = model.LLMPrefillChunk(key.batch, key.seq, key.ctx, 1), model.LLMOrder()
+	case decodeCost:
+		g, order = model.LLMDecode(key.batch, key.seq, 1), model.LLMOrder()
+	default:
+		var err error
+		if g, err = model.Build(key.model, key.batch); err != nil {
+			return 0, err
+		}
+	}
+	sub, cg, err := db.compile(g, key.nm, key.nv)
 	if err != nil {
 		return 0, err
 	}
-	c, err := sched.SoloLatency(sub, cg, key.nm, key.nv)
+	c, err := sched.SoloLatency(sub, cg, order, key.nm, key.nv)
 	if err != nil {
 		return 0, fmt.Errorf("serve: costing %s/%d on %dME+%dVE: %w", key.model, key.batch, key.nm, key.nv, err)
 	}
 	return c, nil
 }
 
-// compile builds an entry's graph at its padded shape and compiles it
-// for its vNPU, which sees its own engines and its proportional
-// bandwidth slice.
-func (db *CostDB) compile(key costKey) (arch.CoreConfig, *compiler.CompiledGraph, error) {
-	var g *compiler.Graph
-	var err error
-	switch key.kind {
-	case prefillCost:
-		g = model.LLMPrefillChunk(key.batch, key.seq, key.ctx)
-	case decodeCost:
-		g = model.LLMDecode(key.batch, key.seq)
-	default:
-		g, err = model.Build(key.model, key.batch)
-	}
-	if err != nil {
-		return arch.CoreConfig{}, nil, err
-	}
-	frac := float64(key.nm+key.nv) / float64(db.core.MEs+db.core.VEs)
-	if frac > 1 {
-		frac = 1
-	}
-	sub := db.core.WithEUs(key.nm, key.nv).WithHBMBandwidth(db.core.HBMBwBytes * frac)
+// compile compiles g for a vNPU of nm MEs and nv VEs, which sees its own
+// engines and its proportional bandwidth slice, and returns the vNPU's
+// core with it.
+func (db *CostDB) compile(g *compiler.Graph, nm, nv int) (arch.CoreConfig, *compiler.CompiledGraph, error) {
+	frac := min(float64(nm+nv)/float64(db.core.MEs+db.core.VEs), 1)
+	sub := db.core.WithEUs(nm, nv).WithHBMBandwidth(db.core.HBMBwBytes * frac)
 	comp, err := compiler.New(sub)
 	if err != nil {
 		return sub, nil, err

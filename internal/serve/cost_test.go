@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,42 +80,51 @@ func TestCostDBSingleFlightConcurrent(t *testing.T) {
 
 // TestProfileMemoMatchesGraph: the memo returns exactly the profile and
 // footprint of the graph it stands for, for every registry model at
-// every padded batch from 1 to 64; it builds each (model, padded batch)
-// once, caches an unknown model's error like a value, and adds nothing
-// to Entries().
+// every padded batch from 1 to 64 and for LLaMA, which it sums from a
+// one-layer build, at every batch from 1 to 1024, on 1+1, 4+4 and 8+8
+// cores, the last at 300 GB/s; it builds each (model, batch) once,
+// caches an unknown model's error like a value, and adds nothing to
+// Entries().
 func TestProfileMemoMatchesGraph(t *testing.T) {
-	db := NewCostDB(arch.TPUv4Like())
-	builds := map[costKey]int{}
-	db.onMeasure = func(k costKey) { builds[k]++ }
-	cm := compiler.NewCostModel(db.Core())
-	for _, name := range model.Names() {
-		for batch := 1; batch <= 64; batch++ {
-			g, err := model.Build(name, PadBatch(batch))
-			if err != nil {
-				t.Fatal(err)
+	base := arch.TPUv4Like()
+	for _, core := range []arch.CoreConfig{base.WithEUs(1, 1), base, base.WithEUs(8, 8).WithHBMBandwidth(300e9)} {
+		db := NewCostDB(core)
+		builds := map[costKey]int{}
+		db.onMeasure = func(k costKey) { builds[k]++ }
+		cm := compiler.NewCostModel(core)
+		for _, name := range model.Names() {
+			last, pad := 64, PadBatch
+			if name == llmModel {
+				last, pad = 1024, func(b int) int { return b }
 			}
-			prof, footprint, err := db.profile(name, PadBatch(batch))
-			if err != nil || prof != cm.ProfileGraph(g) || footprint != g.HBMFootprint {
-				t.Errorf("%s batch %d: memo holds (%+v, %d, %v), the graph (%+v, %d)",
-					name, batch, prof, footprint, err, cm.ProfileGraph(g), g.HBMFootprint)
+			for batch := 1; batch <= last; batch++ {
+				g, err := model.Build(name, pad(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				prof, footprint, err := db.profile(name, pad(batch))
+				if err != nil || prof != cm.ProfileGraph(g) || footprint != g.HBMFootprint {
+					t.Errorf("%dME+%dVE %s batch %d: memo holds (%+v, %d, %v), the graph (%+v, %d)", core.MEs,
+						core.VEs, name, batch, prof, footprint, err, cm.ProfileGraph(g), g.HBMFootprint)
+				}
 			}
 		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := db.profile("GPT7", 8); err == nil {
-			t.Error("unknown model profiled")
+		for i := 0; i < 2; i++ {
+			if _, _, err := db.profile("GPT7", 8); err == nil {
+				t.Error("unknown model profiled")
+			}
 		}
-	}
-	if want := len(model.Names())*7 + 1; len(builds) != want {
-		t.Errorf("%d keys built, want %d", len(builds), want)
-	}
-	for k, n := range builds {
-		if n != 1 || k.nm != 0 || k.nv != 0 {
-			t.Errorf("profile key %+v built %d times, want once with nm = nv = 0", k, n)
+		if want := (len(model.Names())-1)*7 + 1024 + 1; len(builds) != want {
+			t.Errorf("%d keys built, want %d", len(builds), want)
 		}
-	}
-	if n := db.Entries(); n != 0 {
-		t.Errorf("Entries() = %d after profiles alone, want 0", n)
+		for k, n := range builds {
+			if n != 1 || k.nm != 0 || k.nv != 0 {
+				t.Errorf("profile key %+v built %d times, want once with nm = nv = 0", k, n)
+			}
+		}
+		if n := db.Entries(); n != 0 {
+			t.Errorf("Entries() = %d after profiles alone, want 0", n)
+		}
 	}
 }
 
@@ -551,9 +561,46 @@ func TestCutOffCostingIsError(t *testing.T) {
 	}
 }
 
-// TestCostEntriesMatchRun: every entry a run measures equals, bit for
-// bit, the MeanLatency of a one-request NeuNH sched.Run of the same
-// compiled graph, the reference sched.SoloLatency stands for.
+// fullGraph builds the graph a cost entry stands for, apart from
+// CostDB.measure: an LLM phase entry's graph LLMLayers deep, or a
+// whole-model entry's registry graph.
+func fullGraph(t *testing.T, key costKey) *compiler.Graph {
+	t.Helper()
+	switch key.kind {
+	case prefillCost:
+		return model.LLMPrefillChunk(key.batch, key.seq, key.ctx, model.LLMLayers)
+	case decodeCost:
+		return model.LLMDecode(key.batch, key.seq, model.LLMLayers)
+	}
+	g, err := model.Build(key.model, key.batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkEntryMatchesRun requires an entry of db to equal, bit for bit,
+// the MeanLatency of a one-request NeuNH sched.Run of its key's full
+// graph compiled for its vNPU, the reference sched.SoloLatency stands
+// for.
+func checkEntryMatchesRun(t *testing.T, db *CostDB, key costKey, cycles float64, label string) {
+	t.Helper()
+	sub, cg, err := db.compile(fullGraph(t, key), key.nm, key.nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sched.Run(sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1},
+		[]sched.TenantSpec{{Name: key.model, Graph: cg, MEs: key.nm, VEs: key.nv}})
+	if err != nil {
+		t.Fatalf("%s %+v: Run %v", label, key, err)
+	}
+	if want := res.Tenants[0].MeanLatency; math.Float64bits(cycles) != math.Float64bits(want) {
+		t.Errorf("%s %+v: entry %v, sched.Run %v", label, key, cycles, want)
+	}
+}
+
+// TestCostEntriesMatchRun: every entry a run measures matches its full
+// graph's sched.Run (checkEntryMatchesRun).
 func TestCostEntriesMatchRun(t *testing.T) {
 	for _, cfg := range []Config{fastConfig(1), sharedPoolConfig(1), llmConfig(1, true),
 		pagedCfg(1, KVPaged, KVEvictSwap), disaggConfig(1, 64, 0)} {
@@ -562,21 +609,73 @@ func TestCostEntriesMatchRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for key, e := range db.entries {
-			sub, cg, err := db.compile(key)
-			if err != nil {
-				t.Fatal(err)
+			if e.err != nil {
+				t.Fatalf("%s %+v: %v", cfg.Scenario, key, e.err)
 			}
-			res, err := sched.Run(sched.Config{Core: sub, Policy: sched.NeuNH, Requests: 1},
-				[]sched.TenantSpec{{Name: key.model, Graph: cg, MEs: key.nm, VEs: key.nv}})
-			if err != nil || e.err != nil {
-				t.Fatalf("%s %+v: Run %v, entry %v", cfg.Scenario, key, err, e.err)
-			}
-			if want := res.Tenants[0].MeanLatency; math.Float64bits(e.cycles) != math.Float64bits(want) {
-				t.Errorf("%s %+v: entry %v, sched.Run %v", cfg.Scenario, key, e.cycles, want)
-			}
+			checkEntryMatchesRun(t, db, key, e.cycles, cfg.Scenario)
 		}
 		if len(db.entries) == 0 {
 			t.Errorf("%s: the run measured no entry", cfg.Scenario)
 		}
+	}
+}
+
+// TestLLMCostGridMatchesRun: LLM phase entries across the shapes serving
+// prices — prefill at batches 1–64, chunks 1–1024 and cached contexts
+// 0–1024, decode at the same batches and at contexts 1–1024 — on 1+1,
+// 2+2, 4+4, 1+3 and 3+1 vNPUs, 875 keys in all, each match their full
+// graph's sched.Run (checkEntryMatchesRun).
+func TestLLMCostGridMatchesRun(t *testing.T) {
+	db := NewCostDB(arch.TPUv4Like())
+	keys := 0
+	check := func(kind, batch, seq, ctx, nm, nv int) {
+		t.Helper()
+		cycles, err := db.cost(kind, "", batch, seq, ctx, nm, nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEntryMatchesRun(t, db, costKey{model: llmModel, kind: kind, batch: batch, seq: seq, ctx: ctx,
+			nm: nm, nv: nv}, cycles, "grid")
+		keys++
+	}
+	for _, split := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {1, 3}, {3, 1}} {
+		for batch := 1; batch <= 64; batch *= 2 {
+			for _, seq := range []int{1, 8, 64, 512, 1024} {
+				for _, ctx := range []int{0, 1, 32, 1024} {
+					check(prefillCost, batch, seq, ctx, split[0], split[1])
+				}
+				check(decodeCost, batch, seq, 0, split[0], split[1])
+			}
+		}
+	}
+	if n := db.Entries(); keys != 875 || n != keys {
+		t.Errorf("checked %d keys and the database holds %d, want 875 of each", keys, n)
+	}
+}
+
+// TestCostDBLLMAllocBudget: on a fresh CostDB, one prefill entry, one
+// decode entry and the serving LLM's profile allocate under 32 KB
+// together (22 KB on linux/amd64). Building a phase graph 40 layers
+// deep allocates 36 KB, and the 2888-op registry LLaMA 289 KB, so
+// serving that builds either fails it. The least of three tries
+// counts, so an allocation the runtime makes meanwhile cannot fail it.
+func TestCostDBLLMAllocBudget(t *testing.T) {
+	const budget = 32 << 10
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db := NewCostDB(arch.TPUv4Like())
+		_, perr := db.cost(prefillCost, "", 8, 64, 0, 2, 2)
+		_, derr := db.cost(decodeCost, "", 8, 512, 0, 2, 2)
+		_, _, lerr := db.profile(llmModel, 8)
+		runtime.ReadMemStats(&after)
+		if err := errors.Join(perr, derr, lerr); err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > budget {
+		t.Errorf("a prefill entry, a decode entry and the LLaMA profile allocated %d bytes, budget %d", least, budget)
 	}
 }
